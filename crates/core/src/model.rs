@@ -51,10 +51,53 @@ use crate::query::PlanSpace;
 /// real source of `stream` in a candidate solution), availability must be
 /// powered from outside the set. Valid for every causal allocation and
 /// violated by the offending cycle.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct AvailabilityCut {
     pub stream: StreamId,
     pub dead_set: BTreeSet<HostId>,
+}
+
+/// Availability cuts in insertion order — the order their rows were laid
+/// out in — with an ordered index for membership and position lookups.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CutRegistry {
+    order: Vec<AvailabilityCut>,
+    index: BTreeMap<AvailabilityCut, usize>,
+}
+
+impl CutRegistry {
+    /// Appends `cut` unless it is registered already; returns whether it
+    /// was new.
+    pub(crate) fn insert(&mut self, cut: AvailabilityCut) -> bool {
+        if self.index.contains_key(&cut) {
+            return false;
+        }
+        self.index.insert(cut.clone(), self.order.len());
+        self.order.push(cut);
+        true
+    }
+
+    pub(crate) fn contains(&self, cut: &AvailabilityCut) -> bool {
+        self.index.contains_key(cut)
+    }
+
+    fn position(&self, cut: &AvailabilityCut) -> Option<usize> {
+        self.index.get(cut).copied()
+    }
+
+    pub(crate) fn as_slice(&self) -> &[AvailabilityCut] {
+        &self.order
+    }
+}
+
+impl FromIterator<AvailabilityCut> for CutRegistry {
+    fn from_iter<I: IntoIterator<Item = AvailabilityCut>>(cuts: I) -> Self {
+        let mut registry = CutRegistry::default();
+        for cut in cuts {
+            registry.insert(cut);
+        }
+        registry
+    }
 }
 
 /// Inputs to one planning-model build.
@@ -84,6 +127,91 @@ enum DemandKind {
     /// Demanded by a past submission and rejected: `d` fixed to 0 so stale
     /// λ1 rewards cannot distort later solves.
     Disabled,
+}
+
+/// What the skeleton's state-dependent bounds, right-hand sides and
+/// fold-exempt flags were last derived from (see the module docs), one
+/// record per layer function. Each function trusts only its own record and
+/// runs its full pass without one.
+///
+/// `Clone` yields an empty memo: a copy keeps the bounds it was copied
+/// with, but nothing vouches for how it is used from there — the admission
+/// queue parks clones for rounds that resume against a later deployment.
+#[derive(Default)]
+struct Memo {
+    extended: Option<Extended>,
+    reduction: Option<Reduction>,
+    exempt: Option<Exempt>,
+    /// The [`Model`]'s stamps and row count as the last layer function
+    /// left them. `milp` is a public field: if anything else wrote to the
+    /// model since, the records above describe a model that is gone.
+    seal: Option<(u64, u64, usize)>,
+}
+
+impl Clone for Memo {
+    fn clone(&self) -> Self {
+        Memo::default()
+    }
+}
+
+/// Inputs of the last [`PlanningModel::extend`].
+struct Extended {
+    substrate: u64,
+    state: u64,
+    new_streams: Vec<StreamId>,
+}
+
+/// Inputs of the last [`PlanningModel::apply_reduction`], and what has
+/// happened to its output since.
+struct Reduction {
+    substrate: u64,
+    /// The deployment the outside-space columns are fixed at; kept whole
+    /// because the next reduction needs to know what changed.
+    state: DeploymentState,
+    /// Its availability fixpoint (what `y` columns are fixed at).
+    derived: BTreeSet<(HostId, StreamId)>,
+    /// The free space.
+    streams: BTreeSet<StreamId>,
+    ops: BTreeSet<OperatorId>,
+    /// Entities whose bounds `extend` has written since: new columns,
+    /// moved fixed-consumer pins, demand-kind transitions.
+    stale_streams: BTreeSet<StreamId>,
+    stale_ops: BTreeSet<OperatorId>,
+    /// What every solution within these bounds decodes to outside the free
+    /// space: `state`'s entities the skeleton does not represent, plus the
+    /// represented ones whose column is fixed at one.
+    outside: DecodedAllocation,
+}
+
+/// The fold-exempt entities as of the last
+/// [`PlanningModel::set_fold_exemptions`].
+struct Exempt {
+    streams: BTreeSet<StreamId>,
+    ops: BTreeSet<OperatorId>,
+}
+
+/// How a layer function ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) enum Pass {
+    /// Over every column of the skeleton.
+    #[default]
+    Full,
+    /// Over the entities whose outcome could differ.
+    Delta,
+    /// Inputs exactly as last time: nothing but new cuts.
+    Unchanged,
+}
+
+/// How the latest call of each layer function ran, for the tests that pin
+/// the memo's invalidation rules and the reduction's scaling.
+#[cfg_attr(not(test), allow(dead_code))]
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PassLog {
+    pub(crate) extend: Pass,
+    pub(crate) reduction: Pass,
+    pub(crate) exempt: Pass,
+    /// Variables whose bounds the latest `apply_reduction` wrote.
+    pub(crate) reduction_writes: usize,
 }
 
 /// A built planning model plus the variable maps needed to decode results.
@@ -134,12 +262,37 @@ pub struct PlanningModel {
     cpu_rows: Vec<ConsId>,
     mem_rows: Vec<Option<ConsId>>,
     t_rows: Vec<ConsId>,
-    cut_rows: Vec<(AvailabilityCut, Vec<ConsId>)>,
+    cuts: CutRegistry,
+    /// Rows of each registered cut, parallel to `cuts`.
+    cut_rows: Vec<Vec<ConsId>>,
     pinned: BTreeSet<(HostId, StreamId)>,
     fixed_producer: BTreeSet<(HostId, StreamId)>,
+    memo: Memo,
+    pub(crate) passes: PassLog,
 }
 
 impl PlanningModel {
+    fn milp_stamps(&self) -> (u64, u64, usize) {
+        (
+            self.milp.structure_version(),
+            self.milp.bounds_stamp(),
+            self.milp.num_cons(),
+        )
+    }
+
+    /// Entry of a layer function: forgets the memo unless the model is as
+    /// the previous one left it.
+    fn open_memo(&mut self) {
+        if self.memo.seal != Some(self.milp_stamps()) {
+            self.memo = Memo::default();
+        }
+    }
+
+    /// Exit of a layer function: the memo describes the model as it is now.
+    fn seal_memo(&mut self) {
+        self.memo.seal = Some(self.milp_stamps());
+    }
+
     /// Builds the reduced MILP: an empty shell (capacity rows, O4
     /// variable) plus one [`Self::extend`] over the whole input space.
     pub fn build(inp: &ModelInputs<'_>) -> Self {
@@ -237,9 +390,12 @@ impl PlanningModel {
             cpu_rows,
             mem_rows,
             t_rows,
+            cuts: CutRegistry::default(),
             cut_rows: Vec::new(),
             pinned: BTreeSet::new(),
             fixed_producer: BTreeSet::new(),
+            memo: Memo::default(),
+            passes: PassLog::default(),
         };
         model.extend(inp);
         model
@@ -261,6 +417,13 @@ impl PlanningModel {
     /// rows of their output stream, and the right-hand sides (base
     /// placement plus fixed-producer grants) are refreshed from the state
     /// on every extension like the availability rows.
+    ///
+    /// Called again with the space already covered and the same
+    /// deployment, catalog substrate and demanded streams — the later cut
+    /// rounds of a submission — only the new cuts are added. The `d`
+    /// columns of a demand row are re-bounded when the row changes kind
+    /// (admitted / demanded now / rejected), not on every call;
+    /// [`Self::apply_reduction`] owns them otherwise.
     pub fn extend(&mut self, inp: &ModelInputs<'_>) {
         let catalog = inp.catalog;
         let w = self.weights;
@@ -286,6 +449,39 @@ impl PlanningModel {
             .collect();
         added_ops.sort();
         added_ops.dedup();
+
+        // A catalog whose substrate moved, or frozen re-planning (which
+        // writes bounds from the state that nothing here tracks), voids
+        // everything remembered.
+        self.open_memo();
+        let substrate = catalog.substrate_revision();
+        let known = self
+            .memo
+            .extended
+            .take()
+            .filter(|e| inp.replan && e.substrate == substrate);
+        if known.is_none() {
+            self.memo = Memo::default();
+        }
+        #[cfg(debug_assertions)]
+        let reference = known.is_some().then(|| self.clone());
+
+        let grew = !added_streams.is_empty() || !added_ops.is_empty();
+        let unchanged = !grew
+            && known.as_ref().is_some_and(|e| {
+                e.state == inp.state.revision() && e.new_streams == inp.new_streams
+            });
+        if unchanged {
+            for cut in inp.cuts {
+                self.add_cut(cut, catalog);
+            }
+            self.memo.extended = known;
+            self.seal_memo();
+            self.passes.extend = Pass::Unchanged;
+            #[cfg(debug_assertions)]
+            self.verify_against(reference, "extend", |full| full.extend(inp));
+            return;
+        }
 
         let hosts = self.hosts.clone();
         let with_potentials = self.acyclicity == AcyclicityMode::Constraints;
@@ -321,6 +517,12 @@ impl PlanningModel {
         self.free_streams.extend(added_streams.iter().copied());
         self.free_ops.extend(added_ops.iter().copied());
 
+        // Streams whose columns this call re-bounds behind the reduction's
+        // back (new columns aside): demand-kind transitions, moved pins.
+        let mut rebounded: Vec<StreamId> = Vec::new();
+        // Streams that gain their `d` columns in this call.
+        let mut newly_demanded: Vec<StreamId> = Vec::new();
+
         // ---- demand lifecycle ----
         let admitted: BTreeSet<StreamId> = inp.state.admitted().values().copied().collect();
         let wanted_eq: Vec<StreamId> = admitted
@@ -336,20 +538,18 @@ impl PlanningModel {
             .collect();
         wanted_new.sort();
         wanted_new.dedup();
-        let existing: Vec<StreamId> = {
-            let mut v: Vec<StreamId> = self.demand_rows.keys().copied().collect();
-            v.sort();
-            v
-        };
+        let existing: Vec<StreamId> = self.demand_rows.keys().copied().collect();
         for s in existing {
             let kind = if admitted.contains(&s) {
                 DemandKind::Eq
-            } else if wanted_new.contains(&s) {
+            } else if wanted_new.binary_search(&s).is_ok() {
                 DemandKind::Le
             } else {
                 DemandKind::Disabled
             };
-            self.set_demand_kind(s, kind);
+            if self.set_demand_kind(s, kind) {
+                rebounded.push(s);
+            }
         }
         for &s in wanted_eq.iter().chain(wanted_new.iter()) {
             if self.demand_rows.contains_key(&s) {
@@ -381,6 +581,7 @@ impl PlanningModel {
                 DemandKind::Le
             };
             self.set_demand_kind(s, kind);
+            newly_demanded.push(s);
         }
 
         // ---- rows for the added columns ----
@@ -426,7 +627,7 @@ impl PlanningModel {
                     }
                 }
             }
-            for (cut, rows) in &self.cut_rows {
+            for (cut, rows) in self.cuts.as_slice().iter().zip(&self.cut_rows) {
                 if cut.stream == out {
                     let feed: Vec<(VarId, f64)> = cut
                         .dead_set
@@ -532,20 +733,39 @@ impl PlanningModel {
             }
         }
 
+        // ---- refresh state-dependent pieces ----
+        // The grants behind the availability, relay and cut right-hand
+        // sides are the catalog substrate (unchanged if `known`) and the
+        // fixed producers: while those stand, only new rows need theirs.
+        let old_producers = std::mem::take(&mut self.fixed_producer);
+        self.refresh_pins_and_producers(inp.state, catalog, &mut rebounded);
+        if known.is_some() && self.fixed_producer == old_producers {
+            for &s in &added_streams {
+                self.refresh_stream_rhs(s, catalog);
+            }
+        } else {
+            let streams: Vec<StreamId> = self.free_streams.iter().copied().collect();
+            for s in streams {
+                self.refresh_stream_rhs(s, catalog);
+            }
+            for i in 0..self.cut_rows.len() {
+                let rhs = self.cut_rhs(&self.cuts.as_slice()[i], catalog);
+                for &row in &self.cut_rows[i] {
+                    self.milp.set_row_bounds(row, -f64::INFINITY, rhs);
+                }
+            }
+        }
+        self.refresh_residuals(inp.state, catalog);
+
         // ---- availability cuts not applied yet ----
         for cut in inp.cuts {
-            if self.cut_rows.iter().any(|(c, _)| c == cut) {
-                continue;
-            }
-            self.add_cut(cut.clone(), catalog);
+            self.add_cut(cut, catalog);
         }
-
-        // ---- refresh state-dependent pieces ----
-        self.refresh_pins_and_producers(inp.state, catalog);
-        self.refresh_avail_rhs(catalog);
-        self.refresh_relay_rhs(catalog);
-        self.refresh_cut_rhs(catalog);
-        self.refresh_residuals(inp.state, catalog);
+        self.passes.extend = if known.is_some() {
+            Pass::Delta
+        } else {
+            Pass::Full
+        };
 
         // Freeze current assignments when replanning is disabled
         // (ablation; build path only — the planner never caches skeletons
@@ -571,7 +791,35 @@ impl PlanningModel {
                     self.milp.set_bounds(v, 1.0, 1.0);
                 }
             }
+            // (`known` is `None`: the memo stays empty.)
+            return;
         }
+
+        // ---- what the other two functions need to know ----
+        if let Some(r) = &mut self.memo.reduction {
+            r.stale_streams.extend(added_streams.iter().copied());
+            r.stale_streams.extend(newly_demanded.iter().copied());
+            r.stale_streams.extend(rebounded);
+            r.stale_ops.extend(added_ops.iter().copied());
+        }
+        if let Some(e) = &mut self.memo.exempt {
+            // New columns start fold-eligible, whatever the last exempt
+            // set said about their entity.
+            for s in added_streams.iter().chain(&newly_demanded) {
+                e.streams.remove(s);
+            }
+            for o in &added_ops {
+                e.ops.remove(o);
+            }
+        }
+        self.memo.extended = Some(Extended {
+            substrate,
+            state: inp.state.revision(),
+            new_streams: inp.new_streams.to_vec(),
+        });
+        self.seal_memo();
+        #[cfg(debug_assertions)]
+        self.verify_against(reference, "extend", |full| full.extend(inp));
     }
 
     /// Re-applies the §IV-A reduction for one submission over a persistent
@@ -581,64 +829,123 @@ impl PlanningModel {
     /// the demand lifecycle). The result is algebraically identical to a
     /// fresh reduced model over `space` — same feasible set, same optimal
     /// decisions — while keeping the column layout stable for basis reuse.
+    ///
+    /// With the previous reduction on record only the entities whose
+    /// bounds can differ are re-bounded: the previous and the new free
+    /// space, whatever `extend` touched since, and whatever the deployment
+    /// changed. Same space, same deployment: nothing to do.
     pub fn apply_reduction(
         &mut self,
         space: &PlanSpace,
         state: &DeploymentState,
         catalog: &Catalog,
     ) {
-        let in_streams: BTreeSet<StreamId> = space.streams.iter().copied().collect();
-        let in_ops: BTreeSet<OperatorId> = space.operators.iter().copied().collect();
-        let derived = state.derive_availability(catalog);
-        for (&(h, s), &v) in &self.y {
-            if in_streams.contains(&s) {
-                if self.pinned.contains(&(h, s)) {
-                    self.milp.set_bounds(v, 1.0, 1.0);
-                } else {
-                    self.milp.set_bounds(v, 0.0, 1.0);
-                }
-            } else {
-                let val = if derived.contains(&(h, s)) { 1.0 } else { 0.0 };
-                self.milp.set_bounds(v, val, val);
-            }
-        }
-        for (&(h, m, s), &v) in &self.x {
-            if in_streams.contains(&s) {
-                self.milp.set_bounds(v, 0.0, 1.0);
-            } else {
-                let val = if state.flows().contains(&(h, m, s)) {
-                    1.0
-                } else {
-                    0.0
+        let streams: BTreeSet<StreamId> = space.streams.iter().copied().collect();
+        let ops: BTreeSet<OperatorId> = space.operators.iter().copied().collect();
+        self.open_memo();
+        let substrate = catalog.substrate_revision();
+        let prior = self
+            .memo
+            .reduction
+            .take()
+            .filter(|r| r.substrate == substrate);
+        #[cfg(debug_assertions)]
+        let reference = prior.is_some().then(|| self.clone());
+
+        // The entities to re-bound, and the record they are re-bounded
+        // under.
+        let (touched_streams, touched_ops, mut r);
+        match prior {
+            None => {
+                self.passes.reduction = Pass::Full;
+                touched_streams = self.free_streams.clone();
+                touched_ops = self.free_ops.clone();
+                r = Reduction {
+                    substrate,
+                    state: state.clone(),
+                    derived: state.derive_availability(catalog),
+                    streams: BTreeSet::new(),
+                    ops: BTreeSet::new(),
+                    stale_streams: BTreeSet::new(),
+                    stale_ops: BTreeSet::new(),
+                    outside: DecodedAllocation::default(),
                 };
-                self.milp.set_bounds(v, val, val);
             }
-        }
-        for (&(h, o), &v) in &self.z {
-            if in_ops.contains(&o) {
-                self.milp.set_bounds(v, 0.0, 1.0);
-            } else {
-                let val = if state.is_placed(h, o) { 1.0 } else { 0.0 };
-                self.milp.set_bounds(v, val, val);
-            }
-        }
-        for (&(h, s), &v) in &self.d {
-            match self.demand_kind[&s] {
-                DemandKind::Disabled => self.milp.set_bounds(v, 0.0, 0.0),
-                DemandKind::Eq | DemandKind::Le => {
-                    if in_streams.contains(&s) {
-                        self.milp.set_bounds(v, 0.0, 1.0);
-                    } else {
-                        let val = if state.provider_of(s) == Some(h) {
-                            1.0
-                        } else {
-                            0.0
+            Some(mut prior) => {
+                let same_state = prior.state.revision() == state.revision();
+                let mut moved_streams = std::mem::take(&mut prior.stale_streams);
+                let mut moved_ops = std::mem::take(&mut prior.stale_ops);
+                if !same_state {
+                    let derived = state.derive_availability(catalog);
+                    let was = &prior.state;
+                    moved_streams.extend(
+                        prior
+                            .derived
+                            .symmetric_difference(&derived)
+                            .map(|&(_, s)| s),
+                    );
+                    moved_streams.extend(
+                        was.flows()
+                            .symmetric_difference(state.flows())
+                            .map(|&(_, _, s)| s),
+                    );
+                    let provided_elsewhere =
+                        |(&s, &h): (&StreamId, &HostId), other: &DeploymentState| {
+                            (other.provider_of(s) != Some(h)).then_some(s)
                         };
-                        self.milp.set_bounds(v, val, val);
-                    }
+                    moved_streams.extend(
+                        was.provided()
+                            .iter()
+                            .filter_map(|e| provided_elsewhere(e, state)),
+                    );
+                    moved_streams.extend(
+                        state
+                            .provided()
+                            .iter()
+                            .filter_map(|e| provided_elsewhere(e, was)),
+                    );
+                    moved_ops.extend(
+                        was.placements()
+                            .symmetric_difference(state.placements())
+                            .map(|&(_, o)| o),
+                    );
+                    prior.derived = derived;
+                    prior.state = state.clone();
                 }
+                let same_space = prior.streams == streams && prior.ops == ops;
+                let nothing_moved = moved_streams.is_empty() && moved_ops.is_empty();
+                self.passes.reduction = if same_state && same_space && nothing_moved {
+                    Pass::Unchanged
+                } else {
+                    Pass::Delta
+                };
+                if !same_space {
+                    moved_streams.extend(prior.streams.iter().chain(&streams).copied());
+                    moved_ops.extend(prior.ops.iter().chain(&ops).copied());
+                }
+                (touched_streams, touched_ops, r) = (moved_streams, moved_ops, prior);
             }
         }
+        let mut writes = 0;
+        // (Entities the skeleton does not represent have no columns.)
+        for s in touched_streams {
+            writes += self.reduce_stream(s, streams.contains(&s), state, &r.derived);
+        }
+        for o in touched_ops {
+            writes += self.reduce_op(o, ops.contains(&o), state);
+        }
+        if self.passes.reduction != Pass::Unchanged {
+            r.streams = streams;
+            r.ops = ops;
+            r.outside = self.decode_outside(&r);
+        }
+        self.passes.reduction_writes = writes;
+        self.memo.reduction = Some(r);
+        self.seal_memo();
+        #[cfg(debug_assertions)]
+        self.verify_against(reference, "apply_reduction", |full| {
+            full.apply_reduction(space, state, catalog)
+        });
         // Potentials and the O4 variable stay free: both are auxiliary
         // (zero/objective-only cost) and any causal fixing admits them.
     }
@@ -651,24 +958,18 @@ impl PlanningModel {
     /// keeping the solver context across a query removal: re-fixing a
     /// fixed column at a new value is a bound patch the LP cache absorbs.
     pub fn space_is_bound_fixed(&self, space: &PlanSpace) -> bool {
-        let in_streams: BTreeSet<StreamId> = space.streams.iter().copied().collect();
-        let in_ops: BTreeSet<OperatorId> = space.operators.iter().copied().collect();
         let fixed = |v: VarId| {
             let (lb, ub) = self.milp.var_bounds(v);
             lb == ub
         };
-        self.y
+        space
+            .streams
             .iter()
-            .chain(self.d.iter())
-            .all(|(&(_, s), &v)| !in_streams.contains(&s) || fixed(v))
-            && self
-                .x
+            .all(|&s| self.stream_columns(s).all(fixed))
+            && space
+                .operators
                 .iter()
-                .all(|(&(_, _, s), &v)| !in_streams.contains(&s) || fixed(v))
-            && self
-                .z
-                .iter()
-                .all(|(&(_, o), &v)| !in_ops.contains(&o) || fixed(v))
+                .all(|&o| self.op_columns(o).all(fixed))
     }
 
     /// Marks the decision variables of `spaces` fold-exempt (and everything
@@ -679,6 +980,9 @@ impl PlanningModel {
     /// of paying a relayout. Purely a compression hint
     /// ([`sqpr_milp::Model::set_fold_exempt`]): decisions and objectives
     /// are unchanged, the LP just stays a little wider.
+    ///
+    /// With the previous exempt set on record only the entities that
+    /// entered or left it are re-flagged.
     pub fn set_fold_exemptions<'a>(&mut self, spaces: impl IntoIterator<Item = &'a PlanSpace>) {
         let mut streams: BTreeSet<StreamId> = BTreeSet::new();
         let mut ops: BTreeSet<OperatorId> = BTreeSet::new();
@@ -686,22 +990,86 @@ impl PlanningModel {
             streams.extend(sp.streams.iter().copied());
             ops.extend(sp.operators.iter().copied());
         }
-        for (&(_, s), &v) in &self.y {
-            self.milp.set_fold_exempt(v, streams.contains(&s));
-        }
-        for (&(_, _, s), &v) in &self.x {
-            self.milp.set_fold_exempt(v, streams.contains(&s));
-        }
-        for (&(_, o), &v) in &self.z {
-            self.milp.set_fold_exempt(v, ops.contains(&o));
-        }
-        for (&(_, s), &v) in &self.d {
-            self.milp.set_fold_exempt(v, streams.contains(&s));
-        }
+        self.set_exempt(Exempt { streams, ops });
     }
 
-    /// Applies one demand-row transition (see [`DemandKind`]).
-    fn set_demand_kind(&mut self, s: StreamId, kind: DemandKind) {
+    /// [`Self::set_fold_exemptions`] for the union of the spaces.
+    fn set_exempt(&mut self, exempt: Exempt) {
+        self.open_memo();
+        #[cfg(debug_assertions)]
+        let reference = self.memo.exempt.is_some().then(|| self.clone());
+        let (flip_streams, flip_ops): (Vec<StreamId>, Vec<OperatorId>) = match &self.memo.exempt {
+            Some(e) => (
+                e.streams
+                    .symmetric_difference(&exempt.streams)
+                    .copied()
+                    .collect(),
+                e.ops.symmetric_difference(&exempt.ops).copied().collect(),
+            ),
+            None => (
+                self.free_streams.iter().copied().collect(),
+                self.free_ops.iter().copied().collect(),
+            ),
+        };
+        self.passes.exempt = if self.memo.exempt.is_none() {
+            Pass::Full
+        } else if flip_streams.is_empty() && flip_ops.is_empty() {
+            Pass::Unchanged
+        } else {
+            Pass::Delta
+        };
+        for s in flip_streams {
+            let columns: Vec<VarId> = self.stream_columns(s).collect();
+            for v in columns {
+                self.milp.set_fold_exempt(v, exempt.streams.contains(&s));
+            }
+        }
+        for o in flip_ops {
+            let columns: Vec<VarId> = self.op_columns(o).collect();
+            for v in columns {
+                self.milp.set_fold_exempt(v, exempt.ops.contains(&o));
+            }
+        }
+        #[cfg(debug_assertions)]
+        self.verify_against(reference, "set_fold_exemptions", |full| {
+            full.set_exempt(Exempt {
+                streams: exempt.streams.clone(),
+                ops: exempt.ops.clone(),
+            })
+        });
+        self.memo.exempt = Some(exempt);
+        self.seal_memo();
+    }
+
+    /// The decision columns of stream `s` present in the skeleton: `y` and
+    /// `d` per host, `x` per ordered host pair.
+    fn stream_columns(&self, s: StreamId) -> impl Iterator<Item = VarId> + '_ {
+        self.hosts.iter().flat_map(move |&h| {
+            let flows = self
+                .hosts
+                .iter()
+                .filter_map(move |&m| self.x.get(&(h, m, s)));
+            [self.y.get(&(h, s)), self.d.get(&(h, s))]
+                .into_iter()
+                .flatten()
+                .chain(flows)
+                .copied()
+        })
+    }
+
+    /// The placement columns of operator `o` present in the skeleton.
+    fn op_columns(&self, o: OperatorId) -> impl Iterator<Item = VarId> + '_ {
+        self.hosts
+            .iter()
+            .filter_map(move |&h| self.z.get(&(h, o)).copied())
+    }
+
+    /// Applies one demand-row transition (see [`DemandKind`]); returns
+    /// whether the row changed kind (a new row always does).
+    fn set_demand_kind(&mut self, s: StreamId, kind: DemandKind) -> bool {
+        if self.demand_kind.get(&s) == Some(&kind) {
+            return false;
+        }
         let row = self.demand_rows[&s];
         match kind {
             DemandKind::Eq => self.milp.set_row_bounds(row, 1.0, 1.0),
@@ -717,13 +1085,17 @@ impl PlanningModel {
             }
         }
         self.demand_kind.insert(s, kind);
+        true
     }
 
-    /// Adds one availability cut's rows (shared feed, one row per member).
-    fn add_cut(&mut self, cut: AvailabilityCut, catalog: &Catalog) {
-        if !self.free_streams.contains(&cut.stream) {
+    /// Adds one availability cut's rows (shared feed, one row per member)
+    /// unless the cut is registered already or its stream is not in the
+    /// skeleton.
+    fn add_cut(&mut self, cut: &AvailabilityCut, catalog: &Catalog) {
+        if !self.free_streams.contains(&cut.stream) || self.cuts.contains(cut) {
             return;
         }
+        self.cuts.insert(cut.clone());
         let s_ = cut.stream;
         let mut feed: Vec<(VarId, f64)> = Vec::new();
         for &m2 in &cut.dead_set {
@@ -738,18 +1110,25 @@ impl PlanningModel {
                 }
             }
         }
+        let rhs = self.cut_rhs(cut, catalog);
         let mut rows = Vec::with_capacity(cut.dead_set.len());
         for &m in &cut.dead_set {
             let mut terms = vec![(self.y[&(m, s_)], 1.0)];
             terms.extend(feed.iter().copied());
-            rows.push(self.milp.add_le(terms, 0.0)); // rhs set by refresh
+            rows.push(self.milp.add_le(terms, rhs));
         }
-        self.cut_rows.push((cut, rows));
+        self.cut_rows.push(rows);
     }
 
     /// Recomputes the fixed-producer and fixed-consumer (pin) sets from the
-    /// current deployment, applying and reverting `y` pins as needed.
-    fn refresh_pins_and_producers(&mut self, state: &DeploymentState, catalog: &Catalog) {
+    /// current deployment, applying and reverting `y` pins as needed; the
+    /// streams whose pins moved are appended to `rebounded`.
+    fn refresh_pins_and_producers(
+        &mut self,
+        state: &DeploymentState,
+        catalog: &Catalog,
+        rebounded: &mut Vec<StreamId>,
+    ) {
         let mut fixed_producer = BTreeSet::new();
         let mut pinned = BTreeSet::new();
         for &(h, o) in state.placements() {
@@ -768,64 +1147,56 @@ impl PlanningModel {
         }
         for &(h, s) in pinned.difference(&self.pinned) {
             self.milp.set_bounds(self.y[&(h, s)], 1.0, 1.0);
+            rebounded.push(s);
         }
         for &(h, s) in self.pinned.difference(&pinned) {
             self.milp.set_bounds(self.y[&(h, s)], 0.0, 1.0);
+            rebounded.push(s);
         }
         self.pinned = pinned;
         self.fixed_producer = fixed_producer;
     }
 
-    /// Refreshes availability-row right-hand sides (base placement plus
-    /// fixed-producer grants).
-    fn refresh_avail_rhs(&mut self, catalog: &Catalog) {
-        for (&(m, s), &row) in &self.avail_rows {
-            let mut rhs = 0.0;
-            if catalog.is_base_at(s, m) && !catalog.is_host_failed(m) {
-                rhs += 1.0;
-            }
-            if self.fixed_producer.contains(&(m, s)) {
-                rhs += 1.0;
-            }
-            self.milp.set_row_bounds(row, -f64::INFINITY, rhs);
+    /// What host `m` is granted of stream `s` without a free producer or an
+    /// incoming flow: the base placement plus a fixed producer there.
+    fn grant(&self, m: HostId, s: StreamId, catalog: &Catalog) -> f64 {
+        let mut rhs = 0.0;
+        if catalog.is_base_at(s, m) && !catalog.is_host_failed(m) {
+            rhs += 1.0;
         }
+        if self.fixed_producer.contains(&(m, s)) {
+            rhs += 1.0;
+        }
+        rhs
     }
 
-    /// Refreshes relay-row right-hand sides (`ProducersOnly` ablation):
-    /// the sender may forward without a free producer when the stream is
-    /// based at the sender or a fixed producer is placed there — the same
-    /// grants as the availability rows, re-derived from the current state
-    /// on every extension.
-    fn refresh_relay_rhs(&mut self, catalog: &Catalog) {
-        for (&(h, _, s), &row) in &self.relay_rows {
-            let mut rhs = 0.0;
-            if catalog.is_base_at(s, h) && !catalog.is_host_failed(h) {
-                rhs += 1.0;
-            }
-            if self.fixed_producer.contains(&(h, s)) {
-                rhs += 1.0;
-            }
-            self.milp.set_row_bounds(row, -f64::INFINITY, rhs);
-        }
-    }
-
-    /// Refreshes cut-row right-hand sides (base/fixed-producer grants of
-    /// dead-set members).
-    fn refresh_cut_rhs(&mut self, catalog: &Catalog) {
-        for (cut, rows) in &self.cut_rows {
-            let mut rhs = 0.0;
-            for &m2 in &cut.dead_set {
-                if catalog.is_base_at(cut.stream, m2) && !catalog.is_host_failed(m2) {
-                    rhs += 1.0;
-                }
-                if self.fixed_producer.contains(&(m2, cut.stream)) {
-                    rhs += 1.0;
-                }
-            }
-            for &row in rows {
+    /// Refreshes the right-hand sides of stream `s`'s availability rows
+    /// and, under the `ProducersOnly` ablation, of its relay rows — the
+    /// sender may forward without a free producer on the same grants.
+    fn refresh_stream_rhs(&mut self, s: StreamId, catalog: &Catalog) {
+        for i in 0..self.hosts.len() {
+            let m = self.hosts[i];
+            let rhs = self.grant(m, s, catalog);
+            if let Some(&row) = self.avail_rows.get(&(m, s)) {
                 self.milp.set_row_bounds(row, -f64::INFINITY, rhs);
             }
+            if self.relay_policy == RelayPolicy::ProducersOnly {
+                for j in 0..self.hosts.len() {
+                    if let Some(&row) = self.relay_rows.get(&(m, self.hosts[j], s)) {
+                        self.milp.set_row_bounds(row, -f64::INFINITY, rhs);
+                    }
+                }
+            }
         }
+    }
+
+    /// A cut's right-hand side: the grants of its dead-set members.
+    fn cut_rhs(&self, cut: &AvailabilityCut, catalog: &Catalog) -> f64 {
+        let mut rhs = 0.0;
+        for &m2 in &cut.dead_set {
+            rhs += self.grant(m2, cut.stream, catalog);
+        }
+        rhs
     }
 
     /// Recomputes the residual capacities: contributions of allocations
@@ -990,9 +1361,9 @@ impl PlanningModel {
                 cons_map[oc.index()] = Some(nc.index());
             }
         }
-        for (cut, old_rows) in &old.cut_rows {
-            if let Some((_, new_rows)) = self.cut_rows.iter().find(|(c, _)| c == cut) {
-                for (oc, nc) in old_rows.iter().zip(new_rows) {
+        for (cut, old_rows) in old.cuts.as_slice().iter().zip(&old.cut_rows) {
+            if let Some(i) = self.cuts.position(cut) {
+                for (oc, nc) in old_rows.iter().zip(&self.cut_rows[i]) {
                     cons_map[oc.index()] = Some(nc.index());
                 }
             }
@@ -1010,33 +1381,43 @@ impl PlanningModel {
     /// unadmitted, and stream potentials are set to flow-graph heights so
     /// the acyclicity rows hold. Returns `None` if the state claims a flow
     /// cycle (cannot happen for validated states).
+    ///
+    /// The vector is all zeros except where the deployment says otherwise,
+    /// so it is filled from the deployment, not from the skeleton's maps.
     pub fn warm_start(&self, state: &DeploymentState, catalog: &Catalog) -> Option<Vec<f64>> {
         let mut v = vec![0.0; self.milp.num_vars()];
         // Use the *derived* availability fixpoint rather than the state's
         // explicit claims: base streams are implicitly available at their
         // sources, and hand-built states may omit entries that flows or
         // local operators imply.
-        let derived = state.derive_availability(catalog);
-        for (&(h, s), &var) in &self.y {
-            if derived.contains(&(h, s)) {
+        let computed;
+        let derived = match self.reduced_at(state) {
+            Some(r) if r.substrate == catalog.substrate_revision() => &r.derived,
+            _ => {
+                computed = state.derive_availability(catalog);
+                &computed
+            }
+        };
+        for key in derived {
+            if let Some(var) = self.y.get(key) {
                 v[var.index()] = 1.0;
             }
         }
-        for (&(h, m, s), &var) in &self.x {
-            if state.flows().contains(&(h, m, s)) {
+        for key in state.flows() {
+            if let Some(var) = self.x.get(key) {
                 v[var.index()] = 1.0;
             }
         }
-        for (&(h, o), &var) in &self.z {
-            if state.is_placed(h, o) {
+        for key in state.placements() {
+            if let Some(var) = self.z.get(key) {
                 v[var.index()] = 1.0;
             }
         }
-        for (&(h, s), &var) in &self.d {
-            if self.demand_kind.get(&s) != Some(&DemandKind::Disabled)
-                && state.provider_of(s) == Some(h)
-            {
-                v[var.index()] = 1.0;
+        for (&s, &h) in state.provided() {
+            if self.demand_kind.get(&s) != Some(&DemandKind::Disabled) {
+                if let Some(var) = self.d.get(&(h, s)) {
+                    v[var.index()] = 1.0;
+                }
             }
         }
         // Potentials: longest path along current flow edges per stream
@@ -1058,14 +1439,25 @@ impl PlanningModel {
         // CPU under the warm-start placements plus the fixed load.
         if let Some(t_var) = self.t {
             let mut cpu = self.fixed_cpu.clone();
-            for (&(h, o), &var) in &self.z {
-                if v[var.index()] > 0.5 {
+            for &(h, o) in state.placements() {
+                if self.z.contains_key(&(h, o)) {
                     cpu[h.index()] += self.gamma[&o];
                 }
             }
             v[t_var.index()] = cpu.iter().copied().fold(0.0, f64::max);
         }
         Some(v)
+    }
+
+    /// The reduction on record, if the skeleton's columns still hold what
+    /// it wrote and it was taken against exactly this deployment.
+    fn reduced_at(&self, state: &DeploymentState) -> Option<&Reduction> {
+        self.memo.reduction.as_ref().filter(|r| {
+            self.memo.seal == Some(self.milp_stamps())
+                && r.state.revision() == state.revision()
+                && r.stale_streams.is_empty()
+                && r.stale_ops.is_empty()
+        })
     }
 
     fn flow_heights(&self, state: &DeploymentState, s: StreamId) -> Option<Vec<f64>> {
@@ -1145,74 +1537,249 @@ impl PlanningModel {
 
     /// Whether a solution vector admits the given demanded stream.
     pub fn admits(&self, x: &[f64], stream: StreamId) -> bool {
-        self.d
+        self.hosts
             .iter()
-            .any(|(&(_, s), &v)| s == stream && x[v.index()] > 0.5)
+            .any(|&h| self.d.get(&(h, stream)).is_some_and(|v| x[v.index()] > 0.5))
     }
 
     /// Decodes a solution into a fresh deployment allocation, merging the
     /// fixed (untouched) portion of the previous state.
+    ///
+    /// A solution of the model reduced against `prev` is zero on every
+    /// fixed column except where `prev` (or its availability fixpoint) has
+    /// the entity, so with that reduction on record the columns read are
+    /// those of its free space plus the ones the deployment names; the
+    /// skeleton's maps are scanned whole otherwise.
     pub fn decode(&self, xsol: &[f64], prev: &DeploymentState) -> DecodedAllocation {
-        let mut provided: BTreeMap<StreamId, HostId> = BTreeMap::new();
-        let mut flows: BTreeSet<(HostId, HostId, StreamId)> = BTreeSet::new();
-        let mut available: BTreeSet<(HostId, StreamId)> = BTreeSet::new();
-        let mut placements: BTreeSet<(HostId, OperatorId)> = BTreeSet::new();
+        if let Some(r) = self.reduced_at(prev) {
+            let mut out = r.outside.clone();
+            self.read_space_columns(xsol, r, &mut out);
+            debug_assert!(
+                out == self.decode_scanning(xsol, prev),
+                "decode: the solution leaves the bounds of the reduction it is decoded under"
+            );
+            return out;
+        }
+        self.decode_scanning(xsol, prev)
+    }
 
-        // Fixed portion.
+    /// [`Self::decode`] reading every column of the skeleton.
+    fn decode_scanning(&self, xsol: &[f64], prev: &DeploymentState) -> DecodedAllocation {
+        let mut out = self.unrepresented(prev);
+        let on = |v: &VarId| xsol[v.index()] > 0.5;
+        for (&(h, s), v) in &self.d {
+            if on(v) {
+                out.provided.insert(s, h);
+            }
+        }
+        for (&key, v) in &self.x {
+            if on(v) {
+                out.flows.insert(key);
+            }
+        }
+        for (&key, v) in &self.y {
+            if on(v) {
+                out.available.insert(key);
+            }
+        }
+        for (&key, v) in &self.z {
+            if on(v) {
+                out.placements.insert(key);
+            }
+        }
+        out
+    }
+
+    /// The part of `prev` the skeleton has no columns for.
+    fn unrepresented(&self, prev: &DeploymentState) -> DecodedAllocation {
+        let mut out = DecodedAllocation::default();
         for (&s, &h) in prev.provided() {
             if !self.free_streams.contains(&s) {
-                provided.insert(s, h);
+                out.provided.insert(s, h);
             }
         }
         for &(h, m, s) in prev.flows() {
             if !self.free_streams.contains(&s) {
-                flows.insert((h, m, s));
+                out.flows.insert((h, m, s));
             }
         }
         for &(h, s) in prev.available() {
             if !self.free_streams.contains(&s) {
-                available.insert((h, s));
+                out.available.insert((h, s));
             }
         }
         for &(h, o) in prev.placements() {
             if !self.free_ops.contains(&o) {
-                placements.insert((h, o));
+                out.placements.insert((h, o));
             }
         }
+        out
+    }
 
-        // Free portion from the solution.
-        for (&(h, s), &v) in &self.d {
-            if xsol[v.index()] > 0.5 {
-                provided.insert(s, h);
+    /// [`Reduction::outside`] for the reduction just written: outside its
+    /// free space a column is fixed, and fixed at one only where the
+    /// deployment (or its availability fixpoint) has the entity — so those
+    /// are the columns whose bounds are read.
+    fn decode_outside(&self, r: &Reduction) -> DecodedAllocation {
+        let mut out = self.unrepresented(&r.state);
+        let at_one = |v: &VarId| self.milp.var_bounds(*v).0 > 0.5;
+        for (&s, &h) in r.state.provided() {
+            if !r.streams.contains(&s) && self.d.get(&(h, s)).is_some_and(at_one) {
+                out.provided.insert(s, h);
             }
         }
-        for (&(h, m, s), &v) in &self.x {
-            if xsol[v.index()] > 0.5 {
-                flows.insert((h, m, s));
+        for key in r.state.flows() {
+            if !r.streams.contains(&key.2) && self.x.get(key).is_some_and(at_one) {
+                out.flows.insert(*key);
             }
         }
-        for (&(h, s), &v) in &self.y {
-            if xsol[v.index()] > 0.5 {
-                available.insert((h, s));
+        for key in &r.derived {
+            if !r.streams.contains(&key.1) && self.y.get(key).is_some_and(at_one) {
+                out.available.insert(*key);
             }
         }
-        for (&(h, o), &v) in &self.z {
-            if xsol[v.index()] > 0.5 {
-                placements.insert((h, o));
+        for key in r.state.placements() {
+            if !r.ops.contains(&key.1) && self.z.get(key).is_some_and(at_one) {
+                out.placements.insert(*key);
             }
         }
+        out
+    }
 
-        DecodedAllocation {
-            provided,
-            flows,
-            available,
-            placements,
+    /// Adds the entities of `r`'s free space whose column is on in `xsol`.
+    fn read_space_columns(&self, xsol: &[f64], r: &Reduction, out: &mut DecodedAllocation) {
+        let on = |v: &VarId| xsol[v.index()] > 0.5;
+        for &s in &r.streams {
+            for &h in &self.hosts {
+                if self.d.get(&(h, s)).is_some_and(on) {
+                    out.provided.insert(s, h);
+                }
+                if self.y.get(&(h, s)).is_some_and(on) {
+                    out.available.insert((h, s));
+                }
+                for &m in &self.hosts {
+                    if self.x.get(&(h, m, s)).is_some_and(on) {
+                        out.flows.insert((h, m, s));
+                    }
+                }
+            }
         }
+        for &o in &r.ops {
+            for &h in &self.hosts {
+                if self.z.get(&(h, o)).is_some_and(on) {
+                    out.placements.insert((h, o));
+                }
+            }
+        }
+    }
+    /// Re-bounds the columns of stream `s` for a reduction in which the
+    /// stream is `free` (inside the space) or fixed at `state`, whose
+    /// availability fixpoint is `derived`. Returns the number of columns
+    /// written.
+    fn reduce_stream(
+        &mut self,
+        s: StreamId,
+        free: bool,
+        state: &DeploymentState,
+        derived: &BTreeSet<(HostId, StreamId)>,
+    ) -> usize {
+        let at = |on: bool| if on { (1.0, 1.0) } else { (0.0, 0.0) };
+        let disabled = self.demand_kind.get(&s) == Some(&DemandKind::Disabled);
+        let mut writes = 0;
+        for i in 0..self.hosts.len() {
+            let h = self.hosts[i];
+            if let Some(&v) = self.y.get(&(h, s)) {
+                let (lb, ub) = if !free {
+                    at(derived.contains(&(h, s)))
+                } else if self.pinned.contains(&(h, s)) {
+                    (1.0, 1.0)
+                } else {
+                    (0.0, 1.0)
+                };
+                self.milp.set_bounds(v, lb, ub);
+                writes += 1;
+            }
+            for j in 0..self.hosts.len() {
+                let m = self.hosts[j];
+                if let Some(&v) = self.x.get(&(h, m, s)) {
+                    let (lb, ub) = if free {
+                        (0.0, 1.0)
+                    } else {
+                        at(state.flows().contains(&(h, m, s)))
+                    };
+                    self.milp.set_bounds(v, lb, ub);
+                    writes += 1;
+                }
+            }
+            if let Some(&v) = self.d.get(&(h, s)) {
+                let (lb, ub) = if disabled {
+                    (0.0, 0.0)
+                } else if free {
+                    (0.0, 1.0)
+                } else {
+                    at(state.provider_of(s) == Some(h))
+                };
+                self.milp.set_bounds(v, lb, ub);
+                writes += 1;
+            }
+        }
+        writes
+    }
+
+    /// [`Self::reduce_stream`] for the placement columns of operator `o`.
+    fn reduce_op(&mut self, o: OperatorId, free: bool, state: &DeploymentState) -> usize {
+        let mut writes = 0;
+        for i in 0..self.hosts.len() {
+            let h = self.hosts[i];
+            if let Some(&v) = self.z.get(&(h, o)) {
+                let (lb, ub) = if free {
+                    (0.0, 1.0)
+                } else if state.is_placed(h, o) {
+                    (1.0, 1.0)
+                } else {
+                    (0.0, 0.0)
+                };
+                self.milp.set_bounds(v, lb, ub);
+                writes += 1;
+            }
+        }
+        writes
+    }
+
+    /// Debug-build check of a shortcut: `reference` is a copy of the
+    /// skeleton taken before the call (copies carry no memo), `full` the
+    /// same call on it — necessarily a full pass. Both must end with the
+    /// same model and registries.
+    #[cfg(debug_assertions)]
+    fn verify_against(
+        &self,
+        reference: Option<PlanningModel>,
+        what: &str,
+        full: impl FnOnce(&mut PlanningModel),
+    ) {
+        let Some(mut reference) = reference else {
+            return;
+        };
+        full(&mut reference);
+        let diff = self.milp.first_difference(&reference.milp);
+        assert!(
+            diff.is_none(),
+            "{what}: shortcut diverged from the full pass: {}",
+            diff.unwrap_or_default()
+        );
+        assert!(
+            self.pinned == reference.pinned
+                && self.fixed_producer == reference.fixed_producer
+                && self.demand_kind == reference.demand_kind
+                && self.fixed_cpu == reference.fixed_cpu
+                && self.cut_rows == reference.cut_rows,
+            "{what}: shortcut diverged from the full pass in the registries"
+        );
     }
 }
 
 /// A decoded allocation ready to install into a [`DeploymentState`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DecodedAllocation {
     pub provided: BTreeMap<StreamId, HostId>,
     pub flows: BTreeSet<(HostId, HostId, StreamId)>,
@@ -1224,5 +1791,341 @@ impl DecodedAllocation {
     /// Installs this allocation into the deployment state.
     pub fn install(self, state: &mut DeploymentState) {
         state.replace_allocation(self.provided, self.flows, self.available, self.placements);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! What invalidates the skeleton's memo, and what a reduction costs as the
+    //! skeleton grows — both read off the crate-private [`PassLog`].
+
+    use super::*;
+    use crate::greedy::greedy_admit;
+    use crate::query::register_join_query;
+    use sqpr_dsps::{CostModel, HostSpec, QueryId};
+
+    const HOSTS: usize = 3;
+
+    /// A skeleton two cut rounds into its second submission: every memo is
+    /// populated, and a further round with the same inputs is a no-op.
+    struct Warm {
+        catalog: Catalog,
+        state: DeploymentState,
+        model: PlanningModel,
+        covered: PlanSpace,
+        space: PlanSpace,
+        new_streams: [StreamId; 1],
+        bases: Vec<StreamId>,
+    }
+
+    impl Warm {
+        fn new() -> Self {
+            let mut catalog = Catalog::uniform(
+                HOSTS,
+                HostSpec::new(500.0, 2000.0),
+                1000.0,
+                CostModel::default(),
+            );
+            let bases: Vec<StreamId> = (0..5)
+                .map(|i| catalog.add_base_stream(HostId((i % HOSTS) as u32), 6.0, i as u64))
+                .collect();
+            let (first, first_space) =
+                register_join_query(&mut catalog, QueryId(0), &[bases[0], bases[1]], 0);
+            let (second, space) =
+                register_join_query(&mut catalog, QueryId(1), &[bases[1], bases[2]], 0);
+            let mut state = DeploymentState::new();
+            let weights = ObjectiveWeights::paper_defaults(&catalog);
+            let model = PlanningModel::build(&ModelInputs {
+                catalog: &catalog,
+                state: &state,
+                space: &first_space,
+                new_streams: &[first.result],
+                weights,
+                relay_policy: RelayPolicy::All,
+                acyclicity: AcyclicityMode::Lazy,
+                replan: true,
+                cuts: &[],
+            });
+            state = greedy_admit(&catalog, &state, first.result, 0).expect("room for one query");
+            state.admit_query(QueryId(0), first.result);
+            let mut covered = first_space;
+            covered.merge(&space);
+            let mut warm = Warm {
+                catalog,
+                state,
+                model,
+                covered,
+                space,
+                new_streams: [second.result],
+                bases,
+            };
+            warm.round();
+            warm.round();
+            assert_eq!(
+                warm.passes(),
+                (Pass::Unchanged, Pass::Unchanged, Pass::Unchanged)
+            );
+            assert_eq!(warm.model.passes.reduction_writes, 0);
+            warm
+        }
+
+        /// The planner's per-construction call sequence.
+        fn round(&mut self) {
+            self.model.extend(&ModelInputs {
+                catalog: &self.catalog,
+                state: &self.state,
+                space: &self.covered,
+                new_streams: &self.new_streams,
+                weights: ObjectiveWeights::paper_defaults(&self.catalog),
+                relay_policy: RelayPolicy::All,
+                acyclicity: AcyclicityMode::Lazy,
+                replan: true,
+                cuts: &[],
+            });
+            self.model
+                .apply_reduction(&self.space, &self.state, &self.catalog);
+            self.model.set_fold_exemptions([&self.space]);
+        }
+
+        fn passes(&self) -> (Pass, Pass, Pass) {
+            let log = self.model.passes;
+            (log.extend, log.reduction, log.exempt)
+        }
+    }
+
+    /// Every public mutator of `DeploymentState`, touched between two rounds,
+    /// takes `extend` and `apply_reduction` off their no-op path — whether or
+    /// not the call changed anything (a revision is renewed, not compared).
+    #[test]
+    fn every_deployment_mutator_invalidates_the_memo() {
+        type Mutator = (&'static str, fn(&mut Warm));
+        let mutators: [Mutator; 11] = [
+            ("set_provided", |w| {
+                w.state.set_provided(w.bases[3], HostId(0))
+            }),
+            ("clear_provided", |w| w.state.clear_provided(w.bases[3])),
+            ("add_flow", |w| {
+                w.state.add_flow(HostId(0), HostId(1), w.bases[0])
+            }),
+            ("remove_flow", |w| {
+                w.state.remove_flow(HostId(0), HostId(1), w.bases[0])
+            }),
+            ("add_available", |w| {
+                w.state.add_available(HostId(0), w.bases[0])
+            }),
+            ("add_placement", |w| {
+                let o = w.space.operators[0];
+                w.state.add_placement(HostId(2), o)
+            }),
+            ("remove_placement", |w| {
+                let o = w.space.operators[0];
+                w.state.remove_placement(HostId(2), o)
+            }),
+            ("admit_query", |w| {
+                let s = w.new_streams[0];
+                w.state.admit_query(QueryId(7), s)
+            }),
+            ("remove_query", |w| {
+                w.state.remove_query(QueryId(0));
+            }),
+            ("replace_allocation", |w| {
+                let s = &w.state;
+                let (p, f, a, z) = (
+                    s.provided().clone(),
+                    s.flows().clone(),
+                    s.available().clone(),
+                    s.placements().clone(),
+                );
+                w.state.replace_allocation(p, f, a, z)
+            }),
+            ("audit_failures", |w| {
+                w.state = w.state.audit_failures(&w.catalog).survivor
+            }),
+        ];
+        for (name, mutate) in mutators {
+            let mut warm = Warm::new();
+            mutate(&mut warm);
+            warm.round();
+            let (extend, reduction, _) = warm.passes();
+            assert_ne!(
+                extend,
+                Pass::Unchanged,
+                "{name}: extend took the no-op path"
+            );
+            assert_ne!(
+                reduction,
+                Pass::Unchanged,
+                "{name}: apply_reduction took the no-op path"
+            );
+        }
+    }
+
+    /// Every public mutator of `Catalog` that can change something about an
+    /// entity the skeleton already has sends all of it back to the full pass;
+    /// interning more composite streams and operators — what registering a
+    /// query does — changes none of them and keeps the shortcuts.
+    #[test]
+    fn catalog_substrate_mutators_force_the_full_pass() {
+        type Mutator = (&'static str, fn(&mut Warm));
+        let mutators: [Mutator; 9] = [
+            ("fail_host", |w| {
+                w.catalog.fail_host(HostId(2));
+            }),
+            ("restore_host", |w| {
+                w.catalog.fail_host(HostId(2));
+                w.round();
+                w.catalog.restore_host(HostId(2));
+            }),
+            ("degrade_link", |w| {
+                w.catalog.degrade_link(HostId(0), HostId(1), 500.0)
+            }),
+            ("restore_link", |w| {
+                w.catalog.restore_link(HostId(0), HostId(1))
+            }),
+            ("rehome_base_stream", |w| {
+                w.catalog.rehome_base_stream(w.bases[4], HostId(0))
+            }),
+            ("rehome_orphaned_sources", |w| {
+                w.catalog.fail_host(HostId(2));
+                w.round();
+                assert!(!w.catalog.rehome_orphaned_sources().is_empty());
+            }),
+            ("add_base_stream", |w| {
+                w.catalog.add_base_stream(HostId(0), 6.0, 99);
+            }),
+            ("update_base_rate", |w| {
+                w.catalog.update_base_rate(w.bases[4], 7.0)
+            }),
+            ("refresh_derived", |w| w.catalog.refresh_derived()),
+        ];
+        for (name, mutate) in mutators {
+            let mut warm = Warm::new();
+            mutate(&mut warm);
+            warm.round();
+            let (extend, reduction, _) = warm.passes();
+            assert_eq!(extend, Pass::Full, "{name}: extend");
+            assert_eq!(reduction, Pass::Full, "{name}: apply_reduction");
+        }
+
+        let mut warm = Warm::new();
+        let bases = [warm.bases[2], warm.bases[3], warm.bases[4]];
+        register_join_query(&mut warm.catalog, QueryId(2), &bases, 0);
+        warm.round();
+        assert_eq!(
+            warm.passes(),
+            (Pass::Unchanged, Pass::Unchanged, Pass::Unchanged),
+            "interning composites must not cost the memo"
+        );
+    }
+
+    /// A clone carries no memo, and a write to the public `milp` field behind
+    /// the skeleton's back voids the one it has.
+    #[test]
+    fn clones_and_outside_writes_start_over() {
+        let warm = Warm::new();
+        let mut parked = Warm {
+            model: warm.model.clone(),
+            ..warm
+        };
+        parked.round();
+        assert_eq!(parked.passes(), (Pass::Full, Pass::Full, Pass::Full));
+
+        let mut warm = Warm::new();
+        let (free_column, lb) = warm
+            .model
+            .y
+            .values()
+            .map(|&v| (v, warm.model.milp.var_bounds(v)))
+            .find_map(|(v, (lb, ub))| (lb < ub).then_some((v, lb)))
+            .expect("the free space has free columns");
+        warm.model.milp.set_bounds(free_column, lb, lb);
+        warm.round();
+        assert_eq!(warm.passes(), (Pass::Full, Pass::Full, Pass::Full));
+    }
+
+    /// A new submission re-bounds the previous and the new free space plus
+    /// what the deployment changed — not the skeleton. 80 unsaturated
+    /// admissions grow the skeleton many-fold; the columns `apply_reduction`
+    /// writes per submission stay where they were.
+    #[test]
+    fn reduction_writes_follow_the_spaces_not_the_skeleton() {
+        const H: usize = 4;
+        let mut catalog = Catalog::uniform(H, HostSpec::new(1e6, 1e6), 1e6, CostModel::default());
+        let bases: Vec<StreamId> = (0..60)
+            .map(|i| catalog.add_base_stream(HostId((i % H) as u32), 5.0, i as u64))
+            .collect();
+        let weights = ObjectiveWeights::paper_defaults(&catalog);
+        let mut state = DeploymentState::new();
+        let mut covered = PlanSpace::default();
+        let mut model: Option<PlanningModel> = None;
+        let mut previous_space = PlanSpace::default();
+        // (skeleton columns, columns written) per submission.
+        let mut rounds: Vec<(usize, usize)> = Vec::new();
+        for q in 0..80u32 {
+            // Distinct base pairs and triples, deterministic, little overlap.
+            let i = (q as usize * 7) % bases.len();
+            let mut picked = vec![bases[i], bases[(i + 1 + q as usize % 5) % bases.len()]];
+            if q % 3 == 0 {
+                picked.push(bases[(i + 11) % bases.len()]);
+            }
+            let (spec, space) = register_join_query(&mut catalog, QueryId(q), &picked, 0);
+            if state.provider_of(spec.result).is_some() {
+                state.admit_query(QueryId(q), spec.result);
+                continue;
+            }
+            covered.merge(&space);
+            let inputs = ModelInputs {
+                catalog: &catalog,
+                state: &state,
+                space: &covered,
+                new_streams: &[spec.result],
+                weights,
+                relay_policy: RelayPolicy::All,
+                acyclicity: AcyclicityMode::Lazy,
+                replan: true,
+                cuts: &[],
+            };
+            let mut m = match model.take() {
+                None => PlanningModel::build(&inputs),
+                Some(mut m) => {
+                    m.extend(&inputs);
+                    m
+                }
+            };
+            m.apply_reduction(&space, &state, &catalog);
+            if rounds.len() > 1 {
+                assert_eq!(m.passes.reduction, Pass::Delta, "query {q}");
+                // Each stream owns H^2 + H decision columns at most (y, d, x),
+                // each operator H; one admission moves a plan's worth of them.
+                let entities =
+                    |sp: &PlanSpace| sp.streams.len() * (H * H + H) + sp.operators.len() * H;
+                assert!(
+                    m.passes.reduction_writes <= 2 * (entities(&previous_space) + entities(&space)),
+                    "query {q}: {} columns written for spaces of {} and {}",
+                    m.passes.reduction_writes,
+                    entities(&previous_space),
+                    entities(&space)
+                );
+            }
+            rounds.push((m.num_vars(), m.passes.reduction_writes));
+            state = greedy_admit(&catalog, &state, spec.result, 0).expect("unsaturated");
+            state.admit_query(QueryId(q), spec.result);
+            previous_space = space;
+            model = Some(m);
+        }
+        let (early, late) = (&rounds[2..12], &rounds[rounds.len() - 10..]);
+        let most = |w: &[(usize, usize)]| w.iter().map(|&(_, writes)| writes).max().unwrap_or(0);
+        assert!(
+            late[0].0 >= 4 * early[0].0,
+            "the skeleton was meant to grow: {} -> {} columns",
+            early[0].0,
+            late[0].0
+        );
+        assert!(
+            most(late) <= 2 * most(early),
+            "writes per submission grew with the skeleton: {} early, {} late",
+            most(early),
+            most(late)
+        );
     }
 }

@@ -20,7 +20,7 @@ use sqpr_milp::{
 use crate::admission::{Admitted, Rejected, RoundVerdict};
 use crate::config::{AcyclicityMode, ObjectiveWeights, PlannerConfig, RelayPolicy};
 use crate::greedy::greedy_admit;
-use crate::model::{AvailabilityCut, ModelInputs, PlanningModel};
+use crate::model::{AvailabilityCut, CutRegistry, ModelInputs, PlanningModel};
 use crate::query::{full_space, register_join_query, PlanSpace, QuerySpec};
 
 /// Typed rejection of a malformed planner request. Submission and
@@ -140,7 +140,7 @@ struct ModelCache {
     /// Cumulative plan space the skeleton covers.
     space: PlanSpace,
     /// Cumulative availability cuts applied to the skeleton.
-    cuts: Vec<AvailabilityCut>,
+    cuts: CutRegistry,
     sig: CacheSig,
     /// Which query contributed which plan space — the liveness input of
     /// skeleton compaction (a query that is no longer admitted is dead,
@@ -608,13 +608,14 @@ impl SqprPlanner {
                 live_log.push((*lq, ls.clone()));
             }
         }
-        let live_cuts: Vec<AvailabilityCut> = cache
+        let live_cuts: CutRegistry = cache
             .cuts
+            .as_slice()
             .iter()
             .filter(|c| live_space.contains_stream(c.stream))
             .cloned()
             .collect();
-        let model = self.build_model(&live_space, new_streams, &live_cuts);
+        let model = self.build_model(&live_space, new_streams, live_cuts.as_slice());
         let Some(old) = self.ctx.cache.take() else {
             return;
         };
@@ -726,7 +727,7 @@ impl SqprPlanner {
                     None => ModelCache {
                         model: self.build_model(space, new_streams, &cuts),
                         space: space.clone(),
-                        cuts: cuts.clone(),
+                        cuts: cuts.iter().cloned().collect(),
                         sig: sig.clone(),
                         query_log: log_entry(q, space),
                     },
@@ -736,9 +737,7 @@ impl SqprPlanner {
                         }
                         cache.space.merge(space);
                         for c in cuts.drain(..) {
-                            if !cache.cuts.contains(&c) {
-                                cache.cuts.push(c);
-                            }
+                            cache.cuts.insert(c);
                         }
                         cache.model.extend(&ModelInputs {
                             catalog: &self.catalog,
@@ -749,7 +748,7 @@ impl SqprPlanner {
                             relay_policy: self.config.relay_policy,
                             acyclicity: self.config.acyclicity,
                             replan: self.config.replan,
-                            cuts: &cache.cuts,
+                            cuts: cache.cuts.as_slice(),
                         });
                         cache
                             .model

@@ -12,6 +12,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use crate::cost::CostModel;
 use crate::ids::{HostId, OperatorId, StreamId};
+use crate::next_revision;
 use crate::operator::{OperatorDef, OperatorKind};
 use crate::stream::{StreamDef, StreamSignature};
 use crate::topology::{HostSpec, NetworkTopology};
@@ -41,6 +42,8 @@ pub struct Catalog {
     /// Operators producing each stream (multiple join trees may produce the
     /// same interned stream).
     producers: HashMap<StreamId, Vec<OperatorId>>,
+    /// See [`Self::substrate_revision`].
+    substrate_revision: u64,
 }
 
 impl Catalog {
@@ -65,7 +68,20 @@ impl Catalog {
             base_at_host: vec![Vec::new(); n],
             base_host: BTreeMap::new(),
             producers: HashMap::new(),
+            substrate_revision: next_revision(),
         }
+    }
+
+    /// Identifies everything about the *already registered* entities that
+    /// can change under a planner: host capacities and the failed set, link
+    /// capacities, where base streams enter the system, and stream rates
+    /// with the operator costs derived from them. Every mutation of those
+    /// draws a fresh, process-unique value; interning composite streams and
+    /// operators does not (it adds entities, and never alters one that
+    /// exists). Two catalogs of one lineage with the same value therefore
+    /// agree on all of it.
+    pub fn substrate_revision(&self) -> u64 {
+        self.substrate_revision
     }
 
     /// Convenience constructor: `n` identical hosts, full-mesh links.
@@ -108,6 +124,7 @@ impl Catalog {
         if !self.failed.insert(h) {
             return false;
         }
+        self.substrate_revision = next_revision();
         let nominal = &self.nominal_hosts[h.index()];
         self.hosts[h.index()] = HostSpec {
             cpu_capacity: 0.0,
@@ -132,6 +149,7 @@ impl Catalog {
         if !self.failed.remove(&h) {
             return false;
         }
+        self.substrate_revision = next_revision();
         self.hosts[h.index()] = self.nominal_hosts[h.index()].clone();
         self.topology.restore_host(h);
         true
@@ -139,11 +157,13 @@ impl Catalog {
 
     /// Degrades the directed link `h -> m` to the given effective capacity.
     pub fn degrade_link(&mut self, h: HostId, m: HostId, capacity: f64) {
+        self.substrate_revision = next_revision();
         self.topology.degrade_link(h, m, capacity);
     }
 
     /// Restores the directed link `h -> m` to its configured capacity.
     pub fn restore_link(&mut self, h: HostId, m: HostId) {
+        self.substrate_revision = next_revision();
         self.topology.restore_link(h, m);
     }
 
@@ -164,6 +184,7 @@ impl Catalog {
         if from == to {
             return;
         }
+        self.substrate_revision = next_revision();
         self.base_at_host[from.index()].retain(|&x| x != s);
         self.base_at_host[to.index()].push(s);
         self.base_host.insert(s, to);
@@ -276,6 +297,7 @@ impl Catalog {
             );
             return id;
         }
+        self.substrate_revision = next_revision();
         let id = StreamId::from_index(self.streams.len());
         self.streams.push(StreamDef {
             id,
@@ -509,6 +531,7 @@ impl Catalog {
     /// Streams are interned inputs-before-outputs, so a single pass in id
     /// order is a valid topological sweep.
     pub fn refresh_derived(&mut self) {
+        self.substrate_revision = next_revision();
         for i in 0..self.streams.len() {
             let (sig, new_rate) = {
                 let def = &self.streams[i];

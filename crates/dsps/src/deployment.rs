@@ -14,10 +14,13 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::catalog::Catalog;
 use crate::ids::{HostId, OperatorId, QueryId, StreamId};
+use crate::next_revision;
 
 /// Live allocation state of the whole DSPS.
 #[derive(Debug, Clone, Default)]
 pub struct DeploymentState {
+    /// Renewed by every mutation; see [`Self::revision`].
+    revision: u64,
     /// `d`: serving host per demanded stream (III.4b: at most one).
     provided: BTreeMap<StreamId, HostId>,
     /// `x`: inter-host flows.
@@ -78,39 +81,48 @@ impl DeploymentState {
     // ----- mutation -------------------------------------------------------
 
     pub fn set_provided(&mut self, stream: StreamId, host: HostId) {
+        self.revision = next_revision();
         self.provided.insert(stream, host);
     }
 
     pub fn clear_provided(&mut self, stream: StreamId) {
+        self.revision = next_revision();
         self.provided.remove(&stream);
     }
 
     pub fn add_flow(&mut self, from: HostId, to: HostId, stream: StreamId) {
         assert!(from != to, "flows connect distinct hosts");
+        self.revision = next_revision();
         self.flows.insert((from, to, stream));
     }
 
     pub fn remove_flow(&mut self, from: HostId, to: HostId, stream: StreamId) {
+        self.revision = next_revision();
         self.flows.remove(&(from, to, stream));
     }
 
     pub fn add_available(&mut self, host: HostId, stream: StreamId) {
+        self.revision = next_revision();
         self.available.insert((host, stream));
     }
 
     pub fn add_placement(&mut self, host: HostId, op: OperatorId) {
+        self.revision = next_revision();
         self.placements.insert((host, op));
     }
 
     pub fn remove_placement(&mut self, host: HostId, op: OperatorId) {
+        self.revision = next_revision();
         self.placements.remove(&(host, op));
     }
 
     pub fn admit_query(&mut self, q: QueryId, stream: StreamId) {
+        self.revision = next_revision();
         self.admitted.insert(q, stream);
     }
 
     pub fn remove_query(&mut self, q: QueryId) -> Option<StreamId> {
+        self.revision = next_revision();
         self.admitted.remove(&q)
     }
 
@@ -123,6 +135,7 @@ impl DeploymentState {
         available: BTreeSet<(HostId, StreamId)>,
         placements: BTreeSet<(HostId, OperatorId)>,
     ) {
+        self.revision = next_revision();
         self.provided = provided;
         self.flows = flows;
         self.available = available;
@@ -130,6 +143,16 @@ impl DeploymentState {
     }
 
     // ----- accessors ------------------------------------------------------
+
+    /// Identifies this state's contents: every mutation draws a fresh,
+    /// process-unique value and clones keep theirs, so two states with the
+    /// same revision hold the same allocation and admissions. (The converse
+    /// does not hold — equal contents reached separately differ here.)
+    /// Planner-side memos keyed on a deployment compare this instead of the
+    /// deployment.
+    pub fn revision(&self) -> u64 {
+        self.revision
+    }
 
     pub fn provider_of(&self, stream: StreamId) -> Option<HostId> {
         self.provided.get(&stream).copied()
@@ -253,27 +276,32 @@ impl DeploymentState {
                 derived.insert((h, s));
             }
         }
+        // Each round visits only what has not fired yet: an operator fires
+        // once its inputs are derivable, a flow once its sender's copy is.
+        // Either then has nothing further to add, so rounds shrink instead
+        // of re-reading the whole deployment until nothing moves.
+        let mut waiting_ops: Vec<(HostId, OperatorId)> = self.placements.iter().copied().collect();
+        let mut waiting_flows: Vec<(HostId, HostId, StreamId)> =
+            self.flows.iter().copied().collect();
         loop {
-            let mut changed = false;
-            // Operators produce outputs where all inputs are derivable.
-            for &(h, o) in &self.placements {
+            let before = derived.len();
+            waiting_ops.retain(|&(h, o)| {
                 let op = catalog.operator(o);
-                if derived.contains(&(h, op.output)) {
-                    continue;
-                }
-                if op.inputs.iter().all(|&i| derived.contains(&(h, i))) {
+                let fires = derived.contains(&(h, op.output))
+                    || op.inputs.iter().all(|&i| derived.contains(&(h, i)));
+                if fires {
                     derived.insert((h, op.output));
-                    changed = true;
                 }
-            }
-            // Flows deliver streams their senders can derive.
-            for &(from, to, s) in &self.flows {
-                if derived.contains(&(from, s)) && !derived.contains(&(to, s)) {
+                !fires
+            });
+            waiting_flows.retain(|&(from, to, s)| {
+                let fires = derived.contains(&(from, s));
+                if fires {
                     derived.insert((to, s));
-                    changed = true;
                 }
-            }
-            if !changed {
+                !fires
+            });
+            if derived.len() == before {
                 return derived;
             }
         }
@@ -406,6 +434,7 @@ impl DeploymentState {
         const TOL: f64 = 1e-6;
         let failed: BTreeSet<HostId> = catalog.failed_hosts().collect();
         let mut s = self.clone();
+        s.revision = next_revision();
 
         // (1) Everything on or through a failed host is gone.
         s.placements.retain(|(h, _)| !failed.contains(h));

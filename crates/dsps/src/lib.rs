@@ -26,6 +26,8 @@
 //! assert!(state.is_valid(&catalog));
 //! ```
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 pub mod catalog;
 pub mod cost;
 pub mod deployment;
@@ -47,3 +49,14 @@ pub use operator::{OperatorDef, OperatorKind};
 pub use plan::{PlanError, PlanNode, PlanNodeKind, QueryPlan};
 pub use stream::{StreamDef, StreamSignature};
 pub use topology::{HostSpec, NetworkTopology};
+
+/// Source of [`DeploymentState::revision`] and [`Catalog::substrate_revision`]
+/// values. Process-wide, so a value names one state of one lineage: clones
+/// share it only while they are still equal in what it covers, and two
+/// copies that diverged can never meet at the same value the way per-object
+/// counters would. Values are only ever compared for equality.
+static REVISION: AtomicU64 = AtomicU64::new(1);
+
+pub(crate) fn next_revision() -> u64 {
+    REVISION.fetch_add(1, Ordering::Relaxed)
+}

@@ -21,6 +21,13 @@
 //! - re-derives `fixed_obj_min` / `infeasible_fixed_row` and rechecks the
 //!   dropped constant rows.
 //!
+//! The bound-dependent steps are skipped outright when the model's
+//! [`Model::bounds_stamp`] is the one they were last derived from (the cut
+//! rounds of one submission: rows were appended, no bound moved). For the
+//! same reason the slot remembers the last seed incumbent it validated, so
+//! a construction handed the same point under the same bounds checks it
+//! against the appended rows only.
+//!
 //! # Layout keying: fixed *classes*, not fixed *sets*
 //!
 //! The compression layout folds a **class** of bound-fixed columns out of
@@ -69,8 +76,10 @@
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use crate::model::{
-    const_row_violated, fold_constraint, shifted_bounds, LoweredLp, Model, Sense, VarType,
+    const_row_violated, fold_constraint, shifted_bounds, AdjacencyCheck, LoweredLp, Model, Sense,
+    VarType,
 };
+use crate::presolve::FirstSweep;
 use sqpr_lp::{LpWorkspace, Triplet};
 
 /// Matrix-generation tokens for basis-factorisation reuse. Cache slots
@@ -162,6 +171,21 @@ pub struct LpCacheSlot {
     /// changes (rebuild, appended rows), held across pure bound patches so
     /// consecutive constructions may re-attach each other's factors.
     factor_token: u64,
+    /// The seed incumbent most recently validated through this slot.
+    start_check: Option<StartCheck>,
+}
+
+/// Verdict of one seed-incumbent validation ([`Model::is_feasible`]), with
+/// everything it depended on: the point, the tolerance, the model's
+/// structure and bounds (by stamp) and how many rows existed.
+#[derive(Debug)]
+struct StartCheck {
+    x: Vec<f64>,
+    tol: f64,
+    structure_version: u64,
+    bounds_stamp: u64,
+    ncons: usize,
+    feasible: bool,
 }
 
 #[derive(Debug)]
@@ -180,6 +204,27 @@ struct LpCache {
     /// required to stay bound-fixed, at any value, for the layout to be
     /// reusable.
     folded: Vec<usize>,
+    /// [`Model::bounds_stamp`] the bound-dependent parts of the lowering
+    /// (column and row bounds, folded constants, constant-row verdict)
+    /// were last derived from.
+    bounds_stamp: u64,
+    /// Kept columns that were bound-fixed at that stamp.
+    kept_fixed: usize,
+    /// Presolve's first sweep over this lowering's rows, for the next
+    /// construction under the same bounds to resume from.
+    first_sweep: Option<FirstSweep>,
+}
+
+/// What a solver construction borrows from the slot.
+pub(crate) struct SolverParts<'a> {
+    pub lowered: &'a LoweredLp,
+    pub first_sweep: &'a mut Option<FirstSweep>,
+    /// The slot's shared workspace and the worker-pool workspaces.
+    pub ws: &'a mut LpWorkspace,
+    pub workers: &'a mut Vec<LpWorkspace>,
+    /// Matrix-generation token under which basis factors may be reused
+    /// against `lowered.lp`.
+    pub factor_token: u64,
 }
 
 impl LpCacheSlot {
@@ -198,10 +243,42 @@ impl LpCacheSlot {
     /// rebuild's token renewal.
     pub fn invalidate(&mut self) {
         self.inner = None;
+        self.start_check = None;
+    }
+
+    /// [`Model::is_feasible`] for a seed incumbent, remembered per slot: the
+    /// same point under the same structure, bounds and tolerance keeps its
+    /// verdict on the rows it was checked against, so only rows appended
+    /// since (cut rounds) are evaluated. Anything else is a full check.
+    pub(crate) fn start_is_feasible(&mut self, model: &Model, x: &[f64], tol: f64) -> bool {
+        let known = self.start_check.take().filter(|c| {
+            c.structure_version == model.structure_version()
+                && c.bounds_stamp == model.bounds_stamp
+                && c.tol == tol
+                && c.ncons <= model.num_cons()
+                && c.x == x
+        });
+        let (feasible, buf) = match known {
+            Some(c) => {
+                let feasible = c.feasible && model.rows_feasible(x, tol, c.ncons);
+                debug_assert_eq!(feasible, model.is_feasible(x, tol));
+                (feasible, c.x)
+            }
+            None => (model.is_feasible(x, tol), x.to_vec()),
+        };
+        self.start_check = Some(StartCheck {
+            x: buf,
+            tol,
+            structure_version: model.structure_version(),
+            bounds_stamp: model.bounds_stamp,
+            ncons: model.num_cons(),
+            feasible,
+        });
+        feasible
     }
 
     /// The cached lowering, if one is populated.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn lowered(&self) -> Option<&LoweredLp> {
         self.inner.as_ref().map(|c| &c.lowered)
     }
@@ -210,7 +287,7 @@ impl LpCacheSlot {
     /// patches/appends in place when the layout is unchanged, rebuilds
     /// otherwise. (Solver constructions go through
     /// [`Self::refresh_solver`], which also hands out the workspace.)
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn refresh(&mut self, model: &Model) -> &LoweredLp {
         let cache = Self::refresh_fields(
             &mut self.inner,
@@ -222,25 +299,22 @@ impl LpCacheSlot {
     }
 
     /// [`Self::refresh`] for a solver construction: additionally hands out
-    /// the slot's shared workspace, the worker-pool workspaces, and the
-    /// matrix-generation token under which basis factors may be reused
-    /// against the returned LP.
-    pub(crate) fn refresh_solver(
-        &mut self,
-        model: &Model,
-    ) -> (&LoweredLp, &mut LpWorkspace, &mut Vec<LpWorkspace>, u64) {
+    /// the slot's workspaces, the matrix-generation token, and the
+    /// lowering's presolve memo.
+    pub(crate) fn refresh_solver(&mut self, model: &Model) -> SolverParts<'_> {
         let cache = Self::refresh_fields(
             &mut self.inner,
             &mut self.stats,
             &mut self.factor_token,
             model,
         );
-        (
-            &cache.lowered,
-            &mut self.ws,
-            &mut self.worker_ws,
-            self.factor_token,
-        )
+        SolverParts {
+            lowered: &cache.lowered,
+            first_sweep: &mut cache.first_sweep,
+            ws: &mut self.ws,
+            workers: &mut self.worker_ws,
+            factor_token: self.factor_token,
+        }
     }
 
     /// Field-split worker behind [`Self::refresh`]/[`Self::refresh_solver`]:
@@ -266,11 +340,20 @@ impl LpCacheSlot {
             Some(mut cache) => {
                 #[cfg(debug_assertions)]
                 cache.verify_rows_unchanged(model);
-                let kept_fixed = cache.patch(model);
+                if cache.bounds_stamp == model.bounds_stamp {
+                    // No bound moved since the lowering's bound-dependent
+                    // parts were derived: patching would rewrite them all
+                    // with the values they hold.
+                    #[cfg(debug_assertions)]
+                    cache.verify_patch_is_noop(model);
+                } else {
+                    cache.kept_fixed = LpCache::patch(&mut cache.lowered, model);
+                    cache.bounds_stamp = model.bounds_stamp;
+                }
                 let appended = cache.append_new_rows(model);
                 stats.appended_rows += appended;
                 stats.patches += 1;
-                if kept_fixed > 0 {
+                if cache.kept_fixed > 0 {
                     stats.refix_patches += 1;
                 }
                 if appended > 0 {
@@ -282,13 +365,18 @@ impl LpCacheSlot {
             }
             None => {
                 let lowered = model.lower_reduced();
-                let folded = lowered
-                    .map
+                let map = &lowered.geom.map;
+                let folded = map
                     .col_of_var
                     .iter()
                     .enumerate()
                     .filter_map(|(j, c)| c.is_none().then_some(j))
                     .collect();
+                let kept_fixed = map
+                    .var_of_col
+                    .iter()
+                    .filter(|&&j| model.vars[j].lb == model.vars[j].ub)
+                    .count();
                 stats.rebuilds += 1;
                 *factor_token = next_factor_token();
                 LpCache {
@@ -297,6 +385,9 @@ impl LpCacheSlot {
                     nvars: model.num_vars(),
                     ncons_lowered: model.num_cons(),
                     folded,
+                    bounds_stamp: model.bounds_stamp,
+                    kept_fixed,
+                    first_sweep: None,
                 }
             }
         };
@@ -311,18 +402,18 @@ impl LpCache {
     /// folded objective constant, and the constant-row feasibility verdict.
     /// Returns how many kept columns are currently bound-fixed (i.e. fixed
     /// outside the folded class).
-    fn patch(&mut self, model: &Model) -> usize {
+    fn patch(l: &mut LoweredLp, model: &Model) -> usize {
         let flip = if model.sense == Sense::Maximize {
             -1.0
         } else {
             1.0
         };
-        let l = &mut self.lowered;
+        let map = &mut l.geom.map;
         let mut fixed_obj_min = 0.0;
         let mut infeasible = false;
         let mut kept_fixed = 0;
         for (j, v) in model.vars.iter().enumerate() {
-            match l.map.col_of_var[j] {
+            match map.col_of_var[j] {
                 Some(col) => {
                     l.lp.set_col_bounds(col, v.lb, v.ub);
                     if v.lb == v.ub {
@@ -337,8 +428,8 @@ impl LpCache {
                 }
             }
         }
-        for row in 0..l.map.cons_of_row.len() {
-            let ci = l.map.cons_of_row[row];
+        for row in 0..map.cons_of_row.len() {
+            let ci = map.cons_of_row[row];
             let (_, clb, cub) = model.constraint(ci);
             let shift: f64 = l.row_fixed_terms[row]
                 .iter()
@@ -354,28 +445,52 @@ impl LpCache {
                 infeasible = true;
             }
         }
-        l.map.fixed_obj_min = fixed_obj_min;
-        l.map.infeasible_fixed_row = infeasible;
+        map.fixed_obj_min = fixed_obj_min;
+        map.infeasible_fixed_row = infeasible;
         kept_fixed
+    }
+
+    /// Debug-build check of the patch skip: with an unchanged
+    /// [`Model::bounds_stamp`], patching a copy must reproduce the cached
+    /// lowering's bounds and verdicts exactly.
+    #[cfg(debug_assertions)]
+    fn verify_patch_is_noop(&self, model: &Model) {
+        let was = &self.lowered;
+        let mut now = was.clone();
+        let kept_fixed = Self::patch(&mut now, model);
+        assert!(
+            kept_fixed == self.kept_fixed
+                && was.lp.col_bounds() == now.lp.col_bounds()
+                && was.lp.row_bounds() == now.lp.row_bounds()
+                && was.geom.map.fixed_obj_min.to_bits() == now.geom.map.fixed_obj_min.to_bits()
+                && was.geom.map.infeasible_fixed_row == now.geom.map.infeasible_fixed_row,
+            "a model bound moved under the cache without renewing bounds_stamp"
+        );
     }
 
     /// Lowers and appends every model constraint added since the cached
     /// lowering (cut rows); returns how many LP rows were appended.
     fn append_new_rows(&mut self, model: &Model) -> usize {
+        if self.ncons_lowered == model.num_cons() {
+            return 0;
+        }
         let l = &mut self.lowered;
+        let map = &mut l.geom.map;
         let mut bounds: Vec<(f64, f64)> = Vec::new();
         let mut entries: Vec<Triplet> = Vec::new();
         let mut next_row = l.lp.nrows();
+        let mut adjacency = AdjacencyCheck::new(l.lp.ncols());
         for ci in self.ncons_lowered..model.num_cons() {
             let (terms, clb, cub) = model.constraint(ci);
-            let fold = fold_constraint(&model.vars, &l.map.col_of_var, terms);
+            let fold = fold_constraint(&model.vars, &map.col_of_var, terms);
             if fold.kept.is_empty() {
                 if const_row_violated(fold.shift, clb, cub) {
-                    l.map.infeasible_fixed_row = true;
+                    map.infeasible_fixed_row = true;
                 }
                 l.const_rows.push(ci);
                 continue;
             }
+            map.adjacency_exact &= adjacency.row_is_exact(next_row, &fold.kept);
             for (col, value) in fold.kept {
                 entries.push(Triplet {
                     row: next_row,
@@ -384,7 +499,7 @@ impl LpCache {
                 });
             }
             bounds.push(shifted_bounds(clb, cub, fold.shift));
-            l.map.cons_of_row.push(ci);
+            map.cons_of_row.push(ci);
             l.row_fixed_terms.push(fold.folded);
             next_row += 1;
         }
@@ -405,9 +520,10 @@ impl LpCache {
     #[cfg(debug_assertions)]
     fn verify_rows_unchanged(&self, model: &Model) {
         let l = &self.lowered;
-        for (row, &ci) in l.map.cons_of_row.iter().enumerate() {
+        let map = &l.geom.map;
+        for (row, &ci) in map.cons_of_row.iter().enumerate() {
             let (terms, _, _) = model.constraint(ci);
-            let fold = fold_constraint(&model.vars, &l.map.col_of_var, terms);
+            let fold = fold_constraint(&model.vars, &map.col_of_var, terms);
             assert_eq!(
                 fold.folded, l.row_fixed_terms[row],
                 "cached row {row} (constraint {ci}) changed under the cache \
@@ -434,7 +550,7 @@ impl LpCache {
         }
         for &ci in &l.const_rows {
             let (terms, _, _) = model.constraint(ci);
-            let fold = fold_constraint(&model.vars, &l.map.col_of_var, terms);
+            let fold = fold_constraint(&model.vars, &map.col_of_var, terms);
             assert!(
                 fold.kept.is_empty(),
                 "cached constant row (constraint {ci}) grew free terms under \
@@ -465,19 +581,19 @@ mod tests {
     fn assert_matches_classed_fresh(slot: &LpCacheSlot, m: &Model) {
         let cached = slot.lowered().expect("slot populated");
         let mut class = vec![false; m.num_vars()];
-        for (j, c) in cached.map.col_of_var.iter().enumerate() {
+        for (j, c) in cached.geom.map.col_of_var.iter().enumerate() {
             class[j] = c.is_none();
         }
         let fresh = m.lower_reduced_for_class(&class);
         assert_eq!(cached.lp.ncols(), fresh.lp.ncols());
         assert_eq!(cached.lp.nrows(), fresh.lp.nrows());
-        assert_eq!(cached.map.fixed_obj_min, fresh.map.fixed_obj_min);
+        assert_eq!(cached.geom.map.fixed_obj_min, fresh.geom.map.fixed_obj_min);
         assert_eq!(
-            cached.map.infeasible_fixed_row,
-            fresh.map.infeasible_fixed_row
+            cached.geom.map.infeasible_fixed_row,
+            fresh.geom.map.infeasible_fixed_row
         );
-        assert_eq!(cached.map.col_of_var, fresh.map.col_of_var);
-        assert_eq!(cached.map.cons_of_row, fresh.map.cons_of_row);
+        assert_eq!(cached.geom.map.col_of_var, fresh.geom.map.col_of_var);
+        assert_eq!(cached.geom.map.cons_of_row, fresh.geom.map.cons_of_row);
         assert_eq!(cached.row_fixed_terms, fresh.row_fixed_terms);
         assert_eq!(cached.const_rows, fresh.const_rows);
         let (clb, cub) = cached.lp.col_bounds();
@@ -501,7 +617,7 @@ mod tests {
             let fresh = m.lower_reduced();
             assert_eq!(cached.lp.ncols(), fresh.lp.ncols());
             assert_eq!(cached.lp.nrows(), fresh.lp.nrows());
-            assert_eq!(cached.map.fixed_obj_min, fresh.map.fixed_obj_min);
+            assert_eq!(cached.geom.map.fixed_obj_min, fresh.geom.map.fixed_obj_min);
         }
         assert_eq!(slot.stats().rebuilds, 1);
 
@@ -511,7 +627,7 @@ mod tests {
         {
             let cached = slot.refresh(&m);
             let fresh = m.lower_reduced();
-            assert_eq!(cached.map.fixed_obj_min, fresh.map.fixed_obj_min);
+            assert_eq!(cached.geom.map.fixed_obj_min, fresh.geom.map.fixed_obj_min);
             let (clb, cub) = cached.lp.row_bounds();
             let (flb, fub) = fresh.lp.row_bounds();
             assert_eq!(clb, flb);
@@ -624,9 +740,9 @@ mod tests {
         // The rebuilt layout folds the *current* fixed set {1, 2}: var 0
         // has an LP column again, vars 1 and 2 do not.
         let lowered = slot.lowered().unwrap();
-        assert!(lowered.map.col_of_var[0].is_some());
-        assert!(lowered.map.col_of_var[1].is_none());
-        assert!(lowered.map.col_of_var[2].is_none());
+        assert!(lowered.geom.map.col_of_var[0].is_some());
+        assert!(lowered.geom.map.col_of_var[1].is_none());
+        assert!(lowered.geom.map.col_of_var[2].is_none());
     }
 
     /// Pins the invalidation contract the `num_cons() >= ncons_lowered`
@@ -738,5 +854,60 @@ mod tests {
         m.set_bounds(c, 0.0, 1.0);
         slot.refresh(&m);
         assert_ne!(slot.factor_token, t1, "rebuilds change the matrix");
+    }
+
+    /// With no bound moved since the last refresh the patch is skipped:
+    /// the lowering still matches a fresh one, rows appended meanwhile
+    /// join it, and the refix count is the one the skipped patch would
+    /// have reported.
+    #[test]
+    fn unmoved_bounds_skip_the_patch() {
+        let mut m = toy();
+        let a = VarId::from_raw(0);
+        let b = VarId::from_raw(1);
+        // `a` is fixed but exempt: a kept column with collapsed bounds.
+        m.set_fold_exempt(a, true);
+        m.fix_var(a, 1.0);
+        let mut slot = LpCacheSlot::new();
+        slot.refresh(&m);
+        m.add_le(vec![(a, 1.0), (b, 1.0)], 2.0);
+        slot.refresh(&m);
+        slot.refresh(&m);
+        let s = slot.stats();
+        assert_eq!((s.rebuilds, s.patches, s.appended_rows), (1, 2, 1));
+        assert_eq!(s.refix_patches, 2, "one kept column is bound-fixed");
+        assert_matches_classed_fresh(&slot, &m);
+        // A moved bound is patched in again.
+        m.set_bounds(b, 1.0, 1.0);
+        slot.refresh(&m);
+        assert_eq!(slot.stats().rebuilds, 1);
+        assert_matches_classed_fresh(&slot, &m);
+    }
+
+    /// The remembered start verdict covers the rows it was taken against;
+    /// appended rows are checked on top, anything else starts over.
+    #[test]
+    fn start_check_follows_appended_rows_and_moved_bounds() {
+        let mut m = Model::new(Sense::Maximize);
+        let a = m.add_binary(1.0);
+        let b = m.add_binary(1.0);
+        m.add_le(vec![(a, 1.0), (b, 1.0)], 2.0);
+        let mut slot = LpCacheSlot::new();
+        let x = [1.0, 1.0];
+        assert!(slot.start_is_feasible(&m, &x, 1e-6));
+        assert!(slot.start_is_feasible(&m, &x, 1e-6));
+        // An appended row the point satisfies, then one it violates.
+        m.add_ge(vec![(a, 1.0)], 1.0);
+        assert!(slot.start_is_feasible(&m, &x, 1e-6));
+        m.add_le(vec![(a, 1.0), (b, 1.0)], 1.0);
+        assert!(!slot.start_is_feasible(&m, &x, 1e-6));
+        assert!(!slot.start_is_feasible(&m, &x, 1e-6));
+        // Another point is another question.
+        assert!(slot.start_is_feasible(&m, &[1.0, 0.0], 1e-6));
+        // So is the same point once a bound moved.
+        m.set_bounds(b, 1.0, 1.0);
+        assert!(!slot.start_is_feasible(&m, &[1.0, 0.0], 1e-6));
+        m.set_bounds(b, 0.0, 0.0);
+        assert!(slot.start_is_feasible(&m, &[1.0, 0.0], 1e-6));
     }
 }

@@ -5,7 +5,20 @@
 //! ranged linear constraints, and an objective sense. The SQPR planner builds
 //! one of these per arriving query.
 
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+
 use sqpr_lp::{Problem, ProblemBuilder, INF};
+
+/// Source of [`Model::structure_version`] and [`Model::bounds_stamp`]
+/// values. Process-wide so a stamp names one state of one model lineage:
+/// clones share a stamp only while they are still equal in what it covers,
+/// and two models that diverged after a clone can never meet at the same
+/// value the way per-model counters would.
+static MODEL_STAMP: AtomicU64 = AtomicU64::new(1);
+
+fn next_stamp() -> u64 {
+    MODEL_STAMP.fetch_add(1, AtomicOrdering::Relaxed)
+}
 
 /// Identifies a variable within one [`Model`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -69,7 +82,7 @@ pub(crate) struct ConsDef {
 }
 
 /// Mapping between a [`Model`] and its compressed LP lowering
-/// ([`Model::to_lp_reduced`]): which model variable each LP column stands
+/// ([`Model::lower_reduced`]): which model variable each LP column stands
 /// for, and which model constraint each LP row came from.
 #[derive(Debug, Clone)]
 pub(crate) struct LpMap {
@@ -85,6 +98,40 @@ pub(crate) struct LpMap {
     /// A constant (all-fixed) row was violated by the fixed values: the
     /// model is infeasible as fixed, regardless of the free variables.
     pub infeasible_fixed_row: bool,
+    /// Every model term of a kept variable is a stored entry of its LP
+    /// column, so the column lists exactly the kept rows the variable
+    /// occurs in. False once a kept row carried a zero coefficient or the
+    /// same variable twice (the LP matrix sums duplicates and drops zeros);
+    /// presolve then sweeps every row instead of trusting the columns.
+    pub adjacency_exact: bool,
+}
+
+/// Tracks, while rows are lowered one after another, whether each kept
+/// term lands in the LP matrix as its own stored entry (see
+/// [`LpMap::adjacency_exact`]).
+pub(crate) struct AdjacencyCheck {
+    /// Last row each LP column was seen in.
+    last_row: Vec<usize>,
+}
+
+impl AdjacencyCheck {
+    pub(crate) fn new(ncols: usize) -> Self {
+        AdjacencyCheck {
+            last_row: vec![usize::MAX; ncols],
+        }
+    }
+
+    /// Whether LP row `row` with these kept terms keeps the adjacency exact.
+    pub(crate) fn row_is_exact(&mut self, row: usize, kept: &[(usize, f64)]) -> bool {
+        let mut exact = true;
+        for &(col, a) in kept {
+            if a == 0.0 || self.last_row[col] == row {
+                exact = false;
+            }
+            self.last_row[col] = row;
+        }
+        exact
+    }
 }
 
 /// Splits one constraint's terms against a fixed-variable layout: free
@@ -141,14 +188,27 @@ pub(crate) fn shifted_bounds(lb: f64, ub: f64, shift: f64) -> (f64, f64) {
     )
 }
 
+/// Read-only geometry of one compressed lowering, shared by every slice of
+/// a branch & bound search over it: the LP-to-model mapping plus the
+/// integer-variable index sets. Owned by the lowering (and so by the LP
+/// cache across constructions); a suspended search keeps its own clone.
+#[derive(Debug, Clone)]
+pub(crate) struct SearchGeom {
+    /// LP-to-model mapping for the compressed relaxation.
+    pub map: LpMap,
+    /// Integer variables in *model* space (branching, integrality).
+    pub integers: Vec<usize>,
+    /// Integer columns in *LP* space (diving heuristic).
+    pub lp_integers: Vec<usize>,
+}
+
 /// Result of one compressed lowering ([`Model::lower_reduced`]): the LP,
-/// its integer columns, the model↔LP map, and the folded bookkeeping an LP
-/// cache needs to patch bounds in place without re-scanning the model.
+/// its search geometry, and the folded bookkeeping an LP cache needs to
+/// patch bounds in place without re-scanning the model.
 #[derive(Debug, Clone)]
 pub(crate) struct LoweredLp {
     pub lp: Problem,
-    pub lp_integers: Vec<usize>,
-    pub map: LpMap,
+    pub geom: SearchGeom,
     /// Per kept LP row: the `(model var, coeff)` terms folded into its
     /// bounds because the variable was bound-fixed at lowering time.
     pub row_fixed_terms: Vec<Vec<(usize, f64)>>,
@@ -162,12 +222,20 @@ pub struct Model {
     pub(crate) sense: Sense,
     pub(crate) vars: Vec<VarDef>,
     pub(crate) cons: Vec<ConsDef>,
-    /// Bumped by every mutation that changes existing columns or terms
-    /// (new variables, terms appended to existing rows, objective edits).
-    /// Bound changes and *appended* rows do not bump it: those are exactly
-    /// the deltas a cached LP lowering ([`crate::cache::LpCacheSlot`]) can
-    /// patch in place without re-scanning the model.
+    /// Renewed (from a process-wide counter) by every mutation that changes
+    /// existing columns or terms (new variables, terms appended to existing
+    /// rows, objective edits). Bound changes and *appended* rows do not
+    /// renew it: those are exactly the deltas a cached LP lowering
+    /// ([`crate::cache::LpCacheSlot`]) can patch in place without
+    /// re-scanning the model.
     pub(crate) structure_version: u64,
+    /// Renewed (from a process-wide counter) whenever a variable or row
+    /// bound, or a fold hint, takes a different value. Equal stamps on the
+    /// same structure therefore mean equal bounds, exactly — what lets the
+    /// LP cache skip its bound patch and keep a validated start point
+    /// validated. Rows appended since do not renew it; they are seen by
+    /// their count.
+    pub(crate) bounds_stamp: u64,
 }
 
 impl Model {
@@ -176,14 +244,24 @@ impl Model {
             sense,
             vars: Vec::new(),
             cons: Vec::new(),
-            structure_version: 0,
+            structure_version: next_stamp(),
+            bounds_stamp: next_stamp(),
         }
     }
 
-    /// Monotone counter identifying the model's column/term structure; see
-    /// the field docs for what does and does not bump it.
+    /// Stamp identifying the model's column/term structure; see the field
+    /// docs for what does and does not renew it.
     pub fn structure_version(&self) -> u64 {
         self.structure_version
+    }
+
+    /// Stamp identifying the model's bounds and fold hints on top of its
+    /// structure: renewed, from a process-wide counter, whenever a variable
+    /// or row bound or a fold hint takes a different value. Appending a
+    /// constraint renews neither stamp. Two models of one lineage that agree
+    /// on both stamps and on [`Self::num_cons`] are the same model.
+    pub fn bounds_stamp(&self) -> u64 {
+        self.bounds_stamp
     }
 
     pub fn sense(&self) -> Sense {
@@ -213,7 +291,7 @@ impl Model {
             obj,
             no_fold: false,
         });
-        self.structure_version += 1;
+        self.structure_version = next_stamp();
         id
     }
 
@@ -267,16 +345,18 @@ impl Model {
             def.ub
         );
         let clamped = value.clamp(def.lb, def.ub);
-        def.lb = clamped;
-        def.ub = clamped;
+        self.set_bounds(v, clamped, clamped);
     }
 
     /// Tightens a variable's bounds (no-op directions use `-INF`/`INF`).
     pub fn set_bounds(&mut self, v: VarId, lb: f64, ub: f64) {
+        assert!(lb <= ub, "crossed bounds for {v:?}");
         let def = &mut self.vars[v.0];
-        def.lb = lb;
-        def.ub = ub;
-        assert!(def.lb <= def.ub, "crossed bounds for {v:?}");
+        if def.lb != lb || def.ub != ub {
+            def.lb = lb;
+            def.ub = ub;
+            self.bounds_stamp = next_stamp();
+        }
     }
 
     pub fn var_bounds(&self, v: VarId) -> (f64, f64) {
@@ -297,7 +377,10 @@ impl Model {
     /// bump [`Self::structure_version`] — an existing cached layout keeps
     /// its own folded class until its next rebuild.
     pub fn set_fold_exempt(&mut self, v: VarId, exempt: bool) {
-        self.vars[v.0].no_fold = exempt;
+        if self.vars[v.0].no_fold != exempt {
+            self.vars[v.0].no_fold = exempt;
+            self.bounds_stamp = next_stamp();
+        }
     }
 
     pub fn var_type(&self, v: VarId) -> VarType {
@@ -311,7 +394,7 @@ impl Model {
     /// Sets (replaces) a variable's objective coefficient.
     pub fn set_objective_coeff(&mut self, v: VarId, obj: f64) {
         self.vars[v.0].obj = obj;
-        self.structure_version += 1;
+        self.structure_version = next_stamp();
     }
 
     /// Returns constraint `c` as `(terms, lb, ub)`.
@@ -325,8 +408,11 @@ impl Model {
     pub fn set_row_bounds(&mut self, c: ConsId, lb: f64, ub: f64) {
         assert!(lb <= ub, "crossed row bounds [{lb}, {ub}]");
         let def = &mut self.cons[c.0];
-        def.lb = lb;
-        def.ub = ub;
+        if def.lb != lb || def.ub != ub {
+            def.lb = lb;
+            def.ub = ub;
+            self.bounds_stamp = next_stamp();
+        }
     }
 
     /// Appends terms to an existing constraint (incremental model growth:
@@ -339,7 +425,7 @@ impl Model {
             assert!(v.0 < n, "unknown variable {v:?}");
             def.terms.push((v, a));
         }
-        self.structure_version += 1;
+        self.structure_version = next_stamp();
     }
 
     /// Test-only contract violation: swaps two constraints in place
@@ -351,6 +437,56 @@ impl Model {
     #[cfg(test)]
     pub(crate) fn swap_constraints_unversioned_for_test(&mut self, a: usize, b: usize) {
         self.cons.swap(a, b);
+    }
+
+    /// Describes the first place where this model and `other` differ in
+    /// content — sense, a variable's type, bounds, objective coefficient or
+    /// fold-exempt flag, a constraint's terms or bounds — or `None` when
+    /// they are the same model. (The revision stamps are not content.)
+    pub fn first_difference(&self, other: &Model) -> Option<String> {
+        if self.sense != other.sense {
+            return Some(format!("sense {:?} vs {:?}", self.sense, other.sense));
+        }
+        if self.vars.len() != other.vars.len() || self.cons.len() != other.cons.len() {
+            return Some(format!(
+                "{} variables, {} constraints vs {}, {}",
+                self.vars.len(),
+                self.cons.len(),
+                other.vars.len(),
+                other.cons.len()
+            ));
+        }
+        for (j, (a, b)) in self.vars.iter().zip(&other.vars).enumerate() {
+            let same = a.ty == b.ty
+                && a.lb.to_bits() == b.lb.to_bits()
+                && a.ub.to_bits() == b.ub.to_bits()
+                && a.obj.to_bits() == b.obj.to_bits()
+                && a.no_fold == b.no_fold;
+            if !same {
+                return Some(format!("variable {j}: {a:?} vs {b:?}"));
+            }
+        }
+        for (i, (a, b)) in self.cons.iter().zip(&other.cons).enumerate() {
+            let same = a.lb.to_bits() == b.lb.to_bits()
+                && a.ub.to_bits() == b.ub.to_bits()
+                && a.terms.len() == b.terms.len()
+                && a.terms
+                    .iter()
+                    .zip(&b.terms)
+                    .all(|(s, t)| s.0 == t.0 && s.1.to_bits() == t.1.to_bits());
+            if !same {
+                return Some(format!(
+                    "constraint {i}: [{}, {}] over {} terms vs [{}, {}] over {}",
+                    a.lb,
+                    a.ub,
+                    a.terms.len(),
+                    b.lb,
+                    b.ub,
+                    b.terms.len()
+                ));
+            }
+        }
+        None
     }
 
     /// Evaluates the objective in the model's own sense.
@@ -371,13 +507,17 @@ impl Model {
                 return false;
             }
         }
-        for c in &self.cons {
+        self.rows_feasible(x, tol, 0)
+    }
+
+    /// The row half of [`Self::is_feasible`] for constraints `from..`: a
+    /// point already validated against the rows before `from` (under the
+    /// same bounds) only needs the rows appended since.
+    pub(crate) fn rows_feasible(&self, x: &[f64], tol: f64, from: usize) -> bool {
+        self.cons[from..].iter().all(|c| {
             let act: f64 = c.terms.iter().map(|&(v, a)| a * x[v.0]).sum();
-            if act < c.lb - tol * (1.0 + c.lb.abs()) || act > c.ub + tol * (1.0 + c.ub.abs()) {
-                return false;
-            }
-        }
-        true
+            !(act < c.lb - tol * (1.0 + c.lb.abs()) || act > c.ub + tol * (1.0 + c.ub.abs()))
+        })
     }
 
     /// Lowers the model to a *compressed* LP in minimisation form:
@@ -387,17 +527,10 @@ impl Model {
     /// reduction over a persistent skeleton) produce an LP the size of the
     /// genuinely free subproblem instead of the whole skeleton.
     ///
-    /// Returns the problem, the LP-space indices of integer columns, and
-    /// the [`LpMap`] relating LP columns/rows back to model
-    /// variables/constraints.
-    pub(crate) fn to_lp_reduced(&self) -> (Problem, Vec<usize>, LpMap) {
-        let l = self.lower_reduced();
-        (l.lp, l.lp_integers, l.map)
-    }
-
-    /// Full compressed lowering, additionally reporting the folded
-    /// bookkeeping an LP cache needs to patch the result in place later:
-    /// the fixed-variable contributions of every kept row and the list of
+    /// Returns the problem, the [`SearchGeom`] relating LP columns/rows
+    /// back to model variables/constraints, and the folded bookkeeping an
+    /// LP cache needs to patch the result in place later: the
+    /// fixed-variable contributions of every kept row and the list of
     /// dropped (constant) rows. See [`crate::cache::LpCacheSlot`].
     ///
     /// Folds the variables that are bound-fixed *right now* and not
@@ -431,11 +564,15 @@ impl Model {
         };
         let mut b = ProblemBuilder::new();
         let mut integers = Vec::new();
+        let mut lp_integers = Vec::new();
         let mut col_of_var = vec![None; self.vars.len()];
         let mut var_of_col = Vec::new();
         let mut fixed_obj_min = 0.0;
         let mut infeasible_fixed_row = false;
         for (j, v) in self.vars.iter().enumerate() {
+            if v.ty == VarType::Integer {
+                integers.push(j);
+            }
             if folded[j] {
                 debug_assert!(v.lb == v.ub, "folded class member {j} is not bound-fixed");
                 // A fixed integer variable must sit on an integer value,
@@ -450,12 +587,14 @@ impl Model {
             col_of_var[j] = Some(col);
             var_of_col.push(j);
             if v.ty == VarType::Integer {
-                integers.push(col);
+                lp_integers.push(col);
             }
         }
         let mut cons_of_row = Vec::new();
         let mut row_fixed_terms = Vec::new();
         let mut const_rows = Vec::new();
+        let mut adjacency = AdjacencyCheck::new(var_of_col.len());
+        let mut adjacency_exact = true;
         for (ci, c) in self.cons.iter().enumerate() {
             let fold = fold_constraint(&self.vars, &col_of_var, &c.terms);
             if fold.kept.is_empty() {
@@ -467,6 +606,7 @@ impl Model {
             }
             let (lb, ub) = shifted_bounds(c.lb, c.ub, fold.shift);
             let r = b.add_row(lb, ub);
+            adjacency_exact &= adjacency.row_is_exact(r, &fold.kept);
             for (col, a) in fold.kept {
                 b.set_coeff(r, col, a);
             }
@@ -475,46 +615,21 @@ impl Model {
         }
         LoweredLp {
             lp: b.build(),
-            lp_integers: integers,
-            map: LpMap {
-                col_of_var,
-                var_of_col,
-                cons_of_row,
-                fixed_obj_min,
-                infeasible_fixed_row,
+            geom: SearchGeom {
+                map: LpMap {
+                    col_of_var,
+                    var_of_col,
+                    cons_of_row,
+                    fixed_obj_min,
+                    infeasible_fixed_row,
+                    adjacency_exact,
+                },
+                integers,
+                lp_integers,
             },
             row_fixed_terms,
             const_rows,
         }
-    }
-
-    /// Lowers the model to an LP [`Problem`] in *minimisation* form
-    /// (objective negated if this model maximises), plus the list of
-    /// integer variable indices.
-    #[allow(dead_code)]
-    pub(crate) fn to_lp(&self) -> (Problem, Vec<usize>) {
-        let flip = if self.sense == Sense::Maximize {
-            -1.0
-        } else {
-            1.0
-        };
-        let mut b = ProblemBuilder::new();
-        let mut integers = Vec::new();
-        for (j, v) in self.vars.iter().enumerate() {
-            b.add_col(flip * v.obj, v.lb, v.ub);
-            if v.ty == VarType::Integer {
-                integers.push(j);
-            }
-        }
-        for c in &self.cons {
-            let r = b.add_row(c.lb, c.ub);
-            // Merge duplicate terms (CSC builder also merges, but make the
-            // intent explicit for logically duplicated entries).
-            for &(v, a) in &c.terms {
-                b.set_coeff(r, v.0, a);
-            }
-        }
-        (b.build(), integers)
     }
 }
 
@@ -550,15 +665,6 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_binary(1.0);
         m.fix_var(x, 2.0);
-    }
-
-    #[test]
-    fn to_lp_flips_objective_for_max() {
-        let mut m = Model::new(Sense::Maximize);
-        m.add_binary(3.0);
-        let (lp, ints) = m.to_lp();
-        assert_eq!(lp.objective(), &[-3.0]);
-        assert_eq!(ints, vec![0]);
     }
 
     #[test]

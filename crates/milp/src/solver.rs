@@ -47,10 +47,10 @@ use sqpr_lp::{
     PivotCounts, Problem, SimplexOptions, VarBasisStatus,
 };
 
-use crate::cache::{next_factor_token, LpCacheSlot};
+use crate::cache::{next_factor_token, LpCacheSlot, SolverParts};
 use crate::heuristics;
-use crate::model::{LpMap, Model, Sense};
-use crate::presolve::{presolve_bounds_active, Presolved};
+use crate::model::{LoweredLp, LpMap, Model, SearchGeom, Sense};
+use crate::presolve::{presolve_bounds_active, FirstSweep, Presolved};
 
 /// The tree's LP workspaces: the main workspace every replayed node solve
 /// and dive runs in, plus the worker-pool workspaces handed to parallel
@@ -432,20 +432,7 @@ pub struct MilpWarmStart<'a> {
 
 /// Solves the model by branch & bound.
 pub fn solve(model: &Model, opts: &MilpOptions) -> MilpResult {
-    solve_with_start(model, opts, None)
-}
-
-/// Solves the model, optionally seeded with a known-feasible starting point
-/// (used by SQPR to warm-start from the heuristic planner's plan).
-pub fn solve_with_start(model: &Model, opts: &MilpOptions, start: Option<&[f64]>) -> MilpResult {
-    solve_warm(
-        model,
-        opts,
-        MilpWarmStart {
-            start,
-            root_basis: None,
-        },
-    )
+    solve_warm(model, opts, MilpWarmStart::default())
 }
 
 /// Solves the model with the full warm-start context: incumbent seed plus
@@ -465,50 +452,6 @@ pub fn solve_warm_cached(
     cache: &mut LpCacheSlot,
 ) -> MilpResult {
     run_bnb(model, opts, warm, None, Some(cache))
-}
-
-/// Like [`solve_with_start`], with an *incumbent filter*: integral solutions
-/// the filter rejects are discarded instead of becoming incumbents. This is
-/// the lazy-constraint hook — side conditions that are expensive to encode
-/// as rows (e.g. SQPR's acyclicity) can be enforced on candidates only.
-/// The start point, if given, bypasses the filter (the caller vouches).
-pub fn solve_filtered(
-    model: &Model,
-    opts: &MilpOptions,
-    start: Option<&[f64]>,
-    filter: &dyn Fn(&[f64]) -> bool,
-) -> MilpResult {
-    solve_filtered_warm(
-        model,
-        opts,
-        MilpWarmStart {
-            start,
-            root_basis: None,
-        },
-        filter,
-    )
-}
-
-/// [`solve_filtered`] with the full warm-start context.
-pub fn solve_filtered_warm(
-    model: &Model,
-    opts: &MilpOptions,
-    warm: MilpWarmStart<'_>,
-    filter: &dyn Fn(&[f64]) -> bool,
-) -> MilpResult {
-    run_bnb(model, opts, warm, Some(filter), None)
-}
-
-/// [`solve_filtered_warm`] with a caller-held compressed-LP cache; see
-/// [`solve_warm_cached`].
-pub fn solve_filtered_warm_cached(
-    model: &Model,
-    opts: &MilpOptions,
-    warm: MilpWarmStart<'_>,
-    filter: &dyn Fn(&[f64]) -> bool,
-    cache: &mut LpCacheSlot,
-) -> MilpResult {
-    run_bnb(model, opts, warm, Some(filter), Some(cache))
 }
 
 /// Outcome of a preemptible solve slice: the search either ran to its
@@ -533,8 +476,11 @@ impl SolveOutcome {
     }
 }
 
-/// Preemptible counterpart of the `solve_*` family: runs at most `quantum`
-/// nodes, then suspends the search at the next node boundary into a
+/// The general entry point, and the preemptible one: takes the incumbent
+/// filter (the lazy-constraint hook — integral candidates it rejects never
+/// become the incumbent; a start point bypasses it, the caller vouches) and
+/// the optional LP cache, runs at most `quantum` nodes, then suspends the
+/// search at the next node boundary into a
 /// [`SearchState`] (resume with [`SearchState::resume`]). `quantum = 0`
 /// suspends before the first node (the root is pushed but unevaluated);
 /// `usize::MAX` never suspends. An uninterrupted run and *any* sequence of
@@ -579,9 +525,11 @@ fn run_bnb(
 /// (cached or fresh) on this stack frame, *outside* the search state — a
 /// worker scope inside [`Bnb::drive`] borrows the LP and options while the
 /// driver mutates the rest of the search, which an LP owned *by* the
-/// search state would forbid. On suspension the relaxation geometry is
-/// cloned into the returned [`SearchState`] (suspends are rare — one per
-/// deadline-preempted round — so the clone is off the hot path).
+/// search state would forbid. The relaxation geometry is borrowed from
+/// wherever the lowering lives (the cache slot, or this frame); on
+/// suspension it is cloned into the returned [`SearchState`] (suspends are
+/// rare — one per deadline-preempted round — so the clone is off the hot
+/// path).
 fn run_preemptible(
     model: &Model,
     opts: &MilpOptions,
@@ -590,9 +538,19 @@ fn run_preemptible(
     cache: Option<&mut LpCacheSlot>,
     quantum: usize,
 ) -> SolveOutcome {
+    let start_tol = opts.int_tol.max(1e-7);
     match cache {
         Some(slot) => {
-            let (lowered, ws, workers, factor_token) = slot.refresh_solver(model);
+            let start = warm
+                .start
+                .filter(|x| slot.start_is_feasible(model, x, start_tol));
+            let SolverParts {
+                lowered,
+                first_sweep,
+                ws,
+                workers,
+                factor_token,
+            } = slot.refresh_solver(model);
             if opts.cross_solve_factors {
                 // The slot's token outlives this tree while the matrix
                 // survives refreshes untouched: consecutive trees may
@@ -602,54 +560,81 @@ fn run_preemptible(
                 ws.begin_factor_generation(next_factor_token());
             }
             let token = ws.factor_generation();
-            let geom = SearchGeom::new(model, lowered.map.clone(), lowered.lp_integers.clone());
-            let mut core = SearchCore::new(model, opts, warm, &lowered.lp, &geom);
             let store = WsStore { main: ws, workers };
-            let verdict = Bnb {
+            search_lowered(
                 model,
                 opts,
+                start,
+                warm.root_basis,
                 filter,
-                lp: &lowered.lp,
-                geom: &geom,
-                core: &mut core,
-                ws: store,
-                factor_token: token,
-                // sqpr::allow(ambient-nondeterminism): opts.time_limit is an explicit caller SLO; expiry surfaces as a TimeLimit verdict, never a silently different plan
-                deadline: opts.time_limit.map(|d| Instant::now() + d),
-            }
-            .drive(quantum);
-            seal(verdict, model, opts, &lowered.lp, geom, core, token)
+                lowered,
+                Some(first_sweep),
+                store,
+                token,
+                quantum,
+            )
         }
         None => {
-            let (lp, lp_integers, map) = model.to_lp_reduced();
+            let start = warm.start.filter(|x| model.is_feasible(x, start_tol));
+            let lowered = model.lower_reduced();
             let mut ws = LpWorkspace::new();
             // A fresh lowering is this tree's private matrix: factor
             // reuse is scoped to its own node solves.
             let token = next_factor_token();
             ws.begin_factor_generation(token);
             let mut workers = Vec::new();
-            let geom = SearchGeom::new(model, map, lp_integers);
-            let mut core = SearchCore::new(model, opts, warm, &lp, &geom);
             let store = WsStore {
                 main: &mut ws,
                 workers: &mut workers,
             };
-            let verdict = Bnb {
+            search_lowered(
                 model,
                 opts,
+                start,
+                warm.root_basis,
                 filter,
-                lp: &lp,
-                geom: &geom,
-                core: &mut core,
-                ws: store,
-                factor_token: token,
-                // sqpr::allow(ambient-nondeterminism): opts.time_limit is an explicit caller SLO; expiry surfaces as a TimeLimit verdict, never a silently different plan
-                deadline: opts.time_limit.map(|d| Instant::now() + d),
-            }
-            .drive(quantum);
-            seal(verdict, model, opts, &lp, geom, core, token)
+                &lowered,
+                None,
+                store,
+                token,
+                quantum,
+            )
         }
     }
+}
+
+/// Runs the first slice of a search over one lowering. `start` is the seed
+/// incumbent, already validated against the model; `first_sweep` the
+/// lowering's presolve memo, if it has one.
+#[allow(clippy::too_many_arguments)]
+fn search_lowered(
+    model: &Model,
+    opts: &MilpOptions,
+    start: Option<&[f64]>,
+    root_basis: Option<&ModelBasis>,
+    filter: Option<IncumbentFilter<'_>>,
+    lowered: &LoweredLp,
+    first_sweep: Option<&mut Option<FirstSweep>>,
+    ws: WsStore<'_>,
+    factor_token: u64,
+    quantum: usize,
+) -> SolveOutcome {
+    let (lp, geom) = (&lowered.lp, &lowered.geom);
+    let mut core = SearchCore::new(model, opts, start, root_basis, lp, geom, first_sweep);
+    let verdict = Bnb {
+        model,
+        opts,
+        filter,
+        lp,
+        geom,
+        core: &mut core,
+        ws,
+        factor_token,
+        // sqpr::allow(ambient-nondeterminism): opts.time_limit is an explicit caller SLO; expiry surfaces as a TimeLimit verdict, never a silently different plan
+        deadline: opts.time_limit.map(|d| Instant::now() + d),
+    }
+    .drive(quantum);
+    seal(verdict, model, opts, lp, geom, core, factor_token)
 }
 
 /// Converts a finished slice into its [`MilpResult`], or packs a suspended
@@ -659,7 +644,7 @@ fn seal(
     model: &Model,
     opts: &MilpOptions,
     lp: &Problem,
-    geom: SearchGeom,
+    geom: &SearchGeom,
     core: SearchCore,
     factor_token: u64,
 ) -> SolveOutcome {
@@ -680,7 +665,7 @@ fn seal(
                 model: model.clone(),
                 opts: opts.clone(),
                 lp: lp.clone(),
-                geom,
+                geom: geom.clone(),
                 core,
                 factor_token,
                 ws_main,
@@ -800,34 +785,6 @@ enum SliceVerdict {
     Suspended,
 }
 
-/// Read-only lowering geometry shared by every slice of one search:
-/// the LP-to-model mapping plus the integer-variable index sets. Owned by
-/// the [`SearchState`] when suspended, borrowed by the driver while a
-/// slice runs.
-struct SearchGeom {
-    /// LP-to-model mapping for the compressed relaxation.
-    map: LpMap,
-    /// Integer variables in *model* space (branching, integrality).
-    integers: Vec<usize>,
-    /// Integer columns in *LP* space (diving heuristic).
-    lp_integers: Vec<usize>,
-}
-
-impl SearchGeom {
-    fn new(model: &Model, map: LpMap, lp_integers: Vec<usize>) -> Self {
-        let integers: Vec<usize> = (0..model.num_vars())
-            .filter(|&j| {
-                model.var_type(crate::model::VarId::from_raw(j)) == crate::model::VarType::Integer
-            })
-            .collect();
-        SearchGeom {
-            map,
-            integers,
-            lp_integers,
-        }
-    }
-}
-
 /// The mutable search state proper — everything a suspend must carry for
 /// the resumed search to replay bit-identically. Owned by [`SearchState`]
 /// between slices, mutated through the [`Bnb`] driver during one.
@@ -864,6 +821,8 @@ struct SearchCore {
     /// …and their LP-space projections.
     lp_lb_buf: Vec<f64>,
     lp_ub_buf: Vec<f64>,
+    /// Candidate-incumbent scratch (model space).
+    x_buf: Vec<f64>,
     /// Root pushed (the first slice ran its prologue).
     started: bool,
     /// Loop-carried search verdicts (must survive a suspend: a node that
@@ -901,51 +860,42 @@ struct Bnb<'a> {
 }
 
 impl SearchCore {
+    /// `start` is the seed incumbent, already validated against the model.
     fn new(
         model: &Model,
         opts: &MilpOptions,
-        warm: MilpWarmStart<'_>,
+        start: Option<&[f64]>,
+        root_basis: Option<&ModelBasis>,
         lp: &Problem,
         geom: &SearchGeom,
+        first_sweep: Option<&mut Option<FirstSweep>>,
     ) -> Self {
-        let start = warm.start;
         let map = &geom.map;
-        let mut root_lb = Vec::with_capacity(model.num_vars());
-        let mut root_ub = Vec::with_capacity(model.num_vars());
-        for j in 0..model.num_vars() {
-            let (l, u) = model.var_bounds(crate::model::VarId::from_raw(j));
-            root_lb.push(l);
-            root_ub.push(u);
-        }
         let mut presolve_infeasible = map.infeasible_fixed_row;
-        if opts.presolve {
-            // The lowering already classified rows: `cons_of_row` is
-            // exactly the set with at least one unfixed variable, and the
-            // constant rows' feasibility verdict is `infeasible_fixed_row`
-            // above — no second O(model) scan needed.
-            match presolve_bounds_active(model, 6, &map.cons_of_row) {
-                Presolved::Bounds(plb, pub_) => {
-                    root_lb = plb;
-                    root_ub = pub_;
-                }
-                Presolved::Infeasible => presolve_infeasible = true,
+        // The lowering already classified rows: `cons_of_row` is exactly
+        // the set with at least one unfixed variable, and the constant
+        // rows' feasibility verdict is `infeasible_fixed_row` above — no
+        // second O(model) scan needed.
+        let presolved = opts
+            .presolve
+            .then(|| presolve_bounds_active(model, 6, map, lp, first_sweep));
+        let (root_lb, root_ub) = match presolved {
+            Some(Presolved::Bounds(lb, ub)) => (lb, ub),
+            // Proven infeasible, or presolve is off: the model's own bounds.
+            verdict => {
+                presolve_infeasible |= verdict.is_some();
+                (0..model.num_vars())
+                    .map(|j| model.var_bounds(crate::model::VarId::from_raw(j)))
+                    .unzip()
             }
-        }
+        };
         let flip = if model.sense == Sense::Maximize {
             -1.0
         } else {
             1.0
         };
-        let incumbent = start.and_then(|x| {
-            if model.is_feasible(x, opts.int_tol.max(1e-7)) {
-                Some((flip * model.objective_value(x), x.to_vec()))
-            } else {
-                None
-            }
-        });
-        let root_hint = warm
-            .root_basis
-            .map(|mb| Arc::new(mb.to_lp(map, lp.nrows())));
+        let incumbent = start.map(|x| (flip * model.objective_value(x), x.to_vec()));
+        let root_hint = root_basis.map(|mb| Arc::new(mb.to_lp(map, lp.nrows())));
         let n = model.num_vars();
         let ncols = lp.ncols();
         SearchCore {
@@ -966,6 +916,7 @@ impl SearchCore {
             ub_buf: vec![0.0; n],
             lp_lb_buf: vec![0.0; ncols],
             lp_ub_buf: vec![0.0; ncols],
+            x_buf: Vec::new(),
             started: false,
             proven_infeasible_tree: true, // until a node survives
             best_open_bound: f64::NEG_INFINITY,
@@ -1034,16 +985,6 @@ impl SearchCore {
 }
 
 impl<'a> Bnb<'a> {
-    /// Expands a compressed-LP solution vector into model space, filling
-    /// fixed variables from the materialised node bounds.
-    fn expand_x(&self, x_lp: &[f64]) -> Vec<f64> {
-        let mut full = self.core.lb_buf.clone();
-        for (col, &v) in self.geom.map.var_of_col.iter().enumerate() {
-            full[v] = x_lp[col];
-        }
-        full
-    }
-
     fn flip(&self) -> f64 {
         if self.model.sense == Sense::Maximize {
             -1.0
@@ -1131,32 +1072,33 @@ impl<'a> Bnb<'a> {
             .all(|&col| (x_lp[col] - x_lp[col].round()).abs() <= self.opts.int_tol)
     }
 
-    /// Considers a candidate incumbent (minimisation objective).
-    fn offer_incumbent(&mut self, obj: f64, x: Vec<f64>) {
-        // Snap integers exactly before validating against the model.
-        let mut snapped = x;
+    /// Considers a compressed-LP point as the incumbent: expanded into
+    /// model space (fixed variables from the materialised node bounds),
+    /// integers snapped exactly, then validated against the model and the
+    /// filter.
+    fn offer_incumbent(&mut self, x_lp: &[f64]) {
+        let mut x = std::mem::take(&mut self.core.x_buf);
+        x.clear();
+        x.extend_from_slice(&self.core.lb_buf);
+        for (col, &v) in self.geom.map.var_of_col.iter().enumerate() {
+            x[v] = x_lp[col];
+        }
         for &j in &self.geom.integers {
-            snapped[j] = snapped[j].round();
+            x[j] = x[j].round();
         }
-        let model_x_ok = self.model.is_feasible(&snapped, 1e-5);
-        if !model_x_ok {
-            return;
-        }
-        if let Some(filter) = self.filter {
-            if !filter(&snapped) {
-                return;
+        if self.model.is_feasible(&x, 1e-5) && self.filter.is_none_or(|accepts| accepts(&x)) {
+            let obj = self.flip() * self.model.objective_value(&x);
+            match &mut self.core.incumbent {
+                Some((best, best_x)) => {
+                    if obj < *best - 1e-12 {
+                        *best = obj;
+                        best_x.clone_from(&x);
+                    }
+                }
+                None => self.core.incumbent = Some((obj, x.clone())),
             }
         }
-        let true_obj = self.flip() * self.model.objective_value(&snapped);
-        if self
-            .core
-            .incumbent
-            .as_ref()
-            .is_none_or(|(best, _)| true_obj < *best - 1e-12)
-        {
-            let _ = obj;
-            self.core.incumbent = Some((true_obj, snapped));
-        }
+        self.core.x_buf = x;
     }
 
     fn out_of_budget(&self) -> bool {
@@ -1394,8 +1336,7 @@ impl<'a> Bnb<'a> {
             }
 
             if sol.status == LpStatus::Optimal && self.is_integral(&sol.x) {
-                let x_full = self.expand_x(&sol.x);
-                self.offer_incumbent(node_bound, x_full);
+                self.offer_incumbent(&sol.x);
                 continue;
             }
 
@@ -1410,7 +1351,7 @@ impl<'a> Bnb<'a> {
                 self.ws
                     .main
                     .install_factor_state(self.factor_token, factors.as_deref().cloned());
-                if let Some((obj, x_lp)) = heuristics::dive(
+                if let Some((_, x_lp)) = heuristics::dive(
                     self.lp,
                     &self.geom.lp_integers,
                     &self.core.lp_lb_buf,
@@ -1423,8 +1364,7 @@ impl<'a> Bnb<'a> {
                     &mut self.core.lp_pivots,
                     &mut *self.ws.main,
                 ) {
-                    let dived = self.expand_x(&x_lp);
-                    self.offer_incumbent(obj + self.geom.map.fixed_obj_min, dived);
+                    self.offer_incumbent(&x_lp);
                 }
             }
 
@@ -1433,8 +1373,7 @@ impl<'a> Bnb<'a> {
                 // Numerically integral but is_integral said no (tolerance
                 // edge): offer as incumbent and move on.
                 if sol.status == LpStatus::Optimal {
-                    let x_full = self.expand_x(&sol.x);
-                    self.offer_incumbent(node_bound, x_full);
+                    self.offer_incumbent(&sol.x);
                 }
                 continue;
             };
@@ -1854,7 +1793,11 @@ mod tests {
             max_nodes: 1, // only the root
             ..default_opts()
         };
-        let r = solve_with_start(&m, &opts, Some(&start));
+        let warm = MilpWarmStart {
+            start: Some(&start),
+            root_basis: None,
+        };
+        let r = solve_warm(&m, &opts, warm);
         // Even with a tiny budget we must report at least the start value.
         assert!(r.objective >= 13.0 - 1e-9);
         assert!(r.has_solution());
@@ -1982,7 +1925,13 @@ mod filter_tests {
         let b = m.add_binary(1.0);
         m.add_le(vec![(a, 1.0), (b, 1.0)], 2.0);
         let reject_both = |x: &[f64]| !(x[0] > 0.5 && x[1] > 0.5);
-        let r = solve_filtered(&m, &MilpOptions::default(), None, &reject_both);
+        let r = run_bnb(
+            &m,
+            &MilpOptions::default(),
+            MilpWarmStart::default(),
+            Some(&reject_both),
+            None,
+        );
         // (1,1) filtered out; best accepted is (1,0) = 2.
         if let Some(x) = &r.x {
             assert!(reject_both(x), "returned solution violates the filter");
@@ -2002,7 +1951,11 @@ mod filter_tests {
             max_nodes: 1,
             ..MilpOptions::default()
         };
-        let r = solve_filtered(&m, &opts, Some(&start), &reject_all);
+        let warm = MilpWarmStart {
+            start: Some(&start),
+            root_basis: None,
+        };
+        let r = run_bnb(&m, &opts, warm, Some(&reject_all), None);
         assert!(r.has_solution());
         assert!((r.objective - 1.0).abs() < 1e-9);
     }
