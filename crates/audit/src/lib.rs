@@ -1,7 +1,7 @@
 //! `sqpr-audit` — an in-repo determinism & no-panic lint pass.
 //!
 //! The SQPR reproduction's headline claims rest on invariants no ordinary
-//! test can pin forever: bit-for-bit determinism (warm≡cold, threads N≡1,
+//! test can pin forever: bit-for-bit determinism (warm≡cold,
 //! preempted≡uninterrupted), a panic-free admission path, and accumulator
 //! structs whose merges never silently drop a counter. This crate audits
 //! the *source* for the coding patterns that historically broke those

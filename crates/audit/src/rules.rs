@@ -4,7 +4,7 @@
 //! |------|--------|---------|
 //! | `hash-iter` | hash-ordered iteration feeding row layout / float sums | PR 6's ±4% run-to-run noise |
 //! | `hot-path-panic` | `unwrap`/`expect`/`panic!` on the admission path | PR 7's `PlannerError` contract |
-//! | `ambient-nondeterminism` | wall clocks, random hash state, env reads | warm≡cold & thread-invariance suites |
+//! | `ambient-nondeterminism` | wall clocks, random hash state, env reads | warm≡cold & preemption-transparency suites |
 //! | `float-eq` | `==`/`!=` against nonzero float constants | tolerance-ladder discipline (PR 3/7) |
 //! | `exhaustive-merge` | field-wise accumulators silently dropping new counters | `PivotCounts`/`CacheStats` growth every PR |
 //!
@@ -272,7 +272,7 @@ pub struct AmbientNondeterminism;
 /// Modules allowed to read ambient state, by path prefix.
 const AMBIENT_SANCTIONED: &[&str] = &[
     "crates/bench/src",           // timing harness: measuring wall time is the point
-    "crates/core/src/config.rs",  // env-driven PlannerConfig defaults (SQPR_LP_THREADS, …)
+    "crates/core/src/config.rs",  // env-driven PlannerConfig defaults (SQPR_NODE_QUANTUM)
     "crates/workload/src/rng.rs", // the seeded PRNG module itself
 ];
 

@@ -99,11 +99,10 @@ struct Run {
     nodes: usize,
 }
 
-fn run(w: &sqpr_workload::Workload, reuse_solver_context: bool, lp_threads: usize) -> Run {
+fn run(w: &sqpr_workload::Workload, reuse_solver_context: bool) -> Run {
     let mut cfg = PlannerConfig::new(&w.catalog);
     cfg.budget = SolveBudget::nodes(200);
     cfg.reuse_solver_context = reuse_solver_context;
-    cfg.lp_threads = lp_threads;
     let mut planner = SqprPlanner::new(w.catalog.clone(), cfg);
     let mut first_admitted = Vec::with_capacity(w.queries.len());
     let mut retry_admitted = Vec::new();
@@ -175,75 +174,11 @@ fn main() {
     let w = generate(&spec);
 
     // Warm-up pass so the first measured run does not pay one-time costs
-    // (page faults, lazy allocation). The measured cold/warm comparison is
-    // pinned to one LP worker so the headline incremental-vs-cold numbers
-    // stay comparable with the history; the thread-scaling table below
-    // owns the parallel axis.
-    let _ = run(&w, false, 1);
+    // (page faults, lazy allocation).
+    let _ = run(&w, false);
 
-    let cold = run(&w, false, 1);
-    let warm = run(&w, true, 1);
-
-    // Thread-scaling table: the cold pass (the deepest trees, so the most
-    // speculative work) at 2/4/8 LP workers against the 1-worker `cold`
-    // run above. Determinism first — every observable of every run must be
-    // identical to the sequential reference — then wall clock.
-    let scaling: Vec<(usize, Run)> = [2usize, 4, 8]
-        .iter()
-        .map(|&t| (t, run(&w, false, t)))
-        .collect();
-    println!("\n== thread scaling (cold pass, {QUERIES} queries + retries) ==");
-    println!(
-        "{:<12} {:>12} {:>10} {:>10} {:>10} {:>9}",
-        "lp_threads", "total solve", "speedup", "lp iters", "nodes", "admitted"
-    );
-    let t1_solve = cold.total_solve.as_secs_f64();
-    println!(
-        "{:<12} {:>12} {:>9.2}x {:>10} {:>10} {:>9}",
-        1,
-        format!("{:.1?}", cold.total_solve),
-        1.0,
-        cold.lp_iterations,
-        cold.nodes,
-        cold.first_pass_admitted
-    );
-    for (t, r) in &scaling {
-        println!(
-            "{:<12} {:>12} {:>9.2}x {:>10} {:>10} {:>9}",
-            t,
-            format!("{:.1?}", r.total_solve),
-            t1_solve / r.total_solve.as_secs_f64(),
-            r.lp_iterations,
-            r.nodes,
-            r.first_pass_admitted
-        );
-        // Bit-identical, not "close": speculative evaluation memoizes
-        // exactly what the node-id-ordered replay would compute itself.
-        assert_eq!(
-            r.admitted, cold.admitted,
-            "lp_threads = {t}: admit/reject decisions diverged from sequential"
-        );
-        assert_eq!(
-            r.objective.to_bits(),
-            cold.objective.to_bits(),
-            "lp_threads = {t}: deployment objective bits diverged \
-             ({} vs {})",
-            r.objective,
-            cold.objective
-        );
-        assert_eq!(
-            r.nodes, cold.nodes,
-            "lp_threads = {t}: search-tree size diverged"
-        );
-        assert_eq!(
-            r.lp_iterations, cold.lp_iterations,
-            "lp_threads = {t}: simplex work diverged"
-        );
-        assert_eq!(
-            r.pivots, cold.pivots,
-            "lp_threads = {t}: pivot breakdown diverged"
-        );
-    }
+    let cold = run(&w, false);
+    let warm = run(&w, true);
 
     let speedup = cold.total_solve.as_secs_f64() / warm.total_solve.as_secs_f64();
     let first_pass_speedup = (cold.total_solve - cold.wave_solve).as_secs_f64()
@@ -498,31 +433,6 @@ fn main() {
             ("outcomes_identical", Json::Bool(outcomes_identical)),
             ("cold_objective", Json::Num(cold.objective)),
             ("warm_objective", Json::Num(warm.objective)),
-            ("cold_solve_s_t1", Json::Num(t1_solve)),
-            (
-                "cold_solve_s_t2",
-                Json::Num(scaling[0].1.total_solve.as_secs_f64()),
-            ),
-            (
-                "cold_solve_s_t4",
-                Json::Num(scaling[1].1.total_solve.as_secs_f64()),
-            ),
-            (
-                "cold_solve_s_t8",
-                Json::Num(scaling[2].1.total_solve.as_secs_f64()),
-            ),
-            (
-                "thread_speedup_t2",
-                Json::Num(t1_solve / scaling[0].1.total_solve.as_secs_f64()),
-            ),
-            (
-                "thread_speedup_t4",
-                Json::Num(t1_solve / scaling[1].1.total_solve.as_secs_f64()),
-            ),
-            (
-                "thread_speedup_t8",
-                Json::Num(t1_solve / scaling[2].1.total_solve.as_secs_f64()),
-            ),
         ]),
     );
 
@@ -663,18 +573,5 @@ fn main() {
             speedup >= 1.5,
             "warm path must be >= 1.5x faster overall (got {speedup:.2}x)"
         );
-        // Parallel scaling is only measurable when the machine actually
-        // has the cores: on <4-core runners the 4-thread pool time-slices
-        // one core and the floor is meaningless.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cores >= 4 {
-            let t4 = t1_solve / scaling[1].1.total_solve.as_secs_f64();
-            assert!(
-                t4 >= 2.0,
-                "cold pass at 4 LP workers must be >= 2x faster than sequential (got {t4:.2}x)"
-            );
-        } else {
-            println!("({cores} cores available; thread-scaling floor skipped)");
-        }
     }
 }

@@ -5,7 +5,7 @@ use sqpr_bench::ablations::*;
 use sqpr_bench::harness::{print_figure, scale_arg};
 
 fn main() {
-    let scale = scale_arg(0.1);
+    let scale = scale_arg(1, 0.1);
     println!("Ablations @ scale {scale}");
     print_figure("Ablation: reuse (1=on)", "reuse", &ablation_reuse(scale));
     print_figure(

@@ -8,11 +8,11 @@ use std::time::Duration;
 
 use sqpr_core::SolveBudget;
 
-/// Scale factor for experiments: 1.0 = the paper's sizes. Read from the
-/// `SQPR_SCALE` environment variable or the first CLI argument; defaults to
-/// a laptop-friendly fraction.
-pub fn scale_arg(default: f64) -> f64 {
-    if let Some(a) = std::env::args().nth(1) {
+/// Scale factor for experiments: 1.0 = the paper's sizes. Read from CLI
+/// argument `position` or the `SQPR_SCALE` environment variable; defaults
+/// to a laptop-friendly fraction.
+pub fn scale_arg(position: usize, default: f64) -> f64 {
+    if let Some(a) = std::env::args().nth(position) {
         if let Ok(v) = a.parse::<f64>() {
             return v.clamp(0.02, 1.0);
         }

@@ -199,14 +199,8 @@ pub struct PlannerConfig {
     /// LP), so the window bounds that overhead; `0` disables the
     /// exemptions entirely (maximal per-round compression, the ablation).
     pub lp_keep_rejected_free_window: usize,
-    /// Worker threads for parallel branch & bound node evaluation
-    /// ([`sqpr_milp::MilpOptions::threads`]): `0` resolves to the machine's
-    /// available parallelism, `1` forces the classic sequential loop.
-    /// Admission decisions, objectives, and node/iteration counts are
-    /// bit-identical at every value — speculative node LPs are replayed in
-    /// deterministic node-id order — so this is purely a wall-clock knob.
-    /// The default honours the `SQPR_LP_THREADS` environment variable when
-    /// set (used by CI to run the whole suite across a thread matrix).
+    /// Accepted and ignored — removed together with the two benchmark
+    /// lines that name it in the next `benchmark` PR.
     pub lp_threads: usize,
     /// Preemption quantum, in branch & bound nodes: every planning solve
     /// runs as a sequence of at-most-this-many-node slices through
@@ -216,8 +210,8 @@ pub struct PlannerConfig {
     /// without a [`round_deadline`](Self::round_deadline) every slice
     /// sequence runs to completion and admission decisions, objectives and
     /// node/pivot counts are bit-identical to the unsliced run (CI fuzzes
-    /// this via the `SQPR_NODE_QUANTUM` environment variable, honoured by
-    /// the default the same way `SQPR_LP_THREADS` is).
+    /// this via the `SQPR_NODE_QUANTUM` environment variable, which the
+    /// default honours when set).
     pub node_quantum: usize,
     /// Deadline per planning round, in branch & bound nodes (deterministic,
     /// unlike a wall clock). When the deadline expires with the search still
@@ -268,10 +262,7 @@ impl PlannerConfig {
             lp_basis_update: BasisUpdate::ForrestTomlin,
             lp_cross_solve_factors: true,
             lp_keep_rejected_free_window: 4,
-            lp_threads: std::env::var("SQPR_LP_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
+            lp_threads: 1,
             node_quantum: std::env::var("SQPR_NODE_QUANTUM")
                 .ok()
                 .and_then(|v| v.parse().ok())

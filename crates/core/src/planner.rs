@@ -895,7 +895,7 @@ impl SqprPlanner {
                 // path (fresh model, every LP from the slack identity).
                 reuse_bases: self.config.reuse_solver_context,
                 cross_solve_factors: self.config.lp_cross_solve_factors,
-                threads: self.config.lp_threads,
+                threads: 1,
                 lp: lp_opts,
             };
             let new_cuts: std::cell::RefCell<Vec<AvailabilityCut>> =

@@ -27,9 +27,9 @@
 //! accounts for every displaced query, so nothing is dropped silently.
 //!
 //! Determinism: with a node-only budget the storm is a pure function of
-//! the planner state and fault set — replaying it (any `SQPR_LP_THREADS`
-//! setting) reproduces decisions bit-for-bit. A wall-clock budget
-//! necessarily breaks that; benches asserting determinism use nodes only.
+//! the planner state and fault set — replaying it reproduces decisions
+//! bit-for-bit. A wall-clock budget necessarily breaks that; benches
+//! asserting determinism use nodes only.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};

@@ -3,7 +3,7 @@
 //! - **Quantum transparency**: slicing every solve into `node_quantum`
 //!   preemptible pieces (no deadline) must be invisible — identical
 //!   admit/reject sequences, tree sizes, simplex work and deployment
-//!   objective bits at every quantum and thread setting. This is the
+//!   objective bits at every quantum. This is the
 //!   invariant CI's `deadline-fuzz` job sweeps over the scenario corpus.
 //! - **Anytime verdicts + the admission queue**: under a tight
 //!   `round_deadline` every preempted submission is either served at the
@@ -32,8 +32,7 @@ fn system(
     (c, bases)
 }
 
-/// A tight-ish workload with both admissions and rejections (same shape as
-/// the thread-equivalence suite).
+/// A tight-ish workload with both admissions and rejections.
 fn submissions() -> Vec<Vec<usize>> {
     vec![
         vec![0, 1],
@@ -49,11 +48,10 @@ fn submissions() -> Vec<Vec<usize>> {
     ]
 }
 
-fn run_planner(node_quantum: usize, lp_threads: usize) -> SqprPlanner {
+fn run_planner(node_quantum: usize) -> SqprPlanner {
     let (c, b) = system(4, 6, 45.0, 40.0, 400.0);
     let mut cfg = PlannerConfig::new(&c);
     cfg.budget.max_nodes = 200;
-    cfg.lp_threads = lp_threads;
     cfg.node_quantum = node_quantum;
     let mut planner = SqprPlanner::new(c, cfg);
     for q in &submissions() {
@@ -65,18 +63,18 @@ fn run_planner(node_quantum: usize, lp_threads: usize) -> SqprPlanner {
 
 #[test]
 fn node_quantum_is_transparent() {
-    let base = run_planner(0, 1);
+    let base = run_planner(0);
     assert!(
         base.outcomes().iter().any(|o| o.admitted) && base.outcomes().iter().any(|o| !o.admitted),
         "workload must exercise both decisions"
     );
-    // Aggressive quanta (1 = suspend at every node boundary) and the
-    // parallel pool must all reproduce the unsliced run exactly.
-    for (quantum, threads) in [(1usize, 1usize), (3, 1), (7, 1), (1, 0), (5, 0)] {
-        let p = run_planner(quantum, threads);
+    // Aggressive quanta (1 = suspend at every node boundary) must all
+    // reproduce the unsliced run exactly.
+    for quantum in [1usize, 3, 5, 7] {
+        let p = run_planner(quantum);
         assert_eq!(base.outcomes().len(), p.outcomes().len());
         for (i, (a, b)) in base.outcomes().iter().zip(p.outcomes()).enumerate() {
-            let ctx = format!("round {i}, quantum {quantum}, threads {threads}");
+            let ctx = format!("round {i}, quantum {quantum}");
             assert_eq!(a.admitted, b.admitted, "{ctx}: admit/reject diverged");
             assert_eq!(a.nodes, b.nodes, "{ctx}: tree size diverged");
             assert_eq!(
@@ -89,14 +87,14 @@ fn node_quantum_is_transparent() {
         assert_eq!(
             base.deployment_objective().to_bits(),
             p.deployment_objective().to_bits(),
-            "objective bits diverged at quantum {quantum}, threads {threads}"
+            "objective bits diverged at quantum {quantum}"
         );
     }
 }
 
 #[test]
 fn verdicts_certify_completed_rounds() {
-    let p = run_planner(0, 1);
+    let p = run_planner(0);
     for o in p.outcomes() {
         match o.verdict {
             RoundVerdict::Admitted(Admitted::Proven) => {
@@ -118,7 +116,7 @@ fn verdicts_certify_completed_rounds() {
 /// empty, and the admit set matches the deadline-free run.
 #[test]
 fn deadline_storm_drains_to_the_deadline_free_admit_set() {
-    let free = run_planner(0, 1);
+    let free = run_planner(0);
     let admitted_free: Vec<QueryId> = free
         .outcomes()
         .iter()
@@ -129,7 +127,6 @@ fn deadline_storm_drains_to_the_deadline_free_admit_set() {
     let (c, b) = system(4, 6, 45.0, 40.0, 400.0);
     let mut cfg = PlannerConfig::new(&c);
     cfg.budget.max_nodes = 200;
-    cfg.lp_threads = 1;
     cfg.node_quantum = 1;
     cfg.round_deadline = Some(2); // far below typical rejection trees
     let mut planner = SqprPlanner::new(c, cfg);
@@ -186,7 +183,6 @@ fn expired_wall_deadline_preempts_at_first_node_boundary() {
     let (c, b) = system(4, 6, 45.0, 40.0, 400.0);
     let mut cfg = PlannerConfig::new(&c);
     cfg.budget.max_nodes = 200;
-    cfg.lp_threads = 1;
     cfg.node_quantum = 1;
     let mut planner = SqprPlanner::new(c, cfg);
     planner.set_wall_deadline(Some(Instant::now() - Duration::from_secs(1)));

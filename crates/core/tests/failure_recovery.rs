@@ -1,8 +1,7 @@
 //! Failure-storm recovery: host faults displace queries; the storm driver
 //! must account for every one of them (re-admitted, degraded, or an
-//! explicit drop — never a silent loss), stay on the warm solver path
-//! where possible, and make bit-identical decisions regardless of the
-//! `lp_threads` knob.
+//! explicit drop — never a silent loss) and stay on the warm solver path
+//! where possible.
 
 use sqpr_core::{
     recover_from_failures, PlannerConfig, RecoveryMode, SolveBudget, SqprPlanner, StormBudget,
@@ -23,10 +22,9 @@ fn system(
     (c, bases)
 }
 
-fn planner(c: &Catalog, threads: usize) -> SqprPlanner {
+fn planner(c: &Catalog) -> SqprPlanner {
     let mut cfg = PlannerConfig::new(c);
     cfg.budget = SolveBudget::nodes(200);
-    cfg.lp_threads = threads;
     SqprPlanner::new(c.clone(), cfg)
 }
 
@@ -54,7 +52,7 @@ fn submit_all(p: &mut SqprPlanner, bases: &[StreamId]) {
 #[test]
 fn storm_readmits_every_displaced_query_with_slack() {
     let (c, b) = system(6, 6, 200.0, 200.0, 2000.0);
-    let mut p = planner(&c, 1);
+    let mut p = planner(&c);
     submit_all(&mut p, &b);
     let before = p.num_admitted();
     assert!(before >= SUBMISSIONS.len() - 1, "slack system should admit");
@@ -95,7 +93,7 @@ fn storm_readmits_every_displaced_query_with_slack() {
 #[test]
 fn dry_budget_degrades_instead_of_dropping() {
     let (c, b) = system(6, 6, 200.0, 200.0, 2000.0);
-    let mut p = planner(&c, 1);
+    let mut p = planner(&c);
     submit_all(&mut p, &b);
     let before = p.num_admitted();
 
@@ -124,7 +122,7 @@ fn dry_budget_degrades_instead_of_dropping() {
 #[test]
 fn restore_host_returns_capacity() {
     let (c, b) = system(3, 3, 25.0, 40.0, 400.0);
-    let mut p = planner(&c, 1);
+    let mut p = planner(&c);
     p.submit(&[b[0], b[1]]).expect("valid bases");
     let victim = HostId(2);
     assert!(p.fail_host(victim));
@@ -146,7 +144,7 @@ fn saturated_storm_pins_best_effort_instead_of_dropping() {
     // Tight: barely fits the initial workload, so post-fault re-admission
     // cannot re-place everything within capacity.
     let (c, b) = system(4, 6, 30.0, 40.0, 400.0);
-    let mut p = planner(&c, 1);
+    let mut p = planner(&c);
     submit_all(&mut p, &b);
     assert!(p.num_admitted() > 0);
 
@@ -177,38 +175,6 @@ fn saturated_storm_pins_best_effort_instead_of_dropping() {
         .all(|r| r.mode == RecoveryMode::Dropped));
 }
 
-/// The storm is a pure function of planner state and fault set under a
-/// node-only budget: thread counts 1 and 4 must produce identical
-/// per-query recovery modes and bit-identical deployment objectives.
-#[test]
-fn storm_decisions_invariant_in_lp_threads() {
-    let run = |threads: usize| {
-        let (c, b) = system(6, 6, 60.0, 60.0, 600.0);
-        let mut p = planner(&c, threads);
-        submit_all(&mut p, &b);
-        p.fail_host(HostId(0));
-        p.fail_host(HostId(3));
-        let report = recover_from_failures(&mut p, &StormBudget::nodes(400));
-        (report, p)
-    };
-    let (ra, pa) = run(1);
-    let (rb, pb) = run(4);
-
-    let modes = |r: &sqpr_core::StormReport| -> Vec<(u32, RecoveryMode)> {
-        r.recoveries.iter().map(|x| (x.query.0, x.mode)).collect()
-    };
-    assert_eq!(modes(&ra), modes(&rb), "recovery modes diverged");
-    assert_eq!(ra.nodes_spent, rb.nodes_spent, "node spend diverged");
-    assert_eq!(pa.num_admitted(), pb.num_admitted());
-    assert_eq!(pa.state().placements(), pb.state().placements());
-    assert_eq!(pa.state().flows(), pb.state().flows());
-    assert_eq!(
-        pa.deployment_objective().to_bits(),
-        pb.deployment_objective().to_bits(),
-        "objective not bit-identical"
-    );
-}
-
 /// The storm's solver rounds must ride the warm patch path: after the
 /// fault, re-admissions extend the surviving skeleton (incremental
 /// rounds), and the compressed-LP cache serves them with in-place patches
@@ -219,7 +185,7 @@ fn storm_decisions_invariant_in_lp_threads() {
 #[test]
 fn storm_rounds_stay_on_the_warm_patch_path() {
     let (c, b) = system(6, 6, 200.0, 200.0, 2000.0);
-    let mut p = planner(&c, 1);
+    let mut p = planner(&c);
     submit_all(&mut p, &b);
     let last_planned = p
         .outcomes()

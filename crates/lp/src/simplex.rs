@@ -136,9 +136,7 @@ impl PivotCounts {
     }
 
     /// Accumulates another counter set into this one. Field-wise addition:
-    /// merging per-solve (or per-worker) counters in any order yields the
-    /// same totals, which is what lets a multi-threaded branch & bound
-    /// reconcile its workers' counts deterministically.
+    /// merging per-solve counters in any order yields the same totals.
     /// Exhaustively destructured so a newly added counter is a compile
     /// error here, not a silently dropped stat.
     pub fn merge(&mut self, other: &PivotCounts) {
@@ -433,10 +431,9 @@ impl LpWorkspace {
     /// Detaches and returns the cached basis factorisation, leaving the
     /// workspace without one (the generation token is untouched). Together
     /// with [`Self::install_factor_state`] this lets a caller route factor
-    /// states explicitly — e.g. a parallel branch & bound that seeds every
-    /// node solve with its *parent's* final factorisation, so the numbers a
-    /// node produces no longer depend on which solve the workspace ran
-    /// last (or on which worker ran it).
+    /// states explicitly — e.g. a branch & bound that seeds every node
+    /// solve with its *parent's* final factorisation, so the numbers a
+    /// node produces do not depend on which solve the workspace ran last.
     pub fn take_factor_state(&mut self) -> Option<FactorState> {
         self.factor_cache.take()
     }
@@ -1848,7 +1845,7 @@ mod tests {
             distress_escalations: 1500,
             distress_cold_restarts: 1600,
         };
-        // Commutative: worker counters may be merged in any order.
+        // Commutative: counters may be merged in any order.
         let mut ab = a;
         ab.merge(&b);
         let mut ba = b;

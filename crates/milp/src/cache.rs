@@ -160,13 +160,6 @@ pub struct LpCacheSlot {
     /// LP scratch buffers (and the detached basis-factor cache) shared by
     /// every B&B construction served from this slot.
     ws: LpWorkspace,
-    /// Worker-pool workspaces: one per parallel LP evaluator of the last
-    /// construction, handed out with the slot and returned when its worker
-    /// scope winds down, so consecutive trees reuse the workers'
-    /// allocations just like the main workspace's. Kept separate from
-    /// `ws` — worker factor caches are lineage-seeded per node, never
-    /// carried across trees.
-    worker_ws: Vec<LpWorkspace>,
     /// Matrix generation of the cached LP: renewed whenever the matrix
     /// changes (rebuild, appended rows), held across pure bound patches so
     /// consecutive constructions may re-attach each other's factors.
@@ -219,9 +212,8 @@ struct LpCache {
 pub(crate) struct SolverParts<'a> {
     pub lowered: &'a LoweredLp,
     pub first_sweep: &'a mut Option<FirstSweep>,
-    /// The slot's shared workspace and the worker-pool workspaces.
+    /// The slot's workspace.
     pub ws: &'a mut LpWorkspace,
-    pub workers: &'a mut Vec<LpWorkspace>,
     /// Matrix-generation token under which basis factors may be reused
     /// against `lowered.lp`.
     pub factor_token: u64,
@@ -299,7 +291,7 @@ impl LpCacheSlot {
     }
 
     /// [`Self::refresh`] for a solver construction: additionally hands out
-    /// the slot's workspaces, the matrix-generation token, and the
+    /// the slot's workspace, the matrix-generation token, and the
     /// lowering's presolve memo.
     pub(crate) fn refresh_solver(&mut self, model: &Model) -> SolverParts<'_> {
         let cache = Self::refresh_fields(
@@ -312,14 +304,13 @@ impl LpCacheSlot {
             lowered: &cache.lowered,
             first_sweep: &mut cache.first_sweep,
             ws: &mut self.ws,
-            workers: &mut self.worker_ws,
             factor_token: self.factor_token,
         }
     }
 
     /// Field-split worker behind [`Self::refresh`]/[`Self::refresh_solver`]:
     /// takes the slot's fields separately so the returned cache borrows only
-    /// `inner`, leaving the workspace fields free for the solver tuple — and
+    /// `inner`, leaving the workspace field free for the solver tuple — and
     /// so a populated slot is guaranteed structurally (`Option::insert`
     /// returns the reference) rather than re-asserted with `expect`.
     fn refresh_fields<'a>(

@@ -35,7 +35,7 @@ pub mod solver;
 pub use cache::{CacheStats, LpCacheSlot};
 pub use model::{ConsId, Model, Sense, VarId, VarType};
 pub use solver::{
-    solve, solve_preemptible, solve_warm, solve_warm_cached, BasisEntity, IncumbentFilter,
-    MilpOptions, MilpResult, MilpStatus, MilpWarmStart, ModelBasis, SearchState, SolveOutcome,
+    solve, solve_preemptible, BasisEntity, IncumbentFilter, MilpOptions, MilpResult, MilpStatus,
+    MilpWarmStart, ModelBasis, SearchState, SolveOutcome,
 };
 pub use sqpr_lp::{BasisState, BasisUpdate, LpWorkspace, PivotCounts, PricingRule, RatioTest};

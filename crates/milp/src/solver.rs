@@ -5,41 +5,28 @@
 //! budgets (node counts) with optional wall-clock limits — mirroring how the
 //! paper drives CPLEX with a per-query timeout and takes the incumbent.
 //!
-//! # Parallel node evaluation
-//!
-//! With [`MilpOptions::threads`] != 1 the search spreads node-LP evaluation
-//! over a std-only worker pool while keeping the search *byte-identical*
-//! to the sequential run — see ARCHITECTURE.md §"Concurrency model". The
-//! short version: a node's LP relaxation is a pure function of the node
-//! (its materialised bounds, its parent's basis hint, and its parent's
-//! final factorisation, carried as the node's `seed`), so the pool merely
-//! *pre-computes* results for the top frontier nodes speculatively; the
-//! main thread still pops, prunes, branches and accepts incumbents one
-//! node at a time in exactly the sequential order, consuming memoized
-//! results where present and evaluating inline where not. Speculative
-//! results the replay never consumes are discarded — counters included —
-//! so trees, incumbents, objectives and `lp_iterations`/`lp_pivots` do
-//! not depend on the thread count.
-//!
 //! # Preemption
 //!
-//! [`solve_preemptible`] runs the same search in *slices* of a caller-set
-//! node quantum: when the quantum expires the search suspends at the next
-//! node boundary into an owning [`SearchState`] (frontier heap, incumbent,
-//! eval memo, node-id counter, factor token) that can be parked
-//! indefinitely and resumed with [`SearchState::resume`]. Because a cut
-//! happens strictly between node evaluations, node evaluation is pure,
-//! and the pop order is total, an uninterrupted run and any sequence of
-//! suspend/resume cuts produce bit-identical trees, pivot counts and
-//! objective bits — at every thread count. A suspend never invalidates the
-//! caller's [`LpCacheSlot`]: the slot keeps serving other submissions
-//! while the suspended search is parked.
+//! [`solve_preemptible`] runs the search in *slices* of a caller-set node
+//! quantum: when the quantum expires the search suspends at the next node
+//! boundary into an owning [`SearchState`] (frontier heap, incumbent,
+//! node-id counter, factor token) that can be parked indefinitely and
+//! resumed with [`SearchState::resume`]. Three properties make a cut
+//! invisible: it happens strictly between node evaluations; a node's LP
+//! relaxation is a pure function of the node (its materialised bounds,
+//! its parent's basis hint, and its parent's final factorisation, carried
+//! as the node's `seed`), never of what the workspace solved last; and the
+//! pop order is a total order over the heap's contents. So an
+//! uninterrupted run and any sequence of suspend/resume cuts produce
+//! bit-identical trees, pivot counts and objective bits. The search itself
+//! is one sequential loop — see ARCHITECTURE.md §"Why the search is
+//! sequential". A suspend never invalidates the caller's [`LpCacheSlot`]:
+//! the slot keeps serving other submissions while the suspended search is
+//! parked.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::rc::Rc;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sqpr_lp::{
@@ -52,28 +39,9 @@ use crate::heuristics;
 use crate::model::{LoweredLp, LpMap, Model, SearchGeom, Sense};
 use crate::presolve::{presolve_bounds_active, FirstSweep, Presolved};
 
-/// The tree's LP workspaces: the main workspace every replayed node solve
-/// and dive runs in, plus the worker-pool workspaces handed to parallel
-/// evaluators. Both are borrowed from the caller's [`LpCacheSlot`] on the
-/// cached path — the slot's main workspace (and the detached basis-factor
-/// cache inside it) survives between the slot's consecutive constructions,
-/// which is what lets a root solve re-attach the previous tree's
-/// factorisation when the matrix generation is unchanged — and from the
-/// entry point's stack frame on the cacheless path.
-struct WsStore<'a> {
-    main: &'a mut LpWorkspace,
-    workers: &'a mut Vec<LpWorkspace>,
-}
-
 /// Incumbent filter callback (lazy-constraint hook): integral candidates
 /// it rejects never become the incumbent.
 pub type IncumbentFilter<'a> = &'a dyn Fn(&[f64]) -> bool;
-
-/// Nodes processed before the worker pool spawns: trees smaller than this
-/// never pay thread startup. Purely a wall-clock knob — whether (and when)
-/// the pool spawns is unobservable in the search's outputs, because
-/// speculative evaluation computes exactly what the replay would.
-const POOL_SPAWN_NODES: usize = 16;
 
 /// Bound-vs-incumbent pruning tolerance under the Harris ratio tests.
 /// Sized to dominate the LP's primal noise floor: the Harris test
@@ -279,14 +247,8 @@ pub struct MilpOptions {
     /// the pre-lift behaviour, kept as the ablation); cacheless solves are
     /// always per-tree regardless.
     pub cross_solve_factors: bool,
-    /// Worker threads for parallel node-LP evaluation: `0` resolves to
-    /// `std::thread::available_parallelism()`, `1` runs the classic
-    /// single-threaded loop with no pool. Every value produces
-    /// byte-identical trees, incumbents, objectives and iteration counts —
-    /// the pool only pre-computes node relaxations the sequential replay
-    /// would solve anyway (see the module docs) — so this is purely a
-    /// wall-clock knob and deliberately *not* part of any result-affecting
-    /// configuration signature.
+    /// Accepted and ignored — removed together with the two benchmark
+    /// lines that name it in the next `benchmark` PR.
     pub threads: usize,
     /// LP subproblem options.
     pub lp: SimplexOptions,
@@ -304,7 +266,7 @@ impl Default for MilpOptions {
             reuse_bases: true,
             cutoff_margin: 0.0,
             cross_solve_factors: true,
-            threads: 0,
+            threads: 1,
             lp: SimplexOptions::default(),
         }
     }
@@ -362,8 +324,7 @@ struct BoundChange {
 
 struct Node {
     /// Creation-order identity: node 0 is the root, children take ids in
-    /// push order. The key under which speculative LP evaluations are
-    /// memoized, and the final heap tie-break — making the pop order a
+    /// push order. The final heap tie-break — making the pop order a
     /// *total* order, independent of `BinaryHeap` insertion history.
     id: u64,
     /// Valid lower bound (minimisation space) inherited from the parent LP.
@@ -372,16 +333,16 @@ struct Node {
     chain: Option<Rc<BoundChange>>,
     /// Optimal basis of the parent's LP relaxation: the child differs only
     /// in one variable's bounds, so re-solving from here takes a handful of
-    /// pivots instead of a cold phase-I. Shared (`Arc`) so sibling jobs on
-    /// different workers read one copy concurrently.
-    basis: Option<Arc<BasisState>>,
+    /// pivots instead of a cold phase-I. Shared (`Rc`) between the two
+    /// siblings.
+    basis: Option<Rc<BasisState>>,
     /// The parent relaxation's final detached factorisation, installed
-    /// into the evaluating workspace before this node's solve. Seeding
-    /// every node from its *parent's* factors — rather than whatever the
-    /// workspace happened to solve last — is what makes node evaluation a
-    /// pure function of the node, and therefore safe to run speculatively
-    /// on any worker.
-    seed: Option<Arc<FactorState>>,
+    /// into the workspace before this node's solve. Seeding every node
+    /// from its *parent's* factors — rather than whatever the workspace
+    /// happened to solve last — is what makes node evaluation a pure
+    /// function of the node, and therefore indifferent to where a
+    /// suspend/resume cut falls.
+    seed: Option<Rc<FactorState>>,
 }
 
 /// Max-heap wrapper turning `BinaryHeap` into best-first (smallest bound).
@@ -403,8 +364,8 @@ impl Ord for OrdNode {
         // Reverse: smaller est = higher priority. Tie-break on depth
         // (prefer deeper nodes: closer to integral), then on smaller id
         // (creation order) so the order is total: `BinaryHeap` is not
-        // stable, and the parallel replay needs pops to be a pure function
-        // of the heap's *contents*.
+        // stable, and a resumed search needs pops to be a pure function of
+        // the heap's *contents*.
         other
             .0
             .est
@@ -430,28 +391,16 @@ pub struct MilpWarmStart<'a> {
     pub root_basis: Option<&'a ModelBasis>,
 }
 
-/// Solves the model by branch & bound.
+/// Solves the model by branch & bound, to completion: no warm start, no
+/// incumbent filter, no LP cache.
 pub fn solve(model: &Model, opts: &MilpOptions) -> MilpResult {
-    solve_warm(model, opts, MilpWarmStart::default())
-}
-
-/// Solves the model with the full warm-start context: incumbent seed plus
-/// root-LP basis reuse.
-pub fn solve_warm(model: &Model, opts: &MilpOptions, warm: MilpWarmStart<'_>) -> MilpResult {
-    run_bnb(model, opts, warm, None, None)
-}
-
-/// [`solve_warm`] with a caller-held compressed-LP cache: the relaxation is
-/// served from `cache` (patched/appended in place when the model's layout
-/// is unchanged) instead of being re-lowered from scratch. See
-/// [`LpCacheSlot`].
-pub fn solve_warm_cached(
-    model: &Model,
-    opts: &MilpOptions,
-    warm: MilpWarmStart<'_>,
-    cache: &mut LpCacheSlot,
-) -> MilpResult {
-    run_bnb(model, opts, warm, None, Some(cache))
+    let warm = MilpWarmStart::default();
+    match solve_preemptible(model, opts, warm, None, None, usize::MAX) {
+        SolveOutcome::Done(r) => r,
+        // An unbounded quantum never suspends; the anytime snapshot keeps
+        // this arm panic-free all the same.
+        SolveOutcome::Suspended(s) => s.incumbent_result(),
+    }
 }
 
 /// Outcome of a preemptible solve slice: the search either ran to its
@@ -485,52 +434,21 @@ impl SolveOutcome {
 /// suspends before the first node (the root is pushed but unevaluated);
 /// `usize::MAX` never suspends. An uninterrupted run and *any* sequence of
 /// suspend/resume cuts produce bit-identical trees, pivot counts and
-/// objective bits at every [`MilpOptions::threads`] setting — see the
-/// module docs.
+/// objective bits — see the module docs.
 ///
 /// A suspend leaves the caller's [`LpCacheSlot`] fully valid: the slot's
-/// cached lowering, workspaces and factor token all survive, and later
+/// cached lowering, workspace and factor token all survive, and later
 /// submissions may be served from it while the suspended state is parked.
 /// (The slot's detached factor cache is cleared — deterministically — so
 /// the next tree's root seed never depends on where mid-tree evaluation
 /// happened to run; that costs the next tree one root refactorisation,
 /// nothing else.)
+///
+/// The LP relaxation and workspace (cached or fresh) are resolved on this
+/// stack frame and borrowed by the search; on suspension the relaxation is
+/// cloned into the returned [`SearchState`] (suspends are rare — one per
+/// deadline-preempted round — so the clone is off the hot path).
 pub fn solve_preemptible(
-    model: &Model,
-    opts: &MilpOptions,
-    warm: MilpWarmStart<'_>,
-    filter: Option<IncumbentFilter<'_>>,
-    cache: Option<&mut LpCacheSlot>,
-    quantum: usize,
-) -> SolveOutcome {
-    run_preemptible(model, opts, warm, filter, cache, quantum)
-}
-
-/// Backs the classic (non-preemptible) entry points.
-fn run_bnb(
-    model: &Model,
-    opts: &MilpOptions,
-    warm: MilpWarmStart<'_>,
-    filter: Option<IncumbentFilter<'_>>,
-    cache: Option<&mut LpCacheSlot>,
-) -> MilpResult {
-    match run_preemptible(model, opts, warm, filter, cache, usize::MAX) {
-        SolveOutcome::Done(r) => r,
-        // sqpr::allow(hot-path-panic): a usize::MAX quantum cannot exhaust, so Suspended is impossible by construction; there is no caller to surface it to
-        SolveOutcome::Suspended(_) => unreachable!("usize::MAX quantum never suspends"),
-    }
-}
-
-/// Backs every entry point: resolves the LP relaxation and workspaces
-/// (cached or fresh) on this stack frame, *outside* the search state — a
-/// worker scope inside [`Bnb::drive`] borrows the LP and options while the
-/// driver mutates the rest of the search, which an LP owned *by* the
-/// search state would forbid. The relaxation geometry is borrowed from
-/// wherever the lowering lives (the cache slot, or this frame); on
-/// suspension it is cloned into the returned [`SearchState`] (suspends are
-/// rare — one per deadline-preempted round — so the clone is off the hot
-/// path).
-fn run_preemptible(
     model: &Model,
     opts: &MilpOptions,
     warm: MilpWarmStart<'_>,
@@ -548,7 +466,6 @@ fn run_preemptible(
                 lowered,
                 first_sweep,
                 ws,
-                workers,
                 factor_token,
             } = slot.refresh_solver(model);
             if opts.cross_solve_factors {
@@ -560,7 +477,6 @@ fn run_preemptible(
                 ws.begin_factor_generation(next_factor_token());
             }
             let token = ws.factor_generation();
-            let store = WsStore { main: ws, workers };
             search_lowered(
                 model,
                 opts,
@@ -569,7 +485,7 @@ fn run_preemptible(
                 filter,
                 lowered,
                 Some(first_sweep),
-                store,
+                ws,
                 token,
                 quantum,
             )
@@ -582,11 +498,6 @@ fn run_preemptible(
             // reuse is scoped to its own node solves.
             let token = next_factor_token();
             ws.begin_factor_generation(token);
-            let mut workers = Vec::new();
-            let store = WsStore {
-                main: &mut ws,
-                workers: &mut workers,
-            };
             search_lowered(
                 model,
                 opts,
@@ -595,7 +506,7 @@ fn run_preemptible(
                 filter,
                 &lowered,
                 None,
-                store,
+                &mut ws,
                 token,
                 quantum,
             )
@@ -615,7 +526,7 @@ fn search_lowered(
     filter: Option<IncumbentFilter<'_>>,
     lowered: &LoweredLp,
     first_sweep: Option<&mut Option<FirstSweep>>,
-    ws: WsStore<'_>,
+    ws: &mut LpWorkspace,
     factor_token: u64,
     quantum: usize,
 ) -> SolveOutcome {
@@ -653,14 +564,14 @@ fn seal(
             SolveOutcome::Done(core.result(model, status, bound))
         }
         SliceVerdict::Suspended => {
-            // The suspended search gets private workspaces under the same
+            // The suspended search gets a private workspace under the same
             // factor generation: every factorisation it still needs lives
-            // in its node seeds (`Arc`s inside the heap/memo), and node
+            // in its node seeds (`Rc`s inside the heap), and node
             // evaluation installs from the seed before each solve, so a
             // fresh workspace is semantically identical to the one the
             // slice ran in.
-            let mut ws_main = LpWorkspace::new();
-            ws_main.resume_factor_generation(factor_token);
+            let mut ws = LpWorkspace::new();
+            ws.resume_factor_generation(factor_token);
             SolveOutcome::Suspended(Box::new(SearchState {
                 model: model.clone(),
                 opts: opts.clone(),
@@ -668,26 +579,23 @@ fn seal(
                 geom: geom.clone(),
                 core,
                 factor_token,
-                ws_main,
-                ws_workers: Vec::new(),
+                ws,
             }))
         }
     }
 }
 
 /// A branch & bound search suspended at a node boundary: the frontier
-/// heap, incumbent, speculative-eval memo, node-id counter, root bounds
-/// and factor-generation token, plus owned clones of the model, options
-/// and compressed LP being searched — so the state outlives the planning
-/// round (and the cache slot borrow) that spawned it. Resuming, in any
-/// number of further slices at any [`MilpOptions::threads`] setting,
-/// reproduces the uninterrupted run bit for bit: node evaluation is a
-/// pure function of the node, the pop order is a total order over the
-/// heap's contents, and both live entirely in this state.
+/// heap, incumbent, node-id counter, root bounds and factor-generation
+/// token, plus owned clones of the model, options and compressed LP being
+/// searched — so the state outlives the planning round (and the cache
+/// slot borrow) that spawned it. Resuming, in any number of further
+/// slices, reproduces the uninterrupted run bit for bit: node evaluation
+/// is a pure function of the node, the pop order is a total order over
+/// the heap's contents, and both live entirely in this state.
 ///
-/// Deliberately not `Send`: node bound-change chains are `Rc`-shared (the
-/// chains never cross into the worker pool; a suspended search resumes on
-/// whichever thread holds the state).
+/// Not `Send`: bound-change chains, basis hints and factor seeds are
+/// `Rc`-shared between nodes.
 pub struct SearchState {
     model: Model,
     opts: MilpOptions,
@@ -695,8 +603,7 @@ pub struct SearchState {
     geom: SearchGeom,
     core: SearchCore,
     factor_token: u64,
-    ws_main: LpWorkspace,
-    ws_workers: Vec<LpWorkspace>,
+    ws: LpWorkspace,
 }
 
 impl std::fmt::Debug for SearchState {
@@ -723,10 +630,6 @@ impl SearchState {
         // sqpr::allow(ambient-nondeterminism): opts.time_limit is an explicit caller SLO; expiry surfaces as a TimeLimit verdict, never a silently different plan
         let deadline = self.opts.time_limit.map(|d| Instant::now() + d);
         let state = &mut *self;
-        let store = WsStore {
-            main: &mut state.ws_main,
-            workers: &mut state.ws_workers,
-        };
         let verdict = Bnb {
             model: &state.model,
             opts: &state.opts,
@@ -734,7 +637,7 @@ impl SearchState {
             lp: &state.lp,
             geom: &state.geom,
             core: &mut state.core,
-            ws: store,
+            ws: &mut state.ws,
             factor_token: state.factor_token,
             deadline,
         }
@@ -800,21 +703,16 @@ struct SearchCore {
     root_ub: Vec<f64>,
     presolve_infeasible: bool,
     /// External basis hint for the root relaxation (already projected).
-    root_hint: Option<Arc<BasisState>>,
+    root_hint: Option<Rc<BasisState>>,
     /// Next node id to assign (the root took 0).
     next_id: u64,
-    /// Speculative LP evaluations by node id, filled by the worker pool
-    /// and consumed — or discarded — by the sequential replay. Carried
-    /// across a suspend: evaluation is pure, so consuming a parked memo
-    /// entry after resume equals evaluating inline.
-    evals: HashMap<u64, NodeEval>,
     /// Basis of the solved root relaxation (exported in the result).
     root_basis_out: Option<ModelBasis>,
     /// The root relaxation's final factorisation, re-installed into the
-    /// main workspace when the tree ends: the next tree served from the
+    /// workspace when the tree ends: the next tree served from the
     /// same slot warm-starts its root from this root's basis, so this is
     /// the state whose basic set the re-attach check can actually match.
-    root_factors: Option<Arc<FactorState>>,
+    root_factors: Option<Rc<FactorState>>,
     /// Node-materialisation scratch: model-space bounds…
     lb_buf: Vec<f64>,
     ub_buf: Vec<f64>,
@@ -838,19 +736,18 @@ struct Bnb<'a> {
     model: &'a Model,
     opts: &'a MilpOptions,
     filter: Option<IncumbentFilter<'a>>,
-    /// Compressed LP relaxation (bound-fixed variables folded out). A
-    /// plain shared reference — worker threads borrow it concurrently
-    /// while the driver mutates the rest of the search state.
+    /// Compressed LP relaxation (bound-fixed variables folded out).
     lp: &'a Problem,
     geom: &'a SearchGeom,
     core: &'a mut SearchCore,
-    /// Reusable LP scratch: the main workspace shared by every *replayed*
-    /// relaxation (node re-solves and diving heuristics alike) plus the
-    /// worker pool's private workspaces; borrowed from the [`LpCacheSlot`]
-    /// on the cached path so allocations and basis factors survive
-    /// between consecutive trees, and from the suspended [`SearchState`]
-    /// on the resume path.
-    ws: WsStore<'a>,
+    /// Reusable LP scratch shared by every relaxation (node solves and
+    /// diving heuristics alike): borrowed from the [`LpCacheSlot`] on the
+    /// cached path — so allocations, and the detached basis-factor cache
+    /// that lets a root solve re-attach the previous tree's factorisation
+    /// when the matrix generation is unchanged, survive between the slot's
+    /// consecutive trees — from the entry point's stack frame on the
+    /// cacheless path, and from the suspended [`SearchState`] on resume.
+    ws: &'a mut LpWorkspace,
     /// Matrix generation every factor state in this tree is scoped to.
     factor_token: u64,
     /// Wall-clock cutoff, re-armed per slice from `opts.time_limit` (the
@@ -895,7 +792,7 @@ impl SearchCore {
             1.0
         };
         let incumbent = start.map(|x| (flip * model.objective_value(x), x.to_vec()));
-        let root_hint = root_basis.map(|mb| Arc::new(mb.to_lp(map, lp.nrows())));
+        let root_hint = root_basis.map(|mb| Rc::new(mb.to_lp(map, lp.nrows())));
         let n = model.num_vars();
         let ncols = lp.ncols();
         SearchCore {
@@ -909,7 +806,6 @@ impl SearchCore {
             presolve_infeasible,
             root_hint,
             next_id: 0,
-            evals: HashMap::new(),
             root_basis_out: None,
             root_factors: None,
             lb_buf: vec![0.0; n],
@@ -1017,24 +913,6 @@ impl<'a> Bnb<'a> {
         }
     }
 
-    /// Detaches everything a worker needs to evaluate `node`'s relaxation:
-    /// bounds are materialised eagerly (the `Rc` bound-change chain never
-    /// crosses threads), basis hint and factor seed are shared read-only.
-    fn make_job(&mut self, node: &Node) -> Job {
-        self.materialize_node(&node.chain);
-        Job {
-            id: node.id,
-            lp_lb: self.core.lp_lb_buf.clone(),
-            lp_ub: self.core.lp_ub_buf.clone(),
-            hint: if self.opts.reuse_bases {
-                node.basis.clone()
-            } else {
-                None
-            },
-            seed: node.seed.clone(),
-        }
-    }
-
     /// Picks the integer variable to branch on: most fractional value,
     /// ties broken by larger |objective| then smaller index. Works in LP
     /// space (model-fixed integers cannot branch; `to_lp_reduced` already
@@ -1121,9 +999,7 @@ impl<'a> Bnb<'a> {
 
     /// Runs one slice of at most `quantum` nodes (`usize::MAX` = to
     /// completion). The first slice runs the prologue (presolve verdict,
-    /// root push); every slice spins up — and winds down — its own worker
-    /// scope, which is unobservable in the search's outputs because the
-    /// pool only pre-computes results the replay would compute anyway.
+    /// root push).
     fn drive(mut self, quantum: usize) -> SliceVerdict {
         if !self.core.started {
             self.core.started = true;
@@ -1140,7 +1016,7 @@ impl<'a> Bnb<'a> {
             // (the previous tree's root factorisation on the cross-solve
             // cached path; `None` on fresh workspaces or after a token
             // renewal).
-            let root_seed = self.ws.main.take_factor_state().map(Arc::new);
+            let root_seed = self.ws.take_factor_state().map(Rc::new);
             let root_hint = self.core.root_hint.clone();
             self.core.heap.push(OrdNode(Node {
                 id: 0,
@@ -1153,68 +1029,40 @@ impl<'a> Bnb<'a> {
             self.core.next_id = 1;
         }
 
-        let threads = effective_threads(self.opts.threads);
-        let verdict = if threads > 1 {
-            // Copy the shared references out of `self` so the worker scope
-            // can hold them while `search` mutates the search state.
-            let lp = self.lp;
-            let opts = self.opts;
-            let token = self.factor_token;
-            let spare = std::mem::take(&mut *self.ws.workers);
-            let mut returned = Vec::new();
-            let out = std::thread::scope(|scope| {
-                let mut pool = WorkerPool::new(scope, threads, lp, &opts.lp, token, spare);
-                let out = self.search(Some(&mut pool), quantum);
-                returned = pool.shutdown();
-                out
-            });
-            *self.ws.workers = returned;
-            out
-        } else {
-            self.search(None, quantum)
-        };
+        let verdict = self.search(quantum);
 
         match verdict {
             SliceVerdict::Finished(..) => {
-                // Leave the *root's* final factorisation in the main
-                // workspace: the next tree served from the same slot
-                // warm-starts its root from this root's exported basis, so
-                // this is the state whose basic set the re-attach check can
-                // match. (Under lineage seeding the workspace would
-                // otherwise end the tree empty — every node evaluation
-                // takes its state out.)
+                // Leave the *root's* final factorisation in the workspace:
+                // the next tree served from the same slot warm-starts its
+                // root from this root's exported basis, so this is the
+                // state whose basic set the re-attach check can match.
+                // (Under lineage seeding the workspace would otherwise end
+                // the tree empty — every node evaluation takes its state
+                // out.)
                 if let Some(f) = self.core.root_factors.take() {
-                    let state = Arc::try_unwrap(f).unwrap_or_else(|a| (*a).clone());
-                    self.ws
-                        .main
-                        .install_factor_state(self.factor_token, Some(state));
+                    let state = Rc::try_unwrap(f).unwrap_or_else(|a| (*a).clone());
+                    self.ws.install_factor_state(self.factor_token, Some(state));
                 }
             }
             SliceVerdict::Suspended => {
                 // Mid-tree the workspace's detached cache holds whatever
-                // the last inline evaluation (or dive) left behind — which
-                // *does* depend on the thread count, since memoized nodes
-                // never touch the main workspace. Clear it so the state the
-                // slice leaves behind (in the cache slot or the suspended
-                // search) is deterministic; node evaluation re-installs
-                // from each node's seed anyway.
-                self.ws.main.take_factor_state();
+                // the last dive left behind, if one ran since the last node
+                // evaluation took its state out. Clear it so what the slice
+                // leaves behind (in the cache slot or the suspended search)
+                // does not depend on where the cut fell; node evaluation
+                // re-installs from each node's seed anyway.
+                self.ws.take_factor_state();
             }
         }
         verdict
     }
 
-    /// The sequential replay: pops, prunes, branches and accepts
-    /// incumbents one node at a time — the *entire* search semantics live
-    /// here, identical at every thread count. The pool (when present) only
-    /// pre-computes node evaluations into the core's memo. Suspension
-    /// happens strictly *between* nodes (before a pop), so a cut changes
-    /// no intermediate value the replay would compute.
-    fn search(
-        &mut self,
-        mut pool: Option<&mut WorkerPool<'_, '_>>,
-        quantum: usize,
-    ) -> SliceVerdict {
+    /// The search loop: pops, prunes, evaluates, branches and accepts
+    /// incumbents one node at a time. Suspension happens strictly
+    /// *between* nodes (before a pop), so a cut changes no intermediate
+    /// value the loop would compute.
+    fn search(&mut self, quantum: usize) -> SliceVerdict {
         let mut budget_hit = false;
         let mut slice_done = 0usize;
         // Effective bound-vs-incumbent slack: the noise-floor epsilon for
@@ -1233,9 +1081,6 @@ impl<'a> Bnb<'a> {
             if slice_done >= quantum && !self.core.heap.is_empty() {
                 return SliceVerdict::Suspended;
             }
-            if let Some(p) = pool.as_deref_mut() {
-                self.speculate(p, prune_slack);
-            }
             let Some(OrdNode(node)) = self.core.heap.pop() else {
                 break;
             };
@@ -1247,7 +1092,6 @@ impl<'a> Bnb<'a> {
                     self.core.best_open_bound = *inc;
                     // All other open nodes are at least as bad.
                     self.core.heap.clear();
-                    self.core.evals.clear();
                     break;
                 }
                 let gap = (inc - node.est).abs() / inc.abs().max(1.0);
@@ -1255,7 +1099,6 @@ impl<'a> Bnb<'a> {
                     self.core.proven_infeasible_tree = false;
                     self.core.best_open_bound = node.est;
                     self.core.heap.clear();
-                    self.core.evals.clear();
                     break;
                 }
             }
@@ -1269,30 +1112,17 @@ impl<'a> Bnb<'a> {
             slice_done += 1;
 
             self.materialize_node(&node.chain);
-            // Consume the speculative evaluation if one landed, evaluate
-            // inline otherwise — the result is the same either way (node
-            // evaluation is pure), so thread count and pool timing leave
-            // no trace in anything downstream of here.
-            let NodeEval { sol, factors } = match self.core.evals.remove(&node.id) {
-                Some(eval) => eval,
-                None => {
-                    let hint = if self.opts.reuse_bases {
-                        node.basis.as_deref()
-                    } else {
-                        None
-                    };
-                    evaluate_node_lp(
-                        self.lp,
-                        &self.core.lp_lb_buf,
-                        &self.core.lp_ub_buf,
-                        hint,
-                        &self.opts.lp,
-                        self.factor_token,
-                        node.seed.as_deref(),
-                        &mut *self.ws.main,
-                    )
-                }
-            };
+            let hint = node.basis.as_deref().filter(|_| self.opts.reuse_bases);
+            let NodeEval { sol, factors } = evaluate_node_lp(
+                self.lp,
+                &self.core.lp_lb_buf,
+                &self.core.lp_ub_buf,
+                hint,
+                &self.opts.lp,
+                self.factor_token,
+                node.seed.as_deref(),
+                self.ws,
+            );
             self.core.lp_iterations += sol.iterations;
             self.core.lp_pivots.merge(&sol.pivots);
             if node.depth == 0 {
@@ -1345,11 +1175,8 @@ impl<'a> Bnb<'a> {
                 || (self.opts.dive_every > 0
                     && self.core.nodes_done.is_multiple_of(self.opts.dive_every))
             {
-                // Chain the dive from this node's final factorisation —
-                // the same state at any thread count, wherever the node's
-                // LP was actually evaluated.
+                // Chain the dive from this node's final factorisation.
                 self.ws
-                    .main
                     .install_factor_state(self.factor_token, factors.as_deref().cloned());
                 if let Some((_, x_lp)) = heuristics::dive(
                     self.lp,
@@ -1362,7 +1189,7 @@ impl<'a> Bnb<'a> {
                     self.opts.int_tol,
                     &mut self.core.lp_iterations,
                     &mut self.core.lp_pivots,
-                    &mut *self.ws.main,
+                    self.ws,
                 ) {
                     self.offer_incumbent(&x_lp);
                 }
@@ -1381,9 +1208,8 @@ impl<'a> Bnb<'a> {
             // differ from it by one bound, so the re-solve is a short
             // feasibility walk instead of a cold start) and inherit its
             // final factorisation as their seed. Ids are assigned in push
-            // order: deterministic, since pushes happen only here on the
-            // replay thread.
-            let child_basis = sol.basis.map(Arc::new);
+            // order; pushes happen only here.
+            let child_basis = sol.basis.map(Rc::new);
             let floor = value.floor();
             let (node_lb, node_ub) = (self.core.lb_buf[var], self.core.ub_buf[var]);
             let down = Rc::new(BoundChange {
@@ -1446,103 +1272,13 @@ impl<'a> Bnb<'a> {
         };
         SliceVerdict::Finished(status, bound)
     }
-
-    /// Pre-computes LP evaluations for the top of the frontier on the
-    /// worker pool. Pure speculation: every job is a node the replay may
-    /// pop next, and evaluation is a pure function of the node, so running
-    /// it early — or not at all — is unobservable in the search's outputs.
-    fn speculate(&mut self, pool: &mut WorkerPool<'_, '_>, prune_slack: f64) {
-        if self.core.heap.len() < 2 || self.out_of_budget() {
-            return;
-        }
-        // Don't pay thread startup for tiny trees.
-        if !pool.spawned && self.core.nodes_done < POOL_SPAWN_NODES {
-            return;
-        }
-        if let Some((inc, _)) = &self.core.incumbent {
-            if let Some(top) = self.core.heap.peek() {
-                // The replay ends (optimality proven) as soon as the best
-                // open node cannot beat the incumbent — nothing left to
-                // speculate on then.
-                if top.0.est >= inc - prune_slack
-                    || (inc - top.0.est).abs() / inc.abs().max(1.0) <= self.opts.gap_tol
-                {
-                    return;
-                }
-            }
-        }
-        // Nothing to wait for while the next pop is already memoized.
-        if self
-            .core
-            .heap
-            .peek()
-            .is_some_and(|n| self.core.evals.contains_key(&n.0.id))
-        {
-            return;
-        }
-        // Pop the frontier's top `threads` nodes; evaluate the unevaluated
-        // survivors, then push everything straight back.
-        let mut popped = Vec::with_capacity(pool.threads);
-        let mut jobs = Vec::new();
-        while popped.len() < pool.threads {
-            let Some(OrdNode(node)) = self.core.heap.pop() else {
-                break;
-            };
-            let known = self.core.evals.contains_key(&node.id);
-            // A node the incumbent already prunes ends the replay when it
-            // pops; nodes behind it in the order never run.
-            let prunable = self
-                .core
-                .incumbent
-                .as_ref()
-                .is_some_and(|(inc, _)| node.est >= inc - prune_slack);
-            if !known && !prunable {
-                jobs.push(self.make_job(&node));
-            }
-            popped.push(OrdNode(node));
-            if prunable {
-                break;
-            }
-        }
-        for n in popped {
-            self.core.heap.push(n);
-        }
-        if jobs.len() < 2 {
-            // A lone evaluation is cheaper inline than through the pool.
-            return;
-        }
-        for (id, eval) in pool.evaluate(jobs) {
-            self.core.evals.insert(id, eval);
-        }
-    }
-}
-
-/// Resolves [`MilpOptions::threads`]: 0 = one worker per available core.
-fn effective_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        threads
-    }
-}
-
-/// One unit of speculative work: everything a worker needs to evaluate a
-/// node's LP relaxation, detached from the search state (bounds are
-/// materialised up front, so the `Rc` bound-change chain never crosses a
-/// thread; the basis hint and factor seed are shared read-only).
-struct Job {
-    id: u64,
-    lp_lb: Vec<f64>,
-    lp_ub: Vec<f64>,
-    hint: Option<Arc<BasisState>>,
-    seed: Option<Arc<FactorState>>,
 }
 
 /// A node relaxation's outcome: the LP solution plus the evaluating
 /// workspace's final detached factorisation (the children's seed).
 struct NodeEval {
     sol: LpSolution,
-    factors: Option<Arc<FactorState>>,
+    factors: Option<Rc<FactorState>>,
 }
 
 /// Evaluates one node LP in `ws`. Pure: the simplex entry point fully
@@ -1550,7 +1286,7 @@ struct NodeEval {
 /// cross-solve carry-over — the detached factor cache — is explicitly
 /// installed from the node's seed first and detached into the result
 /// after, so the outcome depends only on the arguments, never on which
-/// solve (or which thread) the workspace served last.
+/// solve the workspace served last.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_node_lp(
     lp: &Problem,
@@ -1564,127 +1300,8 @@ fn evaluate_node_lp(
 ) -> NodeEval {
     ws.install_factor_state(token, seed.cloned());
     let sol = solve_with_bounds_recovering_ws(lp, lp_lb, lp_ub, hint, lp_opts, ws);
-    let factors = ws.take_factor_state().map(Arc::new);
+    let factors = ws.take_factor_state().map(Rc::new);
     NodeEval { sol, factors }
-}
-
-/// Scoped worker pool for speculative node evaluation. Spawned lazily on
-/// the first batch; workers pull [`Job`]s off one shared queue and push
-/// results back, each owning a private [`LpWorkspace`] for its lifetime
-/// (handed back through [`Self::shutdown`] so the allocations survive into
-/// the next tree via the [`WsStore`]).
-struct WorkerPool<'scope, 'env> {
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-    threads: usize,
-    lp: &'env Problem,
-    lp_opts: &'env SimplexOptions,
-    token: u64,
-    /// Workspaces not yet handed to a worker.
-    spare: Vec<LpWorkspace>,
-    spawned: bool,
-    job_tx: Option<mpsc::Sender<Job>>,
-    res_rx: Option<mpsc::Receiver<(u64, NodeEval)>>,
-    ws_rx: Option<mpsc::Receiver<LpWorkspace>>,
-}
-
-impl<'scope, 'env> WorkerPool<'scope, 'env> {
-    fn new(
-        scope: &'scope std::thread::Scope<'scope, 'env>,
-        threads: usize,
-        lp: &'env Problem,
-        lp_opts: &'env SimplexOptions,
-        token: u64,
-        spare: Vec<LpWorkspace>,
-    ) -> Self {
-        WorkerPool {
-            scope,
-            threads,
-            lp,
-            lp_opts,
-            token,
-            spare,
-            spawned: false,
-            job_tx: None,
-            res_rx: None,
-            ws_rx: None,
-        }
-    }
-
-    fn spawn(&mut self) {
-        self.spawned = true;
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
-        // One shared queue: `mpsc::Receiver` is not `Sync`, so workers
-        // serialise on a mutex around `recv`. Contention covers the
-        // dequeue only, never an LP solve.
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let (res_tx, res_rx) = mpsc::channel();
-        let (ws_tx, ws_rx) = mpsc::channel();
-        for _ in 0..self.threads {
-            let mut ws = self.spare.pop().unwrap_or_default();
-            let job_rx = Arc::clone(&job_rx);
-            let res_tx = res_tx.clone();
-            let ws_tx = ws_tx.clone();
-            let (lp, lp_opts, token) = (self.lp, self.lp_opts, self.token);
-            self.scope.spawn(move || {
-                loop {
-                    // The match scrutinee holds the lock for the dequeue
-                    // only; it is released before the solve starts.
-                    let job = match job_rx.lock() {
-                        Ok(rx) => rx.recv(),
-                        Err(_) => break,
-                    };
-                    let Ok(job) = job else { break };
-                    let eval = evaluate_node_lp(
-                        lp,
-                        &job.lp_lb,
-                        &job.lp_ub,
-                        job.hint.as_deref(),
-                        lp_opts,
-                        token,
-                        job.seed.as_deref(),
-                        &mut ws,
-                    );
-                    if res_tx.send((job.id, eval)).is_err() {
-                        break;
-                    }
-                }
-                let _ = ws_tx.send(ws);
-            });
-        }
-        self.job_tx = Some(job_tx);
-        self.res_rx = Some(res_rx);
-        self.ws_rx = Some(ws_rx);
-    }
-
-    /// Runs a batch to completion and returns every result (in arrival
-    /// order; the caller memoizes by node id, so order is irrelevant).
-    fn evaluate(&mut self, jobs: Vec<Job>) -> Vec<(u64, NodeEval)> {
-        if !self.spawned {
-            self.spawn();
-        }
-        let n = jobs.len();
-        // sqpr::allow(hot-path-panic): channel endpoints exist right after spawn(); a disconnect means a worker thread already panicked, which has no recoverable planning answer
-        let tx = self.job_tx.as_ref().expect("pool spawned");
-        for job in jobs {
-            // sqpr::allow(hot-path-panic): send fails only after a worker panic; propagating that panic is strictly better than deadlocking on lost results
-            tx.send(job).expect("worker pool hung up");
-        }
-        // sqpr::allow(hot-path-panic): channel endpoints exist right after spawn(); a disconnect means a worker thread already panicked, which has no recoverable planning answer
-        let rx = self.res_rx.as_ref().expect("pool spawned");
-        // sqpr::allow(hot-path-panic): recv fails only after a worker panic; propagating that panic is strictly better than deadlocking on lost results
-        (0..n).map(|_| rx.recv().expect("worker died")).collect()
-    }
-
-    /// Closes the job queue (ending the worker loops; the enclosing
-    /// `thread::scope` joins them) and collects every workspace back.
-    fn shutdown(mut self) -> Vec<LpWorkspace> {
-        let mut out = std::mem::take(&mut self.spare);
-        self.job_tx.take();
-        if let Some(ws_rx) = self.ws_rx.take() {
-            out.extend(ws_rx.iter());
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -1797,7 +1414,9 @@ mod tests {
             start: Some(&start),
             root_basis: None,
         };
-        let r = solve_warm(&m, &opts, warm);
+        let r = solve_preemptible(&m, &opts, warm, None, None, usize::MAX)
+            .done()
+            .expect("usize::MAX quantum never suspends");
         // Even with a tiny budget we must report at least the start value.
         assert!(r.objective >= 13.0 - 1e-9);
         assert!(r.has_solution());
@@ -1849,6 +1468,12 @@ mod tests {
 mod warm_start_tests {
     use super::*;
 
+    fn solve_from(m: &Model, opts: &MilpOptions, warm: MilpWarmStart<'_>) -> MilpResult {
+        solve_preemptible(m, opts, warm, None, None, usize::MAX)
+            .done()
+            .expect("usize::MAX quantum never suspends")
+    }
+
     fn knapsack(n: usize) -> Model {
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<_> = (0..n)
@@ -1871,7 +1496,7 @@ mod warm_start_tests {
         let cold = solve(&m, &opts);
         assert_eq!(cold.status, MilpStatus::Optimal);
         assert!(cold.root_basis.is_some(), "root basis must be exported");
-        let warm = solve_warm(
+        let warm = solve_from(
             &m,
             &opts,
             MilpWarmStart {
@@ -1899,7 +1524,7 @@ mod warm_start_tests {
         let small_r = solve(&small, &opts);
         let big = knapsack(14);
         let cold = solve(&big, &opts);
-        let warm = solve_warm(
+        let warm = solve_from(
             &big,
             &opts,
             MilpWarmStart {
@@ -1925,13 +1550,16 @@ mod filter_tests {
         let b = m.add_binary(1.0);
         m.add_le(vec![(a, 1.0), (b, 1.0)], 2.0);
         let reject_both = |x: &[f64]| !(x[0] > 0.5 && x[1] > 0.5);
-        let r = run_bnb(
+        let r = solve_preemptible(
             &m,
             &MilpOptions::default(),
             MilpWarmStart::default(),
             Some(&reject_both),
             None,
-        );
+            usize::MAX,
+        )
+        .done()
+        .expect("usize::MAX quantum never suspends");
         // (1,1) filtered out; best accepted is (1,0) = 2.
         if let Some(x) = &r.x {
             assert!(reject_both(x), "returned solution violates the filter");
@@ -1955,7 +1583,9 @@ mod filter_tests {
             start: Some(&start),
             root_basis: None,
         };
-        let r = run_bnb(&m, &opts, warm, Some(&reject_all), None);
+        let r = solve_preemptible(&m, &opts, warm, Some(&reject_all), None, usize::MAX)
+            .done()
+            .expect("usize::MAX quantum never suspends");
         assert!(r.has_solution());
         assert!((r.objective - 1.0).abs() < 1e-9);
     }

@@ -7,10 +7,22 @@
 //! replayed deterministically.
 
 use sqpr_milp::{
-    solve, solve_warm_cached, LpCacheSlot, MilpOptions, MilpStatus, MilpWarmStart, Model, Sense,
-    VarId,
+    solve, solve_preemptible, LpCacheSlot, MilpOptions, MilpResult, MilpStatus, MilpWarmStart,
+    Model, Sense, VarId,
 };
 use sqpr_workload::rng::{Rng, StdRng};
+
+/// One uninterrupted solve served from `slot`.
+fn solve_warm_cached(
+    m: &Model,
+    opts: &MilpOptions,
+    warm: MilpWarmStart<'_>,
+    slot: &mut LpCacheSlot,
+) -> MilpResult {
+    solve_preemptible(m, opts, warm, None, Some(slot), usize::MAX)
+        .done()
+        .expect("usize::MAX quantum never suspends")
+}
 
 /// A random binary program over a fixed structure: the "skeleton" the
 /// planner would keep across submissions.

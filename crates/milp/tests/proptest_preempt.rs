@@ -1,9 +1,9 @@
 //! Property tests: a preemptible branch & bound chopped into arbitrary
 //! suspend/resume slices must be *bit-identical* to the uninterrupted
 //! search — same tree (node count), same simplex work (iteration and
-//! pivot counters), same objective bits, same incumbent — at every
-//! `lp_threads` setting, because a cut happens strictly between node
-//! evaluations and node evaluation is a pure function of the node.
+//! pivot counters), same objective bits, same incumbent — because a cut
+//! happens strictly between node evaluations and node evaluation is a pure
+//! function of the node.
 //!
 //! Implemented as seeded random-case loops (the sanctioned dependency set
 //! has no `proptest`); every case prints its seed on failure so it can be
@@ -24,10 +24,9 @@ struct RandomIp {
     rows: Vec<(Vec<i32>, i32, u8)>, // coeffs, lb, width (range rows)
 }
 
-/// Same correlated-knapsack generator as `proptest_parallel`: tight rows
-/// keep the LP root fractional and the bound weak, so trees routinely grow
-/// past a handful of nodes and the quantum cuts land mid-search rather
-/// than after completion.
+/// Correlated-knapsack generator: tight rows keep the LP root fractional
+/// and the bound weak, so trees routinely grow past a handful of nodes and
+/// the quantum cuts land mid-search rather than after completion.
 fn random_ip(rng: &mut StdRng) -> RandomIp {
     let nvars = rng.gen_index(9) + 6;
     let nrows = rng.gen_index(3) + 2;
@@ -86,7 +85,7 @@ fn build(ip: &RandomIp) -> Model {
 }
 
 /// Every observable of the search, compared bit-for-bit (objectives via
-/// `to_bits`, not a tolerance: the resumed replay runs the *same*
+/// `to_bits`, not a tolerance: the resumed search runs the *same*
 /// floating-point operations in the same order, so even the rounding must
 /// agree).
 fn assert_identical(ctx: &str, a: &MilpResult, b: &MilpResult) {
@@ -142,64 +141,56 @@ fn chopped(model: &Model, opts: &MilpOptions, quanta: &[usize]) -> (MilpResult, 
 
 #[test]
 fn suspend_resume_is_bit_identical_to_uninterrupted() {
-    for threads in [1usize, 0] {
-        let mut cut_runs = 0usize;
-        for seed in 0..64u64 {
-            let mut rng = StdRng::seed_from_u64(0xC0DE ^ (seed << 2));
-            let ip = random_ip(&mut rng);
-            let model = build(&ip);
-            let opts = MilpOptions {
-                threads,
-                ..MilpOptions::default()
-            };
-            let base = solve(&model, &opts);
+    let mut cut_runs = 0usize;
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(0xC0DE ^ (seed << 2));
+        let ip = random_ip(&mut rng);
+        let model = build(&ip);
+        let opts = MilpOptions::default();
+        let base = solve(&model, &opts);
 
-            // Random quantum schedule, deliberately including 0-node
-            // slices (suspend before the first evaluation) and quanta past
-            // the tree size (the run completes mid-slice).
-            let mut quanta = Vec::new();
-            if rng.gen_bool() {
-                quanta.push(0);
-            }
-            for _ in 0..rng.gen_index(4) + 1 {
-                quanta.push(rng.gen_index(base.nodes.max(1) + 2));
-            }
-            quanta.push(base.nodes + 100); // past-completion slice
-            let (r, cuts) = chopped(&model, &opts, &quanta);
-            let ctx = format!("seed {seed}, threads {threads}, quanta {quanta:?} on {ip:?}");
-            assert_identical(&ctx, &base, &r);
-            if cuts > 0 {
-                cut_runs += 1;
-            }
+        // Random quantum schedule, deliberately including 0-node
+        // slices (suspend before the first evaluation) and quanta past
+        // the tree size (the run completes mid-slice).
+        let mut quanta = Vec::new();
+        if rng.gen_bool() {
+            quanta.push(0);
         }
-        assert!(
-            cut_runs >= 20,
-            "only {cut_runs}/64 runs actually suspended at threads={threads}; \
-             the quantum schedule no longer exercises suspend/resume"
-        );
+        for _ in 0..rng.gen_index(4) + 1 {
+            quanta.push(rng.gen_index(base.nodes.max(1) + 2));
+        }
+        quanta.push(base.nodes + 100); // past-completion slice
+        let (r, cuts) = chopped(&model, &opts, &quanta);
+        let ctx = format!("seed {seed}, quanta {quanta:?} on {ip:?}");
+        assert_identical(&ctx, &base, &r);
+        if cuts > 0 {
+            cut_runs += 1;
+        }
     }
+    assert!(
+        cut_runs >= 20,
+        "only {cut_runs}/64 runs actually suspended; \
+         the quantum schedule no longer exercises suspend/resume"
+    );
 }
 
 #[test]
 fn single_node_quanta_match_uninterrupted() {
     // The pathological schedule: one node per slice, a cut at *every* node
-    // boundary, at both thread settings.
-    for threads in [1usize, 0] {
-        for seed in 0..24u64 {
-            let mut rng = StdRng::seed_from_u64(0xF1CE ^ (seed << 4));
-            let ip = random_ip(&mut rng);
-            let model = build(&ip);
-            let opts = MilpOptions {
-                threads,
-                max_nodes: 200,
-                ..MilpOptions::default()
-            };
-            let base = solve(&model, &opts);
-            let quanta = vec![1usize; base.nodes + 2];
-            let (r, _) = chopped(&model, &opts, &quanta);
-            let ctx = format!("seed {seed}, threads {threads}, per-node cuts on {ip:?}");
-            assert_identical(&ctx, &base, &r);
-        }
+    // boundary.
+    for seed in 0..24u64 {
+        let mut rng = StdRng::seed_from_u64(0xF1CE ^ (seed << 4));
+        let ip = random_ip(&mut rng);
+        let model = build(&ip);
+        let opts = MilpOptions {
+            max_nodes: 200,
+            ..MilpOptions::default()
+        };
+        let base = solve(&model, &opts);
+        let quanta = vec![1usize; base.nodes + 2];
+        let (r, _) = chopped(&model, &opts, &quanta);
+        let ctx = format!("seed {seed}, per-node cuts on {ip:?}");
+        assert_identical(&ctx, &base, &r);
     }
 }
 
@@ -212,10 +203,7 @@ fn suspend_leaves_cache_slot_serving_other_solves() {
         let mut rng = StdRng::seed_from_u64(0x51A7 ^ (seed << 5));
         let ip = random_ip(&mut rng);
         let model = build(&ip);
-        let opts = MilpOptions {
-            threads: 1,
-            ..MilpOptions::default()
-        };
+        let opts = MilpOptions::default();
         let base = solve(&model, &opts);
 
         let mut slot = LpCacheSlot::new();
@@ -235,12 +223,16 @@ fn suspend_leaves_cache_slot_serving_other_solves() {
             SolveOutcome::Suspended(state) => {
                 // Interleave: a different full solve through the same slot
                 // while the first search is parked.
-                let again = sqpr_milp::solve_warm_cached(
+                let again = solve_preemptible(
                     &model,
                     &opts,
                     MilpWarmStart::default(),
-                    &mut slot,
-                );
+                    None,
+                    Some(&mut slot),
+                    usize::MAX,
+                )
+                .done()
+                .expect("usize::MAX quantum never suspends");
                 assert_eq!(again.status, base.status, "seed {seed}: slot corrupted");
                 assert_eq!(
                     again.objective.to_bits(),

@@ -8,8 +8,7 @@
 //! query arrivals, rate drift and bursts fed through §IV-B adaptation,
 //! host/link failures and restores driving recovery storms, removals,
 //! admission retries — and an expectations block. The runner executes
-//! every scenario three ways (warm planner at `lp_threads` 1 and 0, plus
-//! a cold twin), asserts thread-count bit-invariance and warm/cold
+//! every scenario twice (warm planner plus a cold twin), asserts warm/cold
 //! agreement, diffs the canonical verdict transcript against a committed
 //! golden file (`SQPR_BLESS=1` re-blesses), and emits one committed
 //! `BENCH_scenario_<name>.json` per scenario.

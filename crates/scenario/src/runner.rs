@@ -1,17 +1,13 @@
-//! Scenario execution: the three-way drive and its cross-checks.
+//! Scenario execution: the two-way drive and its cross-checks.
 //!
-//! Every scenario is executed three times from scratch:
+//! Every scenario is executed twice from scratch:
 //!
-//! 1. **warm, `lp_threads = 1`** — the canonical run. Its transcript is
-//!    what golden files record and its counters feed the bench JSON.
-//! 2. **warm, `lp_threads = 0`** (all cores) — must reproduce the
-//!    canonical transcript *byte for byte*: admit/reject decisions,
-//!    placements/flow counts, node counts and objective bits are all in
-//!    the transcript, so equality is the full determinism claim of the
-//!    speculate-and-replay parallel branch & bound.
-//! 3. **cold, `lp_threads = 1`** — a twin with `reuse_solver_context`
-//!    off. Warm and cold solve different model sequences and may land on
-//!    alternate optima within the MIP gap, so the contract is weaker:
+//! 1. **warm** — the canonical run. Its transcript (admit/reject
+//!    decisions, placements/flow counts, node counts and objective bits)
+//!    is what golden files record and its counters feed the bench JSON.
+//! 2. **cold** — a twin with `reuse_solver_context` off. Warm and cold
+//!    solve different model sequences and may land on alternate optima
+//!    within the MIP gap, so the contract is weaker than byte equality:
 //!    identical admit/reject sequence, identical final admitted count,
 //!    and final objectives within 2% relative tolerance.
 //!
@@ -24,10 +20,9 @@
 //! through the [`AdmissionQueue`] and may park mid-search, so warm and
 //! cold twins — whose trees differ in size — preempt different rounds.
 //! The warm/cold contract therefore relaxes to *drained admit-set
-//! equality*, and a fourth drive with the deadline stripped pins that the
+//! equality*, and a third drive with the deadline stripped pins that the
 //! deadline machinery changes **when** queries are admitted, never
-//! **whether**. The `lp_threads` byte-identity check is unchanged: the
-//! deadline is node-counted, so preemption points are thread-invariant.
+//! **whether**.
 
 use std::fs;
 use std::path::Path;
@@ -134,12 +129,11 @@ fn build_workload(sys: &SystemSpec) -> Workload {
 }
 
 /// Drives one fresh planner through the whole script.
-fn drive(spec: &ScenarioSpec, warm: bool, threads: usize) -> Drive {
+fn drive(spec: &ScenarioSpec, warm: bool) -> Drive {
     let workload = build_workload(&spec.system);
     let mut config = PlannerConfig::new(&workload.catalog);
     // Node-only budgets keep every solve a pure function of the script.
     config.budget = SolveBudget::nodes(spec.system.max_nodes);
-    config.lp_threads = threads;
     config.reuse_solver_context = warm;
     // An explicit quantum pins the scenario against the SQPR_NODE_QUANTUM
     // fuzz matrix; absent, the env-derived default stays (transparent
@@ -617,22 +611,14 @@ fn check_patch_floor(
     }
 }
 
-/// Executes the three-way drive for one scenario and applies every
+/// Executes the two-way drive for one scenario and applies every
 /// cross-check and expectation. Returns the canonical run on success, the
 /// full list of violations otherwise.
 pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioRun, Vec<String>> {
-    let warm1 = drive(spec, true, 1);
-    let warm0 = drive(spec, true, 0);
-    let cold1 = drive(spec, false, 1);
+    let warm = drive(spec, true);
+    let cold = drive(spec, false);
     let deadline_mode = spec.system.round_deadline.is_some();
-    let mut errors = warm1.errors.clone();
-
-    // Thread-count bit-invariance: the whole transcript, bits included.
-    // This holds in deadline mode too — the round deadline is node-counted,
-    // so which rounds preempt/park is itself thread-invariant.
-    if let Some(diff) = first_diff(&warm1.transcript.render(), &warm0.transcript.render()) {
-        errors.push(format!("lp_threads=0 diverges from lp_threads=1 at {diff}"));
-    }
+    let mut errors = warm.errors.clone();
 
     if deadline_mode {
         // Warm and cold trees differ in size, so deadlines preempt
@@ -641,80 +627,80 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioRun, Vec<String>> {
         // the objective outside the usual tolerance. The deadline contract
         // is about *admission*: once drained, both twins must serve the
         // same query set.
-        if warm1.final_admit_set != cold1.final_admit_set {
+        if warm.final_admit_set != cold.final_admit_set {
             errors.push(format!(
                 "warm/cold drained admit sets differ: {:?} vs {:?}",
-                warm1.final_admit_set, cold1.final_admit_set
+                warm.final_admit_set, cold.final_admit_set
             ));
         }
         // And the whole deadline machinery must not change who gets in: a
         // deadline-free twin of the same script reaches the same set.
         let mut free_spec = spec.clone();
         free_spec.system.round_deadline = None;
-        let free = drive(&free_spec, true, 1);
-        if free.final_admit_set != warm1.final_admit_set {
+        let free = drive(&free_spec, true);
+        if free.final_admit_set != warm.final_admit_set {
             errors.push(format!(
                 "drained admit set {:?} differs from the deadline-free run's {:?}",
-                warm1.final_admit_set, free.final_admit_set
+                warm.final_admit_set, free.final_admit_set
             ));
         }
     } else {
         // Warm vs cold: same decisions, objective within tolerance.
-        if warm1.admits != cold1.admits {
+        if warm.admits != cold.admits {
             errors.push(format!(
                 "warm/cold admit sequences differ: warm={} cold={}",
-                admit_string(&warm1.admits),
-                admit_string(&cold1.admits)
+                admit_string(&warm.admits),
+                admit_string(&cold.admits)
             ));
         }
-        if warm1.final_admitted != cold1.final_admitted {
+        if warm.final_admitted != cold.final_admitted {
             errors.push(format!(
                 "warm/cold final admitted differ: {} vs {}",
-                warm1.final_admitted, cold1.final_admitted
+                warm.final_admitted, cold.final_admitted
             ));
         }
-        let denom = warm1.final_objective.abs().max(1e-9);
-        let rel = (warm1.final_objective - cold1.final_objective).abs() / denom;
+        let denom = warm.final_objective.abs().max(1e-9);
+        let rel = (warm.final_objective - cold.final_objective).abs() / denom;
         if rel > OBJ_TOL {
             errors.push(format!(
                 "warm/cold objectives differ by {:.4} (> {OBJ_TOL}): {} vs {}",
-                rel, warm1.final_objective, cold1.final_objective
+                rel, warm.final_objective, cold.final_objective
             ));
         }
     }
-    for e in &cold1.errors {
+    for e in &cold.errors {
         errors.push(format!("cold twin: {e}"));
     }
 
     // Scenario expectations, on the canonical drive.
     let exp = &spec.expect;
     if let Some(want) = &exp.admits {
-        let got = admit_string(&warm1.admits);
+        let got = admit_string(&warm.admits);
         if &got != want {
             errors.push(format!("admit sequence {got} != expected {want}"));
         }
     }
     if let Some(min) = exp.min_admitted {
-        if warm1.final_admitted < min {
+        if warm.final_admitted < min {
             errors.push(format!(
                 "final admitted {} below floor {min}",
-                warm1.final_admitted
+                warm.final_admitted
             ));
         }
     }
     if let Some(min) = exp.min_replanned {
-        if warm1.counters.replanned < min {
+        if warm.counters.replanned < min {
             errors.push(format!(
                 "adaptation replanned {} queries, floor is {min}",
-                warm1.counters.replanned
+                warm.counters.replanned
             ));
         }
     }
     if let Some(min) = exp.min_admit_fraction {
-        let frac = if warm1.counters.submitted == 0 {
+        let frac = if warm.counters.submitted == 0 {
             1.0
         } else {
-            warm1.final_admitted as f64 / warm1.counters.submitted as f64
+            warm.final_admitted as f64 / warm.counters.submitted as f64
         };
         if frac < min {
             errors.push(format!("admit fraction {frac:.3} below floor {min:.3}"));
@@ -726,8 +712,8 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioRun, Vec<String>> {
     }
     Ok(ScenarioRun {
         name: spec.name.clone(),
-        transcript: warm1.transcript.render(),
-        bench_json: bench_json(spec, &warm1),
+        transcript: warm.transcript.render(),
+        bench_json: bench_json(spec, &warm),
     })
 }
 
@@ -778,7 +764,6 @@ fn bench_json(spec: &ScenarioSpec, d: &Drive) -> String {
         .uint("cache_rebuilds", c.cache_rebuilds)
         .uint("cache_refix_patches", c.cache_refix_patches)
         .f64("cache_patch_rate", patch_rate)
-        .uint_arr("threads_checked", &[1, 0])
         .bool("warm_cold_agreement", true)
         .render()
 }
@@ -947,8 +932,8 @@ mod tests {
     #[test]
     fn drives_are_reproducible() {
         let spec = ScenarioSpec::parse(SMOKE).unwrap();
-        let a = drive(&spec, true, 1);
-        let b = drive(&spec, true, 1);
+        let a = drive(&spec, true);
+        let b = drive(&spec, true);
         assert_eq!(a.transcript.render(), b.transcript.render());
         assert_eq!(a.final_objective.to_bits(), b.final_objective.to_bits());
     }
@@ -972,7 +957,7 @@ mod tests {
     #[test]
     fn transcripts_embed_objective_bits() {
         let spec = ScenarioSpec::parse(SMOKE).unwrap();
-        let d = drive(&spec, true, 1);
+        let d = drive(&spec, true);
         let final_line = d.transcript.lines().last().unwrap().clone();
         let bits = final_line
             .split("objective=")

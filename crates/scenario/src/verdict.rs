@@ -3,10 +3,10 @@
 //! A transcript is the scenario's observable behaviour, one line per
 //! scripted step plus a state line after each event. Everything in it is
 //! deterministic — node counts, admit/reject decisions, objective *bits*
-//! — and nothing in it is timing, so byte-equality across reruns, thread
-//! counts and machines is exactly the reproducibility claim the corpus
-//! asserts. Objectives are printed with their IEEE-754 bit pattern
-//! (`value/hex`) so "bit-identical" is literal, not a rounding artefact.
+//! — and nothing in it is timing, so byte-equality across reruns and
+//! machines is exactly the reproducibility claim the corpus asserts.
+//! Objectives are printed with their IEEE-754 bit pattern (`value/hex`) so
+//! "bit-identical" is literal, not a rounding artefact.
 
 use std::fmt::Write as _;
 
@@ -42,8 +42,8 @@ impl Transcript {
 }
 
 /// Human-readable first divergence between two transcripts (`None` when
-/// byte-equal). Used both for golden diffs and for the thread-identity
-/// assertion, so a failure says *which step* diverged, not just "differs".
+/// byte-equal), so a golden mismatch says *which step* diverged, not just
+/// "differs".
 pub fn first_diff(expected: &str, actual: &str) -> Option<String> {
     if expected == actual {
         return None;
@@ -193,11 +193,11 @@ mod tests {
             .f64("patch_rate", 0.75)
             .f64("objective", 3.0)
             .bool("valid", true)
-            .uint_arr("threads", &[1, 0])
+            .uint_arr("quanta", &[1, 0])
             .render();
         assert_eq!(
             j,
-            "{\n  \"bench\": \"scenario_x\",\n  \"submitted\": 12,\n  \"patch_rate\": 0.75,\n  \"objective\": 3.0,\n  \"valid\": true,\n  \"threads\": [1, 0]\n}\n"
+            "{\n  \"bench\": \"scenario_x\",\n  \"submitted\": 12,\n  \"patch_rate\": 0.75,\n  \"objective\": 3.0,\n  \"valid\": true,\n  \"quanta\": [1, 0]\n}\n"
         );
     }
 

@@ -3,7 +3,7 @@
 //! A [`FaultPlan`] is a seeded, reproducible schedule of host failures and
 //! link degradations: the same `(spec, seed)` pair always yields the same
 //! plan, so storm benches and CI smoke jobs can assert bit-identical
-//! recovery decisions across machines, thread counts and reruns. Victims
+//! recovery decisions across machines and reruns. Victims
 //! are drawn without replacement from the host set with the workspace's
 //! xoshiro256++ generator ([`crate::rng::StdRng`]) — no wall clock, no OS
 //! entropy.

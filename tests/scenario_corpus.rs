@@ -1,7 +1,7 @@
 //! The scenario-corpus runner: executes every declarative scenario under
-//! `tests/scenarios/*.toml` through the three-way drive (warm planner,
-//! cold twin, `lp_threads` 1/0 pair), checks thread-count bit-invariance,
-//! warm/cold agreement and the scenarios' own expectations, diffs each
+//! `tests/scenarios/*.toml` through the two-way drive (warm planner, cold
+//! twin), checks warm/cold agreement and the scenarios' own expectations,
+//! diffs each
 //! canonical verdict transcript against its committed golden file, and
 //! verifies the committed per-scenario `BENCH_scenario_<name>.json`.
 //!
