@@ -1368,12 +1368,7 @@ impl PlanningModel {
                 }
             }
         }
-        basis.remap(
-            &var_map,
-            &cons_map,
-            self.milp.num_vars(),
-            self.milp.num_cons(),
-        )
+        basis.remap(&var_map, &cons_map)
     }
 
     /// Builds a warm-start vector from the current deployment: free

@@ -155,19 +155,22 @@ impl Problem {
         }
     }
 
-    /// Checks primal feasibility of `x` within `tol` (columns and rows).
+    /// Checks primal feasibility of `x` within `tol` (columns and rows). A
+    /// coordinate that is not finite is never feasible, nor is a row whose
+    /// activity is NaN (every comparison is false on a NaN, so the bound
+    /// checks alone would let one through).
     pub fn is_feasible(&self, x: &[f64], tol: f64) -> bool {
         if x.len() != self.ncols() {
             return false;
         }
         for j in 0..self.ncols() {
-            if x[j] < self.col_lb[j] - tol || x[j] > self.col_ub[j] + tol {
+            if !x[j].is_finite() || x[j] < self.col_lb[j] - tol || x[j] > self.col_ub[j] + tol {
                 return false;
             }
         }
         let act = self.activities(x);
         for i in 0..self.nrows() {
-            if act[i] < self.row_lb[i] - tol || act[i] > self.row_ub[i] + tol {
+            if act[i].is_nan() || act[i] < self.row_lb[i] - tol || act[i] > self.row_ub[i] + tol {
                 return false;
             }
         }
@@ -291,6 +294,37 @@ mod tests {
         assert_eq!(p.activities(&[1.0, 2.0]), vec![3.0]);
         assert!(p.is_feasible(&[1.0, 2.0], 1e-9));
         assert!(!p.is_feasible(&[4.0, 2.0], 1e-9));
+    }
+
+    #[test]
+    fn points_that_are_not_finite_are_infeasible() {
+        let mut b = ProblemBuilder::new();
+        let x = b.add_col(1.0, -INF, INF);
+        let y = b.add_col(1.0, 0.0, 10.0);
+        let free = b.add_row(-INF, INF);
+        b.set_coeff(free, x, 1.0);
+        let capped = b.add_row(-INF, 5.0);
+        b.set_coeff(capped, y, 1e308);
+        let p = b.build();
+        assert!(p.is_feasible(&[3.0, 0.0], 1e-9));
+        for bad in [f64::NAN, INF, -INF] {
+            assert!(
+                !p.is_feasible(&[bad, 0.0], 1e-9),
+                "x = {bad} in a free column"
+            );
+            assert!(!p.is_feasible(&[0.0, bad], 1e-9), "y = {bad}");
+        }
+        // A finite point whose activity overflows against a finite bound...
+        assert!(!p.is_feasible(&[0.0, 10.0], 1e-9));
+        // ...and one whose activity is not a number against no bound at all.
+        let mut b = ProblemBuilder::new();
+        let (u, v) = (b.add_col(0.0, -INF, INF), b.add_col(0.0, -INF, INF));
+        let r = b.add_row(-INF, INF);
+        b.set_coeff(r, u, 1e308);
+        b.set_coeff(r, v, -1e308);
+        let p = b.build();
+        assert!(p.is_feasible(&[1.0, 1.0], 1e-9));
+        assert!(!p.is_feasible(&[10.0, 10.0], 1e-9), "inf - inf");
     }
 
     #[test]

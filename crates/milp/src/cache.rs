@@ -1,25 +1,25 @@
 //! Cached compressed LP lowering, reused across B&B constructions *and*
 //! submissions.
 //!
-//! The compressed lowering re-scans every variable and term of the model —
-//! acceptable once, but the SQPR planner constructs up to three [`crate::solver`]
-//! searches per submission (cutting-plane rounds) over a persistent model
-//! skeleton whose *structure* barely changes: between constructions only
-//! bounds move (the §IV-A reduction re-fixing) and new rows are appended
-//! (availability cuts). An [`LpCacheSlot`] keeps one lowered
-//! [`sqpr_lp::Problem`] alive across those constructions and, instead of
-//! rebuilding:
+//! The compressed lowering (`Model::lower_reduced`) reads every variable
+//! and every term of the model — acceptable once, but the SQPR planner
+//! constructs up to three [`crate::solver`] searches per submission
+//! (cutting-plane rounds) over a persistent model skeleton that is tens of
+//! times larger than the LP a round actually solves: between constructions
+//! only bounds move (the §IV-A reduction re-fixing), rows are appended
+//! (availability cuts), and a new submission adds its own columns and frees
+//! them. An [`LpCacheSlot`] keeps one lowered [`sqpr_lp::Problem`] alive
+//! across those constructions and, instead of lowering afresh:
 //!
 //! - **patches column bounds** straight into the LP — including columns the
 //!   current submission bound-fixes that the cached layout kept free (they
 //!   simply solve with collapsed bounds);
-//! - **recomputes row bounds** from each kept row's stored fixed-term list
-//!   (the folded constants move when the deployment state changes);
+//! - **recomputes the folded constants** of the rows a moved variable occurs
+//!   in, and every kept row's bounds from them;
 //! - **appends rows** for model constraints added since the lowering (cut
 //!   rounds) — appended rows keep every existing column/row index stable,
 //!   so LP bases remain valid warm-start hints across rounds;
-//! - re-derives `fixed_obj_min` / `infeasible_fixed_row` and rechecks the
-//!   dropped constant rows.
+//! - re-derives `fixed_obj_min` / `infeasible_fixed_row`.
 //!
 //! The bound-dependent steps are skipped outright when the model's
 //! [`Model::bounds_stamp`] is the one they were last derived from (the cut
@@ -27,6 +27,30 @@
 //! same reason the slot remembers the last seed incumbent it validated, so
 //! a construction handed the same point under the same bounds checks it
 //! against the appended rows only.
+//!
+//! # What a refresh reads
+//!
+//! Terms are read for the rows that can have changed, and for no others.
+//! The slot keeps, beside the lowering, an exact snapshot of every
+//! variable's bounds and fold hint and of how much of its row list
+//! (`Model::rows_of_var`) it has read, plus the value of every constant
+//! row (`Side`). A refresh compares the snapshot with the model — flat
+//! passes over the variables, no hashing — and re-reads the rows of the
+//! variables that differ; a row none of whose variables moved folds to the
+//! same constant. That covers the **rebuild** too (a new layout: structural
+//! growth, or a folded column freed): the kept rows are exactly the rows of
+//! the kept columns, found through the row lists, and the constant rows keep
+//! their values unless one of their variables moved, entered or left the LP.
+//! The snapshot is good for one model *lineage* (`Model::lineage`: the
+//! same object, grown and re-bounded through its API); a clone, another
+//! model or [`LpCacheSlot::invalidate`] voids it, and the rebuild is then
+//! the full pass.
+//!
+//! The same tables serve point validation (`Side::candidate_is_feasible`):
+//! a point that sits on the fixed values gives the constant rows the values
+//! the slot already holds, so only the kept columns and rows are checked per
+//! point. Debug builds replay the full pass behind every refresh and every
+//! validation and assert equality; the property tests do so in release.
 //!
 //! # Layout keying: fixed *classes*, not fixed *sets*
 //!
@@ -70,17 +94,17 @@
 //! an in-place *swap* of same-length constraints without a
 //! `structure_version` bump — is impossible through the [`Model`] API
 //! (every term-editing call bumps the version; constraints are
-//! append-only) and is additionally caught by a debug-build verification
-//! pass that re-folds every cached row against the model.
+//! append-only) and is additionally caught by the debug-build replay of the
+//! full lowering.
 
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use crate::model::{
-    const_row_violated, fold_constraint, shifted_bounds, AdjacencyCheck, LoweredLp, Model, Sense,
-    VarType,
+    const_row_violated, fixed_off_integer, fold_row, shifted_bounds, AdjacencyCheck, LoweredLp,
+    LpMap, Model, SearchGeom, VarType,
 };
-use crate::presolve::FirstSweep;
-use sqpr_lp::{LpWorkspace, Triplet};
+use crate::presolve::{BoundsMirror, FirstSweep};
+use sqpr_lp::{LpWorkspace, ProblemBuilder, Triplet};
 
 /// Matrix-generation tokens for basis-factorisation reuse. Cache slots
 /// claim one per *matrix* (renewed on rebuild or row append); cacheless
@@ -164,8 +188,6 @@ pub struct LpCacheSlot {
     /// changes (rebuild, appended rows), held across pure bound patches so
     /// consecutive constructions may re-attach each other's factors.
     factor_token: u64,
-    /// The seed incumbent most recently validated through this slot.
-    start_check: Option<StartCheck>,
 }
 
 /// Verdict of one seed-incumbent validation ([`Model::is_feasible`]), with
@@ -179,12 +201,17 @@ struct StartCheck {
     bounds_stamp: u64,
     ncons: usize,
     feasible: bool,
+    /// [`Model::objective_value`] of `x`; stands while the structure does.
+    objective: f64,
 }
 
 #[derive(Debug)]
 struct LpCache {
     lowered: LoweredLp,
-    /// Model identity the layout was derived from.
+    /// Model identity the layout was derived from. The lineage says the
+    /// variables, rows and terms the cache has read are still a prefix of
+    /// the model's; the version, that nothing was added to them since.
+    lineage: u64,
     structure_version: u64,
     nvars: usize,
     /// Model constraints lowered so far (kept + dropped); anything beyond
@@ -192,26 +219,67 @@ struct LpCache {
     /// API contract — any in-place term edit bumps `structure_version` —
     /// so indices below this watermark always mean the same row.
     ncons_lowered: usize,
-    /// The folded class: model variable indices compressed out of the LP,
-    /// ascending. Stored exactly (not hashed — see the module docs) and
-    /// required to stay bound-fixed, at any value, for the layout to be
-    /// reusable.
-    folded: Vec<usize>,
     /// [`Model::bounds_stamp`] the bound-dependent parts of the lowering
     /// (column and row bounds, folded constants, constant-row verdict)
     /// were last derived from.
     bounds_stamp: u64,
     /// Kept columns that were bound-fixed at that stamp.
     kept_fixed: usize,
+    side: Side,
+}
+
+/// What the cache keeps beside the lowering — the part a solver
+/// construction borrows mutably, and the part that outlives a rebuild.
+///
+/// The per-variable arrays are an exact snapshot of what the model held when
+/// the cache last looked (never a hash): comparing them with the model finds
+/// the variables that moved, [`Model::rows_of_var`] the rows those touch, and
+/// only those rows are read again. A row none of whose variables moved folds
+/// to the same constant, so what was derived from it stands.
+#[derive(Debug, Default)]
+pub(crate) struct Side {
     /// Presolve's first sweep over this lowering's rows, for the next
     /// construction under the same bounds to resume from.
-    first_sweep: Option<FirstSweep>,
+    pub first_sweep: Option<FirstSweep>,
+    /// The model's bounds (and integrality) per variable, as of the last
+    /// refresh; presolve's working copy in between.
+    pub mirror: BoundsMirror,
+    /// The model's fold hints per variable, as of the last refresh.
+    no_fold: Vec<bool>,
+    /// How much of each variable's row list has been read.
+    adj_len: Vec<u32>,
+    /// Per kept LP row: the constant its folded terms add up to at the
+    /// mirror's bounds, in model order.
+    row_shift: Vec<f64>,
+    /// Per model constraint that is constant under the layout: its value at
+    /// the mirror's bounds, summed in model order. (Entries of kept rows are
+    /// stale and never read.)
+    const_act: Vec<f64>,
+    /// A folded variable is fixed at a value a candidate point would not
+    /// reproduce ([`crate::model::VarDef::fixed_value_is_plain`]): candidates
+    /// then leave the fixed values, and the folded variables themselves need
+    /// a look. Never so on the planner's models.
+    odd_folded: bool,
+    /// Per tolerance a point was validated at lately: whether every constant
+    /// row, at its [`Self::const_act`], passes [`Model::is_feasible`]'s row
+    /// check. Current after every refresh — taken in the pass that judges
+    /// the constant rows for the lowering, and for each row appended since.
+    const_rows_admit: Vec<(f64, bool)>,
+    /// The seed incumbent most recently validated against this lowering.
+    start_check: Option<StartCheck>,
+    /// Marks of the refresh in progress: `row_mark[r] == epoch` once row `r`
+    /// is listed as kept or to be re-read.
+    row_mark: Vec<u32>,
+    epoch: u32,
+    /// Constraint rows whose terms were read so far — by rebuilds, patches,
+    /// presolve sweeps and point validation.
+    pub rows_read: usize,
 }
 
 /// What a solver construction borrows from the slot.
 pub(crate) struct SolverParts<'a> {
     pub lowered: &'a LoweredLp,
-    pub first_sweep: &'a mut Option<FirstSweep>,
+    pub side: &'a mut Side,
     /// The slot's workspace.
     pub ws: &'a mut LpWorkspace,
     /// Matrix-generation token under which basis factors may be reused
@@ -228,45 +296,13 @@ impl LpCacheSlot {
         self.stats
     }
 
-    /// Drops the cached lowering (the planner calls this alongside its own
-    /// skeleton invalidation; a stale cache would also be caught by the
-    /// validity checks, this just frees the memory eagerly). The workspace
-    /// and its allocations survive; the factor cache dies with the next
-    /// rebuild's token renewal.
+    /// Drops the cached lowering and everything remembered about the model
+    /// (the planner calls this alongside its own skeleton invalidation; a
+    /// stale cache would also be caught by the validity checks, this just
+    /// frees the memory eagerly). The workspace and its allocations
+    /// survive; the factor cache dies with the next rebuild's token renewal.
     pub fn invalidate(&mut self) {
         self.inner = None;
-        self.start_check = None;
-    }
-
-    /// [`Model::is_feasible`] for a seed incumbent, remembered per slot: the
-    /// same point under the same structure, bounds and tolerance keeps its
-    /// verdict on the rows it was checked against, so only rows appended
-    /// since (cut rounds) are evaluated. Anything else is a full check.
-    pub(crate) fn start_is_feasible(&mut self, model: &Model, x: &[f64], tol: f64) -> bool {
-        let known = self.start_check.take().filter(|c| {
-            c.structure_version == model.structure_version()
-                && c.bounds_stamp == model.bounds_stamp
-                && c.tol == tol
-                && c.ncons <= model.num_cons()
-                && c.x == x
-        });
-        let (feasible, buf) = match known {
-            Some(c) => {
-                let feasible = c.feasible && model.rows_feasible(x, tol, c.ncons);
-                debug_assert_eq!(feasible, model.is_feasible(x, tol));
-                (feasible, c.x)
-            }
-            None => (model.is_feasible(x, tol), x.to_vec()),
-        };
-        self.start_check = Some(StartCheck {
-            x: buf,
-            tol,
-            structure_version: model.structure_version(),
-            bounds_stamp: model.bounds_stamp,
-            ncons: model.num_cons(),
-            feasible,
-        });
-        feasible
     }
 
     /// The cached lowering, if one is populated.
@@ -275,188 +311,302 @@ impl LpCacheSlot {
         self.inner.as_ref().map(|c| &c.lowered)
     }
 
+    /// Constraint rows read through this slot so far; see
+    /// [`Side::rows_read`].
+    #[cfg(test)]
+    pub(crate) fn rows_read(&self) -> usize {
+        self.inner.as_ref().map_or(0, |c| c.side.rows_read)
+    }
+
     /// Makes the cached lowering current for `model` and returns it:
     /// patches/appends in place when the layout is unchanged, rebuilds
     /// otherwise. (Solver constructions go through
     /// [`Self::refresh_solver`], which also hands out the workspace.)
     #[cfg(test)]
     pub(crate) fn refresh(&mut self, model: &Model) -> &LoweredLp {
-        let cache = Self::refresh_fields(
-            &mut self.inner,
-            &mut self.stats,
-            &mut self.factor_token,
-            model,
-        );
-        &cache.lowered
+        self.refresh_solver(model).lowered
     }
 
-    /// [`Self::refresh`] for a solver construction: additionally hands out
-    /// the slot's workspace, the matrix-generation token, and the
-    /// lowering's presolve memo.
+    /// Makes the cached lowering current for `model` — patching bounds and
+    /// appending rows in place when the layout is unchanged, rebuilding
+    /// otherwise — and hands it out with the slot's workspace, the
+    /// matrix-generation token, and what the cache keeps beside the
+    /// lowering.
     pub(crate) fn refresh_solver(&mut self, model: &Model) -> SolverParts<'_> {
-        let cache = Self::refresh_fields(
-            &mut self.inner,
-            &mut self.stats,
-            &mut self.factor_token,
-            model,
-        );
-        SolverParts {
-            lowered: &cache.lowered,
-            first_sweep: &mut cache.first_sweep,
-            ws: &mut self.ws,
-            factor_token: self.factor_token,
-        }
-    }
-
-    /// Field-split worker behind [`Self::refresh`]/[`Self::refresh_solver`]:
-    /// takes the slot's fields separately so the returned cache borrows only
-    /// `inner`, leaving the workspace field free for the solver tuple — and
-    /// so a populated slot is guaranteed structurally (`Option::insert`
-    /// returns the reference) rather than re-asserted with `expect`.
-    fn refresh_fields<'a>(
-        inner: &'a mut Option<LpCache>,
-        stats: &mut CacheStats,
-        factor_token: &mut u64,
-        model: &Model,
-    ) -> &'a mut LpCache {
-        let reusable = inner.as_ref().is_some_and(|c| {
-            c.structure_version == model.structure_version()
+        let reusable = self.inner.as_ref().is_some_and(|c| {
+            c.lineage == model.lineage
+                && c.structure_version == model.structure_version()
                 && c.nvars == model.num_vars()
                 && model.num_cons() >= c.ncons_lowered
-                && c.folded
-                    .iter()
-                    .all(|&j| model.vars[j].lb == model.vars[j].ub)
+                // Only a moved bound can have freed a folded column.
+                && (c.bounds_stamp == model.bounds_stamp || c.folded_stay_fixed(model))
         });
-        let cache = match if reusable { inner.take() } else { None } {
-            Some(mut cache) => {
-                #[cfg(debug_assertions)]
-                cache.verify_rows_unchanged(model);
-                if cache.bounds_stamp == model.bounds_stamp {
-                    // No bound moved since the lowering's bound-dependent
-                    // parts were derived: patching would rewrite them all
-                    // with the values they hold.
-                    #[cfg(debug_assertions)]
-                    cache.verify_patch_is_noop(model);
-                } else {
-                    cache.kept_fixed = LpCache::patch(&mut cache.lowered, model);
-                    cache.bounds_stamp = model.bounds_stamp;
+        let cache = match self.inner.take() {
+            Some(mut cache) if reusable => {
+                if cache.bounds_stamp != model.bounds_stamp {
+                    cache.patch(model);
                 }
+                // Otherwise no bound moved since the lowering's
+                // bound-dependent parts were derived: patching would rewrite
+                // them all with the values they hold.
                 let appended = cache.append_new_rows(model);
-                stats.appended_rows += appended;
-                stats.patches += 1;
+                self.stats.appended_rows += appended;
+                self.stats.patches += 1;
                 if cache.kept_fixed > 0 {
-                    stats.refix_patches += 1;
+                    self.stats.refix_patches += 1;
                 }
                 if appended > 0 {
                     // Appended rows change the matrix: factors built against
                     // the previous shape must not re-attach.
-                    *factor_token = next_factor_token();
+                    self.factor_token = next_factor_token();
                 }
                 cache
             }
-            None => {
-                let lowered = model.lower_reduced();
-                let map = &lowered.geom.map;
-                let folded = map
-                    .col_of_var
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(j, c)| c.is_none().then_some(j))
-                    .collect();
-                let kept_fixed = map
-                    .var_of_col
-                    .iter()
-                    .filter(|&&j| model.vars[j].lb == model.vars[j].ub)
-                    .count();
-                stats.rebuilds += 1;
-                *factor_token = next_factor_token();
-                LpCache {
-                    lowered,
-                    structure_version: model.structure_version(),
-                    nvars: model.num_vars(),
-                    ncons_lowered: model.num_cons(),
-                    folded,
-                    bounds_stamp: model.bounds_stamp,
-                    kept_fixed,
-                    first_sweep: None,
-                }
+            old => {
+                self.stats.rebuilds += 1;
+                self.factor_token = next_factor_token();
+                LpCache::rebuild(old, model)
             }
         };
-        inner.insert(cache)
+        #[cfg(debug_assertions)]
+        cache.verify_against_full_pass(model);
+        let cache = self.inner.insert(cache);
+        SolverParts {
+            lowered: &cache.lowered,
+            side: &mut cache.side,
+            ws: &mut self.ws,
+            factor_token: self.factor_token,
+        }
     }
 }
 
 impl LpCache {
-    /// Re-applies everything bound-dependent: column bounds (kept columns
-    /// the model currently fixes simply collapse), row bounds of kept rows
-    /// (fixed-term shifts recomputed at the *current* fixed values), the
-    /// folded objective constant, and the constant-row feasibility verdict.
-    /// Returns how many kept columns are currently bound-fixed (i.e. fixed
-    /// outside the folded class).
-    fn patch(l: &mut LoweredLp, model: &Model) -> usize {
-        let flip = if model.sense == Sense::Maximize {
-            -1.0
-        } else {
-            1.0
+    /// Every folded column is still bound-fixed (at any value): the layout
+    /// stands.
+    fn folded_stay_fixed(&self, model: &Model) -> bool {
+        let cols = &self.lowered.geom.map.col_of_var;
+        model
+            .vars
+            .iter()
+            .zip(cols)
+            .all(|(v, col)| col.is_some() || v.lb == v.ub)
+    }
+
+    /// Lowers `model` afresh, folding what is bound-fixed and not exempt
+    /// right now — [`Model::lower_reduced`]'s result, bit for bit, at the
+    /// cost of the free columns and the rows they occur in (read off
+    /// [`Model::rows_of_var`]) plus flat passes over the variables. The
+    /// constant rows' values carry over from `old` where it lowered an
+    /// earlier state of the same model, and are summed again only for rows
+    /// with a variable that moved or changed sides since; any other `old`
+    /// (none, another model, a clone) makes every variable new and this the
+    /// full pass.
+    fn rebuild(old: Option<LpCache>, model: &Model) -> LpCache {
+        let (mut col_of_var, mut side, old_ncons) = match old.filter(|c| c.lineage == model.lineage)
+        {
+            Some(c) => (c.lowered.geom.map.col_of_var, c.side, c.ncons_lowered),
+            None => (Vec::new(), Side::default(), 0),
         };
+        let (nvars, ncons) = (model.num_vars(), model.num_cons());
+        let known = col_of_var.len();
+        side.first_sweep = None;
+        side.start_check = None;
+        side.begin_marks(ncons);
+        side.const_act.resize(ncons, 0.0);
+
+        // The columns, and the variables whose rows have to be read again.
+        let flip = model.min_flip();
+        let mut b = ProblemBuilder::new();
+        let mut var_of_col = Vec::new();
+        let mut lp_integers = Vec::new();
+        let mut fixed_obj_min = 0.0;
+        let mut infeasible_fixed_row = false;
+        side.odd_folded = false;
+        col_of_var.resize(nvars, None);
+        // (variable, how much of its row list is old news)
+        let mut reread: Vec<(usize, usize)> = Vec::new();
+        for (j, v) in model.vars.iter().enumerate() {
+            let folds = v.folds();
+            // New, moved, or on the other side of the layout: all of its
+            // rows; otherwise the ones its list grew by.
+            let stale = j >= known || side.moved(j, v) || col_of_var[j].is_some() == folds;
+            let rows_known = if stale { 0 } else { side.adj_len[j] as usize };
+            if stale || rows_known < model.rows_of_var[j].len() {
+                reread.push((j, rows_known));
+                side.sync(model, j);
+            }
+            if folds {
+                if !v.fixed_value_is_plain() {
+                    side.odd_folded = true;
+                    infeasible_fixed_row |= v.ty == VarType::Integer && fixed_off_integer(v.lb);
+                }
+                fixed_obj_min += flip * v.obj * v.lb;
+                if stale {
+                    col_of_var[j] = None;
+                }
+                continue;
+            }
+            let col = b.add_col(flip * v.obj, v.lb, v.ub);
+            col_of_var[j] = Some(col);
+            var_of_col.push(j);
+            if v.ty == VarType::Integer {
+                lp_integers.push(col);
+            }
+        }
+
+        // The kept rows: exactly those a kept column occurs in.
+        let mut cons_of_row: Vec<usize> = Vec::new();
+        for &j in &var_of_col {
+            for &r in &model.rows_of_var[j] {
+                if side.mark(r as usize) {
+                    cons_of_row.push(r as usize);
+                }
+            }
+        }
+        cons_of_row.sort_unstable();
+        side.row_shift.clear();
+        let mut adjacency = AdjacencyCheck::new(var_of_col.len());
+        let mut adjacency_exact = true;
+        for (r, &ci) in cons_of_row.iter().enumerate() {
+            let c = &model.cons[ci];
+            let fold = fold_row(&model.vars, &col_of_var, &c.terms, |col, a| {
+                adjacency_exact &= adjacency.term_is_exact(r, col, a);
+                b.set_coeff(r, col, a);
+            });
+            let (lb, ub) = shifted_bounds(c.lb, c.ub, fold.shift);
+            b.add_row(lb, ub);
+            side.row_shift.push(fold.shift);
+        }
+        side.rows_read += cons_of_row.len();
+
+        // The constant rows whose value can have changed: those of a
+        // variable that moved, entered or left the LP, or is new, and the
+        // rows added since.
+        for (j, rows_known) in reread {
+            for &r in &model.rows_of_var[j][rows_known..] {
+                if side.mark(r as usize) {
+                    side.read_const_row(model, &col_of_var, r as usize);
+                }
+            }
+        }
+        for r in old_ncons..ncons {
+            if side.mark(r) {
+                side.read_const_row(model, &col_of_var, r);
+            }
+        }
+        infeasible_fixed_row |= side.judge_const_rows(model, &cons_of_row);
+
+        let kept_fixed = var_of_col
+            .iter()
+            .filter(|&&j| model.vars[j].lb == model.vars[j].ub)
+            .count();
+        LpCache {
+            lowered: LoweredLp {
+                lp: b.build(),
+                geom: SearchGeom {
+                    map: LpMap {
+                        col_of_var,
+                        var_of_col,
+                        cons_of_row,
+                        fixed_obj_min,
+                        infeasible_fixed_row,
+                        adjacency_exact,
+                    },
+                    lp_integers,
+                },
+            },
+            lineage: model.lineage,
+            structure_version: model.structure_version(),
+            nvars,
+            ncons_lowered: ncons,
+            bounds_stamp: model.bounds_stamp,
+            kept_fixed,
+            side,
+        }
+    }
+
+    /// Re-applies everything bound-dependent under an unchanged layout:
+    /// column bounds (kept columns the model currently fixes simply
+    /// collapse), the folds of the rows a moved variable occurs in (shifts
+    /// recomputed at the *current* fixed values), every kept row's bounds,
+    /// the folded objective constant, and the constant-row feasibility
+    /// verdict. Flat passes over the variables and the rows' bounds; terms
+    /// are read for the rows of moved folded variables only.
+    fn patch(&mut self, model: &Model) {
+        let LpCache {
+            lowered: l,
+            side,
+            ncons_lowered,
+            ..
+        } = self;
         let map = &mut l.geom.map;
+        side.first_sweep = None;
+        side.begin_marks(*ncons_lowered);
+        let flip = model.min_flip();
         let mut fixed_obj_min = 0.0;
         let mut infeasible = false;
         let mut kept_fixed = 0;
+        side.odd_folded = false;
+        let mut reread: Vec<usize> = Vec::new();
         for (j, v) in model.vars.iter().enumerate() {
+            let moved = side.moved(j, v);
+            if moved {
+                side.sync(model, j);
+            }
             match map.col_of_var[j] {
                 Some(col) => {
-                    l.lp.set_col_bounds(col, v.lb, v.ub);
+                    if moved {
+                        l.lp.set_col_bounds(col, v.lb, v.ub);
+                    }
                     if v.lb == v.ub {
                         kept_fixed += 1;
                     }
                 }
                 None => {
-                    if v.ty == VarType::Integer && (v.lb - v.lb.round()).abs() > 1e-9 {
-                        infeasible = true;
+                    if moved {
+                        // Only a folded variable's value enters a row's
+                        // constant. (Rows appended since the lowering are
+                        // read by `append_new_rows`, at these bounds.)
+                        for &r in &model.rows_of_var[j] {
+                            if (r as usize) < *ncons_lowered && side.mark(r as usize) {
+                                reread.push(r as usize);
+                            }
+                        }
+                    }
+                    if !v.fixed_value_is_plain() {
+                        side.odd_folded = true;
+                        infeasible |= v.ty == VarType::Integer && fixed_off_integer(v.lb);
                     }
                     fixed_obj_min += flip * v.obj * v.lb;
                 }
             }
         }
-        for row in 0..map.cons_of_row.len() {
-            let ci = map.cons_of_row[row];
-            let (_, clb, cub) = model.constraint(ci);
-            let shift: f64 = l.row_fixed_terms[row]
-                .iter()
-                .map(|&(v, a)| a * model.vars[v].lb)
-                .sum();
-            let (lb, ub) = shifted_bounds(clb, cub, shift);
-            l.lp.set_row_bounds(row, lb, ub);
-        }
-        for &ci in &l.const_rows {
-            let (terms, clb, cub) = model.constraint(ci);
-            let shift: f64 = terms.iter().map(|&(v, a)| a * model.vars[v.0].lb).sum();
-            if const_row_violated(shift, clb, cub) {
-                infeasible = true;
+        for r in reread {
+            match map.cons_of_row.binary_search(&r) {
+                Ok(row) => {
+                    let fold = fold_row(
+                        &model.vars,
+                        &map.col_of_var,
+                        &model.cons[r].terms,
+                        |_, _| {},
+                    );
+                    side.row_shift[row] = fold.shift;
+                    side.rows_read += 1;
+                }
+                Err(_) => side.read_const_row(model, &map.col_of_var, r),
             }
         }
+        // A row's own bounds may have moved as well.
+        for (row, &ci) in map.cons_of_row.iter().enumerate() {
+            let c = &model.cons[ci];
+            let (lb, ub) = shifted_bounds(c.lb, c.ub, side.row_shift[row]);
+            l.lp.set_row_bounds(row, lb, ub);
+        }
+        infeasible |= side.judge_const_rows(model, &map.cons_of_row);
         map.fixed_obj_min = fixed_obj_min;
         map.infeasible_fixed_row = infeasible;
-        kept_fixed
-    }
-
-    /// Debug-build check of the patch skip: with an unchanged
-    /// [`Model::bounds_stamp`], patching a copy must reproduce the cached
-    /// lowering's bounds and verdicts exactly.
-    #[cfg(debug_assertions)]
-    fn verify_patch_is_noop(&self, model: &Model) {
-        let was = &self.lowered;
-        let mut now = was.clone();
-        let kept_fixed = Self::patch(&mut now, model);
-        assert!(
-            kept_fixed == self.kept_fixed
-                && was.lp.col_bounds() == now.lp.col_bounds()
-                && was.lp.row_bounds() == now.lp.row_bounds()
-                && was.geom.map.fixed_obj_min.to_bits() == now.geom.map.fixed_obj_min.to_bits()
-                && was.geom.map.infeasible_fixed_row == now.geom.map.infeasible_fixed_row,
-            "a model bound moved under the cache without renewing bounds_stamp"
-        );
+        self.kept_fixed = kept_fixed;
+        self.bounds_stamp = model.bounds_stamp;
     }
 
     /// Lowers and appends every model constraint added since the cached
@@ -465,33 +615,39 @@ impl LpCache {
         if self.ncons_lowered == model.num_cons() {
             return 0;
         }
-        let l = &mut self.lowered;
+        let (l, side) = (&mut self.lowered, &mut self.side);
         let map = &mut l.geom.map;
+        side.const_act.resize(model.num_cons(), 0.0);
         let mut bounds: Vec<(f64, f64)> = Vec::new();
         let mut entries: Vec<Triplet> = Vec::new();
         let mut next_row = l.lp.nrows();
         let mut adjacency = AdjacencyCheck::new(l.lp.ncols());
         for ci in self.ncons_lowered..model.num_cons() {
-            let (terms, clb, cub) = model.constraint(ci);
-            let fold = fold_constraint(&model.vars, &map.col_of_var, terms);
-            if fold.kept.is_empty() {
-                if const_row_violated(fold.shift, clb, cub) {
-                    map.infeasible_fixed_row = true;
-                }
-                l.const_rows.push(ci);
-                continue;
-            }
-            map.adjacency_exact &= adjacency.row_is_exact(next_row, &fold.kept);
-            for (col, value) in fold.kept {
+            let c = &model.cons[ci];
+            let fold = fold_row(&model.vars, &map.col_of_var, &c.terms, |col, value| {
+                map.adjacency_exact &= adjacency.term_is_exact(next_row, col, value);
                 entries.push(Triplet {
                     row: next_row,
                     col,
                     value,
                 });
+            });
+            side.rows_read += 1;
+            // The new rows are what the row lists of their variables grew by.
+            for &(v, _) in &c.terms {
+                side.adj_len[v.index()] = model.rows_of_var[v.index()].len() as u32;
             }
-            bounds.push(shifted_bounds(clb, cub, fold.shift));
+            if fold.kept == 0 {
+                map.infeasible_fixed_row |= const_row_violated(fold.shift, c.lb, c.ub);
+                side.const_act[ci] = fold.shift;
+                for (tol, admit) in &mut side.const_rows_admit {
+                    *admit &= c.admits(fold.shift, *tol);
+                }
+                continue;
+            }
+            bounds.push(shifted_bounds(c.lb, c.ub, fold.shift));
             map.cons_of_row.push(ci);
-            l.row_fixed_terms.push(fold.folded);
+            side.row_shift.push(fold.shift);
             next_row += 1;
         }
         let appended = bounds.len();
@@ -502,52 +658,324 @@ impl LpCache {
         appended
     }
 
-    /// Debug-build detection of the one staleness the cheap checks cannot
-    /// see: an in-place mutation of already-lowered constraints that
-    /// forgot to bump `structure_version` (e.g. a same-length constraint
-    /// swap). Re-folds every cached row against the model and compares
-    /// term-by-term; the folded lists and kept coefficients are
-    /// bound-independent, so legitimate bound patches pass untouched.
-    #[cfg(debug_assertions)]
-    fn verify_rows_unchanged(&self, model: &Model) {
-        let l = &self.lowered;
-        let map = &l.geom.map;
-        for (row, &ci) in map.cons_of_row.iter().enumerate() {
-            let (terms, _, _) = model.constraint(ci);
-            let fold = fold_constraint(&model.vars, &map.col_of_var, terms);
-            assert_eq!(
-                fold.folded, l.row_fixed_terms[row],
-                "cached row {row} (constraint {ci}) changed under the cache \
-                 without a structure_version bump"
-            );
-            // Duplicate columns in a constraint are summed by the lowering.
-            let mut kept = fold.kept;
-            kept.sort_by_key(|&(col, _)| col);
-            let mut k = 0;
-            while k < kept.len() {
-                let (col, mut sum) = kept[k];
-                let mut r = k + 1;
-                while r < kept.len() && kept[r].0 == col {
-                    sum += kept[r].1;
-                    r += 1;
-                }
-                assert!(
-                    (l.lp.matrix().get(row, col) - sum).abs() <= 1e-12 * (1.0 + sum.abs()),
-                    "cached row {row} (constraint {ci}) coefficient at column {col} \
-                     changed under the cache without a structure_version bump"
+    /// The reference the shortcuts answer to, run after every refresh in
+    /// debug builds and by the property tests in release: the full pass
+    /// ([`Model::lower_reduced_for_class`] over the cached layout's class,
+    /// every row folded again) must give this lowering and these side
+    /// tables, bit for bit. Also what catches an in-place mutation of
+    /// already-lowered constraints that forgot to bump `structure_version`
+    /// (e.g. a same-length constraint swap).
+    #[cfg(any(test, debug_assertions))]
+    fn verify_against_full_pass(&self, model: &Model) {
+        let (was, side) = (&self.lowered, &self.side);
+        let map = &was.geom.map;
+        let class: Vec<bool> = map.col_of_var.iter().map(Option::is_none).collect();
+        let now = model.lower_reduced_for_class(&class);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert!(
+            map.cons_of_row == now.geom.map.cons_of_row && was.lp.matrix() == now.lp.matrix(),
+            "a cached row changed under the cache without a structure_version bump"
+        );
+        assert_eq!(map.col_of_var, now.geom.map.col_of_var);
+        assert_eq!(map.var_of_col, now.geom.map.var_of_col);
+        assert_eq!(was.geom.lp_integers, now.geom.lp_integers);
+        assert_eq!(bits(was.lp.objective()), bits(now.lp.objective()));
+        assert!(
+            bits(was.lp.col_bounds().0) == bits(now.lp.col_bounds().0)
+                && bits(was.lp.col_bounds().1) == bits(now.lp.col_bounds().1)
+                && bits(was.lp.row_bounds().0) == bits(now.lp.row_bounds().0)
+                && bits(was.lp.row_bounds().1) == bits(now.lp.row_bounds().1)
+                && map.fixed_obj_min.to_bits() == now.geom.map.fixed_obj_min.to_bits()
+                && map.infeasible_fixed_row == now.geom.map.infeasible_fixed_row,
+            "a model bound moved under the cache without renewing bounds_stamp"
+        );
+        assert_eq!(map.adjacency_exact, now.geom.map.adjacency_exact);
+        assert_eq!(
+            self.kept_fixed,
+            map.var_of_col
+                .iter()
+                .filter(|&&j| model.vars[j].lb == model.vars[j].ub)
+                .count()
+        );
+        assert!(
+            side.mirror.mirrors(model),
+            "the bounds mirror lags the model"
+        );
+        let mut kept = map.cons_of_row.iter().peekable();
+        let mut const_rows_admit: Vec<(f64, bool)> = side
+            .const_rows_admit
+            .iter()
+            .map(|&(tol, _)| (tol, true))
+            .collect();
+        for (ci, c) in model.cons.iter().enumerate() {
+            let fold = fold_row(&model.vars, &map.col_of_var, &c.terms, |_, _| {});
+            if kept.next_if_eq(&&ci).is_some() {
+                let row = map.cons_of_row.len() - kept.len() - 1;
+                assert_eq!(
+                    side.row_shift[row].to_bits(),
+                    fold.shift.to_bits(),
+                    "shift of kept row {row} (constraint {ci})"
                 );
-                k = r;
+            } else {
+                assert_eq!(
+                    side.const_act[ci].to_bits(),
+                    fold.shift.to_bits(),
+                    "value of constant row {ci}"
+                );
+                for (tol, admit) in &mut const_rows_admit {
+                    *admit &= c.admits(fold.shift, *tol);
+                }
             }
         }
-        for &ci in &l.const_rows {
-            let (terms, _, _) = model.constraint(ci);
-            let fold = fold_constraint(&model.vars, &map.col_of_var, terms);
-            assert!(
-                fold.kept.is_empty(),
-                "cached constant row (constraint {ci}) grew free terms under \
-                 the cache without a structure_version bump"
+        assert_eq!(side.const_rows_admit, const_rows_admit);
+        for (j, v) in model.vars.iter().enumerate() {
+            assert_eq!(side.no_fold[j], v.no_fold, "fold hint of variable {j}");
+            assert_eq!(
+                side.adj_len[j] as usize,
+                model.rows_of_var[j].len(),
+                "rows read of variable {j}"
             );
         }
+        let odd = model
+            .vars
+            .iter()
+            .zip(&class)
+            .any(|(v, &folded)| folded && !v.fixed_value_is_plain());
+        assert_eq!(side.odd_folded, odd);
+    }
+}
+
+/// Writes the kept columns of a compressed-LP point into the model-space
+/// point `x`, integers snapped exactly.
+pub(crate) fn expand_kept(geom: &SearchGeom, x_lp: &[f64], x: &mut [f64]) {
+    let var_of_col = &geom.map.var_of_col;
+    for (&v, &value) in var_of_col.iter().zip(x_lp) {
+        x[v] = value;
+    }
+    for &col in &geom.lp_integers {
+        let v = var_of_col[col];
+        x[v] = x[v].round();
+    }
+}
+
+impl Side {
+    /// Whether variable `j`'s bounds or fold hint differ from what the cache
+    /// last saw — by value, bit for bit.
+    fn moved(&self, j: usize, v: &crate::model::VarDef) -> bool {
+        self.mirror.lb[j].to_bits() != v.lb.to_bits()
+            || self.mirror.ub[j].to_bits() != v.ub.to_bits()
+            || self.no_fold[j] != v.no_fold
+    }
+
+    /// Takes variable `j` as the model has it (appending it when it is the
+    /// next new variable); its row list counts as read.
+    fn sync(&mut self, model: &Model, j: usize) {
+        self.mirror.sync(model, j);
+        let (no_fold, rows) = (model.vars[j].no_fold, model.rows_of_var[j].len() as u32);
+        if j == self.no_fold.len() {
+            self.no_fold.push(no_fold);
+            self.adj_len.push(rows);
+        } else {
+            self.no_fold[j] = no_fold;
+            self.adj_len[j] = rows;
+        }
+    }
+
+    /// Starts a refresh over rows `0..ncons`: nothing marked.
+    fn begin_marks(&mut self, ncons: usize) {
+        if self.epoch == u32::MAX {
+            self.row_mark.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.row_mark.resize(ncons, 0);
+    }
+
+    /// Marks row `r`; whether this was its first mark of the refresh.
+    fn mark(&mut self, r: usize) -> bool {
+        let first = self.row_mark[r] != self.epoch;
+        self.row_mark[r] = self.epoch;
+        first
+    }
+
+    /// Sums constant row `r` at the current fixed values.
+    fn read_const_row(&mut self, model: &Model, col_of_var: &[Option<usize>], r: usize) {
+        let fold = fold_row(&model.vars, col_of_var, &model.cons[r].terms, |_, _| {});
+        debug_assert_eq!(fold.kept, 0, "row {r} has a kept column");
+        self.const_act[r] = fold.shift;
+        self.rows_read += 1;
+    }
+
+    /// Judges the constant rows lowered so far, each at its value and
+    /// current bounds, in one flat pass (no terms): whether one of them is
+    /// violated as the lowering sees it ([`const_row_violated`]), and, per
+    /// tolerance in [`Self::const_rows_admit`], whether all of them pass
+    /// [`Model::is_feasible`]'s row check.
+    fn judge_const_rows(&mut self, model: &Model, cons_of_row: &[usize]) -> bool {
+        let mut violated = false;
+        for (_, admit) in &mut self.const_rows_admit {
+            *admit = true;
+        }
+        // Every check widens the row's bounds by a tolerance; none can fail
+        // on a value inside the bounds themselves.
+        let widening = self.const_rows_admit.iter().all(|&(tol, _)| tol >= 0.0);
+        let mut kept = cons_of_row.iter().peekable();
+        for (r, (c, &value)) in model.cons.iter().zip(&self.const_act).enumerate() {
+            if kept.next_if_eq(&&r).is_some() || (widening && value >= c.lb && value <= c.ub) {
+                continue;
+            }
+            violated |= const_row_violated(value, c.lb, c.ub);
+            for (tol, admit) in &mut self.const_rows_admit {
+                *admit &= c.admits(value, *tol);
+            }
+        }
+        violated
+    }
+
+    /// Expands a compressed-LP point into model space — folded variables at
+    /// their fixed values, kept ones from `x_lp`, integers snapped exactly —
+    /// and validates it: [`Model::is_feasible`] of the expanded point, which
+    /// is left in `x`.
+    pub(crate) fn candidate_is_feasible(
+        &mut self,
+        model: &Model,
+        geom: &SearchGeom,
+        x_lp: &[f64],
+        x: &mut Vec<f64>,
+        tol: f64,
+    ) -> bool {
+        let map = &geom.map;
+        x.clear();
+        x.extend_from_slice(&self.mirror.lb);
+        if self.odd_folded {
+            for (j, v) in model.vars.iter().enumerate() {
+                if map.col_of_var[j].is_none() && v.ty == VarType::Integer {
+                    x[j] = x[j].round();
+                }
+            }
+        }
+        expand_kept(geom, x_lp, x);
+        let feasible = if self.odd_folded {
+            model.is_feasible(x, tol)
+        } else {
+            self.on_fixed_values_is_feasible(model, map, x, tol)
+        };
+        debug_assert_eq!(feasible, model.is_feasible(x, tol));
+        feasible
+    }
+
+    /// [`Model::is_feasible`], at the cost of the kept columns and rows
+    /// where the point allows it; any other point gets the full pass.
+    fn is_feasible(&mut self, model: &Model, map: &LpMap, x: &[f64], tol: f64) -> bool {
+        let fixed = &self.mirror.lb;
+        let on_fixed_values = x.len() == model.num_vars()
+            && map
+                .col_of_var
+                .iter()
+                .enumerate()
+                .all(|(j, col)| col.is_some() || x[j] == fixed[j]);
+        let feasible = if on_fixed_values {
+            self.on_fixed_values_is_feasible(model, map, x, tol)
+        } else {
+            model.is_feasible(x, tol)
+        };
+        debug_assert_eq!(feasible, model.is_feasible(x, tol));
+        feasible
+    }
+
+    /// [`Model::is_feasible`] of a point that sits on the fixed value of
+    /// every folded variable. Such a point gives every constant row the
+    /// value [`Self::const_act`] holds, so the folded variables and the
+    /// constant rows are judged once per tolerance (by the predicates
+    /// `is_feasible` applies) and only the kept columns and the kept rows —
+    /// summed over the model row's terms in model order, so the bits are the
+    /// full pass's — are checked per point.
+    fn on_fixed_values_is_feasible(
+        &mut self,
+        model: &Model,
+        map: &LpMap,
+        x: &[f64],
+        tol: f64,
+    ) -> bool {
+        let const_rows_admit = match self.const_rows_admit.iter().find(|(t, _)| *t == tol) {
+            Some(&(_, admit)) => admit,
+            None => {
+                // A tolerance not asked about lately: judge the rows for it,
+                // and from now on with every refresh.
+                if self.const_rows_admit.len() == 4 {
+                    self.const_rows_admit.remove(0);
+                }
+                self.const_rows_admit.push((tol, true));
+                self.judge_const_rows(model, &map.cons_of_row);
+                self.const_rows_admit
+                    .last()
+                    .is_some_and(|&(_, admit)| admit)
+            }
+        };
+        // A plain fixed value is finite, whole where it must be, and inside
+        // its own collapsed bounds; odd ones get a look.
+        let folded_vars_admit = (!self.odd_folded && tol >= 0.0)
+            || model
+                .vars
+                .iter()
+                .zip(&map.col_of_var)
+                .all(|(v, col)| col.is_some() || v.admits(v.lb, tol));
+        if !(const_rows_admit && folded_vars_admit) {
+            return false;
+        }
+        self.rows_read += map.cons_of_row.len();
+        map.var_of_col
+            .iter()
+            .all(|&j| model.vars[j].admits(x[j], tol))
+            && map.cons_of_row.iter().all(|&ci| {
+                let c = &model.cons[ci];
+                c.admits(c.activity(x), tol)
+            })
+    }
+
+    /// [`Self::is_feasible`] for a seed incumbent, remembered: the same
+    /// point under the same structure, bounds and tolerance keeps its
+    /// verdict on the rows it was checked against, so only rows appended
+    /// since (cut rounds) are evaluated. Returns the point's
+    /// [`Model::objective_value`] when it is feasible.
+    pub(crate) fn start_objective(
+        &mut self,
+        model: &Model,
+        map: &LpMap,
+        x: &[f64],
+        tol: f64,
+    ) -> Option<f64> {
+        let known = self.start_check.take().filter(|c| {
+            c.structure_version == model.structure_version()
+                && c.bounds_stamp == model.bounds_stamp
+                && c.tol == tol
+                && c.ncons <= model.num_cons()
+                && c.x == x
+        });
+        let check = match known {
+            Some(c) => {
+                let feasible = c.feasible && model.rows_feasible(x, tol, c.ncons);
+                debug_assert_eq!(feasible, model.is_feasible(x, tol));
+                self.rows_read += model.num_cons() - c.ncons;
+                StartCheck {
+                    ncons: model.num_cons(),
+                    feasible,
+                    ..c
+                }
+            }
+            None => StartCheck {
+                x: x.to_vec(),
+                tol,
+                structure_version: model.structure_version(),
+                bounds_stamp: model.bounds_stamp,
+                ncons: model.num_cons(),
+                feasible: self.is_feasible(model, map, x, tol),
+                objective: model.objective_value(x),
+            },
+        };
+        let verdict = check.feasible.then_some(check.objective);
+        self.start_check = Some(check);
+        verdict
     }
 }
 
@@ -567,35 +995,13 @@ mod tests {
         m
     }
 
-    /// Bit-compatibility of a slot's current lowering against a fresh
-    /// classed lowering over the same folded class.
+    /// Bit-compatibility of a slot's current lowering and side tables
+    /// against the full pass over the same folded class.
     fn assert_matches_classed_fresh(slot: &LpCacheSlot, m: &Model) {
-        let cached = slot.lowered().expect("slot populated");
-        let mut class = vec![false; m.num_vars()];
-        for (j, c) in cached.geom.map.col_of_var.iter().enumerate() {
-            class[j] = c.is_none();
-        }
-        let fresh = m.lower_reduced_for_class(&class);
-        assert_eq!(cached.lp.ncols(), fresh.lp.ncols());
-        assert_eq!(cached.lp.nrows(), fresh.lp.nrows());
-        assert_eq!(cached.geom.map.fixed_obj_min, fresh.geom.map.fixed_obj_min);
-        assert_eq!(
-            cached.geom.map.infeasible_fixed_row,
-            fresh.geom.map.infeasible_fixed_row
-        );
-        assert_eq!(cached.geom.map.col_of_var, fresh.geom.map.col_of_var);
-        assert_eq!(cached.geom.map.cons_of_row, fresh.geom.map.cons_of_row);
-        assert_eq!(cached.row_fixed_terms, fresh.row_fixed_terms);
-        assert_eq!(cached.const_rows, fresh.const_rows);
-        let (clb, cub) = cached.lp.col_bounds();
-        let (flb, fub) = fresh.lp.col_bounds();
-        assert_eq!(clb, flb, "column lower bounds diverged");
-        assert_eq!(cub, fub, "column upper bounds diverged");
-        let (crlb, crub) = cached.lp.row_bounds();
-        let (frlb, frub) = fresh.lp.row_bounds();
-        assert_eq!(crlb, frlb, "row lower bounds diverged");
-        assert_eq!(crub, frub, "row upper bounds diverged");
-        assert_eq!(cached.lp.objective(), fresh.lp.objective());
+        slot.inner
+            .as_ref()
+            .expect("slot populated")
+            .verify_against_full_pass(m);
     }
 
     #[test]
@@ -884,21 +1290,429 @@ mod tests {
         let b = m.add_binary(1.0);
         m.add_le(vec![(a, 1.0), (b, 1.0)], 2.0);
         let mut slot = LpCacheSlot::new();
+        let mut start_is_feasible = |m: &Model, x: &[f64]| {
+            let parts = slot.refresh_solver(m);
+            let objective = parts
+                .side
+                .start_objective(m, &parts.lowered.geom.map, x, 1e-6);
+            assert_eq!(objective.is_some(), m.is_feasible(x, 1e-6));
+            assert!(objective.is_none_or(|o| o == m.objective_value(x)));
+            objective.is_some()
+        };
         let x = [1.0, 1.0];
-        assert!(slot.start_is_feasible(&m, &x, 1e-6));
-        assert!(slot.start_is_feasible(&m, &x, 1e-6));
+        assert!(start_is_feasible(&m, &x));
+        assert!(start_is_feasible(&m, &x));
         // An appended row the point satisfies, then one it violates.
         m.add_ge(vec![(a, 1.0)], 1.0);
-        assert!(slot.start_is_feasible(&m, &x, 1e-6));
+        assert!(start_is_feasible(&m, &x));
         m.add_le(vec![(a, 1.0), (b, 1.0)], 1.0);
-        assert!(!slot.start_is_feasible(&m, &x, 1e-6));
-        assert!(!slot.start_is_feasible(&m, &x, 1e-6));
+        assert!(!start_is_feasible(&m, &x));
+        assert!(!start_is_feasible(&m, &x));
         // Another point is another question.
-        assert!(slot.start_is_feasible(&m, &[1.0, 0.0], 1e-6));
+        assert!(start_is_feasible(&m, &[1.0, 0.0]));
         // So is the same point once a bound moved.
         m.set_bounds(b, 1.0, 1.0);
-        assert!(!slot.start_is_feasible(&m, &[1.0, 0.0], 1e-6));
+        assert!(!start_is_feasible(&m, &[1.0, 0.0]));
         m.set_bounds(b, 0.0, 0.0);
-        assert!(slot.start_is_feasible(&m, &[1.0, 0.0], 1e-6));
+        assert!(start_is_feasible(&m, &[1.0, 0.0]));
+    }
+
+    use crate::model::ConsId;
+    use crate::solver::{solve_preemptible, MilpOptions, MilpWarmStart};
+    use crate::test_models::{append_random_row, random_model};
+
+    /// The bounds the lifecycle frees a variable of [`random_model`] to.
+    const WIDE: (f64, f64) = (0.0, 4.0);
+
+    /// One step in the life of a planner's skeleton, at random: it grows
+    /// (variables, terms on old rows, rows), is re-fixed, has fold hints and
+    /// row bounds moved, or gets a folded column freed.
+    fn lifecycle_step(m: &mut Model, rng: &mut StdRng) -> &'static str {
+        let var = |m: &Model, rng: &mut StdRng| VarId::from_raw(rng.gen_index(m.num_vars()));
+        match rng.gen_index(8) {
+            0 => {
+                for _ in 0..(1 + rng.gen_index(3)) {
+                    let v = match rng.gen_index(3) {
+                        0 => m.add_continuous(0.0, 2.5, 1.0),
+                        1 => m.add_var(VarType::Integer, 0.0, 3.0, -1.0),
+                        _ => m.add_binary(2.0),
+                    };
+                    // New columns join old rows, as a new plan space joins
+                    // the capacity rows.
+                    let old = ConsId(rng.gen_index(m.num_cons()));
+                    m.add_terms(old, [(v, 1.0 + rng.gen_index(2) as f64)]);
+                    if rng.gen_bool() {
+                        m.fix_var(v, 0.0);
+                    }
+                }
+                append_random_row(m, rng);
+                "new variables"
+            }
+            1 => {
+                // An old variable joins an old row — twice, or with a zero
+                // coefficient, now and then.
+                let (v, old) = (var(m, rng), ConsId(rng.gen_index(m.num_cons())));
+                let a = rng.gen_index(3) as f64 - 1.0;
+                m.add_terms(old, [(v, a)]);
+                "terms on an old row"
+            }
+            2 => {
+                for _ in 0..(1 + rng.gen_index(3)) {
+                    append_random_row(m, rng);
+                }
+                "new rows"
+            }
+            3 => {
+                for j in 0..m.num_vars() {
+                    let v = VarId::from_raw(j);
+                    let (lo, hi) = WIDE;
+                    match rng.gen_index(4) {
+                        0 => m.set_bounds(v, lo, lo),
+                        1 => m.set_bounds(v, 1.0, 1.0),
+                        2 => m.set_bounds(v, lo, hi),
+                        _ => {}
+                    }
+                }
+                "re-fix"
+            }
+            4 => {
+                for _ in 0..(1 + rng.gen_index(4)) {
+                    let v = var(m, rng);
+                    m.set_fold_exempt(v, rng.gen_bool());
+                }
+                "fold hints"
+            }
+            5 => {
+                let folded: Vec<usize> = (0..m.num_vars()).filter(|&j| m.vars[j].folds()).collect();
+                if !folded.is_empty() {
+                    let v = VarId::from_raw(folded[rng.gen_index(folded.len())]);
+                    m.set_bounds(v, WIDE.0, WIDE.1);
+                }
+                "a folded column freed"
+            }
+            6 => {
+                let c = rng.gen_index(m.num_cons());
+                let (_, lb, ub) = m.constraint(c);
+                let by = rng.gen_range_i64(-2, 3) as f64;
+                let (lb, ub) = if lb == ub {
+                    (lb + by, ub + by)
+                } else if ub.is_finite() {
+                    (lb, ub + by)
+                } else {
+                    (lb + by, ub)
+                };
+                m.set_row_bounds(ConsId(c), lb, ub);
+                "row bounds"
+            }
+            _ => {
+                // A fixed value that rounding changes, or none at all.
+                let v = var(m, rng);
+                if m.var_type(v) == VarType::Integer && rng.gen_bool() {
+                    m.set_bounds(v, 0.5, 0.5);
+                } else {
+                    m.set_bounds(v, 0.25, 0.25);
+                }
+                "an odd fixed value"
+            }
+        }
+    }
+
+    /// Whatever happens to the model between two refreshes, the slot's
+    /// lowering and side tables are the full pass's, field by field and bit
+    /// by bit — the rebuilds, which read the rows of the variables that
+    /// moved and carry the rest over, included; and a rebuild folds what
+    /// [`Model::lower_reduced`] folds.
+    #[test]
+    fn adjacency_driven_refreshes_match_the_full_lowering() {
+        let (mut carried_rebuilds, mut patches, mut rows_skipped) = (0, 0, 0usize);
+        for seed in 0..60u64 {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xadaacce);
+            let mut m = random_model(seed);
+            let mut slot = LpCacheSlot::new();
+            slot.refresh(&m);
+            for round in 0..12 {
+                let what = lifecycle_step(&mut m, &mut rng);
+                let (before, read_before) = (slot.stats(), slot.rows_read());
+                slot.refresh(&m);
+                let cache = slot.inner.as_mut().expect("slot populated");
+                cache.verify_against_full_pass(&m);
+                let read_after = cache.side.rows_read;
+                // Keeps the per-tolerance verdicts on the constant rows in
+                // play, which every later refresh then has to maintain.
+                let at_lower_bounds: Vec<f64> = m.vars.iter().map(|v| v.lb).collect();
+                for tol in [1e-6, 1e-5] {
+                    let map = &cache.lowered.geom.map;
+                    assert_eq!(
+                        cache.side.is_feasible(&m, map, &at_lower_bounds, tol),
+                        m.is_feasible(&at_lower_bounds, tol)
+                    );
+                }
+                let cache = slot.inner.as_ref().expect("slot populated");
+                let map = &cache.lowered.geom.map;
+                if slot.stats().rebuilds > before.rebuilds {
+                    carried_rebuilds += 1;
+                    rows_skipped += (m.num_cons() + read_before).saturating_sub(read_after);
+                    let fresh = m.lower_reduced();
+                    assert_eq!(
+                        map.col_of_var, fresh.geom.map.col_of_var,
+                        "seed {seed}, round {round} ({what}): the rebuild's class"
+                    );
+                } else {
+                    patches += 1;
+                }
+                // The verdict the lowering hands the search, spelt out.
+                let violated = (0..m.num_cons())
+                    .filter(|ci| map.cons_of_row.binary_search(ci).is_err())
+                    .any(|ci| {
+                        let (terms, lb, ub) = m.constraint(ci);
+                        let value = terms
+                            .iter()
+                            .fold(0.0, |s, &(v, a)| s + a * m.var_bounds(v).0);
+                        const_row_violated(value, lb, ub)
+                    });
+                let off_integer = (0..m.num_vars()).any(|j| {
+                    let v = &m.vars[j];
+                    map.col_of_var[j].is_none()
+                        && v.ty == VarType::Integer
+                        && (v.lb - v.lb.round()).abs() > 1e-9
+                });
+                assert_eq!(map.infeasible_fixed_row, violated || off_integer);
+            }
+        }
+        assert!(carried_rebuilds >= 200, "only {carried_rebuilds} rebuilds");
+        assert!(patches >= 150, "only {patches} patches");
+        assert!(rows_skipped >= 200, "rebuilds skipped {rows_skipped} rows");
+    }
+
+    /// A constant row turns violated under a re-fix, is repaired, and stops
+    /// being constant when its column is freed — across patches and a
+    /// rebuild, without anything else about it moving.
+    #[test]
+    fn constant_rows_follow_their_variables() {
+        let mut m = Model::new(Sense::Maximize);
+        let a = m.add_binary(1.0);
+        let b = m.add_binary(1.0);
+        let c = m.add_binary(1.0);
+        m.add_le(vec![(a, 1.0), (b, 1.0)], 1.0); // constant once a, b are pinned
+        m.add_le(vec![(b, 1.0), (c, 1.0)], 2.0); // kept: c stays free
+        m.fix_var(a, 1.0);
+        m.fix_var(b, 0.0);
+        let mut slot = LpCacheSlot::new();
+        let infeasible = |slot: &mut LpCacheSlot, m: &Model| {
+            let l = slot.refresh(m);
+            (l.geom.map.infeasible_fixed_row, l.lp.nrows())
+        };
+        assert_eq!(infeasible(&mut slot, &m), (false, 1));
+        // Re-fix b: 1 + 1 > 1 in the constant row.
+        m.set_bounds(b, 1.0, 1.0);
+        assert_eq!(infeasible(&mut slot, &m), (true, 1));
+        assert_eq!(slot.stats().patches, 1);
+        // The row's own bound moves instead of a variable's.
+        m.set_row_bounds(ConsId(0), f64::NEG_INFINITY, 2.0);
+        assert_eq!(infeasible(&mut slot, &m), (false, 1));
+        m.set_row_bounds(ConsId(0), f64::NEG_INFINITY, 1.0);
+        assert_eq!(infeasible(&mut slot, &m), (true, 1));
+        // Free a: a rebuild, the row is an LP row now, nothing is violated.
+        m.set_bounds(a, 0.0, 1.0);
+        assert_eq!(infeasible(&mut slot, &m), (false, 2));
+        assert_eq!(slot.stats().rebuilds, 2);
+        // Pin it again at the violating value: the next rebuild (c pinned,
+        // b exempt and so kept) finds the row constant and violated again...
+        m.fix_var(a, 1.0);
+        m.fix_var(c, 1.0);
+        m.set_fold_exempt(c, true);
+        assert_eq!(
+            infeasible(&mut slot, &m),
+            (false, 2),
+            "a patch: a is a kept column"
+        );
+        m.add_binary(0.0);
+        assert_eq!(infeasible(&mut slot, &m), (true, 1));
+        assert_eq!(slot.stats().rebuilds, 3);
+        assert_matches_classed_fresh(&slot, &m);
+    }
+
+    /// Point validation through the slot's tables is [`Model::is_feasible`]:
+    /// on feasible points, on points violated in a kept row or column, in a
+    /// constant row, off a folded variable's fixed value, fractional on a
+    /// folded integer, and not finite — at both tolerances the solver uses.
+    #[test]
+    fn restricted_validation_is_model_feasibility() {
+        let (mut pairs, mut restricted, mut feasible, mut const_violated) = (0, 0, 0, 0);
+        for seed in 0..400u64 {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xfea51b1e);
+            let mut m = random_model(seed);
+            let mut slot = LpCacheSlot::new();
+            for _ in 0..2 {
+                lifecycle_step(&mut m, &mut rng);
+                let parts = slot.refresh_solver(&m);
+                let (geom, side) = (&parts.lowered.geom, parts.side);
+                let map = &geom.map;
+                // The model's own favourite point, then variations of it.
+                let base: Vec<f64> = (0..m.num_vars())
+                    .map(|j| {
+                        let v = &m.vars[j];
+                        if map.col_of_var[j].is_none() {
+                            v.lb
+                        } else {
+                            // `random_model`'s hidden point.
+                            v.ub.floor().max(v.lb)
+                        }
+                    })
+                    .collect();
+                for variation in 0..7 {
+                    let mut x = base.clone();
+                    let j = rng.gen_index(x.len());
+                    match variation {
+                        0 => {}
+                        // A kept column (or a folded one, as chance has it)
+                        // leaves its bounds, its integrality, the reals.
+                        1 => x[j] += 1.0,
+                        2 => x[j] += 0.5,
+                        3 => x[j] += 1e-6 * rng.gen_range_f64(0.5, 15.0),
+                        4 => x[j] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_index(3)],
+                        // Every kept column somewhere within its bounds.
+                        5 => {
+                            for &k in &map.var_of_col {
+                                let v = &m.vars[k];
+                                x[k] = (v.lb + rng.gen_index(3) as f64).min(v.ub);
+                            }
+                        }
+                        _ => x.pop().map_or((), |_| ()),
+                    }
+                    for tol in [1e-6, 1e-5] {
+                        let want = m.is_feasible(&x, tol);
+                        assert_eq!(
+                            side.is_feasible(&m, map, &x, tol),
+                            want,
+                            "seed {seed}, variation {variation}, tol {tol}"
+                        );
+                        pairs += 1;
+                        feasible += usize::from(want);
+                    }
+                    let on_fixed = x.len() == m.num_vars()
+                        && (0..x.len())
+                            .all(|k| map.col_of_var[k].is_some() || x[k] == m.vars[k].lb);
+                    restricted += usize::from(on_fixed);
+                    const_violated += usize::from(on_fixed && map.infeasible_fixed_row);
+                }
+                // And the search's own way in: a compressed-LP point.
+                let x_lp: Vec<f64> = map
+                    .var_of_col
+                    .iter()
+                    .map(|&k| m.vars[k].lb + rng.gen_index(2) as f64 * 0.5)
+                    .collect();
+                let mut x = Vec::new();
+                let got = side.candidate_is_feasible(&m, geom, &x_lp, &mut x, 1e-5);
+                assert_eq!(got, m.is_feasible(&x, 1e-5), "seed {seed}: candidate");
+                pairs += 1;
+            }
+        }
+        assert!(
+            pairs >= 2000,
+            "only {pairs} (model, point, tolerance) triples"
+        );
+        assert!(
+            restricted >= 1500,
+            "only {restricted} points took the shortcut"
+        );
+        assert!(feasible >= 300, "only {feasible} feasible verdicts");
+        assert!(
+            const_violated >= 100,
+            "only {const_violated} with a violated constant row"
+        );
+    }
+
+    /// What a solver construction reads follows the LP and what moved, not
+    /// the skeleton. A skeleton in the planner's mould — capacity rows that
+    /// carry a column of every query, a block of private columns and rows
+    /// per query — takes 80 admissions, each freeing its own block and
+    /// pinning the previous one where the solver left it; the constraint
+    /// rows read per admission (rebuild, presolve, validation) stay within a
+    /// fixed multiple of the LP's rows plus the rows of the variables that
+    /// moved, and do not grow with the skeleton.
+    #[test]
+    fn rows_read_follow_the_lp_not_the_skeleton() {
+        const HOSTS: usize = 4;
+        let mut m = Model::new(Sense::Maximize);
+        let capacity: Vec<ConsId> = (0..HOSTS).map(|_| m.add_le(Vec::new(), 1e6)).collect();
+        let mut slot = LpCacheSlot::new();
+        let mut x: Vec<f64> = Vec::new();
+        let mut previous: Vec<VarId> = Vec::new();
+        // (skeleton columns, rows read, LP rows + rows of moved variables)
+        let mut rounds: Vec<(usize, usize, usize)> = Vec::new();
+        for q in 0..80usize {
+            // The previous block stays where the solver put it.
+            for &v in &previous {
+                m.fix_var(v, x[v.index()]);
+            }
+            // This query: admitted (d) iff placed on exactly one host (p_h),
+            // with a private row per host and a share of each capacity row.
+            let d = m.add_binary(100.0);
+            let p: Vec<VarId> = (0..HOSTS)
+                .map(|h| m.add_binary(-1.0 - ((q + h) % HOSTS) as f64))
+                .collect();
+            let mut placed: Vec<(VarId, f64)> = p.iter().map(|&v| (v, 1.0)).collect();
+            placed.push((d, -1.0));
+            m.add_eq(placed, 0.0);
+            for (h, &v) in p.iter().enumerate() {
+                m.add_le(vec![(v, 1.0), (d, -1.0)], 0.0);
+                m.add_terms(capacity[h], [(v, 1.0 + (q % 3) as f64)]);
+            }
+            let block: Vec<VarId> = std::iter::once(d).chain(p).collect();
+            x.resize(m.num_vars(), 0.0);
+
+            let read_before = slot.rows_read();
+            let warm = MilpWarmStart {
+                start: Some(&x),
+                root_basis: None,
+            };
+            let opts = MilpOptions::default();
+            let result = solve_preemptible(&m, &opts, warm, None, Some(&mut slot), usize::MAX)
+                .done()
+                .expect("an unbounded quantum never suspends");
+            x = result.x.expect("the start is feasible");
+            assert!(x[d.index()] > 0.5, "query {q} admitted");
+
+            let mut touched: Vec<u32> = previous
+                .iter()
+                .chain(&block)
+                .flat_map(|v| m.rows_of_var[v.index()].iter().copied())
+                .collect();
+            touched.sort_unstable();
+            touched.dedup();
+            let lp_rows = slot.lowered().expect("slot populated").lp.nrows();
+            rounds.push((
+                m.num_vars(),
+                slot.rows_read() - read_before,
+                lp_rows + touched.len(),
+            ));
+            previous = block;
+        }
+        assert_eq!(
+            slot.stats().rebuilds,
+            80,
+            "every admission is structural growth"
+        );
+        for &(columns, read, budget) in &rounds[1..] {
+            assert!(
+                read <= 12 * budget,
+                "{read} rows read against {budget} LP + moved rows at {columns} columns"
+            );
+        }
+        let (early, late) = (&rounds[2..12], &rounds[rounds.len() - 10..]);
+        let most = |w: &[(usize, usize, usize)]| w.iter().map(|r| r.1).max().unwrap_or(0);
+        assert!(
+            late[0].0 >= 4 * early[0].0,
+            "the skeleton was meant to grow: {} -> {} columns",
+            early[0].0,
+            late[0].0
+        );
+        assert!(
+            most(late) <= most(early) + most(early) / 4,
+            "rows read per admission grew with the skeleton: {} early, {} late",
+            most(early),
+            most(late)
+        );
     }
 }

@@ -31,6 +31,8 @@ pub mod heuristics;
 pub mod model;
 pub mod presolve;
 pub mod solver;
+#[cfg(test)]
+pub(crate) mod test_models;
 
 pub use cache::{CacheStats, LpCacheSlot};
 pub use model::{ConsId, Model, Sense, VarId, VarType};

@@ -20,6 +20,12 @@ fn next_stamp() -> u64 {
     MODEL_STAMP.fetch_add(1, AtomicOrdering::Relaxed)
 }
 
+/// A constraint index as the adjacency lists store it.
+fn row_index(c: usize) -> u32 {
+    assert!(c < u32::MAX as usize, "more than u32::MAX constraints");
+    c as u32
+}
+
 /// Identifies a variable within one [`Model`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarId(pub(crate) usize);
@@ -74,11 +80,56 @@ pub(crate) struct VarDef {
     pub no_fold: bool,
 }
 
+impl VarDef {
+    /// Whether a fresh lowering compresses this variable out: bound-fixed
+    /// and not exempt.
+    pub(crate) fn folds(&self) -> bool {
+        self.lb == self.ub && !self.no_fold
+    }
+
+    /// Whether the variable, bound-fixed, sits on a value a candidate point
+    /// reproduces as is: finite and, on an integer variable, whole (rounding
+    /// leaves it alone).
+    pub(crate) fn fixed_value_is_plain(&self) -> bool {
+        match self.ty {
+            VarType::Integer => is_whole(self.lb),
+            VarType::Continuous => self.lb.is_finite(),
+        }
+    }
+
+    /// The variable half of [`Model::is_feasible`]: `xv` is finite, within
+    /// the bounds and, on an integer variable, integral — each within `tol`.
+    /// (Every comparison is false on a NaN, hence the explicit finiteness.)
+    pub(crate) fn admits(&self, xv: f64, tol: f64) -> bool {
+        xv.is_finite()
+            && !(xv < self.lb - tol || xv > self.ub + tol)
+            && !(self.ty == VarType::Integer && (xv - xv.round()).abs() > tol)
+    }
+}
+
 #[derive(Debug, Clone)]
 pub(crate) struct ConsDef {
     pub terms: Vec<(VarId, f64)>,
     pub lb: f64,
     pub ub: f64,
+}
+
+impl ConsDef {
+    /// The row's activity at `x`, summed in model order from zero. Every
+    /// feasibility check adds the terms up through here, so two of them agree
+    /// on a row's activity to the bit.
+    pub(crate) fn activity(&self, x: &[f64]) -> f64 {
+        self.terms.iter().fold(0.0, |act, &(v, a)| act + a * x[v.0])
+    }
+
+    /// The row half of [`Model::is_feasible`]: the activity lies within the
+    /// row's bounds, each widened by `tol` relative to its size. A NaN
+    /// activity, or an infinite one against a finite bound, does not.
+    pub(crate) fn admits(&self, act: f64, tol: f64) -> bool {
+        !(act.is_nan()
+            || act < self.lb - tol * (1.0 + self.lb.abs())
+            || act > self.ub + tol * (1.0 + self.ub.abs()))
+    }
 }
 
 /// Mapping between a [`Model`] and its compressed LP lowering
@@ -90,7 +141,9 @@ pub(crate) struct LpMap {
     pub var_of_col: Vec<usize>,
     /// LP column per model variable (`None` for bound-fixed variables).
     pub col_of_var: Vec<Option<usize>>,
-    /// Model constraint index per LP row.
+    /// Model constraint index per LP row, strictly ascending: a lowering
+    /// keeps rows in model order, and rows appended to it later come from
+    /// constraints appended to the model later.
     pub cons_of_row: Vec<usize>,
     /// Objective contribution (minimisation space) of the folded fixed
     /// variables; add to LP objectives to recover model-space bounds.
@@ -121,56 +174,52 @@ impl AdjacencyCheck {
         }
     }
 
-    /// Whether LP row `row` with these kept terms keeps the adjacency exact.
-    pub(crate) fn row_is_exact(&mut self, row: usize, kept: &[(usize, f64)]) -> bool {
-        let mut exact = true;
-        for &(col, a) in kept {
-            if a == 0.0 || self.last_row[col] == row {
-                exact = false;
-            }
-            self.last_row[col] = row;
-        }
+    /// Whether the kept term `(col, a)` of LP row `row` is its own stored
+    /// entry of the LP matrix.
+    pub(crate) fn term_is_exact(&mut self, row: usize, col: usize, a: f64) -> bool {
+        let exact = a != 0.0 && self.last_row[col] != row;
+        self.last_row[col] = row;
         exact
     }
 }
 
-/// Splits one constraint's terms against a fixed-variable layout: free
-/// variables keep their LP column, bound-fixed ones fold into the returned
-/// `(folded, shift)` pair. The single source of truth for the compression
-/// rule — [`Model::lower_reduced`] and the LP cache's row append must stay
-/// bit-compatible, so both call this.
-pub(crate) fn fold_constraint(
+/// One constraint folded by [`fold_row`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct RowFold {
+    /// Free (kept) terms met.
+    pub kept: usize,
+    /// Constant contribution of the folded terms at their fixed values,
+    /// summed in model order. With no kept term this is the row's activity
+    /// at any point that sits on the fixed values, bit for bit: the same
+    /// additions in the same order as [`ConsDef::activity`].
+    pub shift: f64,
+}
+
+/// Walks one constraint's terms against a fixed-variable layout: free
+/// variables keep their LP column and are handed to `kept`, bound-fixed ones
+/// fold into the returned shift. The single source of truth for the
+/// compression rule — [`Model::lower_reduced_for_class`] and every path of
+/// the LP cache must stay bit-compatible, so all of them call this.
+pub(crate) fn fold_row(
     vars: &[VarDef],
     col_of_var: &[Option<usize>],
     terms: &[(VarId, f64)],
-) -> FoldedRow {
-    let mut kept = Vec::new();
-    let mut folded = Vec::new();
-    let mut shift = 0.0;
+    mut kept: impl FnMut(usize, f64),
+) -> RowFold {
+    let mut fold = RowFold {
+        kept: 0,
+        shift: 0.0,
+    };
     for &(v, a) in terms {
         match col_of_var[v.0] {
-            Some(col) => kept.push((col, a)),
-            None => {
-                shift += a * vars[v.0].lb;
-                folded.push((v.0, a));
+            Some(col) => {
+                fold.kept += 1;
+                kept(col, a);
             }
+            None => fold.shift += a * vars[v.0].lb,
         }
     }
-    FoldedRow {
-        kept,
-        folded,
-        shift,
-    }
-}
-
-/// One constraint folded by [`fold_constraint`].
-pub(crate) struct FoldedRow {
-    /// `(LP column, coeff)` terms of free variables.
-    pub kept: Vec<(usize, f64)>,
-    /// `(model var, coeff)` terms folded into the shift.
-    pub folded: Vec<(usize, f64)>,
-    /// Constant contribution of the folded terms at their fixed values.
-    pub shift: f64,
+    fold
 }
 
 /// Whether a constant (fully folded) row's value violates its bounds —
@@ -188,40 +237,58 @@ pub(crate) fn shifted_bounds(lb: f64, ub: f64, shift: f64) -> (f64, f64) {
     )
 }
 
+/// Whether `value` is a whole number — `value.round() == value` without the
+/// call into libm, which is what the loops over every folded variable would
+/// otherwise spend their time in. (Beyond the `i64` range the cast saturates
+/// and the answer is a conservative no.)
+pub(crate) fn is_whole(value: f64) -> bool {
+    (value as i64) as f64 == value
+}
+
+/// Whether an integer variable fixed at `value` sits off the integers: the
+/// fixing is infeasible then, regardless of the rest.
+pub(crate) fn fixed_off_integer(value: f64) -> bool {
+    !is_whole(value) && (value - value.round()).abs() > 1e-9
+}
+
 /// Read-only geometry of one compressed lowering, shared by every slice of
 /// a branch & bound search over it: the LP-to-model mapping plus the
-/// integer-variable index sets. Owned by the lowering (and so by the LP
-/// cache across constructions); a suspended search keeps its own clone.
+/// integer columns. Owned by the lowering (and so by the LP cache across
+/// constructions); a suspended search keeps its own clone.
 #[derive(Debug, Clone)]
 pub(crate) struct SearchGeom {
     /// LP-to-model mapping for the compressed relaxation.
     pub map: LpMap,
-    /// Integer variables in *model* space (branching, integrality).
-    pub integers: Vec<usize>,
-    /// Integer columns in *LP* space (diving heuristic).
+    /// Integer columns in *LP* space (branching, integrality, diving).
     pub lp_integers: Vec<usize>,
 }
 
-/// Result of one compressed lowering ([`Model::lower_reduced`]): the LP,
-/// its search geometry, and the folded bookkeeping an LP cache needs to
-/// patch bounds in place without re-scanning the model.
+/// Result of one compressed lowering ([`Model::lower_reduced`]): the LP and
+/// its search geometry.
 #[derive(Debug, Clone)]
 pub(crate) struct LoweredLp {
     pub lp: Problem,
     pub geom: SearchGeom,
-    /// Per kept LP row: the `(model var, coeff)` terms folded into its
-    /// bounds because the variable was bound-fixed at lowering time.
-    pub row_fixed_terms: Vec<Vec<(usize, f64)>>,
-    /// Model constraints dropped as constant (every term bound-fixed).
-    pub const_rows: Vec<usize>,
 }
 
 /// A mixed-integer linear program.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Model {
     pub(crate) sense: Sense,
     pub(crate) vars: Vec<VarDef>,
     pub(crate) cons: Vec<ConsDef>,
+    /// The constraints each variable occurs in, one entry per term in the
+    /// order the terms were added (a variable repeated within one
+    /// [`Self::add_range`] call is listed once). Constraints and terms are
+    /// append-only, so the lists only ever grow at the tail: what lets the
+    /// LP cache find the rows a set of variables touches without reading
+    /// the others.
+    pub(crate) rows_of_var: Vec<Vec<u32>>,
+    /// Names this one model object's history: drawn in [`Self::new`] and
+    /// again by `Clone`, so two values with the same lineage are the same
+    /// model at two points of its append-only life — the later one has the
+    /// earlier one's variables, rows and terms as a prefix of its own.
+    pub(crate) lineage: u64,
     /// Renewed (from a process-wide counter) by every mutation that changes
     /// existing columns or terms (new variables, terms appended to existing
     /// rows, objective edits). Bound changes and *appended* rows do not
@@ -238,12 +305,30 @@ pub struct Model {
     pub(crate) bounds_stamp: u64,
 }
 
+impl Clone for Model {
+    /// A clone keeps the stamps (it *is* equal in what they cover) and
+    /// starts a lineage of its own: from here on it may grow differently.
+    fn clone(&self) -> Self {
+        Model {
+            sense: self.sense,
+            vars: self.vars.clone(),
+            cons: self.cons.clone(),
+            rows_of_var: self.rows_of_var.clone(),
+            lineage: next_stamp(),
+            structure_version: self.structure_version,
+            bounds_stamp: self.bounds_stamp,
+        }
+    }
+}
+
 impl Model {
     pub fn new(sense: Sense) -> Self {
         Model {
             sense,
             vars: Vec::new(),
             cons: Vec::new(),
+            rows_of_var: Vec::new(),
+            lineage: next_stamp(),
             structure_version: next_stamp(),
             bounds_stamp: next_stamp(),
         }
@@ -291,6 +376,7 @@ impl Model {
             obj,
             no_fold: false,
         });
+        self.rows_of_var.push(Vec::new());
         self.structure_version = next_stamp();
         id
     }
@@ -309,10 +395,17 @@ impl Model {
     /// Duplicate variables in `terms` are summed.
     pub fn add_range(&mut self, lb: f64, ub: f64, terms: Vec<(VarId, f64)>) -> ConsId {
         assert!(lb <= ub, "crossed row bounds [{lb}, {ub}]");
+        let id = ConsId(self.cons.len());
+        let row = row_index(id.0);
         for &(v, _) in &terms {
             assert!(v.0 < self.vars.len(), "unknown variable {v:?}");
+            // Rows are numbered upwards, so a repeat within this call is
+            // the list's last entry.
+            let rows = &mut self.rows_of_var[v.0];
+            if rows.last() != Some(&row) {
+                rows.push(row);
+            }
         }
-        let id = ConsId(self.cons.len());
         self.cons.push(ConsDef { terms, lb, ub });
         id
     }
@@ -421,9 +514,11 @@ impl Model {
     pub fn add_terms(&mut self, c: ConsId, terms: impl IntoIterator<Item = (VarId, f64)>) {
         let n = self.vars.len();
         let def = &mut self.cons[c.0];
+        let row = row_index(c.0);
         for (v, a) in terms {
             assert!(v.0 < n, "unknown variable {v:?}");
             def.terms.push((v, a));
+            self.rows_of_var[v.0].push(row);
         }
         self.structure_version = next_stamp();
     }
@@ -499,25 +594,20 @@ impl Model {
         if x.len() != self.vars.len() {
             return false;
         }
-        for (def, &xv) in self.vars.iter().zip(x) {
-            if xv < def.lb - tol || xv > def.ub + tol {
-                return false;
-            }
-            if def.ty == VarType::Integer && (xv - xv.round()).abs() > tol {
-                return false;
-            }
-        }
-        self.rows_feasible(x, tol, 0)
+        self.vars
+            .iter()
+            .zip(x)
+            .all(|(def, &xv)| def.admits(xv, tol))
+            && self.rows_feasible(x, tol, 0)
     }
 
     /// The row half of [`Self::is_feasible`] for constraints `from..`: a
     /// point already validated against the rows before `from` (under the
     /// same bounds) only needs the rows appended since.
     pub(crate) fn rows_feasible(&self, x: &[f64], tol: f64, from: usize) -> bool {
-        self.cons[from..].iter().all(|c| {
-            let act: f64 = c.terms.iter().map(|&(v, a)| a * x[v.0]).sum();
-            !(act < c.lb - tol * (1.0 + c.lb.abs()) || act > c.ub + tol * (1.0 + c.ub.abs()))
-        })
+        self.cons[from..]
+            .iter()
+            .all(|c| c.admits(c.activity(x), tol))
     }
 
     /// Lowers the model to a *compressed* LP in minimisation form:
@@ -527,21 +617,17 @@ impl Model {
     /// reduction over a persistent skeleton) produce an LP the size of the
     /// genuinely free subproblem instead of the whole skeleton.
     ///
-    /// Returns the problem, the [`SearchGeom`] relating LP columns/rows
-    /// back to model variables/constraints, and the folded bookkeeping an
-    /// LP cache needs to patch the result in place later: the
-    /// fixed-variable contributions of every kept row and the list of
-    /// dropped (constant) rows. See [`crate::cache::LpCacheSlot`].
+    /// Returns the problem and the [`SearchGeom`] relating LP columns/rows
+    /// back to model variables/constraints. This is the full pass — every
+    /// variable, every term of every row: what a solve without an LP cache
+    /// runs, and the reference [`crate::cache::LpCacheSlot`]'s
+    /// adjacency-driven rebuild has to reproduce bit for bit.
     ///
     /// Folds the variables that are bound-fixed *right now* and not
     /// fold-exempt ([`Self::set_fold_exempt`]) — the widest class the
     /// exemption hints allow.
     pub(crate) fn lower_reduced(&self) -> LoweredLp {
-        let folded: Vec<bool> = self
-            .vars
-            .iter()
-            .map(|v| v.lb == v.ub && !v.no_fold)
-            .collect();
+        let folded: Vec<bool> = self.vars.iter().map(VarDef::folds).collect();
         self.lower_reduced_for_class(&folded)
     }
 
@@ -557,27 +643,17 @@ impl Model {
     /// cache's property tests assert through this entry point.
     pub(crate) fn lower_reduced_for_class(&self, folded: &[bool]) -> LoweredLp {
         debug_assert_eq!(folded.len(), self.vars.len());
-        let flip = if self.sense == Sense::Maximize {
-            -1.0
-        } else {
-            1.0
-        };
+        let flip = self.min_flip();
         let mut b = ProblemBuilder::new();
-        let mut integers = Vec::new();
         let mut lp_integers = Vec::new();
         let mut col_of_var = vec![None; self.vars.len()];
         let mut var_of_col = Vec::new();
         let mut fixed_obj_min = 0.0;
         let mut infeasible_fixed_row = false;
         for (j, v) in self.vars.iter().enumerate() {
-            if v.ty == VarType::Integer {
-                integers.push(j);
-            }
             if folded[j] {
                 debug_assert!(v.lb == v.ub, "folded class member {j} is not bound-fixed");
-                // A fixed integer variable must sit on an integer value,
-                // else the fixing is infeasible regardless of the rest.
-                if v.ty == VarType::Integer && (v.lb - v.lb.round()).abs() > 1e-9 {
+                if v.ty == VarType::Integer && fixed_off_integer(v.lb) {
                     infeasible_fixed_row = true;
                 }
                 fixed_obj_min += flip * v.obj * v.lb;
@@ -591,27 +667,22 @@ impl Model {
             }
         }
         let mut cons_of_row = Vec::new();
-        let mut row_fixed_terms = Vec::new();
-        let mut const_rows = Vec::new();
         let mut adjacency = AdjacencyCheck::new(var_of_col.len());
         let mut adjacency_exact = true;
         for (ci, c) in self.cons.iter().enumerate() {
-            let fold = fold_constraint(&self.vars, &col_of_var, &c.terms);
-            if fold.kept.is_empty() {
-                if const_row_violated(fold.shift, c.lb, c.ub) {
-                    infeasible_fixed_row = true;
-                }
-                const_rows.push(ci);
+            // The row's number, should it turn out to be kept.
+            let r = b.nrows();
+            let fold = fold_row(&self.vars, &col_of_var, &c.terms, |col, a| {
+                adjacency_exact &= adjacency.term_is_exact(r, col, a);
+                b.set_coeff(r, col, a);
+            });
+            if fold.kept == 0 {
+                infeasible_fixed_row |= const_row_violated(fold.shift, c.lb, c.ub);
                 continue;
             }
             let (lb, ub) = shifted_bounds(c.lb, c.ub, fold.shift);
-            let r = b.add_row(lb, ub);
-            adjacency_exact &= adjacency.row_is_exact(r, &fold.kept);
-            for (col, a) in fold.kept {
-                b.set_coeff(r, col, a);
-            }
+            b.add_row(lb, ub);
             cons_of_row.push(ci);
-            row_fixed_terms.push(fold.folded);
         }
         LoweredLp {
             lp: b.build(),
@@ -624,11 +695,18 @@ impl Model {
                     infeasible_fixed_row,
                     adjacency_exact,
                 },
-                integers,
                 lp_integers,
             },
-            row_fixed_terms,
-            const_rows,
+        }
+    }
+
+    /// `1` for a minimisation, `-1` for a maximisation: what turns the
+    /// model's objective into the LP's minimisation form.
+    pub(crate) fn min_flip(&self) -> f64 {
+        if self.sense == Sense::Maximize {
+            -1.0
+        } else {
+            1.0
         }
     }
 }
@@ -649,6 +727,54 @@ mod tests {
         assert!(!m.is_feasible(&[0.5, 1.0], 1e-9)); // fractional binary
         assert!(!m.is_feasible(&[1.0, 2.0], 1e-9)); // row violated
         assert_eq!(m.objective_value(&[1.0, 1.5]), 4.5);
+    }
+
+    /// Every comparison is false on a NaN: a point with one must not slip
+    /// through the bound, integrality and row checks — in a variable, in a
+    /// row's activity, or at a position the LP cache folds away.
+    #[test]
+    fn points_that_are_not_finite_are_infeasible() {
+        let mut m = Model::new(Sense::Maximize);
+        let free = m.add_continuous(-INF, INF, 1.0);
+        let int = m.add_var(VarType::Integer, -INF, INF, 1.0);
+        let pinned = m.add_continuous(2.0, 2.0, 1.0);
+        m.add_range(-INF, INF, vec![(free, 1.0), (int, 1.0)]);
+        m.add_le(vec![(free, 1e308), (pinned, 1.0)], 1e9);
+        let ok = [0.0, 3.0, 2.0];
+        assert!(m.is_feasible(&ok, 1e-6));
+        let mut slot = crate::cache::LpCacheSlot::new();
+        for position in 0..3 {
+            for bad in [f64::NAN, INF, -INF] {
+                let mut x = ok;
+                x[position] = bad;
+                assert!(!m.is_feasible(&x, 1e-6), "{bad} at {position}");
+                // The cache's restricted check agrees (position 2 is folded).
+                let parts = slot.refresh_solver(&m);
+                assert!(parts.lowered.geom.map.col_of_var[2].is_none());
+                let start = parts
+                    .side
+                    .start_objective(&m, &parts.lowered.geom.map, &x, 1e-6);
+                assert_eq!(start, None, "{bad} at {position}, through the cache");
+            }
+        }
+        // A finite point, an activity that is not: overflow against a finite
+        // bound, and inf - inf against none.
+        assert!(!m.is_feasible(&[10.0, 0.0, 2.0], 1e-6));
+        let mut m = Model::new(Sense::Maximize);
+        let u = m.add_continuous(-INF, INF, 0.0);
+        let v = m.add_continuous(-INF, INF, 0.0);
+        m.add_range(-INF, INF, vec![(u, 1e308), (v, -1e308)]);
+        assert!(m.is_feasible(&[1.0, 1.0], 1e-6));
+        assert!(!m.is_feasible(&[10.0, 10.0], 1e-6));
+        // A variable pinned at infinity has no finite value to take.
+        let mut m = Model::new(Sense::Maximize);
+        m.add_continuous(INF, INF, 0.0);
+        assert!(!m.is_feasible(&[INF], 1e-6));
+        let parts = slot.refresh_solver(&m);
+        let start = parts
+            .side
+            .start_objective(&m, &parts.lowered.geom.map, &[INF], 1e-6);
+        assert_eq!(start, None);
     }
 
     #[test]

@@ -28,20 +28,6 @@ pub enum Presolved {
     Infeasible,
 }
 
-impl Presolved {
-    /// Same verdict and, bit for bit, the same bounds.
-    fn identical(&self, other: &Presolved) -> bool {
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        match (self, other) {
-            (Presolved::Infeasible, Presolved::Infeasible) => true,
-            (Presolved::Bounds(lb, ub), Presolved::Bounds(olb, oub)) => {
-                bits(lb) == bits(olb) && bits(ub) == bits(oub)
-            }
-            _ => false,
-        }
-    }
-}
-
 const TOL: f64 = 1e-9;
 
 /// Runs up to `max_rounds` propagation sweeps.
@@ -69,8 +55,23 @@ pub fn presolve_bounds(model: &Model, max_rounds: usize) -> Presolved {
             return Presolved::Infeasible;
         }
     }
-    propagate(model, max_rounds, &active, None, None)
+    propagate_all_rows(model, max_rounds, &active)
 }
+
+/// The reference propagation: from the model's own bounds, every one of the
+/// `active` rows re-read in every sweep, nothing resumed.
+fn propagate_all_rows(model: &Model, max_rounds: usize, active: &[usize]) -> Presolved {
+    let mut mirror = BoundsMirror::of(model);
+    let mut run = Propagation::over(&mut mirror, active.len());
+    match run.propagate(model, max_rounds, active, None, None) {
+        Ok(()) => Presolved::Bounds(mirror.lb, mirror.ub),
+        Err(Infeasible) => Presolved::Infeasible,
+    }
+}
+
+/// Tightened `(lb, ub)` per column of a compressed lowering; `None` when the
+/// propagation derived an empty domain.
+pub(crate) type LpBounds = Option<(Vec<f64>, Vec<f64>)>;
 
 /// Like [`presolve_bounds`] over the kept rows of a compressed lowering:
 /// `map.cons_of_row` is exactly the set of rows with at least one unfolded
@@ -79,24 +80,144 @@ pub fn presolve_bounds(model: &Model, max_rounds: usize) -> Presolved {
 /// with a moved bound. Constant-row feasibility is the lowering's
 /// responsibility (`infeasible_fixed_row`), not this function's.
 ///
-/// `first_sweep` carries the first sweep from one call to the next over the
-/// *same lowering*: while the model's bounds stand ([`Model::bounds_stamp`])
-/// and rows were only appended, the first sweep over the rows it covered
-/// would compute the same thing again, so it resumes behind them.
+/// The result is in LP space: a folded variable is bound-fixed, and a fixed
+/// variable cannot tighten without emptying its domain, so outside the kept
+/// columns the bounds are the model's own.
+///
+/// `mirror` holds the model's current bounds on entry and again on return:
+/// the sweeps tighten it in place and what they moved is put back, so no
+/// skeleton-sized buffer is filled per call. `first_sweep` carries the first
+/// sweep from one call to the next over the *same lowering*: while the
+/// model's bounds stand ([`Model::bounds_stamp`]) and rows were only
+/// appended, the first sweep over the rows it covered would compute the same
+/// thing again, so it resumes behind them. `rows_read` counts the rows whose
+/// terms were read.
 pub(crate) fn presolve_bounds_active(
     model: &Model,
     max_rounds: usize,
     map: &LpMap,
     lp: &Problem,
     first_sweep: Option<&mut Option<FirstSweep>>,
-) -> Presolved {
+    mirror: &mut BoundsMirror,
+    rows_read: &mut usize,
+) -> LpBounds {
     let adjacency = map.adjacency_exact.then_some((map, lp));
-    let presolved = propagate(model, max_rounds, &map.cons_of_row, adjacency, first_sweep);
+    let active = &map.cons_of_row;
+    let mut run = Propagation::over(mirror, active.len());
+    let verdict = run.propagate(model, max_rounds, active, adjacency, first_sweep);
+    *rows_read += run.rows_read;
+    let moved = std::mem::take(&mut run.tightened);
+    let presolved = verdict.ok().map(|()| mirror.project(map));
+    mirror.put_back(model, &moved);
     debug_assert!(
-        presolved.identical(&propagate(model, max_rounds, &map.cons_of_row, None, None)),
+        mirror.mirrors(model),
+        "presolve left a tightened bound in the mirror"
+    );
+    debug_assert!(
+        lp_bounds_identical(
+            &presolved,
+            &project(&propagate_all_rows(model, max_rounds, active), model, map)
+        ),
         "skipping rows or resuming the first sweep changed the presolve"
     );
     presolved
+}
+
+/// A model-space presolve seen from a lowering's columns.
+///
+/// # Panics
+/// Panics if a folded variable's bounds are not the model's own — the
+/// premise LP-space root bounds rest on.
+fn project(presolved: &Presolved, model: &Model, map: &LpMap) -> LpBounds {
+    match presolved {
+        Presolved::Infeasible => None,
+        Presolved::Bounds(lb, ub) => {
+            for (j, col) in map.col_of_var.iter().enumerate() {
+                let v = &model.vars[j];
+                assert!(
+                    col.is_some()
+                        || (lb[j].to_bits(), ub[j].to_bits()) == (v.lb.to_bits(), v.ub.to_bits()),
+                    "presolve moved the folded variable {j}"
+                );
+            }
+            Some((of_columns(lb, map), of_columns(ub, map)))
+        }
+    }
+}
+
+/// The entries of a per-variable array that belong to a lowering's columns.
+fn of_columns(per_var: &[f64], map: &LpMap) -> Vec<f64> {
+    map.var_of_col.iter().map(|&j| per_var[j]).collect()
+}
+
+/// Same verdict and, bit for bit, the same bounds.
+fn lp_bounds_identical(a: &LpBounds, b: &LpBounds) -> bool {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    match (a, b) {
+        (None, None) => true,
+        (Some((lb, ub)), Some((olb, oub))) => bits(lb) == bits(olb) && bits(ub) == bits(oub),
+        _ => false,
+    }
+}
+
+/// The model's variable bounds and integrality as flat arrays — what the
+/// sweeps read and tighten. Built per call on the cacheless path; kept by
+/// the LP cache otherwise, which moves an entry when the model moves the
+/// bound ([`Self::sync`]) instead of refilling the arrays per construction.
+#[derive(Debug, Default)]
+pub(crate) struct BoundsMirror {
+    pub lb: Vec<f64>,
+    pub ub: Vec<f64>,
+    pub integer: Vec<bool>,
+}
+
+impl BoundsMirror {
+    pub(crate) fn of(model: &Model) -> Self {
+        let mut mirror = BoundsMirror::default();
+        for j in 0..model.num_vars() {
+            mirror.sync(model, j);
+        }
+        mirror
+    }
+
+    /// Makes entry `j` the model's (appending it when `j` is the next new
+    /// variable).
+    pub(crate) fn sync(&mut self, model: &Model, j: usize) {
+        let v = &model.vars[j];
+        if j == self.lb.len() {
+            self.lb.push(v.lb);
+            self.ub.push(v.ub);
+            self.integer.push(v.ty == VarType::Integer);
+        } else {
+            self.lb[j] = v.lb;
+            self.ub[j] = v.ub;
+            self.integer[j] = v.ty == VarType::Integer;
+        }
+    }
+
+    /// The bounds of a lowering's columns.
+    fn project(&self, map: &LpMap) -> (Vec<f64>, Vec<f64>) {
+        (of_columns(&self.lb, map), of_columns(&self.ub, map))
+    }
+
+    /// Undoes a propagation: the entries it moved take the model's values
+    /// again.
+    fn put_back(&mut self, model: &Model, moved: &[usize]) {
+        for &j in moved {
+            self.lb[j] = model.vars[j].lb;
+            self.ub[j] = model.vars[j].ub;
+        }
+    }
+
+    /// Whether every entry is the model's, bit for bit.
+    pub(crate) fn mirrors(&self, model: &Model) -> bool {
+        self.lb.len() == model.num_vars()
+            && model.vars.iter().enumerate().all(|(j, v)| {
+                self.lb[j].to_bits() == v.lb.to_bits()
+                    && self.ub[j].to_bits() == v.ub.to_bits()
+                    && self.integer[j] == (v.ty == VarType::Integer)
+            })
+    }
 }
 
 /// A propagation as its first sweep left it; see
@@ -121,110 +242,117 @@ struct Tightened {
     stale: Vec<bool>,
 }
 
-/// The bounds under propagation and, per row, whether a bound of one of its
-/// variables moved since the row was last read — by another row or by
-/// itself.
-struct Bounds {
-    lb: Vec<f64>,
-    ub: Vec<f64>,
-    integer: Vec<bool>,
+/// One propagation over a [`BoundsMirror`]: the bounds under propagation
+/// and, per row, whether a bound of one of its variables moved since the row
+/// was last read — by another row or by itself.
+struct Propagation<'a> {
+    bounds: &'a mut BoundsMirror,
     stale: Vec<bool>,
-    /// Every variable moved so far (repeats allowed).
+    /// Every variable moved so far (repeats allowed) — including the one an
+    /// empty domain was found on, so that undoing the list restores the
+    /// mirror whatever the verdict.
     tightened: Vec<usize>,
+    rows_read: usize,
 }
 
 /// Proof of an empty domain.
 struct Infeasible;
 
-/// The sweeps. `active[r]` is the model constraint behind row `r`; with an
-/// `adjacency` (whose LP rows are `active`, in order) a row is re-read only
-/// after one of its variables moved, without one every row is re-read in
-/// every sweep. Both produce the same bounds, bit for bit.
-fn propagate(
-    model: &Model,
-    max_rounds: usize,
-    active: &[usize],
-    adjacency: Option<(&LpMap, &Problem)>,
-    mut first_sweep: Option<&mut Option<FirstSweep>>,
-) -> Presolved {
-    if max_rounds == 0 {
-        let b = Bounds::of(model, 0);
-        return Presolved::Bounds(b.lb, b.ub);
-    }
-    let resumed = first_sweep
-        .as_deref_mut()
-        .and_then(Option::take)
-        .filter(|f| f.bounds_stamp == model.bounds_stamp && f.rows <= active.len());
-    // Finish the first sweep: everything, or the rows appended since.
-    let mut bounds = Bounds::of(model, active.len());
-    let first = match resumed {
-        None => bounds.sweep(model, active, 0, adjacency),
-        Some(FirstSweep { left: None, .. }) => Err(Infeasible),
-        Some(FirstSweep {
-            rows,
-            left: Some(left),
-            ..
-        }) => {
-            bounds.resume(left);
-            bounds.sweep(model, active, rows, adjacency)
+/// `v.floor()`, bit for bit, without the call into libm for the values an
+/// `i64` holds exactly — the sweeps round one bound per integer term.
+fn floor(v: f64) -> f64 {
+    let towards_zero = (v as i64) as f64;
+    if towards_zero == v {
+        v // whole already (and keeps the sign of a zero)
+    } else if v.abs() < 9.0e15 {
+        if towards_zero > v {
+            towards_zero - 1.0
+        } else {
+            towards_zero
         }
-    };
-    if let Some(slot) = first_sweep {
-        *slot = Some(FirstSweep {
-            bounds_stamp: model.bounds_stamp,
-            rows: active.len(),
-            left: first.is_ok().then(|| bounds.tightened()),
-        });
-    }
-    // Anything moved so far was moved by the first sweep.
-    let mut changed = first.map(|()| !bounds.tightened.is_empty());
-    for _ in 1..max_rounds {
-        if !matches!(changed, Ok(true)) {
-            break;
-        }
-        let before = bounds.tightened.len();
-        changed = bounds
-            .sweep(model, active, 0, adjacency)
-            .map(|()| bounds.tightened.len() > before);
-    }
-    match changed {
-        Ok(_) => Presolved::Bounds(bounds.lb, bounds.ub),
-        Err(Infeasible) => Presolved::Infeasible,
+    } else {
+        v.floor()
     }
 }
 
-impl Bounds {
-    /// The model's own bounds, every one of `rows` rows unread.
-    fn of(model: &Model, rows: usize) -> Self {
-        let n = model.num_vars();
-        let mut lb = Vec::with_capacity(n);
-        let mut ub = Vec::with_capacity(n);
-        let mut integer = Vec::with_capacity(n);
-        for j in 0..n {
-            let v = crate::model::VarId::from_raw(j);
-            let (l, u) = model.var_bounds(v);
-            lb.push(l);
-            ub.push(u);
-            integer.push(model.var_type(v) == VarType::Integer);
-        }
-        Bounds {
-            lb,
-            ub,
-            integer,
+/// `v.ceil()`, bit for bit; see [`floor`].
+fn ceil(v: f64) -> f64 {
+    -floor(-v)
+}
+
+impl<'a> Propagation<'a> {
+    /// Over the model's own bounds, every one of `rows` rows unread.
+    fn over(bounds: &'a mut BoundsMirror, rows: usize) -> Self {
+        Propagation {
+            bounds,
             stale: vec![true; rows],
             tightened: Vec::new(),
+            rows_read: 0,
         }
     }
 
+    /// The sweeps. `active[r]` is the model constraint behind row `r`; with
+    /// an `adjacency` (whose LP rows are `active`, in order) a row is re-read
+    /// only after one of its variables moved, without one every row is
+    /// re-read in every sweep. Both leave the same bounds, bit for bit.
+    fn propagate(
+        &mut self,
+        model: &Model,
+        max_rounds: usize,
+        active: &[usize],
+        adjacency: Option<(&LpMap, &Problem)>,
+        mut first_sweep: Option<&mut Option<FirstSweep>>,
+    ) -> Result<(), Infeasible> {
+        if max_rounds == 0 {
+            return Ok(());
+        }
+        let resumed = first_sweep
+            .as_deref_mut()
+            .and_then(Option::take)
+            .filter(|f| f.bounds_stamp == model.bounds_stamp && f.rows <= active.len());
+        // Finish the first sweep: everything, or the rows appended since.
+        let first = match resumed {
+            None => self.sweep(model, active, 0, adjacency),
+            Some(FirstSweep { left: None, .. }) => Err(Infeasible),
+            Some(FirstSweep {
+                rows,
+                left: Some(left),
+                ..
+            }) => {
+                self.resume(left);
+                self.sweep(model, active, rows, adjacency)
+            }
+        };
+        if let Some(slot) = first_sweep {
+            *slot = Some(FirstSweep {
+                bounds_stamp: model.bounds_stamp,
+                rows: active.len(),
+                left: first.is_ok().then(|| self.left_behind()),
+            });
+        }
+        first?;
+        // Anything moved so far was moved by the first sweep.
+        let mut changed = !self.tightened.is_empty();
+        for _ in 1..max_rounds {
+            if !changed {
+                break;
+            }
+            let before = self.tightened.len();
+            self.sweep(model, active, 0, adjacency)?;
+            changed = self.tightened.len() > before;
+        }
+        Ok(())
+    }
+
     /// What has been moved so far, for [`Self::resume`].
-    fn tightened(&self) -> Tightened {
+    fn left_behind(&self) -> Tightened {
         let mut moved = self.tightened.clone();
         moved.sort_unstable();
         moved.dedup();
         Tightened {
             bounds: moved
                 .into_iter()
-                .map(|j| (j, self.lb[j], self.ub[j]))
+                .map(|j| (j, self.bounds.lb[j], self.bounds.ub[j]))
                 .collect(),
             stale: self.stale.clone(),
         }
@@ -234,8 +362,8 @@ impl Bounds {
     /// rows beyond the ones it knew stay unread.
     fn resume(&mut self, left: Tightened) {
         for &(j, lb, ub) in &left.bounds {
-            self.lb[j] = lb;
-            self.ub[j] = ub;
+            self.bounds.lb[j] = lb;
+            self.bounds.ub[j] = ub;
             self.tightened.push(j);
         }
         self.stale[..left.stale.len()].copy_from_slice(&left.stale);
@@ -249,13 +377,13 @@ impl Bounds {
         from: usize,
         adjacency: Option<(&LpMap, &Problem)>,
     ) -> Result<(), Infeasible> {
-        let Bounds {
-            lb,
-            ub,
-            integer,
+        let Propagation {
+            bounds,
             stale,
             tightened,
+            rows_read,
         } = self;
+        let BoundsMirror { lb, ub, integer } = &mut **bounds;
         for (r, &c) in active.iter().enumerate().skip(from) {
             if adjacency.is_some() {
                 if !stale[r] {
@@ -263,6 +391,7 @@ impl Bounds {
                 }
                 stale[r] = false;
             }
+            *rows_read += 1;
             let (terms, row_lb, row_ub) = model.constraint(c);
             let moved_before = tightened.len();
             // Activity range under current bounds.
@@ -305,7 +434,7 @@ impl Bounds {
                     if a > 0.0 {
                         let mut new_ub = hi / a;
                         if integer[j] {
-                            new_ub = (new_ub + TOL).floor();
+                            new_ub = floor(new_ub + TOL);
                         }
                         if new_ub < ub[j] - TOL {
                             ub[j] = new_ub;
@@ -313,7 +442,7 @@ impl Bounds {
                     } else {
                         let mut new_lb = hi / a;
                         if integer[j] {
-                            new_lb = (new_lb - TOL).ceil();
+                            new_lb = ceil(new_lb - TOL);
                         }
                         if new_lb > lb[j] + TOL {
                             lb[j] = new_lb;
@@ -325,7 +454,7 @@ impl Bounds {
                     if a > 0.0 {
                         let mut new_lb = lo / a;
                         if integer[j] {
-                            new_lb = (new_lb - TOL).ceil();
+                            new_lb = ceil(new_lb - TOL);
                         }
                         if new_lb > lb[j] + TOL {
                             lb[j] = new_lb;
@@ -333,7 +462,7 @@ impl Bounds {
                     } else {
                         let mut new_ub = lo / a;
                         if integer[j] {
-                            new_ub = (new_ub + TOL).floor();
+                            new_ub = floor(new_ub + TOL);
                         }
                         if new_ub < ub[j] - TOL {
                             ub[j] = new_ub;
@@ -341,6 +470,7 @@ impl Bounds {
                     }
                 }
                 if lb[j] > ub[j] + TOL {
+                    tightened.push(j);
                     return Err(Infeasible);
                 }
                 // Snap crossed-by-rounding integer bounds.
@@ -377,6 +507,21 @@ impl Bounds {
 mod tests {
     use super::*;
     use crate::model::{Model, Sense};
+
+    #[test]
+    fn floor_and_ceil_are_the_std_ones() {
+        let mut probes = vec![0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for k in 0..64 {
+            let p = 2f64.powi(k);
+            for d in [-1.5, -1.0, -0.5, -1e-9, 0.0, 1e-9, 0.5, 1.0, 1.5] {
+                probes.extend([p + d, -p + d, (p + d) / 3.0, (p + d) * 1e-9]);
+            }
+        }
+        for v in probes {
+            assert_eq!(floor(v).to_bits(), v.floor().to_bits(), "floor({v})");
+            assert_eq!(ceil(v).to_bits(), v.ceil().to_bits(), "ceil({v})");
+        }
+    }
 
     #[test]
     fn fixes_forced_binaries() {
@@ -463,112 +608,62 @@ mod tests {
 
     use crate::cache::LpCacheSlot;
     use crate::model::VarId;
+    use crate::test_models::{append_random_row, random_model};
     use sqpr_workload::rng::{Rng, StdRng};
 
-    /// A random model in the planner's mould: mostly binaries, a share of
-    /// them bound-fixed, sparse `<=`/`>=`/`=` rows with mixed-sign
-    /// coefficients, four in five of them satisfied by one hidden point so
-    /// that most models are feasible — plus, on odd seeds, an implication
-    /// chain laid out against the sweep order, so that propagation needs
-    /// more sweeps than the cap of 6 allows.
-    fn random_model(seed: u64) -> Model {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = 6 + rng.gen_index(14);
-        let mut m = Model::new(Sense::Maximize);
-        let vars: Vec<VarId> = (0..n)
-            .map(|_| match rng.gen_index(4) {
-                0 => m.add_continuous(0.0, rng.gen_range_f64(0.5, 4.0), 1.0),
-                1 => m.add_var(VarType::Integer, 0.0, 1.0 + rng.gen_index(4) as f64, 1.0),
-                _ => m.add_binary(1.0),
-            })
-            .collect();
-        for &v in &vars {
-            if rng.gen_index(3) == 0 {
-                let (lb, ub) = m.var_bounds(v);
-                let value = if rng.gen_bool() { lb } else { ub.floor() };
-                m.fix_var(v, value);
-                m.set_fold_exempt(v, rng.gen_index(4) == 0);
-            }
-        }
-        for _ in 0..(3 + rng.gen_index(10)) {
-            append_random_row(&mut m, &mut rng);
-        }
-        if seed % 2 == 1 {
-            // c_0 >= 1 and c_{i+1} >= c_i, the rows in descending i: each
-            // sweep carries the forced 1 one link further.
-            let chain: Vec<VarId> = (0..10).map(|_| m.add_binary(0.0)).collect();
-            for i in (0..chain.len() - 1).rev() {
-                m.add_ge(vec![(chain[i + 1], 1.0), (chain[i], -1.0)], 0.0);
-            }
-            m.add_ge(vec![(chain[0], 1.0)], 1.0);
-        }
-        m
+    /// The reference, seen from the lowering's columns.
+    fn all_rows(m: &Model, rounds: usize, map: &LpMap) -> LpBounds {
+        project(&propagate_all_rows(m, rounds, &map.cons_of_row), m, map)
     }
 
-    /// The hidden point of [`random_model`]: every variable at its upper
-    /// bound rounded down (a function of the bounds, so rows appended
-    /// later agree with the earlier ones).
-    fn hidden_point(m: &Model, v: VarId) -> f64 {
-        m.var_bounds(v).1.floor()
-    }
-
-    fn append_random_row(m: &mut Model, rng: &mut StdRng) {
-        let n = m.num_vars();
-        let mut terms = Vec::new();
-        for _ in 0..(1 + rng.gen_index(5)) {
-            // One row in ten may repeat a variable, which costs the
-            // lowering its exact adjacency.
-            let v = VarId::from_raw(rng.gen_index(n));
-            let a = if rng.gen_bool() { 1.0 } else { -1.0 } * (1 + rng.gen_index(3)) as f64;
-            if rng.gen_index(10) == 0 || terms.iter().all(|&(seen, _)| seen != v) {
-                terms.push((v, a));
-            }
-        }
-        let rhs = if rng.gen_index(5) == 0 {
-            rng.gen_range_i64(-2, 6) as f64
-        } else {
-            terms.iter().map(|&(v, a)| a * hidden_point(m, v)).sum()
-        };
-        match rng.gen_index(4) {
-            0 => m.add_ge(terms, rhs - rng.gen_index(2) as f64),
-            1 => m.add_eq(terms, rhs),
-            _ => m.add_le(terms, rhs + rng.gen_index(2) as f64),
-        };
+    /// [`presolve_bounds_active`] over the slot's current lowering of `m`,
+    /// on the slot's own mirror.
+    fn through_slot(slot: &mut LpCacheSlot, m: &Model, rounds: usize, resume: bool) -> LpBounds {
+        let parts = slot.refresh_solver(m);
+        let (map, lp) = (&parts.lowered.geom.map, &parts.lowered.lp);
+        let side = parts.side;
+        let memo = resume.then_some(&mut side.first_sweep);
+        let got = presolve_bounds_active(
+            m,
+            rounds,
+            map,
+            lp,
+            memo,
+            &mut side.mirror,
+            &mut side.rows_read,
+        );
+        assert!(side.mirror.mirrors(m), "presolve left the mirror tightened");
+        got
     }
 
     /// Sweeps that skip rows without a moved bound return, bit for bit,
     /// what sweeping every row returns — verdicts, bounds, and where the
-    /// 6-sweep cap cuts propagation short.
+    /// 6-sweep cap cuts propagation short. One cache slot serves all the
+    /// models, one after another, so each propagation runs on the arrays
+    /// the previous model — of another size — left behind.
     #[test]
     fn skipping_unmoved_rows_matches_sweeping_all_rows() {
         let (mut capped, mut infeasible, mut tightened, mut exact) = (0, 0, 0, 0);
+        let mut slot = LpCacheSlot::new();
         for seed in 0..400u64 {
             let m = random_model(seed);
             let lowered = m.lower_reduced();
-            let (map, lp) = (&lowered.geom.map, &lowered.lp);
+            let map = &lowered.geom.map;
             exact += usize::from(map.adjacency_exact);
             for rounds in [1, 2, 6] {
-                let all_rows = propagate(&m, rounds, &map.cons_of_row, None, None);
-                let skipping = presolve_bounds_active(&m, rounds, map, lp, None);
+                let want = all_rows(&m, rounds, map);
+                let skipping = through_slot(&mut slot, &m, rounds, false);
                 assert!(
-                    skipping.identical(&all_rows),
-                    "seed {seed}, {rounds} sweeps: {skipping:?} vs {all_rows:?}"
+                    lp_bounds_identical(&skipping, &want),
+                    "seed {seed}, {rounds} sweeps: {skipping:?} vs {want:?}"
                 );
             }
-            let at_cap = propagate(&m, 6, &map.cons_of_row, None, None);
+            let at_cap = all_rows(&m, 6, map);
             match &at_cap {
-                Presolved::Infeasible => infeasible += 1,
-                Presolved::Bounds(lb, _) => {
-                    capped += usize::from(!at_cap.identical(&propagate(
-                        &m,
-                        12,
-                        &map.cons_of_row,
-                        None,
-                        None,
-                    )));
-                    let moved =
-                        (0..m.num_vars()).any(|j| lb[j] != m.var_bounds(VarId::from_raw(j)).0);
-                    tightened += usize::from(moved);
+                None => infeasible += 1,
+                Some((lb, _)) => {
+                    capped += usize::from(!lp_bounds_identical(&at_cap, &all_rows(&m, 12, map)));
+                    tightened += usize::from(lb != lowered.lp.col_bounds().0);
                 }
             }
         }
@@ -593,9 +688,11 @@ mod tests {
         m.add_ge(vec![(a, 1.0)], 1.0);
         let lowered = m.lower_reduced();
         assert!(!lowered.geom.map.adjacency_exact);
-        let got = presolve_bounds_active(&m, 6, &lowered.geom.map, &lowered.lp, None);
-        let want = propagate(&m, 6, &lowered.geom.map.cons_of_row, None, None);
-        assert!(got.identical(&want));
+        let got = through_slot(&mut LpCacheSlot::new(), &m, 6, false);
+        assert!(lp_bounds_identical(
+            &got,
+            &all_rows(&m, 6, &lowered.geom.map)
+        ));
         // And a well-formed model keeps it.
         let mut m = Model::new(Sense::Maximize);
         let a = m.add_binary(1.0);
@@ -605,27 +702,41 @@ mod tests {
 
     /// Resuming the first sweep behind the rows it already covered — the
     /// cut rounds of one submission: rows appended, no bound moved — gives
-    /// what a presolve from scratch gives; a moved bound starts over.
+    /// what a presolve from scratch gives; a moved bound starts over, and so
+    /// does a model that grew (new columns: a new lowering, on the same
+    /// mirror, longer).
     #[test]
     fn resumed_first_sweep_matches_a_fresh_presolve() {
-        let mut resumed_calls = 0;
+        let (mut resumed_calls, mut grown) = (0, 0);
         for seed in 0..200u64 {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
             let mut m = random_model(seed);
             let mut slot = LpCacheSlot::new();
-            let mut memo: Option<FirstSweep> = None;
+            let mut stamp_swept = None;
             for step in 0..6 {
                 if step > 0 {
-                    if rng.gen_index(4) == 0 {
-                        // A bound moves: the memo must not be resumed.
-                        let v = VarId::from_raw(rng.gen_index(m.num_vars()));
-                        // (Downwards, so the hidden point of `random_model`
-                        // moves with it and most models stay feasible.)
-                        let (lb, ub) = m.var_bounds(v);
-                        m.set_bounds(v, lb, (ub - 1.0).max(lb).floor().max(lb));
-                    } else {
-                        for _ in 0..(1 + rng.gen_index(3)) {
+                    match rng.gen_index(8) {
+                        0 | 1 => {
+                            // A bound moves: the memo must not be resumed.
+                            let v = VarId::from_raw(rng.gen_index(m.num_vars()));
+                            // (Downwards, so the hidden point of `random_model`
+                            // moves with it and most models stay feasible.)
+                            let (lb, ub) = m.var_bounds(v);
+                            m.set_bounds(v, lb, (ub - 1.0).max(lb).floor().max(lb));
+                        }
+                        2 => {
+                            // The model grows: a new binary in a new row and
+                            // at the end of an old one.
+                            let v = m.add_binary(1.0);
+                            let old = crate::model::ConsId(rng.gen_index(m.num_cons()));
+                            m.add_terms(old, [(v, 0.0)]);
                             append_random_row(&mut m, &mut rng);
+                            grown += 1;
+                        }
+                        _ => {
+                            for _ in 0..(1 + rng.gen_index(3)) {
+                                append_random_row(&mut m, &mut rng);
+                            }
                         }
                     }
                 }
@@ -633,20 +744,19 @@ mod tests {
                 slot.refresh(&m);
                 if slot.stats().rebuilds != rebuilds {
                     // A new lowering has new rows: its memo starts empty.
-                    memo = None;
+                    stamp_swept = None;
                 }
-                let lowered = slot.lowered().expect("slot populated by refresh");
-                let (map, lp) = (&lowered.geom.map, &lowered.lp);
-                let stamp_known = memo
-                    .as_ref()
-                    .is_some_and(|f| f.bounds_stamp == m.bounds_stamp);
-                resumed_calls += usize::from(stamp_known);
-                let got = presolve_bounds_active(&m, 6, map, lp, Some(&mut memo));
-                let want = propagate(&m, 6, &map.cons_of_row, None, None);
-                assert!(got.identical(&want), "seed {seed}, step {step}");
-                assert_eq!(memo.as_ref().map(|f| f.rows), Some(map.cons_of_row.len()));
+                resumed_calls += usize::from(stamp_swept == Some(m.bounds_stamp));
+                let got = through_slot(&mut slot, &m, 6, true);
+                stamp_swept = Some(m.bounds_stamp);
+                let map = &slot.lowered().expect("slot populated by refresh").geom.map;
+                assert!(
+                    lp_bounds_identical(&got, &all_rows(&m, 6, map)),
+                    "seed {seed}, step {step}"
+                );
             }
         }
         assert!(resumed_calls >= 300, "only {resumed_calls} resumed calls");
+        assert!(grown >= 50, "only {grown} growth steps");
     }
 }

@@ -34,10 +34,10 @@ use sqpr_lp::{
     PivotCounts, Problem, SimplexOptions, VarBasisStatus,
 };
 
-use crate::cache::{next_factor_token, LpCacheSlot, SolverParts};
+use crate::cache::{expand_kept, next_factor_token, LpCacheSlot, Side, SolverParts};
 use crate::heuristics;
-use crate::model::{LoweredLp, LpMap, Model, SearchGeom, Sense};
-use crate::presolve::{presolve_bounds_active, FirstSweep, Presolved};
+use crate::model::{LoweredLp, LpMap, Model, SearchGeom, VarType};
+use crate::presolve::{presolve_bounds_active, BoundsMirror};
 
 /// Incumbent filter callback (lazy-constraint hook): integral candidates
 /// it rejects never become the incumbent.
@@ -78,44 +78,62 @@ pub enum BasisEntity {
 /// basis hint — see [`sqpr_lp::BasisState`]).
 #[derive(Debug, Clone)]
 pub struct ModelBasis {
-    /// Status per model variable at capture time.
-    var_status: Vec<VarBasisStatus>,
-    /// Status per model constraint's slack at capture time.
-    cons_status: Vec<VarBasisStatus>,
+    /// Status of every model variable that had an LP column at capture
+    /// time, ascending by variable. The others were folded out of that LP;
+    /// they read as nonbasic at lower, the status a fresh lowering assumes.
+    var_status: Vec<(usize, VarBasisStatus)>,
+    /// Slack status of every model constraint that had an LP row at capture
+    /// time, ascending by constraint. The others were constant rows; they
+    /// keep their slack basic — exactly the seat they occupy when
+    /// re-entering a later LP.
+    cons_status: Vec<(usize, VarBasisStatus)>,
     /// The basic seats.
     basic: Vec<BasisEntity>,
 }
 
+/// The statuses an ascending `(entity, status)` list holds for the ascending
+/// `entities`, `default` for those it does not list — one merge of the two.
+fn statuses_of<'a>(
+    listed: &'a [(usize, VarBasisStatus)],
+    entities: &'a [usize],
+    default: VarBasisStatus,
+) -> impl Iterator<Item = VarBasisStatus> + 'a {
+    let mut listed = listed.iter().peekable();
+    entities.iter().map(move |&e| {
+        while listed.next_if(|&&(l, _)| l < e).is_some() {}
+        listed
+            .next_if(|&&(l, _)| l == e)
+            .map_or(default, |&(_, st)| st)
+    })
+}
+
 impl ModelBasis {
     /// Lifts an LP-space basis into model coordinates via the map used to
-    /// lower the model.
-    fn from_lp(basis: &BasisState, map: &LpMap, num_vars: usize, num_cons: usize) -> Self {
+    /// lower the model. Costs the LP, not the model.
+    fn from_lp(basis: &BasisState, map: &LpMap) -> Self {
         let n = map.var_of_col.len();
-        let mut var_status = vec![VarBasisStatus::AtLower; num_vars];
-        for (col, &v) in map.var_of_col.iter().enumerate() {
-            var_status[v] = basis.status[col];
-        }
-        // Dropped (constant) rows keep their slack basic: that is exactly
-        // the seat they occupy when re-entering a later LP.
-        let mut cons_status = vec![VarBasisStatus::Basic; num_cons];
-        for (row, &c) in map.cons_of_row.iter().enumerate() {
-            cons_status[c] = basis.status[n + row];
-        }
-        let basic = basis
-            .basic
-            .iter()
-            .map(|&g| {
-                if g < n {
-                    BasisEntity::Var(map.var_of_col[g])
-                } else {
-                    BasisEntity::Cons(map.cons_of_row[g - n])
-                }
-            })
-            .collect();
+        let statuses = |entities: &[usize], offset: usize| {
+            entities
+                .iter()
+                .enumerate()
+                .map(|(k, &e)| (e, basis.status[offset + k]))
+                .collect()
+        };
         ModelBasis {
-            var_status,
-            cons_status,
-            basic,
+            // Both ascending: see `LpMap`.
+            var_status: statuses(&map.var_of_col, 0),
+            cons_status: statuses(&map.cons_of_row, n),
+            basic: basis
+                .basic
+                .iter()
+                .map(|&g| {
+                    if g < n {
+                        BasisEntity::Var(map.var_of_col[g])
+                    } else {
+                        BasisEntity::Cons(map.cons_of_row[g - n])
+                    }
+                })
+                .collect(),
         }
     }
 
@@ -127,37 +145,28 @@ impl ModelBasis {
     /// from the basic set and are repaired downstream by the usual slack
     /// substitution; unmapped statuses default to nonbasic-at-lower /
     /// slack-basic, the same defaults a fresh lowering assumes.
-    pub fn remap(
-        &self,
-        var_map: &[Option<usize>],
-        cons_map: &[Option<usize>],
-        num_vars: usize,
-        num_cons: usize,
-    ) -> ModelBasis {
-        let mut var_status = vec![VarBasisStatus::AtLower; num_vars];
-        for (old, &st) in self.var_status.iter().enumerate() {
-            if let Some(&Some(new)) = var_map.get(old) {
-                var_status[new] = st;
-            }
-        }
-        let mut cons_status = vec![VarBasisStatus::Basic; num_cons];
-        for (old, &st) in self.cons_status.iter().enumerate() {
-            if let Some(&Some(new)) = cons_map.get(old) {
-                cons_status[new] = st;
-            }
-        }
-        let basic = self
-            .basic
-            .iter()
-            .filter_map(|&e| match e {
-                BasisEntity::Var(v) => var_map.get(v).copied().flatten().map(BasisEntity::Var),
-                BasisEntity::Cons(c) => cons_map.get(c).copied().flatten().map(BasisEntity::Cons),
-            })
-            .collect();
+    pub fn remap(&self, var_map: &[Option<usize>], cons_map: &[Option<usize>]) -> ModelBasis {
+        let renumber = |listed: &[(usize, VarBasisStatus)], map: &[Option<usize>]| {
+            let mut moved: Vec<(usize, VarBasisStatus)> = listed
+                .iter()
+                .filter_map(|&(old, st)| map.get(old).copied().flatten().map(|new| (new, st)))
+                .collect();
+            moved.sort_unstable_by_key(|&(new, _)| new);
+            moved
+        };
         ModelBasis {
-            var_status,
-            cons_status,
-            basic,
+            var_status: renumber(&self.var_status, var_map),
+            cons_status: renumber(&self.cons_status, cons_map),
+            basic: self
+                .basic
+                .iter()
+                .filter_map(|&e| match e {
+                    BasisEntity::Var(v) => var_map.get(v).copied().flatten().map(BasisEntity::Var),
+                    BasisEntity::Cons(c) => {
+                        cons_map.get(c).copied().flatten().map(BasisEntity::Cons)
+                    }
+                })
+                .collect(),
         }
     }
 
@@ -167,33 +176,23 @@ impl ModelBasis {
     fn to_lp(&self, map: &LpMap, num_rows: usize) -> BasisState {
         let n = map.var_of_col.len();
         let mut status = Vec::with_capacity(n + num_rows);
-        for &v in &map.var_of_col {
-            status.push(
-                self.var_status
-                    .get(v)
-                    .copied()
-                    .unwrap_or(VarBasisStatus::AtLower),
-            );
-        }
-        for &c in map.cons_of_row.iter() {
-            status.push(
-                self.cons_status
-                    .get(c)
-                    .copied()
-                    .unwrap_or(VarBasisStatus::Basic),
-            );
-        }
-        let max_cons = map.cons_of_row.iter().max().map_or(0, |&c| c + 1);
-        let mut row_of_cons = vec![None; max_cons];
-        for (row, &c) in map.cons_of_row.iter().enumerate() {
-            row_of_cons[c] = Some(row);
-        }
+        // All four lists ascend: see `LpMap`.
+        status.extend(statuses_of(
+            &self.var_status,
+            &map.var_of_col,
+            VarBasisStatus::AtLower,
+        ));
+        status.extend(statuses_of(
+            &self.cons_status,
+            &map.cons_of_row,
+            VarBasisStatus::Basic,
+        ));
         let basic = self
             .basic
             .iter()
             .filter_map(|&e| match e {
                 BasisEntity::Var(v) => map.col_of_var.get(v).copied().flatten(),
-                BasisEntity::Cons(c) => row_of_cons.get(c).copied().flatten().map(|row| n + row),
+                BasisEntity::Cons(c) => map.cons_of_row.binary_search(&c).ok().map(|row| n + row),
             })
             .collect();
         BasisState {
@@ -314,9 +313,10 @@ impl MilpResult {
     }
 }
 
-/// One chained bound tightening (child nodes point at their parents).
+/// One chained bound tightening of an LP column (child nodes point at their
+/// parents).
 struct BoundChange {
-    var: usize,
+    col: usize,
     lb: f64,
     ub: f64,
     parent: Option<Rc<BoundChange>>,
@@ -459,15 +459,17 @@ pub fn solve_preemptible(
     let start_tol = opts.int_tol.max(1e-7);
     match cache {
         Some(slot) => {
-            let start = warm
-                .start
-                .filter(|x| slot.start_is_feasible(model, x, start_tol));
             let SolverParts {
                 lowered,
-                first_sweep,
+                side,
                 ws,
                 factor_token,
             } = slot.refresh_solver(model);
+            let map = &lowered.geom.map;
+            let start = warm.start.and_then(|x| {
+                let objective = side.start_objective(model, map, x, start_tol)?;
+                Some((x, objective))
+            });
             if opts.cross_solve_factors {
                 // The slot's token outlives this tree while the matrix
                 // survives refreshes untouched: consecutive trees may
@@ -484,15 +486,20 @@ pub fn solve_preemptible(
                 warm.root_basis,
                 filter,
                 lowered,
-                Some(first_sweep),
+                Folded::Cached(side),
                 ws,
                 token,
                 quantum,
             )
         }
         None => {
-            let start = warm.start.filter(|x| model.is_feasible(x, start_tol));
+            // No cache to answer to: the full passes.
+            let start = warm
+                .start
+                .filter(|x| model.is_feasible(x, start_tol))
+                .map(|x| (x, model.objective_value(x)));
             let lowered = model.lower_reduced();
+            let fixed = candidate_base(model);
             let mut ws = LpWorkspace::new();
             // A fresh lowering is this tree's private matrix: factor
             // reuse is scoped to its own node solves.
@@ -505,7 +512,7 @@ pub fn solve_preemptible(
                 warm.root_basis,
                 filter,
                 &lowered,
-                None,
+                Folded::Plain(&fixed),
                 &mut ws,
                 token,
                 quantum,
@@ -514,24 +521,53 @@ pub fn solve_preemptible(
     }
 }
 
+/// What a candidate incumbent holds outside the LP's columns: every
+/// variable at its lower bound — the fixed value, for a folded one — and
+/// integers snapped exactly. (The entries of kept columns are overwritten
+/// per candidate.)
+fn candidate_base(model: &Model) -> Vec<f64> {
+    model
+        .vars
+        .iter()
+        .map(|v| match v.ty {
+            VarType::Integer => v.lb.round(),
+            VarType::Continuous => v.lb,
+        })
+        .collect()
+}
+
+/// Where a slice reads the folded variables' values from, and who validates
+/// its candidate incumbents.
+enum Folded<'a> {
+    /// The LP cache's tables: the mirrored lower bounds, and validation that
+    /// checks what a candidate can differ in.
+    Cached(&'a mut Side),
+    /// A [`candidate_base`] of the model, and [`Model::is_feasible`] — a
+    /// search without a cache, or resumed after it let go of one.
+    Plain(&'a [f64]),
+}
+
 /// Runs the first slice of a search over one lowering. `start` is the seed
-/// incumbent, already validated against the model; `first_sweep` the
-/// lowering's presolve memo, if it has one.
+/// incumbent, already validated against the model, with its objective value.
 #[allow(clippy::too_many_arguments)]
 fn search_lowered(
     model: &Model,
     opts: &MilpOptions,
-    start: Option<&[f64]>,
+    start: Option<(&[f64], f64)>,
     root_basis: Option<&ModelBasis>,
     filter: Option<IncumbentFilter<'_>>,
     lowered: &LoweredLp,
-    first_sweep: Option<&mut Option<FirstSweep>>,
+    mut folded: Folded<'_>,
     ws: &mut LpWorkspace,
     factor_token: u64,
     quantum: usize,
 ) -> SolveOutcome {
     let (lp, geom) = (&lowered.lp, &lowered.geom);
-    let mut core = SearchCore::new(model, opts, start, root_basis, lp, geom, first_sweep);
+    let side = match &mut folded {
+        Folded::Cached(side) => Some(&mut **side),
+        Folded::Plain(_) => None,
+    };
+    let mut core = SearchCore::new(model, opts, start, root_basis, lp, geom, side);
     let verdict = Bnb {
         model,
         opts,
@@ -539,6 +575,7 @@ fn search_lowered(
         lp,
         geom,
         core: &mut core,
+        folded,
         ws,
         factor_token,
         // sqpr::allow(ambient-nondeterminism): opts.time_limit is an explicit caller SLO; expiry surfaces as a TimeLimit verdict, never a silently different plan
@@ -577,6 +614,7 @@ fn seal(
                 opts: opts.clone(),
                 lp: lp.clone(),
                 geom: geom.clone(),
+                fixed: candidate_base(model),
                 core,
                 factor_token,
                 ws,
@@ -601,6 +639,8 @@ pub struct SearchState {
     opts: MilpOptions,
     lp: Problem,
     geom: SearchGeom,
+    /// [`candidate_base`] of `model`.
+    fixed: Vec<f64>,
     core: SearchCore,
     factor_token: u64,
     ws: LpWorkspace,
@@ -637,6 +677,7 @@ impl SearchState {
             lp: &state.lp,
             geom: &state.geom,
             core: &mut state.core,
+            folded: Folded::Plain(&state.fixed),
             ws: &mut state.ws,
             factor_token: state.factor_token,
             deadline,
@@ -699,6 +740,7 @@ struct SearchCore {
     lp_iterations: usize,
     lp_pivots: PivotCounts,
     heap: BinaryHeap<OrdNode>,
+    /// Presolved bounds of the LP's columns.
     root_lb: Vec<f64>,
     root_ub: Vec<f64>,
     presolve_infeasible: bool,
@@ -713,10 +755,7 @@ struct SearchCore {
     /// same slot warm-starts its root from this root's basis, so this is
     /// the state whose basic set the re-attach check can actually match.
     root_factors: Option<Rc<FactorState>>,
-    /// Node-materialisation scratch: model-space bounds…
-    lb_buf: Vec<f64>,
-    ub_buf: Vec<f64>,
-    /// …and their LP-space projections.
+    /// Node-materialisation scratch: the node's column bounds.
     lp_lb_buf: Vec<f64>,
     lp_ub_buf: Vec<f64>,
     /// Candidate-incumbent scratch (model space).
@@ -740,6 +779,7 @@ struct Bnb<'a> {
     lp: &'a Problem,
     geom: &'a SearchGeom,
     core: &'a mut SearchCore,
+    folded: Folded<'a>,
     /// Reusable LP scratch shared by every relaxation (node solves and
     /// diving heuristics alike): borrowed from the [`LpCacheSlot`] on the
     /// cached path — so allocations, and the detached basis-factor cache
@@ -757,15 +797,17 @@ struct Bnb<'a> {
 }
 
 impl SearchCore {
-    /// `start` is the seed incumbent, already validated against the model.
+    /// `start` is the seed incumbent, already validated against the model,
+    /// with its objective value; `side` the LP cache's tables for this
+    /// lowering, if it came from one.
     fn new(
         model: &Model,
         opts: &MilpOptions,
-        start: Option<&[f64]>,
+        start: Option<(&[f64], f64)>,
         root_basis: Option<&ModelBasis>,
         lp: &Problem,
         geom: &SearchGeom,
-        first_sweep: Option<&mut Option<FirstSweep>>,
+        side: Option<&mut Side>,
     ) -> Self {
         let map = &geom.map;
         let mut presolve_infeasible = map.infeasible_fixed_row;
@@ -773,27 +815,33 @@ impl SearchCore {
         // the set with at least one unfixed variable, and the constant
         // rows' feasibility verdict is `infeasible_fixed_row` above — no
         // second O(model) scan needed.
-        let presolved = opts
-            .presolve
-            .then(|| presolve_bounds_active(model, 6, map, lp, first_sweep));
+        let presolved = opts.presolve.then(|| match side {
+            Some(side) => presolve_bounds_active(
+                model,
+                6,
+                map,
+                lp,
+                Some(&mut side.first_sweep),
+                &mut side.mirror,
+                &mut side.rows_read,
+            ),
+            None => {
+                let mut mirror = BoundsMirror::of(model);
+                presolve_bounds_active(model, 6, map, lp, None, &mut mirror, &mut 0)
+            }
+        });
         let (root_lb, root_ub) = match presolved {
-            Some(Presolved::Bounds(lb, ub)) => (lb, ub),
-            // Proven infeasible, or presolve is off: the model's own bounds.
+            Some(Some(bounds)) => bounds,
+            // Proven infeasible, or presolve is off: the model's own bounds,
+            // which are the LP's.
             verdict => {
                 presolve_infeasible |= verdict.is_some();
-                (0..model.num_vars())
-                    .map(|j| model.var_bounds(crate::model::VarId::from_raw(j)))
-                    .unzip()
+                let (lb, ub) = lp.col_bounds();
+                (lb.to_vec(), ub.to_vec())
             }
         };
-        let flip = if model.sense == Sense::Maximize {
-            -1.0
-        } else {
-            1.0
-        };
-        let incumbent = start.map(|x| (flip * model.objective_value(x), x.to_vec()));
+        let incumbent = start.map(|(x, objective)| (model.min_flip() * objective, x.to_vec()));
         let root_hint = root_basis.map(|mb| Rc::new(mb.to_lp(map, lp.nrows())));
-        let n = model.num_vars();
         let ncols = lp.ncols();
         SearchCore {
             incumbent,
@@ -808,8 +856,6 @@ impl SearchCore {
             next_id: 0,
             root_basis_out: None,
             root_factors: None,
-            lb_buf: vec![0.0; n],
-            ub_buf: vec![0.0; n],
             lp_lb_buf: vec![0.0; ncols],
             lp_ub_buf: vec![0.0; ncols],
             x_buf: Vec::new(),
@@ -822,11 +868,7 @@ impl SearchCore {
     /// Builds the final [`MilpResult`] from a finished search (consuming —
     /// the incumbent vector and exported root basis move out).
     fn result(mut self, model: &Model, status: MilpStatus, bound_min: f64) -> MilpResult {
-        let flip = if model.sense == Sense::Maximize {
-            -1.0
-        } else {
-            1.0
-        };
+        let flip = model.min_flip();
         let (objective, x) = match self.incumbent.take() {
             Some((obj, x)) => (flip * obj, Some(x)),
             None => (f64::NAN, None),
@@ -853,11 +895,7 @@ impl SearchCore {
     /// Non-consuming [`Self::result`] (anytime snapshots of a suspended
     /// search clone the incumbent and root basis).
     fn result_ref(&self, model: &Model, status: MilpStatus, bound_min: f64) -> MilpResult {
-        let flip = if model.sense == Sense::Maximize {
-            -1.0
-        } else {
-            1.0
-        };
+        let flip = model.min_flip();
         let (objective, x) = match &self.incumbent {
             Some((obj, x)) => (flip * obj, Some(x.clone())),
             None => (f64::NAN, None),
@@ -881,49 +919,34 @@ impl SearchCore {
 }
 
 impl<'a> Bnb<'a> {
-    fn flip(&self) -> f64 {
-        if self.model.sense == Sense::Maximize {
-            -1.0
-        } else {
-            1.0
-        }
-    }
-
-    /// Materialises a node's model- and LP-space bounds into the scratch
-    /// buffers (root bounds intersected with the node's bound-change
-    /// chain).
+    /// Materialises a node's column bounds into the scratch buffers (root
+    /// bounds intersected with the node's bound-change chain).
     fn materialize_node(&mut self, chain: &Option<Rc<BoundChange>>) {
         let core = &mut *self.core;
-        core.lb_buf.copy_from_slice(&core.root_lb);
-        core.ub_buf.copy_from_slice(&core.root_ub);
+        core.lp_lb_buf.copy_from_slice(&core.root_lb);
+        core.lp_ub_buf.copy_from_slice(&core.root_ub);
         let mut cur = chain.as_ref();
         while let Some(c) = cur {
             // Intersection keeps correctness regardless of chain order.
-            if c.lb > core.lb_buf[c.var] {
-                core.lb_buf[c.var] = c.lb;
+            if c.lb > core.lp_lb_buf[c.col] {
+                core.lp_lb_buf[c.col] = c.lb;
             }
-            if c.ub < core.ub_buf[c.var] {
-                core.ub_buf[c.var] = c.ub;
+            if c.ub < core.lp_ub_buf[c.col] {
+                core.lp_ub_buf[c.col] = c.ub;
             }
             cur = c.parent.as_ref();
         }
-        for (col, &v) in self.geom.map.var_of_col.iter().enumerate() {
-            core.lp_lb_buf[col] = core.lb_buf[v];
-            core.lp_ub_buf[col] = core.ub_buf[v];
-        }
     }
 
-    /// Picks the integer variable to branch on: most fractional value,
-    /// ties broken by larger |objective| then smaller index. Works in LP
-    /// space (model-fixed integers cannot branch; `to_lp_reduced` already
-    /// rejected fractional fixings), returning the *model* variable index
-    /// for the bound-change chain.
+    /// Picks the integer column to branch on: most fractional value, ties
+    /// broken by larger |objective| then smaller index. (Model-fixed
+    /// integers outside the LP cannot branch; the lowering already rejected
+    /// fractional fixings.)
     fn pick_branching(&self, x_lp: &[f64]) -> Option<(usize, f64)> {
-        let (lb, ub) = (&self.core.lb_buf, &self.core.ub_buf);
+        let (lb, ub) = (&self.core.lp_lb_buf, &self.core.lp_ub_buf);
         let mut best: Option<(usize, f64, f64)> = None;
         for &col in &self.geom.lp_integers {
-            let j = self.geom.map.var_of_col[col];
-            if lb[j] >= ub[j] {
+            if lb[col] >= ub[col] {
                 continue; // fixed at this node
             }
             let v = x_lp[col];
@@ -932,17 +955,18 @@ impl<'a> Bnb<'a> {
             if dist <= self.opts.int_tol {
                 continue;
             }
+            let j = self.geom.map.var_of_col[col];
             let obj = self.model.objective_coeff(crate::model::VarId::from_raw(j));
             let score = dist * (1.0 + obj.abs());
             if best.is_none_or(|(_, _, s)| score > s) {
-                best = Some((j, v, score));
+                best = Some((col, v, score));
             }
         }
-        best.map(|(j, v, _)| (j, v))
+        best.map(|(col, v, _)| (col, v))
     }
 
     /// Integrality of an LP-space point (model-fixed integers are integral
-    /// by the `to_lp_reduced` contract).
+    /// by the lowering's contract).
     fn is_integral(&self, x_lp: &[f64]) -> bool {
         self.geom
             .lp_integers
@@ -951,21 +975,23 @@ impl<'a> Bnb<'a> {
     }
 
     /// Considers a compressed-LP point as the incumbent: expanded into
-    /// model space (fixed variables from the materialised node bounds),
-    /// integers snapped exactly, then validated against the model and the
-    /// filter.
+    /// model space (folded variables at their fixed values), integers
+    /// snapped exactly, then validated against the model and the filter.
     fn offer_incumbent(&mut self, x_lp: &[f64]) {
         let mut x = std::mem::take(&mut self.core.x_buf);
-        x.clear();
-        x.extend_from_slice(&self.core.lb_buf);
-        for (col, &v) in self.geom.map.var_of_col.iter().enumerate() {
-            x[v] = x_lp[col];
-        }
-        for &j in &self.geom.integers {
-            x[j] = x[j].round();
-        }
-        if self.model.is_feasible(&x, 1e-5) && self.filter.is_none_or(|accepts| accepts(&x)) {
-            let obj = self.flip() * self.model.objective_value(&x);
+        let feasible = match &mut self.folded {
+            Folded::Plain(fixed) => {
+                x.clear();
+                x.extend_from_slice(fixed);
+                expand_kept(self.geom, x_lp, &mut x);
+                self.model.is_feasible(&x, 1e-5)
+            }
+            Folded::Cached(side) => {
+                side.candidate_is_feasible(self.model, self.geom, x_lp, &mut x, 1e-5)
+            }
+        };
+        if feasible && self.filter.is_none_or(|accepts| accepts(&x)) {
+            let obj = self.model.min_flip() * self.model.objective_value(&x);
             match &mut self.core.incumbent {
                 Some((best, best_x)) => {
                     if obj < *best - 1e-12 {
@@ -1127,14 +1153,10 @@ impl<'a> Bnb<'a> {
             self.core.lp_pivots.merge(&sol.pivots);
             if node.depth == 0 {
                 if self.core.root_basis_out.is_none() {
-                    self.core.root_basis_out = sol.basis.as_ref().map(|b| {
-                        ModelBasis::from_lp(
-                            b,
-                            &self.geom.map,
-                            self.model.num_vars(),
-                            self.model.num_cons(),
-                        )
-                    });
+                    self.core.root_basis_out = sol
+                        .basis
+                        .as_ref()
+                        .map(|b| ModelBasis::from_lp(b, &self.geom.map));
                 }
                 self.core.root_factors = factors.clone();
             }
@@ -1196,7 +1218,7 @@ impl<'a> Bnb<'a> {
             }
 
             // Branch.
-            let Some((var, value)) = self.pick_branching(&sol.x) else {
+            let Some((col, value)) = self.pick_branching(&sol.x) else {
                 // Numerically integral but is_integral said no (tolerance
                 // edge): offer as incumbent and move on.
                 if sol.status == LpStatus::Optimal {
@@ -1211,15 +1233,15 @@ impl<'a> Bnb<'a> {
             // order; pushes happen only here.
             let child_basis = sol.basis.map(Rc::new);
             let floor = value.floor();
-            let (node_lb, node_ub) = (self.core.lb_buf[var], self.core.ub_buf[var]);
+            let (node_lb, node_ub) = (self.core.lp_lb_buf[col], self.core.lp_ub_buf[col]);
             let down = Rc::new(BoundChange {
-                var,
+                col,
                 lb: node_lb,
                 ub: floor,
                 parent: node.chain.clone(),
             });
             let up = Rc::new(BoundChange {
-                var,
+                col,
                 lb: floor + 1.0,
                 ub: node_ub,
                 parent: node.chain.clone(),
@@ -1307,7 +1329,7 @@ fn evaluate_node_lp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::VarType;
+    use crate::model::Sense;
 
     fn default_opts() -> MilpOptions {
         MilpOptions::default()
@@ -1467,6 +1489,7 @@ mod tests {
 #[cfg(test)]
 mod warm_start_tests {
     use super::*;
+    use crate::model::Sense;
 
     fn solve_from(m: &Model, opts: &MilpOptions, warm: MilpWarmStart<'_>) -> MilpResult {
         solve_preemptible(m, opts, warm, None, None, usize::MAX)
@@ -1540,6 +1563,7 @@ mod warm_start_tests {
 #[cfg(test)]
 mod filter_tests {
     use super::*;
+    use crate::model::Sense;
 
     /// max a + b st a + b <= 2 (binaries): optimum (1,1). A filter that
     /// rejects (1,1) must yield the next-best accepted point.

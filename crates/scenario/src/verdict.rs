@@ -113,13 +113,6 @@ impl JsonObject {
         self
     }
 
-    pub fn uint_arr(mut self, key: &str, vs: &[usize]) -> Self {
-        let inner: Vec<String> = vs.iter().map(|v| v.to_string()).collect();
-        self.fields
-            .push((key.to_string(), format!("[{}]", inner.join(", "))));
-        self
-    }
-
     /// Renders the object with 2-space indentation and a trailing newline.
     pub fn render(&self) -> String {
         let mut out = String::from("{\n");
@@ -193,11 +186,10 @@ mod tests {
             .f64("patch_rate", 0.75)
             .f64("objective", 3.0)
             .bool("valid", true)
-            .uint_arr("quanta", &[1, 0])
             .render();
         assert_eq!(
             j,
-            "{\n  \"bench\": \"scenario_x\",\n  \"submitted\": 12,\n  \"patch_rate\": 0.75,\n  \"objective\": 3.0,\n  \"valid\": true,\n  \"quanta\": [1, 0]\n}\n"
+            "{\n  \"bench\": \"scenario_x\",\n  \"submitted\": 12,\n  \"patch_rate\": 0.75,\n  \"objective\": 3.0,\n  \"valid\": true\n}\n"
         );
     }
 

@@ -1,0 +1,21 @@
+//! Tier-1 runs what guards the shortcuts.
+//!
+//! `cargo test` at the workspace root builds the root package only, and the
+//! warm path's exactness rests on equivalences the member crates test: a
+//! cached LP lowering against a fresh one, a suspended search against an
+//! uninterrupted one, the skeleton's memoised passes against the full ones.
+//! Their public-API suites are compiled into this target as they stand, so
+//! the command a contributor runs exercises slot-vs-fresh and
+//! shortcut-vs-full-pass too (a few seconds; the suites' own seed counts).
+//! The crate-private halves — the adjacency-driven rebuild, presolve on the
+//! slot's mirror, restricted point validation — stay unit tests of
+//! `sqpr-milp`, under `cargo test --workspace`.
+
+#[path = "../crates/milp/tests/proptest_cache.rs"]
+mod proptest_cache;
+
+#[path = "../crates/milp/tests/proptest_preempt.rs"]
+mod proptest_preempt;
+
+#[path = "../crates/core/tests/proptest_incremental_model.rs"]
+mod proptest_incremental_model;
