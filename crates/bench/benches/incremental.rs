@@ -271,6 +271,30 @@ fn main() {
         "retry wave (warm): cache {:?}, refactor {} ({} re-attached)",
         warm.wave_cache, warm.wave_pivots.refactorizations, warm.wave_pivots.factor_reattaches
     );
+    println!(
+        "{:<28} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "refactor causes", "no cache", "basis", "pivot cap", "fill", "rejected", "drift"
+    );
+    for (label, p) in [
+        ("cold (fresh MILP per query)", &cold.pivots),
+        ("warm (incremental)", &warm.pivots),
+        ("warm retry wave", &warm.wave_pivots),
+    ] {
+        println!(
+            "{label:<28} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+            p.refactor_no_cache,
+            p.refactor_basis_changed,
+            p.refactor_pivot_cap,
+            p.refactor_update_fill,
+            p.refactor_rejected_update,
+            p.refactor_drift
+        );
+        assert_eq!(
+            p.refactor_causes(),
+            p.refactorizations,
+            "every refactorisation has exactly one cause"
+        );
+    }
 
     // The identity verdict is *recorded before asserting*, so a divergence
     // leaves a `false` in the artifact for postmortem while still failing
@@ -345,6 +369,30 @@ fn main() {
                 Json::Num(cold.pivots.refactorizations as f64),
             ),
             (
+                "cold_refactor_no_cache",
+                Json::Num(cold.pivots.refactor_no_cache as f64),
+            ),
+            (
+                "cold_refactor_basis_changed",
+                Json::Num(cold.pivots.refactor_basis_changed as f64),
+            ),
+            (
+                "cold_refactor_pivot_cap",
+                Json::Num(cold.pivots.refactor_pivot_cap as f64),
+            ),
+            (
+                "cold_refactor_update_fill",
+                Json::Num(cold.pivots.refactor_update_fill as f64),
+            ),
+            (
+                "cold_refactor_rejected_update",
+                Json::Num(cold.pivots.refactor_rejected_update as f64),
+            ),
+            (
+                "cold_refactor_drift",
+                Json::Num(cold.pivots.refactor_drift as f64),
+            ),
+            (
                 "warm_sparse_solves",
                 Json::Num(warm.pivots.sparse_solves as f64),
             ),
@@ -368,6 +416,30 @@ fn main() {
             (
                 "warm_refactorizations",
                 Json::Num(warm.pivots.refactorizations as f64),
+            ),
+            (
+                "warm_refactor_no_cache",
+                Json::Num(warm.pivots.refactor_no_cache as f64),
+            ),
+            (
+                "warm_refactor_basis_changed",
+                Json::Num(warm.pivots.refactor_basis_changed as f64),
+            ),
+            (
+                "warm_refactor_pivot_cap",
+                Json::Num(warm.pivots.refactor_pivot_cap as f64),
+            ),
+            (
+                "warm_refactor_update_fill",
+                Json::Num(warm.pivots.refactor_update_fill as f64),
+            ),
+            (
+                "warm_refactor_rejected_update",
+                Json::Num(warm.pivots.refactor_rejected_update as f64),
+            ),
+            (
+                "warm_refactor_drift",
+                Json::Num(warm.pivots.refactor_drift as f64),
             ),
             (
                 "cold_factor_reattaches",
@@ -404,6 +476,30 @@ fn main() {
             (
                 "warm_wave_refactorizations",
                 Json::Num(warm.wave_pivots.refactorizations as f64),
+            ),
+            (
+                "warm_wave_refactor_no_cache",
+                Json::Num(warm.wave_pivots.refactor_no_cache as f64),
+            ),
+            (
+                "warm_wave_refactor_basis_changed",
+                Json::Num(warm.wave_pivots.refactor_basis_changed as f64),
+            ),
+            (
+                "warm_wave_refactor_pivot_cap",
+                Json::Num(warm.wave_pivots.refactor_pivot_cap as f64),
+            ),
+            (
+                "warm_wave_refactor_update_fill",
+                Json::Num(warm.wave_pivots.refactor_update_fill as f64),
+            ),
+            (
+                "warm_wave_refactor_rejected_update",
+                Json::Num(warm.wave_pivots.refactor_rejected_update as f64),
+            ),
+            (
+                "warm_wave_refactor_drift",
+                Json::Num(warm.wave_pivots.refactor_drift as f64),
             ),
             (
                 "warm_wave_factor_reattaches",

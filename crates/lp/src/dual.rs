@@ -49,8 +49,9 @@
 //! [`RatioTest::LongStep`]: crate::simplex::RatioTest::LongStep
 //! [`PivotCounts::bound_flips`]: crate::simplex::PivotCounts::bound_flips
 
+use crate::basis::RefactorCause;
 use crate::problem::LpStatus;
-use crate::simplex::{RatioTest, Solver, VarStatus};
+use crate::simplex::{outside, RatioTest, Solver, VarStatus};
 use crate::sparse::IndexedVec;
 
 /// Outcome of one dual-simplex run.
@@ -62,11 +63,28 @@ enum DualOutcome {
     /// A row certified primal infeasibility (no sign-eligible entering
     /// column exists for a violated basic variable).
     Infeasible,
-    /// Stall or numerical trouble: give up and let composite phase-I take
-    /// over from the current (valid) basis.
+    /// Stall or numerical trouble (including a breakpoint that is not a
+    /// finite number): give up and let composite phase-I take over from
+    /// the current (valid) basis.
     FallBack,
     /// The global iteration budget ran out mid-walk.
     IterationLimit,
+}
+
+/// The dual ratio-test breakpoint of a candidate column: its (clamped)
+/// reduced cost over its pivot-row entry, or `None` when that is not a
+/// finite number — a NaN would make every order over the candidates
+/// partial.
+fn breakpoint(dual: f64, alpha: f64) -> Option<f64> {
+    let ratio = dual.abs() / alpha.abs();
+    ratio.is_finite().then_some(ratio)
+}
+
+/// The candidates' order, ascending breakpoint: a total order, and on the
+/// finite, non-negative breakpoints [`breakpoint`] admits exactly the
+/// numeric one.
+fn by_breakpoint(x: &(usize, f64, f64), y: &(usize, f64, f64)) -> std::cmp::Ordering {
+    x.1.total_cmp(&y.1)
 }
 
 impl Solver<'_> {
@@ -82,8 +100,10 @@ impl Solver<'_> {
         // All dual-loop scratch is hoisted: the buffers live in the
         // LpWorkspace and survive across solves, so a B&B tree's hundreds
         // of dual re-solves allocate nothing here.
+        // Only priceable columns' reduced costs are ever read (the
+        // candidates and the entering column are priceable), and each of
+        // those is written before it is read.
         let mut d = std::mem::take(&mut self.dual_d);
-        d.clear();
         d.resize(self.n + self.m, 0.0);
         if !self.dual_feasible_reduced_costs(&mut d) {
             self.dual_d = d;
@@ -120,17 +140,14 @@ impl Solver<'_> {
         }
     }
 
-    /// Computes phase-II reduced costs for every nonbasic variable into `d`
-    /// and reports whether they are dual feasible within a relaxed
+    /// Computes phase-II reduced costs for every priceable variable into
+    /// `d` and reports whether they are dual feasible within a relaxed
     /// tolerance (bound-fixed columns are exempt: they can never enter).
     fn dual_feasible_reduced_costs(&mut self, d: &mut [f64]) -> bool {
         self.compute_duals(false);
         self.duals_valid = false; // y is clobbered by ratio-test BTRANs below
         let tol = self.opts.tol_dual * 10.0;
-        for j in 0..self.n + self.m {
-            if self.status[j] == VarStatus::Basic || self.lb[j] == self.ub[j] {
-                continue;
-            }
+        for j in self.priceable.iter() {
             let dj = self.reduced_cost(j, false);
             d[j] = dj;
             let ok = match self.status[j] {
@@ -298,7 +315,12 @@ impl Solver<'_> {
                     saw_tiny = true;
                     continue;
                 }
-                cands.push((j, self.clamped_dual(j, d).abs() / a.abs(), a));
+                let Some(ratio) = breakpoint(self.clamped_dual(j, d), a) else {
+                    // A drifted reduced cost or pivot-row entry: no ratio
+                    // test can order it, so leave the walk to phase-I.
+                    return DualOutcome::FallBack;
+                };
+                cands.push((j, ratio, a));
             }
             if cands.is_empty() {
                 // No column can reduce this row's violation. With no
@@ -326,9 +348,7 @@ impl Solver<'_> {
                 }
                 best
             } else {
-                cands.sort_unstable_by(|x, y| {
-                    x.1.partial_cmp(&y.1).unwrap_or(std::cmp::Ordering::Equal)
-                });
+                cands.sort_unstable_by(by_breakpoint);
                 if long_step {
                     // Bound-flipping walk: passing a boxed candidate's
                     // breakpoint flips it to its opposite bound and lowers
@@ -398,7 +418,7 @@ impl Solver<'_> {
                 if retries > 3 {
                     return DualOutcome::FallBack;
                 }
-                self.refactorize_and_repair();
+                self.refactorize_and_repair(RefactorCause::Drift);
                 self.pivots_since_refactor = 0;
                 self.refresh_reduced_costs(d);
                 last_total = f64::INFINITY;
@@ -437,10 +457,18 @@ impl Solver<'_> {
                 self.basis.ftran_sp(flip_rhs, &mut ewma_flip);
                 self.ewma_flip = ewma_flip;
                 {
-                    let Solver { x, basis, .. } = &mut *self;
+                    let Solver {
+                        x,
+                        basis,
+                        lb,
+                        ub,
+                        violated,
+                        ..
+                    } = &mut *self;
                     flip_rhs.for_each_nonzero(|pos, fv| {
                         let bj = basis.basic_at(pos);
                         x[bj] -= fv;
+                        violated.assign(pos, outside(x[bj], lb[bj], ub[bj]));
                         if !in_viol[pos] {
                             in_viol[pos] = true;
                             viol.push(pos);
@@ -448,6 +476,7 @@ impl Solver<'_> {
                     });
                 }
                 flip_rhs.clear();
+                debug_assert!(self.sets_match_scan());
             }
 
             // ---- primal step: land the leaving variable on its bound ----
@@ -460,10 +489,19 @@ impl Solver<'_> {
             let step = (self.x[lj] - bound) / piv;
             if step != 0.0 {
                 self.x[q] += step;
-                let Solver { x, basis, w, .. } = &mut *self;
+                let Solver {
+                    x,
+                    basis,
+                    w,
+                    lb,
+                    ub,
+                    violated,
+                    ..
+                } = &mut *self;
                 w.for_each_nonzero(|pos, wv| {
                     let bj = basis.basic_at(pos);
                     x[bj] -= step * wv;
+                    violated.assign(pos, outside(x[bj], lb[bj], ub[bj]));
                     if !in_viol[pos] {
                         in_viol[pos] = true;
                         viol.push(pos);
@@ -505,6 +543,7 @@ impl Solver<'_> {
             // ---- basis update ----
             self.basis.replace(rpos, q, &self.w);
             self.status[q] = VarStatus::Basic;
+            self.note_pivot(rpos, q, lj);
             self.duals_valid = false;
             self.pivots_since_refactor += 1;
             // The dual loop keeps the *tight* refactor cadence even under
@@ -512,10 +551,13 @@ impl Solver<'_> {
             // costs are maintained incrementally and the refactorisation
             // refresh is what bounds their drift — stretching it trips the
             // pivot cross-check and regresses warm re-solves to phase-I.
-            if self.pivots_since_refactor >= self.opts.refactor_interval
-                || self.basis.should_refactorize()
-            {
-                self.refactorize_and_repair();
+            let due = if self.pivots_since_refactor >= self.opts.refactor_interval {
+                Some(RefactorCause::PivotCap)
+            } else {
+                self.basis.refactor_due()
+            };
+            if let Some(cause) = due {
+                self.refactorize_and_repair(cause);
                 self.pivots_since_refactor = 0;
                 self.refresh_reduced_costs(d);
                 last_total = f64::INFINITY;
@@ -524,17 +566,61 @@ impl Solver<'_> {
         }
     }
 
-    /// Recomputes every nonbasic reduced cost from fresh duals (used after
-    /// refactorisation, where incremental updates would compound drift).
+    /// Recomputes every priceable reduced cost from fresh duals (used
+    /// after refactorisation, where incremental updates would compound
+    /// drift).
     fn refresh_reduced_costs(&mut self, d: &mut [f64]) {
         self.compute_duals(false);
         self.duals_valid = false;
-        for j in 0..self.n + self.m {
-            d[j] = if self.status[j] == VarStatus::Basic {
-                0.0
-            } else {
-                self.reduced_cost(j, false)
-            };
+        for j in self.priceable.iter() {
+            d[j] = self.reduced_cost(j, false);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cmp::Ordering;
+
+    #[test]
+    fn breakpoints_that_are_not_numbers_fall_back() {
+        assert_eq!(breakpoint(3.0, -2.0), Some(1.5));
+        assert_eq!(breakpoint(0.0, 4.0), Some(0.0));
+        assert_eq!(breakpoint(f64::NAN, 1.0), None);
+        assert_eq!(breakpoint(1.0, f64::NAN), None);
+        assert_eq!(breakpoint(f64::INFINITY, 2.0), None);
+        assert_eq!(
+            breakpoint(1e300, 1e-300),
+            None,
+            "an overflowed step is no step"
+        );
+    }
+
+    #[test]
+    fn candidate_order_is_total_and_numeric_on_breakpoints() {
+        // The comparator this replaces is not transitive once a NaN is in
+        // the list: 1 ~ NaN ~ 0.5 but 1 > 0.5.
+        let partial = |a: f64, b: f64| a.partial_cmp(&b).unwrap_or(Ordering::Equal);
+        assert_eq!(partial(1.0, f64::NAN), Ordering::Equal);
+        assert_eq!(partial(f64::NAN, 0.5), Ordering::Equal);
+        assert_eq!(partial(1.0, 0.5), Ordering::Greater);
+        // On what `breakpoint` admits the two orders agree pair by pair, so
+        // the unstable sort permutes candidates exactly as before.
+        let ratios = [0.0, 0.5, 0.5, 1.0, 3.0, 1e-13, 0.0, 7.25];
+        for &a in &ratios {
+            for &b in &ratios {
+                assert_eq!(by_breakpoint(&(0, a, 1.0), &(1, b, 1.0)), partial(a, b));
+            }
+        }
+        let mut cands: Vec<(usize, f64, f64)> = ratios
+            .iter()
+            .enumerate()
+            .map(|(j, &r)| (j, r, 1.0))
+            .collect();
+        let mut before = cands.clone();
+        cands.sort_unstable_by(by_breakpoint);
+        before.sort_unstable_by(|x, y| partial(x.1, y.1));
+        assert_eq!(cands, before);
     }
 }

@@ -84,12 +84,12 @@ struct SegArena {
 impl SegArena {
     /// Lays the arena out for `sizes[s]`-entry segments (plus slack),
     /// leaving every segment empty. Reuses the backing allocations.
-    fn reset(&mut self, sizes: &[usize]) {
+    fn reset(&mut self, sizes: impl Iterator<Item = usize>) {
         self.start.clear();
         self.len.clear();
         self.cap.clear();
         let mut acc = 0usize;
-        for &s in sizes {
+        for s in sizes {
             self.start.push(acc);
             self.len.push(0);
             self.cap.push(s + SEG_SLACK);
@@ -158,6 +158,20 @@ impl SegArena {
     }
 }
 
+/// Scratch the update engine works in: the spike and multipliers of the
+/// update in progress and the per-segment sizes of a layout. Owned by the
+/// caller (the basis lends it from [`crate::basis::BasisScratch`]), so a
+/// copy of a [`UFactors`] copies factors, never scratch.
+#[derive(Debug, Clone, Default)]
+pub struct FtScratch {
+    /// The spike `g = U z` of the update in progress.
+    spike: IndexedVec,
+    /// The elimination multipliers `α`.
+    alpha: IndexedVec,
+    /// Per-segment sizes while an arena is laid out.
+    sizes: Vec<usize>,
+}
+
 /// The dynamic upper factor: `U` under a mutable pivot order, plus the
 /// Forrest–Tomlin row-eta file. All indices are *pivot positions* (the
 /// `k`-space of [`crate::lu::LuFactors`]); only the traversal order
@@ -187,12 +201,6 @@ pub struct UFactors {
     nnz: usize,
     eta_nnz: usize,
     updates: usize,
-    /// Scratch: the spike `g = U z` of the update in progress.
-    spike: IndexedVec,
-    /// Scratch: the elimination multipliers `α`.
-    alpha: IndexedVec,
-    /// Scratch: per-segment sizes at rebuild.
-    sizes: Vec<usize>,
 }
 
 impl UFactors {
@@ -211,15 +219,8 @@ impl UFactors {
         let m = diag.len();
         self.m = m;
         self.diag = diag;
-        self.sizes.clear();
-        self.sizes.resize(m, 0);
-        let mut nnz = 0usize;
-        for k in 0..m {
-            let c = u.col_nnz(k);
-            self.sizes[k] = c;
-            nnz += c;
-        }
-        self.cols.reset(&self.sizes);
+        self.cols.reset((0..m).map(|k| u.col_nnz(k)));
+        let nnz = u.nnz();
         for k in 0..m {
             for (i, v) in u.col_iter(k) {
                 self.cols.push(k, i, v);
@@ -239,27 +240,25 @@ impl UFactors {
             .extend((0..m).map(|k| if k == 0 { usize::MAX } else { k - 1 }));
         self.head = if m == 0 { usize::MAX } else { 0 };
         self.tail = if m == 0 { usize::MAX } else { m - 1 };
-        self.spike.reset(m);
-        self.alpha.reset(m);
     }
 
     /// Builds the row mirror from the current columns if absent.
-    fn ensure_rows(&mut self) {
+    fn ensure_rows(&mut self, sizes: &mut Vec<usize>) {
         if self.rows_built {
             return;
         }
         self.rows_built = true;
-        self.sizes.clear();
-        self.sizes.resize(self.m, 0);
+        sizes.clear();
+        sizes.resize(self.m, 0);
         for k in 0..self.m {
             let (ids, _) = self.cols.seg(k);
             for &i in ids {
-                self.sizes[i] += 1;
+                sizes[i] += 1;
             }
         }
         // Split borrows: fill `rows` while reading `cols`.
         let UFactors { rows, cols, .. } = self;
-        rows.reset(&self.sizes);
+        rows.reset(sizes.iter().copied());
         for k in 0..self.m {
             let (ids, vals) = cols.seg(k);
             for (i, v) in ids.iter().zip(vals) {
@@ -386,8 +385,13 @@ impl UFactors {
     }
 
     /// Hyper-sparse BTRAN upper pipeline.
-    pub fn btran_upper_sparse(&mut self, c: &mut IndexedVec, ws: &mut LuWorkspace) {
-        self.ensure_rows();
+    pub fn btran_upper_sparse(
+        &mut self,
+        c: &mut IndexedVec,
+        ws: &mut LuWorkspace,
+        scratch: &mut FtScratch,
+    ) {
+        self.ensure_rows(&mut scratch.sizes);
         self.ut_solve_sparse(c, ws);
         for eta in self.etas.iter().rev() {
             let t = c[eta.pos];
@@ -407,10 +411,16 @@ impl UFactors {
     ///
     /// On [`FtOutcome::Rejected`] nothing is mutated; the caller keeps the
     /// factors valid by other means (PFI eta) and refactorises soon.
-    pub fn ft_update(&mut self, t: usize, z: &IndexedVec, ws: &mut LuWorkspace) -> FtOutcome {
-        self.ensure_rows();
+    pub fn ft_update(
+        &mut self,
+        t: usize,
+        z: &IndexedVec,
+        ws: &mut LuWorkspace,
+        scratch: &mut FtScratch,
+    ) -> FtOutcome {
+        self.ensure_rows(&mut scratch.sizes);
         // ---- spike g = U z (current U, current order) ----
-        let mut spike = std::mem::take(&mut self.spike);
+        let FtScratch { spike, alpha, .. } = scratch;
         spike.reset(self.m);
         z.for_each_nonzero(|k, zv| {
             spike.add(k, zv * self.diag[k]);
@@ -424,7 +434,6 @@ impl UFactors {
         // r = row t of U. Its support lies strictly "later" in the order,
         // so the plain U^T solve stays inside the trailing block (position
         // t is unreachable through the row graph and its α is zero).
-        let mut alpha = std::mem::take(&mut self.alpha);
         alpha.reset(self.m);
         {
             let (ids, vals) = self.rows.seg(t);
@@ -433,7 +442,7 @@ impl UFactors {
             }
         }
         if alpha.nnz() > 0 {
-            self.ut_solve_sparse(&mut alpha, ws);
+            self.ut_solve_sparse(alpha, ws);
         }
 
         // ---- new diagonal d = g_t − α^T g ----
@@ -444,8 +453,6 @@ impl UFactors {
             scale = scale.max(spike[k].abs());
         });
         if !d_new.is_finite() || d_new.abs() <= DIAG_REL_TOL * scale.max(1.0) {
-            self.spike = spike;
-            self.alpha = alpha;
             return FtOutcome::Rejected;
         }
 
@@ -507,8 +514,6 @@ impl UFactors {
             self.tail = t;
         }
         self.updates += 1;
-        self.spike = spike;
-        self.alpha = alpha;
         FtOutcome::Applied
     }
 }
@@ -588,6 +593,7 @@ mod tests {
         }
         // Sparse agrees with dense.
         let mut ws = LuWorkspace::new();
+        let mut sc = FtScratch::default();
         let mut sv = IndexedVec::zeros(4);
         for (i, &v) in b.iter().enumerate() {
             sv.set(i, v);
@@ -608,7 +614,7 @@ mod tests {
         for (i, &v) in c.iter().enumerate() {
             swv.set(i, v);
         }
-        uf.btran_upper_sparse(&mut swv, &mut ws);
+        uf.btran_upper_sparse(&mut swv, &mut ws, &mut sc);
         for i in 0..4 {
             assert!((swv[i] - w[i]).abs() < 1e-12);
         }
@@ -620,6 +626,7 @@ mod tests {
         let mut uf = UFactors::new();
         uf.rebuild(&cs, diag);
         let mut ws = LuWorkspace::new();
+        let mut sc = FtScratch::default();
 
         // Entering "column" with spike g; its post-solve image z solves
         // U z = g, so feed z through ft_update and compare against dense
@@ -630,7 +637,7 @@ mod tests {
             z.set(i, v);
         }
         uf.ftran_upper_sparse(&mut z, &mut ws); // z = U^{-1} g
-        assert_eq!(uf.ft_update(1, &z, &mut ws), FtOutcome::Applied);
+        assert_eq!(uf.ft_update(1, &z, &mut ws, &mut sc), FtOutcome::Applied);
         assert_eq!(uf.updates(), 1);
 
         dense[1] = g.to_vec(); // replace column 1 by the spike
@@ -662,7 +669,7 @@ mod tests {
         for (i, &v) in c.iter().enumerate() {
             swv.set(i, v);
         }
-        uf.btran_upper_sparse(&mut swv, &mut ws);
+        uf.btran_upper_sparse(&mut swv, &mut ws, &mut sc);
         for i in 0..4 {
             assert!((swv[i] - w[i]).abs() < 1e-9);
         }
@@ -674,6 +681,7 @@ mod tests {
         let mut uf = UFactors::new();
         uf.rebuild(&cs, diag);
         let mut ws = LuWorkspace::new();
+        let mut sc = FtScratch::default();
         let spikes = [
             (2usize, [0.5, 0.0, 3.0, 1.0]),
             (0usize, [1.5, 1.0, 0.0, 0.0]),
@@ -687,7 +695,7 @@ mod tests {
                 }
             }
             uf.ftran_upper_sparse(&mut z, &mut ws);
-            assert_eq!(uf.ft_update(t, &z, &mut ws), FtOutcome::Applied);
+            assert_eq!(uf.ft_update(t, &z, &mut ws, &mut sc), FtOutcome::Applied);
             dense[t] = g.to_vec();
             let b = [1.0, 0.5, -0.5, 2.0];
             let want = dense_solve(&dense, &b);
@@ -706,9 +714,10 @@ mod tests {
         let mut uf = UFactors::new();
         uf.rebuild(&cs, diag);
         let mut ws = LuWorkspace::new();
+        let mut sc = FtScratch::default();
         // The zero spike: the degenerate extreme, must be refused.
         let z = IndexedVec::zeros(4);
-        assert_eq!(uf.ft_update(3, &z, &mut ws), FtOutcome::Rejected);
+        assert_eq!(uf.ft_update(3, &z, &mut ws, &mut sc), FtOutcome::Rejected);
         assert_eq!(uf.updates(), 0);
     }
 }

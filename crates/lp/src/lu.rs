@@ -10,6 +10,8 @@
 //! Row indices inside `L` columns are kept in *original* row space; `pinv`
 //! maps an original row to its pivot position (the row of `L`/`U` it became).
 
+use std::sync::OnceLock;
+
 use crate::sparse::{ColumnStore, IndexedVec};
 
 /// Result of factorising one basis column: either it received pivot `row`,
@@ -37,9 +39,9 @@ pub struct LuFactors {
     rowof: Vec<usize>,
     /// Transpose of `L` in *pivot-position* space: column `i` lists
     /// `(k, v)` for every `L` column `k` holding row `rowof[i]`. Built on
-    /// demand by [`Self::ensure_transpose`]; the hyper-sparse `L^T` solve
-    /// needs it for reachability.
-    lt: ColumnStore,
+    /// the first hyper-sparse `L^T` solve, which needs it for reachability
+    /// (many warm node LPs end without one and never build it).
+    lt: OnceLock<ColumnStore>,
 }
 
 /// Workspace reused across factorisations and triangular solves to avoid
@@ -153,7 +155,7 @@ impl LuFactors {
             u_diag: Vec::with_capacity(m),
             pinv: vec![usize::MAX; m],
             rowof: vec![usize::MAX; m],
-            lt: ColumnStore::new(),
+            lt: OnceLock::new(),
         };
         let mut outcomes = Vec::with_capacity(m);
         let mut col_entries: Vec<(usize, f64)> = Vec::new();
@@ -297,19 +299,8 @@ impl LuFactors {
         &self.rowof
     }
 
-    /// Builds the pivot-position-space transpose of `L` (see the `lt`
-    /// field) unless it is already present. Called lazily on the first
-    /// hyper-sparse `L^T` solve — many warm node LPs terminate without one
-    /// and skip the build entirely.
-    pub fn ensure_transpose(&mut self) {
-        if self.lt.ncols() == self.m && self.lt.nnz() == self.l.nnz() {
-            return;
-        }
-        self.build_transpose();
-    }
-
-    /// Unconditional transpose build (see [`Self::ensure_transpose`]).
-    fn build_transpose(&mut self) {
+    /// The pivot-position-space transpose of `L` (see the `lt` field).
+    fn transpose(&self) -> ColumnStore {
         let mut counts = vec![0usize; self.m + 1];
         for k in 0..self.m {
             for (r, _) in self.l.col_iter(k) {
@@ -331,7 +322,7 @@ impl LuFactors {
                 cursor[self.pinv[r]] += 1;
             }
         }
-        self.lt = ColumnStore::from_parts(counts, idx, val);
+        ColumnStore::from_parts(counts, idx, val)
     }
 
     /// Moves the `U` factor out (for the dynamic Forrest–Tomlin engine),
@@ -410,12 +401,12 @@ impl LuFactors {
 
     /// Hyper-sparse backward solve `L^T q = w`: `c` is position-indexed,
     /// `out` (zeroed, row-indexed) receives the result over the reach set
-    /// only. Requires [`Self::ensure_transpose`] to have run.
+    /// only.
     pub fn lt_solve_sparse(&self, c: &IndexedVec, out: &mut IndexedVec, ws: &mut LuWorkspace) {
         debug_assert!(c.is_sparse());
-        debug_assert_eq!(self.lt.ncols(), self.m, "build_transpose not run");
+        let lt = self.lt.get_or_init(|| self.transpose());
         ws.reach(self.m, c.indices(), |i, child| {
-            self.lt.col(i).0.get(child).copied()
+            lt.col(i).0.get(child).copied()
         });
         for i in (0..ws.topo.len()).rev() {
             let k = ws.topo[i];

@@ -261,10 +261,6 @@ pub struct LpSolution {
     pub objective: f64,
     /// Structural variable values.
     pub x: Vec<f64>,
-    /// Dual values per row (sign convention: minimisation, `A x - s = 0`).
-    pub duals: Vec<f64>,
-    /// Row activities `A x`.
-    pub row_activity: Vec<f64>,
     /// Simplex iterations used (total over all phases).
     pub iterations: usize,
     /// Iterations broken down by phase (composite phase-I, primal

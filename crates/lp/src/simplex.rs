@@ -25,9 +25,9 @@
 //! the `n + m` columns per iteration. Bland's rule (full scan) engages
 //! after a stall is detected, preserving the anti-cycling guarantee.
 
-use crate::basis::{Basis, BasisUpdate, FactorState};
+use crate::basis::{Basis, BasisScratch, BasisUpdate, FactorState, RefactorCause};
 use crate::problem::{LpSolution, LpStatus, Problem};
-use crate::sparse::IndexedVec;
+use crate::sparse::{IndexedVec, PosSet};
 
 /// Simplex iteration counts broken down by phase, plus the ratio-test
 /// side-counters that explain *why* the iteration counts are what they are.
@@ -54,6 +54,8 @@ use crate::sparse::IndexedVec;
 /// fallbacks ([`Self::sparse_hit_rate`]), how dense the solve results were
 /// ([`Self::mean_solve_density`]), and how the basis absorbed updates
 /// (Forrest–Tomlin vs. product-form etas vs. full refactorisations).
+/// Every refactorisation is also counted under exactly one cause — the
+/// six `refactor_*` fields sum to [`Self::refactorizations`].
 ///
 /// ```
 /// use sqpr_lp::PivotCounts;
@@ -90,6 +92,24 @@ pub struct PivotCounts {
     pub pfi_updates: usize,
     /// Basis refactorisations performed.
     pub refactorizations: usize,
+    /// Refactorisations at a solve's start with no cached factors under
+    /// its generation: no token, a renewed one, or a dropped cache.
+    pub refactor_no_cache: usize,
+    /// Refactorisations at a solve's start whose cached factors were for a
+    /// different basic set.
+    pub refactor_basis_changed: usize,
+    /// Refactorisations forced by the pivot cap between refactorisations.
+    pub refactor_pivot_cap: usize,
+    /// Refactorisations forced by the update representation's fill or
+    /// count cap (Forrest–Tomlin fill growth or update cap, product-form
+    /// eta count or fill).
+    pub refactor_update_fill: usize,
+    /// Refactorisations after a rejected Forrest–Tomlin update fell back
+    /// to a product-form eta.
+    pub refactor_rejected_update: usize,
+    /// Refactorisations after the dual loop's pivot cross-check found
+    /// numerical drift.
+    pub refactor_drift: usize,
     /// Solves that re-installed a cached [`crate::basis::FactorState`]
     /// instead of refactorising (the workspace's factor cache hit: the
     /// requested basic set, update mode and matrix generation all matched).
@@ -125,6 +145,30 @@ impl PivotCounts {
         }
     }
 
+    /// Sum of the six `refactor_*` cause counters — equal to
+    /// [`Self::refactorizations`] for every solve and every sum of solves.
+    pub fn refactor_causes(&self) -> usize {
+        self.refactor_no_cache
+            + self.refactor_basis_changed
+            + self.refactor_pivot_cap
+            + self.refactor_update_fill
+            + self.refactor_rejected_update
+            + self.refactor_drift
+    }
+
+    /// Counts one refactorisation under `cause` (the total itself comes
+    /// from the basis).
+    fn note_refactor(&mut self, cause: RefactorCause) {
+        *match cause {
+            RefactorCause::NoCachedFactors => &mut self.refactor_no_cache,
+            RefactorCause::BasisChanged => &mut self.refactor_basis_changed,
+            RefactorCause::PivotCap => &mut self.refactor_pivot_cap,
+            RefactorCause::UpdateFill => &mut self.refactor_update_fill,
+            RefactorCause::RejectedUpdate => &mut self.refactor_rejected_update,
+            RefactorCause::Drift => &mut self.refactor_drift,
+        } += 1;
+    }
+
     /// Mean density of solve results: nonzeros over basis dimension,
     /// averaged across every recorded solve (0 when none).
     pub fn mean_solve_density(&self) -> f64 {
@@ -153,6 +197,12 @@ impl PivotCounts {
             ft_updates,
             pfi_updates,
             refactorizations,
+            refactor_no_cache,
+            refactor_basis_changed,
+            refactor_pivot_cap,
+            refactor_update_fill,
+            refactor_rejected_update,
+            refactor_drift,
             factor_reattaches,
             distress_refactors,
             distress_escalations,
@@ -170,6 +220,12 @@ impl PivotCounts {
         self.ft_updates += ft_updates;
         self.pfi_updates += pfi_updates;
         self.refactorizations += refactorizations;
+        self.refactor_no_cache += refactor_no_cache;
+        self.refactor_basis_changed += refactor_basis_changed;
+        self.refactor_pivot_cap += refactor_pivot_cap;
+        self.refactor_update_fill += refactor_update_fill;
+        self.refactor_rejected_update += refactor_rejected_update;
+        self.refactor_drift += refactor_drift;
         self.factor_reattaches += factor_reattaches;
         self.distress_refactors += distress_refactors;
         self.distress_escalations += distress_escalations;
@@ -297,7 +353,8 @@ pub enum PricingRule {
 pub struct SimplexOptions {
     /// Hard cap on simplex iterations; 0 means `40 * (n + m) + 2000`.
     pub max_iters: usize,
-    /// Primal feasibility tolerance (absolute, on variable bounds).
+    /// Primal feasibility tolerance (absolute, on variable bounds; not
+    /// negative).
     pub tol_feas: f64,
     /// Dual feasibility / reduced-cost tolerance.
     pub tol_dual: f64,
@@ -360,7 +417,9 @@ impl Default for SimplexOptions {
 /// `O(n + m)` vectors (and the dual loop two more per entry). Passing the
 /// same `LpWorkspace` to the `_ws` entry points
 /// ([`solve_with_bounds_from_ws`]) reuses those allocations; the plain
-/// entry points create a throwaway workspace internally.
+/// entry points create a throwaway workspace internally. The basis's solve
+/// scratch lives here too ([`BasisScratch`]), so the detached
+/// [`FactorState`] holds factors only.
 #[derive(Debug, Default)]
 pub struct LpWorkspace {
     lb: Vec<f64>,
@@ -372,11 +431,20 @@ pub struct LpWorkspace {
     w: IndexedVec,
     rho: IndexedVec,
     rhs: Vec<f64>,
+    /// All `false` between solves; see [`Solver::banned`].
     banned: Vec<bool>,
+    banned_list: Vec<usize>,
     devex: Vec<f64>,
+    /// Zero outside `alpha_touched` between solves.
     alpha: Vec<f64>,
     alpha_touched: Vec<usize>,
     candidates: Vec<usize>,
+    /// All `false` between solves; see [`Solver::marks`].
+    marks: Vec<bool>,
+    violated: PosSet,
+    costed: PosSet,
+    priceable: PosSet,
+    basis_scratch: BasisScratch,
     /// Dual-loop buffers (hoisted from per-entry allocations).
     dual_d: Vec<f64>,
     dual_tau: Vec<f64>,
@@ -633,8 +701,10 @@ pub(crate) struct Solver<'a> {
     /// tracked — the hyper-sparse hot path).
     pub(crate) w: IndexedVec,
     pub(crate) rhs: Vec<f64>,
-    /// Columns excluded from pricing this round (failed pivots).
+    /// Columns excluded from pricing this round (failed pivots), listed in
+    /// `banned_list` so lifting the bans costs what was banned.
     pub(crate) banned: Vec<bool>,
+    pub(crate) banned_list: Vec<usize>,
     pub(crate) iterations: usize,
     /// Per-phase iteration counters (phase-I / primal / dual).
     pub(crate) pivots: PivotCounts,
@@ -683,6 +753,35 @@ pub(crate) struct Solver<'a> {
     pub(crate) dual_cands: Vec<(usize, f64, f64)>,
     pub(crate) dual_viol: Vec<usize>,
     pub(crate) dual_in_viol: Vec<bool>,
+    /// Basis positions whose basic value lies strictly outside its bounds
+    /// (`x < lb || x > ub`; a NaN is not). Re-judged at every position a
+    /// step moves and at every pivot position, rebuilt whenever every
+    /// basic value is recomputed. The primal loop's infeasibility extents
+    /// and the phase-I duals walk it instead of all `m` positions: a
+    /// position outside it contributes exactly nothing to either.
+    pub(crate) violated: PosSet,
+    /// Basis positions whose basic variable is a structural with a nonzero
+    /// working cost. Re-judged at every pivot position, rebuilt when the
+    /// basis is (re)built or repaired and when the perturbation is
+    /// stripped. The phase-II duals walk it: it is exactly the support of
+    /// the basic-cost vector.
+    pub(crate) costed: PosSet,
+    /// Columns pricing can pick: nonbasic and not bound-fixed (`lb != ub`).
+    /// Updated at every basis change, rebuilt with the statuses. Pricing
+    /// and the dual loop's reduced-cost passes walk it instead of all
+    /// `n + m` columns; a column outside it never prices as attractive.
+    pub(crate) priceable: PosSet,
+    /// Scratch membership flags over all `n + m` variables, `false`
+    /// between uses (each use resets what it set), so a solve allocates
+    /// and clears nothing for them.
+    pub(crate) marks: Vec<bool>,
+}
+
+/// Whether `v` lies strictly outside `[lb, ub]` — the membership test of
+/// [`Solver::violated`].
+#[inline]
+pub(crate) fn outside(v: f64, lb: f64, ub: f64) -> bool {
+    v < lb || v > ub
 }
 
 /// Outcome of one pricing step.
@@ -719,6 +818,10 @@ impl<'a> Solver<'a> {
         let m = p.nrows();
         assert_eq!(col_lb.len(), n);
         assert_eq!(col_ub.len(), n);
+        debug_assert!(
+            opts.tol_feas >= 0.0 || opts.tol_feas.is_nan(),
+            "tol_feas must not be negative"
+        );
         let (row_lb, row_ub) = p.row_bounds();
         let mut lb = std::mem::take(&mut ws.lb);
         let mut ub = std::mem::take(&mut ws.ub);
@@ -731,23 +834,27 @@ impl<'a> Solver<'a> {
 
         // Nonbasic structural variables start at the finite bound closest to
         // zero; free variables park at zero. Slacks form the initial basis —
-        // unless a basis hint overrides both below.
+        // unless a basis hint overrides both.
         let mut status = std::mem::take(&mut ws.status);
         let mut x = std::mem::take(&mut ws.x);
         status.clear();
         x.clear();
-        for j in 0..n {
-            let (s, v) = initial_nonbasic(lb[j], ub[j]);
-            status.push(s);
-            x.push(v);
+        let mut marks = std::mem::take(&mut ws.marks);
+        if marks.len() < n + m {
+            marks.resize(n + m, false);
         }
-        for _ in 0..m {
-            status.push(VarStatus::Basic);
-            x.push(0.0);
-        }
-        let basic = match hint {
-            Some(h) => adapt_hint(h, n, m, &lb, &ub, &mut status, &mut x),
-            None => (n..n + m).collect(),
+        let (basic, seated) = match hint {
+            Some(h) => adapt_hint(h, n, m, &lb, &ub, &mut status, &mut x, &mut marks),
+            None => {
+                for j in 0..n {
+                    let (s, v) = initial_nonbasic(lb[j], ub[j]);
+                    status.push(s);
+                    x.push(v);
+                }
+                status.resize(n + m, VarStatus::Basic);
+                x.resize(n + m, 0.0);
+                ((n..n + m).collect(), true)
+            }
         };
         let cached = if ws.factor_token != 0
             && ws
@@ -759,12 +866,18 @@ impl<'a> Solver<'a> {
         } else {
             None
         };
+        let miss_cause = if cached.is_some() {
+            RefactorCause::BasisChanged
+        } else {
+            RefactorCause::NoCachedFactors
+        };
         let (basis, factor_hit) = Basis::build(
             p.matrix(),
             basic,
             opts.basis_update,
             opts.ft_fill_limit,
             cached,
+            std::mem::take(&mut ws.basis_scratch),
         );
         // Deterministic multiplicative cost perturbation: breaks the massive
         // dual degeneracy of big-M models without changing the optimal basis
@@ -791,20 +904,32 @@ impl<'a> Solver<'a> {
         w.reset(m);
         let mut rho = std::mem::take(&mut ws.rho);
         rho.reset(m);
+        // Every entry is written by `recompute_basics` before it is read.
         let mut rhs = std::mem::take(&mut ws.rhs);
-        rhs.clear();
         rhs.resize(m, 0.0);
+        // `banned` and `alpha` come back clean except where their lists
+        // say, so sizing them writes only what grew.
         let mut banned = std::mem::take(&mut ws.banned);
-        banned.clear();
+        let mut banned_list = std::mem::take(&mut ws.banned_list);
+        for &j in &banned_list {
+            if let Some(b) = banned.get_mut(j) {
+                *b = false;
+            }
+        }
+        banned_list.clear();
         banned.resize(n + m, false);
         let mut devex = std::mem::take(&mut ws.devex);
         devex.clear();
         devex.resize(n + m, 1.0);
         let mut alpha = std::mem::take(&mut ws.alpha);
-        alpha.clear();
-        alpha.resize(n + m, 0.0);
         let mut alpha_touched = std::mem::take(&mut ws.alpha_touched);
+        for &c in &alpha_touched {
+            if let Some(a) = alpha.get_mut(c) {
+                *a = 0.0;
+            }
+        }
         alpha_touched.clear();
+        alpha.resize(n + m, 0.0);
         let mut candidates = std::mem::take(&mut ws.candidates);
         candidates.clear();
         // The pivot cap between refactorisations: Forrest–Tomlin keys on
@@ -830,6 +955,7 @@ impl<'a> Solver<'a> {
             w,
             rhs,
             banned,
+            banned_list,
             iterations: 0,
             pivots: PivotCounts::default(),
             window: effective_window(opts.pricing_window, n + m),
@@ -853,15 +979,27 @@ impl<'a> Solver<'a> {
             dual_cands: std::mem::take(&mut ws.dual_cands),
             dual_viol: std::mem::take(&mut ws.dual_viol),
             dual_in_viol: std::mem::take(&mut ws.dual_in_viol),
+            violated: std::mem::take(&mut ws.violated),
+            costed: std::mem::take(&mut ws.costed),
+            priceable: std::mem::take(&mut ws.priceable),
+            marks,
         };
         s.pivots.factor_reattaches = factor_hit as usize;
+        if !factor_hit {
+            s.pivots.note_refactor(miss_cause);
+        }
         // A hinted basis may have been repaired during factorisation
-        // (slack substitution for singular/dropped columns); reconcile the
-        // statuses with what the basis actually holds.
-        if hint.is_some() {
+        // (slack substitution for singular/dropped columns), and a hint may
+        // claim more basics than it seats; reconcile the statuses with what
+        // the basis actually holds — unless neither can have happened.
+        if hint.is_some() && !(factor_hit && seated) {
             s.reconcile_statuses();
         }
+        debug_assert!(s.statuses_match_basis());
+        s.rebuild_priceable();
         s.recompute_basics();
+        s.rebuild_costed();
+        debug_assert!(s.sets_match_scan());
         s
     }
 
@@ -888,25 +1026,105 @@ impl<'a> Solver<'a> {
     /// every variable the basis holds becomes `Basic`; variables the basis
     /// dropped (factorisation repair) are parked at their nearest bound.
     fn reconcile_statuses(&mut self) {
-        let mut is_basic = vec![false; self.n + self.m];
-        for pos in 0..self.m {
-            is_basic[self.basis.basic_at(pos)] = true;
+        let Solver {
+            basis,
+            marks,
+            status,
+            x,
+            lb,
+            ub,
+            ..
+        } = self;
+        let basic = basis.basic_columns();
+        for &j in basic {
+            marks[j] = true;
         }
-        for j in 0..self.n + self.m {
-            match (is_basic[j], self.status[j]) {
-                (true, _) => self.status[j] = VarStatus::Basic,
+        for j in 0..status.len() {
+            match (marks[j], status[j]) {
+                (true, _) => status[j] = VarStatus::Basic,
                 (false, VarStatus::Basic) => {
-                    let (s, v) = nearest_bound(self.x[j], self.lb[j], self.ub[j]);
-                    self.status[j] = s;
-                    self.x[j] = v;
+                    let (s, v) = nearest_bound(x[j], lb[j], ub[j]);
+                    status[j] = s;
+                    x[j] = v;
                 }
                 _ => {}
             }
         }
+        for &j in basic {
+            marks[j] = false;
+        }
+    }
+
+    /// Whether every variable the basis holds has status `Basic` and no
+    /// other does — what [`Self::reconcile_statuses`] establishes, and what
+    /// every pivot keeps (checked in debug builds).
+    fn statuses_match_basis(&self) -> bool {
+        let mut seated = vec![false; self.n + self.m];
+        for &j in self.basis.basic_columns() {
+            seated[j] = true;
+        }
+        (0..self.n + self.m).all(|j| seated[j] == (self.status[j] == VarStatus::Basic))
+    }
+
+    /// Whether column `j` is in [`Self::priceable`]: nonbasic and not
+    /// bound-fixed.
+    #[inline]
+    fn is_priceable(&self, j: usize) -> bool {
+        self.status[j] != VarStatus::Basic && self.lb[j] != self.ub[j]
+    }
+
+    /// Brings the maintained sets up to date after a pivot put `entering`
+    /// at basis position `pos` and made `leaving` nonbasic.
+    pub(crate) fn note_pivot(&mut self, pos: usize, entering: usize, leaving: usize) {
+        self.violated.assign(pos, self.is_violated(pos));
+        self.costed.assign(pos, self.is_costed(pos));
+        self.priceable.assign(entering, false);
+        self.priceable.assign(leaving, self.is_priceable(leaving));
+        debug_assert!(self.sets_match_scan());
+    }
+
+    /// Rebuilds [`Self::priceable`] from the statuses and bounds.
+    fn rebuild_priceable(&mut self) {
+        let mut set = std::mem::take(&mut self.priceable);
+        set.rebuild(self.n + self.m, |j| self.is_priceable(j));
+        self.priceable = set;
+    }
+
+    /// Whether basis position `pos` belongs in [`Self::violated`].
+    #[inline]
+    fn is_violated(&self, pos: usize) -> bool {
+        let j = self.basis.basic_at(pos);
+        outside(self.x[j], self.lb[j], self.ub[j])
+    }
+
+    /// Whether basis position `pos` belongs in [`Self::costed`].
+    #[inline]
+    fn is_costed(&self, pos: usize) -> bool {
+        let j = self.basis.basic_at(pos);
+        j < self.n && self.work_obj[j] != 0.0
+    }
+
+    /// Rebuilds [`Self::costed`] from the basis and the working costs.
+    fn rebuild_costed(&mut self) {
+        let mut set = std::mem::take(&mut self.costed);
+        set.rebuild(self.m, |pos| self.is_costed(pos));
+        self.costed = set;
+    }
+
+    /// Whether the maintained sets equal a full scan, bit for bit
+    /// (checked after every update in debug builds).
+    pub(crate) fn sets_match_scan(&self) -> bool {
+        let mut scan = PosSet::default();
+        scan.rebuild(self.m, |pos| self.is_violated(pos));
+        let mut same = scan == self.violated;
+        scan.rebuild(self.m, |pos| self.is_costed(pos));
+        same &= scan == self.costed;
+        scan.rebuild(self.n + self.m, |j| self.is_priceable(j));
+        same && scan == self.priceable
     }
 
     /// Recomputes basic variable values from the nonbasic point:
-    /// `B x_B = -N x_N`.
+    /// `B x_B = -N x_N`, and rebuilds [`Self::violated`] from them.
     fn recompute_basics(&mut self) {
         self.rhs.iter_mut().for_each(|v| *v = 0.0);
         for j in 0..self.n + self.m {
@@ -923,10 +1141,13 @@ impl<'a> Solver<'a> {
             }
         }
         self.basis.ftran(&mut self.rhs);
-        for pos in 0..self.m {
+        let mut set = std::mem::take(&mut self.violated);
+        set.rebuild(self.m, |pos| {
             let j = self.basis.basic_at(pos);
             self.x[j] = self.rhs[pos];
-        }
+            outside(self.rhs[pos], self.lb[j], self.ub[j])
+        });
+        self.violated = set;
     }
 
     /// Total and largest single bound violation over basic variables, in
@@ -936,19 +1157,18 @@ impl<'a> Solver<'a> {
     /// gradient), and the Harris ratio test deliberately admits
     /// per-variable violations up to the tolerance whose sum may exceed
     /// it while every phase-I gradient entry is zero. The total drives
-    /// stall detection.
+    /// stall detection. Walks [`Self::violated`]: the violating positions
+    /// in ascending order, the terms and order of a scan over all `m`.
     pub(crate) fn infeasibility_extents(&self) -> (f64, f64) {
         let mut total = 0.0;
         let mut worst = 0.0f64;
-        for pos in 0..self.m {
+        for pos in self.violated.iter() {
             let j = self.basis.basic_at(pos);
             let v = self.x[j];
             let viol = if v < self.lb[j] {
                 self.lb[j] - v
-            } else if v > self.ub[j] {
-                v - self.ub[j]
             } else {
-                continue;
+                v - self.ub[j]
             };
             total += viol;
             worst = worst.max(viol);
@@ -991,26 +1211,28 @@ impl<'a> Solver<'a> {
     /// Computes duals for the active phase into `self.y`. The basic-cost
     /// vector is assembled with its pattern tracked — phase-I costs near
     /// feasibility and warm phase-II costs over slack-heavy bases are
-    /// sparse, which lets the BTRAN take the hyper-sparse kernels.
+    /// sparse, which lets the BTRAN take the hyper-sparse kernels. Its
+    /// support is read off the maintained sets — phase-I costs are nonzero
+    /// only on [`Self::violated`] (the tolerance is not negative), phase-II
+    /// costs exactly on [`Self::costed`] — walked in ascending order, so
+    /// the pattern is the one a scan over all `m` positions builds.
     pub(crate) fn compute_duals(&mut self, phase1: bool) {
         let mut y = std::mem::take(&mut self.y);
         y.clear();
-        for pos in 0..self.m {
-            let j = self.basis.basic_at(pos);
-            let c = if phase1 {
+        if phase1 {
+            let tol = self.opts.tol_feas;
+            for pos in self.violated.iter() {
+                let j = self.basis.basic_at(pos);
                 let v = self.x[j];
-                if v < self.lb[j] - self.opts.tol_feas {
-                    -1.0
-                } else if v > self.ub[j] + self.opts.tol_feas {
-                    1.0
-                } else {
-                    0.0
+                if v < self.lb[j] - tol {
+                    y.set(pos, -1.0);
+                } else if v > self.ub[j] + tol {
+                    y.set(pos, 1.0);
                 }
-            } else {
-                self.phase_cost(j, false)
-            };
-            if c != 0.0 {
-                y.set(pos, c);
+            }
+        } else {
+            for pos in self.costed.iter() {
+                y.set(pos, self.work_obj[self.basis.basic_at(pos)]);
             }
         }
         self.basis.btran_sp(&mut y, &mut self.ewma_duals);
@@ -1067,10 +1289,15 @@ impl<'a> Solver<'a> {
     /// - Partial: re-price the candidate short-list first (still valid
     ///   after bound flips — the duals are unchanged), then scan a
     ///   rotating window; only an empty full rotation proves optimality.
+    ///
+    /// Every scan visits only [`Self::priceable`] — basic and bound-fixed
+    /// columns never price as attractive — in the order a scan of all
+    /// columns meets them; the window's cursor and count still advance
+    /// over every column, so it closes where it always did.
     fn price(&mut self, phase1: bool, bland: bool) -> Pricing {
         let total = self.n + self.m;
         if bland {
-            for j in 0..total {
+            for j in self.priceable.iter() {
                 if let Some((dir, _)) = self.price_one(j, phase1) {
                     return Pricing::Enter { j, dir };
                 }
@@ -1080,7 +1307,7 @@ impl<'a> Solver<'a> {
 
         let mut best: Option<(usize, f64, f64)> = None; // (j, dir, score)
         if self.window >= total {
-            for j in 0..total {
+            for j in self.priceable.iter() {
                 if let Some((dir, score)) = self.price_one(j, phase1) {
                     if best.is_none_or(|(_, _, s)| score > s) {
                         best = Some((j, dir, score));
@@ -1113,6 +1340,25 @@ impl<'a> Solver<'a> {
         // Rotating window scan; a full empty rotation proves optimality.
         let mut scanned = 0usize;
         while scanned < total {
+            // The columns up to the next priceable one cannot price; the
+            // scan passes them unless the window closes or the rotation
+            // completes among them.
+            let gap = self
+                .priceable
+                .next_from(self.price_cursor)
+                .or_else(|| self.priceable.next_from(0))
+                .map_or(total, |j| (j + total - self.price_cursor) % total);
+            let room = if best.is_some() {
+                self.window.saturating_sub(scanned)
+            } else {
+                total - scanned
+            };
+            if gap >= room {
+                self.price_cursor = (self.price_cursor + room) % total;
+                break;
+            }
+            self.price_cursor = (self.price_cursor + gap) % total;
+            scanned += gap;
             let j = self.price_cursor;
             self.price_cursor = (self.price_cursor + 1) % total;
             scanned += 1;
@@ -1412,7 +1658,7 @@ impl<'a> Solver<'a> {
             if progress {
                 stall = 0;
                 bland = false;
-                self.banned.iter_mut().for_each(|b| *b = false);
+                self.lift_bans();
             } else {
                 stall += 1;
                 if stall > self.opts.stall_limit {
@@ -1437,6 +1683,7 @@ impl<'a> Solver<'a> {
                         // objective (usually a handful of pivots).
                         self.perturbed = false;
                         self.work_obj.copy_from_slice(self.p.objective());
+                        self.rebuild_costed();
                         last_obj = f64::INFINITY;
                         self.duals_valid = false;
                         continue;
@@ -1462,18 +1709,19 @@ impl<'a> Solver<'a> {
                     if phase1 {
                         // Cannot happen for a consistent model: infeasibility
                         // is bounded below. Treat as numerical trouble.
-                        self.banned[j] = true;
+                        self.ban(j);
                         continue;
                     }
                     break LpStatus::Unbounded;
                 }
                 Ratio::Stuck => {
-                    self.banned[j] = true;
+                    self.ban(j);
                     continue;
                 }
                 Ratio::BoundFlip { t } => {
                     self.pivots.bound_flips += 1;
                     self.apply_step(j, dir, t);
+                    debug_assert!(self.sets_match_scan());
                     self.status[j] = match self.status[j] {
                         VarStatus::AtLower => VarStatus::AtUpper,
                         VarStatus::AtUpper => VarStatus::AtLower,
@@ -1498,13 +1746,17 @@ impl<'a> Solver<'a> {
                     self.update_devex_primal(j, pos);
                     self.basis.replace(pos, j, &self.w);
                     self.status[j] = VarStatus::Basic;
+                    self.note_pivot(pos, j, leaving);
                     self.duals_valid = false;
                     self.pivots_since_refactor += 1;
 
-                    if self.pivots_since_refactor >= self.refactor_every
-                        || self.basis.should_refactorize()
-                    {
-                        self.refactorize_and_repair();
+                    let due = if self.pivots_since_refactor >= self.refactor_every {
+                        Some(RefactorCause::PivotCap)
+                    } else {
+                        self.basis.refactor_due()
+                    };
+                    if let Some(cause) = due {
+                        self.refactorize_and_repair(cause);
                         self.pivots_since_refactor = 0;
                     }
                 }
@@ -1578,34 +1830,66 @@ impl<'a> Solver<'a> {
         }
     }
 
+    /// Excludes column `j` from pricing until the next progress.
+    fn ban(&mut self, j: usize) {
+        if !self.banned[j] {
+            self.banned[j] = true;
+            self.banned_list.push(j);
+        }
+    }
+
+    /// Lifts every ban (progress was made).
+    fn lift_bans(&mut self) {
+        for &j in &self.banned_list {
+            self.banned[j] = false;
+        }
+        self.banned_list.clear();
+    }
+
     /// Moves the entering variable by `t` along `dir`, updating basics
-    /// (only `w`'s support moves).
+    /// (only `w`'s support moves) and re-judging each moved position's
+    /// membership of [`Self::violated`].
     fn apply_step(&mut self, j: usize, dir: f64, t: f64) {
         if t > 0.0 {
             self.x[j] += dir * t;
-            let Solver { w, x, basis, .. } = self;
+            let Solver {
+                w,
+                x,
+                basis,
+                lb,
+                ub,
+                violated,
+                ..
+            } = self;
             w.for_each_nonzero(|pos, wv| {
                 let bj = basis.basic_at(pos);
                 x[bj] -= dir * t * wv;
+                violated.assign(pos, outside(x[bj], lb[bj], ub[bj]));
             });
         }
     }
 
-    pub(crate) fn refactorize_and_repair(&mut self) {
+    /// Refactorises for `cause` (counted), then re-derives everything the
+    /// factors determine: statuses, basic values and both position sets.
+    pub(crate) fn refactorize_and_repair(&mut self, cause: RefactorCause) {
+        self.pivots.note_refactor(cause);
         // The repair may kick variables out for slacks; we cannot know
         // which from the return value alone, so statuses are reconciled
-        // from the basis content itself.
-        let _ = self.basis.refactorize();
-        self.reconcile_statuses();
+        // from the basis content itself. Without a repair the basis, and
+        // with it every status, is what it was.
+        if !self.basis.refactorize().is_empty() {
+            self.reconcile_statuses();
+            self.rebuild_priceable();
+        }
+        debug_assert!(self.statuses_match_basis());
         self.recompute_basics();
+        self.rebuild_costed();
+        debug_assert!(self.sets_match_scan());
         self.duals_valid = false;
     }
 
     pub(crate) fn finish(mut self, status: LpStatus, ws: &mut LpWorkspace) -> LpSolution {
-        // Final duals under the true objective.
-        self.compute_duals(false);
         let x: Vec<f64> = self.x[..self.n].to_vec();
-        let row_activity: Vec<f64> = (0..self.m).map(|i| self.x[self.n + i]).collect();
         let objective = self.p.objective_value(&x);
         let basis = self.capture_basis();
         // Fold the basis's solve-path counters into the pivot report.
@@ -1617,12 +1901,11 @@ impl<'a> Solver<'a> {
         self.pivots.ft_updates += bstats.ft_updates;
         self.pivots.pfi_updates += bstats.pfi_updates;
         self.pivots.refactorizations += self.basis.refactor_count();
+        debug_assert_eq!(self.pivots.refactor_causes(), self.pivots.refactorizations);
         let solution = LpSolution {
             status,
             objective,
             x,
-            duals: self.y.as_slice().to_vec(),
-            row_activity,
             iterations: self.iterations,
             pivots: self.pivots,
             basis: Some(basis),
@@ -1638,6 +1921,7 @@ impl<'a> Solver<'a> {
         ws.rho = self.rho;
         ws.rhs = self.rhs;
         ws.banned = self.banned;
+        ws.banned_list = self.banned_list;
         ws.devex = self.devex;
         ws.alpha = self.alpha;
         ws.alpha_touched = self.alpha_touched;
@@ -1648,8 +1932,14 @@ impl<'a> Solver<'a> {
         ws.dual_cands = self.dual_cands;
         ws.dual_viol = self.dual_viol;
         ws.dual_in_viol = self.dual_in_viol;
+        ws.violated = self.violated;
+        ws.costed = self.costed;
+        ws.priceable = self.priceable;
+        ws.marks = self.marks;
+        let (state, scratch) = self.basis.into_state(ws.factor_token);
+        ws.basis_scratch = scratch;
         if ws.factor_token != 0 {
-            ws.factor_cache = Some(self.basis.into_state(ws.factor_token));
+            ws.factor_cache = Some(state);
         }
         solution
     }
@@ -1681,18 +1971,23 @@ const DEVEX_RESET: f64 = 1e4;
 const HARRIS_RELAX_FRAC: f64 = 0.01;
 
 /// Adapts a basis hint (possibly captured from a differently-sized
-/// problem) to the current `m x n` dimensions, writing nonbasic statuses
-/// and values into `status`/`x` and returning the repaired basic set.
-/// See [`BasisState`] for the contract.
+/// problem) to the current `m x n` dimensions, pushing every variable's
+/// status and value onto `status`/`x` (both empty on entry) and returning
+/// the repaired basic set, and whether it seats every variable the
+/// statuses call basic (so only a factorisation repair can leave work for
+/// `reconcile_statuses`). `marks` covers `n + m` flags, all `false`, and is
+/// returned so. See [`BasisState`] for the contract.
+#[allow(clippy::too_many_arguments)]
 fn adapt_hint(
     h: &BasisState,
     n: usize,
     m: usize,
     lb: &[f64],
     ub: &[f64],
-    status: &mut [VarStatus],
-    x: &mut [f64],
-) -> Vec<usize> {
+    status: &mut Vec<VarStatus>,
+    x: &mut Vec<f64>,
+    marks: &mut [bool],
+) -> (Vec<usize>, bool) {
     // Map a capture-time global index to a current one.
     let remap = |g: usize| -> Option<usize> {
         if g < h.ncols {
@@ -1703,40 +1998,45 @@ fn adapt_hint(
         }
     };
 
-    // Statuses for surviving variables. A nonbasic status referring to an
-    // infinite bound (bounds may have changed between solves) is
-    // re-derived from the current bounds.
-    let mut apply = |j: usize, s: VarBasisStatus| {
-        let (st, v) = match s {
-            VarBasisStatus::Basic => (VarStatus::Basic, 0.0),
-            VarBasisStatus::AtLower if lb[j].is_finite() => (VarStatus::AtLower, lb[j]),
-            VarBasisStatus::AtUpper if ub[j].is_finite() => (VarStatus::AtUpper, ub[j]),
-            VarBasisStatus::Free if !lb[j].is_finite() && !ub[j].is_finite() => {
-                (VarStatus::FreeNb, 0.0)
-            }
-            _ => initial_nonbasic(lb[j], ub[j]),
+    // Statuses: a surviving variable takes its hinted status (re-derived
+    // from the current bounds when it refers to an infinite one); appended
+    // columns enter nonbasic at their bound nearest zero, slacks of
+    // appended rows basic at zero.
+    let hinted_cols = n.min(h.ncols).min(h.status.len());
+    let hinted_rows = m.min(h.status.len().saturating_sub(h.ncols));
+    let mut claimed = 0usize; // variables whose status says basic
+    for j in 0..n {
+        let (s, v) = if j < hinted_cols {
+            hinted_status(h.status[j], lb[j], ub[j])
+        } else {
+            initial_nonbasic(lb[j], ub[j])
         };
-        status[j] = st;
-        x[j] = v;
-    };
-    for (g, &s) in h.status.iter().enumerate() {
-        if let Some(j) = remap(g) {
-            apply(j, s);
-        }
+        claimed += usize::from(s == VarStatus::Basic);
+        status.push(s);
+        x.push(v);
+    }
+    for i in 0..m {
+        let (s, v) = if i < hinted_rows {
+            hinted_status(h.status[h.ncols + i], lb[n + i], ub[n + i])
+        } else {
+            (VarStatus::Basic, 0.0)
+        };
+        claimed += usize::from(s == VarStatus::Basic);
+        status.push(s);
+        x.push(v);
     }
 
     // Basic set: surviving entries keep their order; slacks of appended
     // rows join; dropped columns leave holes filled by unused slacks
     // (slack substitution).
-    let mut in_basis = vec![false; n + m];
     let mut basic = Vec::with_capacity(m);
     for &g in &h.basic {
         if basic.len() == m {
             break;
         }
         if let Some(j) = remap(g) {
-            if !in_basis[j] {
-                in_basis[j] = true;
+            if !marks[j] {
+                marks[j] = true;
                 basic.push(j);
             }
         }
@@ -1745,27 +2045,43 @@ fn adapt_hint(
         if basic.len() == m {
             break;
         }
-        if !in_basis[n + i] {
-            in_basis[n + i] = true;
+        if !marks[n + i] {
+            marks[n + i] = true;
             basic.push(n + i);
         }
     }
     let mut next_slack = 0usize;
     while basic.len() < m {
-        while in_basis[n + next_slack] {
+        while marks[n + next_slack] {
             next_slack += 1;
         }
-        in_basis[n + next_slack] = true;
+        marks[n + next_slack] = true;
         basic.push(n + next_slack);
     }
 
     // The basis owns these variables regardless of what the status map
     // said; anything claiming Basic without a seat is reseated after
     // factorisation by `reconcile_statuses`.
+    let mut seated_claims = 0usize;
     for &j in &basic {
+        seated_claims += usize::from(status[j] == VarStatus::Basic);
         status[j] = VarStatus::Basic;
+        marks[j] = false;
     }
-    basic
+    (basic, seated_claims == claimed)
+}
+
+/// The status and value a hinted status gives a variable under its
+/// current bounds: a nonbasic status naming an infinite bound is
+/// re-derived.
+fn hinted_status(s: VarBasisStatus, lb: f64, ub: f64) -> (VarStatus, f64) {
+    match s {
+        VarBasisStatus::Basic => (VarStatus::Basic, 0.0),
+        VarBasisStatus::AtLower if lb.is_finite() => (VarStatus::AtLower, lb),
+        VarBasisStatus::AtUpper if ub.is_finite() => (VarStatus::AtUpper, ub),
+        VarBasisStatus::Free if !lb.is_finite() && !ub.is_finite() => (VarStatus::FreeNb, 0.0),
+        _ => initial_nonbasic(lb, ub),
+    }
 }
 
 fn initial_nonbasic(lb: f64, ub: f64) -> (VarStatus, f64) {
@@ -1822,6 +2138,12 @@ mod tests {
             ft_updates: 10,
             pfi_updates: 11,
             refactorizations: 12,
+            refactor_no_cache: 1,
+            refactor_basis_changed: 2,
+            refactor_pivot_cap: 3,
+            refactor_update_fill: 4,
+            refactor_rejected_update: 1,
+            refactor_drift: 1,
             factor_reattaches: 13,
             distress_refactors: 14,
             distress_escalations: 15,
@@ -1840,6 +2162,12 @@ mod tests {
             ft_updates: 1000,
             pfi_updates: 1100,
             refactorizations: 1200,
+            refactor_no_cache: 100,
+            refactor_basis_changed: 200,
+            refactor_pivot_cap: 300,
+            refactor_update_fill: 400,
+            refactor_rejected_update: 100,
+            refactor_drift: 100,
             factor_reattaches: 1300,
             distress_refactors: 1400,
             distress_escalations: 1500,
@@ -1864,6 +2192,12 @@ mod tests {
             ft_updates: 1010,
             pfi_updates: 1111,
             refactorizations: 1212,
+            refactor_no_cache: 101,
+            refactor_basis_changed: 202,
+            refactor_pivot_cap: 303,
+            refactor_update_fill: 404,
+            refactor_rejected_update: 101,
+            refactor_drift: 101,
             factor_reattaches: 1313,
             distress_refactors: 1414,
             distress_escalations: 1515,
@@ -1871,6 +2205,96 @@ mod tests {
         };
         assert_eq!(ab, expect);
         assert_eq!(ab.total(), 101 + 202 + 303);
+        assert_eq!(ab.refactor_causes(), ab.refactorizations);
+    }
+
+    /// An 8 x 8 transportation LP: enough pivots to cross every
+    /// refactorisation trigger a test can set.
+    fn transport() -> Problem {
+        let mut b = ProblemBuilder::new();
+        let k = 8;
+        let cols: Vec<usize> = (0..k * k)
+            .map(|c| b.add_col(((c * 7) % 11 + 1) as f64, 0.0, INF))
+            .collect();
+        for s in 0..k {
+            let r = b.add_row(-INF, (3 + s % 4) as f64);
+            for t in 0..k {
+                b.set_coeff(r, cols[s * k + t], 1.0);
+            }
+        }
+        for t in 0..k {
+            let r = b.add_row((2 + t % 3) as f64, INF);
+            for s in 0..k {
+                b.set_coeff(r, cols[s * k + t], 1.0);
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn refactor_causes_sum_to_refactorizations() {
+        let p = transport();
+        let (lb, ub) = p.col_bounds();
+        let mut seen = PivotCounts::default();
+        let mut check = |s: &LpSolution| {
+            assert_eq!(s.status, LpStatus::Optimal);
+            assert_eq!(s.pivots.refactor_causes(), s.pivots.refactorizations);
+            seen.merge(&s.pivots);
+        };
+        for opts in [
+            SimplexOptions {
+                refactor_interval: 1,
+                ..SimplexOptions::default()
+            },
+            SimplexOptions {
+                ft_fill_limit: 1.0,
+                ..SimplexOptions::default()
+            },
+            SimplexOptions {
+                basis_update: BasisUpdate::ProductForm,
+                refactor_interval: 3,
+                ..SimplexOptions::default()
+            },
+        ] {
+            let mut ws = LpWorkspace::new();
+            ws.begin_factor_generation(1);
+            let cold = solve_with_bounds_from_ws(&p, lb, ub, None, &opts, &mut ws);
+            check(&cold);
+            let factors = ws.take_factor_state();
+            // Re-attached: the hint's basic set is the factors' own.
+            ws.install_factor_state(1, factors.clone());
+            let again = solve_with_bounds_from_ws(&p, lb, ub, cold.basis.as_ref(), &opts, &mut ws);
+            assert_eq!(again.pivots.factor_reattaches, 1);
+            check(&again);
+            // Cached factors for another basic set: the slack basis's.
+            let slack = BasisState {
+                ncols: p.ncols(),
+                nrows: p.nrows(),
+                basic: (p.ncols()..p.ncols() + p.nrows()).collect(),
+                status: vec![VarBasisStatus::AtLower; p.ncols()]
+                    .into_iter()
+                    .chain(vec![VarBasisStatus::Basic; p.nrows()])
+                    .collect(),
+            };
+            ws.install_factor_state(1, factors);
+            check(&solve_with_bounds_from_ws(
+                &p,
+                lb,
+                ub,
+                Some(&slack),
+                &opts,
+                &mut ws,
+            ));
+        }
+        assert!(seen.refactorizations > 0);
+        for (cause, n) in [
+            ("no cache", seen.refactor_no_cache),
+            ("basis changed", seen.refactor_basis_changed),
+            ("pivot cap", seen.refactor_pivot_cap),
+            ("update fill", seen.refactor_update_fill),
+        ] {
+            assert!(n > 0, "no refactorisation for cause {cause}: {seen:?}");
+        }
     }
 
     #[test]
@@ -2159,9 +2583,16 @@ mod tests {
         assert_eq!(s.status, LpStatus::Optimal);
         approx(s.x[0], 1.6);
         approx(s.x[1], 1.2);
-        // Both rows tight; duals should reconstruct the objective:
+        // Both rows tight, so both structurals are basic. The duals of the
+        // returned basis, B' y = c_B, must reconstruct the objective:
         // y' A = c for basic structurals.
-        let d = &s.duals;
+        let basic = s.basis.expect("solves report their basis").basic;
+        let mut mat = Basis::new(p.matrix(), basic.clone(), BasisUpdate::ForrestTomlin);
+        let mut d: Vec<f64> = basic
+            .iter()
+            .map(|&j| p.objective().get(j).copied().unwrap_or(0.0))
+            .collect();
+        mat.btran(&mut d);
         approx(d[0] + 3.0 * d[1], -1.0);
         approx(2.0 * d[0] + d[1], -1.0);
     }

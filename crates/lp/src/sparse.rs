@@ -441,6 +441,65 @@ impl std::ops::Index<usize> for IndexedVec {
     }
 }
 
+/// A set of indices `0..len` as a bitset: O(1) updates, and an ascending
+/// walk that reads `len / 64` words plus one step per member — the simplex
+/// keeps sets of basis positions in these and walks them where it used to
+/// scan every position, meeting the members in the same order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct PosSet {
+    words: Vec<u64>,
+}
+
+impl PosSet {
+    /// Makes the set exactly `{ i < len : member(i) }`, a word at a time.
+    pub(crate) fn rebuild(&mut self, len: usize, mut member: impl FnMut(usize) -> bool) {
+        self.words.clear();
+        self.words.extend((0..len.div_ceil(64)).map(|k| {
+            let lo = 64 * k;
+            (lo..len.min(lo + 64)).fold(0u64, |word, i| word | (u64::from(member(i)) << (i - lo)))
+        }));
+    }
+
+    /// Puts `i` in the set (`member`) or takes it out.
+    #[inline]
+    pub(crate) fn assign(&mut self, i: usize, member: bool) {
+        let bit = 1u64 << (i % 64);
+        let word = &mut self.words[i / 64];
+        if member {
+            *word |= bit;
+        } else {
+            *word &= !bit;
+        }
+    }
+
+    /// The smallest member at or after `i`.
+    pub(crate) fn next_from(&self, i: usize) -> Option<usize> {
+        let mut k = i / 64;
+        let mut word = self.words.get(k)? & (!0u64 << (i % 64));
+        loop {
+            if word != 0 {
+                return Some(64 * k + word.trailing_zeros() as usize);
+            }
+            k += 1;
+            word = *self.words.get(k)?;
+        }
+    }
+
+    /// The members, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(k, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    64 * k + bit
+                })
+            })
+        })
+    }
+}
+
 /// Row-major mirror of a [`CscMatrix`] (CSR), giving fast row access for
 /// algorithms the column-major layout cannot serve — the dual simplex's
 /// pivot-row computation. Built once per matrix and cached (see
@@ -798,6 +857,29 @@ mod tests {
         assert!(v.is_sparse());
         assert_eq!(v.nnz(), 2);
         assert_eq!(v.count_nonzeros(), 2);
+    }
+
+    #[test]
+    fn pos_set_walks_members_ascending() {
+        let members = [0usize, 5, 63, 64, 65, 127, 128, 199];
+        let mut set = PosSet::default();
+        set.rebuild(200, |i| members.contains(&i));
+        assert_eq!(set.iter().collect::<Vec<_>>(), members);
+        assert_eq!(set.next_from(0), Some(0));
+        assert_eq!(set.next_from(6), Some(63));
+        assert_eq!(set.next_from(66), Some(127));
+        assert_eq!(set.next_from(129), Some(199));
+        assert_eq!(set.next_from(200), None);
+        set.assign(64, false);
+        set.assign(70, true);
+        assert_eq!(
+            set.iter().collect::<Vec<_>>(),
+            [0, 5, 63, 65, 70, 127, 128, 199]
+        );
+        let mut empty = PosSet::default();
+        empty.rebuild(130, |_| false);
+        assert_eq!(empty.iter().count(), 0);
+        assert_eq!(empty.next_from(0), None);
     }
 
     #[test]

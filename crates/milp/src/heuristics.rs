@@ -1,12 +1,12 @@
-//! Primal heuristics for branch & bound.
+//! The primal heuristic of branch & bound: diving.
 //!
-//! Both heuristics work on the minimisation-form LP and report candidate
-//! incumbents `(objective, x)`; the caller validates them against the model
-//! before accepting.
+//! It works on the minimisation-form LP and reports candidate incumbents
+//! `(objective, x)`; the caller validates them against the model before
+//! accepting.
 
 use sqpr_lp::{
-    solve_with_bounds, solve_with_bounds_from_ws, BasisState, LpStatus, LpWorkspace, PivotCounts,
-    Problem, SimplexOptions,
+    solve_with_bounds_from_ws, BasisState, LpStatus, LpWorkspace, PivotCounts, Problem,
+    SimplexOptions,
 };
 
 /// Maximum number of fixing rounds in a dive (defensive; a dive fixes at
@@ -98,33 +98,6 @@ pub fn dive(
     None
 }
 
-/// Simple rounding heuristic: round every integer to its nearest value
-/// within bounds, then re-solve the LP over the continuous variables only.
-pub fn round_and_complete(
-    lp: &Problem,
-    integers: &[usize],
-    lb: &[f64],
-    ub: &[f64],
-    x0: &[f64],
-    lp_opts: &SimplexOptions,
-    lp_iterations: &mut usize,
-) -> Option<(f64, Vec<f64>)> {
-    let mut lb = lb.to_vec();
-    let mut ub = ub.to_vec();
-    for &j in integers {
-        let v = x0[j].round().clamp(lb[j], ub[j]);
-        lb[j] = v;
-        ub[j] = v;
-    }
-    let sol = solve_with_bounds(lp, &lb, &ub, lp_opts);
-    *lp_iterations += sol.iterations;
-    if sol.status == LpStatus::Optimal {
-        Some((sol.objective, sol.x))
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,24 +136,6 @@ mod tests {
         assert!(x.iter().all(|v| (v - v.round()).abs() < 1e-9));
         // Best integral point: one variable at 1, the other at 0 (sum<=1.5).
         assert!(obj <= -1.0 + 1e-9);
-    }
-
-    #[test]
-    fn round_and_complete_basic() {
-        let lp = toy();
-        let mut iters = 0;
-        let got = round_and_complete(
-            &lp,
-            &[0],
-            &[0.0, 0.0],
-            &[1.0, 1.0],
-            &[0.9, 0.3],
-            &SimplexOptions::default(),
-            &mut iters,
-        );
-        let (_, x) = got.expect("feasible completion");
-        assert_eq!(x[0], 1.0);
-        assert!(x[1] <= 0.5 + 1e-9); // row forces y <= 0.5
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! # sqpr-milp
 //!
 //! A mixed-integer linear programming solver: modelling API plus branch &
-//! bound over the [`sqpr_lp`] simplex, with rounding/diving primal
-//! heuristics and deterministic solve budgets.
+//! bound over the [`sqpr_lp`] simplex, with a diving primal heuristic and
+//! deterministic solve budgets.
 //!
 //! The SQPR paper hands its planning model (a MILP) to CPLEX with a timeout
 //! and deploys the best incumbent found. This crate reproduces that contract

@@ -1,8 +1,8 @@
 //! Branch & bound over LP relaxations.
 //!
 //! Best-bound node selection, most-fractional branching with objective
-//! tie-breaks, rounding and diving primal heuristics, and deterministic
-//! budgets (node counts) with optional wall-clock limits — mirroring how the
+//! tie-breaks, a diving primal heuristic, and deterministic budgets (node
+//! counts) with optional wall-clock limits — mirroring how the
 //! paper drives CPLEX with a per-query timeout and takes the incumbent.
 //!
 //! # Preemption
@@ -361,16 +361,18 @@ impl PartialOrd for OrdNode {
 }
 impl Ord for OrdNode {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: smaller est = higher priority. Tie-break on depth
-        // (prefer deeper nodes: closer to integral), then on smaller id
-        // (creation order) so the order is total: `BinaryHeap` is not
-        // stable, and a resumed search needs pops to be a pure function of
-        // the heap's *contents*.
-        other
-            .0
-            .est
-            .partial_cmp(&self.0.est)
-            .unwrap_or(Ordering::Equal)
+        // Reverse: smaller est = higher priority; a NaN bound is the worst
+        // bound there is, below every number (and equal to another NaN).
+        // Tie-break on depth (prefer deeper nodes: closer to integral),
+        // then on smaller id (creation order) so the order is total:
+        // `BinaryHeap` is not stable, and a resumed search needs pops to be
+        // a pure function of the heap's *contents*.
+        let (mine, theirs) = (self.0.est, other.0.est);
+        let by_bound = match (mine.is_nan(), theirs.is_nan()) {
+            (false, false) => theirs.partial_cmp(&mine).unwrap_or(Ordering::Equal),
+            (nan_mine, nan_theirs) => nan_theirs.cmp(&nan_mine),
+        };
+        by_bound
             .then(self.0.depth.cmp(&other.0.depth))
             .then(other.0.id.cmp(&self.0.id))
     }
@@ -1146,7 +1148,7 @@ impl<'a> Bnb<'a> {
                 hint,
                 &self.opts.lp,
                 self.factor_token,
-                node.seed.as_deref(),
+                node.seed,
                 self.ws,
             );
             self.core.lp_iterations += sol.iterations;
@@ -1308,7 +1310,8 @@ struct NodeEval {
 /// cross-solve carry-over — the detached factor cache — is explicitly
 /// installed from the node's seed first and detached into the result
 /// after, so the outcome depends only on the arguments, never on which
-/// solve the workspace served last.
+/// solve the workspace served last. The seed is taken by value: the last
+/// node to hold its parent's factors moves them in, the others copy.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_node_lp(
     lp: &Problem,
@@ -1317,10 +1320,11 @@ fn evaluate_node_lp(
     hint: Option<&BasisState>,
     lp_opts: &SimplexOptions,
     token: u64,
-    seed: Option<&FactorState>,
+    seed: Option<Rc<FactorState>>,
     ws: &mut LpWorkspace,
 ) -> NodeEval {
-    ws.install_factor_state(token, seed.cloned());
+    let seed = seed.map(|rc| Rc::try_unwrap(rc).unwrap_or_else(|shared| (*shared).clone()));
+    ws.install_factor_state(token, seed);
     let sol = solve_with_bounds_recovering_ws(lp, lp_lb, lp_ub, hint, lp_opts, ws);
     let factors = ws.take_factor_state().map(Rc::new);
     NodeEval { sol, factors }
@@ -1469,6 +1473,72 @@ mod tests {
         ));
         if let Some(x) = &r.x {
             assert!(m.is_feasible(x, 1e-6));
+        }
+    }
+
+    fn ord_node(id: u64, est: f64, depth: usize) -> OrdNode {
+        OrdNode(Node {
+            id,
+            est,
+            depth,
+            chain: None,
+            basis: None,
+            seed: None,
+        })
+    }
+
+    #[test]
+    fn node_order_is_total_with_nan_bounds_last() {
+        let nan = ord_node(0, f64::NAN, 5);
+        let finite = ord_node(1, 1e9, 0);
+        assert_eq!(nan.cmp(&finite), Ordering::Less, "NaN is the worst bound");
+        assert_eq!(finite.cmp(&nan), Ordering::Greater);
+        assert_eq!(nan.cmp(&ord_node(2, f64::INFINITY, 0)), Ordering::Less);
+        // Two NaN bounds tie on the bound and fall through to depth, then id.
+        assert_eq!(nan.cmp(&ord_node(3, f64::NAN, 4)), Ordering::Greater);
+        assert_eq!(nan.cmp(&ord_node(3, -f64::NAN, 5)), Ordering::Greater);
+        // Numbers order as before, ±0 tie included.
+        assert_eq!(
+            ord_node(4, 1.0, 0).cmp(&ord_node(5, 2.0, 9)),
+            Ordering::Greater
+        );
+        assert_eq!(
+            ord_node(4, 0.0, 1).cmp(&ord_node(5, -0.0, 1)),
+            Ordering::Greater
+        );
+        assert_eq!(
+            ord_node(6, -0.0, 1).cmp(&ord_node(5, 0.0, 1)),
+            Ordering::Less
+        );
+        // Pops are a function of the contents: every insertion order of a
+        // frontier holding NaN bounds pops the same sequence.
+        let frontier = [
+            (0, f64::NAN, 2),
+            (1, 3.0, 1),
+            (2, f64::NAN, 2),
+            (3, -1.0, 4),
+            (4, 3.0, 2),
+            (5, 0.0, 0),
+            (6, -0.0, 0),
+        ];
+        let pops = |order: &[usize]| {
+            let mut heap: BinaryHeap<OrdNode> = order
+                .iter()
+                .map(|&k| {
+                    let (id, est, depth) = frontier[k];
+                    ord_node(id, est, depth)
+                })
+                .collect();
+            std::iter::from_fn(|| heap.pop().map(|n| n.0.id)).collect::<Vec<_>>()
+        };
+        let want = pops(&[0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(want, vec![3, 5, 6, 4, 1, 0, 2]);
+        for order in [
+            [6, 5, 4, 3, 2, 1, 0],
+            [2, 0, 6, 1, 5, 3, 4],
+            [4, 2, 3, 0, 1, 6, 5],
+        ] {
+            assert_eq!(pops(&order), want);
         }
     }
 

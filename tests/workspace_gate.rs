@@ -3,13 +3,23 @@
 //! `cargo test` at the workspace root builds the root package only, and the
 //! warm path's exactness rests on equivalences the member crates test: a
 //! cached LP lowering against a fresh one, a suspended search against an
-//! uninterrupted one, the skeleton's memoised passes against the full ones.
+//! uninterrupted one, the skeleton's memoised passes against the full ones,
+//! the simplex's maintained sets against the pivots they must not move.
 //! Their public-API suites are compiled into this target as they stand, so
 //! the command a contributor runs exercises slot-vs-fresh and
 //! shortcut-vs-full-pass too (a few seconds; the suites' own seed counts).
 //! The crate-private halves — the adjacency-driven rebuild, presolve on the
 //! slot's mirror, restricted point validation — stay unit tests of
 //! `sqpr-milp`, under `cargo test --workspace`.
+
+#[path = "../crates/lp/tests/proptest_simplex.rs"]
+mod proptest_simplex;
+
+#[path = "../crates/lp/tests/proptest_dual.rs"]
+mod proptest_dual;
+
+#[path = "../crates/lp/tests/pivot_trace.rs"]
+mod pivot_trace;
 
 #[path = "../crates/milp/tests/proptest_cache.rs"]
 mod proptest_cache;
@@ -19,3 +29,9 @@ mod proptest_preempt;
 
 #[path = "../crates/core/tests/proptest_incremental_model.rs"]
 mod proptest_incremental_model;
+
+#[path = "../crates/core/tests/deadline_admission.rs"]
+mod deadline_admission;
+
+#[path = "../crates/core/tests/failure_recovery.rs"]
+mod failure_recovery;
