@@ -61,11 +61,7 @@ pub fn adapt_to_observed_rates(
         .collect();
 
     for q in affected {
-        report.replanned.push(q);
-        match planner.replan_query(q) {
-            Ok(outcome) if outcome.admitted => report.readmitted.push(q),
-            _ => report.dropped.push(q),
-        }
+        report.replan(planner, q);
     }
 
     // Criterion (b): shortage anywhere -> sweep every admitted query once.
@@ -76,15 +72,23 @@ pub fn adapt_to_observed_rates(
                 break;
             }
             if !report.replanned.contains(&q) {
-                report.replanned.push(q);
-                match planner.replan_query(q) {
-                    Ok(outcome) if outcome.admitted => report.readmitted.push(q),
-                    _ => report.dropped.push(q),
-                }
+                report.replan(planner, q);
             }
         }
     }
     report
+}
+
+impl AdaptReport {
+    /// The adaptation's replan step: re-plan `q` and file it as
+    /// re-admitted or dropped.
+    fn replan(&mut self, planner: &mut SqprPlanner, q: QueryId) {
+        self.replanned.push(q);
+        match planner.replan_query(q) {
+            Ok(outcome) if outcome.admitted => self.readmitted.push(q),
+            _ => self.dropped.push(q),
+        }
+    }
 }
 
 /// The feedback loop between the metrics layer and §IV-B re-planning.

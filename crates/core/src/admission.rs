@@ -1,39 +1,29 @@
 //! Deadline-bounded admission: anytime verdicts and the admission queue.
 //!
-//! With [`PlannerConfig::node_quantum`](crate::PlannerConfig::node_quantum)
-//! set, every planning solve runs as a sequence of preemptible slices
-//! ([`sqpr_milp::solve_preemptible`]); with
-//! [`round_deadline`](crate::PlannerConfig::round_deadline) also set, a
-//! round that is still open when its (deterministic, node-counted)
-//! deadline expires answers *anytime* instead of burning the full budget:
+//! Every planning round — a live submission, a resumed one, a storm or an
+//! adaptation replan — runs the same steps in `planner.rs`: the slice
+//! driver, the install gate and [`RoundVerdict`]'s rule. What differs is
+//! the fallback policy over a round that did not admit; this module holds
+//! the queue's (the recovery storm's is in [`crate::recovery`]).
 //!
-//! - an **admitting incumbent** is installed immediately —
-//!   [`Admitted::IncumbentAtDeadline`], optimality deliberately forfeited;
-//! - otherwise the suspended search is **parked** —
-//!   [`Rejected::DeadlineNoCertificate`], a provisional rejection.
+//! With [`round_deadline`](crate::PlannerConfig::round_deadline) set, a
+//! submission round still open at its node deadline answers *anytime*: an
+//! admitting incumbent is installed ([`Admitted::IncumbentAtDeadline`]),
+//! otherwise the suspended search is parked
+//! ([`Rejected::DeadlineNoCertificate`], a provisional rejection).
 //!
 //! The [`AdmissionQueue`] owns the parked rounds. Each [`pump`] tick
-//! resumes the eligible ones **in park order** (deterministic), granting
-//! another `round_deadline` nodes per attempt, with exponential
-//! logical-tick backoff between attempts. A round that exhausts
+//! resumes the eligible ones **in park order** (deterministic), another
+//! `round_deadline` nodes per attempt, continuing each search bit-for-bit
+//! where it left off. A round still open **retries** with exponential
+//! logical-tick backoff; once
 //! [`admission_max_retries`](crate::PlannerConfig::admission_max_retries)
-//! descends PR 7's degradation ladder:
-//!
-//! 1. **resume** — bounded retries of the suspended search (progress is
-//!    never thrown away: the search continues bit-for-bit where it left
-//!    off);
-//! 2. **incumbent handoff** — at any deadline expiry, an incumbent that
-//!    admits the query is installed;
-//! 3. **greedy install** — the constructive baseline placement
-//!    ([`SqprPlanner::admit_greedy`]);
-//! 4. **defer** — the round is marked deferred and its next resume runs
-//!    *unbounded*, producing a proven verdict either way.
-//!
-//! [`drain`] forces every parked round to a terminal verdict (unbounded
-//! resumes), so after a quiet period the queue is empty and every
-//! submission ever parked is accounted for in the [`AdmissionRecord`] log
-//! — there is no silent-drop path, mirroring the recovery storm's
-//! [`StormReport`](crate::StormReport) contract.
+//! run dry it gets the **greedy** baseline placement
+//! ([`SqprPlanner::admit_greedy`]), else it is **deferred** to one
+//! unbounded resume, which produces a proven verdict. [`drain`] gives every
+//! parked round that unbounded resume now. Every submission routed through
+//! the queue ends with exactly one [`AdmissionRecord`] — there is no
+//! silent-drop path.
 //!
 //! [`pump`]: AdmissionQueue::pump
 //! [`drain`]: AdmissionQueue::drain
@@ -51,8 +41,8 @@ pub enum Admitted {
     /// The solver proved the admitting placement optimal.
     Proven,
     /// Admitted by an anytime handoff without an optimality certificate:
-    /// the best incumbent at a deadline/budget expiry, or the degradation
-    /// ladder's greedy install.
+    /// the best incumbent at a deadline/budget expiry, or the queue's
+    /// greedy fallback.
     IncumbentAtDeadline,
 }
 
@@ -77,20 +67,21 @@ pub enum RoundVerdict {
 }
 
 impl RoundVerdict {
-    /// Maps a *completed* (non-preempted) round to its verdict: proofs
-    /// require a terminal solver status, everything else is an anytime
-    /// answer.
-    pub(crate) fn of_result(admitted: bool, status: MilpStatus) -> Self {
-        if admitted {
-            if status == MilpStatus::Optimal {
-                RoundVerdict::Admitted(Admitted::Proven)
+    /// The verdict rule every solved round closes with: a proof needs a
+    /// search that ran to completion (`!at_deadline`) with a terminal
+    /// solver status; everything else is an anytime answer.
+    pub(crate) fn of(admitted: bool, status: MilpStatus, at_deadline: bool) -> Self {
+        let proven = !at_deadline
+            && if admitted {
+                status == MilpStatus::Optimal
             } else {
-                RoundVerdict::Admitted(Admitted::IncumbentAtDeadline)
-            }
-        } else if matches!(status, MilpStatus::Optimal | MilpStatus::Infeasible) {
-            RoundVerdict::Rejected(Rejected::Proven)
-        } else {
-            RoundVerdict::Rejected(Rejected::DeadlineNoCertificate)
+                matches!(status, MilpStatus::Optimal | MilpStatus::Infeasible)
+            };
+        match (admitted, proven) {
+            (true, true) => RoundVerdict::Admitted(Admitted::Proven),
+            (true, false) => RoundVerdict::Admitted(Admitted::IncumbentAtDeadline),
+            (false, true) => RoundVerdict::Rejected(Rejected::Proven),
+            (false, false) => RoundVerdict::Rejected(Rejected::DeadlineNoCertificate),
         }
     }
 
@@ -107,7 +98,7 @@ impl RoundVerdict {
     }
 }
 
-/// The rung of the degradation ladder that produced a terminal verdict.
+/// How the queue reached a submission's terminal verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionPath {
     /// Resolved by the submission round itself (no parking involved).
@@ -140,14 +131,14 @@ struct Parked {
     attempts: u32,
     /// Logical tick at which the next resume attempt may run.
     eligible_at: u64,
-    /// Ladder rung 4: the next resume runs unbounded.
+    /// Deferred (or draining): the next resume runs unbounded.
     deferred: bool,
 }
 
 /// Admission front-end for deadline-bounded planning: parks
 /// deadline-preempted submissions (suspended search included) and resumes
 /// them in deterministic order under bounded retries with logical-tick
-/// backoff. See the module docs for the full ladder.
+/// backoff. See the module docs for its fallback policy.
 #[derive(Default)]
 pub struct AdmissionQueue {
     parked: VecDeque<Parked>,
@@ -200,12 +191,7 @@ impl AdmissionQueue {
                 eligible_at: self.tick + 1,
                 deferred: false,
             }),
-            None => self.log.push(AdmissionRecord {
-                query: outcome.query,
-                verdict: outcome.verdict,
-                attempts: 0,
-                path: AdmissionPath::Direct,
-            }),
+            None => self.record(&outcome, 0, AdmissionPath::Direct),
         }
         Ok(outcome)
     }
@@ -213,79 +199,43 @@ impl AdmissionQueue {
     /// One logical tick: resumes every eligible parked round in park order,
     /// each under another `round_deadline` node budget (deferred rounds run
     /// unbounded). Returns the outcomes of the rounds that resolved this
-    /// tick. Rounds that stay open are re-parked with exponential backoff
-    /// until their retries run dry, then descend the ladder (greedy
-    /// install, else deferred).
+    /// tick. Rounds that stay open retry with exponential backoff until
+    /// their retries run dry, then get the greedy placement or are
+    /// deferred.
     pub fn pump(&mut self, planner: &mut SqprPlanner) -> Vec<PlanningOutcome> {
         self.tick += 1;
         let max_retries = planner.config().admission_max_retries;
         let backoff = planner.config().admission_backoff_base.max(1);
-        let deadline = planner.config().round_deadline;
         let mut resolved = Vec::new();
         for _ in 0..self.parked.len() {
-            let Some(mut p) = self.parked.pop_front() else {
+            let Some(p) = self.parked.pop_front() else {
                 break;
             };
             if p.eligible_at > self.tick {
                 self.parked.push_back(p);
                 continue;
             }
-            p.attempts += 1;
-            let budget = if p.deferred { None } else { deadline };
-            let path = if p.deferred {
-                AdmissionPath::DeferredReplan
-            } else {
-                AdmissionPath::Resumed
-            };
-            match planner.resume_parked(p.round, budget) {
-                ResumeOutcome::Resolved(outcome) => {
-                    let path = if outcome.verdict
-                        == RoundVerdict::Admitted(Admitted::IncumbentAtDeadline)
-                        && !outcome.proved_optimal
-                        && !p.deferred
-                    {
-                        AdmissionPath::IncumbentHandoff
-                    } else {
-                        path
-                    };
-                    self.log.push(AdmissionRecord {
-                        query: outcome.query,
-                        verdict: outcome.verdict,
-                        attempts: p.attempts,
-                        path,
-                    });
+            let mut p = match self.resume(planner, p) {
+                Ok(outcome) => {
                     resolved.push(outcome);
+                    continue;
                 }
-                ResumeOutcome::StillOpen(round) => {
-                    if p.attempts < max_retries {
-                        // Rung 1: retry later, exponential logical backoff.
-                        p.eligible_at = self.tick + (backoff << (p.attempts - 1).min(32) as u64);
-                        p.round = round;
-                        self.parked.push_back(p);
-                    } else if matches!(planner.admit_greedy(round.query()), Ok(true)) {
-                        // Rung 3: greedy install — served at degraded
-                        // quality; the suspended search is dropped.
-                        let outcome = degraded_outcome(
-                            round.query(),
-                            round.nodes_done(),
-                            RoundVerdict::Admitted(Admitted::IncumbentAtDeadline),
-                        );
-                        self.log.push(AdmissionRecord {
-                            query: outcome.query,
-                            verdict: outcome.verdict,
-                            attempts: p.attempts,
-                            path: AdmissionPath::GreedyInstall,
-                        });
-                        resolved.push(outcome);
-                    } else {
-                        // Rung 4: defer — the next resume runs unbounded
-                        // and must produce a proven verdict.
-                        p.deferred = true;
-                        p.eligible_at = self.tick + 1;
-                        p.round = round;
-                        self.parked.push_back(p);
-                    }
-                }
+                Err(p) => p,
+            };
+            if p.attempts < max_retries {
+                p.eligible_at = self.tick + (backoff << (p.attempts - 1).min(32) as u64);
+                self.parked.push_back(p);
+                continue;
+            }
+            let outcome = greedy(planner, &p);
+            if outcome.admitted {
+                self.record(&outcome, p.attempts, AdmissionPath::GreedyInstall);
+                resolved.push(outcome);
+            } else {
+                // The next resume runs unbounded and proves a verdict.
+                p.deferred = true;
+                p.eligible_at = self.tick + 1;
+                self.parked.push_back(p);
             }
         }
         resolved
@@ -294,64 +244,114 @@ impl AdmissionQueue {
     /// Forces every parked round to a terminal verdict *now*: each gets
     /// one unbounded resume (the parked search completes, reusing all
     /// progress). After `drain` the queue is empty — the zero-silent-drops
-    /// guarantee the deadline-storm scenario pins.
+    /// guarantee the deadline-storm scenario pins. The logical tick does
+    /// not advance.
     pub fn drain(&mut self, planner: &mut SqprPlanner) -> Vec<PlanningOutcome> {
         let mut resolved = Vec::new();
         while let Some(mut p) = self.parked.pop_front() {
-            p.attempts += 1;
-            match planner.resume_parked(p.round, None) {
-                ResumeOutcome::Resolved(outcome) => {
-                    self.log.push(AdmissionRecord {
-                        query: outcome.query,
-                        verdict: outcome.verdict,
-                        attempts: p.attempts,
-                        path: AdmissionPath::DeferredReplan,
-                    });
-                    resolved.push(outcome);
-                }
-                // Unreachable (an unbounded resume always completes), but
-                // kept panic-free: fall back to the greedy rung and record
-                // the answer rather than dropping the submission.
-                ResumeOutcome::StillOpen(round) => {
-                    let admitted = matches!(planner.admit_greedy(round.query()), Ok(true));
-                    let verdict = if admitted {
-                        RoundVerdict::Admitted(Admitted::IncumbentAtDeadline)
-                    } else {
-                        RoundVerdict::Rejected(Rejected::DeadlineNoCertificate)
-                    };
-                    let outcome = degraded_outcome(round.query(), round.nodes_done(), verdict);
-                    self.log.push(AdmissionRecord {
-                        query: outcome.query,
-                        verdict,
-                        attempts: p.attempts,
-                        path: AdmissionPath::GreedyInstall,
-                    });
-                    resolved.push(outcome);
-                }
-            }
+            p.deferred = true;
+            let outcome = self.resume(planner, p).unwrap_or_else(|p| {
+                // Only an armed wall deadline stops an unbounded resume:
+                // record the greedy answer rather than drop the submission.
+                let outcome = greedy(planner, &p);
+                self.record(&outcome, p.attempts, AdmissionPath::GreedyInstall);
+                outcome
+            });
+            resolved.push(outcome);
         }
         resolved
     }
+
+    /// The resolve-and-record step `pump` and `drain` share: one resume
+    /// attempt (unbounded once deferred), recorded in the ledger when the
+    /// round resolves; a round still open is handed back.
+    fn resume(
+        &mut self,
+        planner: &mut SqprPlanner,
+        mut p: Parked,
+    ) -> Result<PlanningOutcome, Parked> {
+        p.attempts += 1;
+        let budget = if p.deferred {
+            None
+        } else {
+            planner.config().round_deadline
+        };
+        match planner.resume_parked(p.round, budget) {
+            ResumeOutcome::Resolved(outcome) => {
+                let path = if p.deferred {
+                    AdmissionPath::DeferredReplan
+                } else if outcome.verdict == RoundVerdict::Admitted(Admitted::IncumbentAtDeadline) {
+                    AdmissionPath::IncumbentHandoff
+                } else {
+                    AdmissionPath::Resumed
+                };
+                self.record(&outcome, p.attempts, path);
+                Ok(outcome)
+            }
+            ResumeOutcome::StillOpen(round) => {
+                p.round = round;
+                Err(p)
+            }
+        }
+    }
+
+    fn record(&mut self, outcome: &PlanningOutcome, attempts: u32, path: AdmissionPath) {
+        self.log.push(AdmissionRecord {
+            query: outcome.query,
+            verdict: outcome.verdict,
+            attempts,
+            path,
+        });
+    }
 }
 
-/// Outcome synthesized for a ladder resolution that never re-entered the
-/// solver (greedy install / defensive fallback).
-fn degraded_outcome(q: QueryId, nodes: usize, verdict: RoundVerdict) -> PlanningOutcome {
-    PlanningOutcome {
-        query: q,
-        admitted: verdict.is_admitted(),
-        reused_existing: false,
-        nodes,
-        lp_iterations: 0,
-        lp_pivots: sqpr_milp::PivotCounts::default(),
-        gap: f64::INFINITY,
-        solve_time: std::time::Duration::ZERO,
-        model_vars: 0,
-        model_cons: 0,
-        proved_optimal: false,
-        status: MilpStatus::Unknown,
-        incremental: false,
-        lp_cache: sqpr_milp::CacheStats::default(),
-        verdict,
+/// The greedy rung: the baseline placement for a parked query, its
+/// suspended search dropped.
+fn greedy(planner: &mut SqprPlanner, p: &Parked) -> PlanningOutcome {
+    let q = p.round.query();
+    let verdict = if matches!(planner.admit_greedy(q), Ok(true)) {
+        RoundVerdict::Admitted(Admitted::IncumbentAtDeadline)
+    } else {
+        RoundVerdict::Rejected(Rejected::DeadlineNoCertificate)
+    };
+    PlanningOutcome::unsolved(q, verdict, p.round.nodes_done())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The verdict rule over every (admitted, status, node deadline)
+    /// combination: only a completed search with a terminal status proves.
+    #[test]
+    fn verdict_rule_table() {
+        use MilpStatus::*;
+        // (status, proven when admitted, proven when rejected), deadline off.
+        let table = [
+            (Optimal, true, true),
+            (Feasible, false, false),
+            (Infeasible, false, true),
+            (Unbounded, false, false),
+            (Unknown, false, false),
+        ];
+        for (status, admit_proven, reject_proven) in table {
+            for at_deadline in [false, true] {
+                let ctx = format!("{status:?}, at_deadline={at_deadline}");
+                let admit = RoundVerdict::of(true, status, at_deadline);
+                let want = if admit_proven && !at_deadline {
+                    Admitted::Proven
+                } else {
+                    Admitted::IncumbentAtDeadline
+                };
+                assert_eq!(admit, RoundVerdict::Admitted(want), "admitted, {ctx}");
+                let reject = RoundVerdict::of(false, status, at_deadline);
+                let want = if reject_proven && !at_deadline {
+                    Rejected::Proven
+                } else {
+                    Rejected::DeadlineNoCertificate
+                };
+                assert_eq!(reject, RoundVerdict::Rejected(want), "rejected, {ctx}");
+            }
+        }
     }
 }

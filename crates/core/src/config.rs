@@ -231,9 +231,9 @@ pub struct PlannerConfig {
     /// queue's back.
     pub round_deadline: Option<usize>,
     /// Resume attempts a deadline-preempted submission gets from the
-    /// admission queue before the degradation ladder takes over (incumbent
-    /// handoff → greedy install → deferred full replan). Each attempt
-    /// grants another `round_deadline` nodes.
+    /// admission queue before it falls back (greedy install, else a
+    /// deferred unbounded resume). Each attempt grants another
+    /// `round_deadline` nodes.
     pub admission_max_retries: u32,
     /// Backoff base, in logical queue ticks, between resume attempts of a
     /// parked submission: attempt `k` waits `admission_backoff_base << (k-1)`

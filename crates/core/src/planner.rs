@@ -17,7 +17,7 @@ use sqpr_milp::{
     MilpStatus, MilpWarmStart, ModelBasis, PivotCounts, SearchState, SolveOutcome,
 };
 
-use crate::admission::{Admitted, Rejected, RoundVerdict};
+use crate::admission::{Admitted, RoundVerdict};
 use crate::config::{AcyclicityMode, ObjectiveWeights, PlannerConfig, RelayPolicy};
 use crate::greedy::greedy_admit;
 use crate::model::{AvailabilityCut, CutRegistry, ModelInputs, PlanningModel};
@@ -101,11 +101,76 @@ pub struct PlanningOutcome {
     /// Anytime admission verdict of the round (see [`crate::admission`]):
     /// whether the admit/reject decision carries an optimality/infeasibility
     /// certificate or stopped on a budget/deadline. A
-    /// [`Rejected::DeadlineNoCertificate`] round may have parked a suspended
+    /// [`crate::Rejected::DeadlineNoCertificate`] round may have parked a suspended
     /// search for the admission queue to retry
     /// ([`crate::AdmissionQueue`]) — the rejection is provisional.
     pub verdict: RoundVerdict,
 }
+
+impl PlanningOutcome {
+    /// A round that reached the solver and closed through the install
+    /// gate; `at_deadline` says its search was still open when its node
+    /// deadline expired.
+    fn solved(
+        query: QueryId,
+        model: &PlanningModel,
+        result: &MilpResult,
+        admitted: bool,
+        at_deadline: bool,
+        started: Instant,
+    ) -> Self {
+        PlanningOutcome {
+            query,
+            admitted,
+            reused_existing: false,
+            nodes: result.nodes,
+            lp_iterations: result.lp_iterations,
+            lp_pivots: result.lp_pivots,
+            gap: result.gap,
+            solve_time: started.elapsed(),
+            model_vars: model.num_vars(),
+            model_cons: model.num_cons(),
+            proved_optimal: result.status == MilpStatus::Optimal,
+            status: result.status,
+            incremental: false,
+            lp_cache: CacheStats::default(),
+            verdict: RoundVerdict::of(admitted, result.status, at_deadline),
+        }
+    }
+
+    /// A round that never reached the solver after `nodes` nodes: the
+    /// short-circuit onto an existing provider (Algorithm 1, line 3 — the
+    /// one proven verdict without a solve) or a fallback rung.
+    /// `proved_optimal`, `status` and `gap` follow the verdict.
+    pub(crate) fn unsolved(query: QueryId, verdict: RoundVerdict, nodes: usize) -> Self {
+        let proven = verdict.is_proven();
+        PlanningOutcome {
+            query,
+            admitted: verdict.is_admitted(),
+            reused_existing: proven,
+            nodes,
+            lp_iterations: 0,
+            lp_pivots: PivotCounts::default(),
+            gap: if proven { 0.0 } else { f64::INFINITY },
+            solve_time: Duration::ZERO,
+            model_vars: 0,
+            model_cons: 0,
+            proved_optimal: proven,
+            status: if proven {
+                MilpStatus::Optimal
+            } else {
+                MilpStatus::Unknown
+            },
+            incremental: false,
+            lp_cache: CacheStats::default(),
+            verdict,
+        }
+    }
+}
+
+/// Sentinel query id batch rounds plan under: never logged, parked or
+/// admitted as such ([`SqprPlanner::submit_batch`] admits the members).
+const BATCH: QueryId = QueryId(u32::MAX);
 
 /// Config fingerprint the cached skeleton depends on; a mismatch forces a
 /// rebuild (weights are baked into objective coefficients, the policies
@@ -193,7 +258,7 @@ pub struct SolverStats {
 pub struct PreemptedRound {
     pub(crate) query: QueryId,
     pub(crate) streams: Vec<StreamId>,
-    pub(crate) model: PlanningModel,
+    pub(crate) model: Box<PlanningModel>,
     pub(crate) state: Box<SearchState>,
 }
 
@@ -218,15 +283,7 @@ impl fmt::Debug for PreemptedRound {
     }
 }
 
-/// How one branch & bound construction of a planning round ended.
-// `Done` keeps `MilpResult` by value: it is the overwhelmingly common arm
-// and the suspended arm is already boxed.
-#[allow(clippy::large_enum_variant)]
-enum RoundSolve {
-    Done(MilpResult),
-    Preempted(Box<SearchState>, PreemptCause),
-}
-
+/// Why the slice driver stopped a search before it finished.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum PreemptCause {
     /// The round's deterministic node deadline expired
@@ -250,48 +307,78 @@ pub(crate) enum ResumeOutcome {
     StillOpen(PreemptedRound),
 }
 
-/// Drives one branch & bound construction in `quantum`-node slices through
-/// [`solve_preemptible`], suspending strictly between node evaluations.
-/// Returns [`RoundSolve::Preempted`] when the node budget (deterministic)
-/// or the wall deadline (best-effort) expires with the search still open.
-/// `quantum = 0` means unsliced; without a budget or deadline the sliced
-/// run completes with bit-identical results to the unsliced one (the
-/// `SQPR_NODE_QUANTUM` transparency invariant CI fuzzes).
-#[allow(clippy::too_many_arguments)]
+/// The slice driver every round runs through, live or resumed: `first`
+/// runs the opening slice (a fresh [`solve_preemptible`] or a parked
+/// search's resume) given its node allowance, and the search continues in
+/// `quantum`-node slices, suspending strictly between node evaluations.
+/// `start` is the node count the search has already done and `target` the
+/// absolute count at which it is preempted (deterministic); `wall_deadline`
+/// preempts it best-effort. A preempted search comes back with its anytime
+/// incumbent snapshot. `quantum = 0` means unsliced; without a target or
+/// deadline the sliced run completes with bit-identical results to the
+/// unsliced one (the `SQPR_NODE_QUANTUM` transparency invariant CI fuzzes).
 fn drive_preemptible(
-    milp: &sqpr_milp::Model,
-    opts: &MilpOptions,
-    warm: MilpWarmStart<'_>,
+    first: impl FnOnce(usize) -> SolveOutcome,
     filter: Option<IncumbentFilter<'_>>,
-    cache: Option<&mut LpCacheSlot>,
+    start: usize,
+    target: Option<usize>,
     quantum: usize,
-    node_budget: Option<usize>,
     wall_deadline: Option<Instant>,
-) -> RoundSolve {
+) -> (MilpResult, Option<(Box<SearchState>, PreemptCause)>) {
     let quantum = if quantum == 0 { usize::MAX } else { quantum };
-    // A slice never runs past the node budget, so the deadline is observed
-    // exactly (a `Some(0)` budget suspends before the first evaluation).
-    let slice = |done: usize| match node_budget {
-        Some(b) => quantum.min(b.saturating_sub(done)),
-        None => quantum,
-    };
-    let mut outcome = solve_preemptible(milp, opts, warm, filter, cache, slice(0));
+    // A slice never runs past the target, so the deadline is observed
+    // exactly (a target already reached suspends before any evaluation).
+    let slice = |done: usize| target.map_or(quantum, |t| quantum.min(t.saturating_sub(done)));
+    let mut outcome = first(slice(start));
     loop {
-        match outcome {
-            SolveOutcome::Done(r) => return RoundSolve::Done(r),
-            SolveOutcome::Suspended(state) => {
-                let done = state.nodes_done();
-                if node_budget.is_some_and(|b| done >= b) {
-                    return RoundSolve::Preempted(state, PreemptCause::NodeDeadline);
-                }
-                // sqpr::allow(ambient-nondeterminism): wall-clock admission deadline is part of the SLO surface; timing affects only *when* we preempt, and preempted==uninterrupted results are pinned by the resume suites
-                if wall_deadline.is_some_and(|d| Instant::now() >= d) {
-                    return RoundSolve::Preempted(state, PreemptCause::WallClock);
-                }
-                outcome = state.resume(filter, slice(done));
-            }
+        let state = match outcome {
+            SolveOutcome::Done(r) => return (r, None),
+            SolveOutcome::Suspended(state) => state,
+        };
+        let done = state.nodes_done();
+        let cause = if target.is_some_and(|t| done >= t) {
+            Some(PreemptCause::NodeDeadline)
+        } else {
+            // sqpr::allow(ambient-nondeterminism): wall-clock admission deadline is part of the SLO surface; timing affects only *when* we preempt, and preempted==uninterrupted results are pinned by the resume suites
+            let expired = wall_deadline.is_some_and(|d| Instant::now() >= d);
+            expired.then_some(PreemptCause::WallClock)
+        };
+        match cause {
+            Some(cause) => return (state.incumbent_result(), Some((state, cause))),
+            None => outcome = state.resume(filter, slice(done)),
         }
     }
+}
+
+/// The install gate every solved round closes through: decodes `x`
+/// against the model it indexes, installs it when the result is a valid
+/// deployment that still serves every admitted query, and admits `q` when
+/// it serves all of `streams` (batch rounds admit their members
+/// themselves). Returns whether the round admitted.
+fn install_plan(
+    state: &mut DeploymentState,
+    catalog: &Catalog,
+    q: QueryId,
+    streams: &[StreamId],
+    model: &PlanningModel,
+    x: Option<&[f64]>,
+) -> bool {
+    let Some(x) = x.filter(|x| streams.iter().any(|&s| model.admits(x, s))) else {
+        return false;
+    };
+    let mut candidate = state.clone();
+    model.decode(x, state).install(&mut candidate);
+    if !candidate.is_valid(catalog) || !candidate_serves_admitted(&candidate) {
+        return false;
+    }
+    *state = candidate;
+    let admitted = streams.iter().all(|&s| state.provider_of(s).is_some());
+    if admitted && q != BATCH {
+        for &s in streams {
+            state.admit_query(q, s);
+        }
+    }
+    admitted
 }
 
 /// The SQPR query planner (paper §IV).
@@ -452,25 +539,31 @@ impl SqprPlanner {
         self.validate_bases(bases)?;
         let q = QueryId(self.next_query);
         self.next_query += 1;
-        let tag = self.reuse_tag(q);
-        let (spec, space) = register_join_query(&mut self.catalog, q, bases, tag);
-
-        // Algorithm 1 line 3: the stream may already be provided.
-        if self.state.provider_of(spec.result).is_some() {
-            self.state.admit_query(q, spec.result);
-            let outcome = short_circuit_outcome(q);
-            self.queries.push(spec);
-            self.outcomes.push(outcome.clone());
-            return Ok(outcome);
-        }
-
-        let outcome = self.plan_streams(q, std::slice::from_ref(&spec.result), &space, true);
-        if outcome.admitted {
-            self.state.admit_query(q, spec.result);
-        }
+        let (spec, outcome) = self.register_and_plan(q, bases, true);
         self.queries.push(spec);
         self.outcomes.push(outcome.clone());
         Ok(outcome)
+    }
+
+    /// The step a submission and a re-plan share: register the query's
+    /// plan space, short-circuit if its result stream is already provided
+    /// (Algorithm 1, line 3), otherwise run a planning round — bounded by
+    /// the round deadline only when `deadline_bounded`.
+    fn register_and_plan(
+        &mut self,
+        q: QueryId,
+        bases: &[StreamId],
+        deadline_bounded: bool,
+    ) -> (QuerySpec, PlanningOutcome) {
+        let tag = self.reuse_tag(q);
+        let (spec, space) = register_join_query(&mut self.catalog, q, bases, tag);
+        let outcome = if self.state.provider_of(spec.result).is_some() {
+            self.state.admit_query(q, spec.result);
+            PlanningOutcome::unsolved(q, RoundVerdict::Admitted(Admitted::Proven), 0)
+        } else {
+            self.plan_streams(q, &[spec.result], &space, deadline_bounded)
+        };
+        (spec, outcome)
     }
 
     /// Submits a batch of queries planned in a single optimisation (paper
@@ -510,7 +603,7 @@ impl SqprPlanner {
         } else {
             // Batch rounds are never parked (their members cannot be
             // resumed individually), so they run deadline-free.
-            let outcome = self.plan_streams(QueryId(u32::MAX), &new_streams, &merged, false);
+            let outcome = self.plan_streams(BATCH, &new_streams, &merged, false);
             // Batch rounds plan under a sentinel id; log the merged space
             // under each member so skeleton compaction sees them as live
             // while they stay admitted.
@@ -528,9 +621,9 @@ impl SqprPlanner {
             if admitted {
                 self.state.admit_query(spec.id, spec.result);
             }
-            let mut o = shared
-                .clone()
-                .unwrap_or_else(|| short_circuit_outcome(spec.id));
+            let mut o = shared.clone().unwrap_or_else(|| {
+                PlanningOutcome::unsolved(spec.id, RoundVerdict::Admitted(Admitted::Proven), 0)
+            });
             o.query = spec.id;
             o.admitted = admitted;
             o.reused_existing = was_provided;
@@ -801,37 +894,16 @@ impl SqprPlanner {
                     // private streams and construction falls back to the
                     // non-admitting start (graceful degradation; B&B still
                     // searches).
-                    let tag = if self.config.reuse {
-                        0
-                    } else {
-                        u64::from(q.0) + 1
-                    };
-                    let mut cand = self.state.clone();
-                    let mut all_ok = true;
-                    for &s in new_streams {
-                        match greedy_admit(&self.catalog, &cand, s, tag) {
-                            Some(next) => cand = next,
-                            None => {
-                                all_ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    warm = if all_ok {
-                        let w = model.warm_start(&cand, &self.catalog);
-                        if let Some(w) = &w {
-                            if model.milp.is_feasible(w, 1e-6) {
-                                admitting_start = true;
-                            }
-                        }
-                        if admitting_start {
-                            w
-                        } else {
-                            model.warm_start(&self.state, &self.catalog)
-                        }
-                    } else {
-                        model.warm_start(&self.state, &self.catalog)
-                    };
+                    let tag = self.reuse_tag(q);
+                    let admitting = new_streams
+                        .iter()
+                        .try_fold(self.state.clone(), |cand, &s| {
+                            greedy_admit(&self.catalog, &cand, s, tag)
+                        })
+                        .and_then(|cand| model.warm_start(&cand, &self.catalog))
+                        .filter(|w| model.milp.is_feasible(w, 1e-6));
+                    admitting_start = admitting.is_some();
+                    warm = admitting.or_else(|| model.warm_start(&self.state, &self.catalog));
                 }
                 debug_assert!(
                     warm.as_ref()
@@ -922,7 +994,7 @@ impl SqprPlanner {
             } else {
                 None
             };
-            let solved = {
+            let (result, open) = {
                 let filter_fn = |xsol: &[f64]| {
                     let violated = model.find_acausal_cuts(xsol, &self.state, &self.catalog);
                     if violated.is_empty() {
@@ -932,12 +1004,7 @@ impl SqprPlanner {
                         false
                     }
                 };
-                let filter: Option<IncumbentFilter<'_>> =
-                    if self.config.acyclicity == AcyclicityMode::Lazy {
-                        Some(&filter_fn)
-                    } else {
-                        None
-                    };
+                let filter = self.lazy_filter(&filter_fn);
                 // The compressed LP is served from the context's cache when
                 // incremental: later cut rounds append their rows in place
                 // and later submissions with an unchanged fixed layout
@@ -949,38 +1016,22 @@ impl SqprPlanner {
                     None
                 };
                 drive_preemptible(
-                    &model.milp,
-                    &opts,
-                    warm_ctx,
+                    |n| solve_preemptible(&model.milp, &opts, warm_ctx, filter, cache, n),
                     filter,
-                    cache,
-                    self.config.node_quantum,
+                    0,
                     node_budget,
+                    self.config.node_quantum,
                     self.wall_deadline,
                 )
             };
-            let mut parked_state: Option<Box<SearchState>> = None;
-            let mut deadline_preempt = false;
-            let mut preempted = false;
-            let result = match solved {
-                RoundSolve::Done(r) => r,
-                RoundSolve::Preempted(state, cause) => {
-                    // The search is still open past its deadline: continue
-                    // with the anytime incumbent snapshot (always causal —
-                    // the filter gates incumbents). On a node deadline the
-                    // suspended search is kept so a non-admitting round can
-                    // be parked for the admission queue; a wall-clock
-                    // expiry (recovery storm) drops it — recovery has its
-                    // own degradation ladder.
-                    preempted = true;
-                    let snap = state.incumbent_result();
-                    if cause == PreemptCause::NodeDeadline {
-                        deadline_preempt = true;
-                        parked_state = Some(state);
-                    }
-                    snap
-                }
-            };
+            // A preempted search continues with its anytime incumbent
+            // snapshot (always causal — the filter gates incumbents). On a
+            // node deadline the suspended search is kept so a non-admitting
+            // round can park for the admission queue; a wall-clock expiry
+            // (recovery storm) drops it — the storm has its own fallbacks.
+            let preempted = open.is_some();
+            let open =
+                open.and_then(|(s, cause)| (cause == PreemptCause::NodeDeadline).then_some(s));
             nodes_spent += result.nodes;
             // If acausal candidates were pruned, the claimed optimum may be
             // wrong: add their cuts and re-solve (unless out of rounds).
@@ -1003,75 +1054,30 @@ impl SqprPlanner {
                 continue;
             }
 
-            let mut admitted = false;
-            if let Some(x) = &result.x {
-                let admits_any = new_streams.iter().any(|&s| model.admits(x, s));
-                if admits_any {
-                    // Install the re-planned allocation; keep the old one if the
-                    // decoded state is somehow invalid (defensive).
-                    let decoded = model.decode(x, &self.state);
-                    let mut candidate = self.state.clone();
-                    decoded.install(&mut candidate);
-                    if candidate.is_valid(&self.catalog) {
-                        // Check every previously admitted query is still served
-                        // (IV.9 must have enforced this).
-                        let all_served = candidate_serves_admitted(&candidate);
-                        if all_served {
-                            self.state = candidate;
-                            admitted = new_streams
-                                .iter()
-                                .all(|&s| self.state.provider_of(s).is_some());
-                        }
-                    }
-                }
+            let x = result.x.as_deref();
+            let admitted = install_plan(&mut self.state, &self.catalog, q, new_streams, model, x);
+            let mut outcome =
+                PlanningOutcome::solved(q, model, &result, admitted, open.is_some(), started);
+            outcome.incremental = incremental;
+            outcome.lp_cache = self.ctx.lp_cache.stats().since(&cache_stats_before);
+            // No admitting incumbent at the node deadline: park the search
+            // with the model its solution vector indexes — a provisional
+            // rejection. (Batch rounds run deadline-free, so never park.)
+            if let Some(state) = open.filter(|_| !admitted) {
+                self.preempt = Some(PreemptedRound {
+                    query: q,
+                    streams: new_streams.to_vec(),
+                    model: Box::new(model.clone()),
+                    state,
+                });
             }
-
-            let verdict = if deadline_preempt {
-                if admitted {
-                    // Incumbent handoff: the submission is served at the
-                    // deadline; optimality is deliberately forfeited and
-                    // the suspended search dropped.
-                    RoundVerdict::Admitted(Admitted::IncumbentAtDeadline)
-                } else {
-                    // No admitting incumbent at the deadline: park the
-                    // suspended search (with the model its solution vector
-                    // indexes) for the admission queue's bounded retries.
-                    // The rejection is provisional, not a certificate.
-                    // Batch rounds (sentinel id) are never parked — their
-                    // members cannot be resumed individually.
-                    if q.0 != u32::MAX {
-                        if let Some(state) = parked_state.take() {
-                            self.preempt = Some(PreemptedRound {
-                                query: q,
-                                streams: new_streams.to_vec(),
-                                model: model.clone(),
-                                state,
-                            });
-                        }
-                    }
-                    RoundVerdict::Rejected(Rejected::DeadlineNoCertificate)
-                }
-            } else {
-                RoundVerdict::of_result(admitted, result.status)
-            };
-            return PlanningOutcome {
-                query: q,
-                admitted,
-                reused_existing: false,
-                nodes: result.nodes,
-                lp_iterations: result.lp_iterations,
-                lp_pivots: result.lp_pivots,
-                gap: result.gap,
-                solve_time: started.elapsed(),
-                model_vars: model.num_vars(),
-                model_cons: model.num_cons(),
-                proved_optimal: result.status == MilpStatus::Optimal,
-                status: result.status,
-                incremental,
-                lp_cache: self.ctx.lp_cache.stats().since(&cache_stats_before),
-                verdict,
-            };
+            return outcome;
         }
+    }
+
+    /// The acausal-incumbent filter, in lazy-acyclicity mode only.
+    fn lazy_filter<'a>(&self, f: &'a dyn Fn(&[f64]) -> bool) -> Option<IncumbentFilter<'a>> {
+        (self.config.acyclicity == AcyclicityMode::Lazy).then_some(f)
     }
 
     /// Grants a parked round more search budget: `budget` further branch &
@@ -1099,110 +1105,42 @@ impl SqprPlanner {
             state,
         } = round;
         let base = state.nodes_done();
-        let target = budget.map(|b| base.saturating_add(b));
-        let quantum = if self.config.node_quantum == 0 {
-            usize::MAX
-        } else {
-            self.config.node_quantum
-        };
-        let slice = |done: usize| match target {
-            Some(t) => quantum.min(t.saturating_sub(done)),
-            None => quantum,
-        };
-        let solved = {
+        let (result, open) = {
             let filter_fn = |xsol: &[f64]| {
                 model
                     .find_acausal_cuts(xsol, &self.state, &self.catalog)
                     .is_empty()
             };
-            let filter: Option<IncumbentFilter<'_>> =
-                if self.config.acyclicity == AcyclicityMode::Lazy {
-                    Some(&filter_fn)
-                } else {
-                    None
-                };
-            let mut outcome = state.resume(filter, slice(base));
-            loop {
-                match outcome {
-                    SolveOutcome::Done(r) => break RoundSolve::Done(r),
-                    SolveOutcome::Suspended(state) => {
-                        let done = state.nodes_done();
-                        if target.is_some_and(|t| done >= t) {
-                            break RoundSolve::Preempted(state, PreemptCause::NodeDeadline);
-                        }
-                        // sqpr::allow(ambient-nondeterminism): wall-clock admission deadline is part of the SLO surface; timing affects only *when* we preempt, and preempted==uninterrupted results are pinned by the resume suites
-                        if self.wall_deadline.is_some_and(|d| Instant::now() >= d) {
-                            break RoundSolve::Preempted(state, PreemptCause::WallClock);
-                        }
-                        outcome = state.resume(filter, slice(done));
-                    }
-                }
-            }
+            let filter = self.lazy_filter(&filter_fn);
+            drive_preemptible(
+                |n| state.resume(filter, n),
+                filter,
+                base,
+                budget.map(|b| base.saturating_add(b)),
+                self.config.node_quantum,
+                self.wall_deadline,
+            )
         };
-        let mut parked_state: Option<Box<SearchState>> = None;
-        let mut deadline_preempt = false;
-        let result = match solved {
-            RoundSolve::Done(r) => r,
-            RoundSolve::Preempted(state, _) => {
-                deadline_preempt = true;
-                let snap = state.incumbent_result();
-                parked_state = Some(state);
-                snap
-            }
-        };
-
-        let mut admitted = false;
-        if let Some(x) = &result.x {
-            if streams.iter().any(|&s| model.admits(x, s)) {
-                let decoded = model.decode(x, &self.state);
-                let mut candidate = self.state.clone();
-                decoded.install(&mut candidate);
-                if candidate.is_valid(&self.catalog) && candidate_serves_admitted(&candidate) {
-                    self.state = candidate;
-                    admitted = streams.iter().all(|&s| self.state.provider_of(s).is_some());
-                }
-            }
+        // Unlike a live round, a resumed one re-parks on either cause.
+        let open = open.map(|(s, _)| s);
+        let x = result.x.as_deref();
+        let admitted = install_plan(&mut self.state, &self.catalog, query, &streams, &model, x);
+        match open {
+            Some(state) if !admitted => ResumeOutcome::StillOpen(PreemptedRound {
+                query,
+                streams,
+                model,
+                state,
+            }),
+            open => ResumeOutcome::Resolved(PlanningOutcome::solved(
+                query,
+                &model,
+                &result,
+                admitted,
+                open.is_some(),
+                started,
+            )),
         }
-        if admitted {
-            for &s in &streams {
-                if self.state.provider_of(s).is_some() {
-                    self.state.admit_query(query, s);
-                }
-            }
-        } else if deadline_preempt {
-            if let Some(state) = parked_state.take() {
-                return ResumeOutcome::StillOpen(PreemptedRound {
-                    query,
-                    streams,
-                    model,
-                    state,
-                });
-            }
-        }
-
-        let verdict = if deadline_preempt {
-            debug_assert!(admitted, "non-admitting deadline expiry re-parks above");
-            RoundVerdict::Admitted(Admitted::IncumbentAtDeadline)
-        } else {
-            RoundVerdict::of_result(admitted, result.status)
-        };
-        ResumeOutcome::Resolved(PlanningOutcome {
-            query,
-            admitted,
-            reused_existing: false,
-            nodes: result.nodes,
-            lp_iterations: result.lp_iterations,
-            lp_pivots: result.lp_pivots,
-            gap: result.gap,
-            solve_time: started.elapsed(),
-            model_vars: model.num_vars(),
-            model_cons: model.num_cons(),
-            proved_optimal: result.status == MilpStatus::Optimal,
-            status: result.status,
-            incremental: false,
-            lp_cache: CacheStats::default(),
-            verdict,
-        })
     }
 
     /// Updates a base stream's observed rate (propagating to derived
@@ -1368,50 +1306,18 @@ impl SqprPlanner {
             .ok_or(PlannerError::UnknownQuery(q))?;
         self.remove_query(q);
         let bases: Vec<StreamId> = spec.bases.iter().copied().collect();
-        let tag = self.reuse_tag(q);
-        let (spec2, space) = register_join_query(&mut self.catalog, q, &bases, tag);
-        if self.state.provider_of(spec2.result).is_some() {
-            self.state.admit_query(q, spec2.result);
-            return Ok(short_circuit_outcome(q));
-        }
         // Replans (adaptation, recovery, retries) run deadline-free: the
         // admission SLO covers fresh submissions; internal re-planning has
         // its own budgets (`StormBudget`, drift thresholds) and must never
         // leave a parked round behind the admission queue's back.
-        let outcome = self.plan_streams(q, &[spec2.result], &space, false);
-        if outcome.admitted {
-            self.state.admit_query(q, spec2.result);
-        }
-        Ok(outcome)
-    }
-}
-
-/// Outcome of a round that never reached the solver: the result stream was
-/// already provided (Algorithm 1, line 3) or an equivalent short-circuit.
-fn short_circuit_outcome(q: QueryId) -> PlanningOutcome {
-    PlanningOutcome {
-        query: q,
-        admitted: true,
-        reused_existing: true,
-        nodes: 0,
-        lp_iterations: 0,
-        lp_pivots: PivotCounts::default(),
-        gap: 0.0,
-        solve_time: Duration::ZERO,
-        model_vars: 0,
-        model_cons: 0,
-        proved_optimal: true,
-        status: MilpStatus::Optimal,
-        incremental: false,
-        lp_cache: CacheStats::default(),
-        verdict: RoundVerdict::Admitted(Admitted::Proven),
+        Ok(self.register_and_plan(q, &bases, false).1)
     }
 }
 
 /// Query-log entry for the skeleton's liveness bookkeeping; batch rounds
 /// use a sentinel id and are logged per member by [`SqprPlanner::submit_batch`].
 fn log_entry(q: QueryId, space: &PlanSpace) -> Vec<(QueryId, PlanSpace)> {
-    if q.0 == u32::MAX {
+    if q == BATCH {
         Vec::new()
     } else {
         vec![(q, space.clone())]

@@ -1,35 +1,23 @@
 //! Failure-storm recovery: mass re-admission with graceful degradation.
 //!
-//! A federated DSPS loses hosts and links as a matter of course; every
-//! failure displaces the queries deployed on them and forces re-planning.
-//! This module drives the *re-admission storm* that follows: orphaned
-//! base-stream feeds reconnect to surviving ingest hosts
-//! ([`SqprPlanner::rehome_orphaned_sources`]), the planner audits the
-//! fault ([`SqprPlanner::absorb_failures`]), and
-//! [`recover_from_failures`] re-enters the displaced queries into
-//! admission in ascending query-id order — each round riding the warm
-//! [`SqprPlanner::replan_query`] path, where the surviving skeleton's
-//! capacity rows were already patched in place from the post-fault
-//! catalog.
+//! A host or link failure displaces the queries deployed on it.
+//! [`recover_from_failures`] reconnects orphaned base-stream feeds
+//! ([`SqprPlanner::rehome_orphaned_sources`]), audits the fault
+//! ([`SqprPlanner::absorb_failures`]) and replays the displaced queries in
+//! ascending id order through [`SqprPlanner::replan_query`] — the planning
+//! round every submission runs, on the warm path whose capacity rows the
+//! post-fault catalog already patched.
 //!
-//! The storm runs under a storm-wide budget ([`StormBudget`]: cumulative
-//! branch & bound nodes and/or wall clock). **Graceful degradation** is a
-//! ladder: once the budget runs dry — or the solver rejects a query
-//! within budget (resource-tight post-fault systems) — the query first
-//! gets the greedy baseline placement ([`SqprPlanner::admit_greedy`],
-//! capacity-respecting, installed into the managed deployment); if even
-//! that cannot fit, it is *pinned best-effort* to the surviving host with
-//! the most remaining CPU (oversubscribing it — the query runs at reduced
-//! QoS outside the optimiser-managed deployment, which stays valid). Both
-//! rungs report [`RecoveryMode::Degraded`]; a pin also records its host
-//! in [`QueryRecovery::degraded_host`]. [`RecoveryMode::Dropped`] is
-//! reached only when no host survives to pin to; a [`StormReport`]
-//! accounts for every displaced query, so nothing is dropped silently.
-//!
-//! Determinism: with a node-only budget the storm is a pure function of
-//! the planner state and fault set — replaying it reproduces decisions
-//! bit-for-bit. A wall-clock budget necessarily breaks that; benches
-//! asserting determinism use nodes only.
+//! The storm is this module's fallback policy over rounds that do not
+//! admit, under a storm-wide [`StormBudget`] (cumulative nodes and/or wall
+//! clock): the **greedy** baseline placement ([`SqprPlanner::admit_greedy`],
+//! installed into the managed deployment), else a best-effort **pin** to
+//! the surviving host with the most remaining CPU (oversubscribed, outside
+//! the managed deployment — [`QueryRecovery::degraded_host`]), both
+//! [`RecoveryMode::Degraded`]; **drop** ([`RecoveryMode::Dropped`]) only
+//! when no host survives. A [`StormReport`] accounts for every displaced
+//! query. With a node-only budget the storm is a pure function of the
+//! planner state and fault set; a wall-clock budget gives that up.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -152,7 +140,7 @@ impl StormReport {
 /// Audits the current fault set and re-admits every displaced query under
 /// the storm budget (see the module docs for the degradation order).
 pub fn recover_from_failures(planner: &mut SqprPlanner, budget: &StormBudget) -> StormReport {
-    // sqpr::allow(ambient-nondeterminism): storm-budget wall clock bounds recovery *effort*; the degradation ladder's verdicts are pinned by the scenario goldens
+    // sqpr::allow(ambient-nondeterminism): storm-budget wall clock bounds recovery *effort*; the fallbacks' verdicts are pinned by the scenario goldens
     let started = Instant::now();
     // Reconnect orphaned feeds first: a query whose raw source died is
     // unservable by solver and greedy alike until the feed has a living
@@ -181,51 +169,38 @@ pub fn recover_from_failures(planner: &mut SqprPlanner, budget: &StormBudget) ->
     for &q in &audit.displaced {
         let nodes_dry = budget.max_nodes.is_some_and(|n| report.nodes_spent >= n);
         let clock_dry = budget.wall_clock.is_some_and(|w| started.elapsed() >= w);
-        let record = if nodes_dry || clock_dry {
-            // Budget dry: straight to the degradation ladder.
-            degrade(planner, &mut pins, q, MilpStatus::Unknown, None)
-        } else {
-            match planner.replan_query(q) {
-                Ok(outcome) => {
-                    // A node-deadline config may have parked the round's
-                    // suspended search; the storm has its own degradation
-                    // ladder, so the parked state is discarded rather than
-                    // left for an admission queue that is not driving us.
-                    planner.take_preempted_round();
-                    report.nodes_spent += outcome.nodes;
-                    if outcome.admitted {
-                        QueryRecovery {
-                            query: q,
-                            mode: RecoveryMode::Replanned,
-                            status: outcome.status,
-                            outcome: Some(outcome),
-                            degraded_host: None,
-                        }
-                    } else {
-                        // Rejected within budget: degrade, keep the status.
-                        let status = outcome.status;
-                        degrade(planner, &mut pins, q, status, Some(outcome))
-                    }
-                }
-                // The query vanished from the registry (cannot happen for
-                // audited displacements; defensive) — record, don't panic.
-                Err(_) => QueryRecovery {
-                    query: q,
-                    mode: RecoveryMode::Dropped,
-                    status: MilpStatus::Unknown,
-                    outcome: None,
-                    degraded_host: None,
-                },
-            }
+        // Budget dry: no solver round, straight to the fallbacks.
+        let replan = (!nodes_dry && !clock_dry).then(|| {
+            let replan = planner.replan_query(q);
+            // Replans run deadline-free and never park; drop whatever an
+            // earlier deadline submission left for a queue not driving us.
+            planner.take_preempted_round();
+            replan
+        });
+        let (mode, degraded_host) = match &replan {
+            Some(Ok(outcome)) if outcome.admitted => (RecoveryMode::Replanned, None),
+            // The query vanished from the registry (cannot happen for
+            // audited displacements; defensive) — record, don't panic.
+            Some(Err(_)) => (RecoveryMode::Dropped, None),
+            // Rejected within budget, or budget dry.
+            _ => degrade(planner, &mut pins, q),
         };
-        report.recoveries.push(record);
+        let outcome = replan.and_then(Result::ok);
+        report.nodes_spent += outcome.as_ref().map_or(0, |o| o.nodes);
+        report.recoveries.push(QueryRecovery {
+            query: q,
+            mode,
+            status: outcome.as_ref().map_or(MilpStatus::Unknown, |o| o.status),
+            outcome,
+            degraded_host,
+        });
     }
     planner.set_wall_deadline(None);
     report.elapsed = started.elapsed();
     report
 }
 
-/// The degradation ladder below the solver: greedy baseline placement
+/// The storm's fallbacks below the solver: greedy baseline placement
 /// first (capacity-respecting, installed into the deployment), then a
 /// best-effort pin to the least-loaded surviving host (oversubscribed,
 /// recorded in the report only), and `Dropped` solely when no host
@@ -234,42 +209,22 @@ fn degrade(
     planner: &mut SqprPlanner,
     pins: &mut BTreeMap<HostId, f64>,
     q: QueryId,
-    status: MilpStatus,
-    outcome: Option<PlanningOutcome>,
-) -> QueryRecovery {
+) -> (RecoveryMode, Option<HostId>) {
     if planner.admit_greedy(q).unwrap_or(false) {
-        return QueryRecovery {
-            query: q,
-            mode: RecoveryMode::Degraded,
-            status,
-            outcome,
-            degraded_host: None,
-        };
+        return (RecoveryMode::Degraded, None);
     }
     match best_effort_host(planner, pins) {
         Some(h) => {
             *pins.entry(h).or_insert(0.0) += pin_weight(planner, q);
-            QueryRecovery {
-                query: q,
-                mode: RecoveryMode::Degraded,
-                status,
-                outcome,
-                degraded_host: Some(h),
-            }
+            (RecoveryMode::Degraded, Some(h))
         }
-        None => QueryRecovery {
-            query: q,
-            mode: RecoveryMode::Dropped,
-            status,
-            outcome,
-            degraded_host: None,
-        },
+        None => (RecoveryMode::Dropped, None),
     }
 }
 
 /// The surviving host with the most remaining CPU, counting earlier pins
 /// at their queries' estimated load; ties break to the lowest host id
-/// (deterministic).
+/// (deterministic). A NaN residual (a NaN capacity) ranks worst.
 fn best_effort_host(planner: &SqprPlanner, pins: &BTreeMap<HostId, f64>) -> Option<HostId> {
     let catalog = planner.catalog();
     let usage = planner.state().cpu_usage(catalog);
@@ -282,7 +237,7 @@ fn best_effort_host(planner: &SqprPlanner, pins: &BTreeMap<HostId, f64>) -> Opti
         })
         .max_by(|a, b| {
             a.1.partial_cmp(&b.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .unwrap_or_else(|| b.1.is_nan().cmp(&a.1.is_nan()))
                 .then_with(|| b.0.cmp(&a.0))
         })
         .map(|(h, _)| h)
@@ -298,4 +253,38 @@ fn pin_weight(planner: &SqprPlanner, q: QueryId) -> f64 {
         .find(|spec| spec.id == q)
         .map(|spec| planner.catalog().stream(spec.result).rate.max(1e-9))
         .unwrap_or(1.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::PlannerConfig;
+    use sqpr_dsps::{Catalog, CostModel, HostSpec, NetworkTopology};
+
+    fn planner(cpus: &[f64]) -> SqprPlanner {
+        let hosts = cpus.iter().map(|&c| HostSpec::new(c, 10.0)).collect();
+        let topology = NetworkTopology::full_mesh(cpus.len(), 10.0);
+        let catalog = Catalog::new(hosts, topology, CostModel::default());
+        let config = PlannerConfig::new(&catalog);
+        SqprPlanner::new(catalog, config)
+    }
+
+    /// A NaN residual ranks below every number wherever it is scanned;
+    /// number-to-number comparisons (±0 ties included) are unchanged.
+    #[test]
+    fn best_effort_host_ranks_nan_worst() {
+        let pins = BTreeMap::new();
+        for (cpus, want) in [
+            (vec![f64::NAN, 1.0, 2.0], 2),
+            (vec![1.0, f64::NAN, 2.0], 2),
+            (vec![1.0, 2.0, f64::NAN], 1),
+            (vec![2.0, f64::NAN, f64::NAN], 0),
+            (vec![f64::NAN, f64::NAN], 0),
+            (vec![0.0, -0.0], 0),
+            (vec![-0.0, 0.0], 0),
+        ] {
+            let got = best_effort_host(&planner(&cpus), &pins);
+            assert_eq!(got, Some(HostId(want)), "cpus {cpus:?}");
+        }
+    }
 }

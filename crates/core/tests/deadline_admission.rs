@@ -12,6 +12,9 @@
 //!   the same admit set as the deadline-free run.
 //! - **Wall-clock preemption**: an expired wall deadline stops a round at
 //!   the next node boundary (the storm-budget fix).
+//! - **Stale parked models**: a parked round resumed after another
+//!   submission took its capacity still installs only through the live
+//!   round's gate.
 
 use std::time::{Duration, Instant};
 
@@ -198,4 +201,67 @@ fn expired_wall_deadline_preempts_at_first_node_boundary() {
     );
     assert!(planner.state().is_valid(planner.catalog()));
     planner.set_wall_deadline(None);
+}
+
+/// A parked round resumes against a deployment that changed under its
+/// model: a deadline-free submission of the same bases takes the capacity
+/// the parked query needs before the queue resumes it. The resumed install
+/// must still pass the live gate — every admitted query served, the
+/// deployment valid — and the ledger must hold one record per routed
+/// submission, with `drain` leaving the logical tick alone.
+#[test]
+fn resume_against_a_changed_deployment() {
+    // Roomier CPU, tighter bandwidth: the ninth submission parks at a
+    // 2-node deadline although the deadline-free run admits it.
+    let (c, b) = system(4, 6, 70.0, 30.0, 400.0);
+    let mut cfg = PlannerConfig::new(&c);
+    cfg.budget.max_nodes = 200;
+    cfg.node_quantum = 1;
+    cfg.round_deadline = Some(2);
+    let mut planner = SqprPlanner::new(c, cfg);
+    let mut queue = AdmissionQueue::new();
+    let gate_holds = |p: &SqprPlanner| {
+        let s = p.state();
+        s.admitted().values().all(|&r| s.provider_of(r).is_some()) && s.is_valid(p.catalog())
+    };
+
+    let subs = &submissions()[..9];
+    let mut bases = Vec::new();
+    for q in subs {
+        bases = q.iter().map(|&i| b[i]).collect();
+        queue.submit(&mut planner, &bases).expect("valid bases");
+    }
+    let parked = QueryId(subs.len() as u32 - 1);
+    assert!(
+        queue.parked_queries().contains(&parked),
+        "the last submission must park; parked {:?}",
+        queue.parked_queries()
+    );
+
+    planner.config_mut().round_deadline = None;
+    let rival = planner.submit(&bases).expect("valid bases");
+    planner.config_mut().round_deadline = Some(2);
+    assert!(rival.admitted, "the rival must take the capacity");
+    assert!(planner.take_preempted_round().is_none());
+    assert!(gate_holds(&planner));
+
+    // One tick resumes both parked rounds against the changed deployment
+    // (neither resolves yet); the drain resolves them.
+    queue.pump(&mut planner);
+    assert!(gate_holds(&planner), "a pumped resume broke the gate");
+    let (open, tick) = (queue.parked(), queue.tick());
+    assert!(open > 0, "the drain must have rounds left to resolve");
+    assert_eq!(queue.drain(&mut planner).len(), open);
+    assert_eq!(queue.tick(), tick, "drain must not advance the tick");
+    assert_eq!(queue.parked(), 0);
+    assert!(gate_holds(&planner), "a drained resume broke the gate");
+    assert_eq!(
+        queue.records().len(),
+        subs.len(),
+        "one record per routed submission"
+    );
+    let mut seen: Vec<u32> = queue.records().iter().map(|r| r.query.0).collect();
+    seen.sort_unstable();
+    assert_eq!(seen, (0..subs.len() as u32).collect::<Vec<_>>());
+    assert!(planner.state().admitted().contains_key(&rival.query));
 }

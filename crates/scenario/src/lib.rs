@@ -10,8 +10,8 @@
 //! admission retries — and an expectations block. The runner executes
 //! every scenario twice (warm planner plus a cold twin), asserts warm/cold
 //! agreement, diffs the canonical verdict transcript against a committed
-//! golden file (`SQPR_BLESS=1` re-blesses), and emits one committed
-//! `BENCH_scenario_<name>.json` per scenario.
+//! golden file (`SQPR_BLESS=1` re-blesses), and keeps one entry per
+//! scenario, keyed by name, in the committed `BENCH_scenarios.json`.
 //!
 //! ```
 //! use sqpr_scenario::{run_scenario, ScenarioSpec};

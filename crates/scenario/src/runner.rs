@@ -36,7 +36,9 @@ use sqpr_dsps::{HostId, HostSpec, QueryId, StreamId};
 use sqpr_workload::{generate_with_hosts, Workload, WorkloadSpec};
 
 use crate::spec::{Event, ScenarioSpec, SystemKind, SystemSpec};
-use crate::verdict::{first_diff, fmt_f64_bits, JsonObject, Transcript};
+use crate::verdict::{
+    bench_entries, first_diff, fmt_f64_bits, render_bench_entries, JsonObject, Transcript,
+};
 
 /// Relative tolerance for the warm-vs-cold final objective (alternate
 /// optima within the MIP gap; same bound as `tests/warm_start_equivalence`).
@@ -103,7 +105,8 @@ struct Drive {
     errors: Vec<String>,
 }
 
-fn build_workload(sys: &SystemSpec) -> Workload {
+/// The workload recipe and the host list it is generated over.
+fn workload_spec(sys: &SystemSpec) -> (WorkloadSpec, Vec<HostSpec>) {
     let mut spec = match sys.kind {
         SystemKind::PaperSim => WorkloadSpec::paper_sim(sys.scale),
         SystemKind::PaperCluster => WorkloadSpec::paper_cluster(sys.scale),
@@ -125,7 +128,36 @@ fn build_workload(sys: &SystemSpec) -> Workload {
             .flat_map(|c| std::iter::repeat_n(HostSpec::new(c.cpu, c.bandwidth), c.count))
             .collect()
     };
+    (spec, hosts)
+}
+
+fn build_workload(sys: &SystemSpec) -> Workload {
+    let (spec, hosts) = workload_spec(sys);
     generate_with_hosts(&spec, &hosts)
+}
+
+/// Host indices the script names must exist on the generated system —
+/// checked before the first event runs, since the catalog panics on (or,
+/// for links, silently misreads) an index past its host list.
+fn host_index_errors(spec: &ScenarioSpec) -> Vec<String> {
+    let hosts = workload_spec(&spec.system).1.len();
+    let mut errors = Vec::new();
+    for (i, ev) in spec.events.iter().enumerate() {
+        let named = match ev {
+            Event::FailHosts { hosts } | Event::RestoreHosts { hosts } => hosts.clone(),
+            Event::DegradeLink { from, to, .. } | Event::RestoreLink { from, to } => {
+                vec![*from, *to]
+            }
+            _ => continue,
+        };
+        for h in named.into_iter().filter(|&h| h >= hosts) {
+            errors.push(format!(
+                "event #{}: host index {h} out of range ({hosts} hosts)",
+                i + 1
+            ));
+        }
+    }
+    errors
 }
 
 /// Drives one fresh planner through the whole script.
@@ -518,7 +550,7 @@ fn fmt_path(p: AdmissionPath) -> &'static str {
     }
 }
 
-/// Appends one transcript line per admission record not yet shown (ladder
+/// Appends one transcript line per admission record not yet shown (queue
 /// resolutions surfaced by a `pump`/`drain`), returning the new cursor.
 fn push_resolutions(d: &mut Drive, queue: &AdmissionQueue, logged: usize) -> usize {
     for r in &queue.records()[logged..] {
@@ -615,6 +647,10 @@ fn check_patch_floor(
 /// cross-check and expectation. Returns the canonical run on success, the
 /// full list of violations otherwise.
 pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioRun, Vec<String>> {
+    let bad_hosts = host_index_errors(spec);
+    if !bad_hosts.is_empty() {
+        return Err(bad_hosts);
+    }
     let warm = drive(spec, true);
     let cold = drive(spec, false);
     let deadline_mode = spec.system.round_deadline.is_some();
@@ -769,17 +805,18 @@ fn bench_json(spec: &ScenarioSpec, d: &Drive) -> String {
 }
 
 /// Runs one scenario *file* end to end against its golden transcript and
-/// committed bench JSON.
+/// its entry in the committed combined bench file (`BENCH_scenarios.json`,
+/// keyed by scenario name).
 ///
 /// - The candidate transcript is always written to
 ///   `out_dir/<name>.txt` (CI uploads this directory as the diff
 ///   artifact on failure).
-/// - With `SQPR_BLESS=1` the golden transcript and the bench JSON are
-///   (re)written instead of compared.
+/// - With `SQPR_BLESS=1` the golden transcript and the scenario's bench
+///   entry are (re)written instead of compared; other entries are kept.
 pub fn check_scenario_file(
     path: &Path,
     golden_dir: &Path,
-    bench_dir: &Path,
+    bench_file: &Path,
     out_dir: &Path,
 ) -> Result<String, Vec<String>> {
     let src = fs::read_to_string(path)
@@ -809,13 +846,14 @@ pub fn check_scenario_file(
     // sqpr::allow(ambient-nondeterminism): SQPR_BLESS is the operator's explicit golden-regeneration switch; it gates which files are written, never what the planner computes
     let bless = std::env::var("SQPR_BLESS").is_ok_and(|v| v == "1");
     let golden_path = golden_dir.join(format!("{}.txt", run.name));
-    let bench_path = bench_dir.join(format!("BENCH_scenario_{}.json", run.name));
+    let mut entries = bench_entries(&fs::read_to_string(bench_file).unwrap_or_default());
     let mut errors = Vec::new();
     if bless {
         let _ = fs::create_dir_all(golden_dir);
         fs::write(&golden_path, &run.transcript)
             .map_err(|e| vec![format!("{}: bless write failed: {e}", run.name)])?;
-        fs::write(&bench_path, &run.bench_json)
+        entries.insert(run.name.clone(), run.bench_json);
+        fs::write(bench_file, render_bench_entries(&entries))
             .map_err(|e| vec![format!("{}: bench write failed: {e}", run.name)])?;
     } else {
         match fs::read_to_string(&golden_path) {
@@ -842,18 +880,18 @@ pub fn check_scenario_file(
         // objective bits are all in the transcript and stay strict.
         // sqpr::allow(ambient-nondeterminism): explicit operator switch relaxing bench *comparison* strictness; planner outputs are unaffected
         let lenient_bench = std::env::var("SQPR_SCENARIO_LENIENT_BENCH").is_ok_and(|v| v == "1");
-        match fs::read_to_string(&bench_path) {
-            Err(_) => errors.push(format!(
-                "{}: committed bench file {} missing (run with SQPR_BLESS=1 to create)",
+        match entries.get(&run.name) {
+            None => errors.push(format!(
+                "{}: no entry in committed bench file {} (run with SQPR_BLESS=1 to create)",
                 run.name,
-                bench_path.display()
+                bench_file.display()
             )),
-            Ok(committed) => {
-                if committed != run.bench_json && !lenient_bench {
+            Some(committed) => {
+                if *committed != run.bench_json && !lenient_bench {
                     errors.push(format!(
-                        "{}: bench JSON drifted from committed {}",
+                        "{}: bench JSON drifted from its entry in committed {}",
                         run.name,
-                        bench_path.display()
+                        bench_file.display()
                     ));
                 }
             }
@@ -951,6 +989,41 @@ mod tests {
         assert!(
             errs.iter().any(|e| e.contains("admit sequence")),
             "{errs:?}"
+        );
+    }
+
+    #[test]
+    fn out_of_range_host_indices_are_errors_not_panics() {
+        let src = r#"
+            name = "hosts"
+            [system]
+            kind = "paper_cluster"
+            scale = 0.2
+            queries = 2
+            [[system.host]]
+            count = 4
+            cpu = 1.0
+            bandwidth = 10.0
+            [[event]]
+            kind = "fail_hosts"
+            hosts = [1, 99]
+            [[event]]
+            kind = "degrade_link"
+            from = 0
+            to = 5
+            capacity = 1.0
+            [[event]]
+            kind = "restore_link"
+            from = 3
+            to = 0
+        "#;
+        let errs = run_scenario(&ScenarioSpec::parse(src).unwrap()).unwrap_err();
+        assert_eq!(
+            errs,
+            [
+                "event #1: host index 99 out of range (4 hosts)",
+                "event #2: host index 5 out of range (4 hosts)",
+            ]
         );
     }
 

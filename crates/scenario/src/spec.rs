@@ -235,13 +235,16 @@ fn req_str(t: &Table, key: &str) -> Result<String, SpecError> {
         .ok_or_else(|| bad(format!("missing string `{key}`")))
 }
 
+/// Every number a scenario carries must be finite: `nan` and `inf` parse
+/// as floats but mean nothing as a capacity, rate or time.
 fn opt_f64(t: &Table, key: &str) -> Result<Option<f64>, SpecError> {
     match t.get(key) {
         None => Ok(None),
         Some(v) => v
             .as_f64()
+            .filter(|x| x.is_finite())
             .map(Some)
-            .ok_or_else(|| bad(format!("`{key}` must be a number"))),
+            .ok_or_else(|| bad(format!("`{key}` must be a finite number"))),
     }
 }
 
@@ -251,6 +254,28 @@ fn f64_or(t: &Table, key: &str, default: f64) -> Result<f64, SpecError> {
 
 fn req_f64(t: &Table, key: &str) -> Result<f64, SpecError> {
     opt_f64(t, key)?.ok_or_else(|| bad(format!("missing number `{key}`")))
+}
+
+/// A capacity or a rate: finite and non-negative.
+fn non_negative(key: &str, v: f64) -> Result<f64, SpecError> {
+    if v < 0.0 {
+        return Err(bad(format!("`{key}` must be non-negative, got {v}")));
+    }
+    Ok(v)
+}
+
+fn req_non_negative(t: &Table, key: &str) -> Result<f64, SpecError> {
+    non_negative(key, req_f64(t, key)?)
+}
+
+/// A share in `[0, 1]` (patch-rate and admit-fraction floors).
+fn opt_fraction(t: &Table, key: &str) -> Result<Option<f64>, SpecError> {
+    match opt_f64(t, key)? {
+        Some(v) if !(0.0..=1.0).contains(&v) => {
+            Err(bad(format!("`{key}` must lie in [0, 1], got {v}")))
+        }
+        v => Ok(v),
+    }
 }
 
 fn opt_usize(t: &Table, key: &str) -> Result<Option<usize>, SpecError> {
@@ -304,8 +329,8 @@ fn parse_system(t: &Table) -> Result<SystemSpec, SpecError> {
         {
             hosts.push(HostClass {
                 count: usize_or(h, "count", 1)?,
-                cpu: req_f64(h, "cpu")?,
-                bandwidth: req_f64(h, "bandwidth")?,
+                cpu: req_non_negative(h, "cpu")?,
+                bandwidth: req_non_negative(h, "bandwidth")?,
             });
         }
         if hosts.iter().map(|h| h.count).sum::<usize>() == 0 {
@@ -335,7 +360,9 @@ fn parse_system(t: &Table) -> Result<SystemSpec, SpecError> {
             })
             .transpose()?,
         queries: opt_usize(t, "queries")?,
-        zipf_theta: opt_f64(t, "zipf_theta")?,
+        zipf_theta: opt_f64(t, "zipf_theta")?
+            .map(|z| non_negative("zipf_theta", z))
+            .transpose()?,
         max_nodes: usize_or(t, "max_nodes", 200)?,
         node_quantum,
         round_deadline,
@@ -351,10 +378,10 @@ fn parse_profile(t: &Table) -> Result<RateProfile, SpecError> {
             phase: f64_or(t, "phase", 0.0)?,
         }),
         "burst" => Ok(RateProfile::Burst {
-            factor: req_f64(t, "factor")?,
+            factor: req_non_negative(t, "factor")?,
         }),
         "step" => Ok(RateProfile::Step {
-            factor: req_f64(t, "factor")?,
+            factor: req_non_negative(t, "factor")?,
         }),
         other => Err(bad(format!("unknown profile `{other}`"))),
     }
@@ -363,7 +390,7 @@ fn parse_profile(t: &Table) -> Result<RateProfile, SpecError> {
 fn parse_drift(t: &Table) -> Result<DriftSpec, SpecError> {
     Ok(DriftSpec {
         profile: parse_profile(t)?,
-        jitter: f64_or(t, "jitter", 0.0)?,
+        jitter: non_negative("jitter", f64_or(t, "jitter", 0.0)?)?,
         seed: t
             .get("seed")
             .map(|v| {
@@ -380,7 +407,7 @@ fn parse_event(t: &Table) -> Result<Event, SpecError> {
     match kind.as_str() {
         "submit" => Ok(Event::Submit {
             count: req_usize(t, "count")?,
-            min_patch_rate: opt_f64(t, "min_patch_rate")?,
+            min_patch_rate: opt_fraction(t, "min_patch_rate")?,
         }),
         "observe" => Ok(Event::Observe {
             drift: parse_drift(t)?,
@@ -404,15 +431,18 @@ fn parse_event(t: &Table) -> Result<Event, SpecError> {
         "restore_hosts" => Ok(Event::RestoreHosts {
             hosts: index_list(t, "hosts")?,
         }),
-        "degrade_link" => Ok(Event::DegradeLink {
-            from: req_usize(t, "from")?,
-            to: req_usize(t, "to")?,
-            capacity: req_f64(t, "capacity")?,
-        }),
-        "restore_link" => Ok(Event::RestoreLink {
-            from: req_usize(t, "from")?,
-            to: req_usize(t, "to")?,
-        }),
+        "degrade_link" => {
+            let (from, to) = link(t)?;
+            Ok(Event::DegradeLink {
+                from,
+                to,
+                capacity: req_non_negative(t, "capacity")?,
+            })
+        }
+        "restore_link" => {
+            let (from, to) = link(t)?;
+            Ok(Event::RestoreLink { from, to })
+        }
         "recover" => Ok(Event::Recover {
             max_nodes: usize_or(t, "max_nodes", 400)?,
         }),
@@ -427,7 +457,7 @@ fn parse_event(t: &Table) -> Result<Event, SpecError> {
         }
         "retry" => Ok(Event::Retry {
             max: opt_usize(t, "max")?,
-            min_patch_rate: opt_f64(t, "min_patch_rate")?,
+            min_patch_rate: opt_fraction(t, "min_patch_rate")?,
         }),
         "pump" => {
             let ticks = usize_or(t, "ticks", 1)?;
@@ -439,6 +469,16 @@ fn parse_event(t: &Table) -> Result<Event, SpecError> {
         "drain" => Ok(Event::Drain),
         other => Err(bad(format!("unknown event kind `{other}`"))),
     }
+}
+
+/// A directed link's `from -> to` host pair; a host's self link is local
+/// delivery, not a link a script can degrade or restore.
+fn link(t: &Table) -> Result<(usize, usize), SpecError> {
+    let (from, to) = (req_usize(t, "from")?, req_usize(t, "to")?);
+    if from == to {
+        return Err(bad(format!("`from` and `to` both name host {from}")));
+    }
+    Ok((from, to))
 }
 
 fn parse_expect(t: &Table) -> Result<Expectations, SpecError> {
@@ -459,7 +499,7 @@ fn parse_expect(t: &Table) -> Result<Expectations, SpecError> {
             .ok_or_else(|| bad("`zero_dropped` must be a boolean"))?;
     }
     e.min_replanned = opt_usize(t, "min_replanned")?;
-    e.min_admit_fraction = opt_f64(t, "min_admit_fraction")?;
+    e.min_admit_fraction = opt_fraction(t, "min_admit_fraction")?;
     Ok(e)
 }
 
@@ -566,6 +606,142 @@ mod tests {
         ] {
             let e = ScenarioSpec::parse(src).unwrap_err();
             assert!(e.0.contains(needle), "`{src}` -> `{}`", e.0);
+        }
+    }
+
+    /// Decodes `[system]` extras plus one event body; returns the error.
+    fn decode_err(system: &str, event: &str) -> String {
+        let src =
+            format!("name = \"x\"\n[system]\nkind = \"paper_sim\"\n{system}\n[[event]]\n{event}");
+        match ScenarioSpec::parse(&src) {
+            Ok(_) => panic!("`{src}` decoded"),
+            Err(e) => e.0,
+        }
+    }
+
+    const SUBMIT: &str = "kind = \"submit\"\ncount = 1";
+
+    #[test]
+    fn rejects_non_finite_numbers_naming_the_key() {
+        for (system, event, key) in [
+            ("[[system.host]]\ncpu = nan\nbandwidth = 1.0", SUBMIT, "cpu"),
+            (
+                "[[system.host]]\ncpu = 1.0\nbandwidth = inf",
+                SUBMIT,
+                "bandwidth",
+            ),
+            ("zipf_theta = nan", SUBMIT, "zipf_theta"),
+            (
+                "",
+                "kind = \"degrade_link\"\nfrom = 0\nto = 1\ncapacity = -inf",
+                "capacity",
+            ),
+            ("", "kind = \"adapt\"\nthreshold = nan", "threshold"),
+            (
+                "",
+                "kind = \"observe\"\nprofile = \"burst\"\nfactor = 2.0\nt = nan",
+                "t",
+            ),
+            (
+                "",
+                "kind = \"observe\"\nprofile = \"burst\"\nfactor = 2.0\nt = 1.0\ntick = 1e999",
+                "tick",
+            ),
+            (
+                "",
+                "kind = \"observe\"\nprofile = \"diurnal\"\namplitude = inf\nperiod = 8.0\nt = 1.0",
+                "amplitude",
+            ),
+            (
+                "",
+                "kind = \"observe\"\nprofile = \"diurnal\"\namplitude = 0.5\nperiod = nan\nt = 1.0",
+                "period",
+            ),
+            (
+                "",
+                "kind = \"observe\"\nprofile = \"step\"\nfactor = 2.0\nt = 1.0\njitter = nan",
+                "jitter",
+            ),
+            (
+                "",
+                "kind = \"submit\"\ncount = 1\nmin_patch_rate = nan",
+                "min_patch_rate",
+            ),
+        ] {
+            let e = decode_err(system, event);
+            assert!(
+                e.contains(&format!("`{key}` must be a finite number")),
+                "{key}: {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_negative_capacities_and_rates() {
+        for (system, event, key) in [
+            (
+                "[[system.host]]\ncpu = -1.0\nbandwidth = 1.0",
+                SUBMIT,
+                "cpu",
+            ),
+            (
+                "[[system.host]]\ncpu = 1.0\nbandwidth = -2",
+                SUBMIT,
+                "bandwidth",
+            ),
+            ("zipf_theta = -0.5", SUBMIT, "zipf_theta"),
+            (
+                "",
+                "kind = \"degrade_link\"\nfrom = 0\nto = 1\ncapacity = -5.0",
+                "capacity",
+            ),
+            (
+                "",
+                "kind = \"drift\"\nprofile = \"step\"\nfactor = -2.0\nt = 1.0\nthreshold = 0.2",
+                "factor",
+            ),
+            (
+                "",
+                "kind = \"observe\"\nprofile = \"burst\"\nfactor = 2.0\nt = 1.0\njitter = -0.1",
+                "jitter",
+            ),
+        ] {
+            let e = decode_err(system, event);
+            assert!(
+                e.contains(&format!("`{key}` must be non-negative")),
+                "{key}: {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_share_floors_outside_the_unit_interval() {
+        for (event, key) in [
+            (
+                "kind = \"submit\"\ncount = 1\nmin_patch_rate = 1.5",
+                "min_patch_rate",
+            ),
+            ("kind = \"retry\"\nmin_patch_rate = -0.1", "min_patch_rate"),
+            (
+                "kind = \"submit\"\ncount = 1\n[expect]\nmin_admit_fraction = 2",
+                "min_admit_fraction",
+            ),
+        ] {
+            let e = decode_err("", event);
+            assert!(
+                e.contains(&format!("`{key}` must lie in [0, 1]")),
+                "{key}: {e}"
+            );
+        }
+        let ok = "name = \"x\"\n[system]\nkind = \"paper_sim\"\n[[event]]\nkind = \"retry\"\nmin_patch_rate = 1";
+        assert!(ScenarioSpec::parse(ok).is_ok(), "1 is a valid floor");
+    }
+
+    #[test]
+    fn rejects_self_links() {
+        for kind in ["degrade_link\"\ncapacity = 1.0", "restore_link\""] {
+            let e = decode_err("", &format!("kind = \"{kind}\nfrom = 2\nto = 2"));
+            assert!(e.contains("both name host 2"), "{e}");
         }
     }
 

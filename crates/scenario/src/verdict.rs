@@ -8,6 +8,7 @@
 //! Objectives are printed with their IEEE-754 bit pattern (`value/hex`) so
 //! "bit-identical" is literal, not a rounding artefact.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Formats an objective (or any score) as `value/bits`.
@@ -125,6 +126,53 @@ impl JsonObject {
     }
 }
 
+/// The entries of the combined bench file, keyed by scenario name: each is
+/// the scenario's object exactly as [`JsonObject::render`] writes it.
+pub(crate) fn bench_entries(file: &str) -> BTreeMap<String, String> {
+    let mut entries = BTreeMap::new();
+    let mut open: Option<(String, String)> = None;
+    for line in file.lines() {
+        if let Some((name, body)) = &mut open {
+            let line = line.strip_prefix("  ").unwrap_or(line);
+            if line.starts_with('}') {
+                body.push_str("}\n");
+                entries.insert(std::mem::take(name), std::mem::take(body));
+                open = None;
+            } else {
+                body.push_str(line);
+                body.push('\n');
+            }
+        } else if let Some(name) = line
+            .strip_prefix("  \"")
+            .and_then(|l| l.strip_suffix("\": {"))
+        {
+            open = Some((name.to_string(), "{\n".to_string()));
+        }
+    }
+    entries
+}
+
+/// Renders the combined bench file: one object keyed by scenario name, in
+/// name order, each entry indented one level.
+pub(crate) fn render_bench_entries(entries: &BTreeMap<String, String>) -> String {
+    let mut out = String::from("{\n");
+    for (i, (name, body)) in entries.iter().enumerate() {
+        let _ = write!(out, "  {}: ", json_string(name));
+        let lines: Vec<&str> = body.lines().collect();
+        for (j, line) in lines.iter().enumerate() {
+            let indent = if j == 0 { "" } else { "  " };
+            let comma = if j + 1 == lines.len() && i + 1 < entries.len() {
+                ","
+            } else {
+                ""
+            };
+            let _ = writeln!(out, "{indent}{line}{comma}");
+        }
+    }
+    out.push_str("}\n");
+    out
+}
+
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -191,6 +239,25 @@ mod tests {
             j,
             "{\n  \"bench\": \"scenario_x\",\n  \"submitted\": 12,\n  \"patch_rate\": 0.75,\n  \"objective\": 3.0,\n  \"valid\": true\n}\n"
         );
+    }
+
+    #[test]
+    fn bench_file_round_trips_its_entries() {
+        let a = JsonObject::new()
+            .str("bench", "scenario_a")
+            .uint("n", 1)
+            .render();
+        let b = JsonObject::new().str("bench", "scenario_b").render();
+        let mut entries = BTreeMap::new();
+        entries.insert("b".to_string(), b);
+        entries.insert("a".to_string(), a);
+        let file = render_bench_entries(&entries);
+        assert_eq!(
+            file,
+            "{\n  \"a\": {\n    \"bench\": \"scenario_a\",\n    \"n\": 1\n  },\n  \"b\": {\n    \"bench\": \"scenario_b\"\n  }\n}\n"
+        );
+        assert_eq!(bench_entries(&file), entries);
+        assert!(bench_entries("").is_empty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! twin), checks warm/cold agreement and the scenarios' own expectations,
 //! diffs each
 //! canonical verdict transcript against its committed golden file, and
-//! verifies the committed per-scenario `BENCH_scenario_<name>.json`.
+//! verifies each scenario's entry in the committed `BENCH_scenarios.json`.
 //!
 //! On golden drift the candidate transcripts land in
 //! `target/scenario_verdicts/` (CI uploads that directory as an
@@ -22,7 +22,7 @@ fn scenario_corpus() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let dir = root.join("tests/scenarios");
     let golden = dir.join("golden");
-    let bench = root.to_path_buf(); // BENCH_scenario_*.json live at the repo root
+    let bench = root.join("BENCH_scenarios.json");
     let out = root.join("target/scenario_verdicts");
 
     let files = discover(&dir).expect("tests/scenarios must exist");
@@ -46,6 +46,19 @@ fn scenario_corpus() {
         files.len(),
         passed.join(", ")
     );
+    // Every entry of the combined bench file belongs to a corpus scenario.
+    let committed = std::fs::read_to_string(&bench).unwrap_or_default();
+    for name in committed
+        .lines()
+        .filter_map(|l| l.strip_prefix("  \"")?.strip_suffix("\": {"))
+    {
+        if !files
+            .iter()
+            .any(|f| f.file_stem().is_some_and(|s| s == name))
+        {
+            failures.push(format!("BENCH_scenarios.json: stale entry `{name}`"));
+        }
+    }
     assert!(
         failures.is_empty(),
         "scenario corpus failures:\n{}",
