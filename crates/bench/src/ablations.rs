@@ -1,4 +1,5 @@
-//! Ablation studies for the design choices called out in DESIGN.md.
+//! Ablation studies for the planner's design choices (the `ablations` row
+//! of `crates/bench/README.md`).
 //!
 //! Each ablation runs the same workload with one knob flipped and reports
 //! the admitted-query count (and, where relevant, load-balance metrics).
@@ -102,67 +103,15 @@ pub fn ablation_acyclicity(scale: f64) -> Vec<Series> {
     vec![s]
 }
 
-/// Hierarchical decomposition (§VII future work) vs. flat planning:
-/// admitted queries and total planning wall time on the same workload.
-pub fn ablation_hierarchical(scale: f64) -> Vec<Series> {
-    use sqpr_core::HierarchicalPlanner;
-    use sqpr_dsps::HostId;
-
-    let mut spec = WorkloadSpec::paper_sim(scale);
-    spec.hosts = spec.hosts.max(6);
-    let w = generate(&spec);
-
-    let t0 = std::time::Instant::now();
-    let mut cfg = PlannerConfig::new(&w.catalog);
-    cfg.budget = budget_for_timeout(30);
-    let mut flat = SqprPlanner::new(w.catalog.clone(), cfg);
-    for q in &w.queries {
-        flat.submit(q).expect("valid bases");
-    }
-    let t_flat = t0.elapsed();
-
-    let t1 = std::time::Instant::now();
-    let half = w.catalog.num_hosts() / 2;
-    let sites = vec![
-        (0..half).map(|i| HostId(i as u32)).collect::<Vec<_>>(),
-        (half..w.catalog.num_hosts())
-            .map(|i| HostId(i as u32))
-            .collect(),
-    ];
-    let mut hier = HierarchicalPlanner::new(&w.catalog, sites, |sc| {
-        let mut cfg = PlannerConfig::new(sc);
-        cfg.budget = budget_for_timeout(30);
-        cfg
-    });
-    for q in &w.queries {
-        hier.submit(q).expect("valid bases");
-    }
-    let t_hier = t1.elapsed();
-
-    println!(
-        "flat: {} admitted in {t_flat:?}; hierarchical (2 sites): {} admitted in {t_hier:?}",
-        flat.num_admitted(),
-        hier.num_admitted()
-    );
-    let mut s = Series::new("admitted");
-    s.push(0.0, flat.num_admitted() as f64);
-    s.push(1.0, hier.num_admitted() as f64);
-    let mut t = Series::new("total planning s");
-    t.push(0.0, t_flat.as_secs_f64());
-    t.push(1.0, t_hier.as_secs_f64());
-    vec![s, t]
-}
-
 /// λ3/λ4 sweep (§III-B trade-off between total consumption and balance):
 /// reports admitted count and Jain fairness of the CPU distribution.
 pub fn ablation_weights(scale: f64) -> Vec<Series> {
     let mut admitted = Series::new("admitted");
     let mut fairness = Series::new("jain fairness");
-    for (i, mix) in [0.0f64, 0.25, 0.5, 0.75, 1.0].iter().enumerate() {
-        let (adm, fair) = run_with(|c| c.weights = c.weights.balance_mix(*mix), scale, None);
-        admitted.push(*mix, adm as f64);
-        fairness.push(*mix, fair);
-        let _ = i;
+    for mix in [0.0f64, 0.25, 0.5, 0.75, 1.0] {
+        let (adm, fair) = run_with(|c| c.weights = c.weights.balance_mix(mix), scale, None);
+        admitted.push(mix, adm as f64);
+        fairness.push(mix, fair);
     }
     vec![admitted, fairness]
 }

@@ -1,5 +1,6 @@
-//! Runs all DESIGN.md ablations: reuse, relaying, problem reduction, IV.9
-//! replanning, warm start, acyclicity mode, and the λ3/λ4 balance sweep.
+//! Runs every ablation in `sqpr_bench::ablations`: reuse, relaying, problem
+//! reduction, IV.9 replanning, warm start, acyclicity mode, and the λ3/λ4
+//! balance sweep (see `crates/bench/README.md`).
 //! Usage: `ablations [scale]`.
 use sqpr_bench::ablations::*;
 use sqpr_bench::harness::{print_figure, scale_arg};
@@ -37,10 +38,5 @@ fn main() {
         "Ablation: balance mix (0=min-resource, 1=balance)",
         "mix",
         &ablation_weights(scale),
-    );
-    print_figure(
-        "Ablation: hierarchical (0=flat, 1=2 sites)",
-        "mode",
-        &ablation_hierarchical(scale),
     );
 }

@@ -4,8 +4,6 @@
 //! regenerates, the (scaled) experiment parameters, and one row per x-value
 //! with one column per series — the same rows/series the paper plots.
 
-use std::time::Duration;
-
 use sqpr_core::SolveBudget;
 
 /// Scale factor for experiments: 1.0 = the paper's sizes. Read from CLI
@@ -80,11 +78,6 @@ pub fn print_figure(title: &str, xlabel: &str, series: &[Series]) {
         }
         println!();
     }
-}
-
-/// Formats a duration in milliseconds with two decimals.
-pub fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
 }
 
 /// A JSON value for the machine-readable bench emitter. Only the shapes
@@ -204,10 +197,5 @@ mod tests {
         s.push(1.0, 2.0);
         s.push(2.0, 4.0);
         print_figure("t", "x", &[s]);
-    }
-
-    #[test]
-    fn ms_converts() {
-        assert_eq!(ms(Duration::from_millis(1500)), 1500.0);
     }
 }

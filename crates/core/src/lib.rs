@@ -26,7 +26,6 @@ pub mod admission;
 pub mod config;
 pub mod extract;
 pub mod greedy;
-pub mod hierarchical;
 pub mod model;
 pub mod planner;
 pub mod query;
@@ -39,7 +38,6 @@ pub use admission::{
 pub use config::{AcyclicityMode, ObjectiveWeights, PlannerConfig, RelayPolicy, SolveBudget};
 pub use extract::extract_plan;
 pub use greedy::greedy_admit;
-pub use hierarchical::HierarchicalPlanner;
 pub use model::{DecodedAllocation, ModelInputs, PlanningModel};
 pub use planner::{
     garbage_collect, PlannerError, PlanningOutcome, PreemptedRound, SolverStats, SqprPlanner,

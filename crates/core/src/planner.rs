@@ -1151,17 +1151,6 @@ impl SqprPlanner {
         self.invalidate_solver_context();
     }
 
-    /// Registers a mirrored base stream at `host` (used by the hierarchical
-    /// planner to model cross-site feeds arriving at a site gateway).
-    pub fn register_mirrored_base(
-        &mut self,
-        host: sqpr_dsps::HostId,
-        rate: f64,
-        source_tag: u64,
-    ) -> StreamId {
-        self.catalog.add_base_stream(host, rate, source_tag)
-    }
-
     /// Removes a query; garbage-collects allocation pieces that no longer
     /// serve anything (used by adaptive re-planning, §IV-B).
     ///

@@ -29,7 +29,7 @@
 pub mod cache;
 pub mod heuristics;
 pub mod model;
-pub mod presolve;
+mod presolve;
 pub mod solver;
 #[cfg(test)]
 pub(crate) mod test_models;

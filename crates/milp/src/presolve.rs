@@ -21,7 +21,7 @@ use crate::model::{LpMap, Model, VarType};
 
 /// Result of presolving: tightened bounds, or proven infeasibility.
 #[derive(Debug, Clone)]
-pub enum Presolved {
+enum Presolved {
     /// Tightened `(lb, ub)` per column (safe to hand to branch & bound).
     Bounds(Vec<f64>, Vec<f64>),
     /// The bound propagation derived an empty domain.
@@ -29,34 +29,6 @@ pub enum Presolved {
 }
 
 const TOL: f64 = 1e-9;
-
-/// Runs up to `max_rounds` propagation sweeps.
-pub fn presolve_bounds(model: &Model, max_rounds: usize) -> Presolved {
-    // Rows whose variables are all bound-fixed are constants: check them
-    // once and exclude them from the propagation sweeps. Skeleton models
-    // fix most of their variables per submission, so this turns the sweep
-    // cost from O(model) into O(free subproblem).
-    let mut active = Vec::with_capacity(model.num_cons());
-    for c in 0..model.num_cons() {
-        let (terms, row_lb, row_ub) = model.constraint(c);
-        let mut any_free = false;
-        let mut act = 0.0;
-        for &(v, a) in terms {
-            let (l, u) = model.var_bounds(v);
-            if l < u {
-                any_free = true;
-                break;
-            }
-            act += a * l;
-        }
-        if any_free {
-            active.push(c);
-        } else if act > row_ub + TOL * (1.0 + act.abs()) || act < row_lb - TOL * (1.0 + act.abs()) {
-            return Presolved::Infeasible;
-        }
-    }
-    propagate_all_rows(model, max_rounds, &active)
-}
 
 /// The reference propagation: from the model's own bounds, every one of the
 /// `active` rows re-read in every sweep, nothing resumed.
@@ -73,7 +45,7 @@ fn propagate_all_rows(model: &Model, max_rounds: usize, active: &[usize]) -> Pre
 /// propagation derived an empty domain.
 pub(crate) type LpBounds = Option<(Vec<f64>, Vec<f64>)>;
 
-/// Like [`presolve_bounds`] over the kept rows of a compressed lowering:
+/// Like `presolve_bounds` over the kept rows of a compressed lowering:
 /// `map.cons_of_row` is exactly the set of rows with at least one unfolded
 /// variable, so the row-classification scan is skipped, and `lp`'s columns
 /// give each variable's rows, so sweeps after the first touch only rows
@@ -501,6 +473,35 @@ impl<'a> Propagation<'a> {
         }
         Ok(())
     }
+}
+
+/// Runs up to `max_rounds` propagation sweeps.
+#[cfg(test)]
+fn presolve_bounds(model: &Model, max_rounds: usize) -> Presolved {
+    // Rows whose variables are all bound-fixed are constants: check them
+    // once and exclude them from the propagation sweeps. Skeleton models
+    // fix most of their variables per submission, so this turns the sweep
+    // cost from O(model) into O(free subproblem).
+    let mut active = Vec::with_capacity(model.num_cons());
+    for c in 0..model.num_cons() {
+        let (terms, row_lb, row_ub) = model.constraint(c);
+        let mut any_free = false;
+        let mut act = 0.0;
+        for &(v, a) in terms {
+            let (l, u) = model.var_bounds(v);
+            if l < u {
+                any_free = true;
+                break;
+            }
+            act += a * l;
+        }
+        if any_free {
+            active.push(c);
+        } else if act > row_ub + TOL * (1.0 + act.abs()) || act < row_lb - TOL * (1.0 + act.abs()) {
+            return Presolved::Infeasible;
+        }
+    }
+    propagate_all_rows(model, max_rounds, &active)
 }
 
 #[cfg(test)]

@@ -3,18 +3,15 @@
 //! Workload generation for the SQPR evaluation: the Zipf sampler used for
 //! base-stream selection, the k-way join query generator with pairwise
 //! selectivities, and presets matching the paper's §V-A simulation and
-//! §V-B cluster setups (scalable for laptop runs). [`fault`] adds seeded
-//! fault-injection plans for the failure-storm experiments; [`events`]
-//! adds the deterministic rate-drift profiles scenario scripts replay.
+//! §V-B cluster setups (scalable for laptop runs). [`events`] adds the
+//! deterministic rate-drift profiles scenario scripts replay.
 
 pub mod events;
-pub mod fault;
 pub mod generator;
 pub mod rng;
 pub mod zipf;
 
 pub use events::{DriftSpec, RateProfile};
-pub use fault::{FaultPlan, FaultSpec};
 pub use generator::{generate, generate_with_hosts, Workload, WorkloadSpec};
 pub use rng::{Rng, StdRng};
 pub use zipf::Zipf;
