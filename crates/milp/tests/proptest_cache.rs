@@ -7,8 +7,8 @@
 //! replayed deterministically.
 
 use sqpr_milp::{
-    solve, solve_preemptible, LpCacheSlot, MilpOptions, MilpResult, MilpStatus, MilpWarmStart,
-    Model, Sense, VarId,
+    solve, solve_preemptible, IncumbentFilter, LpCacheSlot, MilpOptions, MilpResult, MilpStatus,
+    MilpWarmStart, Model, Sense, SolveOutcome, VarId,
 };
 use sqpr_workload::rng::{Rng, StdRng};
 
@@ -120,6 +120,113 @@ fn cached_cross_submission_solves_match_fresh() {
             "seed {seed}: every round is a construction: {stats:?}"
         );
     }
+}
+
+/// Every observable of two searches, bit for bit: status, tree, simplex work,
+/// objective and bound bits, solution bits and the exported root basis.
+fn assert_bit_identical(ctx: &str, a: &MilpResult, b: &MilpResult) {
+    assert_eq!(a.status, b.status, "{ctx}: status");
+    assert_eq!(a.nodes, b.nodes, "{ctx}: nodes");
+    assert_eq!(a.lp_iterations, b.lp_iterations, "{ctx}: lp_iterations");
+    assert_eq!(a.lp_pivots, b.lp_pivots, "{ctx}: lp_pivots");
+    assert_eq!(
+        a.objective.to_bits(),
+        b.objective.to_bits(),
+        "{ctx}: objective"
+    );
+    assert_eq!(
+        a.best_bound.to_bits(),
+        b.best_bound.to_bits(),
+        "{ctx}: best_bound"
+    );
+    let bits = |x: &Option<Vec<f64>>| {
+        x.as_ref()
+            .map(|x| x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>())
+    };
+    assert_eq!(bits(&a.x), bits(&b.x), "{ctx}: x");
+    assert_eq!(
+        format!("{:?}", a.root_basis),
+        format!("{:?}", b.root_basis),
+        "{ctx}: root basis"
+    );
+}
+
+/// One solve to the end: a first slice of `quantum` nodes, then whatever
+/// it suspended resumed without a quantum. Returns whether it suspended.
+fn sliced(
+    m: &Model,
+    opts: &MilpOptions,
+    warm: MilpWarmStart<'_>,
+    filter: Option<IncumbentFilter<'_>>,
+    cache: Option<&mut LpCacheSlot>,
+    quantum: usize,
+) -> (MilpResult, bool) {
+    match solve_preemptible(m, opts, warm, filter, cache, quantum) {
+        SolveOutcome::Done(r) => (r, false),
+        SolveOutcome::Suspended(state) => {
+            let r = state
+                .resume(filter, usize::MAX)
+                .done()
+                .expect("an unbounded slice never suspends");
+            (r, true)
+        }
+    }
+}
+
+/// A solve without a cache is a solve over a private, fresh slot: over the
+/// file's skeletons, re-fixed and cut as the planner would, with and
+/// without a seed start (feasible or not), an incumbent filter and a root
+/// basis, uninterrupted and suspended at a random quantum then resumed to
+/// the end, both give the same search bit for bit.
+#[test]
+fn cacheless_solves_are_fresh_slot_solves() {
+    let (mut suspended, mut seeded, mut filtered) = (0, 0, 0);
+    for seed in 0..240u64 {
+        let mut rng = StdRng::seed_from_u64(0xF2E5 ^ (seed << 3));
+        let (mut m, vars) = random_skeleton(&mut rng);
+        for &v in &vars {
+            match rng.gen_index(3) {
+                0 => m.set_bounds(v, 0.0, 0.0),
+                1 => m.set_bounds(v, 1.0, 1.0),
+                _ => {}
+            }
+        }
+        if rng.gen_bool() {
+            let terms: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
+            m.add_le(terms, (1 + rng.gen_index(vars.len())) as f64);
+        }
+        let opts = MilpOptions {
+            presolve: rng.gen_index(4) != 0,
+            cross_solve_factors: rng.gen_bool(),
+            ..MilpOptions::default()
+        };
+        let base = solve(&m, &opts);
+        let start: Option<Vec<f64>> = match rng.gen_index(3) {
+            0 => None,
+            1 => base.x.clone(),
+            _ => Some(vars.iter().map(|_| rng.gen_index(2) as f64).collect()),
+        };
+        let warm = MilpWarmStart {
+            start: start.as_deref(),
+            root_basis: base.root_basis.as_ref().filter(|_| rng.gen_bool()),
+        };
+        let odd_sum = |x: &[f64]| x.iter().map(|v| v.round() as i64).sum::<i64>() % 2 == 1;
+        let filter = rng.gen_bool().then_some(&odd_sum as IncumbentFilter<'_>);
+        seeded += usize::from(start.is_some());
+        filtered += usize::from(filter.is_some());
+        for quantum in [usize::MAX, rng.gen_index(base.nodes + 1)] {
+            let ctx = format!("seed {seed}, quantum {quantum}");
+            let (plain, cut) = sliced(&m, &opts, warm, filter, None, quantum);
+            let mut slot = LpCacheSlot::new();
+            let (slotted, slot_cut) = sliced(&m, &opts, warm, filter, Some(&mut slot), quantum);
+            assert_eq!(cut, slot_cut, "{ctx}: suspension");
+            assert_bit_identical(&ctx, &plain, &slotted);
+            suspended += usize::from(cut);
+        }
+    }
+    assert!(suspended >= 80, "only {suspended} solves suspended");
+    assert!(seeded >= 120, "only {seeded} seeded solves");
+    assert!(filtered >= 90, "only {filtered} filtered solves");
 }
 
 /// The class keying must actually produce cross-submission patches on
