@@ -225,23 +225,22 @@ fn is_lifetime(b: &[u8], i: usize) -> bool {
 }
 
 /// Consumes a char literal body starting after the opening quote; returns
-/// the index one past the closing quote.
+/// the index one past the closing quote, or the end of input.
 fn skip_char_literal(b: &[u8], mut i: usize) -> usize {
     if i < b.len() && b[i] == b'\\' {
         i += 1;
-        if i < b.len() {
-            if b[i] == b'u' {
-                // \u{...}
-                i += 1;
-                if i < b.len() && b[i] == b'{' {
-                    while i < b.len() && b[i] != b'}' {
-                        i += 1;
-                    }
+        if i < b.len() && b[i] == b'u' {
+            // \u{...}
+            i += 1;
+            if i < b.len() && b[i] == b'{' {
+                while i < b.len() && b[i] != b'}' {
+                    i += 1;
                 }
             }
-            i += 1;
         }
-    } else if i < b.len() {
+    }
+    // The (escaped) char itself: one scalar, however many bytes it takes.
+    if i < b.len() {
         i += 1;
         while i < b.len() && (b[i] & 0xC0) == 0x80 {
             i += 1;
@@ -254,12 +253,17 @@ fn skip_char_literal(b: &[u8], mut i: usize) -> usize {
 }
 
 /// Consumes a plain string body starting after the opening quote; returns
-/// `(index past closing quote, newlines crossed)`.
+/// `(index past closing quote or end of input, newlines crossed)`.
 fn skip_plain_string(b: &[u8], mut i: usize) -> (usize, usize) {
     let mut nl = 0usize;
     while i < b.len() {
         match b[i] {
-            b'\\' => i += 2,
+            // An escaped newline (a string continuation) is still a line;
+            // an escape at end of input ends the unterminated string.
+            b'\\' => {
+                nl += usize::from(b.get(i + 1) == Some(&b'\n'));
+                i = (i + 2).min(b.len());
+            }
             b'"' => return (i + 1, nl),
             b'\n' => {
                 nl += 1;
@@ -456,12 +460,13 @@ mod tests {
 
     #[test]
     fn line_numbers_track_all_multiline_tokens() {
-        let src = "a\n\"two\nlines\"\nb /* c\nd */ e";
+        let src = "a\n\"two\nlines\"\nb /* c\nd */ e \"con\\\ntinued\" f";
         let toks = lex(src);
         let find = |name: &str| toks.iter().find(|t| t.text == name).unwrap().line;
         assert_eq!(find("a"), 1);
         assert_eq!(find("b"), 4);
         assert_eq!(find("e"), 5);
+        assert_eq!(find("f"), 6, "an escaped newline is a line too");
     }
 
     #[test]

@@ -54,6 +54,38 @@ fn every_non_whitespace_byte_in_exactly_one_token() {
     }
 }
 
+/// Unterminated literals become a token that runs to end of input, never a
+/// panic: an escape as the last byte of a plain or a byte string, and an
+/// escaped multi-byte char, whose token must end on a char boundary.
+#[test]
+fn unterminated_escapes_end_at_end_of_input() {
+    for (src, want) in [
+        ("let s = \"abc\\", (TokKind::Str, "\"abc\\")),
+        ("b\"x\\", (TokKind::Str, "b\"x\\")),
+        ("let c = '\\é';", (TokKind::Char, "'\\é'")),
+    ] {
+        let toks = lex(src);
+        let mut covered = vec![false; src.len()];
+        for tok in &toks {
+            assert_eq!(&src[tok.start..tok.end], tok.text, "{src:?}");
+            for slot in &mut covered[tok.start..tok.end] {
+                assert!(!*slot, "{src:?}: byte covered twice");
+                *slot = true;
+            }
+        }
+        for (i, byte) in src.bytes().enumerate() {
+            assert!(
+                covered[i] || byte.is_ascii_whitespace(),
+                "{src:?}: byte {i}"
+            );
+        }
+        assert!(
+            toks.iter().any(|t| (t.kind, t.text.as_str()) == want),
+            "{src:?}: {toks:?}"
+        );
+    }
+}
+
 #[test]
 fn nested_constructs_classified_correctly() {
     let toks = lex(GNARLY);

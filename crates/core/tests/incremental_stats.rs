@@ -117,6 +117,40 @@ fn cache_stats_surface_per_round_and_resubmissions_patch() {
     assert!(planner.lp_cache_stats().patch_rate() > 0.0);
 }
 
+/// A cold planner (`reuse_solver_context = false`) builds every round
+/// afresh, and its searches run over private LP cache slots: no round
+/// reports the incremental path or any cache activity, and the planner's
+/// own slot is never touched — sliced one node at a time included, where
+/// every search suspends and resumes.
+#[test]
+fn cold_rounds_report_no_cache_activity() {
+    for node_quantum in [0, 1] {
+        let (c, b) = system(2, 3, 4.0, 60.0, 600.0);
+        let mut cfg = PlannerConfig::new(&c);
+        cfg.budget.max_nodes = 120;
+        cfg.reuse_solver_context = false;
+        cfg.node_quantum = node_quantum;
+        let mut cold = SqprPlanner::new(c, cfg);
+        for i in 0..6 {
+            cold.submit(&[b[i % 3], b[(i + 1) % 3]])
+                .expect("valid bases");
+        }
+        let solved = cold.outcomes().iter().filter(|o| !o.reused_existing);
+        assert!(
+            solved.count() >= 3,
+            "quantum {node_quantum}: too few solved"
+        );
+        for o in cold.outcomes() {
+            assert!(!o.incremental, "quantum {node_quantum}: {o:?}");
+            assert_eq!(o.lp_cache, CacheStats::default(), "quantum {node_quantum}");
+        }
+        assert_eq!(cold.lp_cache_stats(), CacheStats::default());
+        let stats = cold.solver_stats();
+        assert_eq!(stats.incremental_rounds, 0, "{stats:?}");
+        assert!(stats.cold_rounds >= 3, "{stats:?}");
+    }
+}
+
 /// Rejected queries leave dead columns in the cached skeleton. With
 /// `reuse = false` (private per-query plan spaces) and a CPU budget that
 /// only fits the first couple of joins, most submissions are rejected;

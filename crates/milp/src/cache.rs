@@ -1,14 +1,16 @@
-//! Cached compressed LP lowering, reused across B&B constructions *and*
-//! submissions.
+//! The compressed LP lowering every branch & bound search runs over, cached
+//! and reused across B&B constructions *and* submissions.
 //!
-//! The compressed lowering (`Model::lower_reduced`) reads every variable
-//! and every term of the model — acceptable once, but the SQPR planner
-//! constructs up to three [`crate::solver`] searches per submission
-//! (cutting-plane rounds) over a persistent model skeleton that is tens of
-//! times larger than the LP a round actually solves: between constructions
-//! only bounds move (the §IV-A reduction re-fixing), rows are appended
-//! (availability cuts), and a new submission adds its own columns and frees
-//! them. An [`LpCacheSlot`] keeps one lowered [`sqpr_lp::Problem`] alive
+//! Every search lowers through an [`LpCacheSlot`]: the caller's, or a
+//! private, fresh one ([`crate::solver::solve`], the planner's cold rounds),
+//! whose first refresh is simply the lowering. A lowering from scratch reads
+//! every variable and every term of the model — acceptable once, but the
+//! SQPR planner constructs up to three [`crate::solver`] searches per
+//! submission (cutting-plane rounds) over a persistent model skeleton that
+//! is tens of times larger than the LP a round actually solves: between
+//! constructions only bounds move (the §IV-A reduction re-fixing), rows are
+//! appended (availability cuts), and a new submission adds its own columns
+//! and frees them. A slot keeps one lowered [`sqpr_lp::Problem`] alive
 //! across those constructions and, instead of lowering afresh:
 //!
 //! - **patches column bounds** straight into the LP — including columns the
@@ -49,8 +51,13 @@
 //! The same tables serve point validation (`Side::candidate_is_feasible`):
 //! a point that sits on the fixed values gives the constant rows the values
 //! the slot already holds, so only the kept columns and rows are checked per
-//! point. Debug builds replay the full pass behind every refresh and every
-//! validation and assert equality; the property tests do so in release.
+//! point. They validate the seed and every candidate incumbent of every
+//! search — a suspended search takes the lowering and its tables along, so
+//! its resumed slices validate the same way. The full pass is the
+//! reference: `Model::lower_reduced_for_class` for the lowering,
+//! [`Model::is_feasible`] for a point. Debug builds replay it behind every
+//! refresh and every validation and assert equality; the property tests do
+//! so in release.
 //!
 //! # Layout keying: fixed *classes*, not fixed *sets*
 //!
@@ -107,10 +114,10 @@ use crate::presolve::{BoundsMirror, FirstSweep};
 use sqpr_lp::{LpWorkspace, ProblemBuilder, Triplet};
 
 /// Matrix-generation tokens for basis-factorisation reuse. Cache slots
-/// claim one per *matrix* (renewed on rebuild or row append); cacheless
-/// B&B constructions claim one per tree. A single process-wide counter
-/// keeps tokens unique across slots, so a workspace can never confuse two
-/// matrices.
+/// claim one per *matrix* (renewed on rebuild or row append); a tree that
+/// opts out of cross-solve reuse claims its own. A single process-wide
+/// counter keeps tokens unique across slots, so a workspace can never
+/// confuse two matrices.
 static FACTOR_GENERATION: AtomicU64 = AtomicU64::new(1);
 
 /// Claims a fresh, process-unique matrix-generation token.
@@ -193,7 +200,7 @@ pub struct LpCacheSlot {
 /// Verdict of one seed-incumbent validation ([`Model::is_feasible`]), with
 /// everything it depended on: the point, the tolerance, the model's
 /// structure and bounds (by stamp) and how many rows existed.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct StartCheck {
     x: Vec<f64>,
     tol: f64,
@@ -236,7 +243,7 @@ struct LpCache {
 /// the variables that moved, [`Model::rows_of_var`] the rows those touch, and
 /// only those rows are read again. A row none of whose variables moved folds
 /// to the same constant, so what was derived from it stands.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Side {
     /// Presolve's first sweep over this lowering's rows, for the next
     /// construction under the same bounds to resume from.
@@ -378,6 +385,23 @@ impl LpCacheSlot {
             factor_token: self.factor_token,
         }
     }
+
+    /// The lowering of `model` and its tables, for a search that outlives
+    /// its borrow of the slot (a suspended one), right after the refresh it
+    /// ran over: moved out when `take` — a private slot, dropped next — and
+    /// cloned otherwise, so the slot keeps serving. (A slot not refreshed
+    /// yet lowers `model` as a refresh would.)
+    pub(crate) fn search_input(&mut self, model: &Model, take: bool) -> (LoweredLp, Side) {
+        let cache = self
+            .inner
+            .take()
+            .unwrap_or_else(|| LpCache::rebuild(None, model));
+        if take {
+            return (cache.lowered, cache.side);
+        }
+        let cache = self.inner.insert(cache);
+        (cache.lowered.clone(), cache.side.clone())
+    }
 }
 
 impl LpCache {
@@ -393,7 +417,8 @@ impl LpCache {
     }
 
     /// Lowers `model` afresh, folding what is bound-fixed and not exempt
-    /// right now — [`Model::lower_reduced`]'s result, bit for bit, at the
+    /// right now — the only lowering a solve runs, bit for bit the full
+    /// pass over that class (`Model::lower_reduced_for_class`), at the
     /// cost of the free columns and the rows they occur in (read off
     /// [`Model::rows_of_var`]) plus flat passes over the variables. The
     /// constant rows' values carry over from `old` where it lowered an
@@ -747,7 +772,7 @@ impl LpCache {
 
 /// Writes the kept columns of a compressed-LP point into the model-space
 /// point `x`, integers snapped exactly.
-pub(crate) fn expand_kept(geom: &SearchGeom, x_lp: &[f64], x: &mut [f64]) {
+fn expand_kept(geom: &SearchGeom, x_lp: &[f64], x: &mut [f64]) {
     let var_of_col = &geom.map.var_of_col;
     for (&v, &value) in var_of_col.iter().zip(x_lp) {
         x[v] = value;

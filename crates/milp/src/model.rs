@@ -7,7 +7,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
-use sqpr_lp::{Problem, ProblemBuilder, INF};
+use sqpr_lp::{Problem, INF};
 
 /// Source of [`Model::structure_version`] and [`Model::bounds_stamp`]
 /// values. Process-wide so a stamp names one state of one model lineage:
@@ -74,7 +74,7 @@ pub(crate) struct VarDef {
     pub lb: f64,
     pub ub: f64,
     pub obj: f64,
-    /// Exempt from compression: [`Model::lower_reduced`] keeps this
+    /// Exempt from compression: the compressed lowering keeps this
     /// variable as an LP column (with collapsed bounds) even while it is
     /// bound-fixed. See [`Model::set_fold_exempt`].
     pub no_fold: bool,
@@ -132,9 +132,9 @@ impl ConsDef {
     }
 }
 
-/// Mapping between a [`Model`] and its compressed LP lowering
-/// ([`Model::lower_reduced`]): which model variable each LP column stands
-/// for, and which model constraint each LP row came from.
+/// Mapping between a [`Model`] and its compressed LP lowering (an
+/// [`crate::cache::LpCacheSlot`]'s): which model variable each LP column
+/// stands for, and which model constraint each LP row came from.
 #[derive(Debug, Clone)]
 pub(crate) struct LpMap {
     /// Model variable index per LP column.
@@ -263,8 +263,8 @@ pub(crate) struct SearchGeom {
     pub lp_integers: Vec<usize>,
 }
 
-/// Result of one compressed lowering ([`Model::lower_reduced`]): the LP and
-/// its search geometry.
+/// Result of one compressed lowering (an [`crate::cache::LpCacheSlot`]'s,
+/// or the full pass it answers to): the LP and its search geometry.
 #[derive(Debug, Clone)]
 pub(crate) struct LoweredLp {
     pub lp: Problem,
@@ -458,7 +458,7 @@ impl Model {
     }
 
     /// Marks a variable exempt from (or re-eligible for) compression:
-    /// exempt variables keep their LP column in `lower_reduced`
+    /// exempt variables keep their LP column in the compressed lowering
     /// even while bound-fixed, so a later solve that re-frees them can be
     /// served by patching the cached lowering's bounds instead of paying a
     /// relayout. A caller that knows which fixed variables are *likely to
@@ -619,32 +619,35 @@ impl Model {
     ///
     /// Returns the problem and the [`SearchGeom`] relating LP columns/rows
     /// back to model variables/constraints. This is the full pass — every
-    /// variable, every term of every row: what a solve without an LP cache
-    /// runs, and the reference [`crate::cache::LpCacheSlot`]'s
-    /// adjacency-driven rebuild has to reproduce bit for bit.
+    /// variable, every term of every row: the reference the tests hold
+    /// [`crate::cache::LpCacheSlot`]'s adjacency-driven rebuild to, bit for
+    /// bit. Solves lower through a slot only.
     ///
     /// Folds the variables that are bound-fixed *right now* and not
     /// fold-exempt ([`Self::set_fold_exempt`]) — the widest class the
     /// exemption hints allow.
+    #[cfg(test)]
     pub(crate) fn lower_reduced(&self) -> LoweredLp {
         let folded: Vec<bool> = self.vars.iter().map(VarDef::folds).collect();
         self.lower_reduced_for_class(&folded)
     }
 
-    /// [`Self::lower_reduced`] with an explicit folded class: only the
-    /// variables with `folded[j] == true` are compressed out (each must be
-    /// bound-fixed); fixed variables *outside* the class keep their LP
-    /// column with collapsed bounds. This is the layout contract of the
-    /// cross-submission LP cache ([`crate::cache::LpCacheSlot`]): the
-    /// cached layout folds the class captured at build time, and a later
-    /// submission that re-fixes a *different* superset of that class
-    /// patches bounds in place — the patched result must be bit-identical
-    /// to lowering fresh under the same class, which is exactly what the
-    /// cache's property tests assert through this entry point.
+    /// The full-pass compressed lowering under an explicit folded class:
+    /// only the variables with `folded[j] == true` are compressed out (each
+    /// must be bound-fixed); fixed variables *outside* the class keep their
+    /// LP column with collapsed bounds. This is the layout contract of the
+    /// cross-submission LP cache ([`crate::cache::LpCacheSlot`]), whose
+    /// refresh is the only lowering a solve runs: the cached layout folds
+    /// the class captured at build time, and a later submission that
+    /// re-fixes a *different* superset of that class patches bounds in
+    /// place — the patched result must be bit-identical to lowering fresh
+    /// under the same class. Debug builds replay this after every refresh;
+    /// the cache's property tests do so in release.
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn lower_reduced_for_class(&self, folded: &[bool]) -> LoweredLp {
         debug_assert_eq!(folded.len(), self.vars.len());
         let flip = self.min_flip();
-        let mut b = ProblemBuilder::new();
+        let mut b = sqpr_lp::ProblemBuilder::new();
         let mut lp_integers = Vec::new();
         let mut col_of_var = vec![None; self.vars.len()];
         let mut var_of_col = Vec::new();

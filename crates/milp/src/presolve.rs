@@ -69,14 +69,14 @@ pub(crate) fn presolve_bounds_active(
     max_rounds: usize,
     map: &LpMap,
     lp: &Problem,
-    first_sweep: Option<&mut Option<FirstSweep>>,
+    first_sweep: &mut Option<FirstSweep>,
     mirror: &mut BoundsMirror,
     rows_read: &mut usize,
 ) -> LpBounds {
     let adjacency = map.adjacency_exact.then_some((map, lp));
     let active = &map.cons_of_row;
     let mut run = Propagation::over(mirror, active.len());
-    let verdict = run.propagate(model, max_rounds, active, adjacency, first_sweep);
+    let verdict = run.propagate(model, max_rounds, active, adjacency, Some(first_sweep));
     *rows_read += run.rows_read;
     let moved = std::mem::take(&mut run.tightened);
     let presolved = verdict.ok().map(|()| mirror.project(map));
@@ -133,10 +133,11 @@ fn lp_bounds_identical(a: &LpBounds, b: &LpBounds) -> bool {
 }
 
 /// The model's variable bounds and integrality as flat arrays — what the
-/// sweeps read and tighten. Built per call on the cacheless path; kept by
-/// the LP cache otherwise, which moves an entry when the model moves the
-/// bound ([`Self::sync`]) instead of refilling the arrays per construction.
-#[derive(Debug, Default)]
+/// sweeps read and tighten. Kept by the LP cache, which moves an entry when
+/// the model moves the bound ([`Self::sync`]) instead of refilling the
+/// arrays per construction; built afresh per call by the reference
+/// propagation.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct BoundsMirror {
     pub lb: Vec<f64>,
     pub ub: Vec<f64>,
@@ -194,7 +195,7 @@ impl BoundsMirror {
 
 /// A propagation as its first sweep left it; see
 /// [`presolve_bounds_active`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct FirstSweep {
     /// The model bounds the sweep started from.
     bounds_stamp: u64,
@@ -208,7 +209,7 @@ pub(crate) struct FirstSweep {
 
 /// The variables a sweep moved, with their new `(lb, ub)`, and the rows it
 /// left stale.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Tightened {
     bounds: Vec<(usize, f64, f64)>,
     stale: Vec<bool>,
@@ -463,9 +464,9 @@ impl<'a> Propagation<'a> {
                                 stale[row] = true;
                             }
                         }
-                        // Folded variables are bound-fixed and a fixed
-                        // variable cannot tighten without crossing, so
-                        // this arm is not expected to run.
+                        // A variable outside the LP is bound-fixed, and a
+                        // fixed variable cannot tighten without crossing,
+                        // so this arm is not expected to run.
                         None => stale.fill(true),
                     }
                 }
@@ -623,7 +624,12 @@ mod tests {
         let parts = slot.refresh_solver(m);
         let (map, lp) = (&parts.lowered.geom.map, &parts.lowered.lp);
         let side = parts.side;
-        let memo = resume.then_some(&mut side.first_sweep);
+        let mut fresh = None;
+        let memo = if resume {
+            &mut side.first_sweep
+        } else {
+            &mut fresh
+        };
         let got = presolve_bounds_active(
             m,
             rounds,

@@ -34,10 +34,10 @@ use sqpr_lp::{
     PivotCounts, Problem, SimplexOptions, VarBasisStatus,
 };
 
-use crate::cache::{expand_kept, next_factor_token, LpCacheSlot, Side, SolverParts};
+use crate::cache::{next_factor_token, LpCacheSlot, Side, SolverParts};
 use crate::heuristics;
-use crate::model::{LoweredLp, LpMap, Model, SearchGeom, VarType};
-use crate::presolve::{presolve_bounds_active, BoundsMirror};
+use crate::model::{LoweredLp, LpMap, Model, SearchGeom};
+use crate::presolve::presolve_bounds_active;
 
 /// Incumbent filter callback (lazy-constraint hook): integral candidates
 /// it rejects never become the incumbent.
@@ -243,8 +243,9 @@ pub struct MilpOptions {
     /// compressed LP only had its bounds patched re-attach the previous
     /// tree's final factorisation at the root instead of refactorising.
     /// Disabling claims a fresh generation per tree (the per-tree scope of
-    /// the pre-lift behaviour, kept as the ablation); cacheless solves are
-    /// always per-tree regardless.
+    /// the pre-lift behaviour, kept as the ablation). A solve without a
+    /// cache runs over a private slot of its own, so its factors live for
+    /// one tree either way.
     pub cross_solve_factors: bool,
     /// Accepted and ignored — removed together with the two benchmark
     /// lines that name it in the next `benchmark` PR.
@@ -394,7 +395,7 @@ pub struct MilpWarmStart<'a> {
 }
 
 /// Solves the model by branch & bound, to completion: no warm start, no
-/// incumbent filter, no LP cache.
+/// incumbent filter, and a private LP cache slot.
 pub fn solve(model: &Model, opts: &MilpOptions) -> MilpResult {
     let warm = MilpWarmStart::default();
     match solve_preemptible(model, opts, warm, None, None, usize::MAX) {
@@ -438,6 +439,11 @@ impl SolveOutcome {
 /// suspend/resume cuts produce bit-identical trees, pivot counts and
 /// objective bits — see the module docs.
 ///
+/// Every search runs over an [`LpCacheSlot`]: the caller's, or without one
+/// a private, fresh slot whose counters nobody reads. Its refresh is the
+/// lowering, its tables set up presolve and validate the seed and every
+/// candidate incumbent; a fresh slot is simply the first solve of one.
+///
 /// A suspend leaves the caller's [`LpCacheSlot`] fully valid: the slot's
 /// cached lowering, workspace and factor token all survive, and later
 /// submissions may be served from it while the suspended state is parked.
@@ -446,10 +452,11 @@ impl SolveOutcome {
 /// happened to run; that costs the next tree one root refactorisation,
 /// nothing else.)
 ///
-/// The LP relaxation and workspace (cached or fresh) are resolved on this
-/// stack frame and borrowed by the search; on suspension the relaxation is
-/// cloned into the returned [`SearchState`] (suspends are rare — one per
-/// deadline-preempted round — so the clone is off the hot path).
+/// The lowering and workspace are borrowed from the slot by the search; on
+/// suspension the lowering and its tables go into the returned
+/// [`SearchState`] — moved out of a private slot, cloned from the caller's
+/// (suspends are rare — one per deadline-preempted round — so the clone is
+/// off the hot path).
 pub fn solve_preemptible(
     model: &Model,
     opts: &MilpOptions,
@@ -458,118 +465,34 @@ pub fn solve_preemptible(
     cache: Option<&mut LpCacheSlot>,
     quantum: usize,
 ) -> SolveOutcome {
-    let start_tol = opts.int_tol.max(1e-7);
-    match cache {
-        Some(slot) => {
-            let SolverParts {
-                lowered,
-                side,
-                ws,
-                factor_token,
-            } = slot.refresh_solver(model);
-            let map = &lowered.geom.map;
-            let start = warm.start.and_then(|x| {
-                let objective = side.start_objective(model, map, x, start_tol)?;
-                Some((x, objective))
-            });
-            if opts.cross_solve_factors {
-                // The slot's token outlives this tree while the matrix
-                // survives refreshes untouched: consecutive trees may
-                // re-attach each other's factors at the root.
-                ws.resume_factor_generation(factor_token);
-            } else {
-                ws.begin_factor_generation(next_factor_token());
-            }
-            let token = ws.factor_generation();
-            search_lowered(
-                model,
-                opts,
-                start,
-                warm.root_basis,
-                filter,
-                lowered,
-                Folded::Cached(side),
-                ws,
-                token,
-                quantum,
-            )
-        }
-        None => {
-            // No cache to answer to: the full passes.
-            let start = warm
-                .start
-                .filter(|x| model.is_feasible(x, start_tol))
-                .map(|x| (x, model.objective_value(x)));
-            let lowered = model.lower_reduced();
-            let fixed = candidate_base(model);
-            let mut ws = LpWorkspace::new();
-            // A fresh lowering is this tree's private matrix: factor
-            // reuse is scoped to its own node solves.
-            let token = next_factor_token();
-            ws.begin_factor_generation(token);
-            search_lowered(
-                model,
-                opts,
-                start,
-                warm.root_basis,
-                filter,
-                &lowered,
-                Folded::Plain(&fixed),
-                &mut ws,
-                token,
-                quantum,
-            )
-        }
-    }
-}
-
-/// What a candidate incumbent holds outside the LP's columns: every
-/// variable at its lower bound — the fixed value, for a folded one — and
-/// integers snapped exactly. (The entries of kept columns are overwritten
-/// per candidate.)
-fn candidate_base(model: &Model) -> Vec<f64> {
-    model
-        .vars
-        .iter()
-        .map(|v| match v.ty {
-            VarType::Integer => v.lb.round(),
-            VarType::Continuous => v.lb,
-        })
-        .collect()
-}
-
-/// Where a slice reads the folded variables' values from, and who validates
-/// its candidate incumbents.
-enum Folded<'a> {
-    /// The LP cache's tables: the mirrored lower bounds, and validation that
-    /// checks what a candidate can differ in.
-    Cached(&'a mut Side),
-    /// A [`candidate_base`] of the model, and [`Model::is_feasible`] — a
-    /// search without a cache, or resumed after it let go of one.
-    Plain(&'a [f64]),
-}
-
-/// Runs the first slice of a search over one lowering. `start` is the seed
-/// incumbent, already validated against the model, with its objective value.
-#[allow(clippy::too_many_arguments)]
-fn search_lowered(
-    model: &Model,
-    opts: &MilpOptions,
-    start: Option<(&[f64], f64)>,
-    root_basis: Option<&ModelBasis>,
-    filter: Option<IncumbentFilter<'_>>,
-    lowered: &LoweredLp,
-    mut folded: Folded<'_>,
-    ws: &mut LpWorkspace,
-    factor_token: u64,
-    quantum: usize,
-) -> SolveOutcome {
-    let (lp, geom) = (&lowered.lp, &lowered.geom);
-    let side = match &mut folded {
-        Folded::Cached(side) => Some(&mut **side),
-        Folded::Plain(_) => None,
+    let private = cache.is_none();
+    let mut fresh = None;
+    let slot = match cache {
+        Some(slot) => slot,
+        None => fresh.insert(LpCacheSlot::new()),
     };
-    let mut core = SearchCore::new(model, opts, start, root_basis, lp, geom, side);
+    let SolverParts {
+        lowered,
+        side,
+        ws,
+        factor_token,
+    } = slot.refresh_solver(model);
+    let (lp, geom) = (&lowered.lp, &lowered.geom);
+    let start_tol = opts.int_tol.max(1e-7);
+    let start = warm.start.and_then(|x| {
+        let objective = side.start_objective(model, &geom.map, x, start_tol)?;
+        Some((x, objective))
+    });
+    if opts.cross_solve_factors {
+        // The slot's token outlives this tree while the matrix survives
+        // refreshes untouched: consecutive trees may re-attach each other's
+        // factors at the root.
+        ws.resume_factor_generation(factor_token);
+    } else {
+        ws.begin_factor_generation(next_factor_token());
+    }
+    let factor_token = ws.factor_generation();
+    let mut core = SearchCore::new(model, opts, start, warm.root_basis, lp, geom, side);
     let verdict = Bnb {
         model,
         opts,
@@ -577,32 +500,19 @@ fn search_lowered(
         lp,
         geom,
         core: &mut core,
-        folded,
+        side,
         ws,
         factor_token,
         // sqpr::allow(ambient-nondeterminism): opts.time_limit is an explicit caller SLO; expiry surfaces as a TimeLimit verdict, never a silently different plan
         deadline: opts.time_limit.map(|d| Instant::now() + d),
     }
     .drive(quantum);
-    seal(verdict, model, opts, lp, geom, core, factor_token)
-}
-
-/// Converts a finished slice into its [`MilpResult`], or packs a suspended
-/// one into an owning [`SearchState`].
-fn seal(
-    verdict: SliceVerdict,
-    model: &Model,
-    opts: &MilpOptions,
-    lp: &Problem,
-    geom: &SearchGeom,
-    core: SearchCore,
-    factor_token: u64,
-) -> SolveOutcome {
     match verdict {
         SliceVerdict::Finished(status, bound) => {
             SolveOutcome::Done(core.result(model, status, bound))
         }
         SliceVerdict::Suspended => {
+            let (lowered, side) = slot.search_input(model, private);
             // The suspended search gets a private workspace under the same
             // factor generation: every factorisation it still needs lives
             // in its node seeds (`Rc`s inside the heap), and node
@@ -614,9 +524,8 @@ fn seal(
             SolveOutcome::Suspended(Box::new(SearchState {
                 model: model.clone(),
                 opts: opts.clone(),
-                lp: lp.clone(),
-                geom: geom.clone(),
-                fixed: candidate_base(model),
+                lowered,
+                side,
                 core,
                 factor_token,
                 ws,
@@ -627,22 +536,22 @@ fn seal(
 
 /// A branch & bound search suspended at a node boundary: the frontier
 /// heap, incumbent, node-id counter, root bounds and factor-generation
-/// token, plus owned clones of the model, options and compressed LP being
-/// searched — so the state outlives the planning round (and the cache
-/// slot borrow) that spawned it. Resuming, in any number of further
-/// slices, reproduces the uninterrupted run bit for bit: node evaluation
-/// is a pure function of the node, the pop order is a total order over
-/// the heap's contents, and both live entirely in this state.
+/// token, plus owned clones of the model and options and the compressed LP
+/// being searched with the cache tables that validate its candidates — so
+/// the state outlives the planning round (and the cache slot borrow) that
+/// spawned it. Resuming, in any number of further slices, reproduces the
+/// uninterrupted run bit for bit: node evaluation is a pure function of the
+/// node, the pop order is a total order over the heap's contents, and both
+/// live entirely in this state.
 ///
 /// Not `Send`: bound-change chains, basis hints and factor seeds are
 /// `Rc`-shared between nodes.
 pub struct SearchState {
     model: Model,
     opts: MilpOptions,
-    lp: Problem,
-    geom: SearchGeom,
-    /// [`candidate_base`] of `model`.
-    fixed: Vec<f64>,
+    /// The lowering the first slice ran over, and its slot's tables.
+    lowered: LoweredLp,
+    side: Side,
     core: SearchCore,
     factor_token: u64,
     ws: LpWorkspace,
@@ -676,10 +585,10 @@ impl SearchState {
             model: &state.model,
             opts: &state.opts,
             filter,
-            lp: &state.lp,
-            geom: &state.geom,
+            lp: &state.lowered.lp,
+            geom: &state.lowered.geom,
             core: &mut state.core,
-            folded: Folded::Plain(&state.fixed),
+            side: &mut state.side,
             ws: &mut state.ws,
             factor_token: state.factor_token,
             deadline,
@@ -781,14 +690,15 @@ struct Bnb<'a> {
     lp: &'a Problem,
     geom: &'a SearchGeom,
     core: &'a mut SearchCore,
-    folded: Folded<'a>,
+    /// The LP cache's tables for this lowering: the fixed values candidates
+    /// take outside the LP's columns, and their validation.
+    side: &'a mut Side,
     /// Reusable LP scratch shared by every relaxation (node solves and
     /// diving heuristics alike): borrowed from the [`LpCacheSlot`] on the
-    /// cached path — so allocations, and the detached basis-factor cache
+    /// first slice — so allocations, and the detached basis-factor cache
     /// that lets a root solve re-attach the previous tree's factorisation
     /// when the matrix generation is unchanged, survive between the slot's
-    /// consecutive trees — from the entry point's stack frame on the
-    /// cacheless path, and from the suspended [`SearchState`] on resume.
+    /// consecutive trees — and from the suspended [`SearchState`] on resume.
     ws: &'a mut LpWorkspace,
     /// Matrix generation every factor state in this tree is scoped to.
     factor_token: u64,
@@ -801,7 +711,7 @@ struct Bnb<'a> {
 impl SearchCore {
     /// `start` is the seed incumbent, already validated against the model,
     /// with its objective value; `side` the LP cache's tables for this
-    /// lowering, if it came from one.
+    /// lowering.
     fn new(
         model: &Model,
         opts: &MilpOptions,
@@ -809,7 +719,7 @@ impl SearchCore {
         root_basis: Option<&ModelBasis>,
         lp: &Problem,
         geom: &SearchGeom,
-        side: Option<&mut Side>,
+        side: &mut Side,
     ) -> Self {
         let map = &geom.map;
         let mut presolve_infeasible = map.infeasible_fixed_row;
@@ -817,20 +727,16 @@ impl SearchCore {
         // the set with at least one unfixed variable, and the constant
         // rows' feasibility verdict is `infeasible_fixed_row` above — no
         // second O(model) scan needed.
-        let presolved = opts.presolve.then(|| match side {
-            Some(side) => presolve_bounds_active(
+        let presolved = opts.presolve.then(|| {
+            presolve_bounds_active(
                 model,
                 6,
                 map,
                 lp,
-                Some(&mut side.first_sweep),
+                &mut side.first_sweep,
                 &mut side.mirror,
                 &mut side.rows_read,
-            ),
-            None => {
-                let mut mirror = BoundsMirror::of(model);
-                presolve_bounds_active(model, 6, map, lp, None, &mut mirror, &mut 0)
-            }
+            )
         });
         let (root_lb, root_ub) = match presolved {
             Some(Some(bounds)) => bounds,
@@ -981,17 +887,9 @@ impl<'a> Bnb<'a> {
     /// snapped exactly, then validated against the model and the filter.
     fn offer_incumbent(&mut self, x_lp: &[f64]) {
         let mut x = std::mem::take(&mut self.core.x_buf);
-        let feasible = match &mut self.folded {
-            Folded::Plain(fixed) => {
-                x.clear();
-                x.extend_from_slice(fixed);
-                expand_kept(self.geom, x_lp, &mut x);
-                self.model.is_feasible(&x, 1e-5)
-            }
-            Folded::Cached(side) => {
-                side.candidate_is_feasible(self.model, self.geom, x_lp, &mut x, 1e-5)
-            }
-        };
+        let feasible = self
+            .side
+            .candidate_is_feasible(self.model, self.geom, x_lp, &mut x, 1e-5);
         if feasible && self.filter.is_none_or(|accepts| accepts(&x)) {
             let obj = self.model.min_flip() * self.model.objective_value(&x);
             match &mut self.core.incumbent {
@@ -1333,7 +1231,7 @@ fn evaluate_node_lp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Sense;
+    use crate::model::{Sense, VarType};
 
     fn default_opts() -> MilpOptions {
         MilpOptions::default()

@@ -55,7 +55,7 @@ fn random_skeleton(rng: &mut StdRng) -> (Model, Vec<VarId>) {
 /// Multi-submission sequences: each round re-fixes a random subset of the
 /// variables at random binary values (the planner's deployment-pin
 /// pattern) and occasionally appends a cut row; the cached/patched path
-/// must agree with a fresh cacheless solve on status and objective, round
+/// must agree with a fresh solve on status and objective, round
 /// after round, while the root basis of each cached solve warm-starts the
 /// next (the cross-submission warm path end to end).
 #[test]

@@ -2,15 +2,20 @@
 //!
 //! `cargo test` at the workspace root builds the root package only, and the
 //! warm path's exactness rests on equivalences the member crates test: a
-//! cached LP lowering against a fresh one, a suspended search against an
-//! uninterrupted one, the skeleton's memoised passes against the full ones,
-//! the simplex's maintained sets against the pivots they must not move.
-//! Their public-API suites are compiled into this target as they stand, so
-//! the command a contributor runs exercises slot-vs-fresh and
-//! shortcut-vs-full-pass too (a few seconds; the suites' own seed counts).
-//! The crate-private halves — the adjacency-driven rebuild, presolve on the
-//! slot's mirror, restricted point validation — stay unit tests of
-//! `sqpr-milp`, under `cargo test --workspace`.
+//! cached LP lowering against a fresh one, a cacheless solve against a
+//! fresh slot's, a suspended search against an uninterrupted one, the
+//! skeleton's memoised passes against the full ones, the simplex's
+//! maintained sets against the pivots they must not move. Their public-API
+//! suites are compiled into this target as they stand, so the command a
+//! contributor runs exercises slot-vs-fresh and shortcut-vs-full-pass too
+//! (a few seconds; the suites' own seed counts). The crate-private halves —
+//! the adjacency-driven rebuild, presolve on the slot's mirror, the
+//! restricted point validation every search's candidates go through — stay
+//! unit tests of `sqpr-milp`, under `cargo test --workspace`.
+//!
+//! The no-panic contracts of the two in-repo parsers ride along: the audit
+//! lexer's round trip on pathological input, and both parsers on seeded
+//! mutations of the committed scenarios and of the workspace's sources.
 
 #[path = "../crates/lp/tests/proptest_simplex.rs"]
 mod proptest_simplex;
@@ -35,3 +40,9 @@ mod deadline_admission;
 
 #[path = "../crates/core/tests/failure_recovery.rs"]
 mod failure_recovery;
+
+#[path = "../crates/audit/tests/lexer_roundtrip.rs"]
+mod lexer_roundtrip;
+
+#[path = "../crates/scenario/tests/hostile_inputs.rs"]
+mod hostile_inputs;
