@@ -24,7 +24,6 @@
 pub mod adaptive;
 pub mod admission;
 pub mod config;
-pub mod extract;
 pub mod greedy;
 pub mod model;
 pub mod planner;
@@ -36,7 +35,6 @@ pub use admission::{
     AdmissionPath, AdmissionQueue, AdmissionRecord, Admitted, Rejected, RoundVerdict,
 };
 pub use config::{AcyclicityMode, ObjectiveWeights, PlannerConfig, RelayPolicy, SolveBudget};
-pub use extract::extract_plan;
 pub use greedy::greedy_admit;
 pub use model::{DecodedAllocation, ModelInputs, PlanningModel};
 pub use planner::{

@@ -352,9 +352,10 @@ fn drive_preemptible(
 
 /// The install gate every solved round closes through: decodes `x`
 /// against the model it indexes, installs it when the result is a valid
-/// deployment that still serves every admitted query, and admits `q` when
-/// it serves all of `streams` (batch rounds admit their members
-/// themselves). Returns whether the round admitted.
+/// deployment ([`DeploymentState::is_valid`], whose `QueryUnserved` rule
+/// covers every admitted query), and admits `q` when it serves all of
+/// `streams` (batch rounds admit their members themselves). Returns
+/// whether the round admitted.
 fn install_plan(
     state: &mut DeploymentState,
     catalog: &Catalog,
@@ -368,7 +369,7 @@ fn install_plan(
     };
     let mut candidate = state.clone();
     model.decode(x, state).install(&mut candidate);
-    if !candidate.is_valid(catalog) || !candidate_serves_admitted(&candidate) {
+    if !candidate.is_valid(catalog) {
         return false;
     }
     *state = candidate;
@@ -1214,7 +1215,8 @@ impl SqprPlanner {
         self.catalog.restore_host(h)
     }
 
-    /// Degrades the directed link `h -> m` to the given effective capacity.
+    /// Degrades the directed link `h -> m` to the given effective capacity
+    /// (panics as [`Catalog::degrade_link`] does).
     pub fn degrade_link(&mut self, h: HostId, m: HostId, capacity: f64) {
         self.catalog.degrade_link(h, m, capacity);
     }
@@ -1313,13 +1315,6 @@ fn log_entry(q: QueryId, space: &PlanSpace) -> Vec<(QueryId, PlanSpace)> {
     }
 }
 
-fn candidate_serves_admitted(state: &DeploymentState) -> bool {
-    state
-        .admitted()
-        .values()
-        .all(|s| state.provider_of(*s).is_some())
-}
-
 /// Drops flows, placements and availability entries that no longer serve a
 /// provided stream (conservative backward reachability).
 pub fn garbage_collect(state: &mut DeploymentState, catalog: &Catalog) {
@@ -1367,4 +1362,92 @@ pub fn garbage_collect(state: &mut DeploymentState, catalog: &Catalog) {
         .collect();
     let provided = state.provided().clone();
     state.replace_allocation(provided, flows, available, placements);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sqpr_dsps::{CostModel, DeployError, HostSpec};
+
+    /// The install gate's one check is `is_valid`: a solution that admits
+    /// the new stream but drops an admitted query's provider decodes to a
+    /// deployment whose only violation is `QueryUnserved`, and the gate
+    /// refuses it without touching the state.
+    #[test]
+    fn install_gate_refuses_an_unserved_admitted_query() {
+        let mut catalog = Catalog::uniform(
+            3,
+            HostSpec::new(500.0, 2000.0),
+            1000.0,
+            CostModel::default(),
+        );
+        let bases: Vec<StreamId> = (0..3)
+            .map(|i| catalog.add_base_stream(HostId(i), 6.0, u64::from(i)))
+            .collect();
+        let (first, _) = register_join_query(&mut catalog, QueryId(0), &[bases[0], bases[1]], 0);
+        let (second, _) = register_join_query(&mut catalog, QueryId(1), &[bases[1], bases[2]], 0);
+        let mut state = greedy_admit(&catalog, &DeploymentState::new(), first.result, 0)
+            .expect("room for one query");
+        state.admit_query(QueryId(0), first.result);
+        assert!(state.is_valid(&catalog));
+
+        let model = PlanningModel::build(&ModelInputs {
+            catalog: &catalog,
+            state: &state,
+            space: &full_space(&catalog),
+            new_streams: &[second.result],
+            weights: ObjectiveWeights::paper_defaults(&catalog),
+            relay_policy: RelayPolicy::All,
+            acyclicity: AcyclicityMode::Constraints,
+            replan: true,
+            cuts: &[],
+        });
+        let x = sqpr_milp::solve(&model.milp, &MilpOptions::default())
+            .x
+            .expect("both queries fit");
+        assert!(model.admits(&x, first.result) && model.admits(&x, second.result));
+
+        // Zero the admitted query's one `d` column that is on.
+        let d_on: Vec<usize> = (0..x.len())
+            .filter(|&j| {
+                let mut probe = x.clone();
+                probe[j] = 0.0;
+                !model.admits(&probe, first.result)
+            })
+            .collect();
+        assert_eq!(d_on.len(), 1, "III.4b: one provider");
+        let mut unserved = x.clone();
+        unserved[d_on[0]] = 0.0;
+        assert!(model.admits(&unserved, second.result));
+
+        let mut candidate = state.clone();
+        model.decode(&unserved, &state).install(&mut candidate);
+        assert_eq!(
+            candidate.validate(&catalog),
+            vec![DeployError::QueryUnserved {
+                query: QueryId(0),
+                stream: first.result,
+            }]
+        );
+
+        let revision = state.revision();
+        let gate = |state: &mut DeploymentState, x: &[f64]| {
+            install_plan(
+                state,
+                &catalog,
+                QueryId(1),
+                &[second.result],
+                &model,
+                Some(x),
+            )
+        };
+        assert!(!gate(&mut state, &unserved));
+        assert_eq!(
+            state.revision(),
+            revision,
+            "a refused plan installs nothing"
+        );
+        assert!(gate(&mut state, &x), "the untouched solution installs");
+        assert_ne!(state.revision(), revision);
+    }
 }

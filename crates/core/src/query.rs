@@ -37,10 +37,6 @@ impl PlanSpace {
         self.streams.contains(&s)
     }
 
-    pub fn contains_operator(&self, o: OperatorId) -> bool {
-        self.operators.contains(&o)
-    }
-
     /// Merges another plan space in (used for batched submission, Fig 4b).
     /// Exhaustively destructured so a newly added plan-space component is a
     /// compile error here, not a silently unmerged field.

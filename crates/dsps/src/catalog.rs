@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use crate::cost::CostModel;
 use crate::ids::{HostId, OperatorId, StreamId};
 use crate::next_revision;
-use crate::operator::{OperatorDef, OperatorKind};
+use crate::operator::OperatorDef;
 use crate::stream::{StreamDef, StreamSignature};
 use crate::topology::{HostSpec, NetworkTopology};
 
@@ -31,7 +31,8 @@ pub struct Catalog {
     streams: Vec<StreamDef>,
     by_signature: HashMap<StreamSignature, StreamId>,
     operators: Vec<OperatorDef>,
-    op_dedup: HashMap<(OperatorKind, Vec<StreamId>), OperatorId>,
+    /// Join operators by `(sorted inputs, privacy tag)`.
+    op_dedup: HashMap<(Vec<StreamId>, u64), OperatorId>,
     /// `S0_h`: base streams available at each host.
     base_at_host: Vec<Vec<StreamId>>,
     /// Source host of each base stream. Ordered because
@@ -156,6 +157,10 @@ impl Catalog {
     }
 
     /// Degrades the directed link `h -> m` to the given effective capacity.
+    ///
+    /// # Panics
+    /// As [`NetworkTopology::degrade_link`]: on a self link, or a capacity
+    /// that is not `>= 0`.
     pub fn degrade_link(&mut self, h: HostId, m: HostId, capacity: f64) {
         self.substrate_revision = next_revision();
         self.topology.degrade_link(h, m, capacity);
@@ -303,7 +308,6 @@ impl Catalog {
             id,
             signature: sig.clone(),
             rate,
-            factor: 1.0,
         });
         self.by_signature.insert(sig, id);
         self.base_at_host[host.index()].push(id);
@@ -312,29 +316,21 @@ impl Catalog {
     }
 
     /// The set of base streams underlying `s` (identity for base streams,
-    /// the join base-set for joins, the input's set for filter/project).
+    /// the join base-set for joins).
     pub fn base_set(&self, s: StreamId) -> BTreeSet<StreamId> {
         match &self.streams[s.index()].signature {
             StreamSignature::Base { .. } => [s].into_iter().collect(),
             StreamSignature::Join { bases, .. } => bases.clone(),
-            StreamSignature::Filter { input, .. } | StreamSignature::Project { input, .. } => {
-                self.base_set(*input)
-            }
         }
     }
 
     /// Interns the join-result stream over a set of base streams, computing
-    /// its order-independent rate from the cost model.
+    /// its order-independent rate from the cost model. `tag` is a privacy
+    /// tag: streams with different tags never unify. Tag 0 is the shared
+    /// space; the reuse-off ablation uses per-query tags.
     ///
     /// # Panics
     /// Panics unless `bases` has at least two distinct *base* streams.
-    pub fn intern_join_stream(&mut self, bases: &BTreeSet<StreamId>) -> StreamId {
-        self.intern_join_stream_tagged(bases, 0)
-    }
-
-    /// Like [`Self::intern_join_stream`], but with a privacy tag: streams
-    /// with different tags never unify. Tag 0 is the shared space; the
-    /// reuse-off ablation uses per-query tags.
     pub fn intern_join_stream_tagged(&mut self, bases: &BTreeSet<StreamId>, tag: u64) -> StreamId {
         assert!(bases.len() >= 2, "a join needs at least two base streams");
         for &b in bases {
@@ -356,7 +352,6 @@ impl Catalog {
             id,
             signature: sig.clone(),
             rate,
-            factor: 1.0,
         });
         self.by_signature.insert(sig, id);
         id
@@ -385,15 +380,9 @@ impl Catalog {
         );
         let mut inputs = vec![left, right];
         inputs.sort();
-        // The tag participates in operator identity through the output
-        // stream below; include it in the dedup key via a synthetic id.
-        let key = (OperatorKind::Join, {
-            let mut k = inputs.clone();
-            if tag != 0 {
-                k.push(StreamId(u32::MAX - (tag as u32 % 1_000_000)));
-            }
-            k
-        });
+        // The tag is part of operator identity, as it is of the output
+        // stream's: equal inputs under two tags are two operators.
+        let key = (inputs.clone(), tag);
         if let Some(&id) = self.op_dedup.get(&key) {
             return id;
         }
@@ -408,103 +397,10 @@ impl Catalog {
         let id = OperatorId::from_index(self.operators.len());
         self.operators.push(OperatorDef {
             id,
-            kind: OperatorKind::Join,
             inputs,
             output,
             cpu_cost: cpu,
             memory_cost: memory,
-        });
-        self.op_dedup.insert(key, id);
-        self.producers.entry(output).or_default().push(id);
-        id
-    }
-
-    /// Interns a filter over `input` with the given predicate tag and
-    /// selectivity (output rate = input rate × selectivity).
-    pub fn intern_filter(
-        &mut self,
-        input: StreamId,
-        predicate: u64,
-        selectivity: f64,
-    ) -> OperatorId {
-        assert!(
-            selectivity > 0.0 && selectivity <= 1.0,
-            "filter selectivity in (0, 1]"
-        );
-        let key = (OperatorKind::Filter { predicate }, vec![input]);
-        if let Some(&id) = self.op_dedup.get(&key) {
-            return id;
-        }
-        let sig = StreamSignature::Filter { input, predicate };
-        let output = if let Some(&s) = self.by_signature.get(&sig) {
-            s
-        } else {
-            let rate = self.streams[input.index()].rate * selectivity;
-            let s = StreamId::from_index(self.streams.len());
-            self.streams.push(StreamDef {
-                id: s,
-                signature: sig.clone(),
-                rate,
-                factor: selectivity,
-            });
-            self.by_signature.insert(sig, s);
-            s
-        };
-        let cpu = self.cost.stateless_cpu(self.streams[input.index()].rate);
-        let id = OperatorId::from_index(self.operators.len());
-        self.operators.push(OperatorDef {
-            id,
-            kind: OperatorKind::Filter { predicate },
-            inputs: vec![input],
-            output,
-            cpu_cost: cpu,
-            memory_cost: 0.0,
-        });
-        self.op_dedup.insert(key, id);
-        self.producers.entry(output).or_default().push(id);
-        id
-    }
-
-    /// Interns a projection over `input`; `keep_fraction` scales the output
-    /// rate (narrower tuples).
-    pub fn intern_project(
-        &mut self,
-        input: StreamId,
-        projection: u64,
-        keep_fraction: f64,
-    ) -> OperatorId {
-        assert!(
-            keep_fraction > 0.0 && keep_fraction <= 1.0,
-            "projection keeps a positive fraction"
-        );
-        let key = (OperatorKind::Project { projection }, vec![input]);
-        if let Some(&id) = self.op_dedup.get(&key) {
-            return id;
-        }
-        let sig = StreamSignature::Project { input, projection };
-        let output = if let Some(&s) = self.by_signature.get(&sig) {
-            s
-        } else {
-            let rate = self.streams[input.index()].rate * keep_fraction;
-            let s = StreamId::from_index(self.streams.len());
-            self.streams.push(StreamDef {
-                id: s,
-                signature: sig.clone(),
-                rate,
-                factor: keep_fraction,
-            });
-            self.by_signature.insert(sig, s);
-            s
-        };
-        let cpu = self.cost.stateless_cpu(self.streams[input.index()].rate);
-        let id = OperatorId::from_index(self.operators.len());
-        self.operators.push(OperatorDef {
-            id,
-            kind: OperatorKind::Project { projection },
-            inputs: vec![input],
-            output,
-            cpu_cost: cpu,
-            memory_cost: 0.0,
         });
         self.op_dedup.insert(key, id);
         self.producers.entry(output).or_default().push(id);
@@ -533,23 +429,9 @@ impl Catalog {
     pub fn refresh_derived(&mut self) {
         self.substrate_revision = next_revision();
         for i in 0..self.streams.len() {
-            let (sig, new_rate) = {
-                let def = &self.streams[i];
-                match &def.signature {
-                    StreamSignature::Base { .. } => continue,
-                    StreamSignature::Join { bases, .. } => {
-                        let r = self.cost.join_rate(bases, |b| self.streams[b.index()].rate);
-                        (None, r)
-                    }
-                    StreamSignature::Filter { input, .. }
-                    | StreamSignature::Project { input, .. } => {
-                        let in_rate = self.streams[input.index()].rate;
-                        (Some(def.factor), in_rate * def.factor)
-                    }
-                }
-            };
-            let _ = sig;
-            self.streams[i].rate = new_rate;
+            if let StreamSignature::Join { bases, .. } = &self.streams[i].signature {
+                self.streams[i].rate = self.cost.join_rate(bases, |b| self.streams[b.index()].rate);
+            }
         }
         for i in 0..self.operators.len() {
             let rates: Vec<f64> = self.operators[i]
@@ -557,16 +439,8 @@ impl Catalog {
                 .iter()
                 .map(|&s| self.streams[s.index()].rate)
                 .collect();
-            self.operators[i].cpu_cost = match self.operators[i].kind {
-                OperatorKind::Join => self.cost.join_cpu(&rates),
-                OperatorKind::Filter { .. } | OperatorKind::Project { .. } => {
-                    self.cost.stateless_cpu(rates.iter().sum())
-                }
-            };
-            self.operators[i].memory_cost = match self.operators[i].kind {
-                OperatorKind::Join => self.cost.join_memory(&rates),
-                _ => 0.0,
-            };
+            self.operators[i].cpu_cost = self.cost.join_cpu(&rates);
+            self.operators[i].memory_cost = self.cost.join_memory(&rates);
         }
     }
 
@@ -661,18 +535,26 @@ mod tests {
     }
 
     #[test]
-    fn filters_and_projects_intern() {
+    fn private_tags_never_share_an_operator() {
         let mut c = catalog2();
         let a = c.add_base_stream(HostId(0), 10.0, 1);
-        let f1 = c.intern_filter(a, 42, 0.5);
-        let f2 = c.intern_filter(a, 42, 0.5);
-        assert_eq!(f1, f2);
-        let fs = c.operator(f1).output;
-        assert!((c.stream(fs).rate - 5.0).abs() < 1e-12);
-        let p = c.intern_project(fs, 7, 0.25);
-        let ps = c.operator(p).output;
-        assert!((c.stream(ps).rate - 1.25).abs() < 1e-12);
-        assert_eq!(c.base_set(ps), [a].into_iter().collect());
+        let b = c.add_base_stream(HostId(1), 20.0, 2);
+        // Tags 10^6 apart (queries 0 and 1 000 000 under `reuse = false`)
+        // and one past `u32::MAX` must each get their own operator.
+        let tags = [1, 1_000_001, 1 << 32, (1 << 32) + 1];
+        let ops: Vec<OperatorId> = tags
+            .iter()
+            .map(|&t| c.intern_join_operator_tagged(a, b, t))
+            .collect();
+        for (i, (&t, &o)) in tags.iter().zip(&ops).enumerate() {
+            let own = c.find_stream(&StreamSignature::Join {
+                bases: [a, b].into_iter().collect(),
+                tag: t,
+            });
+            assert_eq!(Some(c.operator(o).output), own, "tag {t}");
+            assert!(!ops[..i].contains(&o), "tag {t} reused an operator");
+        }
+        assert_eq!(c.intern_join_operator_tagged(b, a, 1_000_001), ops[1]);
     }
 
     #[test]
@@ -682,13 +564,11 @@ mod tests {
         let b = c.add_base_stream(HostId(1), 20.0, 2);
         let op = c.intern_join_operator(a, b);
         let out = c.operator(op).output;
-        let f = c.intern_filter(out, 9, 0.5);
-        let fs = c.operator(f).output;
         let sel = c.cost_model().default_selectivity;
         c.update_base_rate(a, 30.0);
         assert!((c.stream(out).rate - 30.0 * 20.0 * sel).abs() < 1e-9);
-        assert!((c.stream(fs).rate - 30.0 * 20.0 * sel * 0.5).abs() < 1e-9);
         assert!((c.operator(op).cpu_cost - 50.0).abs() < 1e-9);
+        assert!((c.operator(op).memory_cost - 25.0).abs() < 1e-9);
     }
 
     #[test]

@@ -25,8 +25,6 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct CostModel {
     /// CPU units consumed per unit of total input rate (joins).
     pub cpu_per_rate_join: f64,
-    /// CPU units per unit input rate for stateless operators (filter/project).
-    pub cpu_per_rate_stateless: f64,
     /// Memory units of window state per unit of total input rate (joins
     /// buffer a moving window over each input; paper §VII lists memory as
     /// a planned resource extension).
@@ -40,7 +38,6 @@ impl Default for CostModel {
     fn default() -> Self {
         CostModel {
             cpu_per_rate_join: 1.0,
-            cpu_per_rate_stateless: 0.25,
             memory_per_rate_join: 0.5,
             default_selectivity: 0.003, // middle of the paper's 0.1%–0.5%
             selectivities: BTreeMap::new(),
@@ -49,10 +46,9 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    pub fn new(cpu_per_rate_join: f64, cpu_per_rate_stateless: f64, default_sel: f64) -> Self {
+    pub fn new(cpu_per_rate_join: f64, default_sel: f64) -> Self {
         CostModel {
             cpu_per_rate_join,
-            cpu_per_rate_stateless,
             memory_per_rate_join: 0.5,
             default_selectivity: default_sel,
             selectivities: BTreeMap::new(),
@@ -107,13 +103,7 @@ impl CostModel {
         self.cpu_per_rate_join * input_rates.iter().sum::<f64>()
     }
 
-    /// CPU cost of a stateless (filter/project/relay-side) operator.
-    pub fn stateless_cpu(&self, input_rate: f64) -> f64 {
-        self.cpu_per_rate_stateless * input_rate
-    }
-
-    /// Memory cost (window state) of a join over the given input rates;
-    /// stateless operators hold no window state.
+    /// Memory cost (window state) of a join over the given input rates.
     pub fn join_memory(&self, input_rates: &[f64]) -> f64 {
         self.memory_per_rate_join * input_rates.iter().sum::<f64>()
     }
@@ -159,9 +149,8 @@ mod tests {
 
     #[test]
     fn cpu_costs_linear_in_rates() {
-        let cm = CostModel::new(2.0, 0.5, 0.003);
+        let cm = CostModel::new(2.0, 0.003);
         assert_eq!(cm.join_cpu(&[3.0, 4.0]), 14.0);
-        assert_eq!(cm.stateless_cpu(8.0), 4.0);
     }
 
     #[test]

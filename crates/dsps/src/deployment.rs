@@ -64,15 +64,6 @@ pub enum DeployError {
     QueryUnserved { query: QueryId, stream: StreamId },
 }
 
-/// Per-host resource usage snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HostUsage {
-    pub cpu: f64,
-    pub memory: f64,
-    pub net_out: f64,
-    pub net_in: f64,
-}
-
 impl DeploymentState {
     pub fn new() -> Self {
         Self::default()
@@ -240,23 +231,6 @@ impl DeploymentState {
             *links.entry((from, to)).or_default() += catalog.stream(s).rate;
         }
         links
-    }
-
-    /// Combined usage snapshot per host.
-    pub fn host_usage(&self, catalog: &Catalog) -> Vec<HostUsage> {
-        let cpu = self.cpu_usage(catalog);
-        let mem = self.memory_usage(catalog);
-        let net = self.net_usage(catalog);
-        cpu.into_iter()
-            .zip(mem)
-            .zip(net)
-            .map(|((cpu, memory), (net_out, net_in))| HostUsage {
-                cpu,
-                memory,
-                net_out,
-                net_in,
-            })
-            .collect()
     }
 
     // ----- validation -----------------------------------------------------

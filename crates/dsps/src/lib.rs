@@ -2,11 +2,23 @@
 //!
 //! The distributed stream processing substrate for the SQPR reproduction:
 //! hosts and network topology, streams with semantic equivalence signatures,
-//! operators, the interning catalog that makes cross-query reuse
-//! discoverable, query-plan trees with the paper's C1–C4 validity
-//! conditions, global deployment state with resource accounting and
+//! join operators, the interning catalog that makes cross-query reuse
+//! discoverable, global deployment state with resource accounting and
 //! causality checking, and a discrete-time execution engine standing in for
 //! the paper's DISSP prototype.
+//!
+//! The deployment is the plan: a [`DeploymentState`] holds one assignment
+//! of the decision variables `d, x, y, z` (paper §III-B), and
+//! [`DeploymentState::validate`] is its one checker. The plan-tree
+//! conditions C1–C4 of §III-A map onto its rules:
+//!
+//! - **C1** (the root delivers the query stream):
+//!   [`DeployError::ProvidedUnavailable`] and [`DeployError::QueryUnserved`];
+//! - **C2** (an operator has its inputs): [`DeployError::InputUnavailable`];
+//! - **C3** (a relay forwards a stream it has):
+//!   [`DeployError::FlowWithoutStream`];
+//! - **C4** (base streams enter at their source): base streams are seeded
+//!   only at their source host in [`DeploymentState::derive_availability`].
 //!
 //! ```
 //! use sqpr_dsps::{Catalog, CostModel, DeploymentState, HostId, HostSpec};
@@ -35,18 +47,16 @@ pub mod engine;
 pub mod ids;
 pub mod metrics;
 pub mod operator;
-pub mod plan;
 pub mod stream;
 pub mod topology;
 
 pub use catalog::Catalog;
 pub use cost::CostModel;
-pub use deployment::{DeployError, DeploymentState, FailureAudit, HostUsage};
+pub use deployment::{DeployError, DeploymentState, FailureAudit};
 pub use engine::{run as run_engine, EngineConfig, SimReport};
 pub use ids::{HostId, OperatorId, QueryId, StreamId};
 pub use metrics::{Cdf, RateSketch};
-pub use operator::{OperatorDef, OperatorKind};
-pub use plan::{PlanError, PlanNode, PlanNodeKind, QueryPlan};
+pub use operator::OperatorDef;
 pub use stream::{StreamDef, StreamSignature};
 pub use topology::{HostSpec, NetworkTopology};
 

@@ -1,6 +1,6 @@
-//! Measurement utilities: empirical CDFs, summary statistics (used to
-//! reproduce the distribution plots of the paper's Figures 7(b) and 7(c)),
-//! and the bounded per-stream [`RateSketch`] that feeds observed rates
+//! Measurement utilities: empirical CDFs (used to reproduce the
+//! distribution plots of the paper's Figures 7(b) and 7(c)), Jain's
+//! fairness index, and the bounded per-stream [`RateSketch`] that feeds observed rates
 //! back into adaptive re-planning (paper §IV-B).
 
 /// An empirical cumulative distribution over a finite sample.
@@ -139,24 +139,6 @@ impl RateSketch {
     }
 }
 
-/// Mean of a sample (0 for empty input).
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
-
-/// Population standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
 /// Jain's fairness index: 1 means perfectly balanced load, `1/n` means one
 /// host carries everything. Used to quantify load-balance objectives (O4).
 pub fn jain_fairness(xs: &[f64]) -> f64 {
@@ -205,13 +187,6 @@ mod tests {
         assert!((skew - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(jain_fairness(&[]), 1.0);
         assert_eq!(jain_fairness(&[0.0, 0.0]), 1.0);
-    }
-
-    #[test]
-    fn stats_basic() {
-        assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert!((std_dev(&[2.0, 4.0]) - 1.0).abs() < 1e-12);
-        assert_eq!(std_dev(&[5.0]), 0.0);
     }
 
     #[test]

@@ -2,29 +2,20 @@
 
 use crate::ids::{OperatorId, StreamId};
 
-/// Operator semantics. The relay operator `µ` of §II-C is *not* an
-/// [`OperatorDef`]: relaying is a property of plans/flows, not of the
-/// operator catalog (it consumes network, not meaningful CPU).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OperatorKind {
-    /// Windowed equi-join of two streams.
-    Join,
-    /// Stateless filter tagged by predicate id.
-    Filter { predicate: u64 },
-    /// Stateless projection tagged by column-set id.
-    Project { projection: u64 },
-}
-
 /// A registered operator: input streams `S_o`, single output stream `s_o`,
 /// and CPU cost `γ_o` (units of computational resource while running).
+///
+/// Every operator is a windowed equi-join of two streams. The relay
+/// operator `µ` of §II-C is *not* an [`OperatorDef`]: relaying is a
+/// property of flows, not of the operator catalog (it consumes network,
+/// not meaningful CPU).
 #[derive(Debug, Clone)]
 pub struct OperatorDef {
     pub id: OperatorId,
-    pub kind: OperatorKind,
     pub inputs: Vec<StreamId>,
     pub output: StreamId,
     pub cpu_cost: f64,
-    /// Window-state memory held while running (0 for stateless operators).
+    /// Window-state memory held while running.
     pub memory_cost: f64,
 }
 
@@ -43,7 +34,6 @@ mod tests {
     fn consumes_checks_inputs() {
         let op = OperatorDef {
             id: OperatorId(0),
-            kind: OperatorKind::Join,
             inputs: vec![StreamId(1), StreamId(2)],
             output: StreamId(3),
             cpu_cost: 1.5,
@@ -51,14 +41,5 @@ mod tests {
         };
         assert!(op.consumes(StreamId(1)));
         assert!(!op.consumes(StreamId(3)));
-    }
-
-    #[test]
-    fn operator_kinds_compare() {
-        assert_ne!(
-            OperatorKind::Filter { predicate: 1 },
-            OperatorKind::Filter { predicate: 2 }
-        );
-        assert_eq!(OperatorKind::Join, OperatorKind::Join);
     }
 }

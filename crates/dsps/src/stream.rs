@@ -5,8 +5,11 @@
 //! We lift this to join commutativity: a join result is identified by the
 //! *set* of base streams it combines, so every join tree over the same base
 //! set yields one interned stream (exactly the sharing the paper's Fig. 2
-//! exploits). Filters and projections are identified by their input stream
-//! plus a caller-supplied function tag.
+//! exploits). Every operator is a join, so a stream is either a base
+//! stream or a join result. Which hosts hold a stream, and how it got
+//! there, is the deployment's business: [`crate::DeploymentState`] is the
+//! plan, and [`crate::DeploymentState::validate`] checks the paper's plan
+//! conditions C1–C4 on it (mapped rule by rule in the crate docs).
 
 use crate::ids::StreamId;
 use std::collections::BTreeSet;
@@ -22,10 +25,6 @@ pub enum StreamSignature {
     /// registers per-query private copies with a nonzero tag so that
     /// otherwise-equivalent streams do not unify.
     Join { bases: BTreeSet<StreamId>, tag: u64 },
-    /// A filtered stream: `predicate` tags the (deterministic) predicate.
-    Filter { input: StreamId, predicate: u64 },
-    /// A projected stream: `projection` tags the column set.
-    Project { input: StreamId, projection: u64 },
 }
 
 impl StreamSignature {
@@ -42,10 +41,6 @@ pub struct StreamDef {
     pub signature: StreamSignature,
     /// Average data rate in bandwidth units (e.g. Mbps).
     pub rate: f64,
-    /// Rate factor relative to the input stream (filter selectivity or
-    /// projection keep-fraction); 1.0 for base and join streams, whose
-    /// rates are derived differently.
-    pub factor: f64,
 }
 
 impl StreamDef {
@@ -70,19 +65,6 @@ mod tests {
             StreamSignature::Join { bases: a, tag: 0 },
             StreamSignature::Join { bases: b, tag: 0 }
         );
-    }
-
-    #[test]
-    fn distinct_predicates_distinct_signatures() {
-        let f1 = StreamSignature::Filter {
-            input: StreamId(0),
-            predicate: 1,
-        };
-        let f2 = StreamSignature::Filter {
-            input: StreamId(0),
-            predicate: 2,
-        };
-        assert_ne!(f1, f2);
     }
 
     #[test]

@@ -116,8 +116,16 @@ impl NetworkTopology {
 
     /// Degrades the directed link `h -> m` to the given effective capacity
     /// (partial failure); the configured capacity is untouched.
+    ///
+    /// # Panics
+    /// Panics on a self link or a capacity that is not `>= 0` (NaN
+    /// included; `+∞` is accepted).
     pub fn degrade_link(&mut self, h: HostId, m: HostId, capacity: f64) {
         assert!(h != m, "self links are always infinite");
+        assert!(
+            capacity >= 0.0,
+            "link capacity must be non-negative, got {capacity}"
+        );
         self.link[h.index() * self.n + m.index()] = capacity;
     }
 
@@ -125,12 +133,6 @@ impl NetworkTopology {
     pub fn restore_link(&mut self, h: HostId, m: HostId) {
         assert!(h != m, "self links are always infinite");
         self.link[h.index() * self.n + m.index()] = self.nominal[h.index() * self.n + m.index()];
-    }
-
-    /// Sum of all finite link capacities (used for the paper's λ3 weight
-    /// normalisation `1 / Σ κ_hm`).
-    pub fn total_finite_capacity(&self) -> f64 {
-        self.link.iter().filter(|c| c.is_finite()).sum()
     }
 }
 
@@ -144,7 +146,6 @@ mod tests {
         assert_eq!(t.link(HostId(0), HostId(1)), 100.0);
         assert_eq!(t.link(HostId(2), HostId(0)), 100.0);
         assert!(t.link(HostId(1), HostId(1)).is_infinite());
-        assert_eq!(t.total_finite_capacity(), 600.0);
     }
 
     #[test]
@@ -186,6 +187,20 @@ mod tests {
         assert_eq!(t.link(HostId(1), HostId(0)), 10.0, "directional");
         t.restore_link(HostId(0), HostId(1));
         assert_eq!(t.link(HostId(0), HostId(1)), 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn rejects_nan_link_degradation() {
+        let mut t = NetworkTopology::full_mesh(2, 10.0);
+        t.degrade_link(HostId(0), HostId(1), f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn rejects_negative_link_degradation() {
+        let mut t = NetworkTopology::full_mesh(2, 10.0);
+        t.degrade_link(HostId(0), HostId(1), -1.0);
     }
 
     #[test]

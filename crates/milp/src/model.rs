@@ -484,12 +484,6 @@ impl Model {
         self.vars[v.0].obj
     }
 
-    /// Sets (replaces) a variable's objective coefficient.
-    pub fn set_objective_coeff(&mut self, v: VarId, obj: f64) {
-        self.vars[v.0].obj = obj;
-        self.structure_version = next_stamp();
-    }
-
     /// Returns constraint `c` as `(terms, lb, ub)`.
     pub fn constraint(&self, c: usize) -> (&[(VarId, f64)], f64, f64) {
         let def = &self.cons[c];
@@ -528,8 +522,9 @@ impl Model {
     /// this — every API that edits existing terms bumps the version — but
     /// the LP cache's same-length-swap detection needs a way to simulate a
     /// future API forgetting the bump (see
-    /// [`crate::cache::LpCacheSlot::refresh`]'s debug verification).
-    #[cfg(test)]
+    /// [`crate::cache::LpCacheSlot::refresh`]'s debug verification, so
+    /// its one caller is a debug-build test).
+    #[cfg(all(test, debug_assertions))]
     pub(crate) fn swap_constraints_unversioned_for_test(&mut self, a: usize, b: usize) {
         self.cons.swap(a, b);
     }

@@ -608,16 +608,6 @@ impl SearchState {
         self.core.nodes_done
     }
 
-    /// Open nodes on the frontier.
-    pub fn open_nodes(&self) -> usize {
-        self.core.heap.len()
-    }
-
-    /// Whether the suspended search holds a feasible incumbent.
-    pub fn has_incumbent(&self) -> bool {
-        self.core.incumbent.is_some()
-    }
-
     /// Anytime snapshot of the suspended search as a [`MilpResult`]:
     /// status `Feasible` with the incumbent if one exists, `Unknown`
     /// otherwise; `best_bound` is the best open node's bound. The state

@@ -120,7 +120,7 @@ pub fn generate_with_hosts(spec: &WorkloadSpec, hosts: &[HostSpec]) -> Workload 
     // Selectivities are drawn per pair lazily below; build the cost model
     // with the mid-range default first.
     let mid = (spec.selectivity.0 + spec.selectivity.1) / 2.0;
-    let mut cost = CostModel::new(1.0, 0.25, mid);
+    let mut cost = CostModel::new(1.0, mid);
 
     let topology = NetworkTopology::full_mesh(hosts.len(), spec.link_capacity);
 
