@@ -13,6 +13,9 @@
 //! (including [`sqpr_core::SqprPlanner`]) so the experiment harnesses can
 //! drive them interchangeably.
 
+// Outside tests, an exact float comparison says why (ARCHITECTURE.md §12).
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 pub mod heuristic;
 pub mod optimistic;
 pub mod soda;

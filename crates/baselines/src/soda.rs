@@ -128,7 +128,7 @@ impl SodaPlanner {
         // miniW: local improvement by moving newly placed operators.
         for _ in 0..self.miniw_passes {
             let mut improved = false;
-            #[allow(clippy::needless_range_loop)] // `i` also writes back into `placed`
+            #[allow(clippy::needless_range_loop, reason = "`i` also writes into `placed`")]
             for i in 0..placed.len() {
                 let (h, o) = placed[i];
                 if let Some(better) = self.try_move(&candidate, h, o) {

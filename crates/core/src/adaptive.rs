@@ -31,7 +31,9 @@ pub struct AdaptReport {
 ///
 /// `threshold` is the relative deviation that triggers re-planning
 /// (criterion (a)); after the drift pass, any remaining resource shortage
-/// triggers a full re-plan sweep (criterion (b)).
+/// triggers a full re-plan sweep (criterion (b)). An observation that is
+/// not a finite, positive rate is junk from a failed probe and is skipped:
+/// its stream is neither drifted nor updated.
 pub fn adapt_to_observed_rates(
     planner: &mut SqprPlanner,
     observed: &[(StreamId, f64)],
@@ -42,6 +44,9 @@ pub fn adapt_to_observed_rates(
     // Criterion (a): rate drift beyond the threshold.
     let mut drifted: BTreeSet<StreamId> = BTreeSet::new();
     for &(s, rate) in observed {
+        if !(rate.is_finite() && rate > 0.0) {
+            continue;
+        }
         let old = planner.catalog().stream(s).rate;
         if old > 0.0 && ((rate - old) / old).abs() > threshold {
             drifted.insert(s);

@@ -263,6 +263,10 @@ impl PlannerConfig {
             lp_cross_solve_factors: true,
             lp_keep_rejected_free_window: 4,
             lp_threads: 1,
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "env-driven default quantum for the forced-preemption runs; slicing is transparent"
+            )]
             node_quantum: std::env::var("SQPR_NODE_QUANTUM")
                 .ok()
                 .and_then(|v| v.parse().ok())

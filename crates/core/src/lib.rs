@@ -21,6 +21,14 @@
 //! - [`config`] exposes the λ-weights (with the paper's defaults), solve
 //!   budgets and the ablation knobs (reuse / reduction / relaying / IV.9).
 
+// Outside tests, the planner stack surfaces typed errors instead of
+// panicking (`assert!` states caller contracts and stays), and an exact
+// float comparison says why (ARCHITECTURE.md §12).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 pub mod adaptive;
 pub mod admission;
 pub mod config;

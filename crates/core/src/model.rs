@@ -204,7 +204,7 @@ pub(crate) enum Pass {
 
 /// How the latest call of each layer function ran, for the tests that pin
 /// the memo's invalidation rules and the reduction's scaling.
-#[cfg_attr(not(test), allow(dead_code))]
+#[cfg_attr(not(test), allow(dead_code, reason = "only tests read the log"))]
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PassLog {
     pub(crate) extend: Pass,
@@ -958,6 +958,7 @@ impl PlanningModel {
     /// keeping the solver context across a query removal: re-fixing a
     /// fixed column at a new value is a bound patch the LP cache absorbs.
     pub fn space_is_bound_fixed(&self, space: &PlanSpace) -> bool {
+        #[expect(clippy::float_cmp, reason = "both bounds hold the same value")]
         let fixed = |v: VarId| {
             let (lb, ub) = self.milp.var_bounds(v);
             lb == ub

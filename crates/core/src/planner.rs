@@ -297,7 +297,7 @@ enum PreemptCause {
 /// Resolution of one resume attempt on a parked round.
 // Both arms are transient — consumed immediately by the admission queue —
 // so the size skew never sits in a collection.
-#[allow(clippy::large_enum_variant)]
+#[allow(clippy::large_enum_variant, reason = "both arms are transient")]
 pub(crate) enum ResumeOutcome {
     /// The round reached a terminal verdict (proven, or the incumbent was
     /// installed at the deadline).
@@ -339,7 +339,10 @@ fn drive_preemptible(
         let cause = if target.is_some_and(|t| done >= t) {
             Some(PreemptCause::NodeDeadline)
         } else {
-            // sqpr::allow(ambient-nondeterminism): wall-clock admission deadline is part of the SLO surface; timing affects only *when* we preempt, and preempted==uninterrupted results are pinned by the resume suites
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock admission deadline is part of the SLO surface; timing affects only *when* we preempt, and preempted==uninterrupted results are pinned by the resume suites"
+            )]
             let expired = wall_deadline.is_some_and(|d| Instant::now() >= d);
             expired.then_some(PreemptCause::WallClock)
         };
@@ -761,7 +764,10 @@ impl SqprPlanner {
         space: &PlanSpace,
         deadline_bounded: bool,
     ) -> PlanningOutcome {
-        // sqpr::allow(ambient-nondeterminism): planning-latency measurement reported in the outcome; never feeds a decision
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "planning-latency measurement reported in the outcome; never feeds a decision"
+        )]
         let started = Instant::now();
         let full;
         let space = if self.config.reduction {
@@ -1097,7 +1103,10 @@ impl SqprPlanner {
         round: PreemptedRound,
         budget: Option<usize>,
     ) -> ResumeOutcome {
-        // sqpr::allow(ambient-nondeterminism): planning-latency measurement reported in the outcome; never feeds a decision
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "planning-latency measurement reported in the outcome; never feeds a decision"
+        )]
         let started = Instant::now();
         let PreemptedRound {
             query,

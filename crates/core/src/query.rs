@@ -38,8 +38,9 @@ impl PlanSpace {
     }
 
     /// Merges another plan space in (used for batched submission, Fig 4b).
-    /// Exhaustively destructured so a newly added plan-space component is a
-    /// compile error here, not a silently unmerged field.
+    /// `merge_unions_every_component` builds its operands as exhaustive
+    /// literals: a new component does not compile there until the test sets
+    /// it, and then fails the test until this merge carries it.
     pub fn merge(&mut self, other: &PlanSpace) {
         let PlanSpace { streams, operators } = other;
         for &s in streams {
@@ -220,6 +221,24 @@ mod tests {
         let before = s1.streams.len();
         s1.merge(&s2); // idempotent
         assert_eq!(s1.streams.len(), before);
+    }
+
+    #[test]
+    fn merge_unions_every_component() {
+        // Exhaustive literals, no `..Default::default()`: a new component
+        // does not compile here until the test sets and checks it.
+        let mut a = PlanSpace {
+            streams: vec![StreamId(1), StreamId(2)],
+            operators: vec![OperatorId(1)],
+        };
+        let b = PlanSpace {
+            streams: vec![StreamId(2), StreamId(3)],
+            operators: vec![OperatorId(2), OperatorId(1)],
+        };
+        a.merge(&b);
+        let PlanSpace { streams, operators } = a;
+        assert_eq!(streams, vec![StreamId(1), StreamId(2), StreamId(3)]);
+        assert_eq!(operators, vec![OperatorId(1), OperatorId(2)]);
     }
 
     #[test]

@@ -140,7 +140,10 @@ impl StormReport {
 /// Audits the current fault set and re-admits every displaced query under
 /// the storm budget (see the module docs for the degradation order).
 pub fn recover_from_failures(planner: &mut SqprPlanner, budget: &StormBudget) -> StormReport {
-    // sqpr::allow(ambient-nondeterminism): storm-budget wall clock bounds recovery *effort*; the fallbacks' verdicts are pinned by the scenario goldens
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "storm-budget wall clock bounds recovery *effort*; the fallbacks' verdicts are pinned by the scenario goldens"
+    )]
     let started = Instant::now();
     // Reconnect orphaned feeds first: a query whose raw source died is
     // unservable by solver and greedy alike until the feed has a living

@@ -88,6 +88,24 @@ fn drift_on_unadmitted_query_bases_selects_nothing() {
     assert!(report.replanned.is_empty(), "no admitted query is affected");
 }
 
+#[test]
+fn junk_observations_are_skipped() {
+    let (c, b) = system(2, 3, 1000.0, 1000.0, 10_000.0);
+    let mut p = planner(c);
+    p.submit(&[b[0], b[1]]).expect("valid");
+
+    // A zero, a NaN and an unbounded reading: none is a rate.
+    let junk = [(b[0], 0.0), (b[1], f64::NAN), (b[2], f64::INFINITY)];
+    let report = adapt_to_observed_rates(&mut p, &junk, 0.25);
+    assert!(report.drifted_streams.is_empty());
+    assert!(report.replanned.is_empty());
+    for &s in &b {
+        assert_eq!(p.catalog().stream(s).rate, 10.0, "{s} was updated");
+    }
+    assert_eq!(p.num_admitted(), 1);
+    assert!(p.state().is_valid(p.catalog()));
+}
+
 // ---------------------------------------------------------------- criterion (b)
 
 #[test]

@@ -188,7 +188,12 @@ fn expired_wall_deadline_preempts_at_first_node_boundary() {
     cfg.budget.max_nodes = 200;
     cfg.node_quantum = 1;
     let mut planner = SqprPlanner::new(c, cfg);
-    planner.set_wall_deadline(Some(Instant::now() - Duration::from_secs(1)));
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a deadline one second in the past expires whatever the clock reads"
+    )]
+    let expired = Instant::now() - Duration::from_secs(1);
+    planner.set_wall_deadline(Some(expired));
     let out = planner.submit(&[b[0], b[1], b[2]]).expect("valid bases");
     assert!(
         out.nodes <= 1,

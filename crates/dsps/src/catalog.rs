@@ -290,6 +290,7 @@ impl Catalog {
     ///
     /// # Panics
     /// Panics if re-registered with a different host or rate.
+    #[expect(clippy::float_cmp, reason = "a re-registration repeats its rate")]
     pub fn add_base_stream(&mut self, host: HostId, rate: f64, source: u64) -> StreamId {
         assert!(rate > 0.0, "base stream rate must be positive");
         let sig = StreamSignature::Base { source };
@@ -412,9 +413,13 @@ impl Catalog {
     /// re-planning reacts to rate drift).
     ///
     /// # Panics
-    /// Panics if `s` is not a base stream or the rate is non-positive.
+    /// Panics if `s` is not a base stream or the rate is not finite and
+    /// positive (NaN and +∞ included).
     pub fn update_base_rate(&mut self, s: StreamId, rate: f64) {
-        assert!(rate > 0.0, "rate must be positive");
+        assert!(
+            rate.is_finite() && rate > 0.0,
+            "rate must be finite and positive"
+        );
         assert!(
             self.streams[s.index()].is_base(),
             "{s} is not a base stream"
@@ -569,6 +574,14 @@ mod tests {
         assert!((c.stream(out).rate - 30.0 * 20.0 * sel).abs() < 1e-9);
         assert!((c.operator(op).cpu_cost - 50.0).abs() < 1e-9);
         assert!((c.operator(op).memory_cost - 25.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn rejects_infinite_rate_update() {
+        let mut c = catalog2();
+        let a = c.add_base_stream(HostId(0), 10.0, 1);
+        c.update_base_rate(a, f64::INFINITY);
     }
 
     #[test]

@@ -19,7 +19,9 @@ macro_rules! id_type {
 
             #[inline]
             pub fn from_index(i: usize) -> Self {
-                // sqpr::allow(hot-path-panic): id-space exhaustion past u32::MAX is a caller-contract breach with no recoverable planning answer; catalogs cap out far below this
+                // Id-space exhaustion past u32::MAX is a caller-contract
+                // breach with no recoverable planning answer; catalogs cap
+                // out far below this.
                 $name(u32::try_from(i).expect("id overflow"))
             }
         }

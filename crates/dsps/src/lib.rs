@@ -38,6 +38,14 @@
 //! assert!(state.is_valid(&catalog));
 //! ```
 
+// Outside tests, the planner stack surfaces typed errors instead of
+// panicking (`assert!` states caller contracts and stays), and an exact
+// float comparison says why (ARCHITECTURE.md §12).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 
 pub mod catalog;

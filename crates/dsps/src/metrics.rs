@@ -99,11 +99,11 @@ impl RateSketch {
         }
     }
 
-    /// Ingests one rate sample. NaN and non-positive readings are dropped:
-    /// rates are strictly positive by definition and a failed probe
-    /// reports junk, not zero traffic.
+    /// Ingests one rate sample. NaN, infinite and non-positive readings are
+    /// dropped: rates are finite and strictly positive by definition, and a
+    /// failed probe reports junk, not zero or unbounded traffic.
     pub fn observe(&mut self, rate: f64) {
-        if rate.is_nan() || rate <= 0.0 {
+        if !(rate.is_finite() && rate > 0.0) {
             return;
         }
         if self.samples.len() < self.window {
@@ -225,6 +225,7 @@ mod tests {
         s.observe(f64::NAN);
         s.observe(0.0);
         s.observe(-5.0);
+        s.observe(f64::INFINITY);
         assert!(s.is_empty());
         assert_eq!(s.observed(), 0);
         s.observe(7.0);

@@ -190,7 +190,7 @@ impl Solver<'_> {
     /// and everything else stays untouched. Members found feasible at scan
     /// time are pruned; a refactorisation (which recomputes every basic
     /// value) forces a full rebuild.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "re-solves reuse caller buffers")]
     fn dual_loop(
         &mut self,
         d: &mut [f64],
@@ -250,7 +250,9 @@ impl Solver<'_> {
                 };
                 total_infeas += vv;
                 let score = vv * vv / tau[pos];
-                if pick.is_none_or(|(bp, s, _, _)| score > s || (score == s && pos < bp)) {
+                #[expect(clippy::float_cmp, reason = "an exact score tie breaks on position")]
+                let better = pick.is_none_or(|(bp, s, _, _)| score > s || (score == s && pos < bp));
+                if better {
                     pick = Some((pos, score, vv, at_upper));
                 }
                 i += 1;
@@ -298,7 +300,7 @@ impl Solver<'_> {
             let mut saw_tiny = false;
             cands.clear();
             for &j in &self.alpha_touched {
-                if self.status[j] == VarStatus::Basic || self.lb[j] == self.ub[j] {
+                if !self.is_priceable(j) {
                     continue;
                 }
                 let a = self.alpha[j];

@@ -88,9 +88,15 @@
 //! assert!((solution.objective - -36.0).abs() < 1e-6);
 //! ```
 
-// Numeric kernels index several parallel arrays at once; iterator
-// refactors would obscure the algebra.
-#![allow(clippy::needless_range_loop)]
+// Outside tests, the planner stack surfaces typed errors instead of
+// panicking (`assert!` states caller contracts and stays), and an exact
+// float comparison says why (ARCHITECTURE.md §12).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+// Iterator refactors would obscure the algebra.
+#![allow(clippy::needless_range_loop, reason = "kernels index parallel arrays")]
 
 pub mod basis;
 pub mod dual;

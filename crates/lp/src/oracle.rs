@@ -56,7 +56,9 @@ pub fn brute_force_optimum(p: &Problem, tol: f64) -> Option<(f64, Vec<f64>)> {
             if lb[j].is_finite() {
                 c.push(lb[j]);
             }
-            if ub[j].is_finite() && ub[j] != lb[j] {
+            #[expect(clippy::float_cmp, reason = "a fixed column parks at its one bound")]
+            let fixed = ub[j] == lb[j];
+            if ub[j].is_finite() && !fixed {
                 c.push(ub[j]);
             }
             if c.is_empty() {

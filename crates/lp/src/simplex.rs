@@ -181,55 +181,32 @@ impl PivotCounts {
 
     /// Accumulates another counter set into this one. Field-wise addition:
     /// merging per-solve counters in any order yields the same totals.
-    /// Exhaustively destructured so a newly added counter is a compile
-    /// error here, not a silently dropped stat.
+    /// `pivot_counts_merge_accumulates_every_field` builds its operands as
+    /// exhaustive literals: a new counter does not compile there until the
+    /// test sets it, and then fails the test until this merge sums it.
     pub fn merge(&mut self, other: &PivotCounts) {
-        let PivotCounts {
-            phase1,
-            primal,
-            dual,
-            bound_flips,
-            harris_degenerate_saved,
-            sparse_solves,
-            dense_solves,
-            solve_nnz,
-            solve_dim,
-            ft_updates,
-            pfi_updates,
-            refactorizations,
-            refactor_no_cache,
-            refactor_basis_changed,
-            refactor_pivot_cap,
-            refactor_update_fill,
-            refactor_rejected_update,
-            refactor_drift,
-            factor_reattaches,
-            distress_refactors,
-            distress_escalations,
-            distress_cold_restarts,
-        } = *other;
-        self.phase1 += phase1;
-        self.primal += primal;
-        self.dual += dual;
-        self.bound_flips += bound_flips;
-        self.harris_degenerate_saved += harris_degenerate_saved;
-        self.sparse_solves += sparse_solves;
-        self.dense_solves += dense_solves;
-        self.solve_nnz += solve_nnz;
-        self.solve_dim += solve_dim;
-        self.ft_updates += ft_updates;
-        self.pfi_updates += pfi_updates;
-        self.refactorizations += refactorizations;
-        self.refactor_no_cache += refactor_no_cache;
-        self.refactor_basis_changed += refactor_basis_changed;
-        self.refactor_pivot_cap += refactor_pivot_cap;
-        self.refactor_update_fill += refactor_update_fill;
-        self.refactor_rejected_update += refactor_rejected_update;
-        self.refactor_drift += refactor_drift;
-        self.factor_reattaches += factor_reattaches;
-        self.distress_refactors += distress_refactors;
-        self.distress_escalations += distress_escalations;
-        self.distress_cold_restarts += distress_cold_restarts;
+        self.phase1 += other.phase1;
+        self.primal += other.primal;
+        self.dual += other.dual;
+        self.bound_flips += other.bound_flips;
+        self.harris_degenerate_saved += other.harris_degenerate_saved;
+        self.sparse_solves += other.sparse_solves;
+        self.dense_solves += other.dense_solves;
+        self.solve_nnz += other.solve_nnz;
+        self.solve_dim += other.solve_dim;
+        self.ft_updates += other.ft_updates;
+        self.pfi_updates += other.pfi_updates;
+        self.refactorizations += other.refactorizations;
+        self.refactor_no_cache += other.refactor_no_cache;
+        self.refactor_basis_changed += other.refactor_basis_changed;
+        self.refactor_pivot_cap += other.refactor_pivot_cap;
+        self.refactor_update_fill += other.refactor_update_fill;
+        self.refactor_rejected_update += other.refactor_rejected_update;
+        self.refactor_drift += other.refactor_drift;
+        self.factor_reattaches += other.factor_reattaches;
+        self.distress_refactors += other.distress_refactors;
+        self.distress_escalations += other.distress_escalations;
+        self.distress_cold_restarts += other.distress_cold_restarts;
     }
 
     /// Deprecated spelling of [`Self::merge`], kept for downstream callers.
@@ -1069,8 +1046,15 @@ impl<'a> Solver<'a> {
     /// Whether column `j` is in [`Self::priceable`]: nonbasic and not
     /// bound-fixed.
     #[inline]
-    fn is_priceable(&self, j: usize) -> bool {
-        self.status[j] != VarStatus::Basic && self.lb[j] != self.ub[j]
+    pub(crate) fn is_priceable(&self, j: usize) -> bool {
+        self.status[j] != VarStatus::Basic && !self.is_fixed(j)
+    }
+
+    /// Whether column `j` is bound-fixed: no travel range.
+    #[inline]
+    #[expect(clippy::float_cmp, reason = "both bounds hold the same value")]
+    fn is_fixed(&self, j: usize) -> bool {
+        self.lb[j] == self.ub[j]
     }
 
     /// Brings the maintained sets up to date after a pivot put `entering`
@@ -1249,7 +1233,7 @@ impl<'a> Solver<'a> {
         // can only produce a degenerate bound flip. Models with many
         // bound-fixed variables (the planner's reduction fixing) would
         // otherwise waste most pricing work on them.
-        if self.lb[j] == self.ub[j] {
+        if self.is_fixed(j) {
             return None;
         }
         let tol = self.opts.tol_dual;
@@ -1977,7 +1961,7 @@ const HARRIS_RELAX_FRAC: f64 = 0.01;
 /// statuses call basic (so only a factorisation repair can leave work for
 /// `reconcile_statuses`). `marks` covers `n + m` flags, all `false`, and is
 /// returned so. See [`BasisState`] for the contract.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "set-up fills caller buffers")]
 fn adapt_hint(
     h: &BasisState,
     n: usize,

@@ -155,20 +155,15 @@ impl CacheStats {
         }
     }
 
-    /// Accumulates another counter set into this one. Exhaustively
-    /// destructured so a newly added counter is a compile error here, not a
-    /// silently dropped stat.
+    /// Accumulates another counter set into this one.
+    /// `cache_stats_add_accumulates_every_field` builds its operands as
+    /// exhaustive literals: a new counter does not compile there until the
+    /// test sets it, and then fails the test until this sum carries it.
     pub fn add(&mut self, other: &CacheStats) {
-        let CacheStats {
-            rebuilds,
-            patches,
-            refix_patches,
-            appended_rows,
-        } = *other;
-        self.rebuilds += rebuilds;
-        self.patches += patches;
-        self.refix_patches += refix_patches;
-        self.appended_rows += appended_rows;
+        self.rebuilds += other.rebuilds;
+        self.patches += other.patches;
+        self.refix_patches += other.refix_patches;
+        self.appended_rows += other.appended_rows;
     }
 
     /// Fraction of constructions served by an in-place patch (0 when no
@@ -413,7 +408,7 @@ impl LpCache {
             .vars
             .iter()
             .zip(cols)
-            .all(|(v, col)| col.is_some() || v.lb == v.ub)
+            .all(|(v, col)| col.is_some() || v.is_fixed())
     }
 
     /// Lowers `model` afresh, folding what is bound-fixed and not exempt
@@ -523,7 +518,7 @@ impl LpCache {
 
         let kept_fixed = var_of_col
             .iter()
-            .filter(|&&j| model.vars[j].lb == model.vars[j].ub)
+            .filter(|&&j| model.vars[j].is_fixed())
             .count();
         LpCache {
             lowered: LoweredLp {
@@ -583,7 +578,7 @@ impl LpCache {
                     if moved {
                         l.lp.set_col_bounds(col, v.lb, v.ub);
                     }
-                    if v.lb == v.ub {
+                    if v.is_fixed() {
                         kept_fixed += 1;
                     }
                 }
@@ -719,7 +714,7 @@ impl LpCache {
             self.kept_fixed,
             map.var_of_col
                 .iter()
-                .filter(|&&j| model.vars[j].lb == model.vars[j].ub)
+                .filter(|&&j| model.vars[j].is_fixed())
                 .count()
         );
         assert!(
@@ -891,6 +886,7 @@ impl Side {
 
     /// [`Model::is_feasible`], at the cost of the kept columns and rows
     /// where the point allows it; any other point gets the full pass.
+    #[expect(clippy::float_cmp, reason = "exactly on the fixed values")]
     fn is_feasible(&mut self, model: &Model, map: &LpMap, x: &[f64], tol: f64) -> bool {
         let fixed = &self.mirror.lb;
         let on_fixed_values = x.len() == model.num_vars()
@@ -915,6 +911,7 @@ impl Side {
     /// `is_feasible` applies) and only the kept columns and the kept rows —
     /// summed over the model row's terms in model order, so the bits are the
     /// full pass's — are checked per point.
+    #[expect(clippy::float_cmp, reason = "verdicts are memoised per tolerance")]
     fn on_fixed_values_is_feasible(
         &mut self,
         model: &Model,
@@ -963,6 +960,7 @@ impl Side {
     /// verdict on the rows it was checked against, so only rows appended
     /// since (cut rounds) are evaluated. Returns the point's
     /// [`Model::objective_value`] when it is feasible.
+    #[expect(clippy::float_cmp, reason = "verdicts are memoised per tolerance")]
     pub(crate) fn start_objective(
         &mut self,
         model: &Model,
@@ -1009,6 +1007,36 @@ mod tests {
     use super::*;
     use crate::model::{Model, Sense, VarId};
     use sqpr_workload::rng::{Rng, StdRng};
+
+    #[test]
+    fn cache_stats_add_accumulates_every_field() {
+        // Exhaustive literals, no `..Default::default()`: a new counter does
+        // not compile here until the test sets and checks it.
+        let a = CacheStats {
+            rebuilds: 1,
+            patches: 2,
+            refix_patches: 3,
+            appended_rows: 4,
+        };
+        let b = CacheStats {
+            rebuilds: 10,
+            patches: 20,
+            refix_patches: 30,
+            appended_rows: 40,
+        };
+        let mut ab = a;
+        ab.add(&b);
+        let CacheStats {
+            rebuilds,
+            patches,
+            refix_patches,
+            appended_rows,
+        } = ab;
+        assert_eq!(rebuilds, 11);
+        assert_eq!(patches, 22);
+        assert_eq!(refix_patches, 33);
+        assert_eq!(appended_rows, 44);
+    }
 
     fn toy() -> Model {
         let mut m = Model::new(Sense::Maximize);

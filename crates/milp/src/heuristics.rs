@@ -18,7 +18,7 @@ const MAX_DIVE_DEPTH: usize = 400;
 /// the dive dead-ends. Each fixing round warm-starts from the previous
 /// round's basis (seeded by `basis`, typically the node relaxation's), so a
 /// dive costs a few pivots per fixing instead of a full solve.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "one dive's inputs and counters")]
 pub fn dive(
     lp: &Problem,
     integers: &[usize],
@@ -73,6 +73,7 @@ pub fn dive(
             }
             _ => {
                 // Try the opposite rounding once before giving up.
+                #[expect(clippy::float_cmp, reason = "`fixed` is a rounded whole number")]
                 let alt = if fixed == v.floor() {
                     v.ceil()
                 } else {

@@ -84,7 +84,14 @@ impl VarDef {
     /// Whether a fresh lowering compresses this variable out: bound-fixed
     /// and not exempt.
     pub(crate) fn folds(&self) -> bool {
-        self.lb == self.ub && !self.no_fold
+        self.is_fixed() && !self.no_fold
+    }
+
+    /// Whether the bounds pin the variable to one value.
+    #[inline]
+    #[expect(clippy::float_cmp, reason = "both bounds hold the same value")]
+    pub(crate) fn is_fixed(&self) -> bool {
+        self.lb == self.ub
     }
 
     /// Whether the variable, bound-fixed, sits on a value a candidate point
@@ -241,6 +248,7 @@ pub(crate) fn shifted_bounds(lb: f64, ub: f64, shift: f64) -> (f64, f64) {
 /// call into libm, which is what the loops over every folded variable would
 /// otherwise spend their time in. (Beyond the `i64` range the cast saturates
 /// and the answer is a conservative no.)
+#[expect(clippy::float_cmp, reason = "an exact round trip is the definition")]
 pub(crate) fn is_whole(value: f64) -> bool {
     (value as i64) as f64 == value
 }
@@ -442,6 +450,7 @@ impl Model {
     }
 
     /// Tightens a variable's bounds (no-op directions use `-INF`/`INF`).
+    #[expect(clippy::float_cmp, reason = "only a moved bound is a change")]
     pub fn set_bounds(&mut self, v: VarId, lb: f64, ub: f64) {
         assert!(lb <= ub, "crossed bounds for {v:?}");
         let def = &mut self.vars[v.0];
@@ -492,6 +501,7 @@ impl Model {
 
     /// Replaces a constraint's bounds (used by incremental model editing,
     /// e.g. relaxing a `<= 1` demand row to `= 1` on admission).
+    #[expect(clippy::float_cmp, reason = "only a moved bound is a change")]
     pub fn set_row_bounds(&mut self, c: ConsId, lb: f64, ub: f64) {
         assert!(lb <= ub, "crossed row bounds [{lb}, {ub}]");
         let def = &mut self.cons[c.0];
@@ -650,7 +660,7 @@ impl Model {
         let mut infeasible_fixed_row = false;
         for (j, v) in self.vars.iter().enumerate() {
             if folded[j] {
-                debug_assert!(v.lb == v.ub, "folded class member {j} is not bound-fixed");
+                debug_assert!(v.is_fixed(), "folded class member {j} is not bound-fixed");
                 if v.ty == VarType::Integer && fixed_off_integer(v.lb) {
                     infeasible_fixed_row = true;
                 }

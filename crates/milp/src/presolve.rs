@@ -233,6 +233,7 @@ struct Infeasible;
 
 /// `v.floor()`, bit for bit, without the call into libm for the values an
 /// `i64` holds exactly — the sweeps round one bound per integer term.
+#[expect(clippy::float_cmp, reason = "an exact round trip means whole")]
 fn floor(v: f64) -> f64 {
     let towards_zero = (v as i64) as f64;
     if towards_zero == v {

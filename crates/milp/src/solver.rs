@@ -412,7 +412,7 @@ pub fn solve(model: &Model, opts: &MilpOptions) -> MilpResult {
 // The `Done` variant carries `MilpResult` by value like every other solve
 // entry point; suspension (already boxed) is the rare arm, so the size
 // skew buys the common path a heap allocation saved.
-#[allow(clippy::large_enum_variant)]
+#[allow(clippy::large_enum_variant, reason = "the common arm stays unboxed")]
 pub enum SolveOutcome {
     Done(MilpResult),
     Suspended(Box<SearchState>),
@@ -447,10 +447,10 @@ impl SolveOutcome {
 /// A suspend leaves the caller's [`LpCacheSlot`] fully valid: the slot's
 /// cached lowering, workspace and factor token all survive, and later
 /// submissions may be served from it while the suspended state is parked.
-/// (The slot's detached factor cache is cleared — deterministically — so
-/// the next tree's root seed never depends on where mid-tree evaluation
-/// happened to run; that costs the next tree one root refactorisation,
-/// nothing else.)
+/// (Once the root is evaluated, the slot's detached factor cache holds its
+/// factorisation, as after a finished tree, so the next tree's root seed
+/// never depends on where mid-tree evaluation happened to run, nor on
+/// whether the search was sliced.)
 ///
 /// The lowering and workspace are borrowed from the slot by the search; on
 /// suspension the lowering and its tables go into the returned
@@ -503,7 +503,10 @@ pub fn solve_preemptible(
         side,
         ws,
         factor_token,
-        // sqpr::allow(ambient-nondeterminism): opts.time_limit is an explicit caller SLO; expiry surfaces as a TimeLimit verdict, never a silently different plan
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "opts.time_limit is an explicit caller SLO; expiry surfaces as a TimeLimit verdict, never a silently different plan"
+        )]
         deadline: opts.time_limit.map(|d| Instant::now() + d),
     }
     .drive(quantum);
@@ -578,7 +581,10 @@ impl SearchState {
         filter: Option<IncumbentFilter<'_>>,
         quantum: usize,
     ) -> SolveOutcome {
-        // sqpr::allow(ambient-nondeterminism): opts.time_limit is an explicit caller SLO; expiry surfaces as a TimeLimit verdict, never a silently different plan
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "opts.time_limit is an explicit caller SLO; expiry surfaces as a TimeLimit verdict, never a silently different plan"
+        )]
         let deadline = self.opts.time_limit.map(|d| Instant::now() + d);
         let state = &mut *self;
         let verdict = Bnb {
@@ -895,6 +901,10 @@ impl<'a> Bnb<'a> {
         self.core.x_buf = x;
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "time-limit check on the B&B driver; expiry stops the search with a TimeLimit verdict, it never reorders it"
+    )]
     fn out_of_budget(&self) -> bool {
         let max_nodes = if self.opts.max_nodes == 0 {
             1_000_000
@@ -905,7 +915,6 @@ impl<'a> Bnb<'a> {
             return true;
         }
         if let Some(d) = self.deadline {
-            // sqpr::allow(ambient-nondeterminism): time-limit check on the B&B driver; expiry stops the search with a TimeLimit verdict, it never reorders it
             if Instant::now() >= d {
                 return true;
             }
@@ -964,11 +973,14 @@ impl<'a> Bnb<'a> {
             SliceVerdict::Suspended => {
                 // Mid-tree the workspace's detached cache holds whatever
                 // the last dive left behind, if one ran since the last node
-                // evaluation took its state out. Clear it so what the slice
-                // leaves behind (in the cache slot or the suspended search)
-                // does not depend on where the cut fell; node evaluation
-                // re-installs from each node's seed anyway.
-                self.ws.take_factor_state();
+                // evaluation took its state out. Leave the root's
+                // factorisation there instead, as a finished tree does, so
+                // what the slice leaves behind (in the cache slot or the
+                // suspended search) does not depend on where the cut fell,
+                // and the next tree re-attaches as after an uninterrupted
+                // one; node evaluation re-installs from each node's seed.
+                let root = self.core.root_factors.as_deref().cloned();
+                self.ws.install_factor_state(self.factor_token, root);
             }
         }
         verdict
@@ -1200,7 +1212,7 @@ struct NodeEval {
 /// after, so the outcome depends only on the arguments, never on which
 /// solve the workspace served last. The seed is taken by value: the last
 /// node to hold its parent's factors moves them in, the others copy.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "pure: every input is passed in")]
 fn evaluate_node_lp(
     lp: &Problem,
     lp_lb: &[f64],

@@ -3,7 +3,8 @@
 //! search — same tree (node count), same simplex work (iteration and
 //! pivot counters), same objective bits, same incumbent — because a cut
 //! happens strictly between node evaluations and node evaluation is a pure
-//! function of the node.
+//! function of the node. Nor can the next tree served from the same cache
+//! slot tell a sliced solve from an uninterrupted one.
 //!
 //! Implemented as seeded random-case loops (the sanctioned dependency set
 //! has no `proptest`); every case prints its seed on failure so it can be
@@ -11,7 +12,7 @@
 
 use sqpr_milp::{
     solve, solve_preemptible, LpCacheSlot, MilpOptions, MilpResult, MilpWarmStart, Model, Sense,
-    SolveOutcome, VarType,
+    SolveOutcome, VarId, VarType,
 };
 use sqpr_workload::rng::{Rng, StdRng};
 
@@ -62,7 +63,7 @@ fn random_ip(rng: &mut StdRng) -> RandomIp {
     }
 }
 
-fn build(ip: &RandomIp) -> Model {
+fn build(ip: &RandomIp) -> (Model, Vec<VarId>) {
     let mut m = Model::new(if ip.maximize {
         Sense::Maximize
     } else {
@@ -81,7 +82,7 @@ fn build(ip: &RandomIp) -> Model {
                 .collect(),
         );
     }
-    m
+    (m, vars)
 }
 
 /// Every observable of the search, compared bit-for-bit (objectives via
@@ -145,7 +146,7 @@ fn suspend_resume_is_bit_identical_to_uninterrupted() {
     for seed in 0..64u64 {
         let mut rng = StdRng::seed_from_u64(0xC0DE ^ (seed << 2));
         let ip = random_ip(&mut rng);
-        let model = build(&ip);
+        let (model, _) = build(&ip);
         let opts = MilpOptions::default();
         let base = solve(&model, &opts);
 
@@ -181,7 +182,7 @@ fn single_node_quanta_match_uninterrupted() {
     for seed in 0..24u64 {
         let mut rng = StdRng::seed_from_u64(0xF1CE ^ (seed << 4));
         let ip = random_ip(&mut rng);
-        let model = build(&ip);
+        let (model, _) = build(&ip);
         let opts = MilpOptions {
             max_nodes: 200,
             ..MilpOptions::default()
@@ -202,7 +203,7 @@ fn suspend_leaves_cache_slot_serving_other_solves() {
     for seed in 0..16u64 {
         let mut rng = StdRng::seed_from_u64(0x51A7 ^ (seed << 5));
         let ip = random_ip(&mut rng);
-        let model = build(&ip);
+        let (model, _) = build(&ip);
         let opts = MilpOptions::default();
         let base = solve(&model, &opts);
 
@@ -247,4 +248,59 @@ fn suspend_leaves_cache_slot_serving_other_solves() {
             }
         }
     }
+}
+
+/// Solves `ip` (A) and then, through the same cache slot, A with its
+/// widest variable's upper bound tightened by one (B: a bound patch of the
+/// same matrix), warm-started from A's root basis as the planner's next
+/// submission would be. A is cut at every node boundary when `sliced`.
+fn a_then_b(ip: &RandomIp, opts: &MilpOptions, sliced: bool) -> (MilpResult, MilpResult) {
+    let (mut model, vars) = build(ip);
+    let mut slot = LpCacheSlot::new();
+    let quantum = if sliced { 1 } else { usize::MAX };
+    let warm = MilpWarmStart::default();
+    let mut outcome = solve_preemptible(&model, opts, warm, None, Some(&mut slot), quantum);
+    let a = loop {
+        match outcome {
+            SolveOutcome::Done(r) => break r,
+            SolveOutcome::Suspended(state) => outcome = state.resume(None, quantum),
+        }
+    };
+    let j = (0..ip.nvars).max_by_key(|&j| ip.ub[j]).unwrap_or(0);
+    model.set_bounds(vars[j], 0.0, f64::from(ip.ub[j] - 1));
+    let warm = MilpWarmStart {
+        start: None,
+        root_basis: a.root_basis.as_ref(),
+    };
+    let b = solve_preemptible(&model, opts, warm, None, Some(&mut slot), usize::MAX)
+        .done()
+        .expect("usize::MAX quantum never suspends");
+    (a, b)
+}
+
+#[test]
+fn slicing_is_invisible_to_the_next_tree() {
+    // A sliced solve leaves its slot as an uninterrupted one does — the
+    // root's factorisation in the detached store — so the next tree served
+    // from the slot re-attaches it at its root either way, pivot for pivot.
+    let mut root_reattached = 0usize;
+    for seed in 0..24u64 {
+        let mut rng = StdRng::seed_from_u64(0x5EC0 ^ (seed << 3));
+        let ip = random_ip(&mut rng);
+        let opts = MilpOptions {
+            max_nodes: 200,
+            ..MilpOptions::default()
+        };
+        let (a_whole, b_after_whole) = a_then_b(&ip, &opts, false);
+        let (a_sliced, b_after_sliced) = a_then_b(&ip, &opts, true);
+        let ctx = format!("seed {seed} on {ip:?}");
+        assert_identical(&format!("{ctx}, A"), &a_whole, &a_sliced);
+        assert_identical(&format!("{ctx}, B"), &b_after_whole, &b_after_sliced);
+        root_reattached += usize::from(b_after_whole.lp_pivots.refactor_no_cache == 0);
+    }
+    assert!(
+        root_reattached >= 8,
+        "only {root_reattached}/24 next trees re-attached at the root; \
+         the property no longer exercises the slot's factor store"
+    );
 }

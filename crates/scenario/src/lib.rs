@@ -31,6 +31,9 @@
 //! assert!(run.transcript.starts_with("scenario doc\n"));
 //! ```
 
+// Outside tests, an exact float comparison says why (ARCHITECTURE.md §12).
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 pub mod runner;
 pub mod spec;
 pub mod toml;

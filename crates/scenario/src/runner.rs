@@ -843,7 +843,10 @@ pub fn check_scenario_file(
     let candidate = out_dir.join(format!("{}.txt", run.name));
     let _ = fs::write(&candidate, &run.transcript);
 
-    // sqpr::allow(ambient-nondeterminism): SQPR_BLESS is the operator's explicit golden-regeneration switch; it gates which files are written, never what the planner computes
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "SQPR_BLESS is the operator's explicit golden-regeneration switch; it gates which files are written, never what the planner computes"
+    )]
     let bless = std::env::var("SQPR_BLESS").is_ok_and(|v| v == "1");
     let golden_path = golden_dir.join(format!("{}.txt", run.name));
     let mut entries = bench_entries(&fs::read_to_string(bench_file).unwrap_or_default());
@@ -872,14 +875,6 @@ pub fn check_scenario_file(
                 }
             }
         }
-        // The quantum fuzz matrix (CI `deadline-fuzz`) runs this check
-        // lenient: suspending a tree clears the cache slot's detached
-        // factor store, so the *next* construction's cross-solve factor
-        // warm start — a pure iteration-count heuristic — sees different
-        // factors than in an unsliced run. Decisions, tree sizes and
-        // objective bits are all in the transcript and stay strict.
-        // sqpr::allow(ambient-nondeterminism): explicit operator switch relaxing bench *comparison* strictness; planner outputs are unaffected
-        let lenient_bench = std::env::var("SQPR_SCENARIO_LENIENT_BENCH").is_ok_and(|v| v == "1");
         match entries.get(&run.name) {
             None => errors.push(format!(
                 "{}: no entry in committed bench file {} (run with SQPR_BLESS=1 to create)",
@@ -887,7 +882,7 @@ pub fn check_scenario_file(
                 bench_file.display()
             )),
             Some(committed) => {
-                if *committed != run.bench_json && !lenient_bench {
+                if *committed != run.bench_json {
                     errors.push(format!(
                         "{}: bench JSON drifted from its entry in committed {}",
                         run.name,

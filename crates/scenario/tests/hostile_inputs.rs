@@ -1,19 +1,17 @@
-//! Hostile inputs for the two in-repo parsers: the scenario TOML reader and
-//! the audit's Rust lexer must answer whatever they are handed — every
-//! prefix of a real file, flipped bytes, spliced lines — and never panic.
-//! The TOML reader (and the scenario decoder behind it) returns `Ok` or
-//! `Err`; the lexer returns tokens whose spans reproduce their text and
-//! cover every non-whitespace byte exactly once.
+//! Hostile inputs for the in-repo scenario TOML reader: it and the scenario
+//! decoder behind it must answer whatever they are handed — every prefix of
+//! a real file, flipped bytes, spliced lines — with `Ok` or `Err`, never a
+//! panic.
 //!
 //! The inputs are seeded mutations of the committed `tests/scenarios/*.toml`
-//! files and of a sorted sample of the workspace's Rust sources; a failure
-//! names the file, the mutation and its seed.
+//! files and of a sorted sample of the workspace's Rust sources (garbage
+//! with plenty of quotes, brackets and escapes); a failure names the file,
+//! the mutation and its seed.
 
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use sqpr_audit::lex;
 use sqpr_scenario::{parse_toml, ScenarioSpec};
 use sqpr_workload::rng::{Rng, StdRng};
 
@@ -50,7 +48,7 @@ fn files(dir: &Path, ext: &str) -> Vec<PathBuf> {
 /// The corpus: every scenario file whole, and every 12th Rust source of the
 /// workspace (sorted by path) as a 2 KiB excerpt from a seeded line on —
 /// one with a backslash where the file has any, since escapes are where a
-/// literal's end is easiest to get wrong.
+/// string's end is easiest to get wrong.
 fn corpus() -> Vec<(String, Vec<u8>)> {
     let root = workspace_root();
     let scenarios = files(&root.join("tests/scenarios"), "toml");
@@ -96,7 +94,7 @@ fn corpus() -> Vec<(String, Vec<u8>)> {
     out
 }
 
-/// Bytes the parsers treat specially, for the flips to land on.
+/// Bytes the reader treats specially, for the flips to land on.
 const SPECIAL: &[u8] = b"\"\\'#[]=,.\n\r\t /*rb0e-_{}u\xC3\xA9\xE2\x82\xAC";
 
 /// One to four seeded byte flips of `src`.
@@ -151,15 +149,13 @@ fn spliced(src: &[u8], donor: &[u8], rng: &mut StdRng) -> Vec<u8> {
     lines.join(&b'\n')
 }
 
-/// Both parsers on one input: answers, no panic, and a lexing that covers
-/// every non-whitespace byte once with spans that reproduce their text.
+/// The reader and the decoder on one input: an answer, no panic.
 fn check(ctx: &str, bytes: &[u8]) {
     let src = String::from_utf8_lossy(bytes);
     let src: &str = &src;
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let _ = parse_toml(src);
         let _ = ScenarioSpec::parse(src);
-        lex(src)
     }));
     let tail: String = src
         .chars()
@@ -169,36 +165,11 @@ fn check(ctx: &str, bytes: &[u8]) {
         .into_iter()
         .rev()
         .collect();
-    let Ok(tokens) = outcome else {
-        panic!(
-            "{ctx}: a parser panicked on {} bytes ending {tail:?}",
-            src.len()
-        );
-    };
-    let mut covered = vec![false; src.len()];
-    for tok in &tokens {
-        assert!(
-            tok.start <= tok.end && tok.end <= src.len(),
-            "{ctx}: span {}..{} out of bounds",
-            tok.start,
-            tok.end
-        );
-        assert_eq!(
-            src.get(tok.start..tok.end),
-            Some(tok.text.as_str()),
-            "{ctx}: span text"
-        );
-        for slot in &mut covered[tok.start..tok.end] {
-            assert!(!*slot, "{ctx}: byte covered twice by {tok}");
-            *slot = true;
-        }
-    }
-    for (i, byte) in src.bytes().enumerate() {
-        assert!(
-            covered[i] || byte.is_ascii_whitespace(),
-            "{ctx}: byte {i} ({byte:#04x}) in no token"
-        );
-    }
+    assert!(
+        outcome.is_ok(),
+        "{ctx}: the parser panicked on {} bytes ending {tail:?}",
+        src.len()
+    );
 }
 
 #[test]

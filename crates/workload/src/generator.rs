@@ -161,7 +161,9 @@ pub fn generate_with_hosts(spec: &WorkloadSpec, hosts: &[HostSpec]) -> Workload 
                 let sb = bases[idx[b]];
                 let sigma = rng.gen_range_f64(spec.selectivity.0, spec.selectivity.1);
                 // First draw wins so the pair is consistent across queries.
-                if cost.selectivity(sa, sb) == mid {
+                #[expect(clippy::float_cmp, reason = "the default marks an undrawn pair")]
+                let undrawn = cost.selectivity(sa, sb) == mid;
+                if undrawn {
                     cost.set_selectivity(sa, sb, sigma);
                 }
             }

@@ -6,6 +6,9 @@
 //! §V-B cluster setups (scalable for laptop runs). [`events`] adds the
 //! deterministic rate-drift profiles scenario scripts replay.
 
+// Outside tests, an exact float comparison says why (ARCHITECTURE.md §12).
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 pub mod events;
 pub mod generator;
 pub mod rng;

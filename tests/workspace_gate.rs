@@ -13,9 +13,10 @@
 //! restricted point validation every search's candidates go through — stay
 //! unit tests of `sqpr-milp`, under `cargo test --workspace`.
 //!
-//! The no-panic contracts of the two in-repo parsers ride along: the audit
-//! lexer's round trip on pathological input, and both parsers on seeded
-//! mutations of the committed scenarios and of the workspace's sources.
+//! The no-panic contract of the in-repo scenario TOML reader rides along,
+//! on seeded mutations of the committed scenarios and of the workspace's
+//! sources. The lint gate is not here: it is CI's clippy step
+//! (ARCHITECTURE.md §12).
 
 #[path = "../crates/lp/tests/proptest_simplex.rs"]
 mod proptest_simplex;
@@ -40,9 +41,6 @@ mod deadline_admission;
 
 #[path = "../crates/core/tests/failure_recovery.rs"]
 mod failure_recovery;
-
-#[path = "../crates/audit/tests/lexer_roundtrip.rs"]
-mod lexer_roundtrip;
 
 #[path = "../crates/scenario/tests/hostile_inputs.rs"]
 mod hostile_inputs;
