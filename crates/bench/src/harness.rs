@@ -10,17 +10,22 @@ use sqpr_core::SolveBudget;
 /// argument `position` or the `SQPR_SCALE` environment variable; defaults
 /// to a laptop-friendly fraction.
 pub fn scale_arg(position: usize, default: f64) -> f64 {
-    if let Some(a) = std::env::args().nth(position) {
-        if let Ok(v) = a.parse::<f64>() {
-            return v.clamp(0.02, 1.0);
-        }
-    }
-    if let Ok(s) = std::env::var("SQPR_SCALE") {
-        if let Ok(v) = s.parse::<f64>() {
-            return v.clamp(0.02, 1.0);
-        }
-    }
-    default
+    let arg = std::env::args().nth(position);
+    let env = std::env::var("SQPR_SCALE").ok();
+    [arg, env]
+        .into_iter()
+        .flatten()
+        .find_map(|s| parse_scale(&s))
+        .unwrap_or(default)
+}
+
+/// A scale value clamped into `[0.02, 1]`, or `None` when it is not a
+/// finite number: garbage, `nan` and `inf` all fall back to the default.
+fn parse_scale(s: &str) -> Option<f64> {
+    s.parse::<f64>()
+        .ok()
+        .filter(|v| v.is_finite())
+        .map(|v| v.clamp(0.02, 1.0))
 }
 
 /// Maps a paper-side CPLEX timeout (seconds) to our solver's budget. The
@@ -181,6 +186,20 @@ pub fn emit_json(name: &str, payload: &Json) -> Option<std::path::PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_accepts_only_finite_numbers() {
+        for (arg, want) in [
+            ("nan", None),
+            ("inf", None),
+            ("-inf", None),
+            ("abc", None),
+            ("0.5", Some(0.5)),
+            ("7", Some(1.0)),
+        ] {
+            assert_eq!(parse_scale(arg), want, "{arg}");
+        }
+    }
 
     #[test]
     fn budget_mapping_monotone() {

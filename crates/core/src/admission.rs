@@ -16,9 +16,8 @@
 //! resumes the eligible ones **in park order** (deterministic), another
 //! `round_deadline` nodes per attempt, continuing each search bit-for-bit
 //! where it left off. A round still open **retries** with exponential
-//! logical-tick backoff; once
-//! [`admission_max_retries`](crate::PlannerConfig::admission_max_retries)
-//! run dry it gets the **greedy** baseline placement
+//! logical-tick backoff; once its `MAX_RETRIES` (2) run dry it gets the
+//! **greedy** baseline placement
 //! ([`SqprPlanner::admit_greedy`]), else it is **deferred** to one
 //! unbounded resume, which produces a proven verdict. [`drain`] gives every
 //! parked round that unbounded resume now. Every submission routed through
@@ -34,6 +33,16 @@ use sqpr_dsps::{QueryId, StreamId};
 use sqpr_milp::MilpStatus;
 
 use crate::planner::{PlannerError, PlanningOutcome, PreemptedRound, ResumeOutcome, SqprPlanner};
+
+/// Resume attempts a parked submission gets before it falls back (greedy
+/// install, else a deferred unbounded resume). Each attempt grants another
+/// `round_deadline` nodes.
+const MAX_RETRIES: u32 = 2;
+
+/// Backoff base, in logical queue ticks, between resume attempts: attempt
+/// `k` waits `BACKOFF_BASE << (k - 1)` ticks. Tick-counted rather than
+/// wall-clock, so replays are deterministic.
+const BACKOFF_BASE: u64 = 1;
 
 /// How a submission came to be admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,8 +213,6 @@ impl AdmissionQueue {
     /// deferred.
     pub fn pump(&mut self, planner: &mut SqprPlanner) -> Vec<PlanningOutcome> {
         self.tick += 1;
-        let max_retries = planner.config().admission_max_retries;
-        let backoff = planner.config().admission_backoff_base.max(1);
         let mut resolved = Vec::new();
         for _ in 0..self.parked.len() {
             let Some(p) = self.parked.pop_front() else {
@@ -222,8 +229,8 @@ impl AdmissionQueue {
                 }
                 Err(p) => p,
             };
-            if p.attempts < max_retries {
-                p.eligible_at = self.tick + (backoff << (p.attempts - 1).min(32) as u64);
+            if p.attempts < MAX_RETRIES {
+                p.eligible_at = self.tick + (BACKOFF_BASE << (p.attempts - 1).min(32));
                 self.parked.push_back(p);
                 continue;
             }
@@ -248,43 +255,34 @@ impl AdmissionQueue {
     /// not advance.
     pub fn drain(&mut self, planner: &mut SqprPlanner) -> Vec<PlanningOutcome> {
         let mut resolved = Vec::new();
-        while let Some(mut p) = self.parked.pop_front() {
-            p.deferred = true;
-            let outcome = self.resume(planner, p).unwrap_or_else(|p| {
-                // Only an armed wall deadline stops an unbounded resume:
-                // record the greedy answer rather than drop the submission.
-                let outcome = greedy(planner, &p);
-                self.record(&outcome, p.attempts, AdmissionPath::GreedyInstall);
-                outcome
-            });
-            resolved.push(outcome);
+        while let Some(p) = self.parked.pop_front() {
+            resolved.push(self.finish(planner, p));
         }
         resolved
     }
 
-    /// The resolve-and-record step `pump` and `drain` share: one resume
-    /// attempt (unbounded once deferred), recorded in the ledger when the
-    /// round resolves; a round still open is handed back.
+    /// One resume attempt under another `round_deadline` node grant,
+    /// recorded in the ledger when the round resolves; a round still open
+    /// is handed back. A deferred round (or one parked before the deadline
+    /// was lifted) gets the unbounded resume instead.
     fn resume(
         &mut self,
         planner: &mut SqprPlanner,
         mut p: Parked,
     ) -> Result<PlanningOutcome, Parked> {
-        p.attempts += 1;
-        let budget = if p.deferred {
-            None
-        } else {
-            planner.config().round_deadline
+        let budget = match planner.config().round_deadline {
+            Some(budget) if !p.deferred => budget,
+            _ => return Ok(self.finish(planner, p)),
         };
+        p.attempts += 1;
         match planner.resume_parked(p.round, budget) {
             ResumeOutcome::Resolved(outcome) => {
-                let path = if p.deferred {
-                    AdmissionPath::DeferredReplan
-                } else if outcome.verdict == RoundVerdict::Admitted(Admitted::IncumbentAtDeadline) {
-                    AdmissionPath::IncumbentHandoff
-                } else {
-                    AdmissionPath::Resumed
-                };
+                let path =
+                    if outcome.verdict == RoundVerdict::Admitted(Admitted::IncumbentAtDeadline) {
+                        AdmissionPath::IncumbentHandoff
+                    } else {
+                        AdmissionPath::Resumed
+                    };
                 self.record(&outcome, p.attempts, path);
                 Ok(outcome)
             }
@@ -293,6 +291,14 @@ impl AdmissionQueue {
                 Err(p)
             }
         }
+    }
+
+    /// The unbounded resume `pump` (for deferred rounds) and `drain`
+    /// share: the parked search runs to completion, so it always resolves.
+    fn finish(&mut self, planner: &mut SqprPlanner, p: Parked) -> PlanningOutcome {
+        let outcome = planner.finish_parked(p.round);
+        self.record(&outcome, p.attempts + 1, AdmissionPath::DeferredReplan);
+        outcome
     }
 
     fn record(&mut self, outcome: &PlanningOutcome, attempts: u32, path: AdmissionPath) {

@@ -205,13 +205,12 @@ pub struct PlannerConfig {
     /// Preemption quantum, in branch & bound nodes: every planning solve
     /// runs as a sequence of at-most-this-many-node slices through
     /// [`sqpr_milp::solve_preemptible`], with the search suspended into a
-    /// [`sqpr_milp::SearchState`] between slices. `0` disables slicing (the
-    /// classic uninterruptible solve). Slicing alone is *transparent*:
-    /// without a [`round_deadline`](Self::round_deadline) every slice
-    /// sequence runs to completion and admission decisions, objectives and
-    /// node/pivot counts are bit-identical to the unsliced run (CI fuzzes
-    /// this via the `SQPR_NODE_QUANTUM` environment variable, which the
-    /// default honours when set).
+    /// [`sqpr_milp::SearchState`] between slices. `0` (the default)
+    /// disables slicing (the classic uninterruptible solve). Slicing is
+    /// *transparent*: admission decisions, objectives and node/pivot counts
+    /// are bit-identical at every quantum, with or without a
+    /// [`round_deadline`](Self::round_deadline) (a slice never runs past
+    /// the deadline). It is the hook the sliced-solve tests turn on.
     pub node_quantum: usize,
     /// Deadline per planning round, in branch & bound nodes (deterministic,
     /// unlike a wall clock). When the deadline expires with the search still
@@ -220,9 +219,7 @@ pub struct PlannerConfig {
     /// ([`Admitted::IncumbentAtDeadline`](crate::Admitted)), otherwise the
     /// suspended search is handed to the admission queue for bounded
     /// retries ([`Rejected::DeadlineNoCertificate`](crate::Rejected)).
-    /// Requires `node_quantum > 0` to take effect (the quantum is the
-    /// granularity at which the deadline is observed). `None` disables the
-    /// deadline layer entirely.
+    /// `None` disables the deadline layer entirely.
     ///
     /// The deadline bounds *fresh single-query submissions* only: batch
     /// rounds (whose members cannot be resumed individually) and internal
@@ -230,16 +227,6 @@ pub struct PlannerConfig {
     /// their own budgets, so they never park a round behind the admission
     /// queue's back.
     pub round_deadline: Option<usize>,
-    /// Resume attempts a deadline-preempted submission gets from the
-    /// admission queue before it falls back (greedy install, else a
-    /// deferred unbounded resume). Each attempt grants another
-    /// `round_deadline` nodes.
-    pub admission_max_retries: u32,
-    /// Backoff base, in logical queue ticks, between resume attempts of a
-    /// parked submission: attempt `k` waits `admission_backoff_base << (k-1)`
-    /// ticks. Logical (tick-counted) rather than wall-clock so replays are
-    /// deterministic.
-    pub admission_backoff_base: u64,
 }
 
 impl PlannerConfig {
@@ -263,17 +250,8 @@ impl PlannerConfig {
             lp_cross_solve_factors: true,
             lp_keep_rejected_free_window: 4,
             lp_threads: 1,
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "env-driven default quantum for the forced-preemption runs; slicing is transparent"
-            )]
-            node_quantum: std::env::var("SQPR_NODE_QUANTUM")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
+            node_quantum: 0,
             round_deadline: None,
-            admission_max_retries: 2,
-            admission_backoff_base: 1,
         }
     }
 }

@@ -13,9 +13,9 @@
 //! - [`recovery`] drives failure-storm re-admission: displaced queries
 //!   re-enter admission through the warm solver path under a storm-wide
 //!   budget, degrading to greedy placement when the budget runs dry;
-//! - [`admission`] bounds admission latency: planning rounds run as
-//!   preemptible node-quantum slices under a deterministic deadline, and
-//!   rounds still open at the deadline answer anytime — the admitting
+//! - [`admission`] bounds admission latency: planning rounds run under a
+//!   deterministic node-count deadline, and rounds still open at the
+//!   deadline answer anytime — the admitting
 //!   incumbent installs, otherwise the suspended search parks in an
 //!   [`AdmissionQueue`] for bounded, backed-off retries;
 //! - [`config`] exposes the λ-weights (with the paper's defaults), solve

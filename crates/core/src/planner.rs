@@ -283,18 +283,8 @@ impl fmt::Debug for PreemptedRound {
     }
 }
 
-/// Why the slice driver stopped a search before it finished.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PreemptCause {
-    /// The round's deterministic node deadline expired
-    /// ([`PlannerConfig::round_deadline`]).
-    NodeDeadline,
-    /// A wall-clock deadline expired (recovery storms; best-effort — the
-    /// clock is only observed between quantum slices).
-    WallClock,
-}
-
-/// Resolution of one resume attempt on a parked round.
+/// Resolution of one bounded resume attempt on a parked round (an
+/// unbounded one, [`SqprPlanner::finish_parked`], always resolves).
 // Both arms are transient — consumed immediately by the admission queue —
 // so the size skew never sits in a collection.
 #[allow(clippy::large_enum_variant, reason = "both arms are transient")]
@@ -312,22 +302,21 @@ pub(crate) enum ResumeOutcome {
 /// search's resume) given its node allowance, and the search continues in
 /// `quantum`-node slices, suspending strictly between node evaluations.
 /// `start` is the node count the search has already done and `target` the
-/// absolute count at which it is preempted (deterministic); `wall_deadline`
-/// preempts it best-effort. A preempted search comes back with its anytime
-/// incumbent snapshot. `quantum = 0` means unsliced; without a target or
-/// deadline the sliced run completes with bit-identical results to the
-/// unsliced one (the `SQPR_NODE_QUANTUM` transparency invariant CI fuzzes).
+/// absolute count at which it is preempted; a slice never runs past the
+/// target, so the deadline is exact at any quantum. A preempted search
+/// comes back with its anytime incumbent snapshot. `quantum = 0` means
+/// unsliced, and slicing is transparent: bit-identical results at every
+/// quantum, with or without a target (the scenario corpus's sliced twins
+/// pin this).
 fn drive_preemptible(
     first: impl FnOnce(usize) -> SolveOutcome,
     filter: Option<IncumbentFilter<'_>>,
     start: usize,
     target: Option<usize>,
     quantum: usize,
-    wall_deadline: Option<Instant>,
-) -> (MilpResult, Option<(Box<SearchState>, PreemptCause)>) {
+) -> (MilpResult, Option<Box<SearchState>>) {
     let quantum = if quantum == 0 { usize::MAX } else { quantum };
-    // A slice never runs past the target, so the deadline is observed
-    // exactly (a target already reached suspends before any evaluation).
+    // A target already reached suspends before any evaluation.
     let slice = |done: usize| target.map_or(quantum, |t| quantum.min(t.saturating_sub(done)));
     let mut outcome = first(slice(start));
     loop {
@@ -336,21 +325,21 @@ fn drive_preemptible(
             SolveOutcome::Suspended(state) => state,
         };
         let done = state.nodes_done();
-        let cause = if target.is_some_and(|t| done >= t) {
-            Some(PreemptCause::NodeDeadline)
-        } else {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "wall-clock admission deadline is part of the SLO surface; timing affects only *when* we preempt, and preempted==uninterrupted results are pinned by the resume suites"
-            )]
-            let expired = wall_deadline.is_some_and(|d| Instant::now() >= d);
-            expired.then_some(PreemptCause::WallClock)
-        };
-        match cause {
-            Some(cause) => return (state.incumbent_result(), Some((state, cause))),
-            None => outcome = state.resume(filter, slice(done)),
+        if target.is_some_and(|t| done >= t) {
+            return (state.incumbent_result(), Some(state));
         }
+        outcome = state.resume(filter, slice(done));
     }
+}
+
+/// Start of a round's planning-latency measurement
+/// ([`PlanningOutcome::solve_time`]).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "planning-latency measurement reported in the outcome; never feeds a decision"
+)]
+fn round_clock() -> Instant {
+    Instant::now()
 }
 
 /// The install gate every solved round closes through: decodes `x`
@@ -398,10 +387,6 @@ pub struct SqprPlanner {
     /// The round most recently preempted at its node deadline, awaiting
     /// collection by the admission queue ([`Self::take_preempted_round`]).
     preempt: Option<PreemptedRound>,
-    /// Wall-clock deadline the *next* planning rounds must observe between
-    /// quantum slices (set by the recovery storm around each replan so a
-    /// round cannot overshoot the storm budget by a whole tree).
-    wall_deadline: Option<Instant>,
 }
 
 impl SqprPlanner {
@@ -416,7 +401,6 @@ impl SqprPlanner {
             ctx: SolverContext::default(),
             stats: SolverStats::default(),
             preempt: None,
-            wall_deadline: None,
         }
     }
 
@@ -426,18 +410,6 @@ impl SqprPlanner {
     /// replaced by the next preemption, so collect it promptly.
     pub fn take_preempted_round(&mut self) -> Option<PreemptedRound> {
         self.preempt.take()
-    }
-
-    /// Arms (or clears) the wall-clock deadline planning rounds observe
-    /// *between quantum slices*: an expired deadline makes the round
-    /// finish with its anytime incumbent instead of burning the node
-    /// budget. Requires `node_quantum > 0` to have any effect mid-solve,
-    /// and is best-effort by nature (the clock is only read at slice
-    /// boundaries — determinism-sensitive callers use
-    /// [`PlannerConfig::round_deadline`] instead). The recovery storm arms
-    /// this around its re-admission rounds.
-    pub fn set_wall_deadline(&mut self, deadline: Option<Instant>) {
-        self.wall_deadline = deadline;
     }
 
     /// Lifetime counters of the incremental machinery (see [`SolverStats`]).
@@ -764,11 +736,7 @@ impl SqprPlanner {
         space: &PlanSpace,
         deadline_bounded: bool,
     ) -> PlanningOutcome {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "planning-latency measurement reported in the outcome; never feeds a decision"
-        )]
-        let started = Instant::now();
+        let started = round_clock();
         let full;
         let space = if self.config.reduction {
             space
@@ -991,10 +959,9 @@ impl SqprPlanner {
             };
             // Every construction is driven through the preemptible solver
             // (the classic entry points are wrappers over it): sliced by
-            // `node_quantum`, bounded by the round's remaining node
-            // deadline, and observing the recovery storm's wall deadline
-            // between slices.
-            let node_budget = if deadline_bounded && self.config.node_quantum > 0 {
+            // `node_quantum` and bounded by the round's remaining node
+            // deadline.
+            let node_budget = if deadline_bounded {
                 self.config
                     .round_deadline
                     .map(|d| d.saturating_sub(nodes_spent))
@@ -1028,17 +995,13 @@ impl SqprPlanner {
                     0,
                     node_budget,
                     self.config.node_quantum,
-                    self.wall_deadline,
                 )
             };
             // A preempted search continues with its anytime incumbent
-            // snapshot (always causal — the filter gates incumbents). On a
-            // node deadline the suspended search is kept so a non-admitting
-            // round can park for the admission queue; a wall-clock expiry
-            // (recovery storm) drops it — the storm has its own fallbacks.
+            // snapshot (always causal — the filter gates incumbents); the
+            // suspended search is kept so a non-admitting round can park
+            // for the admission queue.
             let preempted = open.is_some();
-            let open =
-                open.and_then(|(s, cause)| (cause == PreemptCause::NodeDeadline).then_some(s));
             nodes_spent += result.nodes;
             // If acausal candidates were pruned, the claimed optimum may be
             // wrong: add their cuts and re-solve (unless out of rounds).
@@ -1087,27 +1050,19 @@ impl SqprPlanner {
         (self.config.acyclicity == AcyclicityMode::Lazy).then_some(f)
     }
 
-    /// Grants a parked round more search budget: `budget` further branch &
-    /// bound nodes (`None` = run to completion), sliced by `node_quantum`.
-    /// On completion the result is decoded against the *parked* model and
-    /// installed under the same defensive gates as a live round. At another
-    /// deadline expiry the admitting incumbent is installed if there is
-    /// one; otherwise the round is handed back still suspended.
+    /// Grants a parked round `budget` further branch & bound nodes, sliced
+    /// by `node_quantum`. On completion the result is decoded against the
+    /// *parked* model and installed under the same defensive gates as a
+    /// live round. At another deadline expiry the admitting incumbent is
+    /// installed if there is one; otherwise the round is handed back still
+    /// suspended.
     ///
     /// Availability cuts discovered while resuming are *dropped* — the
     /// parked LP cannot take new rows — but the filter still rejects every
     /// acausal incumbent, so admit/reject decisions stay sound; only
     /// placement optimality can degrade (the documented anytime trade).
-    pub(crate) fn resume_parked(
-        &mut self,
-        round: PreemptedRound,
-        budget: Option<usize>,
-    ) -> ResumeOutcome {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "planning-latency measurement reported in the outcome; never feeds a decision"
-        )]
-        let started = Instant::now();
+    pub(crate) fn resume_parked(&mut self, round: PreemptedRound, budget: usize) -> ResumeOutcome {
+        let started = round_clock();
         let PreemptedRound {
             query,
             streams,
@@ -1126,13 +1081,10 @@ impl SqprPlanner {
                 |n| state.resume(filter, n),
                 filter,
                 base,
-                budget.map(|b| base.saturating_add(b)),
+                Some(base.saturating_add(budget)),
                 self.config.node_quantum,
-                self.wall_deadline,
             )
         };
-        // Unlike a live round, a resumed one re-parks on either cause.
-        let open = open.map(|(s, _)| s);
         let x = result.x.as_deref();
         let admitted = install_plan(&mut self.state, &self.catalog, query, &streams, &model, x);
         match open {
@@ -1150,6 +1102,19 @@ impl SqprPlanner {
                 open.is_some(),
                 started,
             )),
+        }
+    }
+
+    /// Runs a parked round to completion — the unbounded resume — and
+    /// returns its outcome. Each resume grants every node there is, and
+    /// the search stops at its own node budget long before, so the first
+    /// one resolves.
+    pub(crate) fn finish_parked(&mut self, mut round: PreemptedRound) -> PlanningOutcome {
+        loop {
+            match self.resume_parked(round, usize::MAX) {
+                ResumeOutcome::Resolved(outcome) => return outcome,
+                ResumeOutcome::StillOpen(open) => round = open,
+            }
         }
     }
 

@@ -9,18 +9,17 @@
 //! post-fault catalog already patched.
 //!
 //! The storm is this module's fallback policy over rounds that do not
-//! admit, under a storm-wide [`StormBudget`] (cumulative nodes and/or wall
-//! clock): the **greedy** baseline placement ([`SqprPlanner::admit_greedy`],
+//! admit, under a storm-wide [`StormBudget`] (cumulative nodes): the
+//! **greedy** baseline placement ([`SqprPlanner::admit_greedy`],
 //! installed into the managed deployment), else a best-effort **pin** to
 //! the surviving host with the most remaining CPU (oversubscribed, outside
 //! the managed deployment — [`QueryRecovery::degraded_host`]), both
 //! [`RecoveryMode::Degraded`]; **drop** ([`RecoveryMode::Dropped`]) only
 //! when no host survives. A [`StormReport`] accounts for every displaced
-//! query. With a node-only budget the storm is a pure function of the
-//! planner state and fault set; a wall-clock budget gives that up.
+//! query. The storm is a pure function of the planner state, the fault set
+//! and the budget.
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
 
 use sqpr_dsps::{HostId, QueryId, StreamId};
 use sqpr_milp::MilpStatus;
@@ -40,23 +39,19 @@ pub enum RecoveryMode {
     Dropped,
 }
 
-/// Storm-wide recovery budget. `None` fields are unlimited.
+/// Storm-wide recovery budget.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StormBudget {
-    /// Cumulative branch & bound nodes across the storm's solver rounds
-    /// (the deterministic budget).
+    /// Cumulative branch & bound nodes across the storm's solver rounds;
+    /// `None` is unlimited.
     pub max_nodes: Option<usize>,
-    /// Wall-clock limit for the whole storm (nondeterministic; benches
-    /// asserting bit-identical decisions leave this `None`).
-    pub wall_clock: Option<Duration>,
 }
 
 impl StormBudget {
-    /// Node-budgeted storm (deterministic).
+    /// Node-budgeted storm.
     pub fn nodes(max_nodes: usize) -> Self {
         StormBudget {
             max_nodes: Some(max_nodes),
-            wall_clock: None,
         }
     }
 
@@ -102,8 +97,6 @@ pub struct StormReport {
     pub recoveries: Vec<QueryRecovery>,
     /// Branch & bound nodes spent by the storm's solver rounds.
     pub nodes_spent: usize,
-    /// Wall-clock time of the whole storm (audit + re-admission).
-    pub elapsed: Duration,
 }
 
 impl StormReport {
@@ -140,11 +133,6 @@ impl StormReport {
 /// Audits the current fault set and re-admits every displaced query under
 /// the storm budget (see the module docs for the degradation order).
 pub fn recover_from_failures(planner: &mut SqprPlanner, budget: &StormBudget) -> StormReport {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "storm-budget wall clock bounds recovery *effort*; the fallbacks' verdicts are pinned by the scenario goldens"
-    )]
-    let started = Instant::now();
     // Reconnect orphaned feeds first: a query whose raw source died is
     // unservable by solver and greedy alike until the feed has a living
     // ingest host again.
@@ -157,23 +145,12 @@ pub fn recover_from_failures(planner: &mut SqprPlanner, budget: &StormBudget) ->
         lost_flows: audit.lost_flows,
         recoveries: Vec::with_capacity(audit.displaced.len()),
         nodes_spent: 0,
-        elapsed: Duration::ZERO,
     };
-
-    // Arm the wall clock on the planner itself, not just between rounds:
-    // each round's branch & bound observes the deadline *between quantum
-    // slices* ([`crate::PlannerConfig::node_quantum`]) and finishes with
-    // its anytime incumbent on expiry, so a single tree can no longer
-    // overshoot the whole storm budget. With `node_quantum = 0` rounds are
-    // uninterruptible and the check degrades to the old between-rounds
-    // behaviour.
-    planner.set_wall_deadline(budget.wall_clock.map(|w| started + w));
     let mut pins: BTreeMap<HostId, f64> = BTreeMap::new();
     for &q in &audit.displaced {
-        let nodes_dry = budget.max_nodes.is_some_and(|n| report.nodes_spent >= n);
-        let clock_dry = budget.wall_clock.is_some_and(|w| started.elapsed() >= w);
+        let dry = budget.max_nodes.is_some_and(|n| report.nodes_spent >= n);
         // Budget dry: no solver round, straight to the fallbacks.
-        let replan = (!nodes_dry && !clock_dry).then(|| {
+        let replan = (!dry).then(|| {
             let replan = planner.replan_query(q);
             // Replans run deadline-free and never park; drop whatever an
             // earlier deadline submission left for a queue not driving us.
@@ -198,8 +175,6 @@ pub fn recover_from_failures(planner: &mut SqprPlanner, budget: &StormBudget) ->
             degraded_host,
         });
     }
-    planner.set_wall_deadline(None);
-    report.elapsed = started.elapsed();
     report
 }
 

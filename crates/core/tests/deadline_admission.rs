@@ -3,22 +3,23 @@
 //! - **Quantum transparency**: slicing every solve into `node_quantum`
 //!   preemptible pieces (no deadline) must be invisible — identical
 //!   admit/reject sequences, tree sizes, simplex work and deployment
-//!   objective bits at every quantum. This is the
-//!   invariant CI's `deadline-fuzz` job sweeps over the scenario corpus.
+//!   objective bits at every quantum. The scenario corpus's sliced twins
+//!   pin the same invariant over every lifecycle script.
 //! - **Anytime verdicts + the admission queue**: under a tight
 //!   `round_deadline` every preempted submission is either served at the
 //!   deadline (incumbent handoff) or parked and later resolved by the
 //!   queue — never silently dropped — and a drained system converges to
 //!   the same admit set as the deadline-free run.
-//! - **Wall-clock preemption**: an expired wall deadline stops a round at
-//!   the next node boundary (the storm-budget fix).
 //! - **Stale parked models**: a parked round resumed after another
 //!   submission took its capacity still installs only through the live
 //!   round's gate.
+//!
+//! Both deadline tests run unsliced and at quantum 1: the deadline binds
+//! at any quantum, and the two runs must agree record for record.
 
-use std::time::{Duration, Instant};
-
-use sqpr_core::{AdmissionQueue, Admitted, PlannerConfig, Rejected, RoundVerdict, SqprPlanner};
+use sqpr_core::{
+    AdmissionQueue, AdmissionRecord, Admitted, PlannerConfig, Rejected, RoundVerdict, SqprPlanner,
+};
 use sqpr_dsps::{Catalog, CostModel, HostId, HostSpec, QueryId, StreamId};
 
 fn system(
@@ -114,6 +115,18 @@ fn verdicts_certify_completed_rounds() {
     }
 }
 
+/// What a deadline run must reproduce at every quantum: the number of
+/// provisional rejections at submit time, the queue's ledger and the
+/// drained admit set.
+type DeadlineRun = (usize, Vec<AdmissionRecord>, Vec<QueryId>);
+
+fn admitted_set(planner: &SqprPlanner, subs: usize) -> Vec<QueryId> {
+    (0..subs as u32)
+        .map(QueryId)
+        .filter(|q| planner.state().admitted().contains_key(q))
+        .collect()
+}
+
 /// Tight deadlines: submissions preempt mid-search, park in the queue, and
 /// after pumping + draining every one has a terminal verdict, the queue is
 /// empty, and the admit set matches the deadline-free run.
@@ -126,11 +139,25 @@ fn deadline_storm_drains_to_the_deadline_free_admit_set() {
         .filter(|o| o.admitted)
         .map(|o| o.query)
         .collect();
+    let runs = [0, 1].map(|quantum| {
+        let run = deadline_storm(quantum);
+        // The drained system serves the same queries the deadline-free run
+        // admitted (possibly at degraded placement quality — that is the
+        // documented anytime trade; admission itself must converge).
+        assert_eq!(
+            admitted_free, run.2,
+            "deadline + drain changed the admit set at quantum {quantum}"
+        );
+        run
+    });
+    assert_eq!(runs[0], runs[1], "quantum 0 and 1 disagree");
+}
 
+fn deadline_storm(quantum: usize) -> DeadlineRun {
     let (c, b) = system(4, 6, 45.0, 40.0, 400.0);
     let mut cfg = PlannerConfig::new(&c);
     cfg.budget.max_nodes = 200;
-    cfg.node_quantum = 1;
+    cfg.node_quantum = quantum;
     cfg.round_deadline = Some(2); // far below typical rejection trees
     let mut planner = SqprPlanner::new(c, cfg);
     let mut queue = AdmissionQueue::new();
@@ -145,7 +172,7 @@ fn deadline_storm_drains_to_the_deadline_free_admit_set() {
     }
     assert!(
         provisional > 0,
-        "deadline of 2 nodes preempted nothing; the test is vacuous"
+        "deadline of 2 nodes preempted nothing at quantum {quantum}; the test is vacuous"
     );
     assert!(queue.parked() > 0, "no submission was parked");
 
@@ -163,49 +190,12 @@ fn deadline_storm_drains_to_the_deadline_free_admit_set() {
     let mut seen: Vec<u32> = queue.records().iter().map(|r| r.query.0).collect();
     seen.sort_unstable();
     assert_eq!(seen, (0..subs as u32).collect::<Vec<_>>());
-
-    // The drained system serves the same queries the deadline-free run
-    // admitted (possibly at degraded placement quality — that is the
-    // documented anytime trade; admission itself must converge).
-    let admitted_deadline: Vec<QueryId> = (0..subs as u32)
-        .map(QueryId)
-        .filter(|q| planner.state().admitted().contains_key(q))
-        .collect();
-    assert_eq!(
-        admitted_free, admitted_deadline,
-        "deadline + drain changed the admit set"
-    );
     assert!(planner.state().is_valid(planner.catalog()));
-}
-
-/// An expired wall deadline stops the round at the first node boundary
-/// with an anytime answer — it never parks (recovery owns its own ladder)
-/// and never burns the node budget.
-#[test]
-fn expired_wall_deadline_preempts_at_first_node_boundary() {
-    let (c, b) = system(4, 6, 45.0, 40.0, 400.0);
-    let mut cfg = PlannerConfig::new(&c);
-    cfg.budget.max_nodes = 200;
-    cfg.node_quantum = 1;
-    let mut planner = SqprPlanner::new(c, cfg);
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "a deadline one second in the past expires whatever the clock reads"
-    )]
-    let expired = Instant::now() - Duration::from_secs(1);
-    planner.set_wall_deadline(Some(expired));
-    let out = planner.submit(&[b[0], b[1], b[2]]).expect("valid bases");
-    assert!(
-        out.nodes <= 1,
-        "wall-preempted round explored {} nodes past the deadline",
-        out.nodes
-    );
-    assert!(
-        planner.take_preempted_round().is_none(),
-        "wall-clock preemption must not park"
-    );
-    assert!(planner.state().is_valid(planner.catalog()));
-    planner.set_wall_deadline(None);
+    (
+        provisional,
+        queue.records().to_vec(),
+        admitted_set(&planner, subs),
+    )
 }
 
 /// A parked round resumes against a deployment that changed under its
@@ -216,12 +206,17 @@ fn expired_wall_deadline_preempts_at_first_node_boundary() {
 /// submission, with `drain` leaving the logical tick alone.
 #[test]
 fn resume_against_a_changed_deployment() {
+    let runs = [0, 1].map(resume_against_a_changed_deployment_at);
+    assert_eq!(runs[0], runs[1], "quantum 0 and 1 disagree");
+}
+
+fn resume_against_a_changed_deployment_at(quantum: usize) -> DeadlineRun {
     // Roomier CPU, tighter bandwidth: the ninth submission parks at a
     // 2-node deadline although the deadline-free run admits it.
     let (c, b) = system(4, 6, 70.0, 30.0, 400.0);
     let mut cfg = PlannerConfig::new(&c);
     cfg.budget.max_nodes = 200;
-    cfg.node_quantum = 1;
+    cfg.node_quantum = quantum;
     cfg.round_deadline = Some(2);
     let mut planner = SqprPlanner::new(c, cfg);
     let mut queue = AdmissionQueue::new();
@@ -232,9 +227,13 @@ fn resume_against_a_changed_deployment() {
 
     let subs = &submissions()[..9];
     let mut bases = Vec::new();
+    let mut provisional = 0usize;
     for q in subs {
         bases = q.iter().map(|&i| b[i]).collect();
-        queue.submit(&mut planner, &bases).expect("valid bases");
+        let out = queue.submit(&mut planner, &bases).expect("valid bases");
+        if out.verdict == RoundVerdict::Rejected(Rejected::DeadlineNoCertificate) {
+            provisional += 1;
+        }
     }
     let parked = QueryId(subs.len() as u32 - 1);
     assert!(
@@ -269,4 +268,9 @@ fn resume_against_a_changed_deployment() {
     seen.sort_unstable();
     assert_eq!(seen, (0..subs.len() as u32).collect::<Vec<_>>());
     assert!(planner.state().admitted().contains_key(&rival.query));
+    (
+        provisional,
+        queue.records().to_vec(),
+        admitted_set(&planner, subs.len() + 1),
+    )
 }

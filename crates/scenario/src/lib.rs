@@ -8,10 +8,12 @@
 //! query arrivals, rate drift and bursts fed through §IV-B adaptation,
 //! host/link failures and restores driving recovery storms, removals,
 //! admission retries — and an expectations block. The runner executes
-//! every scenario twice (warm planner plus a cold twin), asserts warm/cold
-//! agreement, diffs the canonical verdict transcript against a committed
-//! golden file (`SQPR_BLESS=1` re-blesses), and keeps one entry per
-//! scenario, keyed by name, in the committed `BENCH_scenarios.json`.
+//! every scenario on a warm planner, on two sliced twins of it (every
+//! solve suspended and resumed every 1 and every 7 nodes, which must not
+//! change a byte) and on a cold twin, asserts warm/cold agreement, diffs
+//! the canonical verdict transcript against a committed golden file
+//! (`SQPR_BLESS=1` re-blesses), and keeps one entry per scenario, keyed by
+//! name, in the committed `BENCH_scenarios.json`.
 //!
 //! ```
 //! use sqpr_scenario::{run_scenario, ScenarioSpec};

@@ -1,11 +1,16 @@
-//! Scenario execution: the two-way drive and its cross-checks.
+//! Scenario execution: the drives and their cross-checks.
 //!
-//! Every scenario is executed twice from scratch:
+//! Every scenario is executed four times from scratch:
 //!
 //! 1. **warm** — the canonical run. Its transcript (admit/reject
 //!    decisions, placements/flow counts, node counts and objective bits)
 //!    is what golden files record and its counters feed the bench JSON.
-//! 2. **cold** — a twin with `reuse_solver_context` off. Warm and cold
+//! 2. **sliced** — two twins of the warm run with every solve sliced into
+//!    suspend/resume pieces (`node_quantum` 1, suspending at every node
+//!    boundary, and 7, suspending mid-tree across cut rounds). Slicing
+//!    must be invisible: each twin's transcript and bench JSON equal the
+//!    warm run's byte for byte, deadline scenarios included.
+//! 3. **cold** — a twin with `reuse_solver_context` off. Warm and cold
 //!    solve different model sequences and may land on alternate optima
 //!    within the MIP gap, so the contract is weaker than byte equality:
 //!    identical admit/reject sequence, identical final admitted count,
@@ -14,13 +19,13 @@
 //! Scenario-level expectations (`[expect]`) and per-event patch-rate
 //! floors are checked on the canonical run only; adaptation/storm
 //! accounting identities (`replanned = readmitted + dropped`, no silent
-//! drops) are checked on every drive.
+//! drops) are checked on the warm and cold drives.
 //!
 //! **Deadline mode** (`[system] round_deadline`): submissions route
 //! through the [`AdmissionQueue`] and may park mid-search, so warm and
 //! cold twins — whose trees differ in size — preempt different rounds.
 //! The warm/cold contract therefore relaxes to *drained admit-set
-//! equality*, and a third drive with the deadline stripped pins that the
+//! equality*, and one more drive with the deadline stripped pins that the
 //! deadline machinery changes **when** queries are admitted, never
 //! **whether**.
 
@@ -39,6 +44,9 @@ use crate::spec::{Event, ScenarioSpec, SystemKind, SystemSpec};
 use crate::verdict::{
     bench_entries, first_diff, fmt_f64_bits, render_bench_entries, JsonObject, Transcript,
 };
+
+/// Preemption quanta of the sliced twins.
+const SLICED_QUANTA: [usize; 2] = [1, 7];
 
 /// Relative tolerance for the warm-vs-cold final objective (alternate
 /// optima within the MIP gap; same bound as `tests/warm_start_equivalence`).
@@ -160,19 +168,15 @@ fn host_index_errors(spec: &ScenarioSpec) -> Vec<String> {
     errors
 }
 
-/// Drives one fresh planner through the whole script.
-fn drive(spec: &ScenarioSpec, warm: bool) -> Drive {
+/// Drives one fresh planner through the whole script, every solve sliced
+/// into `node_quantum`-node pieces (0: unsliced).
+fn drive(spec: &ScenarioSpec, warm: bool, node_quantum: usize) -> Drive {
     let workload = build_workload(&spec.system);
     let mut config = PlannerConfig::new(&workload.catalog);
     // Node-only budgets keep every solve a pure function of the script.
     config.budget = SolveBudget::nodes(spec.system.max_nodes);
     config.reuse_solver_context = warm;
-    // An explicit quantum pins the scenario against the SQPR_NODE_QUANTUM
-    // fuzz matrix; absent, the env-derived default stays (transparent
-    // without a deadline, which is exactly what the matrix asserts).
-    if let Some(q) = spec.system.node_quantum {
-        config.node_quantum = q;
-    }
+    config.node_quantum = node_quantum;
     config.round_deadline = spec.system.round_deadline;
     let deadline_mode = spec.system.round_deadline.is_some();
     let nominal: Vec<(StreamId, f64)> = workload
@@ -643,7 +647,7 @@ fn check_patch_floor(
     }
 }
 
-/// Executes the two-way drive for one scenario and applies every
+/// Executes the drives for one scenario and applies every
 /// cross-check and expectation. Returns the canonical run on success, the
 /// full list of violations otherwise.
 pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioRun, Vec<String>> {
@@ -651,10 +655,28 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioRun, Vec<String>> {
     if !bad_hosts.is_empty() {
         return Err(bad_hosts);
     }
-    let warm = drive(spec, true);
-    let cold = drive(spec, false);
-    let deadline_mode = spec.system.round_deadline.is_some();
+    // The sliced twins run on their own threads beside the warm and cold
+    // drives: every drive owns its planner, so they share nothing.
+    let (warm, sliced, cold) = std::thread::scope(|s| {
+        let sliced = SLICED_QUANTA.map(|q| s.spawn(move || drive(spec, true, q)));
+        let warm = drive(spec, true, 0);
+        let cold = drive(spec, false, 0);
+        let sliced = sliced.map(|t| t.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        (warm, sliced, cold)
+    });
+    let transcript = warm.transcript.render();
+    let bench = bench_json(spec, &warm);
     let mut errors = warm.errors.clone();
+    for (quantum, twin) in SLICED_QUANTA.into_iter().zip(&sliced) {
+        let diff = first_diff(&transcript, &twin.transcript.render())
+            .or_else(|| (bench_json(spec, twin) != bench).then(|| "bench JSON".into()));
+        if let Some(diff) = diff {
+            errors.push(format!(
+                "sliced twin (quantum {quantum}) differs from the warm run: {diff}"
+            ));
+        }
+    }
+    let deadline_mode = spec.system.round_deadline.is_some();
 
     if deadline_mode {
         // Warm and cold trees differ in size, so deadlines preempt
@@ -673,7 +695,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioRun, Vec<String>> {
         // deadline-free twin of the same script reaches the same set.
         let mut free_spec = spec.clone();
         free_spec.system.round_deadline = None;
-        let free = drive(&free_spec, true);
+        let free = drive(&free_spec, true, 0);
         if free.final_admit_set != warm.final_admit_set {
             errors.push(format!(
                 "drained admit set {:?} differs from the deadline-free run's {:?}",
@@ -748,8 +770,8 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioRun, Vec<String>> {
     }
     Ok(ScenarioRun {
         name: spec.name.clone(),
-        transcript: warm.transcript.render(),
-        bench_json: bench_json(spec, &warm),
+        transcript,
+        bench_json: bench,
     })
 }
 
@@ -916,7 +938,7 @@ mod tests {
 
     /// A tiny but complete scenario exercising submit, drift, failure and
     /// retry against the §V-B cluster preset. Kept deliberately small so
-    /// the three-way drive stays fast as a unit test.
+    /// its drives stay fast as a unit test.
     const SMOKE: &str = r#"
         name = "smoke"
         [system]
@@ -965,8 +987,8 @@ mod tests {
     #[test]
     fn drives_are_reproducible() {
         let spec = ScenarioSpec::parse(SMOKE).unwrap();
-        let a = drive(&spec, true);
-        let b = drive(&spec, true);
+        let a = drive(&spec, true, 0);
+        let b = drive(&spec, true, 0);
         assert_eq!(a.transcript.render(), b.transcript.render());
         assert_eq!(a.final_objective.to_bits(), b.final_objective.to_bits());
     }
@@ -1025,7 +1047,7 @@ mod tests {
     #[test]
     fn transcripts_embed_objective_bits() {
         let spec = ScenarioSpec::parse(SMOKE).unwrap();
-        let d = drive(&spec, true);
+        let d = drive(&spec, true, 0);
         let final_line = d.transcript.lines().last().unwrap().clone();
         let bits = final_line
             .split("objective=")

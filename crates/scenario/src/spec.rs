@@ -13,6 +13,7 @@
 //! - `[expect]` — scenario-level expectations checked on the canonical
 //!   run, over and above the golden transcript diff.
 
+use std::collections::BTreeSet;
 use std::fmt;
 
 use sqpr_workload::{DriftSpec, RateProfile};
@@ -66,17 +67,10 @@ pub struct SystemSpec {
     /// Per-submission node budget (`SolveBudget::nodes`) — node-only, so
     /// every run of the scenario is a pure function of the script.
     pub max_nodes: usize,
-    /// Preemption quantum override (`PlannerConfig::node_quantum`).
-    /// `None` keeps the planner default (which honours the
-    /// `SQPR_NODE_QUANTUM` environment variable — the CI fuzz matrix);
-    /// deadline scenarios pin it explicitly so their goldens are stable
-    /// under that matrix.
-    pub node_quantum: Option<usize>,
     /// Node-count deadline per submission round
     /// (`PlannerConfig::round_deadline`). Setting it puts the scenario in
     /// *deadline mode*: submissions route through the [`AdmissionQueue`]
     /// and preempted rounds park until `pump`/`drain` events resolve them.
-    /// Requires an explicit `node_quantum >= 1`.
     ///
     /// [`AdmissionQueue`]: sqpr_core::AdmissionQueue
     pub round_deadline: Option<usize>,
@@ -190,8 +184,9 @@ pub struct ScenarioSpec {
 impl ScenarioSpec {
     /// Decodes a scenario from TOML-subset source.
     pub fn parse(src: &str) -> Result<ScenarioSpec, SpecError> {
-        let root = toml::parse(src).map_err(|e| bad(format!("toml: {e}")))?;
-        let name = req_str(&root, "name")?;
+        let tree = toml::parse(src).map_err(|e| bad(format!("toml: {e}")))?;
+        let mut root = Fields::new(&tree);
+        let name = req_str(&mut root, "name")?;
         let system = parse_system(
             root.get("system")
                 .and_then(Value::as_table)
@@ -217,6 +212,7 @@ impl ScenarioSpec {
                     .ok_or_else(|| bad("[expect] must be a table"))?,
             )?,
         };
+        root.done("at the top level")?;
         Ok(ScenarioSpec {
             name,
             system,
@@ -228,7 +224,37 @@ impl ScenarioSpec {
 
 type Table = std::collections::BTreeMap<String, Value>;
 
-fn req_str(t: &Table, key: &str) -> Result<String, SpecError> {
+/// One table under decode, tracking the keys the decoder has not read:
+/// [`Fields::done`] rejects any left over, so a misspelt key fails the
+/// decode instead of silently falling back to a default.
+struct Fields<'a> {
+    table: &'a Table,
+    unread: BTreeSet<&'a str>,
+}
+
+impl<'a> Fields<'a> {
+    fn new(table: &'a Table) -> Self {
+        Fields {
+            table,
+            unread: table.keys().map(String::as_str).collect(),
+        }
+    }
+
+    fn get(&mut self, key: &str) -> Option<&'a Value> {
+        self.unread.remove(key);
+        self.table.get(key)
+    }
+
+    /// Errs naming the first key never read; `place` says which table.
+    fn done(&self, place: &str) -> Result<(), SpecError> {
+        match self.unread.first() {
+            Some(key) => Err(bad(format!("unknown key `{key}` {place}"))),
+            None => Ok(()),
+        }
+    }
+}
+
+fn req_str(t: &mut Fields, key: &str) -> Result<String, SpecError> {
     t.get(key)
         .and_then(Value::as_str)
         .map(str::to_string)
@@ -237,7 +263,7 @@ fn req_str(t: &Table, key: &str) -> Result<String, SpecError> {
 
 /// Every number a scenario carries must be finite: `nan` and `inf` parse
 /// as floats but mean nothing as a capacity, rate or time.
-fn opt_f64(t: &Table, key: &str) -> Result<Option<f64>, SpecError> {
+fn opt_f64(t: &mut Fields, key: &str) -> Result<Option<f64>, SpecError> {
     match t.get(key) {
         None => Ok(None),
         Some(v) => v
@@ -248,11 +274,11 @@ fn opt_f64(t: &Table, key: &str) -> Result<Option<f64>, SpecError> {
     }
 }
 
-fn f64_or(t: &Table, key: &str, default: f64) -> Result<f64, SpecError> {
+fn f64_or(t: &mut Fields, key: &str, default: f64) -> Result<f64, SpecError> {
     Ok(opt_f64(t, key)?.unwrap_or(default))
 }
 
-fn req_f64(t: &Table, key: &str) -> Result<f64, SpecError> {
+fn req_f64(t: &mut Fields, key: &str) -> Result<f64, SpecError> {
     opt_f64(t, key)?.ok_or_else(|| bad(format!("missing number `{key}`")))
 }
 
@@ -264,12 +290,12 @@ fn non_negative(key: &str, v: f64) -> Result<f64, SpecError> {
     Ok(v)
 }
 
-fn req_non_negative(t: &Table, key: &str) -> Result<f64, SpecError> {
+fn req_non_negative(t: &mut Fields, key: &str) -> Result<f64, SpecError> {
     non_negative(key, req_f64(t, key)?)
 }
 
 /// A share in `[0, 1]` (patch-rate and admit-fraction floors).
-fn opt_fraction(t: &Table, key: &str) -> Result<Option<f64>, SpecError> {
+fn opt_fraction(t: &mut Fields, key: &str) -> Result<Option<f64>, SpecError> {
     match opt_f64(t, key)? {
         Some(v) if !(0.0..=1.0).contains(&v) => {
             Err(bad(format!("`{key}` must lie in [0, 1], got {v}")))
@@ -278,7 +304,7 @@ fn opt_fraction(t: &Table, key: &str) -> Result<Option<f64>, SpecError> {
     }
 }
 
-fn opt_usize(t: &Table, key: &str) -> Result<Option<usize>, SpecError> {
+fn opt_usize(t: &mut Fields, key: &str) -> Result<Option<usize>, SpecError> {
     match t.get(key) {
         None => Ok(None),
         Some(v) => v
@@ -288,15 +314,15 @@ fn opt_usize(t: &Table, key: &str) -> Result<Option<usize>, SpecError> {
     }
 }
 
-fn usize_or(t: &Table, key: &str, default: usize) -> Result<usize, SpecError> {
+fn usize_or(t: &mut Fields, key: &str, default: usize) -> Result<usize, SpecError> {
     Ok(opt_usize(t, key)?.unwrap_or(default))
 }
 
-fn req_usize(t: &Table, key: &str) -> Result<usize, SpecError> {
+fn req_usize(t: &mut Fields, key: &str) -> Result<usize, SpecError> {
     opt_usize(t, key)?.ok_or_else(|| bad(format!("missing integer `{key}`")))
 }
 
-fn index_list(t: &Table, key: &str) -> Result<Vec<usize>, SpecError> {
+fn index_list(t: &mut Fields, key: &str) -> Result<Vec<usize>, SpecError> {
     match t.get(key) {
         None => Ok(Vec::new()),
         Some(v) => v
@@ -311,7 +337,8 @@ fn index_list(t: &Table, key: &str) -> Result<Vec<usize>, SpecError> {
     }
 }
 
-fn parse_system(t: &Table) -> Result<SystemSpec, SpecError> {
+fn parse_system(table: &Table) -> Result<SystemSpec, SpecError> {
+    let t = &mut Fields::new(table);
     let kind = match req_str(t, "kind")?.as_str() {
         "paper_sim" => SystemKind::PaperSim,
         "paper_cluster" => SystemKind::PaperCluster,
@@ -327,29 +354,23 @@ fn parse_system(t: &Table) -> Result<SystemSpec, SpecError> {
             .as_table_arr()
             .ok_or_else(|| bad("[[system.host]] must be an array of tables"))?
         {
+            let h = &mut Fields::new(h);
             hosts.push(HostClass {
                 count: usize_or(h, "count", 1)?,
                 cpu: req_non_negative(h, "cpu")?,
                 bandwidth: req_non_negative(h, "bandwidth")?,
             });
+            h.done("in [[system.host]]")?;
         }
         if hosts.iter().map(|h| h.count).sum::<usize>() == 0 {
             return Err(bad("[[system.host]] classes sum to zero hosts"));
         }
     }
-    let node_quantum = opt_usize(t, "node_quantum")?;
     let round_deadline = opt_usize(t, "round_deadline")?;
-    if let Some(d) = round_deadline {
-        if d == 0 {
-            return Err(bad("`round_deadline` must be at least 1"));
-        }
-        if node_quantum.is_none_or(|q| q < 1) {
-            return Err(bad(
-                "`round_deadline` requires an explicit `node_quantum` >= 1",
-            ));
-        }
+    if round_deadline == Some(0) {
+        return Err(bad("`round_deadline` must be at least 1"));
     }
-    Ok(SystemSpec {
+    let system = SystemSpec {
         kind,
         scale,
         seed: t
@@ -364,13 +385,14 @@ fn parse_system(t: &Table) -> Result<SystemSpec, SpecError> {
             .map(|z| non_negative("zipf_theta", z))
             .transpose()?,
         max_nodes: usize_or(t, "max_nodes", 200)?,
-        node_quantum,
         round_deadline,
         hosts,
-    })
+    };
+    t.done("in [system]")?;
+    Ok(system)
 }
 
-fn parse_profile(t: &Table) -> Result<RateProfile, SpecError> {
+fn parse_profile(t: &mut Fields) -> Result<RateProfile, SpecError> {
     match req_str(t, "profile")?.as_str() {
         "diurnal" => Ok(RateProfile::Diurnal {
             amplitude: req_f64(t, "amplitude")?,
@@ -387,7 +409,7 @@ fn parse_profile(t: &Table) -> Result<RateProfile, SpecError> {
     }
 }
 
-fn parse_drift(t: &Table) -> Result<DriftSpec, SpecError> {
+fn parse_drift(t: &mut Fields) -> Result<DriftSpec, SpecError> {
     Ok(DriftSpec {
         profile: parse_profile(t)?,
         jitter: non_negative("jitter", f64_or(t, "jitter", 0.0)?)?,
@@ -402,78 +424,81 @@ fn parse_drift(t: &Table) -> Result<DriftSpec, SpecError> {
     })
 }
 
-fn parse_event(t: &Table) -> Result<Event, SpecError> {
+fn parse_event(table: &Table) -> Result<Event, SpecError> {
+    let t = &mut Fields::new(table);
     let kind = req_str(t, "kind")?;
-    match kind.as_str() {
-        "submit" => Ok(Event::Submit {
+    let event = match kind.as_str() {
+        "submit" => Event::Submit {
             count: req_usize(t, "count")?,
             min_patch_rate: opt_fraction(t, "min_patch_rate")?,
-        }),
-        "observe" => Ok(Event::Observe {
+        },
+        "observe" => Event::Observe {
             drift: parse_drift(t)?,
             t: req_f64(t, "t")?,
             samples: usize_or(t, "samples", 1)?,
             tick: f64_or(t, "tick", 0.25)?,
             streams: index_list(t, "streams")?,
-        }),
-        "adapt" => Ok(Event::Adapt {
+        },
+        "adapt" => Event::Adapt {
             threshold: req_f64(t, "threshold")?,
-        }),
-        "drift" => Ok(Event::Drift {
+        },
+        "drift" => Event::Drift {
             drift: parse_drift(t)?,
             t: req_f64(t, "t")?,
             threshold: req_f64(t, "threshold")?,
             streams: index_list(t, "streams")?,
-        }),
-        "fail_hosts" => Ok(Event::FailHosts {
+        },
+        "fail_hosts" => Event::FailHosts {
             hosts: index_list(t, "hosts")?,
-        }),
-        "restore_hosts" => Ok(Event::RestoreHosts {
+        },
+        "restore_hosts" => Event::RestoreHosts {
             hosts: index_list(t, "hosts")?,
-        }),
+        },
         "degrade_link" => {
             let (from, to) = link(t)?;
-            Ok(Event::DegradeLink {
+            Event::DegradeLink {
                 from,
                 to,
                 capacity: req_non_negative(t, "capacity")?,
-            })
+            }
         }
         "restore_link" => {
             let (from, to) = link(t)?;
-            Ok(Event::RestoreLink { from, to })
+            Event::RestoreLink { from, to }
         }
-        "recover" => Ok(Event::Recover {
+        "recover" => Event::Recover {
             max_nodes: usize_or(t, "max_nodes", 400)?,
-        }),
+        },
         "remove" => {
             let queries = index_list(t, "queries")?;
             if queries.is_empty() {
                 return Err(bad("`remove` needs a non-empty `queries` list"));
             }
-            Ok(Event::Remove {
+            Event::Remove {
                 queries: queries.into_iter().map(|q| q as u32).collect(),
-            })
+            }
         }
-        "retry" => Ok(Event::Retry {
+        "retry" => Event::Retry {
             max: opt_usize(t, "max")?,
             min_patch_rate: opt_fraction(t, "min_patch_rate")?,
-        }),
+        },
         "pump" => {
             let ticks = usize_or(t, "ticks", 1)?;
             if ticks == 0 {
                 return Err(bad("`pump` needs `ticks` >= 1"));
             }
-            Ok(Event::Pump { ticks })
+            Event::Pump { ticks }
         }
-        "drain" => Ok(Event::Drain),
-        other => Err(bad(format!("unknown event kind `{other}`"))),
-    }
+        "drain" => Event::Drain,
+        other => return Err(bad(format!("unknown event kind `{other}`"))),
+    };
+    t.done(&format!("in a `{kind}` event"))?;
+    Ok(event)
 }
 
 /// A directed link's `from -> to` host pair; a host's self link is local
 /// delivery, not a link a script can degrade or restore.
-fn link(t: &Table) -> Result<(usize, usize), SpecError> {
+fn link(t: &mut Fields) -> Result<(usize, usize), SpecError> {
     let (from, to) = (req_usize(t, "from")?, req_usize(t, "to")?);
     if from == to {
         return Err(bad(format!("`from` and `to` both name host {from}")));
@@ -481,7 +506,8 @@ fn link(t: &Table) -> Result<(usize, usize), SpecError> {
     Ok((from, to))
 }
 
-fn parse_expect(t: &Table) -> Result<Expectations, SpecError> {
+fn parse_expect(table: &Table) -> Result<Expectations, SpecError> {
+    let t = &mut Fields::new(table);
     let mut e = Expectations::default();
     if let Some(v) = t.get("admits") {
         let s = v
@@ -500,6 +526,7 @@ fn parse_expect(t: &Table) -> Result<Expectations, SpecError> {
     }
     e.min_replanned = opt_usize(t, "min_replanned")?;
     e.min_admit_fraction = opt_fraction(t, "min_admit_fraction")?;
+    t.done("in [expect]")?;
     Ok(e)
 }
 
@@ -600,9 +627,11 @@ mod tests {
             ("name = \"x\"\n[system]\nkind = \"paper_sim\"\n[[event]]\nkind = \"warp\"", "unknown event kind"),
             ("name = \"x\"\n[system]\nkind = \"paper_sim\"\n[[event]]\nkind = \"submit\"\ncount = 1\n[expect]\nadmits = \"AXR\"", "may only contain A/R"),
             ("name = \"x\"\n[system]\nkind = \"paper_sim\"\n[[event]]\nkind = \"remove\"\nqueries = []", "non-empty"),
-            ("name = \"x\"\n[system]\nkind = \"paper_sim\"\nround_deadline = 2\n[[event]]\nkind = \"submit\"\ncount = 1", "requires an explicit `node_quantum`"),
-            ("name = \"x\"\n[system]\nkind = \"paper_sim\"\nnode_quantum = 1\nround_deadline = 0\n[[event]]\nkind = \"submit\"\ncount = 1", "must be at least 1"),
+            ("name = \"x\"\n[system]\nkind = \"paper_sim\"\nround_deadline = 0\n[[event]]\nkind = \"submit\"\ncount = 1", "must be at least 1"),
             ("name = \"x\"\n[system]\nkind = \"paper_sim\"\n[[event]]\nkind = \"pump\"\nticks = 0", "`ticks` >= 1"),
+            ("name = \"x\"\n[system]\nkind = \"paper_sim\"\nround_dedline = 2\n[[event]]\nkind = \"submit\"\ncount = 1", "unknown key `round_dedline` in [system]"),
+            ("name = \"x\"\n[system]\nkind = \"paper_sim\"\n[[event]]\nkind = \"submit\"\ncount = 1\nmin_patch_rat = 0.9", "event #1: unknown key `min_patch_rat` in a `submit` event"),
+            ("name = \"x\"\n[system]\nkind = \"paper_sim\"\n[[event]]\nkind = \"submit\"\ncount = 1\n[expect]\nmin_admited = 5", "unknown key `min_admited` in [expect]"),
         ] {
             let e = ScenarioSpec::parse(src).unwrap_err();
             assert!(e.0.contains(needle), "`{src}` -> `{}`", e.0);
@@ -620,6 +649,32 @@ mod tests {
     }
 
     const SUBMIT: &str = "kind = \"submit\"\ncount = 1";
+
+    /// A misspelt or retired key is an error naming it, in every table,
+    /// not a silently applied default (`rejects_bad_specs` has the
+    /// `[system]`, `submit` and `[expect]` typos).
+    #[test]
+    fn rejects_unknown_keys_naming_them() {
+        for (system, event, want) in [
+            ("node_quantum = 1", SUBMIT, "unknown key `node_quantum` in [system]"),
+            (
+                "[[system.host]]\ncpu = 1.0\nbandwidth = 1.0\ncont = 2",
+                SUBMIT,
+                "unknown key `cont` in [[system.host]]",
+            ),
+            (
+                "",
+                "kind = \"drift\"\nprofile = \"burst\"\nfactor = 2.0\nperiod = 8.0\nt = 1.0\nthreshold = 0.2",
+                "event #1: unknown key `period` in a `drift` event",
+            ),
+        ] {
+            let e = decode_err(system, event);
+            assert_eq!(e, want);
+        }
+        let top = "name = \"x\"\nnmae = \"y\"\n[system]\nkind = \"paper_sim\"\n[[event]]\nkind = \"drain\"";
+        let e = ScenarioSpec::parse(top).unwrap_err();
+        assert_eq!(e.0, "unknown key `nmae` at the top level");
+    }
 
     #[test]
     fn rejects_non_finite_numbers_naming_the_key() {
@@ -752,7 +807,6 @@ mod tests {
             [system]
             kind = "paper_cluster"
             scale = 0.2
-            node_quantum = 1
             round_deadline = 2
             [[event]]
             kind = "submit"
@@ -764,7 +818,6 @@ mod tests {
             kind = "drain"
         "#;
         let spec = ScenarioSpec::parse(src).unwrap();
-        assert_eq!(spec.system.node_quantum, Some(1));
         assert_eq!(spec.system.round_deadline, Some(2));
         assert!(matches!(spec.events[1], Event::Pump { ticks: 4 }));
         assert!(matches!(spec.events[2], Event::Drain));

@@ -1,9 +1,9 @@
 //! The scenario-corpus runner: executes every declarative scenario under
-//! `tests/scenarios/*.toml` through the two-way drive (warm planner, cold
-//! twin), checks warm/cold agreement and the scenarios' own expectations,
-//! diffs each
-//! canonical verdict transcript against its committed golden file, and
-//! verifies each scenario's entry in the committed `BENCH_scenarios.json`.
+//! `tests/scenarios/*.toml` on a warm planner, two sliced twins (quantum 1
+//! and 7, byte-identical to the warm run) and a cold twin, checks warm/cold
+//! agreement and the scenarios' own expectations, diffs each canonical
+//! verdict transcript against its committed golden file, and verifies
+//! each scenario's entry in the committed `BENCH_scenarios.json`.
 //!
 //! On golden drift the candidate transcripts land in
 //! `target/scenario_verdicts/` (CI uploads that directory as an
