@@ -32,8 +32,9 @@ pub struct AdaptReport {
 /// `threshold` is the relative deviation that triggers re-planning
 /// (criterion (a)); after the drift pass, any remaining resource shortage
 /// triggers a full re-plan sweep (criterion (b)). An observation that is
-/// not a finite, positive rate is junk from a failed probe and is skipped:
-/// its stream is neither drifted nor updated.
+/// not a finite, positive rate, or whose id is not a base stream of the
+/// planner's catalog, is junk from a failed probe and is skipped: its
+/// stream is neither drifted nor updated.
 pub fn adapt_to_observed_rates(
     planner: &mut SqprPlanner,
     observed: &[(StreamId, f64)],
@@ -44,7 +45,7 @@ pub fn adapt_to_observed_rates(
     // Criterion (a): rate drift beyond the threshold.
     let mut drifted: BTreeSet<StreamId> = BTreeSet::new();
     for &(s, rate) in observed {
-        if !(rate.is_finite() && rate > 0.0) {
+        if !(rate.is_finite() && rate > 0.0 && is_base_stream(planner, s)) {
             continue;
         }
         let old = planner.catalog().stream(s).rate;
@@ -82,6 +83,13 @@ pub fn adapt_to_observed_rates(
         }
     }
     report
+}
+
+/// Whether `s` names a base stream of the planner's catalog (observations
+/// of anything else cannot be applied).
+fn is_base_stream(planner: &SqprPlanner, s: StreamId) -> bool {
+    let catalog = planner.catalog();
+    s.index() < catalog.num_streams() && catalog.source_host(s).is_some()
 }
 
 impl AdaptReport {
@@ -153,11 +161,15 @@ impl DriftMonitor {
     }
 
     /// Streams whose estimate deviates from the planner's current rate by
-    /// more than `threshold` (relative).
+    /// more than `threshold` (relative). Ids that are not base streams of
+    /// the planner's catalog never drift.
     pub fn drifted(&self, planner: &SqprPlanner, threshold: f64) -> Vec<StreamId> {
         self.estimates()
             .into_iter()
             .filter(|&(s, est)| {
+                if !is_base_stream(planner, s) {
+                    return false;
+                }
                 let assumed = planner.catalog().stream(s).rate;
                 assumed > 0.0 && ((est - assumed) / assumed).abs() > threshold
             })

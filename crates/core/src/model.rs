@@ -60,24 +60,21 @@ pub struct AvailabilityCut {
 /// Availability cuts in insertion order — the order their rows were laid
 /// out in — with an ordered index for membership and position lookups.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct CutRegistry {
+struct CutRegistry {
     order: Vec<AvailabilityCut>,
     index: BTreeMap<AvailabilityCut, usize>,
 }
 
 impl CutRegistry {
-    /// Appends `cut` unless it is registered already; returns whether it
-    /// was new.
-    pub(crate) fn insert(&mut self, cut: AvailabilityCut) -> bool {
-        if self.index.contains_key(&cut) {
-            return false;
+    /// Appends `cut` unless it is registered already.
+    fn insert(&mut self, cut: AvailabilityCut) {
+        if !self.index.contains_key(&cut) {
+            self.index.insert(cut.clone(), self.order.len());
+            self.order.push(cut);
         }
-        self.index.insert(cut.clone(), self.order.len());
-        self.order.push(cut);
-        true
     }
 
-    pub(crate) fn contains(&self, cut: &AvailabilityCut) -> bool {
+    fn contains(&self, cut: &AvailabilityCut) -> bool {
         self.index.contains_key(cut)
     }
 
@@ -85,18 +82,8 @@ impl CutRegistry {
         self.index.get(cut).copied()
     }
 
-    pub(crate) fn as_slice(&self) -> &[AvailabilityCut] {
+    fn as_slice(&self) -> &[AvailabilityCut] {
         &self.order
-    }
-}
-
-impl FromIterator<AvailabilityCut> for CutRegistry {
-    fn from_iter<I: IntoIterator<Item = AvailabilityCut>>(cuts: I) -> Self {
-        let mut registry = CutRegistry::default();
-        for cut in cuts {
-            registry.insert(cut);
-        }
-        registry
     }
 }
 
@@ -1266,6 +1253,21 @@ impl PlanningModel {
             }
         }
         self.fixed_cpu = cpu_fixed;
+    }
+
+    /// The streams and operators the skeleton has columns for.
+    pub(crate) fn free_space(&self) -> (&BTreeSet<StreamId>, &BTreeSet<OperatorId>) {
+        (&self.free_streams, &self.free_ops)
+    }
+
+    /// The availability cuts whose rows the model carries, in row order.
+    pub(crate) fn cuts(&self) -> &[AvailabilityCut] {
+        self.cuts.as_slice()
+    }
+
+    /// Whether the model carries `cut`'s rows.
+    pub(crate) fn has_cut(&self, cut: &AvailabilityCut) -> bool {
+        self.cuts.contains(cut)
     }
 
     pub fn num_vars(&self) -> usize {

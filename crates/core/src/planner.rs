@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use sqpr_dsps::{Catalog, DeploymentState, FailureAudit, HostId, QueryId, StreamId};
 use sqpr_milp::{
@@ -20,7 +20,7 @@ use sqpr_milp::{
 use crate::admission::{Admitted, RoundVerdict};
 use crate::config::{AcyclicityMode, ObjectiveWeights, PlannerConfig, RelayPolicy};
 use crate::greedy::greedy_admit;
-use crate::model::{AvailabilityCut, CutRegistry, ModelInputs, PlanningModel};
+use crate::model::{AvailabilityCut, ModelInputs, PlanningModel};
 use crate::query::{full_space, register_join_query, PlanSpace, QuerySpec};
 
 /// Typed rejection of a malformed planner request. Submission and
@@ -74,15 +74,9 @@ pub struct PlanningOutcome {
     /// Warm bound-change re-solves should show up as `dual` pivots, not
     /// `phase1` — the bench asserts exactly that.
     pub lp_pivots: PivotCounts,
-    /// Relative MIP gap of the final incumbent (∞ if none).
-    pub gap: f64,
-    /// Wall-clock planning time.
-    pub solve_time: Duration,
     /// Model size actually solved (0 when short-circuited).
     pub model_vars: usize,
     pub model_cons: usize,
-    /// The solver proved optimality (vs. stopping on the budget).
-    pub proved_optimal: bool,
     /// Final solver status of the round (`Optimal` for short-circuited
     /// submissions). Distinguishes budget-limited rounds (`Feasible` /
     /// `Unknown`) from proven ones — the recovery storm reports it per
@@ -117,7 +111,6 @@ impl PlanningOutcome {
         result: &MilpResult,
         admitted: bool,
         at_deadline: bool,
-        started: Instant,
     ) -> Self {
         PlanningOutcome {
             query,
@@ -126,11 +119,8 @@ impl PlanningOutcome {
             nodes: result.nodes,
             lp_iterations: result.lp_iterations,
             lp_pivots: result.lp_pivots,
-            gap: result.gap,
-            solve_time: started.elapsed(),
             model_vars: model.num_vars(),
             model_cons: model.num_cons(),
-            proved_optimal: result.status == MilpStatus::Optimal,
             status: result.status,
             incremental: false,
             lp_cache: CacheStats::default(),
@@ -141,7 +131,7 @@ impl PlanningOutcome {
     /// A round that never reached the solver after `nodes` nodes: the
     /// short-circuit onto an existing provider (Algorithm 1, line 3 — the
     /// one proven verdict without a solve) or a fallback rung.
-    /// `proved_optimal`, `status` and `gap` follow the verdict.
+    /// `status` follows the verdict.
     pub(crate) fn unsolved(query: QueryId, verdict: RoundVerdict, nodes: usize) -> Self {
         let proven = verdict.is_proven();
         PlanningOutcome {
@@ -151,11 +141,8 @@ impl PlanningOutcome {
             nodes,
             lp_iterations: 0,
             lp_pivots: PivotCounts::default(),
-            gap: if proven { 0.0 } else { f64::INFINITY },
-            solve_time: Duration::ZERO,
             model_vars: 0,
             model_cons: 0,
-            proved_optimal: proven,
             status: if proven {
                 MilpStatus::Optimal
             } else {
@@ -174,7 +161,8 @@ const BATCH: QueryId = QueryId(u32::MAX);
 
 /// Config fingerprint the cached skeleton depends on; a mismatch forces a
 /// rebuild (weights are baked into objective coefficients, the policies
-/// into the row structure).
+/// into the row structure, and a cold round's skeleton is not one the
+/// incremental path has reduced).
 #[derive(Debug, Clone, PartialEq)]
 struct CacheSig {
     weights: ObjectiveWeights,
@@ -183,6 +171,7 @@ struct CacheSig {
     replan: bool,
     reduction: bool,
     reuse: bool,
+    reuse_solver_context: bool,
 }
 
 impl CacheSig {
@@ -194,18 +183,17 @@ impl CacheSig {
             replan: config.replan,
             reduction: config.reduction,
             reuse: config.reuse,
+            reuse_solver_context: config.reuse_solver_context,
         }
     }
 }
 
-/// The persistent model skeleton: grows by appending columns/rows per
-/// submission, so LP bases stay transferable between solves.
+/// The model skeleton, the one record of what planning rounds have built:
+/// on the incremental path it persists and grows by appending columns and
+/// rows per submission, so LP bases stay transferable between solves; on
+/// the cold path it lives for one submission. Cut rounds only append rows.
 struct ModelCache {
     model: PlanningModel,
-    /// Cumulative plan space the skeleton covers.
-    space: PlanSpace,
-    /// Cumulative availability cuts applied to the skeleton.
-    cuts: CutRegistry,
     sig: CacheSig,
     /// Which query contributed which plan space — the liveness input of
     /// skeleton compaction (a query that is no longer admitted is dead,
@@ -330,16 +318,6 @@ fn drive_preemptible(
         }
         outcome = state.resume(filter, slice(done));
     }
-}
-
-/// Start of a round's planning-latency measurement
-/// ([`PlanningOutcome::solve_time`]).
-#[expect(
-    clippy::disallowed_methods,
-    reason = "planning-latency measurement reported in the outcome; never feeds a decision"
-)]
-fn round_clock() -> Instant {
-    Instant::now()
 }
 
 /// The install gate every solved round closes through: decodes `x`
@@ -633,6 +611,7 @@ impl SqprPlanner {
         let Some(cache) = &self.ctx.cache else {
             return;
         };
+        let (covered_streams, covered_ops) = cache.model.free_space();
         // Column weight per skeleton entity: a stream owns h availability
         // columns plus h(h-1) flow columns (plus potentials in Constraints
         // mode, same order); an operator owns h placement columns.
@@ -647,21 +626,10 @@ impl SqprPlanner {
                 live_ops.extend(ls.operators.iter().copied());
             }
         }
-        let dead_streams = cache
-            .space
-            .streams
-            .iter()
-            .filter(|s| !live_streams.contains(s))
-            .count();
-        let dead_ops = cache
-            .space
-            .operators
-            .iter()
-            .filter(|o| !live_ops.contains(o))
-            .count();
+        let dead_streams = covered_streams.difference(&live_streams).count();
+        let dead_ops = covered_ops.difference(&live_ops).count();
         let dead_cols = dead_streams * stream_cols + dead_ops * op_cols;
-        let total_cols =
-            cache.space.streams.len() * stream_cols + cache.space.operators.len() * op_cols;
+        let total_cols = covered_streams.len() * stream_cols + covered_ops.len() * op_cols;
         if total_cols == 0 || (dead_cols as f64) <= threshold * total_cols as f64 {
             return;
         }
@@ -677,14 +645,21 @@ impl SqprPlanner {
                 live_log.push((*lq, ls.clone()));
             }
         }
-        let live_cuts: CutRegistry = cache
-            .cuts
-            .as_slice()
+        let live_cuts: Vec<AvailabilityCut> = cache
+            .model
+            .cuts()
             .iter()
             .filter(|c| live_space.contains_stream(c.stream))
             .cloned()
             .collect();
-        let model = self.build_model(&live_space, new_streams, live_cuts.as_slice());
+        let model = PlanningModel::build(&model_inputs(
+            &self.catalog,
+            &self.state,
+            &self.config,
+            &live_space,
+            new_streams,
+            &live_cuts,
+        ));
         let Some(old) = self.ctx.cache.take() else {
             return;
         };
@@ -697,34 +672,11 @@ impl SqprPlanner {
         self.stats.compacted_columns += dead_cols;
         self.ctx.cache = Some(ModelCache {
             model,
-            space: live_space,
-            cuts: live_cuts,
             sig: old.sig,
             query_log: live_log,
         });
         // The compressed-LP cache indexes the old skeleton's columns.
         self.ctx.lp_cache.invalidate();
-    }
-
-    /// Builds a planning model from scratch over the given space (the
-    /// cold path, and the incremental path's first round).
-    fn build_model(
-        &self,
-        space: &PlanSpace,
-        new_streams: &[StreamId],
-        cuts: &[AvailabilityCut],
-    ) -> PlanningModel {
-        PlanningModel::build(&ModelInputs {
-            catalog: &self.catalog,
-            state: &self.state,
-            space,
-            new_streams,
-            weights: self.config.weights,
-            relay_policy: self.config.relay_policy,
-            acyclicity: self.config.acyclicity,
-            replan: self.config.replan,
-            cuts,
-        })
     }
 
     /// Core planning round: build or extend, warm-start, solve, decode,
@@ -736,7 +688,6 @@ impl SqprPlanner {
         space: &PlanSpace,
         deadline_bounded: bool,
     ) -> PlanningOutcome {
-        let started = round_clock();
         let full;
         let space = if self.config.reduction {
             space
@@ -765,186 +716,156 @@ impl SqprPlanner {
         if incremental {
             self.maybe_compact_skeleton(space, new_streams);
         }
-        // Cutting-plane rounds: in lazy-acyclicity mode the branch & bound
-        // rejects acausal incumbents; the cuts they violate are added and
-        // the model re-solved so the true optimum is not lost to pruning.
-        // (The incremental path accumulates its cuts in the cache instead —
-        // they stay valid for every later submission.)
-        let mut cuts: Vec<AvailabilityCut> = Vec::new();
-        let max_rounds = if self.config.acyclicity == AcyclicityMode::Lazy {
-            3
-        } else {
-            1
+        // The submission's skeleton: built (the cold path, and the
+        // incremental path's first round), or extended and re-reduced.
+        let mut cache = match self.ctx.cache.take() {
+            None => ModelCache {
+                model: PlanningModel::build(&model_inputs(
+                    &self.catalog,
+                    &self.state,
+                    &self.config,
+                    space,
+                    new_streams,
+                    &[],
+                )),
+                sig,
+                query_log: log_entry(q, space),
+            },
+            Some(mut cache) => {
+                cache.query_log.extend(log_entry(q, space));
+                cache.model.extend(&model_inputs(
+                    &self.catalog,
+                    &self.state,
+                    &self.config,
+                    space,
+                    new_streams,
+                    &[],
+                ));
+                cache
+                    .model
+                    .apply_reduction(space, &self.state, &self.catalog);
+                cache
+            }
         };
-        let mut round = 0;
+        // Compression hint for the LP cache: keep recently rejected
+        // queries' columns unfolded — they are the re-planning targets, and
+        // re-freeing a *folded* column is the one bound change the cache
+        // cannot patch. The recency window bounds the compression loss;
+        // admitted and current-round-pending logs resolve via the live
+        // deployment, so the exempt set shrinks as queries land.
+        let window = self.config.lp_keep_rejected_free_window;
+        if incremental && window > 0 {
+            let start = cache.query_log.len().saturating_sub(window);
+            let rejected = cache.query_log[start..]
+                .iter()
+                .filter(|(lq, _)| !self.state.admitted().contains_key(lq))
+                .map(|(_, sp)| sp);
+            cache.model.set_fold_exemptions(rejected);
+        }
+        // Read before the skeleton stays borrowed for the rest of the
+        // round. (In the reuse-off ablation batch submissions use a
+        // sentinel query id, so the tag misses the per-query private
+        // streams and construction falls back to the non-admitting start:
+        // graceful degradation; B&B still searches.)
+        let tag = self.reuse_tag(q);
+        let lazy = self.config.acyclicity == AcyclicityMode::Lazy;
+        let model = &mut self.ctx.cache.insert(cache).model;
+
+        // Warm starts: prefer a constructively *admitting* start (greedy,
+        // reuse-aware); otherwise fall back to the current deployment
+        // (non-admitting but always feasible thanks to IV.9). Computed
+        // once per submission: later cut rounds only append availability
+        // cut rows, which any causal start satisfies by construction, so
+        // the vector (variable-indexed, and cuts add no variables) stays
+        // valid verbatim.
         let mut warm: Option<Vec<f64>> = None;
         let mut admitting_start = false;
-        let mut warm_ready = false;
+        if self.config.warm_start {
+            let admitting = new_streams
+                .iter()
+                .try_fold(self.state.clone(), |cand, &s| {
+                    greedy_admit(&self.catalog, &cand, s, tag)
+                })
+                .and_then(|cand| model.warm_start(&cand, &self.catalog))
+                .filter(|w| model.milp.is_feasible(w, 1e-6));
+            admitting_start = admitting.is_some();
+            warm = admitting.or_else(|| model.warm_start(&self.state, &self.catalog));
+        }
+        debug_assert!(
+            warm.as_ref()
+                .is_none_or(|w| model.milp.is_feasible(w, 1e-6)),
+            "warm start must be feasible"
+        );
+
+        // Big-M acyclicity rows make the relaxations heavily degenerate;
+        // the perturbation cuts simplex iteration counts several-fold
+        // (on top of the Harris/long-step ratio tests, which attack the
+        // same degeneracy from the ratio-test side).
+        let lp_opts = sqpr_lp::SimplexOptions {
+            perturb: 1e-7,
+            ratio_test: self.config.lp_ratio_test,
+            pricing: self.config.lp_pricing,
+            basis_update: self.config.lp_basis_update,
+            ..sqpr_lp::SimplexOptions::default()
+        };
+        let opts = MilpOptions {
+            // With an admitting incumbent, λ1-dominance means the incumbent
+            // is within the MIP gap after a handful of nodes; reserve the
+            // full budget for the hard case where construction failed
+            // (resource-tight systems — exactly the paper's Fig. 6 regime).
+            max_nodes: if admitting_start {
+                self.config
+                    .budget
+                    .max_nodes
+                    .min(self.config.improve_nodes.max(1))
+            } else {
+                self.config.budget.max_nodes
+            },
+            time_limit: self.config.budget.wall_clock_ms.map(Duration::from_millis),
+            gap_tol: self.config.gap_tol,
+            int_tol: 1e-6,
+            // Dives are expensive (one LP per fixing); with an admitting
+            // incumbent in hand they rarely pay off.
+            dive_every: if admitting_start { 0 } else { 16 },
+            // Without an admitting start, the only improvement worth
+            // finding is an admission (non-admitting results are
+            // discarded below — `install` is gated on `admits_any`),
+            // and λ1-dominance prices one admission at λ1 minus a
+            // bounded resource swing. Pruning everything within half an
+            // admission of the incumbent turns rejection proofs from
+            // full budget burns into a handful of nodes; admitting
+            // solutions beat the incumbent by more than the margin, so
+            // admit/reject decisions are untouched. With an admitting
+            // start the solve is a placement-quality improvement pass,
+            // where sub-λ1 gains are exactly the point — no margin.
+            cutoff_margin: if admitting_start {
+                0.0
+            } else {
+                0.5 * self.config.weights.lambda1
+            },
+            presolve: true,
+            // In-tree parent-basis reuse is model-local and valid for
+            // every config, so it follows the ablation flag directly
+            // (not `incremental`): configs that merely fall back to
+            // fresh builds (replan=false) keep it, while
+            // `reuse_solver_context = false` is the full cold-start
+            // path (fresh model, every LP from the slack identity).
+            reuse_bases: self.config.reuse_solver_context,
+            cross_solve_factors: self.config.lp_cross_solve_factors,
+            threads: 1,
+            lp: lp_opts,
+        };
+
+        // Cutting-plane rounds: in lazy-acyclicity mode the branch & bound
+        // rejects acausal incumbents; the cuts they violate are appended to
+        // the skeleton and the model re-solved so the true optimum is not
+        // lost to pruning. (They stay valid for every later submission.)
+        let max_rounds = if lazy { 3 } else { 1 };
+        let mut round = 1;
         // Node deadline accounting across cut rounds: the deadline is per
         // *planning round* (submission), not per construction.
         let mut nodes_spent = 0usize;
         loop {
-            round += 1;
-            let last_round = round >= max_rounds;
-            let fresh_model;
-            let model: &PlanningModel = if incremental {
-                // Build or extend on the *owned* cache (taken out of the
-                // context) so no panicking re-borrow is needed afterwards;
-                // `Option::insert` hands the final shared borrow back.
-                let mut cache = match self.ctx.cache.take() {
-                    None => ModelCache {
-                        model: self.build_model(space, new_streams, &cuts),
-                        space: space.clone(),
-                        cuts: cuts.iter().cloned().collect(),
-                        sig: sig.clone(),
-                        query_log: log_entry(q, space),
-                    },
-                    Some(mut cache) => {
-                        if round == 1 {
-                            cache.query_log.extend(log_entry(q, space));
-                        }
-                        cache.space.merge(space);
-                        for c in cuts.drain(..) {
-                            cache.cuts.insert(c);
-                        }
-                        cache.model.extend(&ModelInputs {
-                            catalog: &self.catalog,
-                            state: &self.state,
-                            space: &cache.space,
-                            new_streams,
-                            weights: self.config.weights,
-                            relay_policy: self.config.relay_policy,
-                            acyclicity: self.config.acyclicity,
-                            replan: self.config.replan,
-                            cuts: cache.cuts.as_slice(),
-                        });
-                        cache
-                            .model
-                            .apply_reduction(space, &self.state, &self.catalog);
-                        cache
-                    }
-                };
-                // Compression hint for the LP cache: keep recently
-                // rejected queries' columns unfolded — they are the
-                // re-planning targets, and re-freeing a *folded* column is
-                // the one bound change the cache cannot patch. The recency
-                // window bounds the compression loss; admitted and
-                // current-round-pending logs resolve via the live
-                // deployment, so the exempt set shrinks as queries land.
-                let window = self.config.lp_keep_rejected_free_window;
-                if window > 0 {
-                    let start = cache.query_log.len().saturating_sub(window);
-                    let rejected = cache.query_log[start..]
-                        .iter()
-                        .filter(|(lq, _)| !self.state.admitted().contains_key(lq))
-                        .map(|(_, sp)| sp);
-                    cache.model.set_fold_exemptions(rejected);
-                }
-                self.ctx.cache = Some(cache);
-                match self.ctx.cache.as_ref() {
-                    Some(c) => &c.model,
-                    // Just assigned; kept panic-free with a cold fallback.
-                    None => {
-                        fresh_model = self.build_model(space, new_streams, &cuts);
-                        &fresh_model
-                    }
-                }
-            } else {
-                fresh_model = self.build_model(space, new_streams, &cuts);
-                &fresh_model
-            };
-
-            // Warm starts: prefer a constructively *admitting* start (greedy,
-            // reuse-aware); otherwise fall back to the current deployment
-            // (non-admitting but always feasible thanks to IV.9). Computed
-            // once per submission: later cut rounds only append availability
-            // cut rows, which any causal start satisfies by construction, so
-            // the vector (variable-indexed, and cuts add no variables) stays
-            // valid verbatim.
-            if !warm_ready {
-                warm_ready = true;
-                if self.config.warm_start {
-                    // Note: in the reuse-off ablation batch submissions use a
-                    // sentinel query id, so the tag misses the per-query
-                    // private streams and construction falls back to the
-                    // non-admitting start (graceful degradation; B&B still
-                    // searches).
-                    let tag = self.reuse_tag(q);
-                    let admitting = new_streams
-                        .iter()
-                        .try_fold(self.state.clone(), |cand, &s| {
-                            greedy_admit(&self.catalog, &cand, s, tag)
-                        })
-                        .and_then(|cand| model.warm_start(&cand, &self.catalog))
-                        .filter(|w| model.milp.is_feasible(w, 1e-6));
-                    admitting_start = admitting.is_some();
-                    warm = admitting.or_else(|| model.warm_start(&self.state, &self.catalog));
-                }
-                debug_assert!(
-                    warm.as_ref()
-                        .is_none_or(|w| model.milp.is_feasible(w, 1e-6)),
-                    "warm start must be feasible"
-                );
-            }
-
-            // Big-M acyclicity rows make the relaxations heavily degenerate;
-            // the perturbation cuts simplex iteration counts several-fold
-            // (on top of the Harris/long-step ratio tests, which attack the
-            // same degeneracy from the ratio-test side).
-            let lp_opts = sqpr_lp::SimplexOptions {
-                perturb: 1e-7,
-                ratio_test: self.config.lp_ratio_test,
-                pricing: self.config.lp_pricing,
-                basis_update: self.config.lp_basis_update,
-                ..sqpr_lp::SimplexOptions::default()
-            };
-            let opts = MilpOptions {
-                // With an admitting incumbent, λ1-dominance means the incumbent
-                // is within the MIP gap after a handful of nodes; reserve the
-                // full budget for the hard case where construction failed
-                // (resource-tight systems — exactly the paper's Fig. 6 regime).
-                max_nodes: if admitting_start {
-                    self.config
-                        .budget
-                        .max_nodes
-                        .min(self.config.improve_nodes.max(1))
-                } else {
-                    self.config.budget.max_nodes
-                },
-                time_limit: self.config.budget.wall_clock_ms.map(Duration::from_millis),
-                gap_tol: self.config.gap_tol,
-                int_tol: 1e-6,
-                // Dives are expensive (one LP per fixing); with an admitting
-                // incumbent in hand they rarely pay off.
-                dive_every: if admitting_start { 0 } else { 16 },
-                // Without an admitting start, the only improvement worth
-                // finding is an admission (non-admitting results are
-                // discarded below — `install` is gated on `admits_any`),
-                // and λ1-dominance prices one admission at λ1 minus a
-                // bounded resource swing. Pruning everything within half an
-                // admission of the incumbent turns rejection proofs from
-                // full budget burns into a handful of nodes; admitting
-                // solutions beat the incumbent by more than the margin, so
-                // admit/reject decisions are untouched. With an admitting
-                // start the solve is a placement-quality improvement pass,
-                // where sub-λ1 gains are exactly the point — no margin.
-                cutoff_margin: if admitting_start {
-                    0.0
-                } else {
-                    0.5 * self.config.weights.lambda1
-                },
-                presolve: true,
-                // In-tree parent-basis reuse is model-local and valid for
-                // every config, so it follows the ablation flag directly
-                // (not `incremental`): configs that merely fall back to
-                // fresh builds (replan=false) keep it, while
-                // `reuse_solver_context = false` is the full cold-start
-                // path (fresh model, every LP from the slack identity).
-                reuse_bases: self.config.reuse_solver_context,
-                cross_solve_factors: self.config.lp_cross_solve_factors,
-                threads: 1,
-                lp: lp_opts,
-            };
             let new_cuts: std::cell::RefCell<Vec<AvailabilityCut>> =
                 std::cell::RefCell::new(Vec::new());
             let warm_ctx = MilpWarmStart {
@@ -978,7 +899,7 @@ impl SqprPlanner {
                         false
                     }
                 };
-                let filter = self.lazy_filter(&filter_fn);
+                let filter: Option<IncumbentFilter<'_>> = lazy.then_some(&filter_fn);
                 // The compressed LP is served from the context's cache when
                 // incremental: later cut rounds append their rows in place
                 // and later submissions with an unchanged fixed layout
@@ -1003,13 +924,6 @@ impl SqprPlanner {
             // for the admission queue.
             let preempted = open.is_some();
             nodes_spent += result.nodes;
-            // If acausal candidates were pruned, the claimed optimum may be
-            // wrong: add their cuts and re-solve (unless out of rounds).
-            let mut fresh = new_cuts.into_inner();
-            match &self.ctx.cache {
-                Some(cache) if incremental => fresh.retain(|c| !cache.cuts.contains(c)),
-                _ => fresh.retain(|c| !cuts.contains(c)),
-            }
             if incremental {
                 if result.root_basis.is_some() {
                     self.ctx.root_basis = result.root_basis.clone();
@@ -1019,15 +933,28 @@ impl SqprPlanner {
                     self.ctx.root_basis = None;
                 }
             }
-            if !fresh.is_empty() && !last_round && !preempted {
-                cuts.extend(fresh);
+            // If acausal candidates were pruned, the claimed optimum may be
+            // wrong: append their cuts' rows and re-solve (unless out of
+            // rounds). The same skeleton, deployment and demanded streams
+            // make this `extend` the pass that only adds cuts.
+            let mut fresh = new_cuts.into_inner();
+            fresh.retain(|c| !model.has_cut(c));
+            if !fresh.is_empty() && round < max_rounds && !preempted {
+                round += 1;
+                model.extend(&model_inputs(
+                    &self.catalog,
+                    &self.state,
+                    &self.config,
+                    space,
+                    new_streams,
+                    &fresh,
+                ));
                 continue;
             }
 
             let x = result.x.as_deref();
             let admitted = install_plan(&mut self.state, &self.catalog, q, new_streams, model, x);
-            let mut outcome =
-                PlanningOutcome::solved(q, model, &result, admitted, open.is_some(), started);
+            let mut outcome = PlanningOutcome::solved(q, model, &result, admitted, preempted);
             outcome.incremental = incremental;
             outcome.lp_cache = self.ctx.lp_cache.stats().since(&cache_stats_before);
             // No admitting incumbent at the node deadline: park the search
@@ -1045,11 +972,6 @@ impl SqprPlanner {
         }
     }
 
-    /// The acausal-incumbent filter, in lazy-acyclicity mode only.
-    fn lazy_filter<'a>(&self, f: &'a dyn Fn(&[f64]) -> bool) -> Option<IncumbentFilter<'a>> {
-        (self.config.acyclicity == AcyclicityMode::Lazy).then_some(f)
-    }
-
     /// Grants a parked round `budget` further branch & bound nodes, sliced
     /// by `node_quantum`. On completion the result is decoded against the
     /// *parked* model and installed under the same defensive gates as a
@@ -1062,7 +984,6 @@ impl SqprPlanner {
     /// acausal incumbent, so admit/reject decisions stay sound; only
     /// placement optimality can degrade (the documented anytime trade).
     pub(crate) fn resume_parked(&mut self, round: PreemptedRound, budget: usize) -> ResumeOutcome {
-        let started = round_clock();
         let PreemptedRound {
             query,
             streams,
@@ -1076,7 +997,8 @@ impl SqprPlanner {
                     .find_acausal_cuts(xsol, &self.state, &self.catalog)
                     .is_empty()
             };
-            let filter = self.lazy_filter(&filter_fn);
+            let filter: Option<IncumbentFilter<'_>> =
+                (self.config.acyclicity == AcyclicityMode::Lazy).then_some(&filter_fn);
             drive_preemptible(
                 |n| state.resume(filter, n),
                 filter,
@@ -1100,7 +1022,6 @@ impl SqprPlanner {
                 &result,
                 admitted,
                 open.is_some(),
-                started,
             )),
         }
     }
@@ -1179,7 +1100,8 @@ impl SqprPlanner {
     /// that every extension refreshes from the catalog, so the next round
     /// patches the cached LP in place instead of rebuilding. Call
     /// [`Self::absorb_failures`] afterwards to audit and shed the
-    /// displaced allocations. Returns false if the host was already down.
+    /// displaced allocations. Returns false if the host was already down
+    /// or is not in the catalog.
     pub fn fail_host(&mut self, h: HostId) -> bool {
         self.catalog.fail_host(h)
     }
@@ -1276,6 +1198,28 @@ impl SqprPlanner {
         // its own budgets (`StormBudget`, drift thresholds) and must never
         // leave a parked round behind the admission queue's back.
         Ok(self.register_and_plan(q, &bases, false).1)
+    }
+}
+
+/// The inputs of one skeleton construction or extension under `config`.
+fn model_inputs<'a>(
+    catalog: &'a Catalog,
+    state: &'a DeploymentState,
+    config: &PlannerConfig,
+    space: &'a PlanSpace,
+    new_streams: &'a [StreamId],
+    cuts: &'a [AvailabilityCut],
+) -> ModelInputs<'a> {
+    ModelInputs {
+        catalog,
+        state,
+        space,
+        new_streams,
+        weights: config.weights,
+        relay_policy: config.relay_policy,
+        acyclicity: config.acyclicity,
+        replan: config.replan,
+        cuts,
     }
 }
 

@@ -106,6 +106,31 @@ fn junk_observations_are_skipped() {
     assert!(p.state().is_valid(p.catalog()));
 }
 
+#[test]
+fn observations_of_non_base_ids_are_skipped() {
+    let (c, b) = system(2, 3, 1000.0, 1000.0, 10_000.0);
+    let mut p = planner(c);
+    p.submit(&[b[0], b[1]]).expect("valid");
+    let composite = p.queries()[0].result;
+    let composite_rate = p.catalog().stream(composite).rate;
+    let unknown = StreamId(p.catalog().num_streams() as u32 + 5);
+
+    // A composite is derived, not measured at a source; an id past the
+    // catalog names nothing. Neither can be applied.
+    let observed = [(composite, 50.0), (unknown, 50.0)];
+    let report = adapt_to_observed_rates(&mut p, &observed, 0.1);
+    assert!(report.drifted_streams.is_empty());
+    assert!(report.replanned.is_empty());
+    assert_eq!(p.catalog().stream(composite).rate, composite_rate);
+    assert_eq!(p.num_admitted(), 1);
+
+    let mut mon = DriftMonitor::new(4, 1);
+    mon.observe_all(&observed);
+    assert!(mon.drifted(&p, 0.1).is_empty());
+    assert!(mon.adapt_if_drifted(&mut p, 0.1).is_none());
+    assert_eq!(p.catalog().stream(composite).rate, composite_rate);
+}
+
 // ---------------------------------------------------------------- criterion (b)
 
 #[test]

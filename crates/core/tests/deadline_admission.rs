@@ -18,7 +18,8 @@
 //! at any quantum, and the two runs must agree record for record.
 
 use sqpr_core::{
-    AdmissionQueue, AdmissionRecord, Admitted, PlannerConfig, Rejected, RoundVerdict, SqprPlanner,
+    AdmissionQueue, AdmissionRecord, Admitted, MilpStatus, PlannerConfig, Rejected, RoundVerdict,
+    SqprPlanner,
 };
 use sqpr_dsps::{Catalog, CostModel, HostId, HostSpec, QueryId, StreamId};
 
@@ -102,14 +103,14 @@ fn verdicts_certify_completed_rounds() {
     for o in p.outcomes() {
         match o.verdict {
             RoundVerdict::Admitted(Admitted::Proven) => {
-                assert!(o.admitted && o.proved_optimal)
+                assert!(o.admitted && o.status == MilpStatus::Optimal)
             }
             RoundVerdict::Admitted(Admitted::IncumbentAtDeadline) => {
-                assert!(o.admitted && !o.proved_optimal)
+                assert!(o.admitted && o.status != MilpStatus::Optimal)
             }
             RoundVerdict::Rejected(Rejected::Proven) => assert!(!o.admitted),
             RoundVerdict::Rejected(Rejected::DeadlineNoCertificate) => {
-                assert!(!o.admitted && !o.proved_optimal)
+                assert!(!o.admitted && o.status != MilpStatus::Optimal)
             }
         }
     }

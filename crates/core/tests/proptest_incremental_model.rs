@@ -14,12 +14,17 @@
 //! admissions do without involving branch & bound, so the test stays about
 //! the model layer. Debug builds run the same comparison inside the three
 //! functions on every call; this suite also pins it in release builds.
+//!
+//! A planning round's cut rounds rest on one construction identity, pinned
+//! here too: `build` with cuts `C` is `build` without them followed by
+//! `extend` with `C`, so appending a round's new cuts to its skeleton
+//! gives the model a fresh build with every cut so far would give.
 
 use std::collections::BTreeSet;
 
 use sqpr_core::model::AvailabilityCut;
 use sqpr_core::{
-    garbage_collect, greedy_admit, register_join_query, AcyclicityMode, ModelInputs,
+    full_space, garbage_collect, greedy_admit, register_join_query, AcyclicityMode, ModelInputs,
     ObjectiveWeights, PlanSpace, PlanningModel, RelayPolicy,
 };
 use sqpr_dsps::{Catalog, CostModel, DeploymentState, HostId, HostSpec, QueryId, StreamId};
@@ -345,4 +350,127 @@ fn shortcuts_leave_the_model_the_full_passes_leave() {
         shortcut_rounds >= 400,
         "only {shortcut_rounds} rounds went through an existing skeleton"
     );
+}
+
+/// A random instance to plan on: a tight catalog, a deployment the greedy
+/// constructor admitted a few queries into, and one more query whose
+/// result nothing provides yet — with its plan space, or the whole catalog
+/// (the reduction-off configuration).
+fn random_instance(draws: &mut Draws) -> (Catalog, DeploymentState, StreamId, PlanSpace) {
+    let mut catalog = Catalog::uniform(
+        HOSTS,
+        HostSpec::new(60.0 + 20.0 * draws.below(4) as f64, 400.0),
+        300.0,
+        CostModel::default(),
+    );
+    let bases: Vec<StreamId> = (0..8)
+        .map(|i| catalog.add_base_stream(HostId((i % HOSTS) as u32), 8.0, i as u64))
+        .collect();
+    let mut state = DeploymentState::new();
+    for q in 0.. {
+        let mut picked: Vec<StreamId> = Vec::new();
+        while picked.len() < 2 + draws.below(2) {
+            let b = bases[draws.below(bases.len())];
+            if !picked.contains(&b) {
+                picked.push(b);
+            }
+        }
+        let id = QueryId(q);
+        let (spec, space) = register_join_query(&mut catalog, id, &picked, 0);
+        if state.provider_of(spec.result).is_some() {
+            continue;
+        }
+        if q >= 2 + draws.below(4) as u32 {
+            let space = if draws.below(4) == 0 {
+                full_space(&catalog)
+            } else {
+                space
+            };
+            return (catalog, state, spec.result, space);
+        }
+        if let Some(next) = greedy_admit(&catalog, &state, spec.result, 0) {
+            state = next;
+            state.admit_query(id, spec.result);
+        }
+    }
+    unreachable!("the query loop only ends by returning")
+}
+
+/// One batch of cuts on the space's streams, drawn from a small pool so
+/// batches repeat cuts within and across each other.
+fn random_cuts(draws: &mut Draws, space: &PlanSpace) -> Vec<AvailabilityCut> {
+    (0..1 + draws.below(4))
+        .map(|_| {
+            let stream = space.streams[draws.below(space.streams.len().min(6))];
+            let mut dead_set: BTreeSet<HostId> = BTreeSet::new();
+            dead_set.insert(HostId(draws.below(HOSTS) as u32));
+            if draws.below(2) == 0 {
+                dead_set.insert(HostId(draws.below(HOSTS) as u32));
+            }
+            AvailabilityCut { stream, dead_set }
+        })
+        .collect()
+}
+
+#[test]
+fn extending_with_cuts_gives_the_model_building_with_them_gives() {
+    let mut cut_rows = 0;
+    for seed in 0..48u64 {
+        let relay = if seed % 2 == 0 {
+            RelayPolicy::All
+        } else {
+            RelayPolicy::ProducersOnly
+        };
+        let replan = seed % 4 < 2;
+        let mut draws = Draws(1000 + seed);
+        let (catalog, state, result, space) = random_instance(&mut draws);
+        let new_streams = [result];
+        let uncut = ModelInputs {
+            catalog: &catalog,
+            state: &state,
+            space: &space,
+            new_streams: &new_streams,
+            weights: ObjectiveWeights::paper_defaults(&catalog),
+            relay_policy: relay,
+            acyclicity: AcyclicityMode::Lazy,
+            replan,
+            cuts: &[],
+        };
+        // Three cut rounds' worth: the first builds, the later ones extend.
+        let mut model = PlanningModel::build(&uncut);
+        let uncut_rows = model.num_cons();
+        let mut so_far: Vec<AvailabilityCut> = Vec::new();
+        for round in 2..=3 {
+            let batch = random_cuts(&mut draws, &space);
+            model.extend(&ModelInputs {
+                cuts: &batch,
+                ..uncut
+            });
+            so_far.extend(batch);
+            let reference = PlanningModel::build(&ModelInputs {
+                cuts: &so_far,
+                ..uncut
+            });
+            // A cut's rows name its stream and dead set, so equal rows in
+            // equal order are equal cuts in equal order.
+            assert_eq!(
+                model.milp.first_difference(&reference.milp),
+                None,
+                "seed {seed} ({relay:?}, replan {replan}), cut round {round}: extending \
+                 with the cuts left a different model than building with them"
+            );
+            let rows = model.num_cons();
+            model.extend(&ModelInputs {
+                cuts: &so_far,
+                ..uncut
+            });
+            assert_eq!(
+                model.num_cons(),
+                rows,
+                "seed {seed}, cut round {round}: a registered cut was appended again"
+            );
+            cut_rows += rows - uncut_rows;
+        }
+    }
+    assert!(cut_rows > 0, "no instance appended a cut row");
 }

@@ -116,13 +116,14 @@ impl Catalog {
     /// drop to zero and every link touching it goes dark
     /// ([`NetworkTopology::fail_host`]). Idempotent; returns whether the
     /// host was up. The configured capacities are kept for
-    /// [`Self::restore_host`].
+    /// [`Self::restore_host`]. A host the catalog does not have is
+    /// rejected (`false`) before anything changes.
     ///
     /// Base streams sourced at a failed host stop being available there —
     /// [`crate::DeploymentState::derive_availability`] skips failed hosts'
     /// base seeds — so every derivation rooted at the host collapses.
     pub fn fail_host(&mut self, h: HostId) -> bool {
-        if !self.failed.insert(h) {
+        if h.index() >= self.hosts.len() || !self.failed.insert(h) {
             return false;
         }
         self.substrate_revision = next_revision();
@@ -467,6 +468,16 @@ mod tests {
 
     fn catalog2() -> Catalog {
         Catalog::uniform(2, HostSpec::new(10.0, 100.0), 1000.0, CostModel::default())
+    }
+
+    #[test]
+    fn failing_an_unknown_host_changes_nothing() {
+        let mut c = Catalog::uniform(3, HostSpec::new(10.0, 100.0), 1000.0, CostModel::default());
+        let revision = c.substrate_revision();
+        assert!(!c.fail_host(HostId(7)));
+        assert_eq!(c.failed_hosts().count(), 0);
+        assert_eq!(c.substrate_revision(), revision);
+        assert!(c.fail_host(HostId(2)), "a known host still fails");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! Every solve reports its final basis as a [`BasisState`] snapshot
 //! ([`problem::LpSolution::basis`]). Passing that snapshot to
-//! [`solve_from`] / [`solve_with_bounds_from`] starts the simplex from the
+//! [`solve_from`] / [`solve_with_bounds_from_ws`] starts the simplex from the
 //! captured vertex instead of the slack identity. A warm solve then moves
 //! through three stages:
 //!
@@ -111,8 +111,7 @@ pub mod sparse;
 pub use basis::{BasisUpdate, FactorState, SolveStats};
 pub use problem::{LpSolution, LpStatus, Problem, ProblemBuilder, INF};
 pub use simplex::{
-    solve, solve_from, solve_with_bounds, solve_with_bounds_from, solve_with_bounds_from_ws,
-    solve_with_bounds_recovering_ws, BasisState, LpWorkspace, PivotCounts, PricingRule, RatioTest,
-    SimplexOptions, VarBasisStatus,
+    solve, solve_from, solve_with_bounds_from_ws, solve_with_bounds_recovering_ws, BasisState,
+    LpWorkspace, PivotCounts, PricingRule, RatioTest, SimplexOptions, VarBasisStatus,
 };
 pub use sparse::{CscMatrix, IndexedVec, Triplet};

@@ -267,7 +267,7 @@ pub struct LpSolution {
     /// phase-II, dual). `pivots.total() == iterations`.
     pub pivots: crate::simplex::PivotCounts,
     /// Final basis snapshot, reusable as a warm-start hint for related
-    /// solves via [`crate::solve_from`] / [`crate::solve_with_bounds_from`].
+    /// solves via [`crate::solve_from`] / [`crate::solve_with_bounds_from_ws`].
     pub basis: Option<crate::simplex::BasisState>,
 }
 

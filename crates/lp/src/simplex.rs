@@ -8,7 +8,7 @@
 //! violation of basic variables drives the point feasible, after which the
 //! same loop continues with the true objective.
 //!
-//! Warm starts: [`solve_from`] / [`solve_with_bounds_from`] accept a
+//! Warm starts: [`solve_from`] / [`solve_with_bounds_from_ws`] accept a
 //! [`BasisState`] captured from a previous solve (possibly of a *smaller*
 //! problem) and start from that vertex instead of the slack identity. The
 //! hint is validated and repaired against the current dimensions — see
@@ -506,19 +506,7 @@ pub(crate) enum VarStatus {
 
 /// Solves `problem` with its built-in column bounds.
 pub fn solve(problem: &Problem, opts: &SimplexOptions) -> LpSolution {
-    let (lb, ub) = problem.col_bounds();
-    solve_with_bounds(problem, lb, ub, opts)
-}
-
-/// Solves `problem` with the column bounds overridden (the matrix, rows and
-/// objective are shared). This is the entry point used by branch & bound.
-pub fn solve_with_bounds(
-    problem: &Problem,
-    col_lb: &[f64],
-    col_ub: &[f64],
-    opts: &SimplexOptions,
-) -> LpSolution {
-    solve_with_bounds_from(problem, col_lb, col_ub, None, opts)
+    solve_from(problem, None, opts)
 }
 
 /// Warm-started solve: like [`solve`], but starts from `basis_hint`
@@ -531,26 +519,14 @@ pub fn solve_from(
     opts: &SimplexOptions,
 ) -> LpSolution {
     let (lb, ub) = problem.col_bounds();
-    solve_with_bounds_from(problem, lb, ub, basis_hint, opts)
+    solve_with_bounds_from_ws(problem, lb, ub, basis_hint, opts, &mut LpWorkspace::new())
 }
 
-/// Warm-started solve with overridden column bounds: the branch & bound
-/// entry point for re-solving a node LP from its parent's optimal basis.
-pub fn solve_with_bounds_from(
-    problem: &Problem,
-    col_lb: &[f64],
-    col_ub: &[f64],
-    basis_hint: Option<&BasisState>,
-    opts: &SimplexOptions,
-) -> LpSolution {
-    let mut ws = LpWorkspace::new();
-    solve_with_bounds_from_ws(problem, col_lb, col_ub, basis_hint, opts, &mut ws)
-}
-
-/// [`solve_with_bounds_from`] with caller-provided scratch buffers: the
-/// hot entry point for solvers (branch & bound, diving heuristics) that
-/// issue many related solves and want to amortise the per-solve
-/// allocations away.
+/// Solves `problem` with the column bounds overridden (the matrix, rows and
+/// objective are shared), warm-started from `basis_hint` when given, with
+/// caller-provided scratch buffers: the entry point for solvers (branch &
+/// bound, diving heuristics) that re-solve node LPs from their parent's
+/// basis and want to amortise the per-solve allocations away.
 pub fn solve_with_bounds_from_ws(
     problem: &Problem,
     col_lb: &[f64],
@@ -2523,7 +2499,14 @@ mod tests {
         b.set_coeff(r, x, 1.0);
         b.set_coeff(r, y, 1.0);
         let p = b.build();
-        let s = solve_with_bounds(&p, &[1.0, 0.0], &[1.0, 1.0], &SimplexOptions::default());
+        let s = solve_with_bounds_from_ws(
+            &p,
+            &[1.0, 0.0],
+            &[1.0, 1.0],
+            None,
+            &SimplexOptions::default(),
+            &mut LpWorkspace::new(),
+        );
         assert_eq!(s.status, LpStatus::Optimal);
         approx(s.x[0], 1.0);
         approx(s.x[1], 0.5);
@@ -2730,8 +2713,14 @@ mod warm_start_tests {
         let opts = SimplexOptions::default();
         let parent = solve(&p, &opts);
         assert_eq!(parent.status, LpStatus::Optimal);
-        let child =
-            solve_with_bounds_from(&p, &[1.0, 0.0], &[1.0, 1.0], parent.basis.as_ref(), &opts);
+        let child = solve_with_bounds_from_ws(
+            &p,
+            &[1.0, 0.0],
+            &[1.0, 1.0],
+            parent.basis.as_ref(),
+            &opts,
+            &mut LpWorkspace::new(),
+        );
         assert_eq!(child.status, LpStatus::Optimal);
         approx(child.x[0], 1.0);
         approx(child.x[1], 0.5);

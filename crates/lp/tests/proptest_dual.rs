@@ -13,8 +13,8 @@
 //! replayed deterministically.
 
 use sqpr_lp::{
-    solve, solve_with_bounds, solve_with_bounds_from, LpStatus, PricingRule, Problem,
-    ProblemBuilder, RatioTest, SimplexOptions, INF,
+    solve, solve_with_bounds_from_ws, LpStatus, LpWorkspace, PricingRule, Problem, ProblemBuilder,
+    RatioTest, SimplexOptions, INF,
 };
 use sqpr_workload::rng::{Rng, StdRng};
 
@@ -101,8 +101,16 @@ fn dual_resolves_match_cold_solves_after_bound_changes() {
         let mut basis = base.basis.clone();
         for step in 0..4 {
             mutate_bounds(&mut rng, &mut lb, &mut ub, &ub0);
-            let warm = solve_with_bounds_from(&p, &lb, &ub, basis.as_ref(), &opts);
-            let cold = solve_with_bounds(&p, &lb, &ub, &opts);
+            let warm = solve_with_bounds_from_ws(
+                &p,
+                &lb,
+                &ub,
+                basis.as_ref(),
+                &opts,
+                &mut LpWorkspace::new(),
+            );
+            let cold =
+                solve_with_bounds_from_ws(&p, &lb, &ub, None, &opts, &mut LpWorkspace::new());
             assert_eq!(
                 warm.status, cold.status,
                 "seed {seed} step {step}: status diverged (warm {:?} vs cold {:?})",
@@ -163,13 +171,27 @@ fn ratio_test_modes_agree_on_warm_resolves() {
         let mut ub = ub0.clone();
         for step in 0..3 {
             mutate_bounds(&mut rng, &mut lb, &mut ub, &ub0);
-            let cold = solve_with_bounds(&p, &lb, &ub, &SimplexOptions::default());
+            let cold = solve_with_bounds_from_ws(
+                &p,
+                &lb,
+                &ub,
+                None,
+                &SimplexOptions::default(),
+                &mut LpWorkspace::new(),
+            );
             for &ratio_test in &modes {
                 let opts = SimplexOptions {
                     ratio_test,
                     ..SimplexOptions::default()
                 };
-                let warm = solve_with_bounds_from(&p, &lb, &ub, base.basis.as_ref(), &opts);
+                let warm = solve_with_bounds_from_ws(
+                    &p,
+                    &lb,
+                    &ub,
+                    base.basis.as_ref(),
+                    &opts,
+                    &mut LpWorkspace::new(),
+                );
                 assert_eq!(
                     warm.status, cold.status,
                     "seed {seed} step {step} {ratio_test:?}: status diverged"
@@ -222,7 +244,7 @@ fn hinted_resolves_price_like_dantzig() {
         let mut ub = ub0.clone();
         mutate_bounds(&mut rng, &mut lb, &mut ub, &ub0);
         let [devex, dantzig] = [PricingRule::Devex, PricingRule::Dantzig].map(|pricing| {
-            solve_with_bounds_from(
+            solve_with_bounds_from_ws(
                 &p,
                 &lb,
                 &ub,
@@ -231,6 +253,7 @@ fn hinted_resolves_price_like_dantzig() {
                     pricing,
                     ..SimplexOptions::default()
                 },
+                &mut LpWorkspace::new(),
             )
         });
         assert_eq!(devex.status, dantzig.status, "seed {seed}");
@@ -271,8 +294,16 @@ fn dual_path_handles_infeasible_children() {
         // Fix every column at a random binary value: feasible only if the
         // sum happens to hit the target.
         let fixed: Vec<f64> = (0..ncols).map(|_| rng.gen_index(2) as f64).collect();
-        let warm = solve_with_bounds_from(&p, &fixed, &fixed, base.basis.as_ref(), &opts);
-        let cold = solve_with_bounds(&p, &fixed, &fixed, &opts);
+        let warm = solve_with_bounds_from_ws(
+            &p,
+            &fixed,
+            &fixed,
+            base.basis.as_ref(),
+            &opts,
+            &mut LpWorkspace::new(),
+        );
+        let cold =
+            solve_with_bounds_from_ws(&p, &fixed, &fixed, None, &opts, &mut LpWorkspace::new());
         assert_eq!(
             warm.status, cold.status,
             "seed {seed}: fixed-child verdicts diverged"
@@ -312,7 +343,7 @@ fn basis_update_modes_agree_on_warm_resolves() {
         let mut basis_pfi = base.basis.clone();
         for step in 0..4 {
             mutate_bounds(&mut rng, &mut lb, &mut ub, &ub0);
-            let ft = solve_with_bounds_from(
+            let ft = solve_with_bounds_from_ws(
                 &p,
                 &lb,
                 &ub,
@@ -321,8 +352,9 @@ fn basis_update_modes_agree_on_warm_resolves() {
                     basis_update: BasisUpdate::ForrestTomlin,
                     ..SimplexOptions::default()
                 },
+                &mut LpWorkspace::new(),
             );
-            let pfi = solve_with_bounds_from(
+            let pfi = solve_with_bounds_from_ws(
                 &p,
                 &lb,
                 &ub,
@@ -331,6 +363,7 @@ fn basis_update_modes_agree_on_warm_resolves() {
                     basis_update: BasisUpdate::ProductForm,
                     ..SimplexOptions::default()
                 },
+                &mut LpWorkspace::new(),
             );
             assert_eq!(
                 ft.status, pfi.status,

@@ -198,7 +198,14 @@ fn bound_overrides_respected() {
         // infeasible verdict or exactly that point.
         let p = build(&lp);
         let lbs: Vec<f64> = lp.col_lb.iter().map(|&v| v as f64).collect();
-        let s = sqpr_lp::solve_with_bounds(&p, &lbs, &lbs, &SimplexOptions::default());
+        let s = sqpr_lp::solve_with_bounds_from_ws(
+            &p,
+            &lbs,
+            &lbs,
+            None,
+            &SimplexOptions::default(),
+            &mut sqpr_lp::LpWorkspace::new(),
+        );
         match s.status {
             LpStatus::Optimal => {
                 for (a, b) in s.x.iter().zip(&lbs) {

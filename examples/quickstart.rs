@@ -40,8 +40,8 @@ fn run() -> Result<(), PlannerError> {
     ] {
         let outcome = planner.submit(&bases)?;
         println!(
-            "{name}: admitted={} reused_existing={} nodes={} time={:?}",
-            outcome.admitted, outcome.reused_existing, outcome.nodes, outcome.solve_time
+            "{name}: admitted={} reused_existing={} nodes={}",
+            outcome.admitted, outcome.reused_existing, outcome.nodes
         );
     }
 

@@ -10,7 +10,7 @@
 //! has no `proptest`); every case prints its seed on failure so it can be
 //! replayed deterministically.
 
-use sqpr_suite::core::{PlannerConfig, SolveBudget, SqprPlanner};
+use sqpr_suite::core::{MilpStatus, PlannerConfig, SolveBudget, SqprPlanner};
 use sqpr_suite::dsps::{Catalog, CostModel, HostId, HostSpec, StreamId};
 use sqpr_suite::workload::rng::{Rng, StdRng};
 
@@ -109,7 +109,7 @@ fn budget_abort_leaves_slot_reusable() {
         aborted_rounds += warm
             .outcomes()
             .iter()
-            .filter(|o| !o.proved_optimal && !o.reused_existing)
+            .filter(|o| o.status != MilpStatus::Optimal && !o.reused_existing)
             .count();
     }
     assert!(
