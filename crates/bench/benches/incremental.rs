@@ -31,9 +31,10 @@
 
 use std::time::{Duration, Instant};
 
-use sqpr_bench::harness::{emit_json, Json};
+use sqpr_bench::harness::emit_json;
 use sqpr_core::{CacheStats, PivotCounts, PlannerConfig, SolveBudget, SqprPlanner};
 use sqpr_dsps::StreamId;
+use sqpr_workload::text::{read_json_file, Table, Value};
 use sqpr_workload::{generate, WorkloadSpec};
 
 const QUERIES: usize = 50;
@@ -69,18 +70,14 @@ const WARM_REFACTOR_REGRESSION: f64 = 1.05;
 /// only same-set cut rounds survived).
 const MIN_WARM_CACHE_PATCH_RATE: f64 = 0.55;
 
-/// Reads a numeric field out of the committed baseline JSON, if one is
-/// reachable (repo root when cargo runs benches from the package root;
-/// override with `SQPR_BENCH_BASELINE`, skip when absent).
-fn baseline_num(key: &str) -> Option<f64> {
+/// The committed baseline JSON, if one is reachable (repo root when cargo
+/// runs benches from the package root; override with
+/// `SQPR_BENCH_BASELINE`). Absent means the baseline checks are skipped; a
+/// malformed file fails the bench, naming the file and the line.
+fn baseline() -> Option<Table> {
     let path = std::env::var("SQPR_BENCH_BASELINE")
         .unwrap_or_else(|_| "../../BENCH_incremental.json".into());
-    let text = std::fs::read_to_string(path).ok()?;
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let tail = &text[at..];
-    let end = tail.find([',', '}'])?;
-    tail[..end].trim().parse().ok()
+    read_json_file(std::path::Path::new(&path)).unwrap_or_else(|e| panic!("{e}"))
 }
 
 struct Run {
@@ -315,234 +312,159 @@ fn main() {
     let outcomes_identical = warm.admitted == cold.admitted;
     emit_json(
         "incremental",
-        &Json::obj(vec![
-            ("bench", Json::Str("incremental".into())),
-            ("queries", Json::Num(QUERIES as f64)),
-            ("scale", Json::Num(SCALE)),
-            ("cold_solve_s", Json::Num(cold.total_solve.as_secs_f64())),
-            ("warm_solve_s", Json::Num(warm.total_solve.as_secs_f64())),
-            (
+        &Table::new()
+            .with("bench", Value::Str("incremental".into()))
+            .with("queries", QUERIES)
+            .with("scale", Value::Float(SCALE))
+            .with("cold_solve_s", Value::Float(cold.total_solve.as_secs_f64()))
+            .with("warm_solve_s", Value::Float(warm.total_solve.as_secs_f64()))
+            .with(
                 "cold_wave_solve_s",
-                Json::Num(cold.wave_solve.as_secs_f64()),
-            ),
-            (
+                Value::Float(cold.wave_solve.as_secs_f64()),
+            )
+            .with(
                 "warm_wave_solve_s",
-                Json::Num(warm.wave_solve.as_secs_f64()),
-            ),
-            ("speedup", Json::Num(speedup)),
-            ("first_pass_speedup", Json::Num(first_pass_speedup)),
-            ("wave_speedup", Json::Num(wave_speedup)),
-            ("cold_lp_iterations", Json::Num(cold.lp_iterations as f64)),
-            ("warm_lp_iterations", Json::Num(warm.lp_iterations as f64)),
-            ("cold_pivots_phase1", Json::Num(cold.pivots.phase1 as f64)),
-            ("cold_pivots_primal", Json::Num(cold.pivots.primal as f64)),
-            ("cold_pivots_dual", Json::Num(cold.pivots.dual as f64)),
-            ("warm_pivots_phase1", Json::Num(warm.pivots.phase1 as f64)),
-            ("warm_pivots_primal", Json::Num(warm.pivots.primal as f64)),
-            ("warm_pivots_dual", Json::Num(warm.pivots.dual as f64)),
-            (
-                "cold_bound_flips",
-                Json::Num(cold.pivots.bound_flips as f64),
-            ),
-            (
-                "warm_bound_flips",
-                Json::Num(warm.pivots.bound_flips as f64),
-            ),
-            (
+                Value::Float(warm.wave_solve.as_secs_f64()),
+            )
+            .with("speedup", Value::Float(speedup))
+            .with("first_pass_speedup", Value::Float(first_pass_speedup))
+            .with("wave_speedup", Value::Float(wave_speedup))
+            .with("cold_lp_iterations", cold.lp_iterations)
+            .with("warm_lp_iterations", warm.lp_iterations)
+            .with("cold_pivots_phase1", cold.pivots.phase1)
+            .with("cold_pivots_primal", cold.pivots.primal)
+            .with("cold_pivots_dual", cold.pivots.dual)
+            .with("warm_pivots_phase1", warm.pivots.phase1)
+            .with("warm_pivots_primal", warm.pivots.primal)
+            .with("warm_pivots_dual", warm.pivots.dual)
+            .with("cold_bound_flips", cold.pivots.bound_flips)
+            .with("warm_bound_flips", warm.pivots.bound_flips)
+            .with(
                 "cold_harris_degenerate_saved",
-                Json::Num(cold.pivots.harris_degenerate_saved as f64),
-            ),
-            (
+                cold.pivots.harris_degenerate_saved,
+            )
+            .with(
                 "warm_harris_degenerate_saved",
-                Json::Num(warm.pivots.harris_degenerate_saved as f64),
-            ),
-            (
-                "cold_sparse_solves",
-                Json::Num(cold.pivots.sparse_solves as f64),
-            ),
-            (
-                "cold_dense_solves",
-                Json::Num(cold.pivots.dense_solves as f64),
-            ),
-            (
+                warm.pivots.harris_degenerate_saved,
+            )
+            .with("cold_sparse_solves", cold.pivots.sparse_solves)
+            .with("cold_dense_solves", cold.pivots.dense_solves)
+            .with(
                 "cold_sparse_hit_rate",
-                Json::Num(cold.pivots.sparse_hit_rate()),
-            ),
-            (
+                Value::Float(cold.pivots.sparse_hit_rate()),
+            )
+            .with(
                 "cold_mean_solve_density",
-                Json::Num(cold.pivots.mean_solve_density()),
-            ),
-            ("cold_ft_updates", Json::Num(cold.pivots.ft_updates as f64)),
-            (
-                "cold_pfi_updates",
-                Json::Num(cold.pivots.pfi_updates as f64),
-            ),
-            (
-                "cold_refactorizations",
-                Json::Num(cold.pivots.refactorizations as f64),
-            ),
-            (
-                "cold_refactor_no_cache",
-                Json::Num(cold.pivots.refactor_no_cache as f64),
-            ),
-            (
+                Value::Float(cold.pivots.mean_solve_density()),
+            )
+            .with("cold_ft_updates", cold.pivots.ft_updates)
+            .with("cold_pfi_updates", cold.pivots.pfi_updates)
+            .with("cold_refactorizations", cold.pivots.refactorizations)
+            .with("cold_refactor_no_cache", cold.pivots.refactor_no_cache)
+            .with(
                 "cold_refactor_basis_changed",
-                Json::Num(cold.pivots.refactor_basis_changed as f64),
-            ),
-            (
-                "cold_refactor_pivot_cap",
-                Json::Num(cold.pivots.refactor_pivot_cap as f64),
-            ),
-            (
+                cold.pivots.refactor_basis_changed,
+            )
+            .with("cold_refactor_pivot_cap", cold.pivots.refactor_pivot_cap)
+            .with(
                 "cold_refactor_update_fill",
-                Json::Num(cold.pivots.refactor_update_fill as f64),
-            ),
-            (
+                cold.pivots.refactor_update_fill,
+            )
+            .with(
                 "cold_refactor_rejected_update",
-                Json::Num(cold.pivots.refactor_rejected_update as f64),
-            ),
-            (
-                "cold_refactor_drift",
-                Json::Num(cold.pivots.refactor_drift as f64),
-            ),
-            (
-                "warm_sparse_solves",
-                Json::Num(warm.pivots.sparse_solves as f64),
-            ),
-            (
-                "warm_dense_solves",
-                Json::Num(warm.pivots.dense_solves as f64),
-            ),
-            (
+                cold.pivots.refactor_rejected_update,
+            )
+            .with("cold_refactor_drift", cold.pivots.refactor_drift)
+            .with("warm_sparse_solves", warm.pivots.sparse_solves)
+            .with("warm_dense_solves", warm.pivots.dense_solves)
+            .with(
                 "warm_sparse_hit_rate",
-                Json::Num(warm.pivots.sparse_hit_rate()),
-            ),
-            (
+                Value::Float(warm.pivots.sparse_hit_rate()),
+            )
+            .with(
                 "warm_mean_solve_density",
-                Json::Num(warm.pivots.mean_solve_density()),
-            ),
-            ("warm_ft_updates", Json::Num(warm.pivots.ft_updates as f64)),
-            (
-                "warm_pfi_updates",
-                Json::Num(warm.pivots.pfi_updates as f64),
-            ),
-            (
-                "warm_refactorizations",
-                Json::Num(warm.pivots.refactorizations as f64),
-            ),
-            (
-                "warm_refactor_no_cache",
-                Json::Num(warm.pivots.refactor_no_cache as f64),
-            ),
-            (
+                Value::Float(warm.pivots.mean_solve_density()),
+            )
+            .with("warm_ft_updates", warm.pivots.ft_updates)
+            .with("warm_pfi_updates", warm.pivots.pfi_updates)
+            .with("warm_refactorizations", warm.pivots.refactorizations)
+            .with("warm_refactor_no_cache", warm.pivots.refactor_no_cache)
+            .with(
                 "warm_refactor_basis_changed",
-                Json::Num(warm.pivots.refactor_basis_changed as f64),
-            ),
-            (
-                "warm_refactor_pivot_cap",
-                Json::Num(warm.pivots.refactor_pivot_cap as f64),
-            ),
-            (
+                warm.pivots.refactor_basis_changed,
+            )
+            .with("warm_refactor_pivot_cap", warm.pivots.refactor_pivot_cap)
+            .with(
                 "warm_refactor_update_fill",
-                Json::Num(warm.pivots.refactor_update_fill as f64),
-            ),
-            (
+                warm.pivots.refactor_update_fill,
+            )
+            .with(
                 "warm_refactor_rejected_update",
-                Json::Num(warm.pivots.refactor_rejected_update as f64),
-            ),
-            (
-                "warm_refactor_drift",
-                Json::Num(warm.pivots.refactor_drift as f64),
-            ),
-            (
-                "cold_factor_reattaches",
-                Json::Num(cold.pivots.factor_reattaches as f64),
-            ),
-            (
-                "warm_factor_reattaches",
-                Json::Num(warm.pivots.factor_reattaches as f64),
-            ),
-            ("warm_cache_rebuilds", Json::Num(warm.cache.rebuilds as f64)),
-            ("warm_cache_patches", Json::Num(warm.cache.patches as f64)),
-            (
-                "warm_cache_refix_patches",
-                Json::Num(warm.cache.refix_patches as f64),
-            ),
-            (
-                "warm_cache_appended_rows",
-                Json::Num(warm.cache.appended_rows as f64),
-            ),
-            ("warm_cache_patch_rate", Json::Num(warm.cache.patch_rate())),
-            ("retries", Json::Num(retries as f64)),
-            (
-                "warm_wave_cache_rebuilds",
-                Json::Num(warm.wave_cache.rebuilds as f64),
-            ),
-            (
-                "warm_wave_cache_patches",
-                Json::Num(warm.wave_cache.patches as f64),
-            ),
-            (
+                warm.pivots.refactor_rejected_update,
+            )
+            .with("warm_refactor_drift", warm.pivots.refactor_drift)
+            .with("cold_factor_reattaches", cold.pivots.factor_reattaches)
+            .with("warm_factor_reattaches", warm.pivots.factor_reattaches)
+            .with("warm_cache_rebuilds", warm.cache.rebuilds)
+            .with("warm_cache_patches", warm.cache.patches)
+            .with("warm_cache_refix_patches", warm.cache.refix_patches)
+            .with("warm_cache_appended_rows", warm.cache.appended_rows)
+            .with(
+                "warm_cache_patch_rate",
+                Value::Float(warm.cache.patch_rate()),
+            )
+            .with("retries", retries)
+            .with("warm_wave_cache_rebuilds", warm.wave_cache.rebuilds)
+            .with("warm_wave_cache_patches", warm.wave_cache.patches)
+            .with(
                 "warm_wave_cache_refix_patches",
-                Json::Num(warm.wave_cache.refix_patches as f64),
-            ),
-            (
+                warm.wave_cache.refix_patches,
+            )
+            .with(
                 "warm_wave_refactorizations",
-                Json::Num(warm.wave_pivots.refactorizations as f64),
-            ),
-            (
+                warm.wave_pivots.refactorizations,
+            )
+            .with(
                 "warm_wave_refactor_no_cache",
-                Json::Num(warm.wave_pivots.refactor_no_cache as f64),
-            ),
-            (
+                warm.wave_pivots.refactor_no_cache,
+            )
+            .with(
                 "warm_wave_refactor_basis_changed",
-                Json::Num(warm.wave_pivots.refactor_basis_changed as f64),
-            ),
-            (
+                warm.wave_pivots.refactor_basis_changed,
+            )
+            .with(
                 "warm_wave_refactor_pivot_cap",
-                Json::Num(warm.wave_pivots.refactor_pivot_cap as f64),
-            ),
-            (
+                warm.wave_pivots.refactor_pivot_cap,
+            )
+            .with(
                 "warm_wave_refactor_update_fill",
-                Json::Num(warm.wave_pivots.refactor_update_fill as f64),
-            ),
-            (
+                warm.wave_pivots.refactor_update_fill,
+            )
+            .with(
                 "warm_wave_refactor_rejected_update",
-                Json::Num(warm.wave_pivots.refactor_rejected_update as f64),
-            ),
-            (
-                "warm_wave_refactor_drift",
-                Json::Num(warm.wave_pivots.refactor_drift as f64),
-            ),
-            (
+                warm.wave_pivots.refactor_rejected_update,
+            )
+            .with("warm_wave_refactor_drift", warm.wave_pivots.refactor_drift)
+            .with(
                 "warm_wave_factor_reattaches",
-                Json::Num(warm.wave_pivots.factor_reattaches as f64),
-            ),
-            (
-                "warm_wave_lp_iterations",
-                Json::Num(warm.wave_pivots.total() as f64),
-            ),
-            (
-                "cold_wave_lp_iterations",
-                Json::Num(cold.wave_pivots.total() as f64),
-            ),
-            (
+                warm.wave_pivots.factor_reattaches,
+            )
+            .with("warm_wave_lp_iterations", warm.wave_pivots.total())
+            .with("cold_wave_lp_iterations", cold.wave_pivots.total())
+            .with(
                 "warm_first_pass_lp_iterations",
-                Json::Num((warm.pivots.total() - warm.wave_pivots.total()) as f64),
-            ),
-            (
+                warm.pivots.total() - warm.wave_pivots.total(),
+            )
+            .with(
                 "warm_first_pass_refactorizations",
-                Json::Num(
-                    (warm.pivots.refactorizations - warm.wave_pivots.refactorizations) as f64,
-                ),
-            ),
-            ("cold_nodes", Json::Num(cold.nodes as f64)),
-            ("warm_nodes", Json::Num(warm.nodes as f64)),
-            ("admitted", Json::Num(admitted as f64)),
-            ("outcomes_identical", Json::Bool(outcomes_identical)),
-            ("cold_objective", Json::Num(cold.objective)),
-            ("warm_objective", Json::Num(warm.objective)),
-        ]),
+                warm.pivots.refactorizations - warm.wave_pivots.refactorizations,
+            )
+            .with("cold_nodes", cold.nodes)
+            .with("warm_nodes", warm.nodes)
+            .with("admitted", admitted)
+            .with("outcomes_identical", Value::Bool(outcomes_identical))
+            .with("cold_objective", Value::Float(cold.objective))
+            .with("warm_objective", Value::Float(warm.objective)),
     );
 
     // Acceptance: identical admit/reject decisions, comparable deployment
@@ -648,7 +570,9 @@ fn main() {
     // Warm LP iterations / refactorisations vs. the committed baseline: a
     // regression beyond the noise band fails the smoke (refresh the
     // committed BENCH_incremental.json when the regression is intentional).
-    if let Some(baseline) = baseline_num("warm_lp_iterations") {
+    let baseline = baseline();
+    let committed = |key: &str| baseline.as_ref()?.get(key)?.as_f64();
+    if let Some(baseline) = committed("warm_lp_iterations") {
         assert!(
             (warm.lp_iterations as f64) <= WARM_ITER_REGRESSION * baseline,
             "warm LP iterations regressed >{:.0}% vs committed baseline: {} vs {baseline}",
@@ -658,7 +582,7 @@ fn main() {
     } else {
         println!("(no committed baseline found; warm-iteration regression check skipped)");
     }
-    if let Some(baseline) = baseline_num("warm_refactorizations") {
+    if let Some(baseline) = committed("warm_refactorizations") {
         assert!(
             (warm.pivots.refactorizations as f64) <= WARM_REFACTOR_REGRESSION * baseline,
             "warm refactorisations regressed >{:.0}% vs committed baseline: {} vs {baseline}",

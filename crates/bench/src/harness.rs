@@ -5,6 +5,7 @@
 //! with one column per series — the same rows/series the paper plots.
 
 use sqpr_core::SolveBudget;
+use sqpr_workload::text::{write_json, Layout, Table};
 
 /// Scale factor for experiments: 1.0 = the paper's sizes. Read from CLI
 /// argument `position` or the `SQPR_SCALE` environment variable; defaults
@@ -85,93 +86,15 @@ pub fn print_figure(title: &str, xlabel: &str, series: &[Series]) {
     }
 }
 
-/// A JSON value for the machine-readable bench emitter. Only the shapes
-/// the harnesses need (no external dependencies).
-#[derive(Debug, Clone)]
-pub enum Json {
-    Num(f64),
-    Str(String),
-    Bool(bool),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    pub fn obj(fields: Vec<(&str, Json)>) -> Json {
-        Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Num(v) => {
-                if v.is_finite() {
-                    out.push_str(&format!("{v}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    Json::Str(k.clone()).write(out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for Json {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = String::new();
-        self.write(&mut s);
-        f.write_str(&s)
-    }
-}
-
-/// Writes a machine-readable result file (`BENCH_<name>.json`) next to the
-/// printed tables so successive runs can be diffed by tooling. The target
-/// directory comes from `SQPR_BENCH_DIR` (default: current directory).
-/// Returns the path written, or `None` on IO failure (benches must not
-/// fail because a results directory is read-only).
-pub fn emit_json(name: &str, payload: &Json) -> Option<std::path::PathBuf> {
+/// Writes a machine-readable result file (`BENCH_<name>.json`, the compact
+/// layout) next to the printed tables so successive runs can be diffed by
+/// tooling. The target directory comes from `SQPR_BENCH_DIR` (default:
+/// current directory). Returns the path written, or `None` on IO failure
+/// (benches must not fail because a results directory is read-only).
+pub fn emit_json(name: &str, payload: &Table) -> Option<std::path::PathBuf> {
     let dir = std::env::var("SQPR_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
     let path = std::path::Path::new(&dir).join(format!("BENCH_{name}.json"));
-    match std::fs::write(&path, payload.to_string() + "\n") {
+    match std::fs::write(&path, write_json(payload, Layout::Compact)) {
         Ok(()) => {
             println!("wrote {}", path.display());
             Some(path)

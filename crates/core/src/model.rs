@@ -208,8 +208,8 @@ pub(crate) struct PassLog {
 /// objective accumulation, link-residual sweeps), and hash-ordered
 /// iteration made row layout and float summation order vary run to run.
 /// Ordered maps pin both, so identical inputs build byte-identical
-/// models — the invariant the parallel branch & bound's determinism
-/// tests assert end to end.
+/// models — the invariant the byte-identical scenario goldens and the
+/// suspend/resume bit-identity tests rely on.
 ///
 /// `Clone` exists for the admission queue: a deadline-preempted round
 /// parks its suspended [`sqpr_milp::SearchState`] *together with* a clone

@@ -44,10 +44,11 @@
 //!    optimisation layer: every path ends in the same phase-I/phase-II
 //!    loop with the same tolerances.
 //!
-//! Re-solves additionally benefit from bound-flip-aware partial pricing
-//! (see [`SimplexOptions::pricing_window`]): only a rotating window plus a
-//! short-list of recently attractive columns is priced per iteration, and
-//! bound-fixed columns are skipped outright.
+//! Re-solves of systems past 600 columns and rows additionally benefit
+//! from bound-flip-aware partial pricing: only a rotating window of
+//! `max(256, (n + m) / 8)` columns plus a short-list of recently attractive
+//! columns is priced per iteration. Bound-fixed columns are skipped
+//! outright at every size.
 //!
 //! ## Pricing and ratio tests
 //!

@@ -208,11 +208,6 @@ impl PivotCounts {
         self.distress_escalations += other.distress_escalations;
         self.distress_cold_restarts += other.distress_cold_restarts;
     }
-
-    /// Deprecated spelling of [`Self::merge`], kept for downstream callers.
-    pub fn add(&mut self, other: &PivotCounts) {
-        self.merge(other);
-    }
 }
 
 /// Public basis-status of one variable (structural or slack) in a
@@ -345,13 +340,6 @@ pub struct SimplexOptions {
     /// (0 disables). The perturbation is removed before termination, so
     /// reported optima are exact for the true objective.
     pub perturb: f64,
-    /// Partial-pricing window: how many columns are scanned per pricing
-    /// round before settling on the best candidate seen. `0` selects
-    /// automatically (full Dantzig pricing for systems with
-    /// `n + m <= 600`, a window of `max(256, (n + m) / 8)` beyond that);
-    /// `usize::MAX` forces full pricing. Bland's anti-cycling rule always
-    /// scans fully regardless of this setting.
-    pub pricing_window: usize,
     /// Ratio-test refinement level (see [`RatioTest`]).
     pub ratio_test: RatioTest,
     /// Primal pricing rule (see [`PricingRule`]).
@@ -378,7 +366,6 @@ impl Default for SimplexOptions {
             refactor_interval: 64,
             stall_limit: 256,
             perturb: 0.0,
-            pricing_window: 0,
             ratio_test: RatioTest::LongStep,
             pricing: PricingRule::Devex,
             basis_update: BasisUpdate::ForrestTomlin,
@@ -562,9 +549,9 @@ pub fn solve_with_bounds_from_ws(
 /// every attempt, preserving the `pivots.total() == iterations` contract.
 /// The ladder is a pure function of its arguments (the workspace's factor
 /// cache only seeds rung 0, exactly as in the plain entry point), so
-/// callers that require replayed solves to be bit-identical to speculative
-/// ones — the parallel branch & bound — can adopt it without weakening
-/// their determinism invariant.
+/// callers that require a replayed solve to be bit-identical to the
+/// original — the branch & bound, whose resumed searches must reproduce
+/// the uninterrupted tree — can adopt it without weakening that invariant.
 pub fn solve_with_bounds_recovering_ws(
     problem: &Problem,
     col_lb: &[f64],
@@ -911,7 +898,7 @@ impl<'a> Solver<'a> {
             banned_list,
             iterations: 0,
             pivots: PivotCounts::default(),
-            window: effective_window(opts.pricing_window, n + m),
+            window: effective_window(n + m),
             price_cursor: 0,
             candidates,
             duals_valid: false,
@@ -1905,17 +1892,16 @@ impl<'a> Solver<'a> {
     }
 }
 
-/// Resolves the partial-pricing window for a system of `total` columns.
-fn effective_window(requested: usize, total: usize) -> usize {
-    match requested {
-        0 => {
-            if total <= 600 {
-                total
-            } else {
-                (total / 8).max(256)
-            }
-        }
-        w => w.min(total),
+/// The partial-pricing window for a system of `total` columns: how many
+/// columns a pricing round scans before settling on the best candidate
+/// seen. Systems with `n + m <= 600` price in full; larger ones scan a
+/// window of `max(256, (n + m) / 8)`. Bland's anti-cycling rule always
+/// scans fully.
+fn effective_window(total: usize) -> usize {
+    if total <= 600 {
+        total
+    } else {
+        (total / 8).max(256)
     }
 }
 
@@ -2773,27 +2759,40 @@ mod warm_start_tests {
 
     #[test]
     fn partial_pricing_matches_full_pricing() {
-        // Force a tiny window on a problem large enough to rotate.
-        let mut b = ProblemBuilder::new();
-        let n = 40;
-        for j in 0..n {
-            b.add_col(-((j % 7 + 1) as f64), 0.0, 2.0);
-        }
-        for i in 0..10 {
-            let r = b.add_row(-INF, 5.0 + (i % 3) as f64);
+        // A 40-column LP, small enough to price in full, and the same LP
+        // with 14 costly padding columns after each real one: 600 columns
+        // plus 10 rows is past the full-pricing size, so the padded solve
+        // scans a rotating window that is mostly padding. Padding only
+        // costs and uses capacity, so both LPs share their optimum.
+        let build = |pad: usize| {
+            let mut b = ProblemBuilder::new();
+            let n = 40;
+            let mut cols = Vec::new();
             for j in 0..n {
-                if (i + j) % 3 != 0 {
-                    b.set_coeff(r, j, ((i * j) % 4 + 1) as f64);
+                cols.push((j, b.add_col(-((j % 7 + 1) as f64), 0.0, 2.0)));
+                for _ in 0..pad {
+                    cols.push((j, b.add_col(1.0, 0.0, 2.0)));
                 }
             }
-        }
-        let p = b.build();
-        let full = solve(&p, &SimplexOptions::default());
-        let opts = SimplexOptions {
-            pricing_window: 4,
-            ..SimplexOptions::default()
+            for i in 0..10 {
+                let r = b.add_row(-INF, 5.0 + (i % 3) as f64);
+                for &(j, col) in &cols {
+                    if (i + j) % 3 != 0 {
+                        b.set_coeff(r, col, ((i * j) % 4 + 1) as f64);
+                    }
+                }
+            }
+            b.build()
         };
-        let partial = solve(&p, &opts);
+        let (small, padded) = (build(0), build(14));
+        let total = padded.ncols() + padded.nrows();
+        assert!(effective_window(small.ncols() + small.nrows()) >= 50);
+        assert!(
+            effective_window(total) < total,
+            "the padded LP prices a window"
+        );
+        let full = solve(&small, &SimplexOptions::default());
+        let partial = solve(&padded, &SimplexOptions::default());
         assert_eq!(full.status, LpStatus::Optimal);
         assert_eq!(partial.status, LpStatus::Optimal);
         approx(full.objective, partial.objective);

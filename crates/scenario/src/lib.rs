@@ -38,10 +38,8 @@
 
 pub mod runner;
 pub mod spec;
-pub mod toml;
 pub mod verdict;
 
 pub use runner::{check_scenario_file, discover, run_scenario, ScenarioRun};
 pub use spec::{Event, Expectations, HostClass, ScenarioSpec, SpecError, SystemKind, SystemSpec};
-pub use toml::{parse as parse_toml, ParseError, Value};
-pub use verdict::{first_diff, fmt_f64_bits, JsonObject, Transcript};
+pub use verdict::{first_diff, fmt_f64_bits, Transcript};

@@ -38,12 +38,11 @@ use sqpr_core::{
     StormBudget,
 };
 use sqpr_dsps::{HostId, HostSpec, QueryId, StreamId};
+use sqpr_workload::text::{read_json_file, write_json, Layout, Table, Value};
 use sqpr_workload::{generate_with_hosts, Workload, WorkloadSpec};
 
 use crate::spec::{Event, ScenarioSpec, SystemKind, SystemSpec};
-use crate::verdict::{
-    bench_entries, first_diff, fmt_f64_bits, render_bench_entries, JsonObject, Transcript,
-};
+use crate::verdict::{first_diff, fmt_f64_bits, Transcript};
 
 /// Preemption quanta of the sliced twins.
 const SLICED_QUANTA: [usize; 2] = [1, 7];
@@ -52,12 +51,12 @@ const SLICED_QUANTA: [usize; 2] = [1, 7];
 /// optima within the MIP gap; same bound as `tests/warm_start_equivalence`).
 const OBJ_TOL: f64 = 0.02;
 
-/// A completed scenario run: the canonical transcript and bench JSON.
+/// A completed scenario run: the canonical transcript and bench entry.
 #[derive(Debug, Clone)]
 pub struct ScenarioRun {
     pub name: String,
     pub transcript: String,
-    pub bench_json: String,
+    pub bench: Table,
 }
 
 /// Cumulative counters of one drive (the bench JSON's raw material).
@@ -665,11 +664,13 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioRun, Vec<String>> {
         (warm, sliced, cold)
     });
     let transcript = warm.transcript.render();
-    let bench = bench_json(spec, &warm);
+    let bench = bench_entry(spec, &warm);
+    let bench_json = write_json(&bench, Layout::Pretty);
     let mut errors = warm.errors.clone();
     for (quantum, twin) in SLICED_QUANTA.into_iter().zip(&sliced) {
+        let twin_json = write_json(&bench_entry(spec, twin), Layout::Pretty);
         let diff = first_diff(&transcript, &twin.transcript.render())
-            .or_else(|| (bench_json(spec, twin) != bench).then(|| "bench JSON".into()));
+            .or_else(|| (twin_json != bench_json).then(|| "bench JSON".into()));
         if let Some(diff) = diff {
             errors.push(format!(
                 "sliced twin (quantum {quantum}) differs from the warm run: {diff}"
@@ -771,7 +772,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioRun, Vec<String>> {
     Ok(ScenarioRun {
         name: spec.name.clone(),
         transcript,
-        bench_json: bench,
+        bench,
     })
 }
 
@@ -779,7 +780,7 @@ fn admit_string(admits: &[bool]) -> String {
     admits.iter().map(|&a| if a { 'A' } else { 'R' }).collect()
 }
 
-fn bench_json(spec: &ScenarioSpec, d: &Drive) -> String {
+fn bench_entry(spec: &ScenarioSpec, d: &Drive) -> Table {
     let c = &d.counters;
     let cache_total = c.cache_patches + c.cache_rebuilds;
     let patch_rate = if cache_total == 0 {
@@ -787,43 +788,42 @@ fn bench_json(spec: &ScenarioSpec, d: &Drive) -> String {
     } else {
         c.cache_patches as f64 / cache_total as f64
     };
-    JsonObject::new()
-        .str("bench", &format!("scenario_{}", spec.name))
-        .str("scenario", &spec.name)
-        .uint("submitted", c.submitted)
-        .uint("admits", c.admits)
-        .uint("rejects", c.rejects)
-        .uint("reused_existing", c.reused)
-        .uint("retries", c.retries)
-        .uint("retry_admits", c.retry_admits)
-        .uint("adapt_rounds", c.adapt_rounds)
-        .uint("drifted_streams", c.drifted_streams)
-        .uint("replanned", c.replanned)
-        .uint("readmitted", c.readmitted)
-        .uint("adapt_dropped", c.adapt_dropped)
-        .uint("storms", c.storms)
-        .uint("storm_replanned", c.storm_replanned)
-        .uint("storm_degraded", c.storm_degraded)
-        .uint("storm_dropped", c.storm_dropped)
-        .uint("rehomed", c.rehomed)
-        .uint("removed", c.removed)
-        .uint("parked", c.parked)
-        .uint("pump_ticks", c.pump_ticks)
-        .uint("resumed", c.resumed)
-        .uint("incumbent_handoffs", c.incumbent_handoffs)
-        .uint("greedy_installs", c.greedy_installs)
-        .uint("deferred_replans", c.deferred_replans)
-        .uint("final_admitted", d.final_admitted)
-        .f64("final_objective", d.final_objective)
-        .bool("deployment_valid", d.deployment_valid)
-        .uint("nodes_total", c.nodes_total)
-        .uint("lp_iterations", c.lp_iterations)
-        .uint("cache_patches", c.cache_patches)
-        .uint("cache_rebuilds", c.cache_rebuilds)
-        .uint("cache_refix_patches", c.cache_refix_patches)
-        .f64("cache_patch_rate", patch_rate)
-        .bool("warm_cold_agreement", true)
-        .render()
+    Table::new()
+        .with("bench", Value::Str(format!("scenario_{}", spec.name)))
+        .with("scenario", Value::Str(spec.name.clone()))
+        .with("submitted", c.submitted)
+        .with("admits", c.admits)
+        .with("rejects", c.rejects)
+        .with("reused_existing", c.reused)
+        .with("retries", c.retries)
+        .with("retry_admits", c.retry_admits)
+        .with("adapt_rounds", c.adapt_rounds)
+        .with("drifted_streams", c.drifted_streams)
+        .with("replanned", c.replanned)
+        .with("readmitted", c.readmitted)
+        .with("adapt_dropped", c.adapt_dropped)
+        .with("storms", c.storms)
+        .with("storm_replanned", c.storm_replanned)
+        .with("storm_degraded", c.storm_degraded)
+        .with("storm_dropped", c.storm_dropped)
+        .with("rehomed", c.rehomed)
+        .with("removed", c.removed)
+        .with("parked", c.parked)
+        .with("pump_ticks", c.pump_ticks)
+        .with("resumed", c.resumed)
+        .with("incumbent_handoffs", c.incumbent_handoffs)
+        .with("greedy_installs", c.greedy_installs)
+        .with("deferred_replans", c.deferred_replans)
+        .with("final_admitted", d.final_admitted)
+        .with("final_objective", Value::Float(d.final_objective))
+        .with("deployment_valid", Value::Bool(d.deployment_valid))
+        .with("nodes_total", c.nodes_total)
+        .with("lp_iterations", c.lp_iterations)
+        .with("cache_patches", c.cache_patches)
+        .with("cache_rebuilds", c.cache_rebuilds)
+        .with("cache_refix_patches", c.cache_refix_patches)
+        .with("cache_patch_rate", Value::Float(patch_rate))
+        .with("warm_cold_agreement", Value::Bool(true))
 }
 
 /// Runs one scenario *file* end to end against its golden transcript and
@@ -871,14 +871,18 @@ pub fn check_scenario_file(
     )]
     let bless = std::env::var("SQPR_BLESS").is_ok_and(|v| v == "1");
     let golden_path = golden_dir.join(format!("{}.txt", run.name));
-    let mut entries = bench_entries(&fs::read_to_string(bench_file).unwrap_or_default());
+    let mut entries = read_json_file(bench_file)
+        .map_err(|e| vec![format!("{}: {e}", run.name)])?
+        .unwrap_or_default();
+    let bench_json = write_json(&run.bench, Layout::Pretty);
     let mut errors = Vec::new();
     if bless {
         let _ = fs::create_dir_all(golden_dir);
         fs::write(&golden_path, &run.transcript)
             .map_err(|e| vec![format!("{}: bless write failed: {e}", run.name)])?;
-        entries.insert(run.name.clone(), run.bench_json);
-        fs::write(bench_file, render_bench_entries(&entries))
+        entries.insert(&run.name, Value::Table(run.bench));
+        entries.sort_keys();
+        fs::write(bench_file, write_json(&entries, Layout::Pretty))
             .map_err(|e| vec![format!("{}: bench write failed: {e}", run.name)])?;
     } else {
         match fs::read_to_string(&golden_path) {
@@ -904,7 +908,8 @@ pub fn check_scenario_file(
                 bench_file.display()
             )),
             Some(committed) => {
-                if *committed != run.bench_json {
+                let committed = committed.as_table().map(|t| write_json(t, Layout::Pretty));
+                if committed.as_ref() != Some(&bench_json) {
                     errors.push(format!(
                         "{}: bench JSON drifted from its entry in committed {}",
                         run.name,
@@ -980,8 +985,9 @@ mod tests {
         assert!(run.transcript.starts_with("scenario smoke\n"));
         assert!(run.transcript.contains("recover displaced="));
         assert!(run.transcript.ends_with("\n"));
-        assert!(run.bench_json.contains("\"bench\": \"scenario_smoke\""));
-        assert!(run.bench_json.contains("\"storms\": 1"));
+        let bench_json = write_json(&run.bench, Layout::Pretty);
+        assert!(bench_json.contains("\"bench\": \"scenario_smoke\""));
+        assert!(bench_json.contains("\"storms\": 1"));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Typed scenario specifications, decoded from the TOML-subset tree.
+//! Typed scenario specifications, decoded from the TOML-subset tree
+//! ([`sqpr_workload::text::parse_toml`]).
 //!
 //! A scenario file has three sections:
 //!
@@ -16,9 +17,8 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
+use sqpr_workload::text::{parse_toml, Table, Value};
 use sqpr_workload::{DriftSpec, RateProfile};
-
-use crate::toml::{self, Value};
 
 /// A scenario file failed to decode.
 #[derive(Debug, Clone)]
@@ -184,7 +184,7 @@ pub struct ScenarioSpec {
 impl ScenarioSpec {
     /// Decodes a scenario from TOML-subset source.
     pub fn parse(src: &str) -> Result<ScenarioSpec, SpecError> {
-        let tree = toml::parse(src).map_err(|e| bad(format!("toml: {e}")))?;
+        let tree = parse_toml(src).map_err(|e| bad(format!("toml: {e}")))?;
         let mut root = Fields::new(&tree);
         let name = req_str(&mut root, "name")?;
         let system = parse_system(
@@ -222,8 +222,6 @@ impl ScenarioSpec {
     }
 }
 
-type Table = std::collections::BTreeMap<String, Value>;
-
 /// One table under decode, tracking the keys the decoder has not read:
 /// [`Fields::done`] rejects any left over, so a misspelt key fails the
 /// decode instead of silently falling back to a default.
@@ -236,7 +234,7 @@ impl<'a> Fields<'a> {
     fn new(table: &'a Table) -> Self {
         Fields {
             table,
-            unread: table.keys().map(String::as_str).collect(),
+            unread: table.keys().collect(),
         }
     }
 
@@ -373,13 +371,7 @@ fn parse_system(table: &Table) -> Result<SystemSpec, SpecError> {
     let system = SystemSpec {
         kind,
         scale,
-        seed: t
-            .get("seed")
-            .map(|v| {
-                v.as_u64()
-                    .ok_or_else(|| bad("`seed` must be a non-negative integer"))
-            })
-            .transpose()?,
+        seed: opt_usize(t, "seed")?.map(|s| s as u64),
         queries: opt_usize(t, "queries")?,
         zipf_theta: opt_f64(t, "zipf_theta")?
             .map(|z| non_negative("zipf_theta", z))
@@ -413,14 +405,7 @@ fn parse_drift(t: &mut Fields) -> Result<DriftSpec, SpecError> {
     Ok(DriftSpec {
         profile: parse_profile(t)?,
         jitter: non_negative("jitter", f64_or(t, "jitter", 0.0)?)?,
-        seed: t
-            .get("seed")
-            .map(|v| {
-                v.as_u64()
-                    .ok_or_else(|| bad("`seed` must be a non-negative integer"))
-            })
-            .transpose()?
-            .unwrap_or(0),
+        seed: opt_usize(t, "seed")?.map_or(0, |s| s as u64),
     })
 }
 
@@ -475,7 +460,13 @@ fn parse_event(table: &Table) -> Result<Event, SpecError> {
                 return Err(bad("`remove` needs a non-empty `queries` list"));
             }
             Event::Remove {
-                queries: queries.into_iter().map(|q| q as u32).collect(),
+                queries: queries
+                    .into_iter()
+                    .map(|q| {
+                        u32::try_from(q)
+                            .map_err(|_| bad(format!("`queries` entry {q} exceeds u32::MAX")))
+                    })
+                    .collect::<Result<_, _>>()?,
             }
         }
         "retry" => Event::Retry {
@@ -790,6 +781,20 @@ mod tests {
         }
         let ok = "name = \"x\"\n[system]\nkind = \"paper_sim\"\n[[event]]\nkind = \"retry\"\nmin_patch_rate = 1";
         assert!(ScenarioSpec::parse(ok).is_ok(), "1 is a valid floor");
+    }
+
+    /// Query ids are `u32`: a wider index is an error naming `queries`,
+    /// not a cast that removes a different query.
+    #[test]
+    fn rejects_removal_indices_past_u32() {
+        let e = decode_err("", "kind = \"remove\"\nqueries = [1, 4294967296]");
+        assert!(
+            e.contains("`queries` entry 4294967296 exceeds u32::MAX"),
+            "{e}"
+        );
+        let src = "name = \"x\"\n[system]\nkind = \"paper_sim\"\n[[event]]\nkind = \"remove\"\nqueries = [4294967295]";
+        let spec = ScenarioSpec::parse(src).unwrap();
+        assert!(matches!(&spec.events[0], Event::Remove { queries } if queries == &[u32::MAX]));
     }
 
     #[test]

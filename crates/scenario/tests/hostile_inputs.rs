@@ -1,19 +1,22 @@
-//! Hostile inputs for the in-repo scenario TOML reader: it and the scenario
-//! decoder behind it must answer whatever they are handed — every prefix of
-//! a real file, flipped bytes, spliced lines — with `Ok` or `Err`, never a
-//! panic.
+//! Hostile inputs for the in-repo text readers (`sqpr_workload::text`): the
+//! scenario TOML reader, the scenario decoder behind it and the bench JSON
+//! reader must answer whatever they are handed — every prefix of a real
+//! file, flipped bytes, spliced lines — with `Ok` or `Err`, never a panic.
 //!
-//! The inputs are seeded mutations of the committed `tests/scenarios/*.toml`
-//! files and of a sorted sample of the workspace's Rust sources (garbage
-//! with plenty of quotes, brackets and escapes); a failure names the file,
-//! the mutation and its seed.
+//! The TOML inputs are seeded mutations of the committed
+//! `tests/scenarios/*.toml` files and of a sorted sample of the workspace's
+//! Rust sources (garbage with plenty of quotes, brackets and escapes); the
+//! JSON inputs are prefixes and seeded mutations of the two committed
+//! `BENCH_*.json` files, which must also read and write back byte for
+//! byte. A failure names the file, the mutation and its seed.
 
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use sqpr_scenario::{parse_toml, ScenarioSpec};
+use sqpr_scenario::{first_diff, ScenarioSpec};
 use sqpr_workload::rng::{Rng, StdRng};
+use sqpr_workload::text::{parse_json, parse_toml, write_json, Layout};
 
 /// The workspace root: the nearest ancestor holding `tests/scenarios`
 /// (this file is compiled from its own crate and from the root package).
@@ -149,14 +152,19 @@ fn spliced(src: &[u8], donor: &[u8], rng: &mut StdRng) -> Vec<u8> {
     lines.join(&b'\n')
 }
 
-/// The reader and the decoder on one input: an answer, no panic.
+/// The TOML reader and the decoder on one input: an answer, no panic.
 fn check(ctx: &str, bytes: &[u8]) {
-    let src = String::from_utf8_lossy(bytes);
-    let src: &str = &src;
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
+    check_with(ctx, bytes, |src| {
         let _ = parse_toml(src);
         let _ = ScenarioSpec::parse(src);
-    }));
+    });
+}
+
+/// `read` on one input: an answer, no panic.
+fn check_with(ctx: &str, bytes: &[u8], read: fn(&str)) {
+    let src = String::from_utf8_lossy(bytes);
+    let src: &str = &src;
+    let outcome = catch_unwind(AssertUnwindSafe(|| read(src)));
     let tail: String = src
         .chars()
         .rev()
@@ -204,4 +212,63 @@ fn flipped_bytes_and_spliced_lines_parse_or_err() {
         }
     }
     assert!(inputs >= 3_000, "only {inputs} mutations");
+}
+
+/// The committed bench files, each with the layout it is written in.
+fn bench_files() -> Vec<(&'static str, String, Layout)> {
+    let root = workspace_root();
+    [
+        ("BENCH_scenarios.json", Layout::Pretty),
+        ("BENCH_incremental.json", Layout::Compact),
+    ]
+    .into_iter()
+    .map(|(name, layout)| {
+        let text = fs::read_to_string(root.join(name)).expect("committed bench file");
+        (name, text, layout)
+    })
+    .collect()
+}
+
+/// The JSON reader on one input: an answer, no panic.
+fn check_json(ctx: &str, bytes: &[u8]) {
+    check_with(ctx, bytes, |src| {
+        let _ = parse_json(src);
+    });
+}
+
+#[test]
+fn committed_bench_files_read_and_write_back_byte_for_byte() {
+    for (name, text, layout) in bench_files() {
+        let root = parse_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        if let Some(diff) = first_diff(&text, &write_json(&root, layout)) {
+            panic!("{name} does not write back as read: {diff}");
+        }
+    }
+}
+
+/// A seeded sample of about 500 prefixes of each file (every prefix of
+/// both would add 2 s to this suite's debug-build time), and seeded byte
+/// flips of each.
+#[test]
+fn bench_file_prefixes_and_flipped_bytes_parse_or_err() {
+    let mut inputs = 0usize;
+    for (k, (name, text, _)) in bench_files().iter().enumerate() {
+        let bytes = text.as_bytes();
+        let mut rng = StdRng::seed_from_u64(0xB3AC_F11E ^ k as u64);
+        let step = (bytes.len() / 500).max(1);
+        let cuts = (0..=bytes.len()).filter(|_| rng.gen_index(step) == 0);
+        for cut in cuts {
+            check_json(&format!("{name}, prefix {cut}"), &bytes[..cut]);
+            inputs += 1;
+        }
+        for seed in 0..96u64 {
+            let mut rng = StdRng::seed_from_u64(seed ^ ((k as u64) << 16));
+            check_json(
+                &format!("{name}, flip seed {seed}"),
+                &flipped(bytes, &mut rng),
+            );
+            inputs += 1;
+        }
+    }
+    assert!(inputs >= 1_000, "only {inputs} inputs");
 }

@@ -15,102 +15,11 @@
 //! misparsed — a scenario file that fails to parse must fail loudly, not
 //! run a different scenario than its author wrote.
 
-use std::collections::BTreeMap;
-use std::fmt;
+use super::{err, scalar, ParseError, Table, Value};
 
-/// A parsed TOML-subset value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    Str(String),
-    Int(i64),
-    Float(f64),
-    Bool(bool),
-    Arr(Vec<Value>),
-    Table(BTreeMap<String, Value>),
-    /// An `[[array-of-tables]]` collection.
-    TableArr(Vec<BTreeMap<String, Value>>),
-}
-
-/// A parse failure, with the 1-based line it happened on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParseError {
-    pub line: usize,
-    pub message: String,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-impl Value {
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Numeric view: integers widen to `f64`.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(v) => Some(*v as f64),
-            Value::Float(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Non-negative integer view (floats are rejected — a count of `2.5`
-    /// is a spec bug, not something to round).
-    pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            Value::Int(v) if *v >= 0 => Some(*v as usize),
-            _ => None,
-        }
-    }
-
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Int(v) if *v >= 0 => Some(*v as u64),
-            _ => None,
-        }
-    }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    pub fn as_table(&self) -> Option<&BTreeMap<String, Value>> {
-        match self {
-            Value::Table(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    pub fn as_table_arr(&self) -> Option<&[BTreeMap<String, Value>]> {
-        match self {
-            Value::TableArr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a document into its root table.
-pub fn parse(input: &str) -> Result<BTreeMap<String, Value>, ParseError> {
-    let mut root: BTreeMap<String, Value> = BTreeMap::new();
+/// Parses a scenario document into its root table.
+pub fn parse_toml(input: &str) -> Result<Table, ParseError> {
+    let mut root = Table::new();
     // Path of the table the next `key = value` lands in.
     let mut current: Vec<String> = Vec::new();
 
@@ -132,7 +41,7 @@ pub fn parse(input: &str) -> Result<BTreeMap<String, Value>, ParseError> {
             .and_then(|rest| rest.strip_suffix(']'))
         {
             let path = split_path(inner, lineno)?;
-            ensure_table(&mut root, &path, lineno)?;
+            resolve_mut(&mut root, &path, lineno)?;
             current = path;
         } else if let Some(eq) = line.find('=') {
             let key = line[..eq].trim();
@@ -141,7 +50,7 @@ pub fn parse(input: &str) -> Result<BTreeMap<String, Value>, ParseError> {
             }
             let value = parse_value(line[eq + 1..].trim(), lineno)?;
             let table = resolve_mut(&mut root, &current, lineno)?;
-            if table.insert(key.to_string(), value).is_some() {
+            if table.insert(key, value).is_some() {
                 return Err(err(lineno, format!("duplicate key `{key}`")));
             }
         } else {
@@ -151,27 +60,28 @@ pub fn parse(input: &str) -> Result<BTreeMap<String, Value>, ParseError> {
     Ok(root)
 }
 
-fn err(line: usize, message: String) -> ParseError {
-    ParseError { line, message }
+/// The characters of `line` outside string literals, with their offsets.
+fn outside_strings(line: &str) -> impl Iterator<Item = (usize, char)> + '_ {
+    let (mut in_str, mut escaped) = (false, false);
+    line.char_indices().filter(move |&(_, c)| {
+        if c == '\\' && in_str && !escaped {
+            escaped = true;
+            return false;
+        }
+        if c == '"' && !escaped {
+            in_str = !in_str;
+        }
+        escaped = false;
+        !in_str
+    })
 }
 
 /// Strips a `#` comment, respecting string literals.
 fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    let mut escaped = false;
-    for (idx, c) in line.char_indices() {
-        match c {
-            '\\' if in_str && !escaped => {
-                escaped = true;
-                continue;
-            }
-            '"' if !escaped => in_str = !in_str,
-            '#' if !in_str => return &line[..idx],
-            _ => {}
-        }
-        escaped = false;
+    match outside_strings(line).find(|&(_, c)| c == '#') {
+        Some((idx, _)) => &line[..idx],
+        None => line,
     }
-    line
 }
 
 fn is_bare_key(key: &str) -> bool {
@@ -189,30 +99,13 @@ fn split_path(inner: &str, lineno: usize) -> Result<Vec<String>, ParseError> {
     Ok(parts)
 }
 
-/// Walks/creates the table at `path` (for `[header]` lines).
-fn ensure_table(
-    root: &mut BTreeMap<String, Value>,
-    path: &[String],
-    lineno: usize,
-) -> Result<(), ParseError> {
-    let _ = resolve_mut(root, path, lineno)?;
-    Ok(())
-}
-
 /// Appends a fresh element to the `[[array-of-tables]]` at `path`.
-fn push_table_element(
-    root: &mut BTreeMap<String, Value>,
-    path: &[String],
-    lineno: usize,
-) -> Result<(), ParseError> {
+fn push_table_element(root: &mut Table, path: &[String], lineno: usize) -> Result<(), ParseError> {
     let (last, parents) = path.split_last().expect("paths are non-empty");
     let table = resolve_mut(root, parents, lineno)?;
-    match table
-        .entry(last.clone())
-        .or_insert_with(|| Value::TableArr(Vec::new()))
-    {
+    match table.get_or_insert_with(last, || Value::TableArr(Vec::new())) {
         Value::TableArr(items) => {
-            items.push(BTreeMap::new());
+            items.push(Table::new());
             Ok(())
         }
         _ => Err(err(lineno, format!("`{last}` is not an array of tables"))),
@@ -223,15 +116,13 @@ fn push_table_element(
 /// A path segment naming an array of tables resolves to its *last*
 /// element (standard TOML semantics for keys under `[[x]]`).
 fn resolve_mut<'a>(
-    root: &'a mut BTreeMap<String, Value>,
+    root: &'a mut Table,
     path: &[String],
     lineno: usize,
-) -> Result<&'a mut BTreeMap<String, Value>, ParseError> {
+) -> Result<&'a mut Table, ParseError> {
     let mut table = root;
     for part in path {
-        let next = table
-            .entry(part.clone())
-            .or_insert_with(|| Value::Table(BTreeMap::new()));
+        let next = table.get_or_insert_with(part, || Value::Table(Table::new()));
         table = match next {
             Value::Table(t) => t,
             Value::TableArr(items) => items
@@ -254,18 +145,7 @@ fn parse_value(src: &str, lineno: usize) -> Result<Value, ParseError> {
     if src.starts_with('[') {
         return parse_array(src, lineno);
     }
-    match src {
-        "true" => return Ok(Value::Bool(true)),
-        "false" => return Ok(Value::Bool(false)),
-        _ => {}
-    }
-    if let Ok(v) = src.parse::<i64>() {
-        return Ok(Value::Int(v));
-    }
-    if let Ok(v) = src.parse::<f64>() {
-        return Ok(Value::Float(v));
-    }
-    Err(err(lineno, format!("cannot parse value `{src}`")))
+    scalar(src).ok_or_else(|| err(lineno, format!("cannot parse value `{src}`")))
 }
 
 fn parse_string(rest: &str, lineno: usize) -> Result<Value, ParseError> {
@@ -300,9 +180,13 @@ fn parse_array(src: &str, lineno: usize) -> Result<Value, ParseError> {
         .strip_prefix('[')
         .and_then(|s| s.strip_suffix(']'))
         .ok_or_else(|| err(lineno, "unterminated array".into()))?;
+    // Items end at the commas outside strings, and at the closing bracket.
+    let commas = outside_strings(inner).filter(|&(_, c)| c == ',');
     let mut items = Vec::new();
-    for part in split_array_items(inner) {
-        let part = part.trim();
+    let mut start = 0;
+    for end in commas.map(|(idx, _)| idx).chain([inner.len()]) {
+        let part = inner[start..end].trim();
+        start = end + 1;
         if part.is_empty() {
             continue;
         }
@@ -313,31 +197,6 @@ fn parse_array(src: &str, lineno: usize) -> Result<Value, ParseError> {
         items.push(v);
     }
     Ok(Value::Arr(items))
-}
-
-/// Splits the inside of an array on commas that are not inside strings.
-fn split_array_items(inner: &str) -> Vec<&str> {
-    let mut items = Vec::new();
-    let mut start = 0;
-    let mut in_str = false;
-    let mut escaped = false;
-    for (idx, c) in inner.char_indices() {
-        match c {
-            '\\' if in_str && !escaped => {
-                escaped = true;
-                continue;
-            }
-            '"' if !escaped => in_str = !in_str,
-            ',' if !in_str => {
-                items.push(&inner[start..idx]);
-                start = idx + 1;
-            }
-            _ => {}
-        }
-        escaped = false;
-    }
-    items.push(&inner[start..]);
-    items
 }
 
 #[cfg(test)]
@@ -357,14 +216,14 @@ mod tests {
             kind = "paper_sim"
             seed = 7
         "#;
-        let root = parse(doc).unwrap();
+        let root = parse_toml(doc).unwrap();
         assert_eq!(root["name"].as_str(), Some("diurnal"));
         assert_eq!(root["rounds"].as_usize(), Some(4));
         assert_eq!(root["scale"].as_f64(), Some(0.07));
         assert_eq!(root["strict"].as_bool(), Some(true));
         let sys = root["system"].as_table().unwrap();
         assert_eq!(sys["kind"].as_str(), Some("paper_sim"));
-        assert_eq!(sys["seed"].as_u64(), Some(7));
+        assert_eq!(sys["seed"].as_usize(), Some(7));
     }
 
     #[test]
@@ -384,7 +243,7 @@ mod tests {
             [[system.host]]
             cpu = 50.0
         "#;
-        let root = parse(doc).unwrap();
+        let root = parse_toml(doc).unwrap();
         let events = root["event"].as_table_arr().unwrap();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0]["kind"].as_str(), Some("submit"));
@@ -405,7 +264,7 @@ mod tests {
             admits = "AR\"A\n"
             tags = ["a, b", "c"]
         "#;
-        let root = parse(doc).unwrap();
+        let root = parse_toml(doc).unwrap();
         assert_eq!(
             root["queries"].as_arr().unwrap(),
             &[Value::Int(0), Value::Int(2), Value::Int(5)]
@@ -418,7 +277,7 @@ mod tests {
 
     #[test]
     fn hash_inside_string_is_not_a_comment() {
-        let root = parse("name = \"a # b\"").unwrap();
+        let root = parse_toml("name = \"a # b\"").unwrap();
         assert_eq!(root["name"].as_str(), Some("a # b"));
     }
 
@@ -433,26 +292,26 @@ mod tests {
             ("k.q = 1", "invalid key"),
             ("k = 1\nk = 2", "duplicate key"),
         ] {
-            let e = parse(doc).unwrap_err();
+            let e = parse_toml(doc).unwrap_err();
             assert!(
                 e.message.contains(needle),
                 "`{doc}` -> `{}` (wanted `{needle}`)",
                 e.message
             );
         }
-        let e = parse("ok = 1\nbroken line").unwrap_err();
+        let e = parse_toml("ok = 1\nbroken line").unwrap_err();
         assert_eq!(e.line, 2);
     }
 
     #[test]
     fn array_of_tables_conflicts_are_rejected() {
-        assert!(parse("[x]\nk = 1\n[[x]]\n").is_err());
-        assert!(parse("x = 1\n[x]\n").is_err());
+        assert!(parse_toml("[x]\nk = 1\n[[x]]\n").is_err());
+        assert!(parse_toml("x = 1\n[x]\n").is_err());
     }
 
     #[test]
     fn counts_must_be_integers() {
-        let root = parse("n = 2.5").unwrap();
+        let root = parse_toml("n = 2.5").unwrap();
         assert_eq!(root["n"].as_usize(), None);
         assert_eq!(root["n"].as_f64(), Some(2.5));
     }

@@ -16,6 +16,7 @@
 use std::path::Path;
 
 use sqpr_suite::scenario::{check_scenario_file, discover};
+use sqpr_suite::workload::text::read_json_file;
 
 #[test]
 fn scenario_corpus() {
@@ -46,12 +47,10 @@ fn scenario_corpus() {
         files.len(),
         passed.join(", ")
     );
-    // Every entry of the combined bench file belongs to a corpus scenario.
-    let committed = std::fs::read_to_string(&bench).unwrap_or_default();
-    for name in committed
-        .lines()
-        .filter_map(|l| l.strip_prefix("  \"")?.strip_suffix("\": {"))
-    {
+    // Every entry of the combined bench file belongs to a corpus scenario
+    // (a malformed file has already failed every scenario above).
+    let committed = read_json_file(&bench).ok().flatten().unwrap_or_default();
+    for name in committed.keys() {
         if !files
             .iter()
             .any(|f| f.file_stem().is_some_and(|s| s == name))

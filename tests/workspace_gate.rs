@@ -13,10 +13,11 @@
 //! restricted point validation every search's candidates go through — stay
 //! unit tests of `sqpr-milp`, under `cargo test --workspace`.
 //!
-//! The no-panic contract of the in-repo scenario TOML reader rides along,
-//! on seeded mutations of the committed scenarios and of the workspace's
-//! sources. The lint gate is not here: it is CI's clippy step
-//! (ARCHITECTURE.md §12).
+//! The no-panic contract of the in-repo text readers rides along: the
+//! scenario TOML reader on seeded mutations of the committed scenarios and
+//! of the workspace's sources, the JSON reader on prefixes and mutations
+//! of the committed bench files, which must also write back byte for byte.
+//! The lint gate is not here: it is CI's clippy step (ARCHITECTURE.md §12).
 
 #[path = "../crates/lp/tests/proptest_simplex.rs"]
 mod proptest_simplex;
