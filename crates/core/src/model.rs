@@ -1963,10 +1963,10 @@ mod tests {
                 w.catalog.restore_host(HostId(2));
             }),
             ("degrade_link", |w| {
-                w.catalog.degrade_link(HostId(0), HostId(1), 500.0)
+                w.catalog.degrade_link(HostId(0), HostId(1), 500.0);
             }),
             ("restore_link", |w| {
-                w.catalog.restore_link(HostId(0), HostId(1))
+                w.catalog.restore_link(HostId(0), HostId(1));
             }),
             ("rehome_base_stream", |w| {
                 w.catalog.rehome_base_stream(w.bases[4], HostId(0))

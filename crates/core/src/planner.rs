@@ -1112,14 +1112,16 @@ impl SqprPlanner {
     }
 
     /// Degrades the directed link `h -> m` to the given effective capacity
-    /// (panics as [`Catalog::degrade_link`] does).
-    pub fn degrade_link(&mut self, h: HostId, m: HostId, capacity: f64) {
-        self.catalog.degrade_link(h, m, capacity);
+    /// (panics as [`Catalog::degrade_link`] does). Returns false if either
+    /// host is not in the catalog.
+    pub fn degrade_link(&mut self, h: HostId, m: HostId, capacity: f64) -> bool {
+        self.catalog.degrade_link(h, m, capacity)
     }
 
     /// Restores the directed link `h -> m` to its configured capacity.
-    pub fn restore_link(&mut self, h: HostId, m: HostId) {
-        self.catalog.restore_link(h, m);
+    /// Returns false if either host is not in the catalog.
+    pub fn restore_link(&mut self, h: HostId, m: HostId) -> bool {
+        self.catalog.restore_link(h, m)
     }
 
     /// Reconnects base streams orphaned by host failures to surviving

@@ -158,19 +158,34 @@ impl Catalog {
     }
 
     /// Degrades the directed link `h -> m` to the given effective capacity.
+    /// Returns whether the catalog has both hosts; a link to a host it
+    /// does not have is rejected (`false`) before anything changes.
     ///
     /// # Panics
     /// As [`NetworkTopology::degrade_link`]: on a self link, or a capacity
     /// that is not `>= 0`.
-    pub fn degrade_link(&mut self, h: HostId, m: HostId, capacity: f64) {
-        self.substrate_revision = next_revision();
+    pub fn degrade_link(&mut self, h: HostId, m: HostId, capacity: f64) -> bool {
+        if !self.has_hosts(h, m) {
+            return false;
+        }
         self.topology.degrade_link(h, m, capacity);
+        self.substrate_revision = next_revision();
+        true
     }
 
-    /// Restores the directed link `h -> m` to its configured capacity.
-    pub fn restore_link(&mut self, h: HostId, m: HostId) {
-        self.substrate_revision = next_revision();
+    /// Restores the directed link `h -> m` to its configured capacity;
+    /// `false`, changing nothing, as [`Self::degrade_link`].
+    pub fn restore_link(&mut self, h: HostId, m: HostId) -> bool {
+        if !self.has_hosts(h, m) {
+            return false;
+        }
         self.topology.restore_link(h, m);
+        self.substrate_revision = next_revision();
+        true
+    }
+
+    fn has_hosts(&self, h: HostId, m: HostId) -> bool {
+        h.index() < self.hosts.len() && m.index() < self.hosts.len()
     }
 
     /// Re-homes base stream `s` to ingest host `to`: the external feed
@@ -478,6 +493,35 @@ mod tests {
         assert_eq!(c.failed_hosts().count(), 0);
         assert_eq!(c.substrate_revision(), revision);
         assert!(c.fail_host(HostId(2)), "a known host still fails");
+    }
+
+    /// A link to a host the catalog does not have is rejected before
+    /// anything changes: unchecked, `0 -> 3` on three hosts is the flat
+    /// index of the link `1 -> 0`.
+    #[test]
+    fn a_link_to_an_unknown_host_changes_nothing() {
+        let mut c = Catalog::uniform(3, HostSpec::new(10.0, 100.0), 1000.0, CostModel::default());
+        let links = |c: &Catalog| {
+            let t = c.topology();
+            let hosts = || (0..3).map(HostId);
+            hosts()
+                .flat_map(|h| hosts().map(move |m| t.link(h, m)))
+                .collect::<Vec<_>>()
+        };
+        let (before, revision) = (links(&c), c.substrate_revision());
+        assert!(!c.degrade_link(HostId(0), HostId(3), 1.0));
+        assert!(!c.degrade_link(HostId(3), HostId(0), 1.0));
+        assert!(!c.restore_link(HostId(0), HostId(3)));
+        assert!(!c.restore_link(HostId(7), HostId(1)));
+        assert_eq!(links(&c), before);
+        assert_eq!(c.substrate_revision(), revision);
+        assert!(
+            c.degrade_link(HostId(1), HostId(0), 1.0),
+            "a known link still degrades"
+        );
+        assert_eq!(c.topology().link(HostId(1), HostId(0)), 1.0);
+        assert!(c.restore_link(HostId(1), HostId(0)));
+        assert_eq!(links(&c), before);
     }
 
     #[test]

@@ -83,9 +83,24 @@ impl NetworkTopology {
     /// Sets the configured capacity of the directed link `h -> m` (also
     /// resets any degradation on it).
     pub fn set_link(&mut self, h: HostId, m: HostId, capacity: f64) {
+        let at = self.edge(h, m);
+        self.link[at] = capacity;
+        self.nominal[at] = capacity;
+    }
+
+    /// The flat index of the directed link `h -> m`.
+    ///
+    /// # Panics
+    /// On a self link, or a host past the topology (whose unchecked index
+    /// would name a different link).
+    fn edge(&self, h: HostId, m: HostId) -> usize {
         assert!(h != m, "self links are always infinite");
-        self.link[h.index() * self.n + m.index()] = capacity;
-        self.nominal[h.index() * self.n + m.index()] = capacity;
+        let n = self.n;
+        assert!(
+            h.index() < n && m.index() < n,
+            "link {h} -> {m} outside {n} hosts"
+        );
+        h.index() * n + m.index()
     }
 
     // ----- fault model ----------------------------------------------------
@@ -118,21 +133,22 @@ impl NetworkTopology {
     /// (partial failure); the configured capacity is untouched.
     ///
     /// # Panics
-    /// Panics on a self link or a capacity that is not `>= 0` (NaN
-    /// included; `+∞` is accepted).
+    /// Panics on a self link, a host past the topology or a capacity that
+    /// is not `>= 0` (NaN included; `+∞` is accepted).
     pub fn degrade_link(&mut self, h: HostId, m: HostId, capacity: f64) {
-        assert!(h != m, "self links are always infinite");
+        let at = self.edge(h, m);
         assert!(
             capacity >= 0.0,
             "link capacity must be non-negative, got {capacity}"
         );
-        self.link[h.index() * self.n + m.index()] = capacity;
+        self.link[at] = capacity;
     }
 
-    /// Restores the directed link `h -> m` to its configured capacity.
+    /// Restores the directed link `h -> m` to its configured capacity
+    /// (panics as [`Self::degrade_link`] does on the hosts).
     pub fn restore_link(&mut self, h: HostId, m: HostId) {
-        assert!(h != m, "self links are always infinite");
-        self.link[h.index() * self.n + m.index()] = self.nominal[h.index() * self.n + m.index()];
+        let at = self.edge(h, m);
+        self.link[at] = self.nominal[at];
     }
 }
 
@@ -201,6 +217,13 @@ mod tests {
     fn rejects_negative_link_degradation() {
         let mut t = NetworkTopology::full_mesh(2, 10.0);
         t.degrade_link(HostId(0), HostId(1), -1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "link h0 -> h3 outside 3 hosts")]
+    fn rejects_a_link_past_the_topology() {
+        let mut t = NetworkTopology::full_mesh(3, 10.0);
+        t.degrade_link(HostId(0), HostId(3), 1.0);
     }
 
     #[test]

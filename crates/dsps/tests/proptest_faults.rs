@@ -116,8 +116,12 @@ fn apply(c: &mut Catalog, op: Op) {
         Op::RestoreHost(h) => {
             c.restore_host(HostId(h as u32));
         }
-        Op::Degrade(h, m, cap) => c.degrade_link(HostId(h as u32), HostId(m as u32), cap),
-        Op::RestoreLink(h, m) => c.restore_link(HostId(h as u32), HostId(m as u32)),
+        Op::Degrade(h, m, cap) => {
+            c.degrade_link(HostId(h as u32), HostId(m as u32), cap);
+        }
+        Op::RestoreLink(h, m) => {
+            c.restore_link(HostId(h as u32), HostId(m as u32));
+        }
     }
 }
 

@@ -3,8 +3,9 @@
 //! The declarative scenario corpus: data-driven event scripts with
 //! golden-file verdicts for the SQPR planner.
 //!
-//! Each scenario is a TOML-subset file (`tests/scenarios/*.toml` at the
-//! workspace root) describing a generated system, a timed event script —
+//! Each scenario is a JSON file (`tests/scenarios/*.json` at the workspace
+//! root, read by [`sqpr_workload::text::parse_json`] like the committed
+//! bench files) describing a generated system, a timed event script —
 //! query arrivals, rate drift and bursts fed through §IV-B adaptation,
 //! host/link failures and restores driving recovery storms, removals,
 //! admission retries — and an expectations block. The runner executes
@@ -18,17 +19,11 @@
 //! ```
 //! use sqpr_scenario::{run_scenario, ScenarioSpec};
 //!
-//! let spec = ScenarioSpec::parse(r#"
-//!     name = "doc"
-//!     [system]
-//!     kind = "paper_cluster"
-//!     scale = 0.2
-//!     queries = 3
-//!     max_nodes = 40
-//!     [[event]]
-//!     kind = "submit"
-//!     count = 3
-//! "#).unwrap();
+//! let spec = ScenarioSpec::parse(r#"{
+//!     "name": "doc",
+//!     "system": {"kind": "paper_cluster", "scale": 0.2, "queries": 3, "max_nodes": 40},
+//!     "event": [{"kind": "submit", "count": 3}]
+//! }"#).unwrap();
 //! let run = run_scenario(&spec).unwrap();
 //! assert!(run.transcript.starts_with("scenario doc\n"));
 //! ```

@@ -16,12 +16,12 @@
 //!    identical admit/reject sequence, identical final admitted count,
 //!    and final objectives within 2% relative tolerance.
 //!
-//! Scenario-level expectations (`[expect]`) and per-event patch-rate
+//! Scenario-level expectations (`expect`) and per-event patch-rate
 //! floors are checked on the canonical run only; adaptation/storm
 //! accounting identities (`replanned = readmitted + dropped`, no silent
 //! drops) are checked on the warm and cold drives.
 //!
-//! **Deadline mode** (`[system] round_deadline`): submissions route
+//! **Deadline mode** (`system.round_deadline`): submissions route
 //! through the [`AdmissionQueue`] and may park mid-search, so warm and
 //! cold twins — whose trees differ in size — preempt different rounds.
 //! The warm/cold contract therefore relaxes to *drained admit-set
@@ -84,7 +84,7 @@ struct Counters {
     cache_patches: usize,
     cache_rebuilds: usize,
     cache_refix_patches: usize,
-    // Deadline mode (`[system] round_deadline`): admission-queue traffic.
+    // Deadline mode (`system.round_deadline`): admission-queue traffic.
     parked: usize,
     pump_ticks: usize,
     resumed: usize,
@@ -926,12 +926,12 @@ pub fn check_scenario_file(
     }
 }
 
-/// Lists the corpus scenario files (`*.toml`, sorted by name).
+/// Lists the corpus scenario files (`*.json`, sorted by name).
 pub fn discover(dir: &Path) -> std::io::Result<Vec<std::path::PathBuf>> {
     let mut files: Vec<_> = fs::read_dir(dir)?
         .filter_map(|e| e.ok())
         .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "toml"))
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
         .collect();
     files.sort();
     Ok(files)
@@ -944,39 +944,20 @@ mod tests {
     /// A tiny but complete scenario exercising submit, drift, failure and
     /// retry against the §V-B cluster preset. Kept deliberately small so
     /// its drives stay fast as a unit test.
-    const SMOKE: &str = r#"
-        name = "smoke"
-        [system]
-        kind = "paper_cluster"
-        scale = 0.2
-        queries = 6
-        max_nodes = 60
-        [[event]]
-        kind = "submit"
-        count = 4
-        [[event]]
-        kind = "drift"
-        profile = "step"
-        factor = 1.6
-        t = 1.0
-        threshold = 0.3
-        [[event]]
-        kind = "fail_hosts"
-        hosts = [1]
-        [[event]]
-        kind = "recover"
-        max_nodes = 120
-        [[event]]
-        kind = "restore_hosts"
-        hosts = [1]
-        [[event]]
-        kind = "submit"
-        count = 2
-        [[event]]
-        kind = "retry"
-        [expect]
-        min_admitted = 3
-    "#;
+    const SMOKE: &str = r#"{
+        "name": "smoke",
+        "system": {"kind": "paper_cluster", "scale": 0.2, "queries": 6, "max_nodes": 60},
+        "event": [
+            {"kind": "submit", "count": 4},
+            {"kind": "drift", "profile": "step", "factor": 1.6, "t": 1.0, "threshold": 0.3},
+            {"kind": "fail_hosts", "hosts": [1]},
+            {"kind": "recover", "max_nodes": 120},
+            {"kind": "restore_hosts", "hosts": [1]},
+            {"kind": "submit", "count": 2},
+            {"kind": "retry"}
+        ],
+        "expect": {"min_admitted": 3}
+    }"#;
 
     #[test]
     fn three_way_drive_agrees_on_a_smoke_scenario() {
@@ -1017,29 +998,20 @@ mod tests {
 
     #[test]
     fn out_of_range_host_indices_are_errors_not_panics() {
-        let src = r#"
-            name = "hosts"
-            [system]
-            kind = "paper_cluster"
-            scale = 0.2
-            queries = 2
-            [[system.host]]
-            count = 4
-            cpu = 1.0
-            bandwidth = 10.0
-            [[event]]
-            kind = "fail_hosts"
-            hosts = [1, 99]
-            [[event]]
-            kind = "degrade_link"
-            from = 0
-            to = 5
-            capacity = 1.0
-            [[event]]
-            kind = "restore_link"
-            from = 3
-            to = 0
-        "#;
+        let src = r#"{
+            "name": "hosts",
+            "system": {
+                "kind": "paper_cluster",
+                "scale": 0.2,
+                "queries": 2,
+                "host": [{"count": 4, "cpu": 1.0, "bandwidth": 10.0}]
+            },
+            "event": [
+                {"kind": "fail_hosts", "hosts": [1, 99]},
+                {"kind": "degrade_link", "from": 0, "to": 5, "capacity": 1.0},
+                {"kind": "restore_link", "from": 3, "to": 0}
+            ]
+        }"#;
         let errs = run_scenario(&ScenarioSpec::parse(src).unwrap()).unwrap_err();
         assert_eq!(
             errs,

@@ -1,23 +1,27 @@
-//! Typed scenario specifications, decoded from the TOML-subset tree
-//! ([`sqpr_workload::text::parse_toml`]).
+//! Typed scenario specifications, decoded from a scenario file's JSON tree
+//! ([`sqpr_workload::text::parse_json`]).
 //!
-//! A scenario file has three sections:
+//! A scenario file is one object with a `name` and three sections:
 //!
-//! - `[system]` — which generated system/workload to build (the paper's
+//! - `system` — which generated system/workload to build (the paper's
 //!   §V-A simulation or §V-B cluster presets, scaled, optionally with an
-//!   explicit heterogeneous `[[system.host]]` list) and the deterministic
-//!   node budget every solve runs under;
-//! - `[[event]]` — the timed script: query arrivals, observed-rate drift
-//!   (through the metrics feedback loop or directly into §IV-B
-//!   adaptation), host/link failures and restores, recovery storms, query
-//!   removals and admission retries;
-//! - `[expect]` — scenario-level expectations checked on the canonical
+//!   explicit heterogeneous `host` array) and the deterministic node budget
+//!   every solve runs under;
+//! - `event` — the timed script, an array of objects: query arrivals,
+//!   observed-rate drift (through the metrics feedback loop or directly
+//!   into §IV-B adaptation), host/link failures and restores, recovery
+//!   storms, query removals and admission retries;
+//! - `expect` — scenario-level expectations checked on the canonical
 //!   run, over and above the golden transcript diff.
+//!
+//! Any of these objects may carry a `why` string, the script's commentary
+//! for its reader; the decoder skips it and rejects every other key it
+//! does not know.
 
 use std::collections::BTreeSet;
 use std::fmt;
 
-use sqpr_workload::text::{parse_toml, Table, Value};
+use sqpr_workload::text::{parse_json, Table, Value};
 use sqpr_workload::{DriftSpec, RateProfile};
 
 /// A scenario file failed to decode.
@@ -53,7 +57,7 @@ pub struct HostClass {
     pub bandwidth: f64,
 }
 
-/// The `[system]` section.
+/// The `system` section.
 #[derive(Debug, Clone)]
 pub struct SystemSpec {
     pub kind: SystemKind,
@@ -142,7 +146,7 @@ pub enum Event {
     Drain,
 }
 
-/// The `[expect]` section.
+/// The `expect` section.
 #[derive(Debug, Clone)]
 pub struct Expectations {
     /// Exact admit/reject sequence over `submit` events, one `A`/`R` per
@@ -182,24 +186,18 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// Decodes a scenario from TOML-subset source.
+    /// Decodes a scenario from its JSON source.
     pub fn parse(src: &str) -> Result<ScenarioSpec, SpecError> {
-        let tree = parse_toml(src).map_err(|e| bad(format!("toml: {e}")))?;
+        let tree = parse_json(src).map_err(|e| bad(format!("json: {e}")))?;
         let mut root = Fields::new(&tree);
         let name = req_str(&mut root, "name")?;
         let system = parse_system(
             root.get("system")
                 .and_then(Value::as_table)
-                .ok_or_else(|| bad("missing [system] table"))?,
+                .ok_or_else(|| bad("missing `system` object"))?,
         )?;
         let mut events = Vec::new();
-        for (i, ev) in root
-            .get("event")
-            .and_then(Value::as_table_arr)
-            .ok_or_else(|| bad("missing [[event]] list"))?
-            .iter()
-            .enumerate()
-        {
+        for (i, ev) in objects(&mut root, "event")?.into_iter().enumerate() {
             events.push(parse_event(ev).map_err(|e| bad(format!("event #{}: {}", i + 1, e.0)))?);
         }
         if events.is_empty() {
@@ -209,7 +207,7 @@ impl ScenarioSpec {
             None => Expectations::default(),
             Some(v) => parse_expect(
                 v.as_table()
-                    .ok_or_else(|| bad("[expect] must be a table"))?,
+                    .ok_or_else(|| bad("`expect` must be an object"))?,
             )?,
         };
         root.done("at the top level")?;
@@ -223,8 +221,8 @@ impl ScenarioSpec {
 }
 
 /// One table under decode, tracking the keys the decoder has not read:
-/// [`Fields::done`] rejects any left over, so a misspelt key fails the
-/// decode instead of silently falling back to a default.
+/// [`Fields::done`] rejects any left over but `why`, so a misspelt key
+/// fails the decode instead of silently falling back to a default.
 struct Fields<'a> {
     table: &'a Table,
     unread: BTreeSet<&'a str>,
@@ -234,7 +232,7 @@ impl<'a> Fields<'a> {
     fn new(table: &'a Table) -> Self {
         Fields {
             table,
-            unread: table.keys().collect(),
+            unread: table.keys().filter(|&k| k != "why").collect(),
         }
     }
 
@@ -259,8 +257,9 @@ fn req_str(t: &mut Fields, key: &str) -> Result<String, SpecError> {
         .ok_or_else(|| bad(format!("missing string `{key}`")))
 }
 
-/// Every number a scenario carries must be finite: `nan` and `inf` parse
-/// as floats but mean nothing as a capacity, rate or time.
+/// Every number a scenario carries must be finite: a non-finite float
+/// means nothing as a capacity, rate or time. (The JSON reader cannot
+/// produce one; this check does not lean on that.)
 fn opt_f64(t: &mut Fields, key: &str) -> Result<Option<f64>, SpecError> {
     match t.get(key) {
         None => Ok(None),
@@ -335,6 +334,17 @@ fn index_list(t: &mut Fields, key: &str) -> Result<Vec<usize>, SpecError> {
     }
 }
 
+/// The objects of the array at `key`; none when the key is absent.
+fn objects<'a>(t: &mut Fields<'a>, key: &str) -> Result<Vec<&'a Table>, SpecError> {
+    match t.get(key) {
+        None => Ok(Vec::new()),
+        Some(v) => v
+            .as_arr()
+            .and_then(|items| items.iter().map(Value::as_table).collect())
+            .ok_or_else(|| bad(format!("`{key}` must be an array of objects"))),
+    }
+}
+
 fn parse_system(table: &Table) -> Result<SystemSpec, SpecError> {
     let t = &mut Fields::new(table);
     let kind = match req_str(t, "kind")?.as_str() {
@@ -347,22 +357,17 @@ fn parse_system(table: &Table) -> Result<SystemSpec, SpecError> {
         return Err(bad(format!("scale {scale} outside (0, 1]")));
     }
     let mut hosts = Vec::new();
-    if let Some(list) = t.get("host") {
-        for h in list
-            .as_table_arr()
-            .ok_or_else(|| bad("[[system.host]] must be an array of tables"))?
-        {
-            let h = &mut Fields::new(h);
-            hosts.push(HostClass {
-                count: usize_or(h, "count", 1)?,
-                cpu: req_non_negative(h, "cpu")?,
-                bandwidth: req_non_negative(h, "bandwidth")?,
-            });
-            h.done("in [[system.host]]")?;
-        }
-        if hosts.iter().map(|h| h.count).sum::<usize>() == 0 {
-            return Err(bad("[[system.host]] classes sum to zero hosts"));
-        }
+    for h in objects(t, "host")? {
+        let h = &mut Fields::new(h);
+        hosts.push(HostClass {
+            count: usize_or(h, "count", 1)?,
+            cpu: req_non_negative(h, "cpu")?,
+            bandwidth: req_non_negative(h, "bandwidth")?,
+        });
+        h.done("in a `system.host` entry")?;
+    }
+    if !hosts.is_empty() && hosts.iter().all(|h| h.count == 0) {
+        return Err(bad("`system.host` classes sum to zero hosts"));
     }
     let round_deadline = opt_usize(t, "round_deadline")?;
     if round_deadline == Some(0) {
@@ -380,7 +385,7 @@ fn parse_system(table: &Table) -> Result<SystemSpec, SpecError> {
         round_deadline,
         hosts,
     };
-    t.done("in [system]")?;
+    t.done("in `system`")?;
     Ok(system)
 }
 
@@ -517,7 +522,7 @@ fn parse_expect(table: &Table) -> Result<Expectations, SpecError> {
     }
     e.min_replanned = opt_usize(t, "min_replanned")?;
     e.min_admit_fraction = opt_fraction(t, "min_admit_fraction")?;
-    t.done("in [expect]")?;
+    t.done("in `expect`")?;
     Ok(e)
 }
 
@@ -525,63 +530,41 @@ fn parse_expect(table: &Table) -> Result<Expectations, SpecError> {
 mod tests {
     use super::*;
 
-    const SAMPLE: &str = r#"
-        name = "sample"
-
-        [system]
-        kind = "paper_cluster"
-        scale = 0.2
-        seed = 9
-        queries = 12
-        max_nodes = 150
-
-        [[system.host]]
-        count = 2
-        cpu = 1.2
-        bandwidth = 20.0
-
-        [[system.host]]
-        count = 3
-        cpu = 0.3
-        bandwidth = 5.0
-
-        [[event]]
-        kind = "submit"
-        count = 6
-
-        [[event]]
-        kind = "observe"
-        profile = "diurnal"
-        amplitude = 0.8
-        period = 8.0
-        t = 2.0
-        samples = 3
-        streams = [0, 1, 4]
-
-        [[event]]
-        kind = "adapt"
-        threshold = 0.25
-
-        [[event]]
-        kind = "fail_hosts"
-        hosts = [1]
-
-        [[event]]
-        kind = "recover"
-        max_nodes = 300
-
-        [[event]]
-        kind = "restore_hosts"
-        hosts = [1]
-
-        [[event]]
-        kind = "retry"
-
-        [expect]
-        admits = "AARARA"
-        min_admitted = 4
-        min_replanned = 1
-    "#;
+    const SAMPLE: &str = r#"{
+        "name": "sample",
+        "why": "Commentary rides along in any section.",
+        "system": {
+            "kind": "paper_cluster",
+            "why": "A small cluster.",
+            "scale": 0.2,
+            "seed": 9,
+            "queries": 12,
+            "max_nodes": 150,
+            "host": [
+                {"count": 2, "cpu": 1.2, "bandwidth": 20.0},
+                {"count": 3, "cpu": 0.3, "bandwidth": 5.0}
+            ]
+        },
+        "event": [
+            {"kind": "submit", "count": 6},
+            {
+                "kind": "observe",
+                "why": "Rates rise.",
+                "profile": "diurnal",
+                "amplitude": 0.8,
+                "period": 8.0,
+                "t": 2.0,
+                "samples": 3,
+                "streams": [0, 1, 4]
+            },
+            {"kind": "adapt", "threshold": 0.25},
+            {"kind": "fail_hosts", "hosts": [1]},
+            {"kind": "recover", "max_nodes": 300},
+            {"kind": "restore_hosts", "hosts": [1]},
+            {"kind": "retry"}
+        ],
+        "expect": {"why": "", "admits": "AARARA", "min_admitted": 4, "min_replanned": 1}
+    }"#;
 
     #[test]
     fn decodes_a_full_scenario() {
@@ -607,118 +590,196 @@ mod tests {
         assert_eq!(spec.expect.min_replanned, Some(1));
     }
 
-    #[test]
-    fn rejects_bad_specs() {
-        for (src, needle) in [
-            ("[system]\nkind = \"paper_sim\"\n[[event]]\nkind = \"submit\"\ncount = 1", "missing string `name`"),
-            ("name = \"x\"\n[[event]]\nkind = \"submit\"\ncount = 1", "missing [system]"),
-            ("name = \"x\"\n[system]\nkind = \"nope\"\n[[event]]\nkind = \"submit\"\ncount = 1", "unknown system kind"),
-            ("name = \"x\"\n[system]\nkind = \"paper_sim\"\nscale = 1.5\n[[event]]\nkind = \"submit\"\ncount = 1", "outside (0, 1]"),
-            ("name = \"x\"\n[system]\nkind = \"paper_sim\"", "missing [[event]]"),
-            ("name = \"x\"\n[system]\nkind = \"paper_sim\"\n[[event]]\nkind = \"warp\"", "unknown event kind"),
-            ("name = \"x\"\n[system]\nkind = \"paper_sim\"\n[[event]]\nkind = \"submit\"\ncount = 1\n[expect]\nadmits = \"AXR\"", "may only contain A/R"),
-            ("name = \"x\"\n[system]\nkind = \"paper_sim\"\n[[event]]\nkind = \"remove\"\nqueries = []", "non-empty"),
-            ("name = \"x\"\n[system]\nkind = \"paper_sim\"\nround_deadline = 0\n[[event]]\nkind = \"submit\"\ncount = 1", "must be at least 1"),
-            ("name = \"x\"\n[system]\nkind = \"paper_sim\"\n[[event]]\nkind = \"pump\"\nticks = 0", "`ticks` >= 1"),
-            ("name = \"x\"\n[system]\nkind = \"paper_sim\"\nround_dedline = 2\n[[event]]\nkind = \"submit\"\ncount = 1", "unknown key `round_dedline` in [system]"),
-            ("name = \"x\"\n[system]\nkind = \"paper_sim\"\n[[event]]\nkind = \"submit\"\ncount = 1\nmin_patch_rat = 0.9", "event #1: unknown key `min_patch_rat` in a `submit` event"),
-            ("name = \"x\"\n[system]\nkind = \"paper_sim\"\n[[event]]\nkind = \"submit\"\ncount = 1\n[expect]\nmin_admited = 5", "unknown key `min_admited` in [expect]"),
-        ] {
-            let e = ScenarioSpec::parse(src).unwrap_err();
-            assert!(e.0.contains(needle), "`{src}` -> `{}`", e.0);
-        }
+    /// A scenario on the `paper_sim` preset: `system` extras (`"key": v`
+    /// fields), the `event` array's items and the `expect` fields.
+    fn doc(system: &str, events: &str, expect: &str) -> String {
+        let system = if system.is_empty() {
+            String::new()
+        } else {
+            format!(", {system}")
+        };
+        format!(
+            r#"{{"name": "x", "system": {{"kind": "paper_sim"{system}}}, "event": [{events}], "expect": {{{expect}}}}}"#
+        )
     }
 
-    /// Decodes `[system]` extras plus one event body; returns the error.
+    /// Decodes `system` extras plus one event body; returns the error.
     fn decode_err(system: &str, event: &str) -> String {
-        let src =
-            format!("name = \"x\"\n[system]\nkind = \"paper_sim\"\n{system}\n[[event]]\n{event}");
+        let src = doc(system, &format!("{{{event}}}"), "");
         match ScenarioSpec::parse(&src) {
             Ok(_) => panic!("`{src}` decoded"),
             Err(e) => e.0,
         }
     }
 
-    const SUBMIT: &str = "kind = \"submit\"\ncount = 1";
+    const SUBMIT: &str = r#""kind": "submit", "count": 1"#;
+
+    #[test]
+    fn rejects_bad_specs() {
+        let submit = format!("{{{SUBMIT}}}");
+        for (src, needle) in [
+            (
+                format!(r#"{{"system": {{"kind": "paper_sim"}}, "event": [{submit}]}}"#),
+                "missing string `name`",
+            ),
+            (
+                format!(r#"{{"name": "x", "event": [{submit}]}}"#),
+                "missing `system` object",
+            ),
+            (
+                r#"{"name": "x", "system": {"kind": "nope"}, "event": []}"#.into(),
+                "unknown system kind",
+            ),
+            (doc(r#""scale": 1.5"#, &submit, ""), "outside (0, 1]"),
+            (doc("", "", ""), "scenario has no events"),
+            (
+                r#"{"name": "x", "system": {"kind": "paper_sim"}}"#.into(),
+                "scenario has no events",
+            ),
+            (
+                r#"{"name": "x", "system": {"kind": "paper_sim"}, "event": {"kind": "drain"}}"#
+                    .into(),
+                "`event` must be an array of objects",
+            ),
+            (doc("", "1", ""), "`event` must be an array of objects"),
+            (
+                doc(r#""host": {"cpu": 1.0}"#, &submit, ""),
+                "`host` must be an array of objects",
+            ),
+            (
+                doc(r#""host": [{"count": 0, "cpu": 1.0, "bandwidth": 1.0}]"#, &submit, ""),
+                "classes sum to zero hosts",
+            ),
+            (doc("", r#"{"kind": "warp"}"#, ""), "unknown event kind"),
+            (
+                doc("", &submit, r#""admits": "AXR""#),
+                "may only contain A/R",
+            ),
+            (
+                doc("", &submit, r#""zero_dropped": 1"#),
+                "`zero_dropped` must be a boolean",
+            ),
+            (
+                r#"{"name": "x", "system": {"kind": "paper_sim"}, "event": [{"kind": "drain"}], "expect": []}"#.into(),
+                "`expect` must be an object",
+            ),
+            (
+                doc("", r#"{"kind": "remove", "queries": []}"#, ""),
+                "non-empty",
+            ),
+            (
+                doc(r#""round_deadline": 0"#, &submit, ""),
+                "must be at least 1",
+            ),
+            (
+                doc("", r#"{"kind": "pump", "ticks": 0}"#, ""),
+                "`ticks` >= 1",
+            ),
+            (
+                doc(r#""round_dedline": 2"#, &submit, ""),
+                "unknown key `round_dedline` in `system`",
+            ),
+            (
+                doc("", r#"{"kind": "submit", "count": 1, "min_patch_rat": 0.9}"#, ""),
+                "event #1: unknown key `min_patch_rat` in a `submit` event",
+            ),
+            (
+                doc("", &submit, r#""min_admited": 5"#),
+                "unknown key `min_admited` in `expect`",
+            ),
+            (
+                "{\"name\": \"x\",\n\"system\": {\"kind\": \"paper_sim\",}}".into(),
+                "json: line 2: expected a string key",
+            ),
+        ] {
+            let e = ScenarioSpec::parse(&src).unwrap_err();
+            assert!(e.0.contains(needle), "`{src}` -> `{}`", e.0);
+        }
+    }
 
     /// A misspelt or retired key is an error naming it, in every table,
     /// not a silently applied default (`rejects_bad_specs` has the
-    /// `[system]`, `submit` and `[expect]` typos).
+    /// `system`, `submit` and `expect` typos); only `why` is skipped.
     #[test]
     fn rejects_unknown_keys_naming_them() {
         for (system, event, want) in [
-            ("node_quantum = 1", SUBMIT, "unknown key `node_quantum` in [system]"),
             (
-                "[[system.host]]\ncpu = 1.0\nbandwidth = 1.0\ncont = 2",
+                r#""node_quantum": 1"#,
                 SUBMIT,
-                "unknown key `cont` in [[system.host]]",
+                "unknown key `node_quantum` in `system`",
+            ),
+            (
+                r#""host": [{"cpu": 1.0, "bandwidth": 1.0, "cont": 2}]"#,
+                SUBMIT,
+                "unknown key `cont` in a `system.host` entry",
             ),
             (
                 "",
-                "kind = \"drift\"\nprofile = \"burst\"\nfactor = 2.0\nperiod = 8.0\nt = 1.0\nthreshold = 0.2",
+                r#""kind": "drift", "profile": "burst", "factor": 2.0, "period": 8.0, "t": 1.0, "threshold": 0.2"#,
                 "event #1: unknown key `period` in a `drift` event",
+            ),
+            (
+                "",
+                r#""kind": "drain", "Why": "a capitalised why is a typo""#,
+                "event #1: unknown key `Why` in a `drain` event",
             ),
         ] {
             let e = decode_err(system, event);
             assert_eq!(e, want);
         }
-        let top = "name = \"x\"\nnmae = \"y\"\n[system]\nkind = \"paper_sim\"\n[[event]]\nkind = \"drain\"";
+        let top = r#"{"name": "x", "nmae": "y", "system": {"kind": "paper_sim"}, "event": [{"kind": "drain"}]}"#;
         let e = ScenarioSpec::parse(top).unwrap_err();
         assert_eq!(e.0, "unknown key `nmae` at the top level");
     }
 
+    /// Each case with its `V` replaced by `value`, as a whole scenario.
+    fn with_value((system, event): (&str, &str), value: &str) -> String {
+        let event = format!("{{{}}}", event.replace('V', value));
+        doc(&system.replace('V', value), &event, "")
+    }
+
+    /// JSON has no spelling for a non-finite number, and the reader turns
+    /// an overflowing literal away too: each case decodes once its `V` is
+    /// finite and is rejected for every non-finite spelling.
     #[test]
-    fn rejects_non_finite_numbers_naming_the_key() {
-        for (system, event, key) in [
-            ("[[system.host]]\ncpu = nan\nbandwidth = 1.0", SUBMIT, "cpu"),
-            (
-                "[[system.host]]\ncpu = 1.0\nbandwidth = inf",
-                SUBMIT,
-                "bandwidth",
-            ),
-            ("zipf_theta = nan", SUBMIT, "zipf_theta"),
+    fn rejects_non_finite_numbers() {
+        for case in [
+            (r#""host": [{"cpu": V, "bandwidth": 1.0}]"#, SUBMIT),
+            (r#""host": [{"cpu": 1.0, "bandwidth": V}]"#, SUBMIT),
+            (r#""zipf_theta": V"#, SUBMIT),
             (
                 "",
-                "kind = \"degrade_link\"\nfrom = 0\nto = 1\ncapacity = -inf",
-                "capacity",
+                r#""kind": "degrade_link", "from": 0, "to": 1, "capacity": V"#,
             ),
-            ("", "kind = \"adapt\"\nthreshold = nan", "threshold"),
+            ("", r#""kind": "adapt", "threshold": V"#),
             (
                 "",
-                "kind = \"observe\"\nprofile = \"burst\"\nfactor = 2.0\nt = nan",
-                "t",
+                r#""kind": "observe", "profile": "burst", "factor": 2.0, "t": V"#,
             ),
             (
                 "",
-                "kind = \"observe\"\nprofile = \"burst\"\nfactor = 2.0\nt = 1.0\ntick = 1e999",
-                "tick",
+                r#""kind": "observe", "profile": "burst", "factor": 2.0, "t": 1.0, "tick": V"#,
             ),
             (
                 "",
-                "kind = \"observe\"\nprofile = \"diurnal\"\namplitude = inf\nperiod = 8.0\nt = 1.0",
-                "amplitude",
+                r#""kind": "observe", "profile": "diurnal", "amplitude": V, "period": 8.0, "t": 1.0"#,
             ),
             (
                 "",
-                "kind = \"observe\"\nprofile = \"diurnal\"\namplitude = 0.5\nperiod = nan\nt = 1.0",
-                "period",
+                r#""kind": "observe", "profile": "diurnal", "amplitude": 0.5, "period": V, "t": 1.0"#,
             ),
             (
                 "",
-                "kind = \"observe\"\nprofile = \"step\"\nfactor = 2.0\nt = 1.0\njitter = nan",
-                "jitter",
+                r#""kind": "observe", "profile": "step", "factor": 2.0, "t": 1.0, "jitter": V"#,
             ),
-            (
-                "",
-                "kind = \"submit\"\ncount = 1\nmin_patch_rate = nan",
-                "min_patch_rate",
-            ),
+            ("", r#""kind": "submit", "count": 1, "min_patch_rate": V"#),
         ] {
-            let e = decode_err(system, event);
-            assert!(
-                e.contains(&format!("`{key}` must be a finite number")),
-                "{key}: {e}"
-            );
+            let finite = with_value(case, "0.5");
+            assert!(ScenarioSpec::parse(&finite).is_ok(), "{finite}");
+            for v in ["nan", "NaN", "inf", "-inf", "infinity", "1e999", "-1e999"] {
+                let src = with_value(case, v);
+                assert!(ScenarioSpec::parse(&src).is_err(), "{src}");
+            }
         }
     }
 
@@ -726,29 +787,29 @@ mod tests {
     fn rejects_negative_capacities_and_rates() {
         for (system, event, key) in [
             (
-                "[[system.host]]\ncpu = -1.0\nbandwidth = 1.0",
+                r#""host": [{"cpu": -1.0, "bandwidth": 1.0}]"#,
                 SUBMIT,
                 "cpu",
             ),
             (
-                "[[system.host]]\ncpu = 1.0\nbandwidth = -2",
+                r#""host": [{"cpu": 1.0, "bandwidth": -2}]"#,
                 SUBMIT,
                 "bandwidth",
             ),
-            ("zipf_theta = -0.5", SUBMIT, "zipf_theta"),
+            (r#""zipf_theta": -0.5"#, SUBMIT, "zipf_theta"),
             (
                 "",
-                "kind = \"degrade_link\"\nfrom = 0\nto = 1\ncapacity = -5.0",
+                r#""kind": "degrade_link", "from": 0, "to": 1, "capacity": -5.0"#,
                 "capacity",
             ),
             (
                 "",
-                "kind = \"drift\"\nprofile = \"step\"\nfactor = -2.0\nt = 1.0\nthreshold = 0.2",
+                r#""kind": "drift", "profile": "step", "factor": -2.0, "t": 1.0, "threshold": 0.2"#,
                 "factor",
             ),
             (
                 "",
-                "kind = \"observe\"\nprofile = \"burst\"\nfactor = 2.0\nt = 1.0\njitter = -0.1",
+                r#""kind": "observe", "profile": "burst", "factor": 2.0, "t": 1.0, "jitter": -0.1"#,
                 "jitter",
             ),
         ] {
@@ -762,92 +823,87 @@ mod tests {
 
     #[test]
     fn rejects_share_floors_outside_the_unit_interval() {
-        for (event, key) in [
+        for (event, expect, key) in [
             (
-                "kind = \"submit\"\ncount = 1\nmin_patch_rate = 1.5",
+                r#"{"kind": "submit", "count": 1, "min_patch_rate": 1.5}"#,
+                "",
                 "min_patch_rate",
             ),
-            ("kind = \"retry\"\nmin_patch_rate = -0.1", "min_patch_rate"),
             (
-                "kind = \"submit\"\ncount = 1\n[expect]\nmin_admit_fraction = 2",
+                r#"{"kind": "retry", "min_patch_rate": -0.1}"#,
+                "",
+                "min_patch_rate",
+            ),
+            (
+                r#"{"kind": "drain"}"#,
+                r#""min_admit_fraction": 2"#,
                 "min_admit_fraction",
             ),
         ] {
-            let e = decode_err("", event);
+            let e = ScenarioSpec::parse(&doc("", event, expect)).unwrap_err().0;
             assert!(
                 e.contains(&format!("`{key}` must lie in [0, 1]")),
                 "{key}: {e}"
             );
         }
-        let ok = "name = \"x\"\n[system]\nkind = \"paper_sim\"\n[[event]]\nkind = \"retry\"\nmin_patch_rate = 1";
-        assert!(ScenarioSpec::parse(ok).is_ok(), "1 is a valid floor");
+        let ok = doc("", r#"{"kind": "retry", "min_patch_rate": 1}"#, "");
+        assert!(ScenarioSpec::parse(&ok).is_ok(), "1 is a valid floor");
     }
 
     /// Query ids are `u32`: a wider index is an error naming `queries`,
     /// not a cast that removes a different query.
     #[test]
     fn rejects_removal_indices_past_u32() {
-        let e = decode_err("", "kind = \"remove\"\nqueries = [1, 4294967296]");
+        let e = decode_err("", r#""kind": "remove", "queries": [1, 4294967296]"#);
         assert!(
             e.contains("`queries` entry 4294967296 exceeds u32::MAX"),
             "{e}"
         );
-        let src = "name = \"x\"\n[system]\nkind = \"paper_sim\"\n[[event]]\nkind = \"remove\"\nqueries = [4294967295]";
-        let spec = ScenarioSpec::parse(src).unwrap();
+        let src = doc("", r#"{"kind": "remove", "queries": [4294967295]}"#, "");
+        let spec = ScenarioSpec::parse(&src).unwrap();
         assert!(matches!(&spec.events[0], Event::Remove { queries } if queries == &[u32::MAX]));
     }
 
     #[test]
     fn rejects_self_links() {
-        for kind in ["degrade_link\"\ncapacity = 1.0", "restore_link\""] {
-            let e = decode_err("", &format!("kind = \"{kind}\nfrom = 2\nto = 2"));
+        for kind in [r#"degrade_link", "capacity": 1.0"#, r#"restore_link""#] {
+            let e = decode_err("", &format!(r#""kind": "{kind}, "from": 2, "to": 2"#));
             assert!(e.contains("both name host 2"), "{e}");
         }
     }
 
     #[test]
     fn decodes_deadline_mode() {
-        let src = r#"
-            name = "dl"
-            [system]
-            kind = "paper_cluster"
-            scale = 0.2
-            round_deadline = 2
-            [[event]]
-            kind = "submit"
-            count = 3
-            [[event]]
-            kind = "pump"
-            ticks = 4
-            [[event]]
-            kind = "drain"
-        "#;
+        let src = r#"{
+            "name": "dl",
+            "system": {"kind": "paper_cluster", "scale": 0.2, "round_deadline": 2},
+            "event": [
+                {"kind": "submit", "count": 3},
+                {"kind": "pump", "ticks": 4},
+                {"kind": "drain"}
+            ]
+        }"#;
         let spec = ScenarioSpec::parse(src).unwrap();
         assert_eq!(spec.system.round_deadline, Some(2));
         assert!(matches!(spec.events[1], Event::Pump { ticks: 4 }));
         assert!(matches!(spec.events[2], Event::Drain));
         // `pump` defaults to one tick.
-        let one = src.replace("ticks = 4", "");
+        let one = src.replace(r#", "ticks": 4"#, "");
         let spec = ScenarioSpec::parse(&one).unwrap();
         assert!(matches!(spec.events[1], Event::Pump { ticks: 1 }));
     }
 
     #[test]
     fn event_defaults_apply() {
-        let src = r#"
-            name = "d"
-            [system]
-            kind = "paper_sim"
-            [[event]]
-            kind = "observe"
-            profile = "burst"
-            factor = 3.0
-            t = 1.0
-            [[event]]
-            kind = "recover"
-            [[event]]
-            kind = "retry"
-        "#;
+        let src = r#"{
+            "name": "d",
+            "system": {"kind": "paper_sim"},
+            "event": [
+                {"kind": "observe", "profile": "burst", "factor": 3.0, "t": 1.0},
+                {"kind": "recover"},
+                {"kind": "retry"}
+            ]
+        }"#;
         let spec = ScenarioSpec::parse(src).unwrap();
         assert_eq!(spec.system.max_nodes, 200);
         assert!(spec.system.hosts.is_empty());

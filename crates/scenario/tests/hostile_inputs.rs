@@ -1,12 +1,12 @@
-//! Hostile inputs for the in-repo text readers (`sqpr_workload::text`): the
-//! scenario TOML reader, the scenario decoder behind it and the bench JSON
-//! reader must answer whatever they are handed — every prefix of a real
-//! file, flipped bytes, spliced lines — with `Ok` or `Err`, never a panic.
+//! Hostile inputs for the in-repo text reader (`sqpr_workload::text`): the
+//! JSON reader and the scenario decoder behind it must answer whatever they
+//! are handed — every prefix of a real file, flipped bytes, spliced lines —
+//! with `Ok` or `Err`, never a panic.
 //!
-//! The TOML inputs are seeded mutations of the committed
-//! `tests/scenarios/*.toml` files and of a sorted sample of the workspace's
+//! The scenario inputs are seeded mutations of the committed
+//! `tests/scenarios/*.json` files and of a sorted sample of the workspace's
 //! Rust sources (garbage with plenty of quotes, brackets and escapes); the
-//! JSON inputs are prefixes and seeded mutations of the two committed
+//! bench inputs are prefixes and seeded mutations of the two committed
 //! `BENCH_*.json` files, which must also read and write back byte for
 //! byte. A failure names the file, the mutation and its seed.
 
@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 
 use sqpr_scenario::{first_diff, ScenarioSpec};
 use sqpr_workload::rng::{Rng, StdRng};
-use sqpr_workload::text::{parse_json, parse_toml, write_json, Layout};
+use sqpr_workload::text::{parse_json, write_json, Layout, Table, Value};
 
 /// The workspace root: the nearest ancestor holding `tests/scenarios`
 /// (this file is compiled from its own crate and from the root package).
@@ -49,12 +49,14 @@ fn files(dir: &Path, ext: &str) -> Vec<PathBuf> {
 }
 
 /// The corpus: every scenario file whole, and every 12th Rust source of the
-/// workspace (sorted by path) as a 2 KiB excerpt from a seeded line on —
-/// one with a backslash where the file has any, since escapes are where a
-/// string's end is easiest to get wrong.
+/// workspace (sorted by path) as a 2 KiB excerpt from a seeded backslash on
+/// (a seeded line where the file has none), opened as a JSON string value:
+/// escapes are where a string's end is easiest to get wrong, and a reader
+/// stops at the first byte it cannot take, so bare source would mostly be
+/// turned away at its first byte.
 fn corpus() -> Vec<(String, Vec<u8>)> {
     let root = workspace_root();
-    let scenarios = files(&root.join("tests/scenarios"), "toml");
+    let scenarios = files(&root.join("tests/scenarios"), "json");
     assert!(scenarios.len() >= 5, "scenario corpus not found");
     let mut sources: Vec<PathBuf> = ["src", "tests", "crates"]
         .iter()
@@ -77,28 +79,30 @@ fn corpus() -> Vec<(String, Vec<u8>)> {
     for path in sources.iter().step_by(12) {
         let bytes = fs::read(path).expect("readable source");
         let mut starts = vec![0];
-        let mut escaped = Vec::new();
+        let mut escapes = Vec::new();
         for (i, &b) in bytes.iter().enumerate() {
             match b {
                 b'\n' if i + 1 < bytes.len() => starts.push(i + 1),
-                b'\\' if escaped.last() != starts.last() => escaped.extend(starts.last()),
+                b'\\' => escapes.push(i),
                 _ => {}
             }
         }
-        let pool = if escaped.is_empty() {
+        let pool = if escapes.is_empty() {
             &starts
         } else {
-            &escaped
+            &escapes
         };
         let from = pool[rng.gen_index(pool.len())];
         let to = (from + 2048).min(bytes.len());
-        out.push((name(path), bytes[from..to].to_vec()));
+        let mut input = br#"{"src": ""#.to_vec();
+        input.extend(&bytes[from..to]);
+        out.push((name(path), input));
     }
     out
 }
 
 /// Bytes the reader treats specially, for the flips to land on.
-const SPECIAL: &[u8] = b"\"\\'#[]=,.\n\r\t /*rb0e-_{}u\xC3\xA9\xE2\x82\xAC";
+const SPECIAL: &[u8] = b"\"\\'#[]=,:.\n\r\t /*rb0e-+_{}u\xC3\xA9\xE2\x82\xAC";
 
 /// One to four seeded byte flips of `src`.
 fn flipped(src: &[u8], rng: &mut StdRng) -> Vec<u8> {
@@ -152,10 +156,10 @@ fn spliced(src: &[u8], donor: &[u8], rng: &mut StdRng) -> Vec<u8> {
     lines.join(&b'\n')
 }
 
-/// The TOML reader and the decoder on one input: an answer, no panic.
+/// The scenario decoder on one input, which goes through the JSON reader
+/// first: an answer, no panic.
 fn check(ctx: &str, bytes: &[u8]) {
     check_with(ctx, bytes, |src| {
-        let _ = parse_toml(src);
         let _ = ScenarioSpec::parse(src);
     });
 }
@@ -271,4 +275,45 @@ fn bench_file_prefixes_and_flipped_bytes_parse_or_err() {
         }
     }
     assert!(inputs >= 1_000, "only {inputs} inputs");
+}
+
+/// The one shape the scenario scripts need beyond the bench files: arrays
+/// of any value, objects included, under the reader's nesting bound of 64,
+/// with no trailing comma.
+#[test]
+fn arrays_hold_any_value_and_err_when_malformed() {
+    let text = r#"{"none": [], "xs": [1, 0.5, "s", null, [true]], "ts": [{"k": 1}, {}]}"#;
+    let t = parse_json(text).unwrap();
+    assert_eq!(t.get("none"), Some(&Value::Arr(vec![])));
+    let xs = [
+        Value::Int(1),
+        Value::Float(0.5),
+        Value::Str("s".into()),
+        Value::Null,
+        Value::Arr(vec![Value::Bool(true)]),
+    ];
+    assert_eq!(t.get("xs").and_then(Value::as_arr), Some(&xs[..]));
+    let ts = t.get("ts").and_then(Value::as_arr).unwrap();
+    assert_eq!(ts[0].as_table(), Some(&Table::new().with("k", 1usize)));
+    assert_eq!(ts[1].as_table(), Some(&Table::new()));
+    for layout in [Layout::Pretty, Layout::Compact] {
+        assert_eq!(parse_json(&write_json(&t, layout)).as_ref(), Ok(&t));
+    }
+    let nested = |n: usize| format!(r#"{{"a": {}1{}}}"#, "[".repeat(n), "]".repeat(n));
+    assert!(parse_json(&nested(64)).is_ok());
+    assert!(parse_json(&nested(65))
+        .unwrap_err()
+        .message
+        .contains("too deep"));
+    let mixed = r#"[{"b": "#.repeat(40);
+    let mixed = format!(r#"{{"a": {mixed}1{}}}"#, "}]".repeat(40));
+    assert!(parse_json(&mixed).unwrap_err().message.contains("too deep"));
+    for bad in [
+        r#"{"a": [1,]}"#,
+        r#"{"a": [{},]}"#,
+        r#"{"a": ["#,
+        r#"{"a": [1"#,
+    ] {
+        assert!(parse_json(bad).is_err(), "{bad}");
+    }
 }

@@ -1,9 +1,9 @@
-//! The JSON half: the writer every committed bench file comes from, and a
-//! reader for the shapes those files hold.
+//! The writer every committed bench file comes from, and the reader for
+//! every committed text file: the scenario scripts and the bench files.
 
 use std::path::Path;
 
-use super::{err, scalar, ParseError, Table, Value};
+use super::{ParseError, Table, Value};
 
 /// How [`write_json`] lays a document out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,7 +18,7 @@ pub enum Layout {
 ///
 /// Floats use Rust's shortest round-trip `Display`, with `.0` appended to
 /// an integral value so it stays visibly a float; a non-finite float is
-/// `null`. A TOML array of tables renders as an array of objects.
+/// `null`.
 pub fn write_json(root: &Table, layout: Layout) -> String {
     let mut out = String::new();
     write_table(&mut out, root, layout, 0);
@@ -45,10 +45,6 @@ fn write_value(out: &mut String, value: &Value, layout: Layout, depth: usize) {
         Value::Str(s) => write_string(out, s),
         Value::Arr(items) => write_items(out, layout, depth, "[]", items.iter().map(|v| (None, v))),
         Value::Table(t) => write_table(out, t, layout, depth),
-        Value::TableArr(ts) => {
-            let items = ts.iter().cloned().map(Value::Table).collect();
-            write_value(out, &Value::Arr(items), layout, depth);
-        }
     }
 }
 
@@ -102,17 +98,17 @@ fn write_string(out: &mut String, s: &str) {
 }
 
 /// Nesting depth past which the reader gives up. The committed files nest
-/// two deep; the bound keeps hostile input off the stack.
+/// three deep; the bound keeps hostile input off the stack.
 const MAX_DEPTH: usize = 64;
 
 /// Parses a JSON document whose root is an object into its root table.
 ///
-/// Accepted: nested objects, strings with the escapes [`write_json`] emits
-/// (`\"`, `\\`, `\n`, `\t`, `\r`, `\uXXXX`), integers, floats, booleans and
-/// `null`. Numbers follow the TOML reader's rule: an integer when the
-/// literal is one that fits `i64`, a float otherwise (`3.0`, `1e3`).
-/// Arrays, other escapes, duplicate keys, non-finite numbers and trailing
-/// content are line-numbered errors.
+/// Accepted: objects and arrays of any value, strings with the escapes
+/// [`write_json`] emits (`\"`, `\\`, `\n`, `\t`, `\r`, `\uXXXX`), integers,
+/// floats, booleans and `null`. A number is an integer when the literal is
+/// one that fits `i64`, a float otherwise (`3.0`, `1e3`). Other escapes,
+/// duplicate keys, trailing commas, non-finite numbers and trailing content
+/// are line-numbered errors.
 pub fn parse_json(input: &str) -> Result<Table, ParseError> {
     let mut r = Reader { src: input, at: 0 };
     let root = r.table(0)?;
@@ -145,7 +141,10 @@ impl<'a> Reader<'a> {
     fn error(&self, message: &str) -> ParseError {
         let read = &self.src.as_bytes()[..self.at.min(self.src.len())];
         let newlines = read.iter().filter(|&&b| b == b'\n').count();
-        err(1 + newlines, message.to_string())
+        ParseError {
+            line: 1 + newlines,
+            message: message.to_string(),
+        }
     }
 
     fn peek(&self) -> Option<u8> {
@@ -177,16 +176,22 @@ impl<'a> Reader<'a> {
     fn value(&mut self, depth: usize) -> Result<Value, ParseError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') if depth == MAX_DEPTH => return Err(self.error("objects nest too deep")),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                return Err(self.error("values nest too deep"))
+            }
             Some(b'{') => return self.table(depth + 1).map(Value::Table),
+            Some(b'[') => return self.array(depth + 1).map(Value::Arr),
             Some(b'"') => return self.string().map(Value::Str),
-            Some(b'[') => return Err(self.error("arrays are not supported")),
             _ => {}
         }
         let word = self.run(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'+' | b'.'));
         match word {
             "null" => Some(Value::Null),
-            _ => scalar(word).filter(|v| !matches!(v, Value::Float(f) if !f.is_finite())),
+            "true" | "false" => Some(Value::Bool(word == "true")),
+            _ => word.parse().map(Value::Int).ok().or_else(|| {
+                let float = word.parse::<f64>().ok();
+                float.filter(|f| f.is_finite()).map(Value::Float)
+            }),
         }
         .ok_or_else(|| self.error(&format!("expected a value, found `{word}`")))
     }
@@ -196,26 +201,52 @@ impl<'a> Reader<'a> {
             return Err(self.error("expected `{`"));
         }
         let mut table = Table::default();
-        if self.eat(b'}') {
-            return Ok(table);
+        self.items(b'}', |r| {
+            r.skip_ws();
+            if r.peek() != Some(b'"') {
+                return Err(r.error("expected a string key"));
+            }
+            let key = r.string()?;
+            if !r.eat(b':') {
+                return Err(r.error("expected `:`"));
+            }
+            match table.insert(&key, r.value(depth)?) {
+                Some(_) => Err(r.error(&format!("duplicate key `{key}`"))),
+                None => Ok(()),
+            }
+        })?;
+        Ok(table)
+    }
+
+    /// An array, from its opening bracket on.
+    fn array(&mut self, depth: usize) -> Result<Vec<Value>, ParseError> {
+        self.at += 1;
+        let mut items = Vec::new();
+        self.items(b']', |r| {
+            items.push(r.value(depth)?);
+            Ok(())
+        })?;
+        Ok(items)
+    }
+
+    /// The comma-separated items of an object or array up to its `close`
+    /// bracket, each read by `item`; a comma must be followed by an item.
+    fn items(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
+        if self.eat(close) {
+            return Ok(());
         }
         loop {
-            self.skip_ws();
-            if self.peek() != Some(b'"') {
-                return Err(self.error("expected a string key"));
-            }
-            let key = self.string()?;
-            if !self.eat(b':') {
-                return Err(self.error("expected `:`"));
-            }
-            if table.insert(&key, self.value(depth)?).is_some() {
-                return Err(self.error(&format!("duplicate key `{key}`")));
-            }
-            if self.eat(b'}') {
-                return Ok(table);
+            item(self)?;
+            if self.eat(close) {
+                return Ok(());
             }
             if !self.eat(b',') {
-                return Err(self.error("expected `,` or `}`"));
+                let close = close as char;
+                return Err(self.error(&format!("expected `,` or `{close}`")));
             }
         }
     }
@@ -244,10 +275,11 @@ impl<'a> Reader<'a> {
                 Some(b't') => '\t',
                 Some(b'r') => '\r',
                 Some(b'u') => {
-                    let hex = self.src.get(self.at..self.at + 4).unwrap_or("");
+                    // Four hex digits: `from_str_radix` alone takes `+041`.
+                    let hex = self.src.get(self.at..self.at + 4);
                     self.at += 4;
-                    u32::from_str_radix(hex, 16)
-                        .ok()
+                    hex.filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
                         .and_then(char::from_u32)
                         .ok_or_else(|| self.error("bad `\\u` escape"))?
                 }
@@ -336,11 +368,7 @@ mod tests {
         assert_eq!(t["n"], Value::Int(-7));
         assert_eq!(t["z"], Value::Null);
         let big = parse_json(r#"{"b": 99999999999999999999}"#).unwrap();
-        assert_eq!(
-            big["b"],
-            Value::Float(1e20),
-            "past i64, as in the TOML reader"
-        );
+        assert_eq!(big["b"], Value::Float(1e20), "past i64, a float");
         let j = write_json(&t, Layout::Compact);
         assert_eq!(
             j,
@@ -395,13 +423,18 @@ mod tests {
         for (doc, needle, line) in [
             ("", "expected `{`", 1),
             ("[1]", "expected `{`", 1),
-            ("{\n\"a\": [1]}", "arrays are not supported", 2),
+            ("{\"a\": [1,\n]}", "expected a value, found ``", 2),
+            ("{\"a\": [1 2]}", "expected `,` or `]`", 1),
+            ("{\"a\": 1,}", "expected a string key", 1),
+            ("{\"a\": [", "expected a value, found ``", 1),
             ("{\"a\": 1} x", "trailing content", 1),
             ("{\"a\": 1,\n\"a\": 2}", "duplicate key `a`", 2),
             ("{\"a\": \"open", "unterminated string", 1),
             ("{\"a\": \"\\q\"}", "unsupported escape", 1),
             ("{\"a\": \"\\u12\"}", "bad `\\u` escape", 1),
             ("{\"a\": \"\\ud800\"}", "bad `\\u` escape", 1),
+            ("{\"a\": \"\\u+041\"}", "bad `\\u` escape", 1),
+            ("{\"a\": \"\\u12", "bad `\\u` escape", 1),
             ("{\"a\": \"x\ny\"}", "control character", 1),
             ("{\"a\" 1}", "expected `:`", 1),
             ("{\"a\": 1\n\n\"b\": 2}", "expected `,` or `}`", 3),

@@ -1,13 +1,13 @@
-//! The repo's one text-format module: scenario TOML in, bench JSON in and
-//! out, all through one ordered [`Value`] tree and one [`ParseError`].
+//! The repo's one text-format module: every text file the repo commits —
+//! the scenario scripts and the bench files — is JSON, read and written
+//! through one ordered [`Value`] tree and one [`ParseError`].
 //!
-//! The sanctioned dependency set has no `toml` or `serde`, so both readers
-//! accept the shapes the committed files hold and reject what they cannot
-//! represent with a line-numbered error instead of misreading it:
+//! The sanctioned dependency set has no `serde`, so the reader accepts the
+//! shapes the committed files hold and rejects what it cannot represent
+//! with a line-numbered error instead of misreading it:
 //!
-//! - [`parse_toml`] reads the scenario files' TOML subset;
-//! - [`parse_json`] reads the committed `BENCH_*.json` files;
-//! - [`write_json`] writes them, in one of two [`Layout`]s.
+//! - [`parse_json`] reads the scenario scripts and the `BENCH_*.json` files;
+//! - [`write_json`] writes the bench files, in one of two [`Layout`]s.
 //!
 //! Tables keep insertion order, because a bench file's field order is part
 //! of its bytes; integers and floats stay distinct (`12` is an integer,
@@ -17,12 +17,10 @@
 use std::fmt;
 
 mod json;
-mod toml;
 
 pub use json::{parse_json, read_json_file, write_json, Layout};
-pub use toml::parse_toml;
 
-/// A parsed TOML or JSON value.
+/// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     Null,
@@ -32,8 +30,6 @@ pub enum Value {
     Str(String),
     Arr(Vec<Value>),
     Table(Table),
-    /// A TOML `[[array-of-tables]]` collection.
-    TableArr(Vec<Table>),
 }
 
 /// A table (a JSON object): keys in insertion order, each at most once.
@@ -57,20 +53,6 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn err(line: usize, message: String) -> ParseError {
-    ParseError { line, message }
-}
-
-/// A bare scalar, as both readers spell it: `true` or `false`, else an
-/// integer, else a float in Rust's syntax.
-fn scalar(word: &str) -> Option<Value> {
-    word.parse()
-        .map(Value::Bool)
-        .or_else(|_| word.parse().map(Value::Int))
-        .or_else(|_| word.parse().map(Value::Float))
-        .ok()
-}
-
 impl Table {
     pub fn new() -> Self {
         Table::default()
@@ -85,25 +67,17 @@ impl Table {
     /// Sets `key` to `value`: in place when the key is present (its
     /// position kept, the old value returned), appended otherwise.
     pub fn insert(&mut self, key: &str, value: Value) -> Option<Value> {
-        let present = self.get(key).is_some();
-        let old = std::mem::replace(self.get_or_insert_with(key, || Value::Null), value);
-        present.then_some(old)
+        match self.entries.iter_mut().find(|(k, _)| k == key) {
+            Some((_, old)) => Some(std::mem::replace(old, value)),
+            None => {
+                self.entries.push((key.to_string(), value));
+                None
+            }
+        }
     }
 
     pub fn get(&self, key: &str) -> Option<&Value> {
         self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// The value at `key`, inserting `default()` first when it is absent.
-    fn get_or_insert_with(&mut self, key: &str, default: impl FnOnce() -> Value) -> &mut Value {
-        let at = match self.entries.iter().position(|(k, _)| k == key) {
-            Some(at) => at,
-            None => {
-                self.entries.push((key.to_string(), default()));
-                self.entries.len() - 1
-            }
-        };
-        &mut self.entries[at].1
     }
 
     pub fn keys(&self) -> impl Iterator<Item = &str> {
@@ -169,13 +143,6 @@ impl Value {
     pub fn as_table(&self) -> Option<&Table> {
         match self {
             Value::Table(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    pub fn as_table_arr(&self) -> Option<&[Table]> {
-        match self {
-            Value::TableArr(v) => Some(v),
             _ => None,
         }
     }

@@ -1,5 +1,5 @@
 //! The scenario-corpus runner: executes every declarative scenario under
-//! `tests/scenarios/*.toml` on a warm planner, two sliced twins (quantum 1
+//! `tests/scenarios/*.json` on a warm planner, two sliced twins (quantum 1
 //! and 7, byte-identical to the warm run) and a cold twin, checks warm/cold
 //! agreement and the scenarios' own expectations, diffs each canonical
 //! verdict transcript against its committed golden file, and verifies

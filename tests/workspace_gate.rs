@@ -13,10 +13,11 @@
 //! restricted point validation every search's candidates go through — stay
 //! unit tests of `sqpr-milp`, under `cargo test --workspace`.
 //!
-//! The no-panic contract of the in-repo text readers rides along: the
-//! scenario TOML reader on seeded mutations of the committed scenarios and
-//! of the workspace's sources, the JSON reader on prefixes and mutations
-//! of the committed bench files, which must also write back byte for byte.
+//! The no-panic contract of the in-repo text reader rides along: the JSON
+//! reader and the scenario decoder on seeded mutations of the committed
+//! scenarios and of the workspace's sources, the reader alone on prefixes
+//! and mutations of the committed bench files, which must also write back
+//! byte for byte.
 //! The lint gate is not here: it is CI's clippy step (ARCHITECTURE.md §12).
 
 #[path = "../crates/lp/tests/proptest_simplex.rs"]
