@@ -65,9 +65,11 @@ const WARM_REFACTOR_REGRESSION: f64 = 1.05;
 /// Warm-path compressed-LP cache patch-rate floor: with fixed-class
 /// keying, rebuilds happen only on structural-change rounds (skeleton
 /// growth) — cut rounds, re-fixing rounds and the whole admission-retry
-/// wave patch. Measured ~0.74 on this workload; asserted well below to
-/// absorb drift while catching a return to set-identity keying (which
-/// only same-set cut rounds survived).
+/// wave patch. Measured ~0.67 on this workload (0.74 while admitting
+/// rounds still dived at the root and paid two extra cut rounds for the
+/// rejected candidate); asserted below to absorb drift while catching a
+/// return to set-identity keying (which only same-set cut rounds
+/// survived).
 const MIN_WARM_CACHE_PATCH_RATE: f64 = 0.55;
 
 /// The committed baseline JSON, if one is reachable (repo root when cargo

@@ -825,7 +825,9 @@ impl SqprPlanner {
             gap_tol: self.config.gap_tol,
             int_tol: 1e-6,
             // Dives are expensive (one LP per fixing); with an admitting
-            // incumbent in hand they rarely pay off.
+            // incumbent in hand they rarely pay off, so admitting rounds
+            // run no dive at all, the root's included. A dive candidate the
+            // acyclicity filter rejects costs a whole extra cut round.
             dive_every: if admitting_start { 0 } else { 16 },
             // Without an admitting start, the only improvement worth
             // finding is an admission (non-admitting results are

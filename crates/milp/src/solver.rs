@@ -216,7 +216,8 @@ pub struct MilpOptions {
     pub gap_tol: f64,
     /// Integrality tolerance.
     pub int_tol: f64,
-    /// Run the diving heuristic every this many nodes (0 disables).
+    /// Run the diving heuristic at the root and every this many nodes
+    /// after it; 0 disables every dive, the root's included.
     pub dive_every: usize,
     /// Run presolve bound propagation before the search (default on).
     pub presolve: bool,
@@ -1095,9 +1096,9 @@ impl<'a> Bnb<'a> {
             }
 
             // Primal heuristics from this relaxation point.
-            if self.core.nodes_done == 1
-                || (self.opts.dive_every > 0
-                    && self.core.nodes_done.is_multiple_of(self.opts.dive_every))
+            if self.opts.dive_every > 0
+                && (self.core.nodes_done == 1
+                    || self.core.nodes_done.is_multiple_of(self.opts.dive_every))
             {
                 // Chain the dive from this node's final factorisation.
                 self.ws
@@ -1374,6 +1375,41 @@ mod tests {
         if let Some(x) = &r.x {
             assert!(m.is_feasible(x, 1e-6));
         }
+    }
+
+    #[test]
+    fn dive_every_zero_disables_the_root_dive() {
+        // max 8a + 11b + 6c + 4d st 5a + 7b + 4c + 3d <= 14: the root LP
+        // takes a and b whole and half of c, so a one-node search has an
+        // incumbent only if the root dives.
+        let mut m = Model::new(Sense::Maximize);
+        let vars: Vec<_> = [8.0, 11.0, 6.0, 4.0]
+            .iter()
+            .map(|&v| m.add_binary(v))
+            .collect();
+        m.add_le(
+            vars.iter()
+                .zip([5.0, 7.0, 4.0, 3.0])
+                .map(|(&v, w)| (v, w))
+                .collect(),
+            14.0,
+        );
+        let at_root = |dive_every| {
+            solve(
+                &m,
+                &MilpOptions {
+                    max_nodes: 1,
+                    dive_every,
+                    ..default_opts()
+                },
+            )
+        };
+        let no_dive = at_root(0);
+        assert_eq!(no_dive.status, MilpStatus::Unknown);
+        assert!(!no_dive.has_solution());
+        let dived = at_root(1);
+        assert_eq!(dived.status, MilpStatus::Feasible);
+        assert!(m.is_feasible(dived.x.as_deref().expect("dive incumbent"), 1e-6));
     }
 
     fn ord_node(id: u64, est: f64, depth: usize) -> OrdNode {

@@ -105,10 +105,11 @@ const MAX_DEPTH: usize = 64;
 ///
 /// Accepted: objects and arrays of any value, strings with the escapes
 /// [`write_json`] emits (`\"`, `\\`, `\n`, `\t`, `\r`, `\uXXXX`), integers,
-/// floats, booleans and `null`. A number is an integer when the literal is
-/// one that fits `i64`, a float otherwise (`3.0`, `1e3`). Other escapes,
-/// duplicate keys, trailing commas, non-finite numbers and trailing content
-/// are line-numbered errors.
+/// floats, booleans and `null`. A number follows RFC 8259's grammar; it is
+/// an integer when the literal is one that fits `i64`, a float otherwise
+/// (`3.0`, `1e3`). Other escapes, other number forms (`+5`, `007`, `.5`,
+/// `1.`), duplicate keys, trailing commas, non-finite numbers and trailing
+/// content are line-numbered errors.
 pub fn parse_json(input: &str) -> Result<Table, ParseError> {
     let mut r = Reader { src: input, at: 0 };
     let root = r.table(0)?;
@@ -129,6 +130,22 @@ pub fn read_json_file(path: &Path) -> Result<Option<Table>, String> {
     parse_json(&text)
         .map(Some)
         .map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// A number literal, as an integer when it fits `i64` and as a finite float
+/// otherwise. Past Rust's `parse`, which also reads a `+` sign, `.5`, `1.`,
+/// leading zeros and `inf` / `nan`, the literal must start with a digit
+/// after its `-`, have no leading zero and a digit after its point: what is
+/// left is RFC 8259's `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
+fn number(word: &str) -> Option<Value> {
+    let b = word.strip_prefix('-').unwrap_or(word).as_bytes();
+    let digit_at = |i: usize| b.get(i).is_some_and(u8::is_ascii_digit);
+    let json = digit_at(0)
+        && !(b[0] == b'0' && digit_at(1))
+        && (0..b.len()).all(|i| b[i] != b'.' || digit_at(i + 1));
+    let float = word.parse().ok().filter(|f: &f64| f.is_finite());
+    let int = word.parse().ok().map(Value::Int);
+    int.or(float.map(Value::Float)).filter(|_| json)
 }
 
 struct Reader<'a> {
@@ -188,10 +205,7 @@ impl<'a> Reader<'a> {
         match word {
             "null" => Some(Value::Null),
             "true" | "false" => Some(Value::Bool(word == "true")),
-            _ => word.parse().map(Value::Int).ok().or_else(|| {
-                let float = word.parse::<f64>().ok();
-                float.filter(|f| f.is_finite()).map(Value::Float)
-            }),
+            _ => number(word),
         }
         .ok_or_else(|| self.error(&format!("expected a value, found `{word}`")))
     }
@@ -369,6 +383,11 @@ mod tests {
         assert_eq!(t["z"], Value::Null);
         let big = parse_json(r#"{"b": 99999999999999999999}"#).unwrap();
         assert_eq!(big["b"], Value::Float(1e20), "past i64, a float");
+        let forms = parse_json(r#"{"z": -0, "m": 2.5E-1, "p": 1e+2, "x": 0.125}"#).unwrap();
+        assert_eq!(forms["z"], Value::Int(0));
+        assert_eq!(forms["m"], Value::Float(0.25));
+        assert_eq!(forms["p"], Value::Float(100.0));
+        assert_eq!(forms["x"], Value::Float(0.125));
         let j = write_json(&t, Layout::Compact);
         assert_eq!(
             j,
@@ -443,6 +462,14 @@ mod tests {
             ("{\"a\": nan}", "found `nan`", 1),
             ("{\"a\": 1e999}", "found `1e999`", 1),
             ("{\"a\": 1.2.3}", "found `1.2.3`", 1),
+            ("{\"a\": +5}", "found `+5`", 1),
+            ("{\"a\":\n007}", "found `007`", 2),
+            ("{\"a\": .5}", "found `.5`", 1),
+            ("{\"a\": [1.]}", "found `1.`", 1),
+            ("{\"a\": -}", "found `-`", 1),
+            ("{\"a\": 1e}", "found `1e`", 1),
+            ("{\"a\": 0x10}", "found `0x10`", 1),
+            ("{\"a\": inf}", "found `inf`", 1),
             ("{\"a\": }", "expected a value, found ``", 1),
             ("{\"a\": ", "expected a value", 1),
         ] {
