@@ -718,7 +718,7 @@ impl SqprPlanner {
         }
         // The submission's skeleton: built (the cold path, and the
         // incremental path's first round), or extended and re-reduced.
-        let mut cache = match self.ctx.cache.take() {
+        let cache = match self.ctx.cache.take() {
             None => ModelCache {
                 model: PlanningModel::build(&model_inputs(
                     &self.catalog,
@@ -747,21 +747,6 @@ impl SqprPlanner {
                 cache
             }
         };
-        // Compression hint for the LP cache: keep recently rejected
-        // queries' columns unfolded — they are the re-planning targets, and
-        // re-freeing a *folded* column is the one bound change the cache
-        // cannot patch. The recency window bounds the compression loss;
-        // admitted and current-round-pending logs resolve via the live
-        // deployment, so the exempt set shrinks as queries land.
-        let window = self.config.lp_keep_rejected_free_window;
-        if incremental && window > 0 {
-            let start = cache.query_log.len().saturating_sub(window);
-            let rejected = cache.query_log[start..]
-                .iter()
-                .filter(|(lq, _)| !self.state.admitted().contains_key(lq))
-                .map(|(_, sp)| sp);
-            cache.model.set_fold_exemptions(rejected);
-        }
         // Read before the skeleton stays borrowed for the rest of the
         // round. (In the reuse-off ablation batch submissions use a
         // sentinel query id, so the tag misses the per-query private

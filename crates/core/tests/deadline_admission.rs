@@ -13,13 +13,16 @@
 //! - **Stale parked models**: a parked round resumed after another
 //!   submission took its capacity still installs only through the live
 //!   round's gate.
+//! - **The deferred rung**: a parked proof that outlasts every bounded
+//!   retry, on hosts too full for the greedy placement, is settled by one
+//!   unbounded resume.
 //!
-//! Both deadline tests run unsliced and at quantum 1: the deadline binds
+//! The deadline tests run unsliced and at quantum 1: the deadline binds
 //! at any quantum, and the two runs must agree record for record.
 
 use sqpr_core::{
-    AdmissionQueue, AdmissionRecord, Admitted, MilpStatus, PlannerConfig, Rejected, RoundVerdict,
-    SqprPlanner,
+    AdmissionPath, AdmissionQueue, AdmissionRecord, Admitted, MilpStatus, PlannerConfig, Rejected,
+    RoundVerdict, SqprPlanner,
 };
 use sqpr_dsps::{Catalog, CostModel, HostId, HostSpec, QueryId, StreamId};
 
@@ -274,4 +277,70 @@ fn resume_against_a_changed_deployment_at(quantum: usize) -> DeadlineRun {
         queue.records().to_vec(),
         admitted_set(&planner, subs.len() + 1),
     )
+}
+
+/// The ladder's last rung. A rejection whose proof outlasts every bounded
+/// retry, on hosts too full for the greedy placement, is deferred to one
+/// unbounded resume, and that resume proves the verdict. No corpus scenario
+/// reaches this rung: their parked proofs finish within one retry.
+#[test]
+fn exhausted_retries_on_full_hosts_defer_to_a_proven_verdict() {
+    let runs = [0, 1].map(exhausted_retries_defer_at);
+    assert_eq!(runs[0], runs[1], "quantum 0 and 1 disagree");
+}
+
+fn exhausted_retries_defer_at(quantum: usize) -> Vec<AdmissionRecord> {
+    // Tight CPU: the deadline-free pass rejects part of the workload and
+    // leaves no room for the greedy placement of the rejected queries.
+    let (c, b) = system(4, 6, 30.0, 40.0, 400.0);
+    let mut cfg = PlannerConfig::new(&c);
+    cfg.budget.max_nodes = 200;
+    cfg.node_quantum = quantum;
+    let mut planner = SqprPlanner::new(c, cfg);
+    let streams = |q: &[usize]| -> Vec<StreamId> { q.iter().map(|&i| b[i]).collect() };
+    let subs = submissions();
+    for q in &subs {
+        planner.submit(&streams(q)).expect("valid bases");
+    }
+    assert!(
+        !planner.outcomes()[3].admitted,
+        "the fourth submission must be rejected at quantum {quantum}"
+    );
+
+    // Submitted again under a one-node deadline, it parks.
+    planner.config_mut().round_deadline = Some(1);
+    let mut queue = AdmissionQueue::new();
+    let out = queue
+        .submit(&mut planner, &streams(&subs[3]))
+        .expect("valid bases");
+    assert_eq!(
+        out.verdict,
+        RoundVerdict::Rejected(Rejected::DeadlineNoCertificate)
+    );
+    assert_eq!(queue.parked_queries(), [out.query]);
+
+    // Two bounded retries (ticks 1 and 2, one more node each) leave the
+    // search open; the greedy rung finds no room, so tick 3 runs the
+    // deferred unbounded resume.
+    for tick in 1..=2 {
+        assert!(
+            queue.pump(&mut planner).is_empty(),
+            "tick {tick} resolved the round at quantum {quantum}"
+        );
+    }
+    let resolved = queue.pump(&mut planner);
+    assert_eq!(resolved.len(), 1);
+    assert_eq!(queue.parked(), 0);
+    // Attempts: the two retries (`MAX_RETRIES`) plus the deferred resume.
+    assert_eq!(
+        queue.records(),
+        [AdmissionRecord {
+            query: out.query,
+            verdict: RoundVerdict::Rejected(Rejected::Proven),
+            attempts: 3,
+            path: AdmissionPath::DeferredReplan,
+        }]
+    );
+    assert!(planner.state().is_valid(planner.catalog()));
+    queue.records().to_vec()
 }

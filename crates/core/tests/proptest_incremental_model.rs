@@ -1,18 +1,18 @@
 //! The skeleton's shortcuts against its full passes.
 //!
-//! `PlanningModel::{extend, apply_reduction, set_fold_exemptions}` skip
-//! what their memo says cannot have changed. A clone carries no memo, so
-//! the same three calls on a clone taken just before are full passes over
+//! `PlanningModel::{extend, apply_reduction}` skip what their memo says
+//! cannot have changed. A clone carries no memo, so the same two calls on
+//! a clone taken just before are full passes over
 //! every column — the reference. Random lifecycles (submissions with one to
 //! three cut rounds, retries of rejected queries, removals, host failures
 //! and restorations, link degradations) are driven through both, and after
-//! every round the two models must agree on every variable bound, row bound
-//! and fold-exempt flag, and on what `warm_start`, `decode`, `admits` and
+//! every round the two models must agree on every variable and row bound,
+//! and on what `warm_start`, `decode`, `admits` and
 //! `find_acausal_cuts` return.
 //!
 //! The "solver" is the greedy constructor: it moves the deployment the way
 //! admissions do without involving branch & bound, so the test stays about
-//! the model layer. Debug builds run the same comparison inside the three
+//! the model layer. Debug builds run the same comparison inside the two
 //! functions on every call; this suite also pins it in release builds.
 //!
 //! A planning round's cut rounds rest on one construction identity, pinned
@@ -70,8 +70,8 @@ const HOSTS: usize = 4;
 
 impl Lifecycle {
     fn new(relay: RelayPolicy) -> Self {
-        // Tight enough that some queries are rejected (the retry and the
-        // fold-exemption paths need rejected queries).
+        // Tight enough that some queries are rejected (the retry path
+        // needs rejected queries).
         let mut catalog = Catalog::uniform(
             HOSTS,
             HostSpec::new(60.0, 400.0),
@@ -97,18 +97,6 @@ impl Lifecycle {
         }
     }
 
-    /// Spaces of the latest few queries that are not admitted — what the
-    /// planner keeps fold-exempt.
-    fn rejected_spaces(&self) -> Vec<PlanSpace> {
-        self.queries
-            .iter()
-            .rev()
-            .take(4)
-            .filter(|q| !self.state.admitted().contains_key(&q.id))
-            .map(|q| q.space.clone())
-            .collect()
-    }
-
     /// One planning round for `q`: the planner's call sequence, once per
     /// cut round, on the live skeleton and on a memo-less copy of it.
     fn plan(&mut self, q: usize, draws: &mut Draws) {
@@ -131,7 +119,6 @@ impl Lifecycle {
                 }
             }
             self.covered.merge(&space);
-            let exempt = self.rejected_spaces();
             let inputs = ModelInputs {
                 catalog: &self.catalog,
                 state: &self.state,
@@ -158,9 +145,6 @@ impl Lifecycle {
                     (model, reference)
                 }
             };
-            let (mut model, mut reference) = (model, reference);
-            model.set_fold_exemptions(exempt.iter());
-            reference.set_fold_exemptions(exempt.iter());
             self.rounds += 1;
             let context = format!("round {} (query {id}, cut round {cut_round})", self.rounds);
             assert_eq!(

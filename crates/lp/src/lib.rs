@@ -104,7 +104,6 @@ pub mod dual;
 pub mod eta;
 pub mod ft;
 pub mod lu;
-pub mod oracle;
 pub mod problem;
 pub mod simplex;
 pub mod sparse;

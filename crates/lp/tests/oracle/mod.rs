@@ -1,4 +1,5 @@
-//! Brute-force LP oracle for testing.
+//! Brute-force LP oracle for the simplex property tests
+//! (`proptest_simplex.rs`, which declares this module).
 //!
 //! For small problems whose variables all have finite bounds, the feasible
 //! region is a polytope and the optimum (if the problem is feasible) is
@@ -9,7 +10,12 @@
 //!
 //! Exponential in problem size — only use with `n + m` around ten or less.
 
-use crate::problem::Problem;
+#![allow(
+    clippy::needless_range_loop,
+    reason = "elimination indexes parallel rows"
+)]
+
+use sqpr_lp::Problem;
 
 /// Exhaustively computes the optimal objective and a witness point, or
 /// `None` if the problem is infeasible.
@@ -184,12 +190,9 @@ fn dense_solve<'a>(
     Some((0..m).map(|r| a[r][m]).collect())
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::ProblemBuilder;
-    use crate::simplex::{solve, SimplexOptions};
-    use crate::LpStatus;
+    use sqpr_lp::{solve, LpStatus, ProblemBuilder, SimplexOptions};
 
     #[test]
     fn oracle_matches_simplex_on_small_lp() {

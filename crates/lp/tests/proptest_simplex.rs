@@ -5,7 +5,9 @@
 //! has no `proptest`); every case prints its seed on failure so it can be
 //! replayed deterministically.
 
-use sqpr_lp::oracle::brute_force_optimum;
+mod oracle;
+
+use oracle::brute_force_optimum;
 use sqpr_lp::{solve, LpStatus, PricingRule, ProblemBuilder, RatioTest, SimplexOptions, INF};
 use sqpr_workload::rng::{Rng, StdRng};
 

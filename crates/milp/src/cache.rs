@@ -34,7 +34,7 @@
 //!
 //! Terms are read for the rows that can have changed, and for no others.
 //! The slot keeps, beside the lowering, an exact snapshot of every
-//! variable's bounds and fold hint and of how much of its row list
+//! variable's bounds and of how much of its row list
 //! (`Model::rows_of_var`) it has read, plus the value of every constant
 //! row (`Side`). A refresh compares the snapshot with the model — flat
 //! passes over the variables, no hashing — and re-reads the rows of the
@@ -246,8 +246,6 @@ pub(crate) struct Side {
     /// The model's bounds (and integrality) per variable, as of the last
     /// refresh; presolve's working copy in between.
     pub mirror: BoundsMirror,
-    /// The model's fold hints per variable, as of the last refresh.
-    no_fold: Vec<bool>,
     /// How much of each variable's row list has been read.
     adj_len: Vec<u32>,
     /// Per kept LP row: the constant its folded terms add up to at the
@@ -411,10 +409,10 @@ impl LpCache {
             .all(|(v, col)| col.is_some() || v.is_fixed())
     }
 
-    /// Lowers `model` afresh, folding what is bound-fixed and not exempt
-    /// right now — the only lowering a solve runs, bit for bit the full
-    /// pass over that class (`Model::lower_reduced_for_class`), at the
-    /// cost of the free columns and the rows they occur in (read off
+    /// Lowers `model` afresh, folding what is bound-fixed right now — the
+    /// only lowering a solve runs, bit for bit the full pass over that
+    /// class (`Model::lower_reduced_for_class`), at the cost of the free
+    /// columns and the rows they occur in (read off
     /// [`Model::rows_of_var`]) plus flat passes over the variables. The
     /// constant rows' values carry over from `old` where it lowered an
     /// earlier state of the same model, and are summed again only for rows
@@ -446,7 +444,7 @@ impl LpCache {
         // (variable, how much of its row list is old news)
         let mut reread: Vec<(usize, usize)> = Vec::new();
         for (j, v) in model.vars.iter().enumerate() {
-            let folds = v.folds();
+            let folds = v.is_fixed();
             // New, moved, or on the other side of the layout: all of its
             // rows; otherwise the ones its list grew by.
             let stale = j >= known || side.moved(j, v) || col_of_var[j].is_some() == folds;
@@ -748,11 +746,10 @@ impl LpCache {
             }
         }
         assert_eq!(side.const_rows_admit, const_rows_admit);
-        for (j, v) in model.vars.iter().enumerate() {
-            assert_eq!(side.no_fold[j], v.no_fold, "fold hint of variable {j}");
+        for (j, rows) in model.rows_of_var.iter().enumerate() {
             assert_eq!(
                 side.adj_len[j] as usize,
-                model.rows_of_var[j].len(),
+                rows.len(),
                 "rows read of variable {j}"
             );
         }
@@ -779,24 +776,21 @@ fn expand_kept(geom: &SearchGeom, x_lp: &[f64], x: &mut [f64]) {
 }
 
 impl Side {
-    /// Whether variable `j`'s bounds or fold hint differ from what the cache
-    /// last saw — by value, bit for bit.
+    /// Whether variable `j`'s bounds differ from what the cache last saw —
+    /// by value, bit for bit.
     fn moved(&self, j: usize, v: &crate::model::VarDef) -> bool {
         self.mirror.lb[j].to_bits() != v.lb.to_bits()
             || self.mirror.ub[j].to_bits() != v.ub.to_bits()
-            || self.no_fold[j] != v.no_fold
     }
 
     /// Takes variable `j` as the model has it (appending it when it is the
     /// next new variable); its row list counts as read.
     fn sync(&mut self, model: &Model, j: usize) {
         self.mirror.sync(model, j);
-        let (no_fold, rows) = (model.vars[j].no_fold, model.rows_of_var[j].len() as u32);
-        if j == self.no_fold.len() {
-            self.no_fold.push(no_fold);
+        let rows = model.rows_of_var[j].len() as u32;
+        if j == self.adj_len.len() {
             self.adj_len.push(rows);
         } else {
-            self.no_fold[j] = no_fold;
             self.adj_len[j] = rows;
         }
     }
@@ -1315,17 +1309,17 @@ mod tests {
         let mut m = toy();
         let a = VarId::from_raw(0);
         let b = VarId::from_raw(1);
-        // `a` is fixed but exempt: a kept column with collapsed bounds.
-        m.set_fold_exempt(a, true);
-        m.fix_var(a, 1.0);
         let mut slot = LpCacheSlot::new();
+        slot.refresh(&m);
+        // `a` is fixed after lowering: a kept column with collapsed bounds.
+        m.fix_var(a, 1.0);
         slot.refresh(&m);
         m.add_le(vec![(a, 1.0), (b, 1.0)], 2.0);
         slot.refresh(&m);
         slot.refresh(&m);
         let s = slot.stats();
-        assert_eq!((s.rebuilds, s.patches, s.appended_rows), (1, 2, 1));
-        assert_eq!(s.refix_patches, 2, "one kept column is bound-fixed");
+        assert_eq!((s.rebuilds, s.patches, s.appended_rows), (1, 3, 1));
+        assert_eq!(s.refix_patches, 3, "one kept column is bound-fixed");
         assert_matches_classed_fresh(&slot, &m);
         // A moved bound is patched in again.
         m.set_bounds(b, 1.0, 1.0);
@@ -1378,8 +1372,8 @@ mod tests {
     const WIDE: (f64, f64) = (0.0, 4.0);
 
     /// One step in the life of a planner's skeleton, at random: it grows
-    /// (variables, terms on old rows, rows), is re-fixed, has fold hints and
-    /// row bounds moved, or gets a folded column freed.
+    /// (variables, terms on old rows, rows), is re-fixed, has a few kept
+    /// columns pinned or row bounds moved, or gets a folded column freed.
     fn lifecycle_step(m: &mut Model, rng: &mut StdRng) -> &'static str {
         let var = |m: &Model, rng: &mut StdRng| VarId::from_raw(rng.gen_index(m.num_vars()));
         match rng.gen_index(8) {
@@ -1429,14 +1423,19 @@ mod tests {
                 "re-fix"
             }
             4 => {
+                // Pinned after the last lowering, a kept column stays in
+                // the layout with collapsed bounds until the next rebuild.
                 for _ in 0..(1 + rng.gen_index(4)) {
                     let v = var(m, rng);
-                    m.set_fold_exempt(v, rng.gen_bool());
+                    let (lb, _) = m.var_bounds(v);
+                    m.fix_var(v, lb);
                 }
-                "fold hints"
+                "kept columns pinned"
             }
             5 => {
-                let folded: Vec<usize> = (0..m.num_vars()).filter(|&j| m.vars[j].folds()).collect();
+                let folded: Vec<usize> = (0..m.num_vars())
+                    .filter(|&j| m.vars[j].is_fixed())
+                    .collect();
                 if !folded.is_empty() {
                     let v = VarId::from_raw(folded[rng.gen_index(folded.len())]);
                     m.set_bounds(v, WIDE.0, WIDE.1);
@@ -1569,11 +1568,9 @@ mod tests {
         m.set_bounds(a, 0.0, 1.0);
         assert_eq!(infeasible(&mut slot, &m), (false, 2));
         assert_eq!(slot.stats().rebuilds, 2);
-        // Pin it again at the violating value: the next rebuild (c pinned,
-        // b exempt and so kept) finds the row constant and violated again...
+        // Pin it again at the violating value: the next rebuild (c still
+        // free and so kept) finds the row constant and violated again...
         m.fix_var(a, 1.0);
-        m.fix_var(c, 1.0);
-        m.set_fold_exempt(c, true);
         assert_eq!(
             infeasible(&mut slot, &m),
             (false, 2),

@@ -74,20 +74,11 @@ pub(crate) struct VarDef {
     pub lb: f64,
     pub ub: f64,
     pub obj: f64,
-    /// Exempt from compression: the compressed lowering keeps this
-    /// variable as an LP column (with collapsed bounds) even while it is
-    /// bound-fixed. See [`Model::set_fold_exempt`].
-    pub no_fold: bool,
 }
 
 impl VarDef {
-    /// Whether a fresh lowering compresses this variable out: bound-fixed
-    /// and not exempt.
-    pub(crate) fn folds(&self) -> bool {
-        self.is_fixed() && !self.no_fold
-    }
-
-    /// Whether the bounds pin the variable to one value.
+    /// Whether the bounds pin the variable to one value — and so whether a
+    /// fresh lowering compresses it out.
     #[inline]
     #[expect(clippy::float_cmp, reason = "both bounds hold the same value")]
     pub(crate) fn is_fixed(&self) -> bool {
@@ -305,11 +296,10 @@ pub struct Model {
     /// re-scanning the model.
     pub(crate) structure_version: u64,
     /// Renewed (from a process-wide counter) whenever a variable or row
-    /// bound, or a fold hint, takes a different value. Equal stamps on the
-    /// same structure therefore mean equal bounds, exactly — what lets the
-    /// LP cache skip its bound patch and keep a validated start point
-    /// validated. Rows appended since do not renew it; they are seen by
-    /// their count.
+    /// bound takes a different value. Equal stamps on the same structure
+    /// therefore mean equal bounds, exactly — what lets the LP cache skip
+    /// its bound patch and keep a validated start point validated. Rows
+    /// appended since do not renew it; they are seen by their count.
     pub(crate) bounds_stamp: u64,
 }
 
@@ -348,11 +338,11 @@ impl Model {
         self.structure_version
     }
 
-    /// Stamp identifying the model's bounds and fold hints on top of its
-    /// structure: renewed, from a process-wide counter, whenever a variable
-    /// or row bound or a fold hint takes a different value. Appending a
-    /// constraint renews neither stamp. Two models of one lineage that agree
-    /// on both stamps and on [`Self::num_cons`] are the same model.
+    /// Stamp identifying the model's bounds on top of its structure:
+    /// renewed, from a process-wide counter, whenever a variable or row
+    /// bound takes a different value. Appending a constraint renews neither
+    /// stamp. Two models of one lineage that agree on both stamps and on
+    /// [`Self::num_cons`] are the same model.
     pub fn bounds_stamp(&self) -> u64 {
         self.bounds_stamp
     }
@@ -377,13 +367,7 @@ impl Model {
         assert!(!lb.is_nan() && !ub.is_nan(), "NaN bound");
         assert!(lb <= ub, "crossed bounds [{lb}, {ub}]");
         let id = VarId(self.vars.len());
-        self.vars.push(VarDef {
-            ty,
-            lb,
-            ub,
-            obj,
-            no_fold: false,
-        });
+        self.vars.push(VarDef { ty, lb, ub, obj });
         self.rows_of_var.push(Vec::new());
         self.structure_version = next_stamp();
         id
@@ -466,25 +450,6 @@ impl Model {
         (d.lb, d.ub)
     }
 
-    /// Marks a variable exempt from (or re-eligible for) compression:
-    /// exempt variables keep their LP column in the compressed lowering
-    /// even while bound-fixed, so a later solve that re-frees them can be
-    /// served by patching the cached lowering's bounds instead of paying a
-    /// relayout. A caller that knows which fixed variables are *likely to
-    /// be re-freed soon* (e.g. a planner's currently-unserved queries)
-    /// trades a slightly wider LP for cross-submission cache hits.
-    ///
-    /// Exemptions are a compression *hint*, not model semantics: they do
-    /// not change the feasible set or the objective, and therefore do not
-    /// bump [`Self::structure_version`] — an existing cached layout keeps
-    /// its own folded class until its next rebuild.
-    pub fn set_fold_exempt(&mut self, v: VarId, exempt: bool) {
-        if self.vars[v.0].no_fold != exempt {
-            self.vars[v.0].no_fold = exempt;
-            self.bounds_stamp = next_stamp();
-        }
-    }
-
     pub fn var_type(&self, v: VarId) -> VarType {
         self.vars[v.0].ty
     }
@@ -540,9 +505,9 @@ impl Model {
     }
 
     /// Describes the first place where this model and `other` differ in
-    /// content — sense, a variable's type, bounds, objective coefficient or
-    /// fold-exempt flag, a constraint's terms or bounds — or `None` when
-    /// they are the same model. (The revision stamps are not content.)
+    /// content — sense, a variable's type, bounds or objective coefficient,
+    /// a constraint's terms or bounds — or `None` when they are the same
+    /// model. (The revision stamps are not content.)
     pub fn first_difference(&self, other: &Model) -> Option<String> {
         if self.sense != other.sense {
             return Some(format!("sense {:?} vs {:?}", self.sense, other.sense));
@@ -560,8 +525,7 @@ impl Model {
             let same = a.ty == b.ty
                 && a.lb.to_bits() == b.lb.to_bits()
                 && a.ub.to_bits() == b.ub.to_bits()
-                && a.obj.to_bits() == b.obj.to_bits()
-                && a.no_fold == b.no_fold;
+                && a.obj.to_bits() == b.obj.to_bits();
             if !same {
                 return Some(format!("variable {j}: {a:?} vs {b:?}"));
             }
@@ -628,12 +592,11 @@ impl Model {
     /// [`crate::cache::LpCacheSlot`]'s adjacency-driven rebuild to, bit for
     /// bit. Solves lower through a slot only.
     ///
-    /// Folds the variables that are bound-fixed *right now* and not
-    /// fold-exempt ([`Self::set_fold_exempt`]) — the widest class the
-    /// exemption hints allow.
+    /// Folds the variables that are bound-fixed *right now* — the widest
+    /// class there is.
     #[cfg(test)]
     pub(crate) fn lower_reduced(&self) -> LoweredLp {
-        let folded: Vec<bool> = self.vars.iter().map(VarDef::folds).collect();
+        let folded: Vec<bool> = self.vars.iter().map(VarDef::is_fixed).collect();
         self.lower_reduced_for_class(&folded)
     }
 

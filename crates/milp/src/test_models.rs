@@ -25,7 +25,6 @@ pub(crate) fn random_model(seed: u64) -> Model {
             let (lb, ub) = m.var_bounds(v);
             let value = if rng.gen_bool() { lb } else { ub.floor() };
             m.fix_var(v, value);
-            m.set_fold_exempt(v, rng.gen_index(4) == 0);
         }
     }
     for _ in 0..(3 + rng.gen_index(10)) {

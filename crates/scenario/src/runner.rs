@@ -16,8 +16,9 @@
 //!    identical admit/reject sequence, identical final admitted count,
 //!    and final objectives within 2% relative tolerance.
 //!
-//! Scenario-level expectations (`expect`) and per-event patch-rate
-//! floors are checked on the canonical run only; adaptation/storm
+//! Scenario-level expectations (`expect`) are checked on the canonical
+//! run only; the compressed-LP cache's per-round contract (a round lowers
+//! at most once, its cut rounds append) and the adaptation/storm
 //! accounting identities (`replanned = readmitted + dropped`, no silent
 //! drops) are checked on the warm and cold drives.
 //!
@@ -214,12 +215,7 @@ fn drive(spec: &ScenarioSpec, warm: bool, node_quantum: usize) -> Drive {
     let mut removed: std::collections::BTreeSet<QueryId> = std::collections::BTreeSet::new();
     for ev in &spec.events {
         match ev {
-            Event::Submit {
-                count,
-                min_patch_rate,
-            } => {
-                let mut patches = 0usize;
-                let mut rebuilds = 0usize;
+            Event::Submit { count } => {
                 for _ in 0..*count {
                     let Some(bases) = workload.queries.get(cursor) else {
                         d.errors
@@ -257,9 +253,7 @@ fn drive(spec: &ScenarioSpec, warm: bool, node_quantum: usize) -> Drive {
                     if o.reused_existing {
                         d.counters.reused += 1;
                     }
-                    account_outcome(&mut d.counters, &o);
-                    patches += o.lp_cache.patches;
-                    rebuilds += o.lp_cache.rebuilds;
+                    account_outcome(&mut d, &o);
                     if deadline_mode {
                         d.transcript.push(format!(
                             "submit q{} {} reused={} nodes={} verdict={}{}",
@@ -280,7 +274,6 @@ fn drive(spec: &ScenarioSpec, warm: bool, node_quantum: usize) -> Drive {
                         ));
                     }
                 }
-                check_patch_floor(&mut d, "submit", *min_patch_rate, patches, rebuilds, warm);
             }
             Event::Observe {
                 drift,
@@ -396,10 +389,7 @@ fn drive(spec: &ScenarioSpec, warm: bool, node_quantum: usize) -> Drive {
                     d.transcript.push(format!("remove q{q} ok={ok}"));
                 }
             }
-            Event::Retry {
-                max,
-                min_patch_rate,
-            } => {
+            Event::Retry { max } => {
                 let mut rejected: Vec<QueryId> = planner
                     .queries()
                     .iter()
@@ -412,8 +402,6 @@ fn drive(spec: &ScenarioSpec, warm: bool, node_quantum: usize) -> Drive {
                 if let Some(cap) = max {
                     rejected.truncate(*cap);
                 }
-                let mut patches = 0usize;
-                let mut rebuilds = 0usize;
                 for q in rejected {
                     let o = planner
                         .replan_query(q)
@@ -422,9 +410,7 @@ fn drive(spec: &ScenarioSpec, warm: bool, node_quantum: usize) -> Drive {
                     if o.admitted {
                         d.counters.retry_admits += 1;
                     }
-                    account_outcome(&mut d.counters, &o);
-                    patches += o.lp_cache.patches;
-                    rebuilds += o.lp_cache.rebuilds;
+                    account_outcome(&mut d, &o);
                     d.transcript.push(format!(
                         "retry q{} {} nodes={}",
                         q.0,
@@ -432,7 +418,6 @@ fn drive(spec: &ScenarioSpec, warm: bool, node_quantum: usize) -> Drive {
                         o.nodes
                     ));
                 }
-                check_patch_floor(&mut d, "retry", *min_patch_rate, patches, rebuilds, warm);
             }
             Event::Pump { ticks } => {
                 for _ in 0..*ticks {
@@ -444,7 +429,7 @@ fn drive(spec: &ScenarioSpec, warm: bool, node_quantum: usize) -> Drive {
                         } else {
                             d.counters.rejects += 1;
                         }
-                        account_outcome(&mut d.counters, o);
+                        account_outcome(&mut d, o);
                     }
                     d.transcript.push(format!(
                         "pump tick={} resolved={} parked={}",
@@ -463,7 +448,7 @@ fn drive(spec: &ScenarioSpec, warm: bool, node_quantum: usize) -> Drive {
                     } else {
                         d.counters.rejects += 1;
                     }
-                    account_outcome(&mut d.counters, o);
+                    account_outcome(&mut d, o);
                 }
                 d.transcript.push(format!(
                     "drain resolved={} parked={}",
@@ -568,12 +553,22 @@ fn push_resolutions(d: &mut Drive, queue: &AdmissionQueue, logged: usize) -> usi
     queue.records().len()
 }
 
-fn account_outcome(c: &mut Counters, o: &sqpr_core::PlanningOutcome) {
+/// Adds one planning round to the drive's counters and holds it to the
+/// compressed-LP cache's per-round contract: a round lowers at most once,
+/// and its cut rounds append rows to that lowering.
+fn account_outcome(d: &mut Drive, o: &sqpr_core::PlanningOutcome) {
+    let c = &mut d.counters;
     c.nodes_total += o.nodes;
     c.lp_iterations += o.lp_iterations;
     c.cache_patches += o.lp_cache.patches;
     c.cache_rebuilds += o.lp_cache.rebuilds;
     c.cache_refix_patches += o.lp_cache.refix_patches;
+    if o.lp_cache.rebuilds > 1 {
+        d.errors.push(format!(
+            "q{}: one round lowered the LP {} times (cut rounds must append)",
+            o.query.0, o.lp_cache.rebuilds
+        ));
+    }
 }
 
 fn account_adapt(d: &mut Drive, r: &AdaptReport, zero_dropped: bool) {
@@ -615,35 +610,6 @@ fn select_streams(
         }
     }
     out
-}
-
-/// Per-event compressed-LP patch-rate floor (canonical warm drive only —
-/// the cold twin has no cache by construction).
-fn check_patch_floor(
-    d: &mut Drive,
-    what: &str,
-    floor: Option<f64>,
-    patches: usize,
-    rebuilds: usize,
-    warm: bool,
-) {
-    let Some(floor) = floor else {
-        return;
-    };
-    if !warm {
-        return;
-    }
-    let total = patches + rebuilds;
-    if total == 0 {
-        // All rounds short-circuited: no cache activity to floor.
-        return;
-    }
-    let rate = patches as f64 / total as f64;
-    if rate < floor {
-        d.errors.push(format!(
-            "{what} event patch rate {rate:.3} below floor {floor:.3} ({patches} patches / {rebuilds} rebuilds)"
-        ));
-    }
 }
 
 /// Executes the drives for one scenario and applies every

@@ -85,13 +85,8 @@ pub struct SystemSpec {
 /// One scripted event, applied in file order.
 #[derive(Debug, Clone)]
 pub enum Event {
-    /// Submit the next `count` workload queries one at a time. An optional
-    /// `min_patch_rate` floors the compressed-LP cache patch rate
-    /// aggregated over this event's solver rounds.
-    Submit {
-        count: usize,
-        min_patch_rate: Option<f64>,
-    },
+    /// Submit the next `count` workload queries one at a time.
+    Submit { count: usize },
     /// Feed measured rate samples into the drift monitor (the metrics
     /// feedback path): `samples` draws at rounds `t, t + tick, …` for each
     /// selected base stream (all bases when `streams` is empty).
@@ -131,10 +126,7 @@ pub enum Event {
     Remove { queries: Vec<u32> },
     /// Retry admission (warm re-plan) for currently rejected queries, in
     /// ascending id order, at most `max` of them (`None` = all).
-    Retry {
-        max: Option<usize>,
-        min_patch_rate: Option<f64>,
-    },
+    Retry { max: Option<usize> },
     /// Advance the admission queue by `ticks` logical ticks: each tick
     /// resumes every eligible parked round in park order under another
     /// `round_deadline` node grant (deadline mode only; a no-op when
@@ -291,7 +283,7 @@ fn req_non_negative(t: &mut Fields, key: &str) -> Result<f64, SpecError> {
     non_negative(key, req_f64(t, key)?)
 }
 
-/// A share in `[0, 1]` (patch-rate and admit-fraction floors).
+/// A share in `[0, 1]` (the admit-fraction floor).
 fn opt_fraction(t: &mut Fields, key: &str) -> Result<Option<f64>, SpecError> {
     match opt_f64(t, key)? {
         Some(v) if !(0.0..=1.0).contains(&v) => {
@@ -420,7 +412,6 @@ fn parse_event(table: &Table) -> Result<Event, SpecError> {
     let event = match kind.as_str() {
         "submit" => Event::Submit {
             count: req_usize(t, "count")?,
-            min_patch_rate: opt_fraction(t, "min_patch_rate")?,
         },
         "observe" => Event::Observe {
             drift: parse_drift(t)?,
@@ -476,7 +467,6 @@ fn parse_event(table: &Table) -> Result<Event, SpecError> {
         }
         "retry" => Event::Retry {
             max: opt_usize(t, "max")?,
-            min_patch_rate: opt_fraction(t, "min_patch_rate")?,
         },
         "pump" => {
             let ticks = usize_or(t, "ticks", 1)?;
@@ -680,8 +670,8 @@ mod tests {
                 "unknown key `round_dedline` in `system`",
             ),
             (
-                doc("", r#"{"kind": "submit", "count": 1, "min_patch_rat": 0.9}"#, ""),
-                "event #1: unknown key `min_patch_rat` in a `submit` event",
+                doc("", r#"{"kind": "submit", "count": 1, "min_patch_rate": 0.9}"#, ""),
+                "event #1: unknown key `min_patch_rate` in a `submit` event",
             ),
             (
                 doc("", &submit, r#""min_admited": 5"#),
@@ -772,7 +762,6 @@ mod tests {
                 "",
                 r#""kind": "observe", "profile": "step", "factor": 2.0, "t": 1.0, "jitter": V"#,
             ),
-            ("", r#""kind": "submit", "count": 1, "min_patch_rate": V"#),
         ] {
             let finite = with_value(case, "0.5");
             assert!(ScenarioSpec::parse(&finite).is_ok(), "{finite}");
@@ -825,18 +814,13 @@ mod tests {
     fn rejects_share_floors_outside_the_unit_interval() {
         for (event, expect, key) in [
             (
-                r#"{"kind": "submit", "count": 1, "min_patch_rate": 1.5}"#,
-                "",
-                "min_patch_rate",
-            ),
-            (
-                r#"{"kind": "retry", "min_patch_rate": -0.1}"#,
-                "",
-                "min_patch_rate",
+                r#"{"kind": "drain"}"#,
+                r#""min_admit_fraction": 2"#,
+                "min_admit_fraction",
             ),
             (
                 r#"{"kind": "drain"}"#,
-                r#""min_admit_fraction": 2"#,
+                r#""min_admit_fraction": -0.1"#,
                 "min_admit_fraction",
             ),
         ] {
@@ -846,7 +830,7 @@ mod tests {
                 "{key}: {e}"
             );
         }
-        let ok = doc("", r#"{"kind": "retry", "min_patch_rate": 1}"#, "");
+        let ok = doc("", r#"{"kind": "drain"}"#, r#""min_admit_fraction": 1"#);
         assert!(ScenarioSpec::parse(&ok).is_ok(), "1 is a valid floor");
     }
 
@@ -927,12 +911,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         match &spec.events[2] {
-            Event::Retry {
-                max,
-                min_patch_rate,
-            } => {
-                assert!(max.is_none() && min_patch_rate.is_none());
-            }
+            Event::Retry { max } => assert!(max.is_none()),
             other => panic!("{other:?}"),
         }
     }
