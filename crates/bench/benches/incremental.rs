@@ -7,8 +7,9 @@
 //!   submission and every LP relaxation cold-starts from the slack
 //!   identity basis (`reuse_solver_context = false`);
 //! - **warm**: this repo's incremental path — one persistent model
-//!   skeleton extended per query, a compressed-LP cache patched in place
-//!   across B&B constructions, root LPs warm-started from the previous
+//!   skeleton extended per query, a compressed-LP cache rebuilt
+//!   incrementally per round and extended in place by its cut rounds,
+//!   root LPs warm-started from the previous
 //!   submission's basis, child nodes re-solved by *dual simplex* from
 //!   their parent's basis (`reuse_solver_context = true`, the default).
 //!
@@ -19,15 +20,17 @@
 //! wave): those rounds revisit plan spaces the skeleton already covers, so
 //! they isolate the *cross-submission* warm path — the persistent
 //! skeleton, a compressed LP that folds exactly the bound-fixed columns
-//! (rebuilt once when a retry re-frees folded ones) and re-attached root
-//! factorisations, versus a full fresh build per retry on the cold path.
+//! (rebuilt once per retry, reading only the rows of what moved) and a
+//! root basis lifted from the previous round, versus a full fresh build
+//! per retry on the cold path.
 //! Asserts that the two paths take byte-identical admit/reject decisions
 //! across the whole sequence, that the warm path is at least 2x faster on
 //! total solve time (the wall time of the `submit` calls, measured here),
 //! that warm bound-change re-solves actually run as dual pivots instead of
 //! phase-I recovery, that no planning round lowers its compressed LP more
-//! than once (its cut rounds append), and that the retry wave re-attaches
-//! factorisations (the per-phase counters make all of that checkable),
+//! than once (its cut rounds append), and that child nodes re-attach their
+//! parent's factorisation (the per-phase counters make all of that
+//! checkable),
 //! then emits `BENCH_incremental.json` for cross-run tracking.
 
 use std::time::{Duration, Instant};
@@ -57,10 +60,9 @@ const MIN_WARM_SPARSE_HIT_RATE: f64 = 0.60;
 const WARM_ITER_REGRESSION: f64 = 1.05;
 
 /// Allowed warm refactorisation regression vs. the committed baseline:
-/// root solves re-attach the previous construction's factors across cut
-/// rounds and bound-patch submissions, so a refactorisation climb-back
-/// means the lifted token (or the reattach path) regressed. Same band as
-/// the iteration guard, tight for the same reason.
+/// child nodes re-attach their parent's factors, so a refactorisation
+/// climb-back means the reattach path (or the pivot cap) regressed. Same
+/// band as the iteration guard, tight for the same reason.
 const WARM_REFACTOR_REGRESSION: f64 = 1.05;
 
 /// The committed baseline JSON, if one is reachable (repo root when cargo
@@ -106,7 +108,7 @@ fn run(w: &sqpr_workload::Workload, reuse_solver_context: bool) -> Run {
     // re-planning freed what the rejected query needed). The retried plan
     // space is already covered by the skeleton, so retries isolate the
     // *cross-submission* reuse path: no skeleton growth, one lowering of
-    // the compressed LP per round plus re-attached factors, versus a full
+    // the compressed LP per round plus a lifted root basis, versus a full
     // fresh build per retry on the cold path.
     let mut pending_retry: Option<usize> = None;
     // Solve time is the wall time of the `submit` calls themselves.
@@ -525,8 +527,7 @@ fn main() {
         warm.pivots.ft_updates,
         warm.pivots.pfi_updates
     );
-    // Lifted factor generations must re-attach factorisations across the
-    // cache's consecutive constructions.
+    // Child nodes must re-attach their parent's factorisation.
     assert!(
         warm.pivots.factor_reattaches > 0,
         "warm path re-attached no basis factorisations"
@@ -536,8 +537,8 @@ fn main() {
     if retries > 0 {
         assert!(
             warm.wave_pivots.factor_reattaches > 0,
-            "retry wave re-attached no factors: the lifted generation token \
-             is not surviving bound-patch refreshes"
+            "retry wave re-attached no factors: child nodes no longer \
+             start from their parent's factorisation"
         );
     }
     // Warm LP iterations / refactorisations vs. the committed baseline: a

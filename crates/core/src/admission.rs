@@ -19,10 +19,13 @@
 //! logical-tick backoff; once its `MAX_RETRIES` (2) run dry it gets the
 //! **greedy** baseline placement
 //! ([`SqprPlanner::admit_greedy`]), else it is **deferred** to one
-//! unbounded resume, which produces a proven verdict. [`drain`] gives every
-//! parked round that unbounded resume now. Every submission routed through
-//! the queue ends with exactly one [`AdmissionRecord`] — there is no
-//! silent-drop path.
+//! unbounded resume. That resume runs the search on until it completes or
+//! its own node budget (`budget.max_nodes`) runs dry, and its verdict is
+//! terminal: proven when the search completed, otherwise the provisional
+//! [`Rejected::DeadlineNoCertificate`] (or an incumbent admission) made
+//! final. [`drain`] gives every parked round that unbounded resume now.
+//! Every submission routed through the queue ends with exactly one
+//! [`AdmissionRecord`] — there is no silent-drop path.
 //!
 //! [`pump`]: AdmissionQueue::pump
 //! [`drain`]: AdmissionQueue::drain
@@ -239,7 +242,8 @@ impl AdmissionQueue {
                 self.record(&outcome, p.attempts, AdmissionPath::GreedyInstall);
                 resolved.push(outcome);
             } else {
-                // The next resume runs unbounded and proves a verdict.
+                // The next resume runs unbounded; its verdict is terminal,
+                // proven or not.
                 p.deferred = true;
                 p.eligible_at = self.tick + 1;
                 self.parked.push_back(p);
@@ -249,8 +253,10 @@ impl AdmissionQueue {
     }
 
     /// Forces every parked round to a terminal verdict *now*: each gets
-    /// one unbounded resume (the parked search completes, reusing all
-    /// progress). After `drain` the queue is empty — the zero-silent-drops
+    /// one unbounded resume (the parked search runs on, reusing all
+    /// progress, until it completes or its node budget runs dry; a verdict
+    /// still unproven then is final as it stands). After `drain` the queue
+    /// is empty — the zero-silent-drops
     /// guarantee the deadline-storm scenario pins. The logical tick does
     /// not advance.
     pub fn drain(&mut self, planner: &mut SqprPlanner) -> Vec<PlanningOutcome> {
@@ -294,7 +300,8 @@ impl AdmissionQueue {
     }
 
     /// The unbounded resume `pump` (for deferred rounds) and `drain`
-    /// share: the parked search runs to completion, so it always resolves.
+    /// share: the parked search runs until it completes or its node budget
+    /// runs dry, so it always resolves.
     fn finish(&mut self, planner: &mut SqprPlanner, p: Parked) -> PlanningOutcome {
         let outcome = planner.finish_parked(p.round);
         self.record(&outcome, p.attempts + 1, AdmissionPath::DeferredReplan);

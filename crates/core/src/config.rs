@@ -180,12 +180,10 @@ pub struct PlannerConfig {
     /// factors, fill-growth-keyed refactorisation) by default,
     /// `ProductForm` etas as the ablation.
     pub lp_basis_update: BasisUpdate,
-    /// Reuse basis factorisations *across* branch & bound constructions
-    /// served from the compressed-LP cache: cut rounds and consecutive
-    /// submissions whose LP only had its bounds patched re-attach the
-    /// previous construction's root factorisation instead of
-    /// refactorising. Disabling scopes factor reuse to a single tree (the
-    /// pre-lift behaviour, kept as the ablation).
+    /// Accepted and ignored — every branch & bound tree claims a matrix
+    /// generation of its own, so factorisations never pass between trees
+    /// (measured on every e2e workload, none ever did). Removed together
+    /// with the benchmark lines that name it in the next `benchmark` PR.
     pub lp_cross_solve_factors: bool,
     /// Accepted and ignored — removed together with the benchmark lines
     /// that name it in the next `benchmark` PR. The default 0 keeps the

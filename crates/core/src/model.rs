@@ -924,7 +924,8 @@ impl PlanningModel {
     /// auxiliary columns ([`Self::apply_reduction`] never fixes potentials
     /// or the O4 variable) are excluded. This is the safety condition for
     /// keeping the solver context across a query removal: re-fixing a
-    /// fixed column at a new value is a bound patch the LP cache absorbs.
+    /// fixed column at a new value is a bound change, which the LP cache's
+    /// incremental rebuild takes by re-reading that column's rows only.
     pub fn space_is_bound_fixed(&self, space: &PlanSpace) -> bool {
         #[expect(clippy::float_cmp, reason = "both bounds hold the same value")]
         let fixed = |v: VarId| {

@@ -86,11 +86,11 @@ pub struct PlanningOutcome {
     /// plus root-basis warm start) instead of building from scratch.
     pub incremental: bool,
     /// Compressed-LP cache activity of this round (counter deltas):
-    /// `patches` vs `rebuilds` says whether the round's B&B constructions
-    /// were served in place or paid a fresh lowering; `refix_patches`
-    /// counts the cross-submission hits where the bound-fixed set moved
-    /// within the cached layout's fixed class. Zero on cold rounds (no
-    /// cache) and short-circuited submissions.
+    /// `rebuilds` counts the B&B constructions that paid a fresh lowering
+    /// (a bound moved or the skeleton grew), `patches` those served by the
+    /// cached lowering with the round's cut rows appended; `refix_patches`
+    /// reads 0. Zero on cold rounds (no cache) and short-circuited
+    /// submissions.
     pub lp_cache: CacheStats,
     /// Anytime admission verdict of the round (see [`crate::admission`]):
     /// whether the admit/reject decision carries an optimality/infeasibility
@@ -838,9 +838,9 @@ impl SqprPlanner {
             // `reuse_solver_context = false` is the full cold-start
             // path (fresh model, every LP from the slack identity).
             reuse_bases: self.config.reuse_solver_context,
-            cross_solve_factors: self.config.lp_cross_solve_factors,
-            threads: 1,
             lp: lp_opts,
+            // `cross_solve_factors` and `threads` are accepted and ignored.
+            ..MilpOptions::default()
         };
 
         // Cutting-plane rounds: in lazy-acyclicity mode the branch & bound
@@ -888,10 +888,10 @@ impl SqprPlanner {
                 };
                 let filter: Option<IncumbentFilter<'_>> = lazy.then_some(&filter_fn);
                 // The compressed LP is served from the context's cache when
-                // incremental: later cut rounds append their rows in place
-                // and later submissions with an unchanged fixed layout
-                // patch only bounds, removing the per-construction
-                // skeleton scan.
+                // incremental: a construction after a bound moved or the
+                // skeleton grew rebuilds it, carrying over every row none of
+                // whose variables moved, and later cut rounds append their
+                // rows in place — no per-construction skeleton scan.
                 let cache = if incremental {
                     Some(&mut self.ctx.lp_cache)
                 } else {
@@ -1042,9 +1042,10 @@ impl SqprPlanner {
     /// plan space): the next extension's demand-kind lifecycle relaxes the
     /// stream's IV.9 equality, `apply_reduction` re-fixes the vacated
     /// columns at their new (empty) deployment values, and the residual
-    /// refresh re-credits the freed capacity — all bound patches the
-    /// compressed-LP cache absorbs in place, so a failure storm's
-    /// remove/re-admit churn does not cold-start the cache. If any of the
+    /// refresh re-credits the freed capacity — all bound changes the
+    /// skeleton takes in place, so the next round lowers through the LP
+    /// cache's incremental rebuild and a failure storm's remove/re-admit
+    /// churn does not cold-start the context. If any of the
     /// query's columns are still free (it was planned in the latest round
     /// and nothing re-fixed them yet), the context is invalidated as
     /// before.
@@ -1065,7 +1066,7 @@ impl SqprPlanner {
     }
 
     /// Whether the cached skeleton can absorb the removal of `q` with
-    /// bound patches alone: every column of each of the query's logged
+    /// bound changes alone: every column of each of the query's logged
     /// plan spaces must be bound-fixed. A query with no log entries (it
     /// short-circuited onto an existing provider) contributed no columns
     /// of its own, so the context trivially survives.
@@ -1085,7 +1086,8 @@ impl SqprPlanner {
     /// Fails a host: its capacities and every link touching it drop to
     /// zero. The solver context is *kept* — capacities live in row bounds
     /// that every extension refreshes from the catalog, so the next round
-    /// patches the cached LP in place instead of rebuilding. Call
+    /// re-lowers the skeleton through the LP cache's incremental rebuild
+    /// instead of starting cold. Call
     /// [`Self::absorb_failures`] afterwards to audit and shed the
     /// displaced allocations. Returns false if the host was already down
     /// or is not in the catalog.
@@ -1114,7 +1116,7 @@ impl SqprPlanner {
     /// Reconnects base streams orphaned by host failures to surviving
     /// ingest hosts ([`Catalog::rehome_orphaned_sources`]). Availability
     /// grants live in row bounds the next extension refreshes, so the
-    /// moves ride the warm patch path like the failures themselves.
+    /// moves keep the solver context like the failures themselves.
     pub fn rehome_orphaned_sources(&mut self) -> Vec<(StreamId, HostId, HostId)> {
         self.catalog.rehome_orphaned_sources()
     }
@@ -1127,7 +1129,8 @@ impl SqprPlanner {
     /// Like [`Self::remove_query`] on the bound-fixed path, this keeps the
     /// solver context: the shrink is absorbed by the next extension's
     /// demand/residual/pin refreshes and `apply_reduction`'s re-fixing, so
-    /// storm rounds stay on the warm patch path. Queries whose columns are
+    /// storm rounds stay on the warm path: one incremental rebuild each,
+    /// their cut rounds appended. Queries whose columns are
     /// still free in the skeleton force an invalidation (same rule as
     /// removal).
     pub fn absorb_failures(&mut self) -> FailureAudit {

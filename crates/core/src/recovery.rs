@@ -5,8 +5,9 @@
 //! ([`SqprPlanner::rehome_orphaned_sources`]), audits the fault
 //! ([`SqprPlanner::absorb_failures`]) and replays the displaced queries in
 //! ascending id order through [`SqprPlanner::replan_query`] — the planning
-//! round every submission runs, on the warm path whose capacity rows the
-//! post-fault catalog already patched.
+//! round every submission runs, on the warm path: the skeleton survives
+//! the fault, and the next extension refreshes its capacity rows from the
+//! post-fault catalog.
 //!
 //! The storm is this module's fallback policy over rounds that do not
 //! admit, under a storm-wide [`StormBudget`] (cumulative nodes): the

@@ -281,18 +281,36 @@ fn resume_against_a_changed_deployment_at(quantum: usize) -> DeadlineRun {
 
 /// The ladder's last rung. A rejection whose proof outlasts every bounded
 /// retry, on hosts too full for the greedy placement, is deferred to one
-/// unbounded resume, and that resume proves the verdict. No corpus scenario
-/// reaches this rung: their parked proofs finish within one retry.
+/// unbounded resume, and that resume's verdict is terminal. It is proven
+/// only when the proof fits the search's node budget: at CPU 30 it does,
+/// at CPU 45 the budget runs dry first and the provisional rejection
+/// becomes the final one. No corpus scenario reaches this rung: their
+/// parked proofs finish within one retry.
 #[test]
 fn exhausted_retries_on_full_hosts_defer_to_a_proven_verdict() {
-    let runs = [0, 1].map(exhausted_retries_defer_at);
-    assert_eq!(runs[0], runs[1], "quantum 0 and 1 disagree");
+    let cases = [
+        (30.0, 3, Rejected::Proven),
+        (45.0, 7, Rejected::DeadlineNoCertificate),
+    ];
+    for (cpu, rejected, verdict) in cases {
+        let runs =
+            [0, 1].map(|quantum| exhausted_retries_defer_at(quantum, cpu, rejected, verdict));
+        assert_eq!(runs[0], runs[1], "CPU {cpu}: quantum 0 and 1 disagree");
+    }
 }
 
-fn exhausted_retries_defer_at(quantum: usize) -> Vec<AdmissionRecord> {
+/// Submission `rejected`, rejected by the deadline-free pass over hosts of
+/// `cpu`, re-submitted under a one-node deadline and pumped down the
+/// ladder to the deferred resume, which ends it `verdict`.
+fn exhausted_retries_defer_at(
+    quantum: usize,
+    cpu: f64,
+    rejected: usize,
+    verdict: Rejected,
+) -> Vec<AdmissionRecord> {
     // Tight CPU: the deadline-free pass rejects part of the workload and
     // leaves no room for the greedy placement of the rejected queries.
-    let (c, b) = system(4, 6, 30.0, 40.0, 400.0);
+    let (c, b) = system(4, 6, cpu, 40.0, 400.0);
     let mut cfg = PlannerConfig::new(&c);
     cfg.budget.max_nodes = 200;
     cfg.node_quantum = quantum;
@@ -303,15 +321,15 @@ fn exhausted_retries_defer_at(quantum: usize) -> Vec<AdmissionRecord> {
         planner.submit(&streams(q)).expect("valid bases");
     }
     assert!(
-        !planner.outcomes()[3].admitted,
-        "the fourth submission must be rejected at quantum {quantum}"
+        !planner.outcomes()[rejected].admitted,
+        "submission {rejected} must be rejected at CPU {cpu}, quantum {quantum}"
     );
 
     // Submitted again under a one-node deadline, it parks.
     planner.config_mut().round_deadline = Some(1);
     let mut queue = AdmissionQueue::new();
     let out = queue
-        .submit(&mut planner, &streams(&subs[3]))
+        .submit(&mut planner, &streams(&subs[rejected]))
         .expect("valid bases");
     assert_eq!(
         out.verdict,
@@ -325,7 +343,7 @@ fn exhausted_retries_defer_at(quantum: usize) -> Vec<AdmissionRecord> {
     for tick in 1..=2 {
         assert!(
             queue.pump(&mut planner).is_empty(),
-            "tick {tick} resolved the round at quantum {quantum}"
+            "tick {tick} resolved the round at CPU {cpu}, quantum {quantum}"
         );
     }
     let resolved = queue.pump(&mut planner);
@@ -336,10 +354,11 @@ fn exhausted_retries_defer_at(quantum: usize) -> Vec<AdmissionRecord> {
         queue.records(),
         [AdmissionRecord {
             query: out.query,
-            verdict: RoundVerdict::Rejected(Rejected::Proven),
+            verdict: RoundVerdict::Rejected(verdict),
             attempts: 3,
             path: AdmissionPath::DeferredReplan,
-        }]
+        }],
+        "CPU {cpu}, quantum {quantum}"
     );
     assert!(planner.state().is_valid(planner.catalog()));
     queue.records().to_vec()

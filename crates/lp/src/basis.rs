@@ -128,12 +128,7 @@ pub(crate) enum RefactorCause {
 ///
 /// The reuse scope is exactly the token's lifetime, which the caller
 /// controls: claiming a fresh token per branch & bound tree scopes reuse
-/// to that tree's node solves, while holding one token across consecutive
-/// trees over a byte-identical matrix
-/// ([`crate::simplex::LpWorkspace::resume_factor_generation`]) lets a
-/// later tree's root re-attach the previous tree's final factorisation —
-/// the cross-submission warm path of a caller whose compressed LP only
-/// had its bounds patched between solves.
+/// to that tree's node solves.
 #[derive(Debug, Clone)]
 pub struct FactorState {
     /// Caller-assigned matrix generation; a state only re-attaches under

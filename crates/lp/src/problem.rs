@@ -115,8 +115,7 @@ impl Problem {
         self.a.mul_dense(x)
     }
 
-    /// Replaces one column's bounds in place (used by LP caches that patch
-    /// a lowered problem between solves instead of rebuilding it).
+    /// Replaces one column's bounds in place.
     ///
     /// # Panics
     /// Panics on crossed bounds.

@@ -439,22 +439,6 @@ impl LpWorkspace {
         self.factor_cache = None;
     }
 
-    /// Like [`Self::begin_factor_generation`], but keeps the cached factors
-    /// when `token` matches the workspace's current generation: the caller
-    /// asserts the constraint matrix is *still the same one* the cached
-    /// factors were built for. This is the cross-solve entry point — a
-    /// caller that owns both the matrix and the workspace (e.g. a
-    /// compressed-LP cache slot whose matrix survived a refresh untouched)
-    /// can let consecutive branch & bound trees re-attach each other's
-    /// root factorisations instead of refactorising. A differing token
-    /// behaves exactly like [`Self::begin_factor_generation`].
-    pub fn resume_factor_generation(&mut self, token: u64) {
-        if self.factor_token != token {
-            self.factor_cache = None;
-        }
-        self.factor_token = token;
-    }
-
     /// The workspace's current matrix-generation token (0 = reuse disabled).
     pub fn factor_generation(&self) -> u64 {
         self.factor_token

@@ -1,5 +1,5 @@
 //! The compressed LP lowering every branch & bound search runs over, cached
-//! and reused across B&B constructions *and* submissions.
+//! and reused across B&B constructions.
 //!
 //! Every search lowers through an [`LpCacheSlot`]: the caller's, or a
 //! private, fresh one ([`crate::solver::solve`], the planner's cold rounds),
@@ -7,46 +7,37 @@
 //! every variable and every term of the model — acceptable once, but the
 //! SQPR planner constructs up to three [`crate::solver`] searches per
 //! submission (cutting-plane rounds) over a persistent model skeleton that
-//! is tens of times larger than the LP a round actually solves: between
-//! constructions only bounds move (the §IV-A reduction re-fixing), rows are
-//! appended (availability cuts), and a new submission adds its own columns
-//! and frees them. A slot keeps one lowered [`sqpr_lp::Problem`] alive
-//! across those constructions and, instead of lowering afresh:
+//! is tens of times larger than the LP a round actually solves.
 //!
-//! - **patches column bounds** straight into the LP — including columns the
-//!   current submission bound-fixes that the cached layout kept free (they
-//!   simply solve with collapsed bounds);
-//! - **recomputes the folded constants** of the rows a moved variable occurs
-//!   in, and every kept row's bounds from them;
-//! - **appends rows** for model constraints added since the lowering (cut
-//!   rounds) — appended rows keep every existing column/row index stable,
-//!   so LP bases remain valid warm-start hints across rounds;
-//! - re-derives `fixed_obj_min` / `infeasible_fixed_row`.
+//! # One reuse rule
 //!
-//! The bound-dependent steps are skipped outright when the model's
-//! [`Model::bounds_stamp`] is the one they were last derived from (the cut
-//! rounds of one submission: rows were appended, no bound moved). For the
-//! same reason the slot remembers the last seed incumbent it validated, so
-//! a construction handed the same point under the same bounds checks it
-//! against the appended rows only.
+//! A refresh reuses the cached lowering only while nothing it was derived
+//! from moved: the same model lineage (`Model::lineage`: the same object,
+//! grown and re-bounded through its API), the same
+//! [`Model::structure_version`] and the same [`Model::bounds_stamp`]. Rows
+//! added since — the cut rounds of one submission — are lowered and
+//! **appended** in place; appended rows keep every existing column and row
+//! index stable, so LP bases remain valid warm-start hints across rounds.
+//! Every other refresh is a **rebuild**, which folds exactly the columns
+//! that are bound-fixed now. Within one lowering the bounds therefore never
+//! move, and the memos kept beside it — the last seed incumbent validated,
+//! presolve's first sweep — only ever meet appended rows.
 //!
-//! # What a refresh reads
+//! # What a rebuild reads
 //!
 //! Terms are read for the rows that can have changed, and for no others.
 //! The slot keeps, beside the lowering, an exact snapshot of every
 //! variable's bounds and of how much of its row list
 //! (`Model::rows_of_var`) it has read, plus the value of every constant
-//! row (`Side`). A refresh compares the snapshot with the model — flat
+//! row (`Side`). A rebuild compares the snapshot with the model — flat
 //! passes over the variables, no hashing — and re-reads the rows of the
 //! variables that differ; a row none of whose variables moved folds to the
-//! same constant. That covers the **rebuild** too (a new layout: structural
-//! growth, or a folded column freed): the kept rows are exactly the rows of
-//! the kept columns, found through the row lists, and the constant rows keep
-//! their values unless one of their variables moved, entered or left the LP.
-//! The snapshot is good for one model *lineage* (`Model::lineage`: the
-//! same object, grown and re-bounded through its API); a clone, another
-//! model or [`LpCacheSlot::invalidate`] voids it, and the rebuild is then
-//! the full pass.
+//! same constant. The kept rows are exactly the rows of the kept columns,
+//! found through the row lists, and the constant rows keep their values
+//! unless one of their variables moved, entered or left the LP. The
+//! snapshot is good for one model lineage; a clone, another model or
+//! [`LpCacheSlot::invalidate`] voids it, and the rebuild is then the full
+//! pass.
 //!
 //! The same tables serve point validation (`Side::candidate_is_feasible`):
 //! a point that sits on the fixed values gives the constant rows the values
@@ -54,57 +45,24 @@
 //! point. They validate the seed and every candidate incumbent of every
 //! search — a suspended search takes the lowering and its tables along, so
 //! its resumed slices validate the same way. The full pass is the
-//! reference: `Model::lower_reduced_for_class` for the lowering,
+//! reference: `Model::lower_reduced` for the lowering,
 //! [`Model::is_feasible`] for a point. Debug builds replay it behind every
 //! refresh and every validation and assert equality; the property tests do
 //! so in release.
 //!
-//! # Layout keying: fixed *classes*, not fixed *sets*
-//!
-//! The compression layout folds a **class** of bound-fixed columns out of
-//! the LP; the folded values themselves are patch-time data, not layout.
-//! The cache therefore stays reusable while:
-//!
-//! - the model's [`Model::structure_version`] matches (no new variables, no
-//!   terms added to existing rows — i.e. no skeleton `extend` with real
-//!   content), and
-//! - **every folded column is still bound-fixed at *some* value**. The
-//!   stored class is compared member-by-member — an exact set containment
-//!   check, *not* a hash (an earlier revision compressed the fixed-index
-//!   set to a 64-bit FNV-style signature, where a collision would silently
-//!   reuse a wrong layout and corrupt the LP).
-//!
-//! A submission that re-fixes a *different superset* of the cached class
-//! (the planner's deployment-state pins move every round) patches instead
-//! of rebuilding: folded constants are re-applied at the current fixed
-//! values, newly-fixed kept columns get collapsed bounds. Only freeing a
-//! *folded* column — or real structural growth — forces a rebuild, so over
-//! a run the folded class converges to the columns every submission pins.
-//! The patched LP is bit-identical to lowering fresh under the same class
-//! (`Model::lower_reduced_for_class`); the property tests assert that.
-//!
-//! # Lifted factor generation
-//!
-//! The slot also owns the [`LpWorkspace`] shared by every construction it
-//! serves, and with it the workspace's detached basis-factor cache
-//! ([`sqpr_lp::BasisState`]-adjacent `FactorState`). The matrix-generation
-//! token scoping that cache is claimed *here*, not per B&B tree: the slot
-//! knows exactly when the LP matrix survives a refresh untouched (pure
-//! bound patch) versus when it changes (rebuild, appended cut rows), so the
-//! token is renewed only then. Consecutive trees over an unchanged matrix —
-//! cut rounds, and consecutive submissions that only re-fixed bounds —
-//! re-attach each other's final factorisation at the root instead of
-//! refactorising ([`sqpr_lp::LpWorkspace::resume_factor_generation`]).
+//! The slot also owns the [`LpWorkspace`] every construction it serves
+//! runs in, so its allocations outlive a tree. Its basis-factor cache does
+//! not: every tree claims a matrix generation of its own
+//! (`crate::solver`), and factorisations pass between the nodes of one
+//! tree only.
 //!
 //! Staleness can cost a re-scan, never correctness: the checks run on
-//! every `refresh`. The one mutation the version/class checks cannot see —
-//! an in-place *swap* of same-length constraints without a
+//! every `refresh`. The one mutation the stamp checks cannot see — an
+//! in-place *swap* of same-length constraints without a
 //! `structure_version` bump — is impossible through the [`Model`] API
 //! (every term-editing call bumps the version; constraints are
 //! append-only) and is additionally caught by the debug-build replay of the
 //! full lowering.
-
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use crate::model::{
     const_row_violated, fixed_off_integer, fold_row, shifted_bounds, AdjacencyCheck, LoweredLp,
@@ -113,31 +71,20 @@ use crate::model::{
 use crate::presolve::{BoundsMirror, FirstSweep};
 use sqpr_lp::{LpWorkspace, ProblemBuilder, Triplet};
 
-/// Matrix-generation tokens for basis-factorisation reuse. Cache slots
-/// claim one per *matrix* (renewed on rebuild or row append); a tree that
-/// opts out of cross-solve reuse claims its own. A single process-wide
-/// counter keeps tokens unique across slots, so a workspace can never
-/// confuse two matrices.
-static FACTOR_GENERATION: AtomicU64 = AtomicU64::new(1);
-
-/// Claims a fresh, process-unique matrix-generation token.
-pub(crate) fn next_factor_token() -> u64 {
-    FACTOR_GENERATION.fetch_add(1, AtomicOrdering::Relaxed)
-}
-
 /// Counters describing how the cache behaved (exposed for ablation
 /// reporting and tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Full lowerings (cold constructions or layout invalidations).
+    /// Fresh lowerings: cold constructions, and every refresh after a
+    /// bound moved or the structure grew.
     pub rebuilds: usize,
-    /// In-place reuses (bound patch, possibly plus appended rows).
+    /// Reuses of the cached lowering: no bound moved since it was built,
+    /// and the rows added meanwhile (cut rounds) were appended.
     pub patches: usize,
-    /// Patches whose bound-fixed set differed from the cached layout's
-    /// folded class — the cross-submission hits that set-identity keying
-    /// (the pre-class behaviour) would have paid a rebuild for.
+    /// Always 0: the in-place bound patch it counted is gone. Kept while
+    /// the benchmark's per-layer report names it.
     pub refix_patches: usize,
-    /// Cut rows appended across all patches.
+    /// Cut rows appended across all reuses.
     pub appended_rows: usize,
 }
 
@@ -166,7 +113,7 @@ impl CacheStats {
         self.appended_rows += other.appended_rows;
     }
 
-    /// Fraction of constructions served by an in-place patch (0 when no
+    /// Fraction of constructions served by a reuse (0 when no
     /// constructions were recorded).
     pub fn patch_rate(&self) -> f64 {
         let total = self.rebuilds + self.patches;
@@ -183,18 +130,15 @@ impl CacheStats {
 pub struct LpCacheSlot {
     inner: Option<LpCache>,
     stats: CacheStats,
-    /// LP scratch buffers (and the detached basis-factor cache) shared by
-    /// every B&B construction served from this slot.
+    /// LP scratch buffers shared by every B&B construction served from
+    /// this slot.
     ws: LpWorkspace,
-    /// Matrix generation of the cached LP: renewed whenever the matrix
-    /// changes (rebuild, appended rows), held across pure bound patches so
-    /// consecutive constructions may re-attach each other's factors.
-    factor_token: u64,
 }
 
 /// Verdict of one seed-incumbent validation ([`Model::is_feasible`]), with
-/// everything it depended on: the point, the tolerance, the model's
-/// structure and bounds (by stamp) and how many rows existed.
+/// everything it depended on: the point, the tolerance and how many rows
+/// existed. The model's structure and bounds are the lowering's own (by
+/// stamp; a lowering is reused only while they stand).
 #[derive(Debug, Clone)]
 struct StartCheck {
     x: Vec<f64>,
@@ -215,18 +159,13 @@ struct LpCache {
     /// the model's; the version, that nothing was added to them since.
     lineage: u64,
     structure_version: u64,
-    nvars: usize,
     /// Model constraints lowered so far (kept + dropped); anything beyond
     /// is an appended row. Constraints are append-only by the [`Model`]
     /// API contract — any in-place term edit bumps `structure_version` —
     /// so indices below this watermark always mean the same row.
     ncons_lowered: usize,
-    /// [`Model::bounds_stamp`] the bound-dependent parts of the lowering
-    /// (column and row bounds, folded constants, constant-row verdict)
-    /// were last derived from.
+    /// [`Model::bounds_stamp`] the lowering was built under.
     bounds_stamp: u64,
-    /// Kept columns that were bound-fixed at that stamp.
-    kept_fixed: usize,
     side: Side,
 }
 
@@ -241,7 +180,7 @@ struct LpCache {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Side {
     /// Presolve's first sweep over this lowering's rows, for the next
-    /// construction under the same bounds to resume from.
+    /// construction over it to resume from.
     pub first_sweep: Option<FirstSweep>,
     /// The model's bounds (and integrality) per variable, as of the last
     /// refresh; presolve's working copy in between.
@@ -271,8 +210,8 @@ pub(crate) struct Side {
     /// is listed as kept or to be re-read.
     row_mark: Vec<u32>,
     epoch: u32,
-    /// Constraint rows whose terms were read so far — by rebuilds, patches,
-    /// presolve sweeps and point validation.
+    /// Constraint rows whose terms were read so far — by rebuilds, appended
+    /// rows, presolve sweeps and point validation.
     pub rows_read: usize,
 }
 
@@ -282,9 +221,6 @@ pub(crate) struct SolverParts<'a> {
     pub side: &'a mut Side,
     /// The slot's workspace.
     pub ws: &'a mut LpWorkspace,
-    /// Matrix-generation token under which basis factors may be reused
-    /// against `lowered.lp`.
-    pub factor_token: u64,
 }
 
 impl LpCacheSlot {
@@ -300,7 +236,7 @@ impl LpCacheSlot {
     /// (the planner calls this alongside its own skeleton invalidation; a
     /// stale cache would also be caught by the validity checks, this just
     /// frees the memory eagerly). The workspace and its allocations
-    /// survive; the factor cache dies with the next rebuild's token renewal.
+    /// survive.
     pub fn invalidate(&mut self) {
         self.inner = None;
     }
@@ -319,52 +255,33 @@ impl LpCacheSlot {
     }
 
     /// Makes the cached lowering current for `model` and returns it:
-    /// patches/appends in place when the layout is unchanged, rebuilds
-    /// otherwise. (Solver constructions go through
+    /// appends rows in place while no bound moved, rebuilds otherwise.
+    /// (Solver constructions go through
     /// [`Self::refresh_solver`], which also hands out the workspace.)
     #[cfg(test)]
     pub(crate) fn refresh(&mut self, model: &Model) -> &LoweredLp {
         self.refresh_solver(model).lowered
     }
 
-    /// Makes the cached lowering current for `model` — patching bounds and
-    /// appending rows in place when the layout is unchanged, rebuilding
-    /// otherwise — and hands it out with the slot's workspace, the
-    /// matrix-generation token, and what the cache keeps beside the
-    /// lowering.
+    /// Makes the cached lowering current for `model` — appending the rows
+    /// added since while lineage, structure and bounds stand, rebuilding
+    /// otherwise — and hands it out with the slot's workspace and what the
+    /// cache keeps beside the lowering.
     pub(crate) fn refresh_solver(&mut self, model: &Model) -> SolverParts<'_> {
         let reusable = self.inner.as_ref().is_some_and(|c| {
             c.lineage == model.lineage
                 && c.structure_version == model.structure_version()
-                && c.nvars == model.num_vars()
+                && c.bounds_stamp == model.bounds_stamp
                 && model.num_cons() >= c.ncons_lowered
-                // Only a moved bound can have freed a folded column.
-                && (c.bounds_stamp == model.bounds_stamp || c.folded_stay_fixed(model))
         });
         let cache = match self.inner.take() {
             Some(mut cache) if reusable => {
-                if cache.bounds_stamp != model.bounds_stamp {
-                    cache.patch(model);
-                }
-                // Otherwise no bound moved since the lowering's
-                // bound-dependent parts were derived: patching would rewrite
-                // them all with the values they hold.
-                let appended = cache.append_new_rows(model);
-                self.stats.appended_rows += appended;
+                self.stats.appended_rows += cache.append_new_rows(model);
                 self.stats.patches += 1;
-                if cache.kept_fixed > 0 {
-                    self.stats.refix_patches += 1;
-                }
-                if appended > 0 {
-                    // Appended rows change the matrix: factors built against
-                    // the previous shape must not re-attach.
-                    self.factor_token = next_factor_token();
-                }
                 cache
             }
             old => {
                 self.stats.rebuilds += 1;
-                self.factor_token = next_factor_token();
                 LpCache::rebuild(old, model)
             }
         };
@@ -375,7 +292,6 @@ impl LpCacheSlot {
             lowered: &cache.lowered,
             side: &mut cache.side,
             ws: &mut self.ws,
-            factor_token: self.factor_token,
         }
     }
 
@@ -398,20 +314,9 @@ impl LpCacheSlot {
 }
 
 impl LpCache {
-    /// Every folded column is still bound-fixed (at any value): the layout
-    /// stands.
-    fn folded_stay_fixed(&self, model: &Model) -> bool {
-        let cols = &self.lowered.geom.map.col_of_var;
-        model
-            .vars
-            .iter()
-            .zip(cols)
-            .all(|(v, col)| col.is_some() || v.is_fixed())
-    }
-
     /// Lowers `model` afresh, folding what is bound-fixed right now — the
-    /// only lowering a solve runs, bit for bit the full pass over that
-    /// class (`Model::lower_reduced_for_class`), at the cost of the free
+    /// only lowering a solve runs, bit for bit the full pass
+    /// (`Model::lower_reduced`), at the cost of the free
     /// columns and the rows they occur in (read off
     /// [`Model::rows_of_var`]) plus flat passes over the variables. The
     /// constant rows' values carry over from `old` where it lowered an
@@ -514,10 +419,6 @@ impl LpCache {
         }
         infeasible_fixed_row |= side.judge_const_rows(model, &cons_of_row);
 
-        let kept_fixed = var_of_col
-            .iter()
-            .filter(|&&j| model.vars[j].is_fixed())
-            .count();
         LpCache {
             lowered: LoweredLp {
                 lp: b.build(),
@@ -535,96 +436,10 @@ impl LpCache {
             },
             lineage: model.lineage,
             structure_version: model.structure_version(),
-            nvars,
             ncons_lowered: ncons,
             bounds_stamp: model.bounds_stamp,
-            kept_fixed,
             side,
         }
-    }
-
-    /// Re-applies everything bound-dependent under an unchanged layout:
-    /// column bounds (kept columns the model currently fixes simply
-    /// collapse), the folds of the rows a moved variable occurs in (shifts
-    /// recomputed at the *current* fixed values), every kept row's bounds,
-    /// the folded objective constant, and the constant-row feasibility
-    /// verdict. Flat passes over the variables and the rows' bounds; terms
-    /// are read for the rows of moved folded variables only.
-    fn patch(&mut self, model: &Model) {
-        let LpCache {
-            lowered: l,
-            side,
-            ncons_lowered,
-            ..
-        } = self;
-        let map = &mut l.geom.map;
-        side.first_sweep = None;
-        side.begin_marks(*ncons_lowered);
-        let flip = model.min_flip();
-        let mut fixed_obj_min = 0.0;
-        let mut infeasible = false;
-        let mut kept_fixed = 0;
-        side.odd_folded = false;
-        let mut reread: Vec<usize> = Vec::new();
-        for (j, v) in model.vars.iter().enumerate() {
-            let moved = side.moved(j, v);
-            if moved {
-                side.sync(model, j);
-            }
-            match map.col_of_var[j] {
-                Some(col) => {
-                    if moved {
-                        l.lp.set_col_bounds(col, v.lb, v.ub);
-                    }
-                    if v.is_fixed() {
-                        kept_fixed += 1;
-                    }
-                }
-                None => {
-                    if moved {
-                        // Only a folded variable's value enters a row's
-                        // constant. (Rows appended since the lowering are
-                        // read by `append_new_rows`, at these bounds.)
-                        for &r in &model.rows_of_var[j] {
-                            if (r as usize) < *ncons_lowered && side.mark(r as usize) {
-                                reread.push(r as usize);
-                            }
-                        }
-                    }
-                    if !v.fixed_value_is_plain() {
-                        side.odd_folded = true;
-                        infeasible |= v.ty == VarType::Integer && fixed_off_integer(v.lb);
-                    }
-                    fixed_obj_min += flip * v.obj * v.lb;
-                }
-            }
-        }
-        for r in reread {
-            match map.cons_of_row.binary_search(&r) {
-                Ok(row) => {
-                    let fold = fold_row(
-                        &model.vars,
-                        &map.col_of_var,
-                        &model.cons[r].terms,
-                        |_, _| {},
-                    );
-                    side.row_shift[row] = fold.shift;
-                    side.rows_read += 1;
-                }
-                Err(_) => side.read_const_row(model, &map.col_of_var, r),
-            }
-        }
-        // A row's own bounds may have moved as well.
-        for (row, &ci) in map.cons_of_row.iter().enumerate() {
-            let c = &model.cons[ci];
-            let (lb, ub) = shifted_bounds(c.lb, c.ub, side.row_shift[row]);
-            l.lp.set_row_bounds(row, lb, ub);
-        }
-        infeasible |= side.judge_const_rows(model, &map.cons_of_row);
-        map.fixed_obj_min = fixed_obj_min;
-        map.infeasible_fixed_row = infeasible;
-        self.kept_fixed = kept_fixed;
-        self.bounds_stamp = model.bounds_stamp;
     }
 
     /// Lowers and appends every model constraint added since the cached
@@ -678,8 +493,8 @@ impl LpCache {
 
     /// The reference the shortcuts answer to, run after every refresh in
     /// debug builds and by the property tests in release: the full pass
-    /// ([`Model::lower_reduced_for_class`] over the cached layout's class,
-    /// every row folded again) must give this lowering and these side
+    /// ([`Model::lower_reduced`], every row folded again) must give this
+    /// lowering and these side
     /// tables, bit for bit. Also what catches an in-place mutation of
     /// already-lowered constraints that forgot to bump `structure_version`
     /// (e.g. a same-length constraint swap).
@@ -687,14 +502,16 @@ impl LpCache {
     fn verify_against_full_pass(&self, model: &Model) {
         let (was, side) = (&self.lowered, &self.side);
         let map = &was.geom.map;
-        let class: Vec<bool> = map.col_of_var.iter().map(Option::is_none).collect();
-        let now = model.lower_reduced_for_class(&class);
+        let now = model.lower_reduced();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         assert!(
             map.cons_of_row == now.geom.map.cons_of_row && was.lp.matrix() == now.lp.matrix(),
             "a cached row changed under the cache without a structure_version bump"
         );
-        assert_eq!(map.col_of_var, now.geom.map.col_of_var);
+        assert_eq!(
+            map.col_of_var, now.geom.map.col_of_var,
+            "a model bound moved under the cache without renewing bounds_stamp"
+        );
         assert_eq!(map.var_of_col, now.geom.map.var_of_col);
         assert_eq!(was.geom.lp_integers, now.geom.lp_integers);
         assert_eq!(bits(was.lp.objective()), bits(now.lp.objective()));
@@ -708,13 +525,6 @@ impl LpCache {
             "a model bound moved under the cache without renewing bounds_stamp"
         );
         assert_eq!(map.adjacency_exact, now.geom.map.adjacency_exact);
-        assert_eq!(
-            self.kept_fixed,
-            map.var_of_col
-                .iter()
-                .filter(|&&j| model.vars[j].is_fixed())
-                .count()
-        );
         assert!(
             side.mirror.mirrors(model),
             "the bounds mirror lags the model"
@@ -756,8 +566,8 @@ impl LpCache {
         let odd = model
             .vars
             .iter()
-            .zip(&class)
-            .any(|(v, &folded)| folded && !v.fixed_value_is_plain());
+            .zip(&map.col_of_var)
+            .any(|(v, col)| col.is_none() && !v.fixed_value_is_plain());
         assert_eq!(side.odd_folded, odd);
     }
 }
@@ -950,10 +760,10 @@ impl Side {
     }
 
     /// [`Self::is_feasible`] for a seed incumbent, remembered: the same
-    /// point under the same structure, bounds and tolerance keeps its
-    /// verdict on the rows it was checked against, so only rows appended
-    /// since (cut rounds) are evaluated. Returns the point's
-    /// [`Model::objective_value`] when it is feasible.
+    /// point at the same tolerance keeps its verdict on the rows it was
+    /// checked against — the lowering's structure and bounds stand — so
+    /// only rows appended since (cut rounds) are evaluated. Returns the
+    /// point's [`Model::objective_value`] when it is feasible.
     #[expect(clippy::float_cmp, reason = "verdicts are memoised per tolerance")]
     pub(crate) fn start_objective(
         &mut self,
@@ -963,11 +773,12 @@ impl Side {
         tol: f64,
     ) -> Option<f64> {
         let known = self.start_check.take().filter(|c| {
-            c.structure_version == model.structure_version()
-                && c.bounds_stamp == model.bounds_stamp
-                && c.tol == tol
-                && c.ncons <= model.num_cons()
-                && c.x == x
+            debug_assert!(
+                c.structure_version == model.structure_version()
+                    && c.bounds_stamp == model.bounds_stamp,
+                "a start verdict outlived its lowering"
+            );
+            c.tol == tol && c.ncons <= model.num_cons() && c.x == x
         });
         let check = match known {
             Some(c) => {
@@ -1043,17 +854,18 @@ mod tests {
     }
 
     /// Bit-compatibility of a slot's current lowering and side tables
-    /// against the full pass over the same folded class.
-    fn assert_matches_classed_fresh(slot: &LpCacheSlot, m: &Model) {
+    /// against the full pass.
+    fn assert_matches_fresh(slot: &LpCacheSlot, m: &Model) {
         slot.inner
             .as_ref()
             .expect("slot populated")
             .verify_against_full_pass(m);
     }
 
+    /// The cache is bit-compatible with a fresh lowering: a moved bound
+    /// rebuilds, a refresh under the same bounds reuses the lowering.
     #[test]
-    fn rebuild_then_patch_matches_fresh_lowering(// the cache must be bit-compatible with to_lp_reduced
-    ) {
+    fn rebuild_then_patch_matches_fresh_lowering() {
         let mut m = toy();
         let mut slot = LpCacheSlot::new();
         {
@@ -1077,8 +889,13 @@ mod tests {
             assert_eq!(clb, flb);
             assert_eq!(cub, fub);
         }
-        assert_eq!(slot.stats().patches, 1);
-        assert_eq!(slot.stats().refix_patches, 0);
+        let s = slot.stats();
+        assert_eq!((s.rebuilds, s.patches), (2, 0), "a moved bound rebuilds");
+        // Nothing moved: the lowering is reused as it stands.
+        slot.refresh(&m);
+        let s = slot.stats();
+        assert_eq!((s.rebuilds, s.patches, s.refix_patches), (2, 1, 0));
+        assert_matches_fresh(&slot, &m);
     }
 
     #[test]
@@ -1108,7 +925,7 @@ mod tests {
         let mut m = toy();
         let mut slot = LpCacheSlot::new();
         slot.refresh(&m);
-        // Freeing the folded variable shrinks the class -> rebuild.
+        // Freeing the folded variable moves a bound -> rebuild.
         let c = VarId::from_raw(2);
         m.set_bounds(c, 0.0, 1.0);
         slot.refresh(&m);
@@ -1119,47 +936,11 @@ mod tests {
         assert_eq!(slot.stats().rebuilds, 3);
     }
 
-    /// The cross-submission hit the fixed-*set* keying could not take:
-    /// fixing a variable *outside* the folded class patches in place (the
-    /// kept column collapses its bounds), bit-identical to a fresh classed
-    /// lowering, and the refix is counted.
-    #[test]
-    fn refixing_a_superset_of_the_class_patches() {
-        let mut m = toy(); // class = {c}
-        let mut slot = LpCacheSlot::new();
-        slot.refresh(&m);
-        assert_eq!(slot.stats().rebuilds, 1);
-
-        // Submission 2 pins a different superset: {a, c}, with c moved.
-        let a = VarId::from_raw(0);
-        let c = VarId::from_raw(2);
-        m.fix_var(a, 1.0);
-        m.set_bounds(c, 0.0, 0.0);
-        slot.refresh(&m);
-        assert_eq!(slot.stats().rebuilds, 1, "superset re-fix must not rebuild");
-        assert_eq!(slot.stats().patches, 1);
-        assert_eq!(slot.stats().refix_patches, 1);
-        assert_matches_classed_fresh(&slot, &m);
-
-        // Submission 3 releases a (back to the exact class, c at 0).
-        m.set_bounds(a, 0.0, 1.0);
-        slot.refresh(&m);
-        assert_eq!(slot.stats().rebuilds, 1);
-        assert_eq!(slot.stats().patches, 2);
-        assert_eq!(
-            slot.stats().refix_patches,
-            1,
-            "exact-class patch is not a refix"
-        );
-        assert_matches_classed_fresh(&slot, &m);
-    }
-
     /// Regression test for the `fixed_signature` collision bug: two
-    /// distinct fixed sets must never alias to the same layout. The class
-    /// is now stored exactly, so a set that frees a folded member rebuilds
-    /// (never reuses the wrong column numbering), and a set that merely
-    /// differs outside the class patches onto a layout that remains
-    /// bit-identical to the classed fresh lowering.
+    /// distinct fixed sets must never alias to the same layout. A moved
+    /// bound rebuilds, so the layout folds the current fixed set (never
+    /// reuses the wrong column numbering), bit-identical to the fresh
+    /// lowering.
     #[test]
     fn distinct_fixed_sets_never_alias() {
         let mut m = Model::new(Sense::Maximize);
@@ -1168,8 +949,8 @@ mod tests {
         m.fix_var(vars[0], 1.0);
         m.fix_var(vars[1], 0.0);
         let mut slot = LpCacheSlot::new();
-        slot.refresh(&m); // class = {0, 1}
-        assert_matches_classed_fresh(&slot, &m);
+        slot.refresh(&m); // folds {0, 1}
+        assert_matches_fresh(&slot, &m);
 
         // Distinct set of the same size: {1, 2} — frees folded var 0.
         m.set_bounds(vars[0], 0.0, 1.0);
@@ -1180,7 +961,7 @@ mod tests {
             2,
             "freeing a folded column must rebuild, whatever the set hashes to"
         );
-        assert_matches_classed_fresh(&slot, &m);
+        assert_matches_fresh(&slot, &m);
         // The rebuilt layout folds the *current* fixed set {1, 2}: var 0
         // has an LP column again, vars 1 and 2 do not.
         let lowered = slot.lowered().unwrap();
@@ -1192,7 +973,7 @@ mod tests {
     /// Pins the invalidation contract the `num_cons() >= ncons_lowered`
     /// reuse guard relies on: constraints are append-only and every
     /// in-place term edit bumps `structure_version` (so the cache rebuilds
-    /// rather than patching stale rows).
+    /// rather than reusing stale rows).
     #[test]
     fn in_place_term_edits_invalidate() {
         let mut m = toy();
@@ -1211,8 +992,8 @@ mod tests {
 
     /// A same-length constraint swap that forgets the `structure_version`
     /// bump is undetectable by the cheap release-mode checks (same count,
-    /// same version, same fixed class) — the debug verification pass must
-    /// catch it instead of silently patching stale rows.
+    /// same version, same bounds) — the debug verification pass must
+    /// catch it instead of silently reusing stale rows.
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "without a structure_version bump")]
@@ -1228,82 +1009,10 @@ mod tests {
         slot.refresh(&m);
     }
 
-    /// Seeded multi-submission property test: random re-fixing sequences
-    /// over a fixed structure must keep the patched lowering bit-identical
-    /// to a fresh classed lowering after every round (the cross-submission
-    /// mirror of `rebuild_then_patch_matches_fresh_lowering`).
-    #[test]
-    fn random_refix_sequences_match_classed_fresh_lowerings() {
-        for seed in 0..40u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let nvars = 4 + rng.gen_index(5);
-            let mut m = Model::new(Sense::Maximize);
-            let vars: Vec<VarId> = (0..nvars)
-                .map(|i| m.add_binary(1.0 + ((i * 7) % 5) as f64))
-                .collect();
-            for _ in 0..(1 + rng.gen_index(3)) {
-                let mut terms: Vec<(VarId, f64)> = Vec::new();
-                for &v in &vars {
-                    if rng.gen_bool() {
-                        terms.push((v, 1.0 + rng.gen_index(3) as f64));
-                    }
-                }
-                if terms.is_empty() {
-                    continue;
-                }
-                let rhs = 1.0 + rng.gen_index(2 * nvars) as f64;
-                m.add_le(terms, rhs);
-            }
-            let mut slot = LpCacheSlot::new();
-            for _round in 0..12 {
-                // Re-fix a random subset at random binary values (the
-                // planner's deployment-pin pattern).
-                for &v in &vars {
-                    if rng.gen_bool() {
-                        let val = if rng.gen_bool() { 1.0 } else { 0.0 };
-                        m.set_bounds(v, val, val);
-                    } else {
-                        m.set_bounds(v, 0.0, 1.0);
-                    }
-                }
-                slot.refresh(&m);
-                assert_matches_classed_fresh(&slot, &m);
-            }
-            let s = slot.stats();
-            assert_eq!(s.rebuilds + s.patches, 12, "seed {seed}: {s:?}");
-        }
-    }
-
-    /// The factor token is held across pure bound patches and renewed on
-    /// matrix changes (rebuilds, appended rows).
-    #[test]
-    fn factor_token_tracks_matrix_changes() {
-        let mut m = toy();
-        let mut slot = LpCacheSlot::new();
-        slot.refresh(&m);
-        let t0 = slot.factor_token;
-        assert_ne!(t0, 0, "a populated slot must claim a generation");
-        // Pure bound patch: token held.
-        let c = VarId::from_raw(2);
-        m.set_bounds(c, 0.0, 0.0);
-        slot.refresh(&m);
-        assert_eq!(slot.factor_token, t0, "bound patches keep the matrix");
-        // Appended cut row: matrix changed, token renewed.
-        let a = VarId::from_raw(0);
-        m.add_le(vec![(a, 1.0)], 1.0);
-        slot.refresh(&m);
-        let t1 = slot.factor_token;
-        assert_ne!(t1, t0, "appended rows change the matrix");
-        // Rebuild (freed folded column): token renewed again.
-        m.set_bounds(c, 0.0, 1.0);
-        slot.refresh(&m);
-        assert_ne!(slot.factor_token, t1, "rebuilds change the matrix");
-    }
-
-    /// With no bound moved since the last refresh the patch is skipped:
-    /// the lowering still matches a fresh one, rows appended meanwhile
-    /// join it, and the refix count is the one the skipped patch would
-    /// have reported.
+    /// With no bound moved since the last refresh the lowering is reused:
+    /// it still matches a fresh one and rows appended meanwhile join it. A
+    /// column fixed after the lowering moves a bound, so the next refresh
+    /// rebuilds and folds it.
     #[test]
     fn unmoved_bounds_skip_the_patch() {
         let mut m = toy();
@@ -1311,21 +1020,20 @@ mod tests {
         let b = VarId::from_raw(1);
         let mut slot = LpCacheSlot::new();
         slot.refresh(&m);
-        // `a` is fixed after lowering: a kept column with collapsed bounds.
-        m.fix_var(a, 1.0);
-        slot.refresh(&m);
         m.add_le(vec![(a, 1.0), (b, 1.0)], 2.0);
         slot.refresh(&m);
         slot.refresh(&m);
         let s = slot.stats();
-        assert_eq!((s.rebuilds, s.patches, s.appended_rows), (1, 3, 1));
-        assert_eq!(s.refix_patches, 3, "one kept column is bound-fixed");
-        assert_matches_classed_fresh(&slot, &m);
-        // A moved bound is patched in again.
-        m.set_bounds(b, 1.0, 1.0);
+        assert_eq!((s.rebuilds, s.patches, s.appended_rows), (1, 2, 1));
+        assert_matches_fresh(&slot, &m);
+        m.fix_var(a, 1.0);
         slot.refresh(&m);
-        assert_eq!(slot.stats().rebuilds, 1);
-        assert_matches_classed_fresh(&slot, &m);
+        let s = slot.stats();
+        assert_eq!((s.rebuilds, s.patches, s.refix_patches), (2, 2, 0));
+        assert!(slot
+            .lowered()
+            .is_some_and(|l| l.geom.map.col_of_var[0].is_none()));
+        assert_matches_fresh(&slot, &m);
     }
 
     /// The remembered start verdict covers the rows it was taken against;
@@ -1423,8 +1131,8 @@ mod tests {
                 "re-fix"
             }
             4 => {
-                // Pinned after the last lowering, a kept column stays in
-                // the layout with collapsed bounds until the next rebuild.
+                // Kept columns pinned after the last lowering: the next
+                // refresh rebuilds and folds them.
                 for _ in 0..(1 + rng.gen_index(4)) {
                     let v = var(m, rng);
                     let (lb, _) = m.var_bounds(v);
@@ -1472,8 +1180,9 @@ mod tests {
     /// Whatever happens to the model between two refreshes, the slot's
     /// lowering and side tables are the full pass's, field by field and bit
     /// by bit — the rebuilds, which read the rows of the variables that
-    /// moved and carry the rest over, included; and a rebuild folds what
-    /// [`Model::lower_reduced`] folds.
+    /// moved and carry the rest over, included; a rebuild folds what
+    /// [`Model::lower_reduced`] folds; and rows added under unmoved bounds
+    /// join the cached lowering.
     #[test]
     fn adjacency_driven_refreshes_match_the_full_lowering() {
         let (mut carried_rebuilds, mut patches, mut rows_skipped) = (0, 0, 0usize);
@@ -1502,14 +1211,18 @@ mod tests {
                 let cache = slot.inner.as_ref().expect("slot populated");
                 let map = &cache.lowered.geom.map;
                 if slot.stats().rebuilds > before.rebuilds {
+                    assert_ne!(
+                        what, "new rows",
+                        "seed {seed}, round {round}: appended rows rebuilt the lowering"
+                    );
                     carried_rebuilds += 1;
                     rows_skipped += (m.num_cons() + read_before).saturating_sub(read_after);
                     let fresh = m.lower_reduced();
                     assert_eq!(
                         map.col_of_var, fresh.geom.map.col_of_var,
-                        "seed {seed}, round {round} ({what}): the rebuild's class"
+                        "seed {seed}, round {round} ({what}): what the rebuild folds"
                     );
-                } else {
+                } else if what == "new rows" {
                     patches += 1;
                 }
                 // The verdict the lowering hands the search, spelt out.
@@ -1532,13 +1245,14 @@ mod tests {
             }
         }
         assert!(carried_rebuilds >= 200, "only {carried_rebuilds} rebuilds");
-        assert!(patches >= 150, "only {patches} patches");
+        assert!(patches >= 75, "only {patches} reuses on appended rows");
         assert!(rows_skipped >= 200, "rebuilds skipped {rows_skipped} rows");
     }
 
     /// A constant row turns violated under a re-fix, is repaired, and stops
-    /// being constant when its column is freed — across patches and a
-    /// rebuild, without anything else about it moving.
+    /// being constant when its column is freed — each step a rebuild, with
+    /// nothing else about the row moving — and a refresh with nothing moved
+    /// keeps the verdict.
     #[test]
     fn constant_rows_follow_their_variables() {
         let mut m = Model::new(Sense::Maximize);
@@ -1558,28 +1272,25 @@ mod tests {
         // Re-fix b: 1 + 1 > 1 in the constant row.
         m.set_bounds(b, 1.0, 1.0);
         assert_eq!(infeasible(&mut slot, &m), (true, 1));
-        assert_eq!(slot.stats().patches, 1);
         // The row's own bound moves instead of a variable's.
         m.set_row_bounds(ConsId(0), f64::NEG_INFINITY, 2.0);
         assert_eq!(infeasible(&mut slot, &m), (false, 1));
         m.set_row_bounds(ConsId(0), f64::NEG_INFINITY, 1.0);
         assert_eq!(infeasible(&mut slot, &m), (true, 1));
-        // Free a: a rebuild, the row is an LP row now, nothing is violated.
+        // Free a: the row is an LP row now, nothing is violated.
         m.set_bounds(a, 0.0, 1.0);
         assert_eq!(infeasible(&mut slot, &m), (false, 2));
-        assert_eq!(slot.stats().rebuilds, 2);
-        // Pin it again at the violating value: the next rebuild (c still
-        // free and so kept) finds the row constant and violated again...
+        // Pin it again at the violating value: constant and violated again.
         m.fix_var(a, 1.0);
-        assert_eq!(
-            infeasible(&mut slot, &m),
-            (false, 2),
-            "a patch: a is a kept column"
-        );
-        m.add_binary(0.0);
         assert_eq!(infeasible(&mut slot, &m), (true, 1));
-        assert_eq!(slot.stats().rebuilds, 3);
-        assert_matches_classed_fresh(&slot, &m);
+        assert_eq!(infeasible(&mut slot, &m), (true, 1));
+        let s = slot.stats();
+        assert_eq!(
+            (s.rebuilds, s.patches),
+            (6, 1),
+            "every moved bound rebuilds"
+        );
+        assert_matches_fresh(&slot, &m);
     }
 
     /// Point validation through the slot's tables is [`Model::is_feasible`]:

@@ -196,7 +196,7 @@ pub(crate) struct RowFold {
 /// Walks one constraint's terms against a fixed-variable layout: free
 /// variables keep their LP column and are handed to `kept`, bound-fixed ones
 /// fold into the returned shift. The single source of truth for the
-/// compression rule — [`Model::lower_reduced_for_class`] and every path of
+/// compression rule — [`Model::lower_reduced`] and every path of
 /// the LP cache must stay bit-compatible, so all of them call this.
 pub(crate) fn fold_row(
     vars: &[VarDef],
@@ -291,14 +291,14 @@ pub struct Model {
     /// Renewed (from a process-wide counter) by every mutation that changes
     /// existing columns or terms (new variables, terms appended to existing
     /// rows, objective edits). Bound changes and *appended* rows do not
-    /// renew it: those are exactly the deltas a cached LP lowering
-    /// ([`crate::cache::LpCacheSlot`]) can patch in place without
-    /// re-scanning the model.
+    /// renew it: appended rows are what a cached LP lowering
+    /// ([`crate::cache::LpCacheSlot`]) takes in place, and a bound change
+    /// renews [`Self::bounds_stamp`] instead.
     pub(crate) structure_version: u64,
     /// Renewed (from a process-wide counter) whenever a variable or row
     /// bound takes a different value. Equal stamps on the same structure
-    /// therefore mean equal bounds, exactly — what lets the LP cache skip
-    /// its bound patch and keep a validated start point validated. Rows
+    /// therefore mean equal bounds, exactly — what lets the LP cache reuse
+    /// its lowering and keep a validated start point validated. Rows
     /// appended since do not renew it; they are seen by their count.
     pub(crate) bounds_stamp: u64,
 }
@@ -590,30 +590,11 @@ impl Model {
     /// back to model variables/constraints. This is the full pass — every
     /// variable, every term of every row: the reference the tests hold
     /// [`crate::cache::LpCacheSlot`]'s adjacency-driven rebuild to, bit for
-    /// bit. Solves lower through a slot only.
-    ///
-    /// Folds the variables that are bound-fixed *right now* — the widest
-    /// class there is.
-    #[cfg(test)]
-    pub(crate) fn lower_reduced(&self) -> LoweredLp {
-        let folded: Vec<bool> = self.vars.iter().map(VarDef::is_fixed).collect();
-        self.lower_reduced_for_class(&folded)
-    }
-
-    /// The full-pass compressed lowering under an explicit folded class:
-    /// only the variables with `folded[j] == true` are compressed out (each
-    /// must be bound-fixed); fixed variables *outside* the class keep their
-    /// LP column with collapsed bounds. This is the layout contract of the
-    /// cross-submission LP cache ([`crate::cache::LpCacheSlot`]), whose
-    /// refresh is the only lowering a solve runs: the cached layout folds
-    /// the class captured at build time, and a later submission that
-    /// re-fixes a *different* superset of that class patches bounds in
-    /// place — the patched result must be bit-identical to lowering fresh
-    /// under the same class. Debug builds replay this after every refresh;
+    /// bit. Solves lower through a slot only, whose refresh is the only
+    /// lowering a solve runs; debug builds replay this after every refresh,
     /// the cache's property tests do so in release.
     #[cfg(any(test, debug_assertions))]
-    pub(crate) fn lower_reduced_for_class(&self, folded: &[bool]) -> LoweredLp {
-        debug_assert_eq!(folded.len(), self.vars.len());
+    pub(crate) fn lower_reduced(&self) -> LoweredLp {
         let flip = self.min_flip();
         let mut b = sqpr_lp::ProblemBuilder::new();
         let mut lp_integers = Vec::new();
@@ -622,8 +603,7 @@ impl Model {
         let mut fixed_obj_min = 0.0;
         let mut infeasible_fixed_row = false;
         for (j, v) in self.vars.iter().enumerate() {
-            if folded[j] {
-                debug_assert!(v.is_fixed(), "folded class member {j} is not bound-fixed");
+            if v.is_fixed() {
                 if v.ty == VarType::Integer && fixed_off_integer(v.lb) {
                     infeasible_fixed_row = true;
                 }

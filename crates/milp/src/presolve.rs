@@ -59,11 +59,11 @@ pub(crate) type LpBounds = Option<(Vec<f64>, Vec<f64>)>;
 /// `mirror` holds the model's current bounds on entry and again on return:
 /// the sweeps tighten it in place and what they moved is put back, so no
 /// skeleton-sized buffer is filled per call. `first_sweep` carries the first
-/// sweep from one call to the next over the *same lowering*: while the
-/// model's bounds stand ([`Model::bounds_stamp`]) and rows were only
-/// appended, the first sweep over the rows it covered would compute the same
-/// thing again, so it resumes behind them. `rows_read` counts the rows whose
-/// terms were read.
+/// sweep from one call to the next over the *same lowering*: a lowering is
+/// reused only while the model's bounds stand ([`Model::bounds_stamp`]) and
+/// rows were only appended, so the first sweep over the rows it covered
+/// would compute the same thing again, and it resumes behind them.
+/// `rows_read` counts the rows whose terms were read.
 pub(crate) fn presolve_bounds_active(
     model: &Model,
     max_rounds: usize,
@@ -283,7 +283,13 @@ impl<'a> Propagation<'a> {
         let resumed = first_sweep
             .as_deref_mut()
             .and_then(Option::take)
-            .filter(|f| f.bounds_stamp == model.bounds_stamp && f.rows <= active.len());
+            .filter(|f| {
+                debug_assert_eq!(
+                    f.bounds_stamp, model.bounds_stamp,
+                    "a first sweep outlived its lowering"
+                );
+                f.rows <= active.len()
+            });
         // Finish the first sweep: everything, or the rows appended since.
         let first = match resumed {
             None => self.sweep(model, active, 0, adjacency),

@@ -27,6 +27,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::time::{Duration, Instant};
 
 use sqpr_lp::{
@@ -34,10 +35,20 @@ use sqpr_lp::{
     PivotCounts, Problem, SimplexOptions, VarBasisStatus,
 };
 
-use crate::cache::{next_factor_token, LpCacheSlot, Side, SolverParts};
+use crate::cache::{LpCacheSlot, Side, SolverParts};
 use crate::heuristics;
 use crate::model::{LoweredLp, LpMap, Model, SearchGeom};
 use crate::presolve::presolve_bounds_active;
+
+/// Matrix-generation tokens for basis-factorisation reuse, one per branch &
+/// bound tree. A single process-wide counter keeps tokens unique across
+/// trees and slots, so a workspace can never confuse two matrices.
+static FACTOR_GENERATION: AtomicU64 = AtomicU64::new(1);
+
+/// Claims a fresh, process-unique matrix-generation token.
+fn next_factor_token() -> u64 {
+    FACTOR_GENERATION.fetch_add(1, AtomicOrdering::Relaxed)
+}
 
 /// Incumbent filter callback (lazy-constraint hook): integral candidates
 /// it rejects never become the incumbent.
@@ -238,15 +249,10 @@ pub struct MilpOptions {
     /// without it; improvements within the margin may be skipped, and the
     /// reported `best_bound` is then only valid to within the margin.
     pub cutoff_margin: f64,
-    /// Reuse basis factorisations *across* branch & bound constructions
-    /// served from the same [`LpCacheSlot`]: the slot holds the matrix
-    /// generation token, so cut rounds and consecutive submissions whose
-    /// compressed LP only had its bounds patched re-attach the previous
-    /// tree's final factorisation at the root instead of refactorising.
-    /// Disabling claims a fresh generation per tree (the per-tree scope of
-    /// the pre-lift behaviour, kept as the ablation). A solve without a
-    /// cache runs over a private slot of its own, so its factors live for
-    /// one tree either way.
+    /// Accepted and ignored — every tree claims a matrix generation of its
+    /// own, so factorisations pass between the nodes of one tree only.
+    /// Removed together with the benchmark lines that name it in the next
+    /// `benchmark` PR.
     pub cross_solve_factors: bool,
     /// Accepted and ignored — removed together with the two benchmark
     /// lines that name it in the next `benchmark` PR.
@@ -446,12 +452,10 @@ impl SolveOutcome {
 /// candidate incumbent; a fresh slot is simply the first solve of one.
 ///
 /// A suspend leaves the caller's [`LpCacheSlot`] fully valid: the slot's
-/// cached lowering, workspace and factor token all survive, and later
-/// submissions may be served from it while the suspended state is parked.
-/// (Once the root is evaluated, the slot's detached factor cache holds its
-/// factorisation, as after a finished tree, so the next tree's root seed
-/// never depends on where mid-tree evaluation happened to run, nor on
-/// whether the search was sliced.)
+/// cached lowering and workspace survive, and later submissions may be
+/// served from it while the suspended state is parked. Every tree claims a
+/// matrix generation of its own and seeds its root with no factorisation,
+/// so what a tree leaves in the workspace never reaches the next one.
 ///
 /// The lowering and workspace are borrowed from the slot by the search; on
 /// suspension the lowering and its tables go into the returned
@@ -472,27 +476,15 @@ pub fn solve_preemptible(
         Some(slot) => slot,
         None => fresh.insert(LpCacheSlot::new()),
     };
-    let SolverParts {
-        lowered,
-        side,
-        ws,
-        factor_token,
-    } = slot.refresh_solver(model);
+    let SolverParts { lowered, side, ws } = slot.refresh_solver(model);
     let (lp, geom) = (&lowered.lp, &lowered.geom);
     let start_tol = opts.int_tol.max(1e-7);
     let start = warm.start.and_then(|x| {
         let objective = side.start_objective(model, &geom.map, x, start_tol)?;
         Some((x, objective))
     });
-    if opts.cross_solve_factors {
-        // The slot's token outlives this tree while the matrix survives
-        // refreshes untouched: consecutive trees may re-attach each other's
-        // factors at the root.
-        ws.resume_factor_generation(factor_token);
-    } else {
-        ws.begin_factor_generation(next_factor_token());
-    }
-    let factor_token = ws.factor_generation();
+    let factor_token = next_factor_token();
+    ws.begin_factor_generation(factor_token);
     let mut core = SearchCore::new(model, opts, start, warm.root_basis, lp, geom, side);
     let verdict = Bnb {
         model,
@@ -517,14 +509,12 @@ pub fn solve_preemptible(
         }
         SliceVerdict::Suspended => {
             let (lowered, side) = slot.search_input(model, private);
-            // The suspended search gets a private workspace under the same
-            // factor generation: every factorisation it still needs lives
-            // in its node seeds (`Rc`s inside the heap), and node
-            // evaluation installs from the seed before each solve, so a
-            // fresh workspace is semantically identical to the one the
-            // slice ran in.
-            let mut ws = LpWorkspace::new();
-            ws.resume_factor_generation(factor_token);
+            // The suspended search gets a private workspace: every
+            // factorisation it still needs lives in its node seeds (`Rc`s
+            // inside the heap), and node evaluation installs from the seed,
+            // under the tree's token, before each solve, so a fresh
+            // workspace is semantically identical to the one the slice ran
+            // in.
             SolveOutcome::Suspended(Box::new(SearchState {
                 model: model.clone(),
                 opts: opts.clone(),
@@ -532,7 +522,7 @@ pub fn solve_preemptible(
                 side,
                 core,
                 factor_token,
-                ws,
+                ws: LpWorkspace::new(),
             }))
         }
     }
@@ -658,11 +648,6 @@ struct SearchCore {
     next_id: u64,
     /// Basis of the solved root relaxation (exported in the result).
     root_basis_out: Option<ModelBasis>,
-    /// The root relaxation's final factorisation, re-installed into the
-    /// workspace when the tree ends: the next tree served from the
-    /// same slot warm-starts its root from this root's basis, so this is
-    /// the state whose basic set the re-attach check can actually match.
-    root_factors: Option<Rc<FactorState>>,
     /// Node-materialisation scratch: the node's column bounds.
     lp_lb_buf: Vec<f64>,
     lp_ub_buf: Vec<f64>,
@@ -692,10 +677,8 @@ struct Bnb<'a> {
     side: &'a mut Side,
     /// Reusable LP scratch shared by every relaxation (node solves and
     /// diving heuristics alike): borrowed from the [`LpCacheSlot`] on the
-    /// first slice — so allocations, and the detached basis-factor cache
-    /// that lets a root solve re-attach the previous tree's factorisation
-    /// when the matrix generation is unchanged, survive between the slot's
-    /// consecutive trees — and from the suspended [`SearchState`] on resume.
+    /// first slice — so allocations survive between the slot's consecutive
+    /// trees — and from the suspended [`SearchState`] on resume.
     ws: &'a mut LpWorkspace,
     /// Matrix generation every factor state in this tree is scoped to.
     factor_token: u64,
@@ -760,7 +743,6 @@ impl SearchCore {
             root_hint,
             next_id: 0,
             root_basis_out: None,
-            root_factors: None,
             lp_lb_buf: vec![0.0; ncols],
             lp_ub_buf: vec![0.0; ncols],
             x_buf: Vec::new(),
@@ -938,11 +920,7 @@ impl<'a> Bnb<'a> {
             }
 
             // Root node, warm-started from the previous solve's basis if
-            // given, seeded with the workspace's surviving factor state
-            // (the previous tree's root factorisation on the cross-solve
-            // cached path; `None` on fresh workspaces or after a token
-            // renewal).
-            let root_seed = self.ws.take_factor_state().map(Rc::new);
+            // given; its factorisation is the tree's first.
             let root_hint = self.core.root_hint.clone();
             self.core.heap.push(OrdNode(Node {
                 id: 0,
@@ -950,41 +928,12 @@ impl<'a> Bnb<'a> {
                 depth: 0,
                 chain: None,
                 basis: root_hint,
-                seed: root_seed,
+                seed: None,
             }));
             self.core.next_id = 1;
         }
 
-        let verdict = self.search(quantum);
-
-        match verdict {
-            SliceVerdict::Finished(..) => {
-                // Leave the *root's* final factorisation in the workspace:
-                // the next tree served from the same slot warm-starts its
-                // root from this root's exported basis, so this is the
-                // state whose basic set the re-attach check can match.
-                // (Under lineage seeding the workspace would otherwise end
-                // the tree empty — every node evaluation takes its state
-                // out.)
-                if let Some(f) = self.core.root_factors.take() {
-                    let state = Rc::try_unwrap(f).unwrap_or_else(|a| (*a).clone());
-                    self.ws.install_factor_state(self.factor_token, Some(state));
-                }
-            }
-            SliceVerdict::Suspended => {
-                // Mid-tree the workspace's detached cache holds whatever
-                // the last dive left behind, if one ran since the last node
-                // evaluation took its state out. Leave the root's
-                // factorisation there instead, as a finished tree does, so
-                // what the slice leaves behind (in the cache slot or the
-                // suspended search) does not depend on where the cut fell,
-                // and the next tree re-attaches as after an uninterrupted
-                // one; node evaluation re-installs from each node's seed.
-                let root = self.core.root_factors.as_deref().cloned();
-                self.ws.install_factor_state(self.factor_token, root);
-            }
-        }
-        verdict
+        self.search(quantum)
     }
 
     /// The search loop: pops, prunes, evaluates, branches and accepts
@@ -1054,14 +1003,11 @@ impl<'a> Bnb<'a> {
             );
             self.core.lp_iterations += sol.iterations;
             self.core.lp_pivots.merge(&sol.pivots);
-            if node.depth == 0 {
-                if self.core.root_basis_out.is_none() {
-                    self.core.root_basis_out = sol
-                        .basis
-                        .as_ref()
-                        .map(|b| ModelBasis::from_lp(b, &self.geom.map));
-                }
-                self.core.root_factors = factors.clone();
+            if node.depth == 0 && self.core.root_basis_out.is_none() {
+                self.core.root_basis_out = sol
+                    .basis
+                    .as_ref()
+                    .map(|b| ModelBasis::from_lp(b, &self.geom.map));
             }
 
             match sol.status {

@@ -1,6 +1,7 @@
-//! Property tests: the cross-submission compressed-LP cache must be
-//! behaviour-identical to fresh lowerings, and the lifted factor
-//! generation must actually re-attach factorisations across solves.
+//! Property tests: the compressed-LP cache must be behaviour-identical to
+//! fresh lowerings — a moved bound rebuilds, rows appended under unmoved
+//! bounds join the cached lowering — and no tree re-attaches the
+//! factorisation of another.
 //!
 //! Implemented as seeded random-case loops (the sanctioned dependency set
 //! has no `proptest`); every case prints its seed on failure so it can be
@@ -54,10 +55,10 @@ fn random_skeleton(rng: &mut StdRng) -> (Model, Vec<VarId>) {
 
 /// Multi-submission sequences: each round re-fixes a random subset of the
 /// variables at random binary values (the planner's deployment-pin
-/// pattern) and occasionally appends a cut row; the cached/patched path
-/// must agree with a fresh solve on status and objective, round
-/// after round, while the root basis of each cached solve warm-starts the
-/// next (the cross-submission warm path end to end).
+/// pattern) and occasionally appends a cut row; the cached path must agree
+/// with a fresh solve on status and objective, round after round, while
+/// the root basis of each cached solve warm-starts the next (the
+/// cross-submission warm path end to end).
 #[test]
 fn cached_cross_submission_solves_match_fresh() {
     for seed in 0..25u64 {
@@ -197,7 +198,6 @@ fn cacheless_solves_are_fresh_slot_solves() {
         }
         let opts = MilpOptions {
             presolve: rng.gen_index(4) != 0,
-            cross_solve_factors: rng.gen_bool(),
             ..MilpOptions::default()
         };
         let base = solve(&m, &opts);
@@ -229,93 +229,43 @@ fn cacheless_solves_are_fresh_slot_solves() {
     assert!(filtered >= 90, "only {filtered} filtered solves");
 }
 
-/// The class keying must actually produce cross-submission patches on
-/// re-fixed subsets: once every variable has been fixed at least once,
-/// later rounds that only *move* pins within that class never rebuild.
+/// Re-pinning moves bounds, so each such round rebuilds: the rebuild folds
+/// the current pins (debug builds replay the full pass, `Model::lower_reduced`,
+/// behind every refresh and assert equality), and the solve over it is a
+/// fresh slot's, bit for bit.
 #[test]
-fn refix_rounds_patch_instead_of_rebuilding() {
+fn refix_rounds_rebuild_to_the_fresh_lowering() {
     let mut m = Model::new(Sense::Maximize);
     let vars: Vec<VarId> = (0..6).map(|i| m.add_binary(1.0 + i as f64)).collect();
     m.add_le(vars.iter().map(|&v| (v, 1.0)).collect(), 3.0);
-    // Submission 1 pins everything (the widest class).
-    for (i, &v) in vars.iter().enumerate() {
-        let val = (i % 2) as f64;
-        m.set_bounds(v, val, val);
-    }
     let mut slot = LpCacheSlot::new();
     let opts = MilpOptions::default();
-    solve_warm_cached(&m, &opts, MilpWarmStart::default(), &mut slot);
-    assert_eq!(slot.stats().rebuilds, 1);
-    // Submissions 2..=5 re-pin different values of the same class.
     let mut rng = StdRng::seed_from_u64(7);
-    for _ in 0..4 {
+    let mut moved = 0;
+    for round in 0..5 {
+        // Every submission pins every variable, at values of its own.
+        let stamp = m.bounds_stamp();
         for &v in &vars {
             let val = if rng.gen_bool() { 1.0 } else { 0.0 };
             m.set_bounds(v, val, val);
         }
-        solve_warm_cached(&m, &opts, MilpWarmStart::default(), &mut slot);
+        moved += usize::from(m.bounds_stamp() != stamp);
+        let cached = solve_warm_cached(&m, &opts, MilpWarmStart::default(), &mut slot);
+        assert_bit_identical(&format!("round {round}"), &cached, &solve(&m, &opts));
     }
     let stats = slot.stats();
-    assert_eq!(stats.rebuilds, 1, "re-pins within the class: {stats:?}");
-    assert_eq!(stats.patches, 4, "{stats:?}");
+    assert!(moved >= 4, "only {moved} rounds moved a pin");
+    assert_eq!(
+        (stats.rebuilds, stats.patches),
+        (moved, 5 - moved),
+        "{stats:?}"
+    );
+    assert_eq!(stats.refix_patches, 0);
 }
 
-/// Cross-solve factor reuse: a pure-LP model solves once per tree, so a
-/// second cached solve warm-started from the first's root basis must
-/// re-attach the detached factorisation (token held across the pure bound
-/// patch) — and must *not* when the ablation flag scopes the token per
-/// tree.
-#[test]
-fn consecutive_cached_roots_reattach_factors() {
-    fn model() -> (Model, VarId) {
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous(0.0, 4.0, 1.0);
-        let y = m.add_continuous(0.0, 4.0, 1.0);
-        let z = m.add_continuous(0.0, 2.0, 0.5);
-        m.add_le(vec![(x, 1.0), (y, 1.0)], 5.0);
-        m.add_le(vec![(y, 1.0), (z, 1.0)], 3.0);
-        m.fix_var(z, 1.0);
-        (m, z)
-    }
-
-    for (flag, expect_reattach) in [(true, true), (false, false)] {
-        let (mut m, z) = model();
-        let mut slot = LpCacheSlot::new();
-        let opts = MilpOptions {
-            cross_solve_factors: flag,
-            ..MilpOptions::default()
-        };
-        let r1 = solve_warm_cached(&m, &opts, MilpWarmStart::default(), &mut slot);
-        assert_eq!(r1.status, MilpStatus::Optimal);
-        assert_eq!(r1.lp_pivots.factor_reattaches, 0, "nothing cached yet");
-        // Next "submission": same class, different pin value — bound patch
-        // only, matrix untouched.
-        m.set_bounds(z, 0.0, 0.0);
-        let warm = MilpWarmStart {
-            start: None,
-            root_basis: r1.root_basis.as_ref(),
-        };
-        let r2 = solve_warm_cached(&m, &opts, warm, &mut slot);
-        assert_eq!(r2.status, MilpStatus::Optimal);
-        assert_eq!(slot.stats().patches, 1, "second solve must patch");
-        if expect_reattach {
-            assert!(
-                r2.lp_pivots.factor_reattaches >= 1,
-                "cross-solve factors enabled: the root must re-attach, got {:?}",
-                r2.lp_pivots
-            );
-        } else {
-            assert_eq!(
-                r2.lp_pivots.factor_reattaches, 0,
-                "ablation claims a fresh generation per tree"
-            );
-        }
-    }
-}
-
-/// Appended cut rows change the matrix: the slot renews its generation, so
-/// the next root must refactorise rather than re-attach stale factors (and
-/// the solve must stay correct).
+/// Appended cut rows change the matrix, and the next tree claims a
+/// generation of its own: its root refactorises rather than re-attaching
+/// stale factors (and the solve stays correct).
 #[test]
 fn appended_rows_fence_factor_reuse() {
     let mut m = Model::new(Sense::Maximize);
