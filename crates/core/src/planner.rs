@@ -762,17 +762,28 @@ impl SqprPlanner {
         // once per submission: later cut rounds only append availability
         // cut rows, which any causal start satisfies by construction, so
         // the vector (variable-indexed, and cuts add no variables) stays
-        // valid verbatim.
+        // valid verbatim. On the incremental path the LP cache judges the
+        // admitting start on the lowering the first tree runs over, at the
+        // cost of its kept rows, and that tree then reuses the verdict. A
+        // cold round's solve lowers into a private slot of its own, so its
+        // start is checked against the model in full.
         let mut warm: Option<Vec<f64>> = None;
         let mut admitting_start = false;
         if self.config.warm_start {
+            let lp_cache = &mut self.ctx.lp_cache;
             let admitting = new_streams
                 .iter()
                 .try_fold(self.state.clone(), |cand, &s| {
                     greedy_admit(&self.catalog, &cand, s, tag)
                 })
                 .and_then(|cand| model.warm_start(&cand, &self.catalog))
-                .filter(|w| model.milp.is_feasible(w, 1e-6));
+                .filter(|w| {
+                    if incremental {
+                        lp_cache.start_is_feasible(&model.milp, w, 1e-6)
+                    } else {
+                        model.milp.is_feasible(w, 1e-6)
+                    }
+                });
             admitting_start = admitting.is_some();
             warm = admitting.or_else(|| model.warm_start(&self.state, &self.catalog));
         }

@@ -287,7 +287,7 @@ fn resume_against_a_changed_deployment_at(quantum: usize) -> DeadlineRun {
 /// becomes the final one. No corpus scenario reaches this rung: their
 /// parked proofs finish within one retry.
 #[test]
-fn exhausted_retries_on_full_hosts_defer_to_a_proven_verdict() {
+fn exhausted_retries_on_full_hosts_defer_to_a_terminal_verdict() {
     let cases = [
         (30.0, 3, Rejected::Proven),
         (45.0, 7, Rejected::DeadlineNoCertificate),

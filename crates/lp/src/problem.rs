@@ -125,16 +125,6 @@ impl Problem {
         self.col_ub[j] = ub;
     }
 
-    /// Replaces one row's bounds in place.
-    ///
-    /// # Panics
-    /// Panics on crossed bounds.
-    pub fn set_row_bounds(&mut self, i: usize, lb: f64, ub: f64) {
-        assert!(lb <= ub, "row {i} crossed bounds [{lb}, {ub}]");
-        self.row_lb[i] = lb;
-        self.row_ub[i] = ub;
-    }
-
     /// Appends rows to the problem: `bounds` holds one `(lb, ub)` pair per
     /// appended row and `entries` the coefficients, indexed in the *new*
     /// (appended) row range. Existing columns, rows and the objective are

@@ -106,10 +106,22 @@ fn planner_lp(rng: &mut StdRng, large: bool) -> Case {
             }
         }
     }
-    let mut lp = b.build();
+    // The capacities are drawn last, once the deployed load is known, but
+    // their rows come first: the problem is assembled again with them.
+    let lp = b.build();
+    let (row_lb, mut row_ub) = (lp.row_bounds().0.to_vec(), lp.row_bounds().1.to_vec());
     for (h, &row) in capacity.iter().enumerate() {
-        lp.set_row_bounds(row, -INF, used[h] + rng.gen_range_i64(0, 60) as f64 / 10.0);
+        row_ub[row] = used[h] + rng.gen_range_i64(0, 60) as f64 / 10.0;
     }
+    let (col_lb, col_ub) = lp.col_bounds();
+    let lp = Problem::new(
+        lp.matrix().clone(),
+        lp.objective().to_vec(),
+        col_lb.to_vec(),
+        col_ub.to_vec(),
+        row_lb,
+        row_ub,
+    );
     Case {
         lp,
         lb,

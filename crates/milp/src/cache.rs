@@ -44,11 +44,37 @@
 //! the slot already holds, so only the kept columns and rows are checked per
 //! point. They validate the seed and every candidate incumbent of every
 //! search — a suspended search takes the lowering and its tables along, so
-//! its resumed slices validate the same way. The full pass is the
-//! reference: `Model::lower_reduced` for the lowering,
-//! [`Model::is_feasible`] for a point. Debug builds replay it behind every
-//! refresh and every validation and assert equality; the property tests do
-//! so in release.
+//! its resumed slices validate the same way. The planner judges its
+//! admitting start here too ([`LpCacheSlot::start_is_feasible`]), before
+//! the search: that refresh is the search's own, which then finds the
+//! lowering current and counts nothing, and the verdict is remembered with
+//! the lowering. The full pass is the reference: `Model::lower_reduced` for
+//! the lowering, [`Model::is_feasible`] for a point. Debug builds replay it
+//! behind every refresh and every validation and assert equality; the
+//! property tests do so in release.
+//!
+//! # What a sweep reads
+//!
+//! A kept row holds a term of every column it ever met — the planner's
+//! capacity rows one of every query — and most of those columns are folded
+//! at zero. Presolve's sweeps and point validation read a kept row through
+//! its *live* terms (`LiveRows`), listed per LP row in the same pass that
+//! folds it (rebuild and appended rows alike):
+//!
+//! - every free term, and every folded term whose product is not an exact
+//!   zero (a nonzero fixed value, or a coefficient that is not finite), in
+//!   model order;
+//! - per (sign of `a`, integrality), the one term fixed at zero with the
+//!   smallest `|a|`.
+//!
+//! A term fixed at zero adds an exact `±0` to an activity sum, which leaves
+//! every partial sum's bits as they were (a sum from `+0` never reads
+//! `-0`), so skipping it changes no sum. The one other thing such a term
+//! can do is end a presolve sweep `Infeasible`: when its row is violated by
+//! more than `|a|·1e-9` but at most `1e-9` (`crate::presolve`). That test
+//! is monotone in `|a|`, so it fires for a term of a class iff it fires for
+//! the class's smallest `|a|`, and the representatives keep every verdict.
+//! The rebuild itself still folds each kept row in full, for its constant.
 //!
 //! The slot also owns the [`LpWorkspace`] every construction it serves
 //! runs in, so its allocations outlive a tree. Its basis-factor cache does
@@ -65,8 +91,8 @@
 //! full lowering.
 
 use crate::model::{
-    const_row_violated, fixed_off_integer, fold_row, shifted_bounds, AdjacencyCheck, LoweredLp,
-    LpMap, Model, SearchGeom, VarType,
+    activity, const_row_violated, fixed_off_integer, fold_row, shifted_bounds, AdjacencyCheck,
+    LoweredLp, LpMap, Model, SearchGeom, VarDef, VarId, VarType,
 };
 use crate::presolve::{BoundsMirror, FirstSweep};
 use sqpr_lp::{LpWorkspace, ProblemBuilder, Triplet};
@@ -130,6 +156,9 @@ impl CacheStats {
 pub struct LpCacheSlot {
     inner: Option<LpCache>,
     stats: CacheStats,
+    /// [`Self::start_is_feasible`] refreshed the lowering for the next
+    /// search, which has not claimed it yet.
+    judged: bool,
     /// LP scratch buffers shared by every B&B construction served from
     /// this slot.
     ws: LpWorkspace,
@@ -213,6 +242,26 @@ pub(crate) struct Side {
     /// Constraint rows whose terms were read so far — by rebuilds, appended
     /// rows, presolve sweeps and point validation.
     pub rows_read: usize,
+    /// Per kept LP row, the terms presolve's sweeps and point validation
+    /// read of it; see the module docs ("What a sweep reads").
+    pub live: LiveRows,
+    /// Terms read so far by presolve sweeps and point validation (the
+    /// rebuild's own reads are in [`Self::rows_read`]).
+    pub terms_read: usize,
+}
+
+/// The live terms of a lowering's kept rows, row after row: a row's free
+/// terms and the folded terms whose product is not an exact zero, in model
+/// order, then per (sign, integrality) the zero-fixed term of smallest
+/// `|a|`. See the module docs ("What a sweep reads").
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LiveRows {
+    terms: Vec<(VarId, f64)>,
+    /// Where each row's terms end in `terms`.
+    ends: Vec<usize>,
+    /// The row being built: per (sign, integrality), its zero-fixed term of
+    /// smallest `|a|` so far.
+    least: [Option<(VarId, f64)>; 4],
 }
 
 /// What a solver construction borrows from the slot.
@@ -254,6 +303,13 @@ impl LpCacheSlot {
         self.inner.as_ref().map_or(0, |c| c.side.rows_read)
     }
 
+    /// Terms read by presolve sweeps and point validation through this slot
+    /// so far; see [`Side::terms_read`].
+    #[cfg(test)]
+    pub(crate) fn terms_read(&self) -> usize {
+        self.inner.as_ref().map_or(0, |c| c.side.terms_read)
+    }
+
     /// Makes the cached lowering current for `model` and returns it:
     /// appends rows in place while no bound moved, rebuilds otherwise.
     /// (Solver constructions go through
@@ -274,7 +330,10 @@ impl LpCacheSlot {
                 && c.bounds_stamp == model.bounds_stamp
                 && model.num_cons() >= c.ncons_lowered
         });
+        let judged = std::mem::take(&mut self.judged);
         let cache = match self.inner.take() {
+            // The refresh that judged the start, current still, was this one.
+            Some(cache) if judged && reusable && cache.ncons_lowered == model.num_cons() => cache,
             Some(mut cache) if reusable => {
                 self.stats.appended_rows += cache.append_new_rows(model);
                 self.stats.patches += 1;
@@ -293,6 +352,22 @@ impl LpCacheSlot {
             side: &mut cache.side,
             ws: &mut self.ws,
         }
+    }
+
+    /// Judges `x` as the seed incumbent of the next search over `model`:
+    /// [`Model::is_feasible`]`(x, tol)`, taken on the lowering that search
+    /// will run over — the refresh happens here, and the search's own finds
+    /// the lowering current and counts nothing. The verdict is remembered
+    /// with the lowering, so a search seeded with `x` at `tol` does not
+    /// validate it again.
+    pub fn start_is_feasible(&mut self, model: &Model, x: &[f64], tol: f64) -> bool {
+        let parts = self.refresh_solver(model);
+        let feasible = parts
+            .side
+            .start_objective(model, &parts.lowered.geom.map, x, tol)
+            .is_some();
+        self.judged = true;
+        feasible
     }
 
     /// The lowering of `model` and its tables, for a search that outlives
@@ -334,6 +409,7 @@ impl LpCache {
         let known = col_of_var.len();
         side.first_sweep = None;
         side.start_check = None;
+        side.live.clear();
         side.begin_marks(ncons);
         side.const_act.resize(ncons, 0.0);
 
@@ -392,10 +468,15 @@ impl LpCache {
         let mut adjacency_exact = true;
         for (r, &ci) in cons_of_row.iter().enumerate() {
             let c = &model.cons[ci];
-            let fold = fold_row(&model.vars, &col_of_var, &c.terms, |col, a| {
-                adjacency_exact &= adjacency.term_is_exact(r, col, a);
-                b.set_coeff(r, col, a);
+            let live = &mut side.live;
+            let fold = fold_row(&model.vars, &col_of_var, &c.terms, |v, a, col| {
+                live.add(&model.vars, v, a, col.is_some());
+                if let Some(col) = col {
+                    adjacency_exact &= adjacency.term_is_exact(r, col, a);
+                    b.set_coeff(r, col, a);
+                }
             });
+            live.end_row();
             let (lb, ub) = shifted_bounds(c.lb, c.ub, fold.shift);
             b.add_row(lb, ub);
             side.row_shift.push(fold.shift);
@@ -457,13 +538,17 @@ impl LpCache {
         let mut adjacency = AdjacencyCheck::new(l.lp.ncols());
         for ci in self.ncons_lowered..model.num_cons() {
             let c = &model.cons[ci];
-            let fold = fold_row(&model.vars, &map.col_of_var, &c.terms, |col, value| {
-                map.adjacency_exact &= adjacency.term_is_exact(next_row, col, value);
-                entries.push(Triplet {
-                    row: next_row,
-                    col,
-                    value,
-                });
+            let live = &mut side.live;
+            let fold = fold_row(&model.vars, &map.col_of_var, &c.terms, |v, value, col| {
+                live.add(&model.vars, v, value, col.is_some());
+                if let Some(col) = col {
+                    map.adjacency_exact &= adjacency.term_is_exact(next_row, col, value);
+                    entries.push(Triplet {
+                        row: next_row,
+                        col,
+                        value,
+                    });
+                }
             });
             side.rows_read += 1;
             // The new rows are what the row lists of their variables grew by.
@@ -471,6 +556,7 @@ impl LpCache {
                 side.adj_len[v.index()] = model.rows_of_var[v.index()].len() as u32;
             }
             if fold.kept == 0 {
+                side.live.drop_row();
                 map.infeasible_fixed_row |= const_row_violated(fold.shift, c.lb, c.ub);
                 side.const_act[ci] = fold.shift;
                 for (tol, admit) in &mut side.const_rows_admit {
@@ -478,6 +564,7 @@ impl LpCache {
                 }
                 continue;
             }
+            side.live.end_row();
             bounds.push(shifted_bounds(c.lb, c.ub, fold.shift));
             map.cons_of_row.push(ci);
             side.row_shift.push(fold.shift);
@@ -494,10 +581,10 @@ impl LpCache {
     /// The reference the shortcuts answer to, run after every refresh in
     /// debug builds and by the property tests in release: the full pass
     /// ([`Model::lower_reduced`], every row folded again) must give this
-    /// lowering and these side
-    /// tables, bit for bit. Also what catches an in-place mutation of
-    /// already-lowered constraints that forgot to bump `structure_version`
-    /// (e.g. a same-length constraint swap).
+    /// lowering and these side tables — the live rows included — bit for
+    /// bit. Also what catches an in-place mutation of already-lowered
+    /// constraints that forgot to bump `structure_version` (e.g. a
+    /// same-length constraint swap).
     #[cfg(any(test, debug_assertions))]
     fn verify_against_full_pass(&self, model: &Model) {
         let (was, side) = (&self.lowered, &self.side);
@@ -535,9 +622,13 @@ impl LpCache {
             .iter()
             .map(|&(tol, _)| (tol, true))
             .collect();
+        let mut live = LiveRows::default();
         for (ci, c) in model.cons.iter().enumerate() {
-            let fold = fold_row(&model.vars, &map.col_of_var, &c.terms, |_, _| {});
+            let fold = fold_row(&model.vars, &map.col_of_var, &c.terms, |v, a, col| {
+                live.add(&model.vars, v, a, col.is_some());
+            });
             if kept.next_if_eq(&&ci).is_some() {
+                live.end_row();
                 let row = map.cons_of_row.len() - kept.len() - 1;
                 assert_eq!(
                     side.row_shift[row].to_bits(),
@@ -545,6 +636,7 @@ impl LpCache {
                     "shift of kept row {row} (constraint {ci})"
                 );
             } else {
+                live.drop_row();
                 assert_eq!(
                     side.const_act[ci].to_bits(),
                     fold.shift.to_bits(),
@@ -555,6 +647,11 @@ impl LpCache {
                 }
             }
         }
+        let live_bits = |l: &LiveRows| {
+            let terms = l.terms.iter().map(|&(v, a)| (v, a.to_bits()));
+            (l.ends.clone(), terms.collect::<Vec<_>>())
+        };
+        assert!(live_bits(&side.live) == live_bits(&live), "live rows");
         assert_eq!(side.const_rows_admit, const_rows_admit);
         for (j, rows) in model.rows_of_var.iter().enumerate() {
             assert_eq!(
@@ -582,6 +679,51 @@ fn expand_kept(geom: &SearchGeom, x_lp: &[f64], x: &mut [f64]) {
     for &col in &geom.lp_integers {
         let v = var_of_col[col];
         x[v] = x[v].round();
+    }
+}
+
+impl LiveRows {
+    fn clear(&mut self) {
+        self.terms.clear();
+        self.ends.clear();
+        self.least = [None; 4];
+    }
+
+    /// The live terms of kept row `r`.
+    pub(crate) fn row(&self, r: usize) -> &[(VarId, f64)] {
+        let start = r.checked_sub(1).map_or(0, |p| self.ends[p]);
+        &self.terms[start..self.ends[r]]
+    }
+
+    /// Takes the next term `a·v` of the row being built, `kept` when `v` has
+    /// an LP column. A folded variable fixed at zero, with a finite `a`,
+    /// adds an exact zero to every sum; of those only the least `|a|` per
+    /// (sign, integrality) is live, and none with `a == 0`, which no sweep
+    /// reads.
+    fn add(&mut self, vars: &[VarDef], v: VarId, a: f64, kept: bool) {
+        let var = &vars[v.index()];
+        if kept || var.lb != 0.0 || !a.is_finite() {
+            self.terms.push((v, a));
+        } else if a != 0.0 {
+            let class = 2 * usize::from(a < 0.0) + usize::from(var.ty == VarType::Integer);
+            let least = &mut self.least[class];
+            if least.is_none_or(|(_, b)| a.abs() < b.abs()) {
+                *least = Some((v, a));
+            }
+        }
+    }
+
+    /// Closes the row being built.
+    fn end_row(&mut self) {
+        self.terms
+            .extend(self.least.iter_mut().filter_map(Option::take));
+        self.ends.push(self.terms.len());
+    }
+
+    /// Forgets the row being built (it turned out constant).
+    fn drop_row(&mut self) {
+        self.terms.truncate(self.ends.last().copied().unwrap_or(0));
+        self.least = [None; 4];
     }
 }
 
@@ -624,7 +766,7 @@ impl Side {
 
     /// Sums constant row `r` at the current fixed values.
     fn read_const_row(&mut self, model: &Model, col_of_var: &[Option<usize>], r: usize) {
-        let fold = fold_row(&model.vars, col_of_var, &model.cons[r].terms, |_, _| {});
+        let fold = fold_row(&model.vars, col_of_var, &model.cons[r].terms, |_, _, _| {});
         debug_assert_eq!(fold.kept, 0, "row {r} has a kept column");
         self.const_act[r] = fold.shift;
         self.rows_read += 1;
@@ -712,9 +854,10 @@ impl Side {
     /// every folded variable. Such a point gives every constant row the
     /// value [`Self::const_act`] holds, so the folded variables and the
     /// constant rows are judged once per tolerance (by the predicates
-    /// `is_feasible` applies) and only the kept columns and the kept rows —
-    /// summed over the model row's terms in model order, so the bits are the
-    /// full pass's — are checked per point.
+    /// `is_feasible` applies) and only the kept columns and the kept rows are
+    /// checked per point — each row summed over its live terms, in model
+    /// order: a term left out adds an exact zero at such a point, so the bits
+    /// are the full pass's.
     #[expect(clippy::float_cmp, reason = "verdicts are memoised per tolerance")]
     fn on_fixed_values_is_feasible(
         &mut self,
@@ -750,13 +893,15 @@ impl Side {
             return false;
         }
         self.rows_read += map.cons_of_row.len();
+        self.terms_read += self.live.terms.len();
         map.var_of_col
             .iter()
             .all(|&j| model.vars[j].admits(x[j], tol))
-            && map.cons_of_row.iter().all(|&ci| {
-                let c = &model.cons[ci];
-                c.admits(c.activity(x), tol)
-            })
+            && map
+                .cons_of_row
+                .iter()
+                .enumerate()
+                .all(|(r, &ci)| model.cons[ci].admits(activity(self.live.row(r), x), tol))
     }
 
     /// [`Self::is_feasible`] for a seed incumbent, remembered: the same
@@ -1074,6 +1219,56 @@ mod tests {
 
     use crate::model::ConsId;
     use crate::solver::{solve_preemptible, MilpOptions, MilpWarmStart};
+
+    /// Judging a start on the slot, then solving from it, counts what the
+    /// solve alone counts — one rebuild or reuse per tree — and solves the
+    /// same tree: the judge's refresh is the tree's. Rounds: a first
+    /// lowering, a cut row appended, a moved bound, nothing moved, and a
+    /// judged start the model rejects (the tree then starts elsewhere).
+    #[test]
+    fn a_judged_start_counts_one_refresh_for_its_tree() {
+        let mut m = Model::new(Sense::Maximize);
+        let vars: Vec<VarId> = (0..5).map(|i| m.add_binary(1.0 + i as f64)).collect();
+        m.add_le(
+            vars.iter().map(|&v| (v, 1.0 + v.index() as f64)).collect(),
+            6.0,
+        );
+        m.add_le(vec![(vars[0], 1.0), (vars[1], 1.0)], 1.0);
+        let (mut judged, mut alone) = (LpCacheSlot::new(), LpCacheSlot::new());
+        let opts = MilpOptions::default();
+        let feasible = vec![1.0, 0.0, 0.0, 0.0, 1.0];
+        for round in 0..5 {
+            match round {
+                1 => {
+                    m.add_le(vec![(vars[3], 1.0), (vars[4], 1.0)], 1.0);
+                }
+                2 => m.fix_var(vars[2], 0.0),
+                _ => {}
+            }
+            let start = if round == 4 {
+                vec![1.0; 5]
+            } else {
+                feasible.clone()
+            };
+            let admits = judged.start_is_feasible(&m, &start, 1e-6);
+            assert_eq!(admits, m.is_feasible(&start, 1e-6), "round {round}");
+            let seed = if admits { &start } else { &feasible };
+            let solve = |slot: &mut LpCacheSlot| {
+                let warm = MilpWarmStart {
+                    start: Some(seed),
+                    root_basis: None,
+                };
+                let r = solve_preemptible(&m, &opts, warm, None, Some(slot), usize::MAX)
+                    .done()
+                    .expect("an unbounded quantum never suspends");
+                (r.objective.to_bits(), r.nodes, r.lp_iterations, r.x)
+            };
+            assert_eq!(solve(&mut judged), solve(&mut alone), "round {round}");
+            assert_eq!(judged.stats(), alone.stats(), "round {round}");
+        }
+        let s = alone.stats();
+        assert_eq!((s.rebuilds, s.patches, s.appended_rows), (2, 3, 1));
+    }
     use crate::test_models::{append_random_row, random_model};
 
     /// The bounds the lifecycle frees a variable of [`random_model`] to.
@@ -1384,28 +1579,52 @@ mod tests {
         );
     }
 
-    /// What a solver construction reads follows the LP and what moved, not
-    /// the skeleton. A skeleton in the planner's mould — capacity rows that
-    /// carry a column of every query, a block of private columns and rows
-    /// per query — takes 80 admissions, each freeing its own block and
-    /// pinning the previous one where the solver left it; the constraint
-    /// rows read per admission (rebuild, presolve, validation) stay within a
-    /// fixed multiple of the LP's rows plus the rows of the variables that
-    /// moved, and do not grow with the skeleton.
-    #[test]
-    fn rows_read_follow_the_lp_not_the_skeleton() {
+    /// What one admission of [`admit_queries`] read.
+    struct Admission {
+        /// Skeleton columns at the admission.
+        columns: usize,
+        /// Constraint rows read (rebuild, presolve, validation).
+        rows: usize,
+        /// LP rows plus the rows of the variables that moved.
+        row_budget: usize,
+        /// Terms read by presolve and validation.
+        terms: usize,
+        /// LP nonzeros, plus the kept rows' folded terms with a nonzero
+        /// value, plus four per LP row: one pass over the live terms.
+        term_budget: usize,
+        /// Model terms in the kept rows.
+        kept_terms: usize,
+    }
+
+    /// A skeleton in the planner's mould — capacity rows that carry a column
+    /// of every query, a block of private columns and rows per query — takes
+    /// 80 admissions, each freeing its own block and pinning the previous one
+    /// where the solver left it. Before each, `rejected` queries join the
+    /// capacity rows and are fixed at zero at once, as the planner's
+    /// reduction leaves a rejected plan space.
+    fn admit_queries(rejected: usize) -> (LpCacheSlot, Model, Vec<Admission>) {
         const HOSTS: usize = 4;
         let mut m = Model::new(Sense::Maximize);
         let capacity: Vec<ConsId> = (0..HOSTS).map(|_| m.add_le(Vec::new(), 1e6)).collect();
         let mut slot = LpCacheSlot::new();
         let mut x: Vec<f64> = Vec::new();
         let mut previous: Vec<VarId> = Vec::new();
-        // (skeleton columns, rows read, LP rows + rows of moved variables)
-        let mut rounds: Vec<(usize, usize, usize)> = Vec::new();
+        let mut rounds = Vec::new();
         for q in 0..80usize {
             // The previous block stays where the solver put it.
             for &v in &previous {
                 m.fix_var(v, x[v.index()]);
+            }
+            for k in 0..rejected {
+                for (h, &row) in capacity.iter().enumerate() {
+                    let v = if (k + h) % 2 == 0 {
+                        m.add_binary(-1.0)
+                    } else {
+                        m.add_continuous(0.0, 1.0, -1.0)
+                    };
+                    m.add_terms(row, [(v, 0.5 + ((q + k + h) % 4) as f64)]);
+                    m.fix_var(v, 0.0);
+                }
             }
             // This query: admitted (d) iff placed on exactly one host (p_h),
             // with a private row per host and a share of each capacity row.
@@ -1423,7 +1642,7 @@ mod tests {
             let block: Vec<VarId> = std::iter::once(d).chain(p).collect();
             x.resize(m.num_vars(), 0.0);
 
-            let read_before = slot.rows_read();
+            let (rows_before, terms_before) = (slot.rows_read(), slot.terms_read());
             let warm = MilpWarmStart {
                 start: Some(&x),
                 root_basis: None,
@@ -1442,12 +1661,28 @@ mod tests {
                 .collect();
             touched.sort_unstable();
             touched.dedup();
-            let lp_rows = slot.lowered().expect("slot populated").lp.nrows();
-            rounds.push((
-                m.num_vars(),
-                slot.rows_read() - read_before,
-                lp_rows + touched.len(),
-            ));
+            let lowered = slot.lowered().expect("slot populated");
+            let (lp, map) = (&lowered.lp, &lowered.geom.map);
+            let valued_folded: usize = map
+                .cons_of_row
+                .iter()
+                .flat_map(|&ci| &m.cons[ci].terms)
+                .filter(|&&(v, _)| {
+                    map.col_of_var[v.index()].is_none() && m.vars[v.index()].lb != 0.0
+                })
+                .count();
+            rounds.push(Admission {
+                columns: m.num_vars(),
+                rows: slot.rows_read() - rows_before,
+                row_budget: lp.nrows() + touched.len(),
+                terms: slot.terms_read() - terms_before,
+                term_budget: lp.matrix().nnz() + valued_folded + 4 * lp.nrows(),
+                kept_terms: map
+                    .cons_of_row
+                    .iter()
+                    .map(|&ci| m.cons[ci].terms.len())
+                    .sum(),
+            });
             previous = block;
         }
         assert_eq!(
@@ -1455,25 +1690,81 @@ mod tests {
             80,
             "every admission is structural growth"
         );
-        for &(columns, read, budget) in &rounds[1..] {
+        (slot, m, rounds)
+    }
+
+    /// The largest of `read` over rounds `w`.
+    fn most(w: &[Admission], read: impl Fn(&Admission) -> usize) -> usize {
+        w.iter().map(read).max().unwrap_or(0)
+    }
+
+    /// What a solver construction reads follows the LP and what moved, not
+    /// the skeleton: the constraint rows read per admission (rebuild,
+    /// presolve, validation) stay within a fixed multiple of the LP's rows
+    /// plus the rows of the variables that moved, and do not grow with the
+    /// skeleton.
+    #[test]
+    fn rows_read_follow_the_lp_not_the_skeleton() {
+        let (_, _, rounds) = admit_queries(0);
+        for r in &rounds[1..] {
             assert!(
-                read <= 12 * budget,
-                "{read} rows read against {budget} LP + moved rows at {columns} columns"
+                r.rows <= 12 * r.row_budget,
+                "{} rows read against {} LP + moved rows at {} columns",
+                r.rows,
+                r.row_budget,
+                r.columns
             );
         }
         let (early, late) = (&rounds[2..12], &rounds[rounds.len() - 10..]);
-        let most = |w: &[(usize, usize, usize)]| w.iter().map(|r| r.1).max().unwrap_or(0);
         assert!(
-            late[0].0 >= 4 * early[0].0,
+            late[0].columns >= 4 * early[0].columns,
             "the skeleton was meant to grow: {} -> {} columns",
-            early[0].0,
-            late[0].0
+            early[0].columns,
+            late[0].columns
+        );
+        let rows = |r: &Admission| r.rows;
+        assert!(
+            most(late, rows) <= most(early, rows) + most(early, rows) / 4,
+            "rows read per admission grew with the skeleton: {} early, {} late",
+            most(early, rows),
+            most(late, rows)
+        );
+    }
+
+    /// The terms presolve and validation read follow the live terms, not
+    /// the skeleton. Rejected queries, fixed at zero, grow the capacity rows
+    /// until nearly all of their terms are zero-fixed. Per admission, the
+    /// terms read stay within four passes over the LP's nonzeros, the kept
+    /// rows' nonzero-fixed terms and four terms per LP row — less than one
+    /// pass over the kept rows' model terms, once the skeleton has grown —
+    /// and they grow only with the nonzero-fixed terms (the admitted
+    /// queries' placements), not with the zero-fixed ones.
+    #[test]
+    fn terms_read_follow_the_live_terms_not_the_skeleton() {
+        let (_, _, rounds) = admit_queries(6);
+        for r in &rounds[1..] {
+            assert!(
+                r.terms <= 4 * r.term_budget,
+                "{} terms read against {} live terms at {} columns",
+                r.terms,
+                r.term_budget,
+                r.columns
+            );
+        }
+        let (early, late) = (&rounds[2], &rounds[rounds.len() - 1]);
+        assert!(
+            late.kept_terms >= 10 * late.term_budget,
+            "the capacity rows were meant to grow: {} terms against {} live",
+            late.kept_terms,
+            late.term_budget
         );
         assert!(
-            most(late) <= most(early) + most(early) / 4,
-            "rows read per admission grew with the skeleton: {} early, {} late",
-            most(early),
-            most(late)
+            late.terms - early.terms <= 4 * (late.term_budget - early.term_budget),
+            "terms read grew with the skeleton: {} -> {} while the kept rows grew {} -> {} terms",
+            early.terms,
+            late.terms,
+            early.kept_terms,
+            late.kept_terms
         );
     }
 }

@@ -117,7 +117,7 @@ impl ConsDef {
     /// feasibility check adds the terms up through here, so two of them agree
     /// on a row's activity to the bit.
     pub(crate) fn activity(&self, x: &[f64]) -> f64 {
-        self.terms.iter().fold(0.0, |act, &(v, a)| act + a * x[v.0])
+        activity(&self.terms, x)
     }
 
     /// The row half of [`Model::is_feasible`]: the activity lies within the
@@ -128,6 +128,13 @@ impl ConsDef {
             || act < self.lb - tol * (1.0 + self.lb.abs())
             || act > self.ub + tol * (1.0 + self.ub.abs()))
     }
+}
+
+/// `Σ a·x[v]` over `terms`, summed in order from zero: a row's activity
+/// ([`ConsDef::activity`]), or the same sum over a kept row's live terms
+/// (`crate::cache`), which leave out only exact-zero products.
+pub(crate) fn activity(terms: &[(VarId, f64)], x: &[f64]) -> f64 {
+    terms.iter().fold(0.0, |act, &(v, a)| act + a * x[v.0])
 }
 
 /// Mapping between a [`Model`] and its compressed LP lowering (an
@@ -194,28 +201,28 @@ pub(crate) struct RowFold {
 }
 
 /// Walks one constraint's terms against a fixed-variable layout: free
-/// variables keep their LP column and are handed to `kept`, bound-fixed ones
-/// fold into the returned shift. The single source of truth for the
-/// compression rule — [`Model::lower_reduced`] and every path of
-/// the LP cache must stay bit-compatible, so all of them call this.
+/// variables keep their LP column, bound-fixed ones fold into the returned
+/// shift; `term` sees every term in model order, with its column when it is
+/// kept. The single source of truth for the compression rule —
+/// [`Model::lower_reduced`] and every path of the LP cache must stay
+/// bit-compatible, so all of them call this.
 pub(crate) fn fold_row(
     vars: &[VarDef],
     col_of_var: &[Option<usize>],
     terms: &[(VarId, f64)],
-    mut kept: impl FnMut(usize, f64),
+    mut term: impl FnMut(VarId, f64, Option<usize>),
 ) -> RowFold {
     let mut fold = RowFold {
         kept: 0,
         shift: 0.0,
     };
     for &(v, a) in terms {
-        match col_of_var[v.0] {
-            Some(col) => {
-                fold.kept += 1;
-                kept(col, a);
-            }
+        let col = col_of_var[v.0];
+        match col {
+            Some(_) => fold.kept += 1,
             None => fold.shift += a * vars[v.0].lb,
         }
+        term(v, a, col);
     }
     fold
 }
@@ -623,9 +630,11 @@ impl Model {
         for (ci, c) in self.cons.iter().enumerate() {
             // The row's number, should it turn out to be kept.
             let r = b.nrows();
-            let fold = fold_row(&self.vars, &col_of_var, &c.terms, |col, a| {
-                adjacency_exact &= adjacency.term_is_exact(r, col, a);
-                b.set_coeff(r, col, a);
+            let fold = fold_row(&self.vars, &col_of_var, &c.terms, |_, a, col| {
+                if let Some(col) = col {
+                    adjacency_exact &= adjacency.term_is_exact(r, col, a);
+                    b.set_coeff(r, col, a);
+                }
             });
             if fold.kept == 0 {
                 infeasible_fixed_row |= const_row_violated(fold.shift, c.lb, c.ub);

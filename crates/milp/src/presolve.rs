@@ -14,10 +14,23 @@
 //! variable, which the compressed lowering's LP columns list for free. The
 //! planner's capacity rows carry every skeleton column; without the skip a
 //! second sweep re-reads all of them to learn that nothing changed.
+//!
+//! Nor does a sweep read the whole of a row. Over a lowering it reads the
+//! row's live terms, which the LP cache lists beside the lowering
+//! ([`crate::cache`], "What a sweep reads"): the free terms, the folded
+//! terms with a nonzero value, and per (sign, integrality) the zero-fixed
+//! term of smallest `|a|`. A term fixed at zero adds an exact `±0` to both
+//! activity sums and tightens nothing; all it can do is find the row's
+//! domain empty, when the row is violated by more than `|a|·TOL` but at
+//! most `TOL`. That test gets weaker as `|a|` grows, so it fires for a term
+//! of a class iff it fires for the class's least `|a|`. The reference
+//! propagation reads the model's rows in full, and debug builds assert that
+//! both give the same bits.
 
 use sqpr_lp::Problem;
 
-use crate::model::{LpMap, Model, VarType};
+use crate::cache::Side;
+use crate::model::{LpMap, Model, VarId, VarType};
 
 /// Result of presolving: tightened bounds, or proven infeasibility.
 #[derive(Debug, Clone)]
@@ -30,11 +43,15 @@ enum Presolved {
 
 const TOL: f64 = 1e-9;
 
+/// The terms a sweep reads of LP row `r`.
+type RowTerms<'t> = dyn Fn(usize) -> &'t [(VarId, f64)] + 't;
+
 /// The reference propagation: from the model's own bounds, every one of the
-/// `active` rows re-read in every sweep, nothing resumed.
+/// `active` rows re-read in full in every sweep, nothing resumed.
 fn propagate_all_rows(model: &Model, max_rounds: usize, active: &[usize]) -> Presolved {
     let mut mirror = BoundsMirror::of(model);
-    let mut run = Propagation::over(&mut mirror, active.len());
+    let full_rows = |r: usize| model.cons[active[r]].terms.as_slice();
+    let mut run = Propagation::over(&mut mirror, &full_rows, active.len());
     match run.propagate(model, max_rounds, active, None, None) {
         Ok(()) => Presolved::Bounds(mirror.lb, mirror.ub),
         Err(Infeasible) => Presolved::Infeasible,
@@ -47,42 +64,50 @@ pub(crate) type LpBounds = Option<(Vec<f64>, Vec<f64>)>;
 
 /// Like `presolve_bounds` over the kept rows of a compressed lowering:
 /// `map.cons_of_row` is exactly the set of rows with at least one unfolded
-/// variable, so the row-classification scan is skipped, and `lp`'s columns
+/// variable, so the row-classification scan is skipped, `lp`'s columns
 /// give each variable's rows, so sweeps after the first touch only rows
-/// with a moved bound. Constant-row feasibility is the lowering's
-/// responsibility (`infeasible_fixed_row`), not this function's.
+/// with a moved bound, and each row is read through its live terms
+/// (`side.live`; see the module docs). Constant-row feasibility is the
+/// lowering's responsibility (`infeasible_fixed_row`), not this function's.
 ///
 /// The result is in LP space: a folded variable is bound-fixed, and a fixed
 /// variable cannot tighten without emptying its domain, so outside the kept
 /// columns the bounds are the model's own.
 ///
-/// `mirror` holds the model's current bounds on entry and again on return:
-/// the sweeps tighten it in place and what they moved is put back, so no
-/// skeleton-sized buffer is filled per call. `first_sweep` carries the first
-/// sweep from one call to the next over the *same lowering*: a lowering is
-/// reused only while the model's bounds stand ([`Model::bounds_stamp`]) and
-/// rows were only appended, so the first sweep over the rows it covered
-/// would compute the same thing again, and it resumes behind them.
-/// `rows_read` counts the rows whose terms were read.
+/// `side.mirror` holds the model's current bounds on entry and again on
+/// return: the sweeps tighten it in place and what they moved is put back,
+/// so no skeleton-sized buffer is filled per call. `side.first_sweep`
+/// carries the first sweep from one call to the next over the *same
+/// lowering*: a lowering is reused only while the model's bounds stand
+/// ([`Model::bounds_stamp`]) and rows were only appended, so the first sweep
+/// over the rows it covered would compute the same thing again, and it
+/// resumes behind them. `side.rows_read` and `side.terms_read` count what
+/// the sweeps read.
 pub(crate) fn presolve_bounds_active(
     model: &Model,
     max_rounds: usize,
     map: &LpMap,
     lp: &Problem,
-    first_sweep: &mut Option<FirstSweep>,
-    mirror: &mut BoundsMirror,
-    rows_read: &mut usize,
+    side: &mut Side,
 ) -> LpBounds {
     let adjacency = map.adjacency_exact.then_some((map, lp));
     let active = &map.cons_of_row;
-    let mut run = Propagation::over(mirror, active.len());
-    let verdict = run.propagate(model, max_rounds, active, adjacency, Some(first_sweep));
-    *rows_read += run.rows_read;
+    let live = |r: usize| side.live.row(r);
+    let mut run = Propagation::over(&mut side.mirror, &live, active.len());
+    let verdict = run.propagate(
+        model,
+        max_rounds,
+        active,
+        adjacency,
+        Some(&mut side.first_sweep),
+    );
+    side.rows_read += run.rows_read;
+    side.terms_read += run.terms_read;
     let moved = std::mem::take(&mut run.tightened);
-    let presolved = verdict.ok().map(|()| mirror.project(map));
-    mirror.put_back(model, &moved);
+    let presolved = verdict.ok().map(|()| side.mirror.project(map));
+    side.mirror.put_back(model, &moved);
     debug_assert!(
-        mirror.mirrors(model),
+        side.mirror.mirrors(model),
         "presolve left a tightened bound in the mirror"
     );
     debug_assert!(
@@ -220,12 +245,15 @@ struct Tightened {
 /// was last read — by another row or by itself.
 struct Propagation<'a> {
     bounds: &'a mut BoundsMirror,
+    /// The terms read of each row.
+    terms: &'a RowTerms<'a>,
     stale: Vec<bool>,
     /// Every variable moved so far (repeats allowed) — including the one an
     /// empty domain was found on, so that undoing the list restores the
     /// mirror whatever the verdict.
     tightened: Vec<usize>,
     rows_read: usize,
+    terms_read: usize,
 }
 
 /// Proof of an empty domain.
@@ -256,12 +284,14 @@ fn ceil(v: f64) -> f64 {
 
 impl<'a> Propagation<'a> {
     /// Over the model's own bounds, every one of `rows` rows unread.
-    fn over(bounds: &'a mut BoundsMirror, rows: usize) -> Self {
+    fn over(bounds: &'a mut BoundsMirror, terms: &'a RowTerms<'a>, rows: usize) -> Self {
         Propagation {
             bounds,
+            terms,
             stale: vec![true; rows],
             tightened: Vec::new(),
             rows_read: 0,
+            terms_read: 0,
         }
     }
 
@@ -359,9 +389,11 @@ impl<'a> Propagation<'a> {
     ) -> Result<(), Infeasible> {
         let Propagation {
             bounds,
+            terms: row_terms,
             stale,
             tightened,
             rows_read,
+            terms_read,
         } = self;
         let BoundsMirror { lb, ub, integer } = &mut **bounds;
         for (r, &c) in active.iter().enumerate().skip(from) {
@@ -371,8 +403,10 @@ impl<'a> Propagation<'a> {
                 }
                 stale[r] = false;
             }
+            let terms = row_terms(r);
+            let (_, row_lb, row_ub) = model.constraint(c);
             *rows_read += 1;
-            let (terms, row_lb, row_ub) = model.constraint(c);
+            *terms_read += terms.len();
             let moved_before = tightened.len();
             // Activity range under current bounds.
             let mut min_act = 0.0f64;
@@ -631,21 +665,10 @@ mod tests {
         let parts = slot.refresh_solver(m);
         let (map, lp) = (&parts.lowered.geom.map, &parts.lowered.lp);
         let side = parts.side;
-        let mut fresh = None;
-        let memo = if resume {
-            &mut side.first_sweep
-        } else {
-            &mut fresh
-        };
-        let got = presolve_bounds_active(
-            m,
-            rounds,
-            map,
-            lp,
-            memo,
-            &mut side.mirror,
-            &mut side.rows_read,
-        );
+        if !resume {
+            side.first_sweep = None;
+        }
+        let got = presolve_bounds_active(m, rounds, map, lp, side);
         assert!(side.mirror.mirrors(m), "presolve left the mirror tightened");
         got
     }
@@ -772,5 +795,65 @@ mod tests {
         }
         assert!(resumed_calls >= 300, "only {resumed_calls} resumed calls");
         assert!(grown >= 50, "only {grown} growth steps");
+    }
+
+    /// The live rows keep one zero-fixed term per (sign, integrality), the
+    /// one of least `|a|`: the only way such a term changes a presolve is
+    /// by finding its row's domain empty, when the row is violated by more
+    /// than `|a|·TOL` but at most `TOL`. Each row here carries a free
+    /// column and three zero-fixed terms of one class with `|a| < 1`, and
+    /// is violated, on either side, by `v`: between the least `|a|·TOL` and
+    /// `TOL` the row is infeasible through that term alone, and below it the
+    /// row is feasible. The live rows give the full rows' verdict and
+    /// bounds, bit for bit, every time.
+    #[test]
+    fn least_zero_fixed_terms_keep_the_verdicts() {
+        let mut infeasible = 0;
+        for integer in [false, true] {
+            for sign in [1.0, -1.0] {
+                for upper in [true, false] {
+                    for (v, want_infeasible) in [(0.5 * TOL, true), (0.1 * TOL, false)] {
+                        for order in 0..3 {
+                            let mut m = Model::new(Sense::Maximize);
+                            // Free: at 1 it meets the row's bound less `v`.
+                            let (ylb, yub) = if upper { (1.0, 10.0) } else { (-10.0, 1.0) };
+                            let y = m.add_continuous(ylb, yub, 1.0);
+                            let mut terms = vec![(y, 1.0)];
+                            let mut sizes = [0.75, 0.5, 0.25];
+                            sizes.rotate_left(order);
+                            for a in sizes {
+                                let ty = if integer {
+                                    VarType::Integer
+                                } else {
+                                    VarType::Continuous
+                                };
+                                let z = m.add_var(ty, 0.0, 3.0, 0.0);
+                                m.fix_var(z, 0.0);
+                                terms.push((z, sign * a));
+                            }
+                            if upper {
+                                m.add_le(terms, 1.0 - v);
+                            } else {
+                                m.add_ge(terms, 1.0 + v);
+                            }
+                            let mut slot = LpCacheSlot::new();
+                            let live = through_slot(&mut slot, &m, 6, false);
+                            let map = &slot.lowered().expect("slot populated").geom.map;
+                            let full = all_rows(&m, 6, map);
+                            let case = format!(
+                                "integer {integer}, sign {sign}, upper {upper}, v {v:e}, order {order}"
+                            );
+                            assert!(
+                                lp_bounds_identical(&live, &full),
+                                "{case}: {live:?} vs {full:?}"
+                            );
+                            assert_eq!(full.is_none(), want_infeasible, "{case}");
+                            infeasible += usize::from(full.is_none());
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(infeasible, 24);
     }
 }

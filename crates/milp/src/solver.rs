@@ -707,17 +707,9 @@ impl SearchCore {
         // the set with at least one unfixed variable, and the constant
         // rows' feasibility verdict is `infeasible_fixed_row` above — no
         // second O(model) scan needed.
-        let presolved = opts.presolve.then(|| {
-            presolve_bounds_active(
-                model,
-                6,
-                map,
-                lp,
-                &mut side.first_sweep,
-                &mut side.mirror,
-                &mut side.rows_read,
-            )
-        });
+        let presolved = opts
+            .presolve
+            .then(|| presolve_bounds_active(model, 6, map, lp, side));
         let (root_lb, root_ub) = match presolved {
             Some(Some(bounds)) => bounds,
             // Proven infeasible, or presolve is off: the model's own bounds,
