@@ -180,9 +180,9 @@ pub struct PlannerConfig {
     /// factors, fill-growth-keyed refactorisation) by default,
     /// `ProductForm` etas as the ablation.
     pub lp_basis_update: BasisUpdate,
-    /// Accepted and ignored — every branch & bound tree claims a matrix
-    /// generation of its own, so factorisations never pass between trees
-    /// (measured on every e2e workload, none ever did). Removed together
+    /// Accepted and ignored — factorisations pass between the solves of
+    /// one branch & bound tree only, never between trees (measured on
+    /// every e2e workload, none ever did). Removed together
     /// with the benchmark lines that name it in the next `benchmark` PR.
     pub lp_cross_solve_factors: bool,
     /// Accepted and ignored — removed together with the benchmark lines

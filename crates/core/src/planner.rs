@@ -14,7 +14,7 @@ use std::time::Duration;
 use sqpr_dsps::{Catalog, DeploymentState, FailureAudit, HostId, QueryId, StreamId};
 use sqpr_milp::{
     solve_preemptible, CacheStats, IncumbentFilter, LpCacheSlot, MilpOptions, MilpResult,
-    MilpStatus, MilpWarmStart, ModelBasis, PivotCounts, SearchState, SolveOutcome,
+    MilpStatus, MilpWarmStart, Model, ModelBasis, PivotCounts, SearchState, SolveOutcome,
 };
 
 use crate::admission::{Admitted, RoundVerdict};
@@ -287,8 +287,9 @@ pub(crate) enum ResumeOutcome {
 
 /// The slice driver every round runs through, live or resumed: `first`
 /// runs the opening slice (a fresh [`solve_preemptible`] or a parked
-/// search's resume) given its node allowance, and the search continues in
-/// `quantum`-node slices, suspending strictly between node evaluations.
+/// search's resume) given its node allowance, and the search continues over
+/// `model` in `quantum`-node slices, suspending strictly between node
+/// evaluations.
 /// `start` is the node count the search has already done and `target` the
 /// absolute count at which it is preempted; a slice never runs past the
 /// target, so the deadline is exact at any quantum. A preempted search
@@ -297,6 +298,7 @@ pub(crate) enum ResumeOutcome {
 /// quantum, with or without a target (the scenario corpus's sliced twins
 /// pin this).
 fn drive_preemptible(
+    model: &Model,
     first: impl FnOnce(usize) -> SolveOutcome,
     filter: Option<IncumbentFilter<'_>>,
     start: usize,
@@ -316,7 +318,7 @@ fn drive_preemptible(
         if target.is_some_and(|t| done >= t) {
             return (state.incumbent_result(), Some(state));
         }
-        outcome = state.resume(filter, slice(done));
+        outcome = state.resume(model, filter, slice(done));
     }
 }
 
@@ -909,6 +911,7 @@ impl SqprPlanner {
                     None
                 };
                 drive_preemptible(
+                    &model.milp,
                     |n| solve_preemptible(&model.milp, &opts, warm_ctx, filter, cache, n),
                     filter,
                     0,
@@ -998,7 +1001,8 @@ impl SqprPlanner {
             let filter: Option<IncumbentFilter<'_>> =
                 (self.config.acyclicity == AcyclicityMode::Lazy).then_some(&filter_fn);
             drive_preemptible(
-                |n| state.resume(filter, n),
+                &model.milp,
+                |n| state.resume(&model.milp, filter, n),
                 filter,
                 base,
                 Some(base.saturating_add(budget)),

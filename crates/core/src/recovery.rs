@@ -116,16 +116,6 @@ impl StormReport {
         self.count(RecoveryMode::Dropped)
     }
 
-    /// Fraction of displaced queries that ended `Degraded` (0 when none
-    /// were displaced).
-    pub fn degraded_fraction(&self) -> f64 {
-        if self.recoveries.is_empty() {
-            0.0
-        } else {
-            self.degraded() as f64 / self.recoveries.len() as f64
-        }
-    }
-
     fn count(&self, mode: RecoveryMode) -> usize {
         self.recoveries.iter().filter(|r| r.mode == mode).count()
     }

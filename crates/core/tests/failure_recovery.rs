@@ -111,7 +111,6 @@ fn dry_budget_degrades_instead_of_dropping() {
     assert_eq!(report.nodes_spent, 0, "dry budget must not run the solver");
     assert_eq!(report.dropped(), 0, "greedy fallback must serve the slack");
     assert_eq!(report.degraded(), report.recoveries.len());
-    assert!((report.degraded_fraction() - 1.0).abs() < 1e-12);
     assert_eq!(p.num_admitted(), before);
     assert!(p.state().is_valid(p.catalog()));
     assert!(p.state().placements().iter().all(|&(h, _)| h != victim));

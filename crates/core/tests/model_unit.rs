@@ -188,7 +188,7 @@ fn residual_fixing_blocks_oversubscription() {
     assert!(!space1.operators.contains(&big_op));
     // Solve: must succeed (plenty of room) and keep q0 intact.
     let r = sqpr_milp::solve(&model.milp, &sqpr_milp::MilpOptions::default());
-    assert!(r.has_solution());
+    assert!(r.x.is_some());
     let decoded = model.decode(r.x.as_ref().unwrap(), &state);
     let mut next = state.clone();
     decoded.install(&mut next);

@@ -98,11 +98,10 @@ pub struct SolveStats {
 /// refactorisation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RefactorCause {
-    /// A solve began with no cached factors under its generation (no
-    /// token, a renewed token, or a cache the caller dropped).
+    /// A solve began with no factors handed in (its caller passed `None`).
     NoCachedFactors,
-    /// A solve's cached factors were for a different basic set (or update
-    /// mode, or dimension).
+    /// A solve's handed-in factors were for a different basic set (or
+    /// update mode, or dimension).
     BasisChanged,
     /// The pivot cap between refactorisations.
     PivotCap,
@@ -120,21 +119,18 @@ pub(crate) enum RefactorCause {
 ///
 /// A branch & bound child starts from its parent's *exact* basic set —
 /// only variable bounds moved — so the parent's factorisation is already
-/// the child's. Callers stash the state in an
-/// [`crate::simplex::LpWorkspace`] between solves; [`Basis::build`]
-/// re-installs it when the requested basic set (and the caller's
-/// matrix-generation `token`) matches, skipping the refactorisation that
+/// the child's. A solve leaves its final state in the caller's `factors`
+/// argument ([`crate::solve_with_bounds_from_ws`]) and takes the one the
+/// caller hands in as its seed; [`Basis::build`] re-installs it when the
+/// requested basic set matches, skipping the refactorisation that
 /// otherwise dominates short warm re-solves.
 ///
-/// The reuse scope is exactly the token's lifetime, which the caller
-/// controls: claiming a fresh token per branch & bound tree scopes reuse
-/// to that tree's node solves.
+/// The reuse scope is wherever the caller passes the state, and the caller
+/// vouches that it is passed only to solves over the matrix it was
+/// detached from: the branch & bound hands a node's factors to its
+/// children and its dive, within one tree.
 #[derive(Debug, Clone)]
 pub struct FactorState {
-    /// Caller-assigned matrix generation; a state only re-attaches under
-    /// the same token (the caller guarantees the matrix is unchanged for
-    /// the token's lifetime).
-    pub(crate) token: u64,
     basic: Vec<usize>,
     update_mode: BasisUpdate,
     /// The static `L` factor, shared by every copy: no update touches it.
@@ -144,13 +140,6 @@ pub struct FactorState {
     col_order: Vec<usize>,
     pos_to_order: Vec<usize>,
     updates_since_refactor: usize,
-}
-
-impl FactorState {
-    /// The matrix generation this state was detached under.
-    pub fn token(&self) -> u64 {
-        self.token
-    }
 }
 
 /// The scratch a [`Basis`] solves and updates in: the LU workspace, the
@@ -238,9 +227,9 @@ impl<'a> Basis<'a> {
     }
 
     /// Full-control constructor: like [`Self::with_fill_limit`], working in
-    /// `scratch`, except that a cached [`FactorState`] whose basic set,
+    /// `scratch`, except that a handed-in [`FactorState`] whose basic set,
     /// update mode and dimensions match is re-installed instead of
-    /// refactorising. Returns whether the cache hit.
+    /// refactorising. Returns whether it was.
     pub fn build(
         a: &'a CscMatrix,
         basic: Vec<usize>,
@@ -300,9 +289,8 @@ impl<'a> Basis<'a> {
 
     /// Detaches the factorisation for reuse by a later solve over the same
     /// matrix (see [`FactorState`]) and hands the scratch back.
-    pub fn into_state(self, token: u64) -> (FactorState, BasisScratch) {
+    pub fn into_state(self) -> (FactorState, BasisScratch) {
         let state = FactorState {
-            token,
             basic: self.basic,
             update_mode: self.update_mode,
             factors: self.factors,

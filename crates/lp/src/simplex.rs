@@ -92,11 +92,11 @@ pub struct PivotCounts {
     pub pfi_updates: usize,
     /// Basis refactorisations performed.
     pub refactorizations: usize,
-    /// Refactorisations at a solve's start with no cached factors under
-    /// its generation: no token, a renewed one, or a dropped cache.
+    /// Refactorisations at a solve's start with no factors handed in: the
+    /// caller passed `None`.
     pub refactor_no_cache: usize,
-    /// Refactorisations at a solve's start whose cached factors were for a
-    /// different basic set.
+    /// Refactorisations at a solve's start whose handed-in factors were for
+    /// a different basic set.
     pub refactor_basis_changed: usize,
     /// Refactorisations forced by the pivot cap between refactorisations.
     pub refactor_pivot_cap: usize,
@@ -110,13 +110,13 @@ pub struct PivotCounts {
     /// Refactorisations after the dual loop's pivot cross-check found
     /// numerical drift.
     pub refactor_drift: usize,
-    /// Solves that re-installed a cached [`crate::basis::FactorState`]
-    /// instead of refactorising (the workspace's factor cache hit: the
-    /// requested basic set, update mode and matrix generation all matched).
+    /// Solves that re-installed the [`crate::basis::FactorState`] handed in
+    /// instead of refactorising (its basic set, update mode and dimension
+    /// matched the start's).
     pub factor_reattaches: usize,
     /// Numerical-distress ladder, rung 1: solves retried warm from their
-    /// own final basis with the cached factors dropped (forced fresh
-    /// factorisation) after an iteration-limit exit. See
+    /// own final basis with the failed solve's factors dropped (forced
+    /// fresh factorisation) after an iteration-limit exit. See
     /// [`crate::solve_with_bounds_recovering_ws`].
     pub distress_refactors: usize,
     /// Distress ladder, rung 2: retries under escalated pivot/feasibility
@@ -383,7 +383,10 @@ impl Default for SimplexOptions {
 /// ([`solve_with_bounds_from_ws`]) reuses those allocations; the plain
 /// entry points create a throwaway workspace internally. The basis's solve
 /// scratch lives here too ([`BasisScratch`]), so the detached
-/// [`FactorState`] holds factors only.
+/// [`FactorState`] holds factors only. A workspace holds scratch and
+/// nothing else: no numeric state crosses from one solve to the next
+/// through it, and a solve's factorisation is the caller's, passed in and
+/// out as the `factors` argument.
 #[derive(Debug, Default)]
 pub struct LpWorkspace {
     lb: Vec<f64>,
@@ -416,52 +419,11 @@ pub struct LpWorkspace {
     dual_cands: Vec<(usize, f64, f64)>,
     dual_viol: Vec<usize>,
     dual_in_viol: Vec<bool>,
-    /// Detached basis factorisation of the previous solve (see
-    /// [`FactorState`]) plus the caller's current matrix generation.
-    factor_cache: Option<FactorState>,
-    factor_token: u64,
 }
 
 impl LpWorkspace {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Declares a new matrix generation for basis-factorisation reuse:
-    /// solves issued after this call may re-install the previous solve's
-    /// factors when their basic sets coincide (the branch & bound
-    /// child-node pattern). The caller asserts the constraint matrix stays
-    /// unchanged until the next `begin_factor_generation` call; passing a
-    /// fresh unique value per matrix (a tree-level counter) is what makes
-    /// stale reuse impossible. Generation 0 disables reuse.
-    pub fn begin_factor_generation(&mut self, token: u64) {
-        self.factor_token = token;
-        self.factor_cache = None;
-    }
-
-    /// The workspace's current matrix-generation token (0 = reuse disabled).
-    pub fn factor_generation(&self) -> u64 {
-        self.factor_token
-    }
-
-    /// Detaches and returns the cached basis factorisation, leaving the
-    /// workspace without one (the generation token is untouched). Together
-    /// with [`Self::install_factor_state`] this lets a caller route factor
-    /// states explicitly — e.g. a branch & bound that seeds every node
-    /// solve with its *parent's* final factorisation, so the numbers a
-    /// node produces do not depend on which solve the workspace ran last.
-    pub fn take_factor_state(&mut self) -> Option<FactorState> {
-        self.factor_cache.take()
-    }
-
-    /// Installs `state` as the workspace's cached factorisation and sets
-    /// the matrix generation to `token`. A state detached under a
-    /// *different* generation is discarded rather than installed — the
-    /// token contract of [`Self::begin_factor_generation`] must hold, and
-    /// silently re-attaching foreign factors would break it.
-    pub fn install_factor_state(&mut self, token: u64, state: Option<FactorState>) {
-        self.factor_token = token;
-        self.factor_cache = state.filter(|s| s.token() == token);
     }
 }
 
@@ -490,7 +452,8 @@ pub fn solve_from(
     opts: &SimplexOptions,
 ) -> LpSolution {
     let (lb, ub) = problem.col_bounds();
-    solve_with_bounds_from_ws(problem, lb, ub, basis_hint, opts, &mut LpWorkspace::new())
+    let mut ws = LpWorkspace::new();
+    solve_with_bounds_from_ws(problem, lb, ub, basis_hint, opts, &mut ws, &mut None)
 }
 
 /// Solves `problem` with the column bounds overridden (the matrix, rows and
@@ -498,6 +461,13 @@ pub fn solve_from(
 /// caller-provided scratch buffers: the entry point for solvers (branch &
 /// bound, diving heuristics) that re-solve node LPs from their parent's
 /// basis and want to amortise the per-solve allocations away.
+///
+/// `factors` is the factorisation reuse, in and out: the solve takes it as
+/// its seed — re-installed instead of refactorising when its basic set is
+/// the start's, as a branch & bound child's parent factors are — and leaves
+/// it holding the solve's final factorisation. The caller vouches that a
+/// seed was detached over this matrix; `&mut None` starts from a fresh
+/// factorisation.
 pub fn solve_with_bounds_from_ws(
     problem: &Problem,
     col_lb: &[f64],
@@ -505,8 +475,18 @@ pub fn solve_with_bounds_from_ws(
     basis_hint: Option<&BasisState>,
     opts: &SimplexOptions,
     ws: &mut LpWorkspace,
+    factors: &mut Option<FactorState>,
 ) -> LpSolution {
-    Solver::new(problem, col_lb, col_ub, basis_hint, opts, ws).run(ws)
+    Solver::new(
+        problem,
+        col_lb,
+        col_ub,
+        basis_hint,
+        opts,
+        ws,
+        factors.take(),
+    )
+    .run(ws, factors)
 }
 
 /// [`solve_with_bounds_from_ws`] wrapped in the numerical-distress ladder:
@@ -515,7 +495,7 @@ pub fn solve_with_bounds_from_ws(
 /// singularity repair keeps patching) is retried through escalating
 /// recovery rungs instead of surfacing the limit to the caller.
 ///
-/// 1. **Refactorise** — drop the workspace's cached factors (forcing a
+/// 1. **Refactorise** — drop the failed solve's factors (forcing a
 ///    fresh factorisation, which discards any accumulated Forrest–Tomlin
 ///    update drift) and re-solve warm from the failed solve's own final
 ///    basis ([`PivotCounts::distress_refactors`]).
@@ -531,8 +511,9 @@ pub fn solve_with_bounds_from_ws(
 ///
 /// The returned solution aggregates iterations and [`PivotCounts`] across
 /// every attempt, preserving the `pivots.total() == iterations` contract.
-/// The ladder is a pure function of its arguments (the workspace's factor
-/// cache only seeds rung 0, exactly as in the plain entry point), so
+/// The ladder is a pure function of its arguments (`factors` seeds rung 0
+/// only, exactly as in the plain entry point, and every later rung starts
+/// from `None`; it is left holding the last rung's factorisation), so
 /// callers that require a replayed solve to be bit-identical to the
 /// original — the branch & bound, whose resumed searches must reproduce
 /// the uninterrupted tree — can adopt it without weakening that invariant.
@@ -543,26 +524,27 @@ pub fn solve_with_bounds_recovering_ws(
     basis_hint: Option<&BasisState>,
     opts: &SimplexOptions,
     ws: &mut LpWorkspace,
+    factors: &mut Option<FactorState>,
 ) -> LpSolution {
-    let mut sol = solve_with_bounds_from_ws(problem, col_lb, col_ub, basis_hint, opts, ws);
+    let mut sol = solve_with_bounds_from_ws(problem, col_lb, col_ub, basis_hint, opts, ws, factors);
     if sol.status != LpStatus::IterationLimit {
         return sol;
     }
-    let token = ws.factor_generation();
     let mut iterations = sol.iterations;
     let mut pivots = sol.pivots;
 
     // Rung 1: fresh factorisation, warm from the failed solve's last basis.
-    ws.install_factor_state(token, None);
+    *factors = None;
     let basis = sol.basis.clone();
-    let mut retry = solve_with_bounds_from_ws(problem, col_lb, col_ub, basis.as_ref(), opts, ws);
+    let mut retry =
+        solve_with_bounds_from_ws(problem, col_lb, col_ub, basis.as_ref(), opts, ws, factors);
     iterations += retry.iterations;
     pivots.merge(&retry.pivots);
     pivots.distress_refactors += 1;
 
     if retry.status == LpStatus::IterationLimit {
         // Rung 2: escalated tolerances, warm from the latest basis.
-        ws.install_factor_state(token, None);
+        *factors = None;
         let escalated = SimplexOptions {
             tol_pivot: opts.tol_pivot * 1e2,
             tol_feas: opts.tol_feas * 10.0,
@@ -571,7 +553,15 @@ pub fn solve_with_bounds_recovering_ws(
             ..opts.clone()
         };
         let basis = retry.basis.clone().or(basis);
-        retry = solve_with_bounds_from_ws(problem, col_lb, col_ub, basis.as_ref(), &escalated, ws);
+        retry = solve_with_bounds_from_ws(
+            problem,
+            col_lb,
+            col_ub,
+            basis.as_ref(),
+            &escalated,
+            ws,
+            factors,
+        );
         iterations += retry.iterations;
         pivots.merge(&retry.pivots);
         pivots.distress_escalations += 1;
@@ -580,7 +570,7 @@ pub fn solve_with_bounds_recovering_ws(
     if retry.status == LpStatus::IterationLimit {
         // Rung 3: cold restart from the slack basis, original tolerances,
         // 4x iteration budget.
-        ws.install_factor_state(token, None);
+        *factors = None;
         let base_iters = if opts.max_iters == 0 {
             40 * (problem.ncols() + problem.nrows()) + 2000
         } else {
@@ -590,7 +580,7 @@ pub fn solve_with_bounds_recovering_ws(
             max_iters: base_iters.saturating_mul(4),
             ..opts.clone()
         };
-        retry = solve_with_bounds_from_ws(problem, col_lb, col_ub, None, &cold, ws);
+        retry = solve_with_bounds_from_ws(problem, col_lb, col_ub, None, &cold, ws, factors);
         iterations += retry.iterations;
         pivots.merge(&retry.pivots);
         pivots.distress_cold_restarts += 1;
@@ -737,6 +727,7 @@ impl<'a> Solver<'a> {
         hint: Option<&BasisState>,
         opts: &'a SimplexOptions,
         ws: &mut LpWorkspace,
+        seed: Option<FactorState>,
     ) -> Self {
         let n = p.ncols();
         let m = p.nrows();
@@ -780,17 +771,7 @@ impl<'a> Solver<'a> {
                 ((n..n + m).collect(), true)
             }
         };
-        let cached = if ws.factor_token != 0
-            && ws
-                .factor_cache
-                .as_ref()
-                .is_some_and(|c| c.token == ws.factor_token)
-        {
-            ws.factor_cache.take()
-        } else {
-            None
-        };
-        let miss_cause = if cached.is_some() {
+        let miss_cause = if seed.is_some() {
             RefactorCause::BasisChanged
         } else {
             RefactorCause::NoCachedFactors
@@ -800,7 +781,7 @@ impl<'a> Solver<'a> {
             basic,
             opts.basis_update,
             opts.ft_fill_limit,
-            cached,
+            seed,
             std::mem::take(&mut ws.basis_scratch),
         );
         // Deterministic multiplicative cost perturbation: breaks the massive
@@ -1536,7 +1517,7 @@ impl<'a> Solver<'a> {
         (Ratio::Pivot { t, pos, to_upper }, saved)
     }
 
-    fn run(mut self, ws: &mut LpWorkspace) -> LpSolution {
+    fn run(mut self, ws: &mut LpWorkspace, factors: &mut Option<FactorState>) -> LpSolution {
         let max_iters = if self.opts.max_iters == 0 {
             40 * (self.n + self.m) + 2000
         } else {
@@ -1551,7 +1532,7 @@ impl<'a> Solver<'a> {
         // composite phase-I below takes over unchanged.
         if self.hinted {
             if let Some(early) = self.try_dual_entry(max_iters) {
-                return self.finish(early, ws);
+                return self.finish(early, ws, factors);
             }
         }
 
@@ -1694,7 +1675,7 @@ impl<'a> Solver<'a> {
             }
         };
 
-        self.finish(status, ws)
+        self.finish(status, ws, factors)
     }
 
     /// Devex reference-weight update for a primal pivot (entering `j` at
@@ -1819,7 +1800,12 @@ impl<'a> Solver<'a> {
         self.duals_valid = false;
     }
 
-    pub(crate) fn finish(mut self, status: LpStatus, ws: &mut LpWorkspace) -> LpSolution {
+    pub(crate) fn finish(
+        mut self,
+        status: LpStatus,
+        ws: &mut LpWorkspace,
+        factors: &mut Option<FactorState>,
+    ) -> LpSolution {
         let x: Vec<f64> = self.x[..self.n].to_vec();
         let objective = self.p.objective_value(&x);
         let basis = self.capture_basis();
@@ -1867,11 +1853,9 @@ impl<'a> Solver<'a> {
         ws.costed = self.costed;
         ws.priceable = self.priceable;
         ws.marks = self.marks;
-        let (state, scratch) = self.basis.into_state(ws.factor_token);
+        let (state, scratch) = self.basis.into_state();
         ws.basis_scratch = scratch;
-        if ws.factor_token != 0 {
-            ws.factor_cache = Some(state);
-        }
+        *factors = Some(state);
         solution
     }
 }
@@ -2187,16 +2171,16 @@ mod tests {
             },
         ] {
             let mut ws = LpWorkspace::new();
-            ws.begin_factor_generation(1);
-            let cold = solve_with_bounds_from_ws(&p, lb, ub, None, &opts, &mut ws);
+            let mut factors = None;
+            let cold = solve_with_bounds_from_ws(&p, lb, ub, None, &opts, &mut ws, &mut factors);
             check(&cold);
-            let factors = ws.take_factor_state();
             // Re-attached: the hint's basic set is the factors' own.
-            ws.install_factor_state(1, factors.clone());
-            let again = solve_with_bounds_from_ws(&p, lb, ub, cold.basis.as_ref(), &opts, &mut ws);
+            let hint = cold.basis.as_ref();
+            let again =
+                solve_with_bounds_from_ws(&p, lb, ub, hint, &opts, &mut ws, &mut factors.clone());
             assert_eq!(again.pivots.factor_reattaches, 1);
             check(&again);
-            // Cached factors for another basic set: the slack basis's.
+            // Factors for another basic set: the slack basis's.
             let slack = BasisState {
                 ncols: p.ncols(),
                 nrows: p.nrows(),
@@ -2206,7 +2190,6 @@ mod tests {
                     .chain(vec![VarBasisStatus::Basic; p.nrows()])
                     .collect(),
             };
-            ws.install_factor_state(1, factors);
             check(&solve_with_bounds_from_ws(
                 &p,
                 lb,
@@ -2214,6 +2197,7 @@ mod tests {
                 Some(&slack),
                 &opts,
                 &mut ws,
+                &mut factors,
             ));
         }
         assert!(seen.refactorizations > 0);
@@ -2228,33 +2212,32 @@ mod tests {
     }
 
     #[test]
-    fn workspace_factor_state_take_and_install() {
-        let mut ws = LpWorkspace::new();
-        ws.begin_factor_generation(7);
-        assert!(ws.take_factor_state().is_none());
-        // Run a solve so the workspace detaches a factor state.
-        let mut b = ProblemBuilder::new();
-        let x = b.add_col(-1.0, 0.0, 5.0);
-        let y = b.add_col(-1.0, 0.0, 5.0);
-        let r = b.add_row(-INF, 6.0);
-        b.set_coeff(r, x, 1.0);
-        b.set_coeff(r, y, 1.0);
-        let p = b.build();
+    fn factors_seed_a_solve_by_argument() {
+        let p = transport();
         let (lb, ub) = p.col_bounds();
-        let _ = solve_with_bounds_from_ws(&p, lb, ub, None, &SimplexOptions::default(), &mut ws);
-        let state = ws
-            .take_factor_state()
-            .expect("solve under a nonzero token detaches factors");
-        assert_eq!(state.token(), 7);
-        // Second take: the state is gone.
-        assert!(ws.take_factor_state().is_none());
-        // A mismatched token discards rather than installs.
-        ws.install_factor_state(8, Some(state.clone()));
-        assert!(ws.take_factor_state().is_none());
-        assert_eq!(ws.factor_generation(), 8);
-        // A matching token installs.
-        ws.install_factor_state(7, Some(state));
-        assert!(ws.take_factor_state().is_some());
+        let opts = SimplexOptions::default();
+        let mut ws = LpWorkspace::new();
+        let mut factors = None;
+        let first = solve_with_bounds_from_ws(&p, lb, ub, None, &opts, &mut ws, &mut factors);
+        assert_eq!(first.status, LpStatus::Optimal);
+        assert_eq!(first.pivots.refactor_no_cache, 1);
+        assert!(factors.is_some(), "a solve leaves its final factorisation");
+        // Handed back on its own basic set: re-attached, nothing refactorised.
+        let hint = first.basis.as_ref();
+        let again = solve_with_bounds_from_ws(&p, lb, ub, hint, &opts, &mut ws, &mut factors);
+        assert_eq!(again.pivots.factor_reattaches, 1);
+        assert_eq!(again.pivots.refactorizations, 0);
+        assert!(
+            factors.is_some(),
+            "a re-attached solve leaves its factors too"
+        );
+        // No seed: the same start refactorises, though the workspace's last
+        // solve ended on exactly this basis.
+        let fresh = solve_with_bounds_from_ws(&p, lb, ub, hint, &opts, &mut ws, &mut None);
+        assert_eq!(fresh.pivots.factor_reattaches, 0);
+        assert_eq!(fresh.pivots.refactor_no_cache, 1);
+        assert_eq!(fresh.pivots.refactorizations, 1);
+        assert_eq!(fresh.objective.to_bits(), again.objective.to_bits());
     }
 
     #[test]
@@ -2280,11 +2263,11 @@ mod tests {
         };
 
         let mut ws = LpWorkspace::new();
-        let limited = solve_with_bounds_from_ws(&p, lb, ub, None, &opts, &mut ws);
+        let limited = solve_with_bounds_from_ws(&p, lb, ub, None, &opts, &mut ws, &mut None);
         assert_eq!(limited.status, LpStatus::IterationLimit, "precondition");
 
         let mut ws = LpWorkspace::new();
-        let s = solve_with_bounds_recovering_ws(&p, lb, ub, None, &opts, &mut ws);
+        let s = solve_with_bounds_recovering_ws(&p, lb, ub, None, &opts, &mut ws, &mut None);
         assert_eq!(s.status, LpStatus::Optimal);
         approx(s.objective, -36.0);
         approx(s.x[0], 2.0);
@@ -2294,7 +2277,7 @@ mod tests {
 
         // Determinism: a second run from a fresh workspace is bit-identical.
         let mut ws2 = LpWorkspace::new();
-        let s2 = solve_with_bounds_recovering_ws(&p, lb, ub, None, &opts, &mut ws2);
+        let s2 = solve_with_bounds_recovering_ws(&p, lb, ub, None, &opts, &mut ws2, &mut None);
         assert_eq!(s2.status, s.status);
         assert_eq!(s2.objective.to_bits(), s.objective.to_bits());
         assert_eq!(s2.iterations, s.iterations);
@@ -2320,7 +2303,7 @@ mod tests {
             ..SimplexOptions::default()
         };
         let mut ws = LpWorkspace::new();
-        let s = solve_with_bounds_recovering_ws(&p, lb, ub, None, &opts, &mut ws);
+        let s = solve_with_bounds_recovering_ws(&p, lb, ub, None, &opts, &mut ws, &mut None);
         assert_eq!(s.status, LpStatus::IterationLimit);
         assert_eq!(s.pivots.distress_refactors, 1);
         assert_eq!(s.pivots.distress_escalations, 1);
@@ -2476,6 +2459,7 @@ mod tests {
             None,
             &SimplexOptions::default(),
             &mut LpWorkspace::new(),
+            &mut None,
         );
         assert_eq!(s.status, LpStatus::Optimal);
         approx(s.x[0], 1.0);
@@ -2690,6 +2674,7 @@ mod warm_start_tests {
             parent.basis.as_ref(),
             &opts,
             &mut LpWorkspace::new(),
+            &mut None,
         );
         assert_eq!(child.status, LpStatus::Optimal);
         approx(child.x[0], 1.0);

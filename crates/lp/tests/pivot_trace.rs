@@ -8,9 +8,8 @@
 //! solved cold, then through a chain of bound-change re-solves the way
 //! branch & bound runs them: every re-solve is warm-started from the
 //! previous solve's basis and seeded with its final factorisation through
-//! [`LpWorkspace::take_factor_state`] / [`LpWorkspace::install_factor_state`],
-//! and every step also solves a sibling (the other child) from the same
-//! parent seed. The options rotate over the planner's settings and the
+//! the solves' `factors` argument, and every step also solves a sibling
+//! (the other child) from the same parent seed. The options rotate over the planner's settings and the
 //! ablations (product-form updates, classic ratio test, Dantzig pricing, a
 //! tight refactorisation cadence, a low fill limit).
 //!
@@ -244,13 +243,11 @@ fn play(k: u64, out: &mut String) {
     let mut rng = StdRng::seed_from_u64(0x005E_ED0F_7ACE ^ (k << 8));
     let c = planner_lp(&mut rng, k % 10 == 9);
     let opts = options(k);
-    let token = k + 1;
     let mut ws = LpWorkspace::new();
-    ws.begin_factor_generation(token);
     let (mut lb, mut ub) = (c.lb.clone(), c.ub.clone());
-    let mut parent = solve_with_bounds_from_ws(&c.lp, &lb, &ub, None, &opts, &mut ws);
+    let mut seed = None;
+    let mut parent = solve_with_bounds_from_ws(&c.lp, &lb, &ub, None, &opts, &mut ws, &mut seed);
     record(out, k, "cold", &parent);
-    let mut seed = ws.take_factor_state();
     for step in 0..STEPS {
         // The reduction frees a pinned column now and then, in both children.
         if rng.gen_index(4) == 0 {
@@ -273,7 +270,7 @@ fn play(k: u64, out: &mut String) {
         let (mut up_lb, up_ub) = (lb.clone(), ub.clone());
         up_lb[j] = 1.0;
         ub[j] = 0.0;
-        ws.install_factor_state(token, seed.clone());
+        let mut sibling_seed = seed.clone();
         let sibling = solve_with_bounds_recovering_ws(
             &c.lp,
             &up_lb,
@@ -281,14 +278,19 @@ fn play(k: u64, out: &mut String) {
             parent.basis.as_ref(),
             &opts,
             &mut ws,
+            &mut sibling_seed,
         );
         record(out, k, &format!("{step}u"), &sibling);
-        let sibling_seed = ws.take_factor_state();
-        ws.install_factor_state(token, seed.take());
-        let down =
-            solve_with_bounds_recovering_ws(&c.lp, &lb, &ub, parent.basis.as_ref(), &opts, &mut ws);
+        let down = solve_with_bounds_recovering_ws(
+            &c.lp,
+            &lb,
+            &ub,
+            parent.basis.as_ref(),
+            &opts,
+            &mut ws,
+            &mut seed,
+        );
         record(out, k, &format!("{step}d"), &down);
-        seed = ws.take_factor_state();
         // An infeasible child ends its branch: continue from the sibling.
         if down.status == LpStatus::Optimal || sibling.status != LpStatus::Optimal {
             parent = down;

@@ -108,9 +108,17 @@ fn dual_resolves_match_cold_solves_after_bound_changes() {
                 basis.as_ref(),
                 &opts,
                 &mut LpWorkspace::new(),
+                &mut None,
             );
-            let cold =
-                solve_with_bounds_from_ws(&p, &lb, &ub, None, &opts, &mut LpWorkspace::new());
+            let cold = solve_with_bounds_from_ws(
+                &p,
+                &lb,
+                &ub,
+                None,
+                &opts,
+                &mut LpWorkspace::new(),
+                &mut None,
+            );
             assert_eq!(
                 warm.status, cold.status,
                 "seed {seed} step {step}: status diverged (warm {:?} vs cold {:?})",
@@ -178,6 +186,7 @@ fn ratio_test_modes_agree_on_warm_resolves() {
                 None,
                 &SimplexOptions::default(),
                 &mut LpWorkspace::new(),
+                &mut None,
             );
             for &ratio_test in &modes {
                 let opts = SimplexOptions {
@@ -191,6 +200,7 @@ fn ratio_test_modes_agree_on_warm_resolves() {
                     base.basis.as_ref(),
                     &opts,
                     &mut LpWorkspace::new(),
+                    &mut None,
                 );
                 assert_eq!(
                     warm.status, cold.status,
@@ -254,6 +264,7 @@ fn hinted_resolves_price_like_dantzig() {
                     ..SimplexOptions::default()
                 },
                 &mut LpWorkspace::new(),
+                &mut None,
             )
         });
         assert_eq!(devex.status, dantzig.status, "seed {seed}");
@@ -301,9 +312,17 @@ fn dual_path_handles_infeasible_children() {
             base.basis.as_ref(),
             &opts,
             &mut LpWorkspace::new(),
+            &mut None,
         );
-        let cold =
-            solve_with_bounds_from_ws(&p, &fixed, &fixed, None, &opts, &mut LpWorkspace::new());
+        let cold = solve_with_bounds_from_ws(
+            &p,
+            &fixed,
+            &fixed,
+            None,
+            &opts,
+            &mut LpWorkspace::new(),
+            &mut None,
+        );
         assert_eq!(
             warm.status, cold.status,
             "seed {seed}: fixed-child verdicts diverged"
@@ -353,6 +372,7 @@ fn basis_update_modes_agree_on_warm_resolves() {
                     ..SimplexOptions::default()
                 },
                 &mut LpWorkspace::new(),
+                &mut None,
             );
             let pfi = solve_with_bounds_from_ws(
                 &p,
@@ -364,6 +384,7 @@ fn basis_update_modes_agree_on_warm_resolves() {
                     ..SimplexOptions::default()
                 },
                 &mut LpWorkspace::new(),
+                &mut None,
             );
             assert_eq!(
                 ft.status, pfi.status,

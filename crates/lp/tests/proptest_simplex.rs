@@ -207,6 +207,7 @@ fn bound_overrides_respected() {
             None,
             &SimplexOptions::default(),
             &mut sqpr_lp::LpWorkspace::new(),
+            &mut None,
         );
         match s.status {
             LpStatus::Optimal => {

@@ -20,8 +20,9 @@
 //! index stable, so LP bases remain valid warm-start hints across rounds.
 //! Every other refresh is a **rebuild**, which folds exactly the columns
 //! that are bound-fixed now. Within one lowering the bounds therefore never
-//! move, and the memos kept beside it — the last seed incumbent validated,
-//! presolve's first sweep — only ever meet appended rows.
+//! move, and the one memo kept beside it — the last seed incumbent
+//! validated — only ever meets appended rows. Presolve keeps none: every
+//! search sweeps its lowering's live terms from the model's bounds.
 //!
 //! # What a rebuild reads
 //!
@@ -77,10 +78,9 @@
 //! The rebuild itself still folds each kept row in full, for its constant.
 //!
 //! The slot also owns the [`LpWorkspace`] every construction it serves
-//! runs in, so its allocations outlive a tree. Its basis-factor cache does
-//! not: every tree claims a matrix generation of its own
-//! (`crate::solver`), and factorisations pass between the nodes of one
-//! tree only.
+//! runs in, so its allocations outlive a tree. A workspace is scratch
+//! only: factorisations are passed from solve to solve as an argument
+//! (`crate::solver`), between the nodes of one tree only.
 //!
 //! Staleness can cost a re-scan, never correctness: the checks run on
 //! every `refresh`. The one mutation the stamp checks cannot see — an
@@ -94,7 +94,7 @@ use crate::model::{
     activity, const_row_violated, fixed_off_integer, fold_row, shifted_bounds, AdjacencyCheck,
     LoweredLp, LpMap, Model, SearchGeom, VarDef, VarId, VarType,
 };
-use crate::presolve::{BoundsMirror, FirstSweep};
+use crate::presolve::BoundsMirror;
 use sqpr_lp::{LpWorkspace, ProblemBuilder, Triplet};
 
 /// Counters describing how the cache behaved (exposed for ablation
@@ -208,9 +208,6 @@ struct LpCache {
 /// to the same constant, so what was derived from it stands.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Side {
-    /// Presolve's first sweep over this lowering's rows, for the next
-    /// construction over it to resume from.
-    pub first_sweep: Option<FirstSweep>,
     /// The model's bounds (and integrality) per variable, as of the last
     /// refresh; presolve's working copy in between.
     pub mirror: BoundsMirror,
@@ -407,7 +404,6 @@ impl LpCache {
         };
         let (nvars, ncons) = (model.num_vars(), model.num_cons());
         let known = col_of_var.len();
-        side.first_sweep = None;
         side.start_check = None;
         side.live.clear();
         side.begin_marks(ncons);

@@ -5,8 +5,8 @@
 //! accepting.
 
 use sqpr_lp::{
-    solve_with_bounds_from_ws, BasisState, LpStatus, LpWorkspace, PivotCounts, Problem,
-    SimplexOptions,
+    solve_with_bounds_from_ws, BasisState, FactorState, LpStatus, LpWorkspace, PivotCounts,
+    Problem, SimplexOptions,
 };
 
 /// Maximum number of fixing rounds in a dive (defensive; a dive fixes at
@@ -16,8 +16,9 @@ const MAX_DIVE_DEPTH: usize = 400;
 /// Diving heuristic: repeatedly fix the most fractional integer variable to
 /// its nearest integer and re-solve the LP until the point is integral or
 /// the dive dead-ends. Each fixing round warm-starts from the previous
-/// round's basis (seeded by `basis`, typically the node relaxation's), so a
-/// dive costs a few pivots per fixing instead of a full solve.
+/// round's basis (seeded by `basis`, typically the node relaxation's) and
+/// factorisation (seeded by `factors`, the node relaxation's final one), so
+/// a dive costs a few pivots per fixing instead of a full solve.
 #[allow(clippy::too_many_arguments, reason = "one dive's inputs and counters")]
 pub fn dive(
     lp: &Problem,
@@ -31,6 +32,7 @@ pub fn dive(
     lp_iterations: &mut usize,
     lp_pivots: &mut PivotCounts,
     ws: &mut LpWorkspace,
+    mut factors: Option<FactorState>,
 ) -> Option<(f64, Vec<f64>)> {
     let mut lb = lb.to_vec();
     let mut ub = ub.to_vec();
@@ -62,7 +64,8 @@ pub fn dive(
         let fixed = v.round().clamp(orig_lb, orig_ub);
         lb[j] = fixed;
         ub[j] = fixed;
-        let sol = solve_with_bounds_from_ws(lp, &lb, &ub, cur_basis.as_ref(), lp_opts, ws);
+        let hint = cur_basis.as_ref();
+        let sol = solve_with_bounds_from_ws(lp, &lb, &ub, hint, lp_opts, ws, &mut factors);
         *lp_iterations += sol.iterations;
         lp_pivots.merge(&sol.pivots);
         match sol.status {
@@ -84,7 +87,8 @@ pub fn dive(
                 }
                 lb[j] = alt;
                 ub[j] = alt;
-                let sol = solve_with_bounds_from_ws(lp, &lb, &ub, cur_basis.as_ref(), lp_opts, ws);
+                let hint = cur_basis.as_ref();
+                let sol = solve_with_bounds_from_ws(lp, &lb, &ub, hint, lp_opts, ws, &mut factors);
                 *lp_iterations += sol.iterations;
                 lp_pivots.merge(&sol.pivots);
                 if sol.status != LpStatus::Optimal {
@@ -132,6 +136,7 @@ mod tests {
             &mut iters,
             &mut pivots,
             &mut LpWorkspace::new(),
+            None,
         );
         let (obj, x) = got.expect("dive should succeed");
         assert!(x.iter().all(|v| (v - v.round()).abs() < 1e-9));
@@ -164,6 +169,7 @@ mod tests {
             &mut iters,
             &mut pivots,
             &mut LpWorkspace::new(),
+            None,
         );
         let (_, x) = got.expect("dive should recover");
         assert!((x[0] + x[1] - 1.0).abs() < 1e-9);

@@ -47,12 +47,12 @@ const TOL: f64 = 1e-9;
 type RowTerms<'t> = dyn Fn(usize) -> &'t [(VarId, f64)] + 't;
 
 /// The reference propagation: from the model's own bounds, every one of the
-/// `active` rows re-read in full in every sweep, nothing resumed.
+/// `active` rows re-read in full in every sweep.
 fn propagate_all_rows(model: &Model, max_rounds: usize, active: &[usize]) -> Presolved {
     let mut mirror = BoundsMirror::of(model);
     let full_rows = |r: usize| model.cons[active[r]].terms.as_slice();
     let mut run = Propagation::over(&mut mirror, &full_rows, active.len());
-    match run.propagate(model, max_rounds, active, None, None) {
+    match run.propagate(model, max_rounds, active, None) {
         Ok(()) => Presolved::Bounds(mirror.lb, mirror.ub),
         Err(Infeasible) => Presolved::Infeasible,
     }
@@ -76,13 +76,9 @@ pub(crate) type LpBounds = Option<(Vec<f64>, Vec<f64>)>;
 ///
 /// `side.mirror` holds the model's current bounds on entry and again on
 /// return: the sweeps tighten it in place and what they moved is put back,
-/// so no skeleton-sized buffer is filled per call. `side.first_sweep`
-/// carries the first sweep from one call to the next over the *same
-/// lowering*: a lowering is reused only while the model's bounds stand
-/// ([`Model::bounds_stamp`]) and rows were only appended, so the first sweep
-/// over the rows it covered would compute the same thing again, and it
-/// resumes behind them. `side.rows_read` and `side.terms_read` count what
-/// the sweeps read.
+/// so no skeleton-sized buffer is filled per call, and every call sweeps
+/// from the model's bounds: nothing carries over from one call to the next.
+/// `side.rows_read` and `side.terms_read` count what the sweeps read.
 pub(crate) fn presolve_bounds_active(
     model: &Model,
     max_rounds: usize,
@@ -94,13 +90,7 @@ pub(crate) fn presolve_bounds_active(
     let active = &map.cons_of_row;
     let live = |r: usize| side.live.row(r);
     let mut run = Propagation::over(&mut side.mirror, &live, active.len());
-    let verdict = run.propagate(
-        model,
-        max_rounds,
-        active,
-        adjacency,
-        Some(&mut side.first_sweep),
-    );
+    let verdict = run.propagate(model, max_rounds, active, adjacency);
     side.rows_read += run.rows_read;
     side.terms_read += run.terms_read;
     let moved = std::mem::take(&mut run.tightened);
@@ -115,7 +105,7 @@ pub(crate) fn presolve_bounds_active(
             &presolved,
             &project(&propagate_all_rows(model, max_rounds, active), model, map)
         ),
-        "skipping rows or resuming the first sweep changed the presolve"
+        "skipping rows changed the presolve"
     );
     presolved
 }
@@ -218,28 +208,6 @@ impl BoundsMirror {
     }
 }
 
-/// A propagation as its first sweep left it; see
-/// [`presolve_bounds_active`].
-#[derive(Debug, Clone)]
-pub(crate) struct FirstSweep {
-    /// The model bounds the sweep started from.
-    bounds_stamp: u64,
-    /// Rows swept (a prefix of the lowering's kept rows).
-    rows: usize,
-    /// What the sweep left behind, as a difference to the model's own
-    /// bounds (a sweep moves few of them; the memo stays small next to the
-    /// model). `None`: it proved infeasibility within those rows.
-    left: Option<Tightened>,
-}
-
-/// The variables a sweep moved, with their new `(lb, ub)`, and the rows it
-/// left stale.
-#[derive(Debug, Clone)]
-struct Tightened {
-    bounds: Vec<(usize, f64, f64)>,
-    stale: Vec<bool>,
-}
-
 /// One propagation over a [`BoundsMirror`]: the bounds under propagation
 /// and, per row, whether a bound of one of its variables moved since the row
 /// was last read — by another row or by itself.
@@ -305,86 +273,22 @@ impl<'a> Propagation<'a> {
         max_rounds: usize,
         active: &[usize],
         adjacency: Option<(&LpMap, &Problem)>,
-        mut first_sweep: Option<&mut Option<FirstSweep>>,
     ) -> Result<(), Infeasible> {
-        if max_rounds == 0 {
-            return Ok(());
-        }
-        let resumed = first_sweep
-            .as_deref_mut()
-            .and_then(Option::take)
-            .filter(|f| {
-                debug_assert_eq!(
-                    f.bounds_stamp, model.bounds_stamp,
-                    "a first sweep outlived its lowering"
-                );
-                f.rows <= active.len()
-            });
-        // Finish the first sweep: everything, or the rows appended since.
-        let first = match resumed {
-            None => self.sweep(model, active, 0, adjacency),
-            Some(FirstSweep { left: None, .. }) => Err(Infeasible),
-            Some(FirstSweep {
-                rows,
-                left: Some(left),
-                ..
-            }) => {
-                self.resume(left);
-                self.sweep(model, active, rows, adjacency)
-            }
-        };
-        if let Some(slot) = first_sweep {
-            *slot = Some(FirstSweep {
-                bounds_stamp: model.bounds_stamp,
-                rows: active.len(),
-                left: first.is_ok().then(|| self.left_behind()),
-            });
-        }
-        first?;
-        // Anything moved so far was moved by the first sweep.
-        let mut changed = !self.tightened.is_empty();
-        for _ in 1..max_rounds {
-            if !changed {
+        for _ in 0..max_rounds {
+            let before = self.tightened.len();
+            self.sweep(model, active, adjacency)?;
+            if self.tightened.len() == before {
                 break;
             }
-            let before = self.tightened.len();
-            self.sweep(model, active, 0, adjacency)?;
-            changed = self.tightened.len() > before;
         }
         Ok(())
     }
 
-    /// What has been moved so far, for [`Self::resume`].
-    fn left_behind(&self) -> Tightened {
-        let mut moved = self.tightened.clone();
-        moved.sort_unstable();
-        moved.dedup();
-        Tightened {
-            bounds: moved
-                .into_iter()
-                .map(|j| (j, self.bounds.lb[j], self.bounds.ub[j]))
-                .collect(),
-            stale: self.stale.clone(),
-        }
-    }
-
-    /// Puts back what an earlier sweep from the same model bounds left;
-    /// rows beyond the ones it knew stay unread.
-    fn resume(&mut self, left: Tightened) {
-        for &(j, lb, ub) in &left.bounds {
-            self.bounds.lb[j] = lb;
-            self.bounds.ub[j] = ub;
-            self.tightened.push(j);
-        }
-        self.stale[..left.stale.len()].copy_from_slice(&left.stale);
-    }
-
-    /// One sweep over `active[from..]`.
+    /// One sweep over `active`.
     fn sweep(
         &mut self,
         model: &Model,
         active: &[usize],
-        from: usize,
         adjacency: Option<(&LpMap, &Problem)>,
     ) -> Result<(), Infeasible> {
         let Propagation {
@@ -396,7 +300,7 @@ impl<'a> Propagation<'a> {
             terms_read,
         } = self;
         let BoundsMirror { lb, ub, integer } = &mut **bounds;
-        for (r, &c) in active.iter().enumerate().skip(from) {
+        for (r, &c) in active.iter().enumerate() {
             if adjacency.is_some() {
                 if !stale[r] {
                     continue;
@@ -661,13 +565,10 @@ mod tests {
 
     /// [`presolve_bounds_active`] over the slot's current lowering of `m`,
     /// on the slot's own mirror.
-    fn through_slot(slot: &mut LpCacheSlot, m: &Model, rounds: usize, resume: bool) -> LpBounds {
+    fn through_slot(slot: &mut LpCacheSlot, m: &Model, rounds: usize) -> LpBounds {
         let parts = slot.refresh_solver(m);
         let (map, lp) = (&parts.lowered.geom.map, &parts.lowered.lp);
         let side = parts.side;
-        if !resume {
-            side.first_sweep = None;
-        }
         let got = presolve_bounds_active(m, rounds, map, lp, side);
         assert!(side.mirror.mirrors(m), "presolve left the mirror tightened");
         got
@@ -689,7 +590,7 @@ mod tests {
             exact += usize::from(map.adjacency_exact);
             for rounds in [1, 2, 6] {
                 let want = all_rows(&m, rounds, map);
-                let skipping = through_slot(&mut slot, &m, rounds, false);
+                let skipping = through_slot(&mut slot, &m, rounds);
                 assert!(
                     lp_bounds_identical(&skipping, &want),
                     "seed {seed}, {rounds} sweeps: {skipping:?} vs {want:?}"
@@ -725,7 +626,7 @@ mod tests {
         m.add_ge(vec![(a, 1.0)], 1.0);
         let lowered = m.lower_reduced();
         assert!(!lowered.geom.map.adjacency_exact);
-        let got = through_slot(&mut LpCacheSlot::new(), &m, 6, false);
+        let got = through_slot(&mut LpCacheSlot::new(), &m, 6);
         assert!(lp_bounds_identical(
             &got,
             &all_rows(&m, 6, &lowered.geom.map)
@@ -737,24 +638,23 @@ mod tests {
         assert!(m.lower_reduced().geom.map.adjacency_exact);
     }
 
-    /// Resuming the first sweep behind the rows it already covered — the
-    /// cut rounds of one submission: rows appended, no bound moved — gives
-    /// what a presolve from scratch gives; a moved bound starts over, and so
-    /// does a model that grew (new columns: a new lowering, on the same
-    /// mirror, longer).
+    /// Presolve over a lowering that rows were appended to — the cut rounds
+    /// of one submission: no bound moved — gives, bit for bit, what the
+    /// reference gives over the same rows; so does presolve over the
+    /// lowering a moved bound or a grown model rebuilds (new columns, on the
+    /// same mirror, longer).
     #[test]
-    fn resumed_first_sweep_matches_a_fresh_presolve() {
-        let (mut resumed_calls, mut grown) = (0, 0);
+    fn presolve_over_appended_rows_matches_all_rows() {
+        let (mut appended, mut grown) = (0, 0);
         for seed in 0..200u64 {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
             let mut m = random_model(seed);
             let mut slot = LpCacheSlot::new();
-            let mut stamp_swept = None;
             for step in 0..6 {
                 if step > 0 {
                     match rng.gen_index(8) {
                         0 | 1 => {
-                            // A bound moves: the memo must not be resumed.
+                            // A bound moves: the next lowering is a rebuild.
                             let v = VarId::from_raw(rng.gen_index(m.num_vars()));
                             // (Downwards, so the hidden point of `random_model`
                             // moves with it and most models stay feasible.)
@@ -777,15 +677,10 @@ mod tests {
                         }
                     }
                 }
-                let rebuilds = slot.stats().rebuilds;
-                slot.refresh(&m);
-                if slot.stats().rebuilds != rebuilds {
-                    // A new lowering has new rows: its memo starts empty.
-                    stamp_swept = None;
-                }
-                resumed_calls += usize::from(stamp_swept == Some(m.bounds_stamp));
-                let got = through_slot(&mut slot, &m, 6, true);
-                stamp_swept = Some(m.bounds_stamp);
+                let before = slot.stats();
+                let got = through_slot(&mut slot, &m, 6);
+                let refreshed = slot.stats().since(&before);
+                appended += usize::from(refreshed.patches == 1 && refreshed.appended_rows > 0);
                 let map = &slot.lowered().expect("slot populated by refresh").geom.map;
                 assert!(
                     lp_bounds_identical(&got, &all_rows(&m, 6, map)),
@@ -793,7 +688,10 @@ mod tests {
                 );
             }
         }
-        assert!(resumed_calls >= 300, "only {resumed_calls} resumed calls");
+        assert!(
+            appended >= 300,
+            "only {appended} lowerings with appended rows"
+        );
         assert!(grown >= 50, "only {grown} growth steps");
     }
 
@@ -837,7 +735,7 @@ mod tests {
                                 m.add_ge(terms, 1.0 + v);
                             }
                             let mut slot = LpCacheSlot::new();
-                            let live = through_slot(&mut slot, &m, 6, false);
+                            let live = through_slot(&mut slot, &m, 6);
                             let map = &slot.lowered().expect("slot populated").geom.map;
                             let full = all_rows(&m, 6, map);
                             let case = format!(

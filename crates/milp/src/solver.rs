@@ -10,8 +10,9 @@
 //! [`solve_preemptible`] runs the search in *slices* of a caller-set node
 //! quantum: when the quantum expires the search suspends at the next node
 //! boundary into an owning [`SearchState`] (frontier heap, incumbent,
-//! node-id counter, factor token) that can be parked indefinitely and
-//! resumed with [`SearchState::resume`]. Three properties make a cut
+//! node-id counter, the lowering it searches) that can be parked
+//! indefinitely and resumed with [`SearchState::resume`] over the same
+//! model. Three properties make a cut
 //! invisible: it happens strictly between node evaluations; a node's LP
 //! relaxation is a pure function of the node (its materialised bounds,
 //! its parent's basis hint, and its parent's final factorisation, carried
@@ -27,7 +28,6 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::time::{Duration, Instant};
 
 use sqpr_lp::{
@@ -39,16 +39,6 @@ use crate::cache::{LpCacheSlot, Side, SolverParts};
 use crate::heuristics;
 use crate::model::{LoweredLp, LpMap, Model, SearchGeom};
 use crate::presolve::presolve_bounds_active;
-
-/// Matrix-generation tokens for basis-factorisation reuse, one per branch &
-/// bound tree. A single process-wide counter keeps tokens unique across
-/// trees and slots, so a workspace can never confuse two matrices.
-static FACTOR_GENERATION: AtomicU64 = AtomicU64::new(1);
-
-/// Claims a fresh, process-unique matrix-generation token.
-fn next_factor_token() -> u64 {
-    FACTOR_GENERATION.fetch_add(1, AtomicOrdering::Relaxed)
-}
 
 /// Incumbent filter callback (lazy-constraint hook): integral candidates
 /// it rejects never become the incumbent.
@@ -249,8 +239,8 @@ pub struct MilpOptions {
     /// without it; improvements within the margin may be skipped, and the
     /// reported `best_bound` is then only valid to within the margin.
     pub cutoff_margin: f64,
-    /// Accepted and ignored — every tree claims a matrix generation of its
-    /// own, so factorisations pass between the nodes of one tree only.
+    /// Accepted and ignored — factorisations pass from a node to its
+    /// children and its dive, within one tree only.
     /// Removed together with the benchmark lines that name it in the next
     /// `benchmark` PR.
     pub cross_solve_factors: bool,
@@ -315,12 +305,6 @@ pub struct MilpResult {
     pub root_basis: Option<ModelBasis>,
 }
 
-impl MilpResult {
-    pub fn has_solution(&self) -> bool {
-        self.x.is_some()
-    }
-}
-
 /// One chained bound tightening of an LP column (child nodes point at their
 /// parents).
 struct BoundChange {
@@ -344,12 +328,10 @@ struct Node {
     /// pivots instead of a cold phase-I. Shared (`Rc`) between the two
     /// siblings.
     basis: Option<Rc<BasisState>>,
-    /// The parent relaxation's final detached factorisation, installed
-    /// into the workspace before this node's solve. Seeding every node
-    /// from its *parent's* factors — rather than whatever the workspace
-    /// happened to solve last — is what makes node evaluation a pure
-    /// function of the node, and therefore indifferent to where a
-    /// suspend/resume cut falls.
+    /// The parent relaxation's final detached factorisation, handed to
+    /// this node's solve as its seed. Carried by the node, it makes node
+    /// evaluation a pure function of the node, and therefore indifferent
+    /// to where a suspend/resume cut falls.
     seed: Option<Rc<FactorState>>,
 }
 
@@ -453,9 +435,9 @@ impl SolveOutcome {
 ///
 /// A suspend leaves the caller's [`LpCacheSlot`] fully valid: the slot's
 /// cached lowering and workspace survive, and later submissions may be
-/// served from it while the suspended state is parked. Every tree claims a
-/// matrix generation of its own and seeds its root with no factorisation,
-/// so what a tree leaves in the workspace never reaches the next one.
+/// served from it while the suspended state is parked. A tree's root solve
+/// starts with no factorisation and every other solve is handed its seed,
+/// so nothing one tree factorised reaches the next one.
 ///
 /// The lowering and workspace are borrowed from the slot by the search; on
 /// suspension the lowering and its tables go into the returned
@@ -483,8 +465,6 @@ pub fn solve_preemptible(
         let objective = side.start_objective(model, &geom.map, x, start_tol)?;
         Some((x, objective))
     });
-    let factor_token = next_factor_token();
-    ws.begin_factor_generation(factor_token);
     let mut core = SearchCore::new(model, opts, start, warm.root_basis, lp, geom, side);
     let verdict = Bnb {
         model,
@@ -495,7 +475,6 @@ pub fn solve_preemptible(
         core: &mut core,
         side,
         ws,
-        factor_token,
         #[expect(
             clippy::disallowed_methods,
             reason = "opts.time_limit is an explicit caller SLO; expiry surfaces as a TimeLimit verdict, never a silently different plan"
@@ -505,23 +484,22 @@ pub fn solve_preemptible(
     .drive(quantum);
     match verdict {
         SliceVerdict::Finished(status, bound) => {
-            SolveOutcome::Done(core.result(model, status, bound))
+            SolveOutcome::Done(core.finish(model.min_flip(), status, bound))
         }
         SliceVerdict::Suspended => {
             let (lowered, side) = slot.search_input(model, private);
             // The suspended search gets a private workspace: every
             // factorisation it still needs lives in its node seeds (`Rc`s
-            // inside the heap), and node evaluation installs from the seed,
-            // under the tree's token, before each solve, so a fresh
-            // workspace is semantically identical to the one the slice ran
+            // inside the heap), and a workspace holds scratch only, so a
+            // fresh one is semantically identical to the one the slice ran
             // in.
             SolveOutcome::Suspended(Box::new(SearchState {
-                model: model.clone(),
+                built_over: ModelShape::of(model),
+                flip: model.min_flip(),
                 opts: opts.clone(),
                 lowered,
                 side,
                 core,
-                factor_token,
                 ws: LpWorkspace::new(),
             }))
         }
@@ -529,26 +507,50 @@ pub fn solve_preemptible(
 }
 
 /// A branch & bound search suspended at a node boundary: the frontier
-/// heap, incumbent, node-id counter, root bounds and factor-generation
-/// token, plus owned clones of the model and options and the compressed LP
-/// being searched with the cache tables that validate its candidates — so
-/// the state outlives the planning round (and the cache slot borrow) that
-/// spawned it. Resuming, in any number of further slices, reproduces the
-/// uninterrupted run bit for bit: node evaluation is a pure function of the
-/// node, the pop order is a total order over the heap's contents, and both
-/// live entirely in this state.
+/// heap, incumbent, node-id counter and root bounds, plus an owned clone of
+/// the options and the compressed LP being searched with the cache tables
+/// that validate its candidates — so the state outlives the planning round
+/// (and the cache slot borrow) that spawned it. The model is not kept: the
+/// caller, who parks the search, keeps it and hands it back to every
+/// [`Self::resume`]. Resuming, in any number of further slices, reproduces
+/// the uninterrupted run bit for bit: node evaluation is a pure function of
+/// the node, the pop order is a total order over the heap's contents, and
+/// both live entirely in this state.
 ///
 /// Not `Send`: bound-change chains, basis hints and factor seeds are
 /// `Rc`-shared between nodes.
 pub struct SearchState {
-    model: Model,
+    /// The model the search was built over, as [`Self::resume`] checks it.
+    built_over: ModelShape,
+    /// That model's [`Model::min_flip`], for the anytime snapshot.
+    flip: f64,
     opts: MilpOptions,
     /// The lowering the first slice ran over, and its slot's tables.
     lowered: LoweredLp,
     side: Side,
     core: SearchCore,
-    factor_token: u64,
     ws: LpWorkspace,
+}
+
+/// What [`SearchState::resume`] compares of the model it is handed with
+/// the one the search was built over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ModelShape {
+    structure_version: u64,
+    bounds_stamp: u64,
+    num_vars: usize,
+    num_cons: usize,
+}
+
+impl ModelShape {
+    fn of(model: &Model) -> Self {
+        ModelShape {
+            structure_version: model.structure_version(),
+            bounds_stamp: model.bounds_stamp(),
+            num_vars: model.num_vars(),
+            num_cons: model.num_cons(),
+        }
+    }
 }
 
 impl std::fmt::Debug for SearchState {
@@ -562,16 +564,26 @@ impl std::fmt::Debug for SearchState {
 }
 
 impl SearchState {
-    /// Continues the search for at most `quantum` further nodes. The
-    /// filter is re-supplied per slice (it is a borrowed closure and
-    /// cannot be parked); callers must pass a filter with the same
-    /// accept/reject behaviour on every slice, or the resumed search may
-    /// legitimately diverge from the uninterrupted one.
+    /// Continues the search over `model` for at most `quantum` further
+    /// nodes. The model and the filter are re-supplied per slice (the
+    /// caller keeps the model; the filter is a borrowed closure and cannot
+    /// be parked); callers must pass a filter with the same accept/reject
+    /// behaviour on every slice, or the resumed search may legitimately
+    /// diverge from the uninterrupted one.
+    ///
+    /// # Panics
+    /// Panics unless `model` has the structure version, bounds stamp and
+    /// dimensions of the model the search was built over.
     pub fn resume(
         mut self: Box<Self>,
+        model: &Model,
         filter: Option<IncumbentFilter<'_>>,
         quantum: usize,
     ) -> SolveOutcome {
+        assert!(
+            ModelShape::of(model) == self.built_over,
+            "a search resumed over a model other than its own"
+        );
         #[expect(
             clippy::disallowed_methods,
             reason = "opts.time_limit is an explicit caller SLO; expiry surfaces as a TimeLimit verdict, never a silently different plan"
@@ -579,7 +591,7 @@ impl SearchState {
         let deadline = self.opts.time_limit.map(|d| Instant::now() + d);
         let state = &mut *self;
         let verdict = Bnb {
-            model: &state.model,
+            model,
             opts: &state.opts,
             filter,
             lp: &state.lowered.lp,
@@ -587,14 +599,13 @@ impl SearchState {
             core: &mut state.core,
             side: &mut state.side,
             ws: &mut state.ws,
-            factor_token: state.factor_token,
             deadline,
         }
         .drive(quantum);
         match verdict {
             SliceVerdict::Finished(status, bound) => {
                 let core = std::mem::take(&mut self.core);
-                SolveOutcome::Done(core.result(&self.model, status, bound))
+                SolveOutcome::Done(core.finish(self.flip, status, bound))
             }
             SliceVerdict::Suspended => SolveOutcome::Suspended(self),
         }
@@ -616,7 +627,9 @@ impl SearchState {
         } else {
             MilpStatus::Unknown
         };
-        self.core.result_ref(&self.model, status, bound_min)
+        let core = &self.core;
+        let (incumbent, root_basis) = (core.incumbent.clone(), core.root_basis_out.clone());
+        core.result(self.flip, status, bound_min, incumbent, root_basis)
     }
 }
 
@@ -680,8 +693,6 @@ struct Bnb<'a> {
     /// first slice — so allocations survive between the slot's consecutive
     /// trees — and from the suspended [`SearchState`] on resume.
     ws: &'a mut LpWorkspace,
-    /// Matrix generation every factor state in this tree is scoped to.
-    factor_token: u64,
     /// Wall-clock cutoff, re-armed per slice from `opts.time_limit` (the
     /// deterministic budgets are `max_nodes` and the quantum; the clock
     /// limit is best-effort per slice by design).
@@ -744,11 +755,26 @@ impl SearchCore {
         }
     }
 
-    /// Builds the final [`MilpResult`] from a finished search (consuming —
-    /// the incumbent vector and exported root basis move out).
-    fn result(mut self, model: &Model, status: MilpStatus, bound_min: f64) -> MilpResult {
-        let flip = model.min_flip();
-        let (objective, x) = match self.incumbent.take() {
+    /// The final [`MilpResult`] of a finished search: its incumbent and
+    /// exported root basis move out.
+    fn finish(mut self, flip: f64, status: MilpStatus, bound_min: f64) -> MilpResult {
+        let (incumbent, root_basis) = (self.incumbent.take(), self.root_basis_out.take());
+        self.result(flip, status, bound_min, incumbent, root_basis)
+    }
+
+    /// The [`MilpResult`] of this search with `incumbent` and `root_basis`
+    /// (its own, moved out of a finished search or cloned for an anytime
+    /// snapshot): `status`, the best bound `bound_min` in minimisation
+    /// space, and `flip` the model's [`Model::min_flip`].
+    fn result(
+        &self,
+        flip: f64,
+        status: MilpStatus,
+        bound_min: f64,
+        incumbent: Option<(f64, Vec<f64>)>,
+        root_basis: Option<ModelBasis>,
+    ) -> MilpResult {
+        let (objective, x) = match incumbent {
             Some((obj, x)) => (flip * obj, Some(x)),
             None => (f64::NAN, None),
         };
@@ -767,32 +793,7 @@ impl SearchCore {
             lp_iterations: self.lp_iterations,
             lp_pivots: self.lp_pivots,
             gap,
-            root_basis: self.root_basis_out.take(),
-        }
-    }
-
-    /// Non-consuming [`Self::result`] (anytime snapshots of a suspended
-    /// search clone the incumbent and root basis).
-    fn result_ref(&self, model: &Model, status: MilpStatus, bound_min: f64) -> MilpResult {
-        let flip = model.min_flip();
-        let (objective, x) = match &self.incumbent {
-            Some((obj, x)) => (flip * obj, Some(x.clone())),
-            None => (f64::NAN, None),
-        };
-        let gap = match &self.incumbent {
-            Some((obj, _)) if bound_min.is_finite() => (obj - bound_min).abs() / obj.abs().max(1.0),
-            _ => f64::INFINITY,
-        };
-        MilpResult {
-            status,
-            objective,
-            best_bound: flip * bound_min,
-            x,
-            nodes: self.nodes_done,
-            lp_iterations: self.lp_iterations,
-            lp_pivots: self.lp_pivots,
-            gap,
-            root_basis: self.root_basis_out.clone(),
+            root_basis,
         }
     }
 }
@@ -989,7 +990,6 @@ impl<'a> Bnb<'a> {
                 &self.core.lp_ub_buf,
                 hint,
                 &self.opts.lp,
-                self.factor_token,
                 node.seed,
                 self.ws,
             );
@@ -1038,9 +1038,8 @@ impl<'a> Bnb<'a> {
                 && (self.core.nodes_done == 1
                     || self.core.nodes_done.is_multiple_of(self.opts.dive_every))
             {
-                // Chain the dive from this node's final factorisation.
-                self.ws
-                    .install_factor_state(self.factor_token, factors.as_deref().cloned());
+                // The dive chains its own solves from this node's final
+                // factorisation.
                 if let Some((_, x_lp)) = heuristics::dive(
                     self.lp,
                     &self.geom.lp_integers,
@@ -1053,6 +1052,7 @@ impl<'a> Bnb<'a> {
                     &mut self.core.lp_iterations,
                     &mut self.core.lp_pivots,
                     self.ws,
+                    factors.as_deref().cloned(),
                 ) {
                     self.offer_incumbent(&x_lp);
                 }
@@ -1137,36 +1137,33 @@ impl<'a> Bnb<'a> {
     }
 }
 
-/// A node relaxation's outcome: the LP solution plus the evaluating
-/// workspace's final detached factorisation (the children's seed).
+/// A node relaxation's outcome: the LP solution plus its final detached
+/// factorisation (the children's seed).
 struct NodeEval {
     sol: LpSolution,
     factors: Option<Rc<FactorState>>,
 }
 
-/// Evaluates one node LP in `ws`. Pure: the simplex entry point fully
-/// resets the workspace's numeric state per solve, and the only
-/// cross-solve carry-over — the detached factor cache — is explicitly
-/// installed from the node's seed first and detached into the result
-/// after, so the outcome depends only on the arguments, never on which
+/// Evaluates one node LP in `ws`. Pure: the workspace is scratch, and the
+/// factorisation a solve starts from is the node's seed, handed in as an
+/// argument, so the outcome depends only on the arguments, never on which
 /// solve the workspace served last. The seed is taken by value: the last
 /// node to hold its parent's factors moves them in, the others copy.
-#[allow(clippy::too_many_arguments, reason = "pure: every input is passed in")]
 fn evaluate_node_lp(
     lp: &Problem,
     lp_lb: &[f64],
     lp_ub: &[f64],
     hint: Option<&BasisState>,
     lp_opts: &SimplexOptions,
-    token: u64,
     seed: Option<Rc<FactorState>>,
     ws: &mut LpWorkspace,
 ) -> NodeEval {
-    let seed = seed.map(|rc| Rc::try_unwrap(rc).unwrap_or_else(|shared| (*shared).clone()));
-    ws.install_factor_state(token, seed);
-    let sol = solve_with_bounds_recovering_ws(lp, lp_lb, lp_ub, hint, lp_opts, ws);
-    let factors = ws.take_factor_state().map(Rc::new);
-    NodeEval { sol, factors }
+    let mut factors = seed.map(|rc| Rc::try_unwrap(rc).unwrap_or_else(|shared| (*shared).clone()));
+    let sol = solve_with_bounds_recovering_ws(lp, lp_lb, lp_ub, hint, lp_opts, ws, &mut factors);
+    NodeEval {
+        sol,
+        factors: factors.map(Rc::new),
+    }
 }
 
 #[cfg(test)]
@@ -1284,7 +1281,7 @@ mod tests {
             .expect("usize::MAX quantum never suspends");
         // Even with a tiny budget we must report at least the start value.
         assert!(r.objective >= 13.0 - 1e-9);
-        assert!(r.has_solution());
+        assert!(r.x.is_some());
     }
 
     #[test]
@@ -1344,7 +1341,7 @@ mod tests {
         };
         let no_dive = at_root(0);
         assert_eq!(no_dive.status, MilpStatus::Unknown);
-        assert!(!no_dive.has_solution());
+        assert!(no_dive.x.is_none());
         let dived = at_root(1);
         assert_eq!(dived.status, MilpStatus::Feasible);
         assert!(m.is_feasible(dived.x.as_deref().expect("dive incumbent"), 1e-6));
@@ -1433,7 +1430,7 @@ mod tests {
 #[cfg(test)]
 mod warm_start_tests {
     use super::*;
-    use crate::model::Sense;
+    use crate::model::{Sense, VarId};
 
     fn solve_from(m: &Model, opts: &MilpOptions, warm: MilpWarmStart<'_>) -> MilpResult {
         solve_preemptible(m, opts, warm, None, None, usize::MAX)
@@ -1502,6 +1499,24 @@ mod warm_start_tests {
         assert_eq!(warm.status, MilpStatus::Optimal);
         assert!((warm.objective - cold.objective).abs() < 1e-6);
     }
+
+    /// A search does not keep its model, so a resume over another one — here
+    /// the same model with one bound moved — is refused.
+    #[test]
+    #[should_panic(expected = "a search resumed over a model other than its own")]
+    fn resuming_over_another_model_panics() {
+        let m = knapsack(10);
+        let warm = MilpWarmStart::default();
+        // Quantum 0: parked before the root.
+        let SolveOutcome::Suspended(state) =
+            solve_preemptible(&m, &MilpOptions::default(), warm, None, None, 0)
+        else {
+            panic!("quantum 0 suspends before the root");
+        };
+        let mut moved = m.clone();
+        moved.set_bounds(VarId::from_raw(0), 0.0, 0.0);
+        let _ = state.resume(&moved, None, usize::MAX);
+    }
 }
 
 #[cfg(test)]
@@ -1554,7 +1569,7 @@ mod filter_tests {
         let r = solve_preemptible(&m, &opts, warm, Some(&reject_all), None, usize::MAX)
             .done()
             .expect("usize::MAX quantum never suspends");
-        assert!(r.has_solution());
+        assert!(r.x.is_some());
         assert!((r.objective - 1.0).abs() < 1e-9);
     }
 }

@@ -166,7 +166,7 @@ fn sliced(
         SolveOutcome::Done(r) => (r, false),
         SolveOutcome::Suspended(state) => {
             let r = state
-                .resume(filter, usize::MAX)
+                .resume(m, filter, usize::MAX)
                 .done()
                 .expect("an unbounded slice never suspends");
             (r, true)

@@ -134,7 +134,7 @@ fn chopped(model: &Model, opts: &MilpOptions, quanta: &[usize]) -> (MilpResult, 
             SolveOutcome::Suspended(state) => {
                 cuts += 1;
                 let q = slices.next().unwrap_or(usize::MAX);
-                outcome = state.resume(None, q);
+                outcome = state.resume(model, None, q);
             }
         }
     }
@@ -241,7 +241,7 @@ fn suspend_leaves_cache_slot_serving_other_solves() {
                     "seed {seed}: interleaved solve diverged"
                 );
                 // The parked search resumes and finishes bit-identically.
-                let SolveOutcome::Done(r) = state.resume(None, usize::MAX) else {
+                let SolveOutcome::Done(r) = state.resume(&model, None, usize::MAX) else {
                     panic!("seed {seed}: unbounded resume slice suspended");
                 };
                 assert_identical(&format!("seed {seed} (resumed)"), &base, &r);
@@ -269,7 +269,7 @@ fn a_then_b(ip: &RandomIp, opts: &MilpOptions, sliced: bool) -> (MilpResult, Mil
     let a = loop {
         match outcome {
             SolveOutcome::Done(r) => break r,
-            SolveOutcome::Suspended(state) => outcome = state.resume(None, quantum),
+            SolveOutcome::Suspended(state) => outcome = state.resume(&model, None, quantum),
         }
     };
     tighten(ip, &mut model, &vars);
