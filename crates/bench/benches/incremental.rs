@@ -263,19 +263,18 @@ fn main() {
         );
     }
     println!(
-        "{:<28} {:>12} {:>10} {:>10} {:>10} {:>10}",
-        "lp cache", "patch rate", "patches", "refix", "rebuilds", "rows appd"
+        "{:<28} {:>12} {:>10} {:>10} {:>10}",
+        "lp cache", "patch rate", "patches", "rebuilds", "rows appd"
     );
     for (label, r) in [
         ("cold (fresh MILP per query)", &cold),
         ("warm (incremental)", &warm),
     ] {
         println!(
-            "{:<28} {:>11.1}% {:>10} {:>10} {:>10} {:>10}",
+            "{:<28} {:>11.1}% {:>10} {:>10} {:>10}",
             label,
             100.0 * r.cache.patch_rate(),
             r.cache.patches,
-            r.cache.refix_patches,
             r.cache.rebuilds,
             r.cache.appended_rows,
         );
@@ -410,7 +409,6 @@ fn main() {
             .with("warm_factor_reattaches", warm.pivots.factor_reattaches)
             .with("warm_cache_rebuilds", warm.cache.rebuilds)
             .with("warm_cache_patches", warm.cache.patches)
-            .with("warm_cache_refix_patches", warm.cache.refix_patches)
             .with("warm_cache_appended_rows", warm.cache.appended_rows)
             .with(
                 "warm_cache_patch_rate",
@@ -419,10 +417,6 @@ fn main() {
             .with("retries", retries)
             .with("warm_wave_cache_rebuilds", warm.wave_cache.rebuilds)
             .with("warm_wave_cache_patches", warm.wave_cache.patches)
-            .with(
-                "warm_wave_cache_refix_patches",
-                warm.wave_cache.refix_patches,
-            )
             .with(
                 "warm_wave_refactorizations",
                 warm.wave_pivots.refactorizations,

@@ -168,11 +168,6 @@ impl AdmissionQueue {
         self.parked.len()
     }
 
-    /// Queries currently parked, in resume order.
-    pub fn parked_queries(&self) -> Vec<QueryId> {
-        self.parked.iter().map(|p| p.round.query()).collect()
-    }
-
     /// Current logical tick (advanced by [`Self::pump`]).
     pub fn tick(&self) -> u64 {
         self.tick

@@ -166,19 +166,21 @@ pub struct PlannerConfig {
     /// grow the skeleton — and every `extend`/`apply_reduction` sweep —
     /// without bound. Values > 1.0 disable compaction.
     pub skeleton_gc_threshold: f64,
-    /// Simplex ratio-test mode for every LP the planner solves
-    /// ([`sqpr_lp::RatioTest`]): Harris two-pass tolerances plus the
-    /// bound-flipping dual long step by default, `Classic` as the
-    /// textbook-ratio-test ablation.
+    /// Accepted and ignored in effect: [`sqpr_lp::RatioTest`] has one
+    /// value (Harris two-pass plus the dual long step). Kept only because
+    /// the benchmark's staged round names it; removed with those lines in
+    /// the next `benchmark` PR.
     pub lp_ratio_test: RatioTest,
-    /// Primal pricing rule for every LP the planner solves
-    /// ([`sqpr_lp::PricingRule`]): full-pivot-row devex by default,
-    /// `Dantzig` as the ablation.
+    /// Accepted and ignored in effect: [`sqpr_lp::PricingRule`] has one
+    /// value (full-pivot-row devex). Kept only because the benchmark's
+    /// staged round names it; removed with those lines in the next
+    /// `benchmark` PR.
     pub lp_pricing: PricingRule,
     /// Basis update representation for every LP the planner solves
     /// ([`sqpr_lp::BasisUpdate`]): Forrest–Tomlin updates of `U` (sparse
     /// factors, fill-growth-keyed refactorisation) by default,
-    /// `ProductForm` etas as the ablation.
+    /// `ProductForm` etas as the alternative (faster on the benchmark's
+    /// `saturated_retry` workload; ARCHITECTURE §7).
     pub lp_basis_update: BasisUpdate,
     /// Accepted and ignored — factorisations pass between the solves of
     /// one branch & bound tree only, never between trees (measured on

@@ -801,8 +801,6 @@ impl SqprPlanner {
         // same degeneracy from the ratio-test side).
         let lp_opts = sqpr_lp::SimplexOptions {
             perturb: 1e-7,
-            ratio_test: self.config.lp_ratio_test,
-            pricing: self.config.lp_pricing,
             basis_update: self.config.lp_basis_update,
             ..sqpr_lp::SimplexOptions::default()
         };

@@ -232,18 +232,25 @@ fn resume_against_a_changed_deployment_at(quantum: usize) -> DeadlineRun {
     let subs = &submissions()[..9];
     let mut bases = Vec::new();
     let mut provisional = 0usize;
+    let mut last = None;
     for q in subs {
         bases = q.iter().map(|&i| b[i]).collect();
         let out = queue.submit(&mut planner, &bases).expect("valid bases");
         if out.verdict == RoundVerdict::Rejected(Rejected::DeadlineNoCertificate) {
             provisional += 1;
         }
+        last = Some(out);
     }
-    let parked = QueryId(subs.len() as u32 - 1);
+    // A provisional verdict with no ledger record is a parked round.
+    let last = last.expect("nine submissions");
+    assert_eq!(last.query, QueryId(subs.len() as u32 - 1));
     assert!(
-        queue.parked_queries().contains(&parked),
-        "the last submission must park; parked {:?}",
-        queue.parked_queries()
+        last.verdict == RoundVerdict::Rejected(Rejected::DeadlineNoCertificate)
+            && queue.records().iter().all(|r| r.query != last.query)
+            && queue.parked() > 0,
+        "the last submission must park: {:?}, {} parked",
+        last.verdict,
+        queue.parked()
     );
 
     planner.config_mut().round_deadline = None;
@@ -335,7 +342,9 @@ fn exhausted_retries_defer_at(
         out.verdict,
         RoundVerdict::Rejected(Rejected::DeadlineNoCertificate)
     );
-    assert_eq!(queue.parked_queries(), [out.query]);
+    // Parked, not resolved: the ledger stays empty until the round is.
+    assert_eq!(queue.parked(), 1);
+    assert!(queue.records().is_empty());
 
     // Two bounded retries (ticks 1 and 2, one more node each) leave the
     // search open; the greedy rung finds no room, so tick 3 runs the

@@ -12,8 +12,8 @@
 //! last refactorisation ([`crate::lu::LuFactors`]); `U` lives in the
 //! dynamic Forrest–Tomlin engine ([`crate::ft::UFactors`]) so basis changes
 //! can edit it in place. Under [`BasisUpdate::ProductForm`] the FT stage is
-//! inert and updates append classic PFI etas instead (the ablation
-//! baseline, and the fallback when an FT update is numerically rejected).
+//! inert and updates append classic PFI etas instead (also the fallback
+//! when an FT update is numerically rejected).
 //!
 //! ## Hyper-sparsity
 //!
@@ -65,7 +65,9 @@ pub enum BasisUpdate {
     /// Forrest–Tomlin updates of `U` (default): the factors stay sparse,
     /// refactorisation keys on measured fill growth.
     ForrestTomlin,
-    /// Product-form-of-inverse eta file (the pre-FT behaviour; ablation).
+    /// Product-form-of-inverse eta file, refactorised on eta count and
+    /// fill. Not the default, though measured faster on the benchmark's
+    /// `saturated_retry` workload (ARCHITECTURE §7).
     ProductForm,
 }
 
@@ -202,31 +204,14 @@ pub struct Basis<'a> {
 
 impl<'a> Basis<'a> {
     /// Creates a basis over the structural matrix with the given initial
-    /// basic set (global column indices, one per row) and factorises it.
+    /// basic set (global column indices, one per row) and factorises it,
+    /// with the default fill-growth refactorisation threshold (3.0).
     pub fn new(a: &'a CscMatrix, basic: Vec<usize>, update_mode: BasisUpdate) -> Self {
-        Self::with_fill_limit(a, basic, update_mode, 3.0)
+        Self::build(a, basic, update_mode, 3.0, None, BasisScratch::default()).0
     }
 
-    /// Like [`Self::new`] with an explicit Forrest–Tomlin fill-growth
-    /// refactorisation threshold.
-    pub fn with_fill_limit(
-        a: &'a CscMatrix,
-        basic: Vec<usize>,
-        update_mode: BasisUpdate,
-        fill_limit: f64,
-    ) -> Self {
-        Self::build(
-            a,
-            basic,
-            update_mode,
-            fill_limit,
-            None,
-            BasisScratch::default(),
-        )
-        .0
-    }
-
-    /// Full-control constructor: like [`Self::with_fill_limit`], working in
+    /// Full-control constructor: like [`Self::new`] with an explicit
+    /// Forrest–Tomlin fill-growth refactorisation threshold, working in
     /// `scratch`, except that a handed-in [`FactorState`] whose basic set,
     /// update mode and dimensions match is re-installed instead of
     /// refactorising. Returns whether it was.
@@ -610,14 +595,6 @@ impl<'a> Basis<'a> {
         self.etas.push(Eta::from_indexed(p, w, 1e-13));
         out
     }
-
-    /// FTRAN image of the global column `j` into `out` (which must be
-    /// cleared): the hyper-sparse entering-column solve.
-    pub fn ftran_column_sp(&mut self, j: usize, out: &mut IndexedVec) {
-        self.scatter_column_sp(j, out);
-        let mut ewma = 0.0;
-        self.ftran_sp(out, &mut ewma);
-    }
 }
 
 #[cfg(test)]
@@ -653,6 +630,14 @@ mod tests {
         v
     }
 
+    /// The FTRAN image of global column `j` under `basis`.
+    fn ftran_col(basis: &mut Basis<'_>, j: usize) -> IndexedVec {
+        let mut w = IndexedVec::zeros(basis.m());
+        basis.scatter_column_sp(j, &mut w);
+        basis.ftran_sp(&mut w, &mut 0.0);
+        w
+    }
+
     fn both_modes(a: &CscMatrix, basic: Vec<usize>) -> [Basis<'_>; 2] {
         [
             Basis::new(a, basic.clone(), BasisUpdate::ForrestTomlin),
@@ -679,8 +664,7 @@ mod tests {
         let a = small_a();
         for mut basis in both_modes(&a, vec![2, 3, 4]) {
             // Bring structural column 0 into position 0.
-            let mut w = IndexedVec::zeros(3);
-            basis.ftran_column_sp(0, &mut w);
+            let w = ftran_col(&mut basis, 0);
             assert_eq!(w.as_slice(), &[-1.0, -2.0, 0.0]); // -(col 0)
             basis.replace(0, 0, &w);
             // Now B = [a0 | -e1 | -e2]. Solve B z = [1,2,0]^T => z = e0.
@@ -700,11 +684,9 @@ mod tests {
     fn sparse_and_dense_solves_agree_after_replacements() {
         let a = small_a();
         for mut basis in both_modes(&a, vec![2, 3, 4]) {
-            let mut w = IndexedVec::zeros(3);
-            basis.ftran_column_sp(0, &mut w);
+            let w = ftran_col(&mut basis, 0);
             basis.replace(0, 0, &w);
-            let mut w2 = IndexedVec::zeros(3);
-            basis.ftran_column_sp(1, &mut w2);
+            let w2 = ftran_col(&mut basis, 1);
             assert!(w2[2].abs() > 1e-12, "position 2 must be pivotable");
             basis.replace(2, 1, &w2);
 
@@ -732,11 +714,9 @@ mod tests {
     fn refactorize_after_replacements_matches_update_solves() {
         let a = small_a();
         for mut basis in both_modes(&a, vec![2, 3, 4]) {
-            let mut w = IndexedVec::zeros(3);
-            basis.ftran_column_sp(0, &mut w);
+            let w = ftran_col(&mut basis, 0);
             basis.replace(0, 0, &w);
-            let mut w2 = IndexedVec::zeros(3);
-            basis.ftran_column_sp(1, &mut w2);
+            let w2 = ftran_col(&mut basis, 1);
             basis.replace(2, 1, &w2);
 
             let rhs = vec![0.3, -1.2, 2.0];
@@ -756,8 +736,7 @@ mod tests {
     fn ft_updates_are_counted() {
         let a = small_a();
         let mut basis = Basis::new(&a, vec![2, 3, 4], BasisUpdate::ForrestTomlin);
-        let mut w = IndexedVec::zeros(3);
-        basis.ftran_column_sp(0, &mut w);
+        let w = ftran_col(&mut basis, 0);
         basis.replace(0, 0, &w);
         let s = basis.stats();
         assert_eq!(s.ft_updates, 1);
@@ -769,6 +748,30 @@ mod tests {
         // presence and divisibility are meaningful here.
         assert!(s.sparse_solves + s.dense_solves >= 1);
         assert!(s.solve_dim >= 3 && s.solve_dim.is_multiple_of(3));
+    }
+
+    /// A numerically rejected Forrest–Tomlin update appends an exact eta
+    /// instead, and the eta schedules the refactorisation that clears it.
+    #[test]
+    fn rejected_ft_update_falls_back_to_an_eta() {
+        // Column 0 enters position 0 on a pivot of 1e-11: far below the FT
+        // update's relative diagonal tolerance.
+        let a = CscMatrix::from_triplets(2, 1, &[tri(0, 0, 1e-11), tri(1, 0, 1.0)]);
+        let mut basis = Basis::new(&a, vec![1, 2], BasisUpdate::ForrestTomlin);
+        let w = ftran_col(&mut basis, 0);
+        assert_eq!(basis.refactor_due(), None);
+        basis.replace(0, 0, &w);
+        let s = basis.stats();
+        assert_eq!((s.ft_updates, s.pfi_updates), (0, 1));
+        assert_eq!(basis.refactor_due(), Some(RefactorCause::RejectedUpdate));
+        // B = [a0 | -e1] maps e0 to a0, solved exactly through the eta.
+        let mut b = vec![1e-11, 1.0];
+        basis.ftran(&mut b);
+        assert!((b[0] - 1.0).abs() < 1e-9 && b[1].abs() < 1e-9, "{b:?}");
+        // The refactorisation clears the eta (and, this basis being
+        // numerically singular, repairs it).
+        basis.refactorize();
+        assert_eq!(basis.refactor_due(), None);
     }
 
     /// On a large, genuinely sparse basis the solve dispatch must pick the

@@ -26,15 +26,9 @@
 //! iteration, spread over a row-major mirror of the matrix), and recomputed
 //! from scratch after each refactorisation.
 //!
-//! ## Ratio tests: Harris tolerances and bound-flipping long steps
+//! ## The ratio test: bound-flipping long steps, then Harris tolerances
 //!
-//! Under [`RatioTest::Harris`] and above, the dual ratio test runs the
-//! two-pass Harris scheme: breakpoints are relaxed by the dual tolerance to
-//! find the furthest admissible dual step, then the entering column is the
-//! **largest pivot** among candidates within that relaxed step — degenerate
-//! breakpoint ties stop dictating tiny, numerically poor pivots.
-//!
-//! Under [`RatioTest::LongStep`] (the default) the test additionally walks
+//! The dual ratio test ([`RatioTest::LongStep`], the only one) first walks
 //! **past** breakpoints whose column is *boxed* (finite lower and upper
 //! bound): passing the breakpoint flips the column to its opposite bound —
 //! its reduced cost changes sign there, so dual feasibility is kept — and
@@ -45,13 +39,18 @@
 //! of bound flips, applied with **one** aggregated FTRAN
 //! ([`PivotCounts::bound_flips`] counts them).
 //!
-//! [`RatioTest::Harris`]: crate::simplex::RatioTest::Harris
+//! Among the candidates left after the walk, the test runs the two-pass
+//! Harris scheme: breakpoints are relaxed by the dual tolerance to find the
+//! furthest admissible dual step, then the entering column is the
+//! **largest pivot** among candidates within that relaxed step — degenerate
+//! breakpoint ties stop dictating tiny, numerically poor pivots.
+//!
 //! [`RatioTest::LongStep`]: crate::simplex::RatioTest::LongStep
 //! [`PivotCounts::bound_flips`]: crate::simplex::PivotCounts::bound_flips
 
 use crate::basis::RefactorCause;
 use crate::problem::LpStatus;
-use crate::simplex::{outside, RatioTest, Solver, VarStatus};
+use crate::simplex::{outside, Solver, VarStatus};
 use crate::sparse::IndexedVec;
 
 /// Outcome of one dual-simplex run.
@@ -206,8 +205,6 @@ impl Solver<'_> {
         // Row-major mirror for pivot rows; cached on the Problem, so only
         // the first dual entry against a given matrix pays the transpose.
         let mirror = self.p.row_major();
-        let harris = self.opts.ratio_test != RatioTest::Classic;
-        let long_step = self.opts.ratio_test == RatioTest::LongStep;
         let mut stall = 0usize;
         let mut last_total = f64::INFINITY;
         let mut retries = 0usize;
@@ -340,71 +337,54 @@ impl Solver<'_> {
 
             // ---- select the entering column (and the long-step flips) ----
             let mut nflips = 0usize;
-            let (q, _ratio_q, aq) = if !harris {
-                // Classic single pass: smallest ratio, ties by |pivot|.
-                let mut best = cands[0];
-                for &c in &cands[1..] {
-                    if c.1 < best.1 - 1e-12 || (c.1 <= best.1 + 1e-12 && c.2.abs() > best.2.abs()) {
-                        best = c;
-                    }
+            cands.sort_unstable_by(by_breakpoint);
+            // Bound-flipping walk: passing a boxed candidate's breakpoint
+            // flips it to its opposite bound and lowers the slope (this
+            // row's violation) by |alpha| * range; keep walking while the
+            // remaining slope stays nonnegative (the dual objective must not
+            // start *worsening* — flat is fine, and on the planner's
+            // unit-violation rows one flip typically zeroes the slope
+            // exactly) and an entering candidate remains.
+            let mut slope = viol_amt;
+            while nflips + 1 < cands.len() {
+                let (j, _, a) = cands[nflips];
+                let range = self.ub[j] - self.lb[j];
+                if !range.is_finite() {
+                    break; // a free/one-sided column must enter
                 }
-                best
-            } else {
-                cands.sort_unstable_by(by_breakpoint);
-                if long_step {
-                    // Bound-flipping walk: passing a boxed candidate's
-                    // breakpoint flips it to its opposite bound and lowers
-                    // the slope (this row's violation) by |alpha| * range;
-                    // keep walking while the remaining slope stays
-                    // nonnegative (the dual objective must not start
-                    // *worsening* — flat is fine, and on the planner's
-                    // unit-violation rows one flip typically zeroes the
-                    // slope exactly) and an entering candidate remains.
-                    let mut slope = viol_amt;
-                    while nflips + 1 < cands.len() {
-                        let (j, _, a) = cands[nflips];
-                        let range = self.ub[j] - self.lb[j];
-                        if !range.is_finite() {
-                            break; // a free/one-sided column must enter
-                        }
-                        let gain = a.abs() * range;
-                        if slope - gain < -1e-9 {
-                            break;
-                        }
-                        slope -= gain;
-                        nflips += 1;
-                    }
+                let gain = a.abs() * range;
+                if slope - gain < -1e-9 {
+                    break;
                 }
-                // Harris two-pass over the remaining candidates. The
-                // relaxation is a small fraction of the dual tolerance,
-                // mirroring the primal test: wide windows admit reduced-cost
-                // overruns whose clamping feeds degenerate zero-ratio
-                // candidates back into later iterations.
-                let relax = tol_d * 0.01;
-                let rest = &cands[nflips..];
-                let mut t_rel = f64::INFINITY;
-                for &(_, ratio, a) in rest {
-                    t_rel = t_rel.min(ratio + relax / a.abs());
+                slope -= gain;
+                nflips += 1;
+            }
+            // Harris two-pass over the remaining candidates. The relaxation
+            // is a small fraction of the dual tolerance, mirroring the primal
+            // test: wide windows admit reduced-cost overruns whose clamping
+            // feeds degenerate zero-ratio candidates back into later
+            // iterations.
+            let relax = tol_d * 0.01;
+            let rest = &cands[nflips..];
+            let mut t_rel = f64::INFINITY;
+            for &(_, ratio, a) in rest {
+                t_rel = t_rel.min(ratio + relax / a.abs());
+            }
+            let mut best: Option<(usize, f64, f64)> = None;
+            for &(j, ratio, a) in rest {
+                if ratio <= t_rel && best.is_none_or(|(_, _, ba): (_, _, f64)| a.abs() > ba.abs()) {
+                    best = Some((j, ratio, a));
                 }
-                let mut best: Option<(usize, f64, f64)> = None;
-                for &(j, ratio, a) in rest {
-                    if ratio <= t_rel
-                        && best.is_none_or(|(_, _, ba): (_, _, f64)| a.abs() > ba.abs())
-                    {
-                        best = Some((j, ratio, a));
-                    }
-                }
-                // `rest` is non-empty (the flip walk stops before the last
-                // candidate), but selection coming up empty must degrade to
-                // the composite phase-I rung, never panic mid-solve.
-                let Some(chosen) = best else {
-                    return DualOutcome::FallBack;
-                };
-                if nflips == 0 && chosen.1 > 1e-12 && rest[0].1 <= 1e-12 {
-                    self.pivots.harris_degenerate_saved += 1;
-                }
-                chosen
+            }
+            // `rest` is non-empty (the flip walk stops before the last
+            // candidate), but selection coming up empty must degrade to the
+            // composite phase-I rung, never panic mid-solve.
+            let Some((q, ratio_q, aq)) = best else {
+                return DualOutcome::FallBack;
             };
+            if nflips == 0 && ratio_q > 1e-12 && rest[0].1 <= 1e-12 {
+                self.pivots.harris_degenerate_saved += 1;
+            }
             // ---- FTRAN the entering column, cross-check the pivot ----
             self.w.clear();
             self.basis.scatter_column_sp(q, &mut self.w);

@@ -19,23 +19,6 @@ pub struct Eta {
 }
 
 impl Eta {
-    /// Builds an eta from the dense FTRAN image `w` of the entering column.
-    pub fn from_dense(pos: usize, w: &[f64], drop_tol: f64) -> Self {
-        let pivot = w[pos];
-        debug_assert!(pivot != 0.0, "eta pivot must be nonzero");
-        let offdiag = w
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| i != pos && v.abs() > drop_tol)
-            .map(|(i, &v)| (i, v))
-            .collect();
-        Eta {
-            pos,
-            pivot,
-            offdiag,
-        }
-    }
-
     /// In-place FTRAN application: `x <- E x`.
     ///
     /// `x_new[pos] = x[pos] / pivot`; `x_new[i] = x[i] - w[i] * x_new[pos]`.
@@ -118,6 +101,17 @@ impl Eta {
 mod tests {
     use super::*;
 
+    /// The eta of the FTRAN image `w`, built through its tracked pattern.
+    fn eta_of(pos: usize, w: &[f64], drop_tol: f64) -> Eta {
+        let mut iv = IndexedVec::zeros(w.len());
+        for (i, &v) in w.iter().enumerate() {
+            if v != 0.0 {
+                iv.set(i, v);
+            }
+        }
+        Eta::from_indexed(pos, &iv, drop_tol)
+    }
+
     /// Dense reference: build E explicitly and multiply.
     fn dense_e(eta: &Eta, m: usize) -> Vec<Vec<f64>> {
         let mut e = vec![vec![0.0; m]; m];
@@ -151,7 +145,7 @@ mod tests {
     #[test]
     fn ftran_matches_dense_reference() {
         let w = [0.5, 2.0, 0.0, -1.0];
-        let eta = Eta::from_dense(1, &w, 0.0);
+        let eta = eta_of(1, &w, 0.0);
         let e = dense_e(&eta, 4);
         let x0 = [1.0, 3.0, -2.0, 0.25];
         let expect = matvec(&e, &x0);
@@ -165,7 +159,7 @@ mod tests {
     #[test]
     fn btran_matches_dense_reference() {
         let w = [0.5, 2.0, 0.0, -1.0];
-        let eta = Eta::from_dense(1, &w, 0.0);
+        let eta = eta_of(1, &w, 0.0);
         let e = dense_e(&eta, 4);
         let y0 = [2.0, -1.0, 4.0, 1.0];
         let expect = matvec_t(&e, &y0);
@@ -181,7 +175,7 @@ mod tests {
         // E^{-1} has the same structure with w restored; applying E then
         // reconstructing the original vector validates the algebra.
         let w = [1.0, 0.0, 4.0];
-        let eta = Eta::from_dense(2, &w, 0.0);
+        let eta = eta_of(2, &w, 0.0);
         let x0 = [3.0, -1.0, 2.0];
         let mut x = x0;
         eta.apply_ftran(&mut x);
@@ -199,7 +193,7 @@ mod tests {
     #[test]
     fn drop_tolerance_prunes_tiny_entries() {
         let w = [1e-14, 1.0, 0.5];
-        let eta = Eta::from_dense(1, &w, 1e-12);
+        let eta = eta_of(1, &w, 1e-12);
         assert_eq!(eta.offdiag.len(), 1);
         assert_eq!(eta.offdiag[0], (2, 0.5));
     }

@@ -2,7 +2,8 @@
 //!
 //! A self-contained sparse linear-programming solver: bounded-variable
 //! revised primal simplex with sparse LU basis factorisation and
-//! product-form-of-inverse updates.
+//! Forrest–Tomlin updates (or product-form etas, which are also the
+//! fallback for a rejected update), plus a dual simplex for warm re-solves.
 //!
 //! This crate exists because the SQPR reproduction needs a MILP solver (the
 //! paper uses CPLEX) and no LP/MILP engine is available in the sanctioned
@@ -50,22 +51,30 @@
 //! columns is priced per iteration. Bound-fixed columns are skipped
 //! outright at every size.
 //!
-//! ## Pricing and ratio tests
+//! ## One pricing rule and ratio test; two basis updates
 //!
-//! Both loops price with **devex reference weights** (`d^2 / w`,
-//! [`PricingRule::Devex`], the default): the primal loop runs the full
-//! pivot-row Forrest–Goldfarb update over the row-major matrix mirror, the
-//! dual loop scores rows by `violation^2 / weight` with weights updated
-//! from the entering column's FTRAN image. [`PricingRule::Dantzig`] is the
-//! ablation (all weights pinned at 1).
+//! [`RatioTest`] and [`PricingRule`] have one variant each; the one
+//! strategy [`SimplexOptions`] still selects is [`BasisUpdate`].
 //!
-//! The ratio tests default to **Harris two-pass tolerances** plus the
-//! **bound-flipping dual long step** ([`RatioTest::LongStep`]): degenerate
-//! blocking ties resolve onto the largest available pivot instead of a
-//! zero-length step, and the dual test amortises runs of degenerate pivots
-//! over boxed columns into one pivot plus a batch of bound flips.
-//! [`RatioTest::Classic`] keeps the textbook single-pass test as the
-//! ablation baseline. [`LpSolution::pivots`] reports iterations per phase
+//! Both loops price with **devex reference weights** (`d^2 / w`): the
+//! primal loop runs the full pivot-row Forrest–Goldfarb update over the
+//! row-major matrix mirror, the dual loop scores rows by
+//! `violation^2 / weight` with weights updated from the entering column's
+//! FTRAN image. Hinted re-solves keep the primal weights at 1.
+//!
+//! The ratio tests use **Harris two-pass tolerances**, and the dual test
+//! adds the **bound-flipping long step**: degenerate blocking ties resolve
+//! onto the largest available pivot instead of a zero-length step, and the
+//! dual test amortises runs of degenerate pivots over boxed columns into
+//! one pivot plus a batch of bound flips. Bland's anti-cycling rule, which
+//! a primal stall engages, runs the textbook single-pass test.
+//!
+//! The basis absorbs each pivot as a **Forrest–Tomlin** update of `U`
+//! ([`BasisUpdate::ForrestTomlin`], the default; a numerically rejected
+//! update appends an exact product-form eta instead and schedules a
+//! refactorisation), or as a product-form eta
+//! ([`BasisUpdate::ProductForm`]).
+//! [`LpSolution::pivots`] reports iterations per phase
 //! plus the `bound_flips` / `harris_degenerate_saved` side-counters, which
 //! is how callers verify that bound-change re-solves really ran as (few)
 //! dual pivots.

@@ -284,11 +284,6 @@ impl LuFactors {
         self.m
     }
 
-    /// Total entries in L + U (diagnostics / refactorisation policy).
-    pub fn nnz(&self) -> usize {
-        self.l.nnz() + self.u.nnz() + self.u_diag.len()
-    }
-
     /// Maps original row -> pivot position.
     pub fn pinv(&self) -> &[usize] {
         &self.pinv

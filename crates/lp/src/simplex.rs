@@ -19,10 +19,10 @@
 //! in [`crate::dual`] recovers feasibility with dual pivots instead of
 //! phase-I.
 //!
-//! Pricing: Dantzig over all columns for small systems; for larger systems
-//! a bound-flip-aware *partial* pricing scheme (rotating candidate window +
-//! a short-list of recently attractive columns) prices only a fraction of
-//! the `n + m` columns per iteration. Bland's rule (full scan) engages
+//! Pricing: devex scores over all columns for small systems; for larger
+//! systems a bound-flip-aware *partial* pricing scheme (rotating candidate
+//! window + a short-list of recently attractive columns) prices only a
+//! fraction of the `n + m` columns per iteration. Bland's rule (full scan) engages
 //! after a stall is detected, preserving the anti-cycling guarantee.
 
 use crate::basis::{Basis, BasisScratch, BasisUpdate, FactorState, RefactorCause};
@@ -88,7 +88,8 @@ pub struct PivotCounts {
     pub solve_dim: usize,
     /// Forrest–Tomlin basis updates applied.
     pub ft_updates: usize,
-    /// Product-form etas appended (ablation mode or FT-rejection fallback).
+    /// Product-form etas appended (product-form mode or FT-rejection
+    /// fallback).
     pub pfi_updates: usize,
     /// Basis refactorisations performed.
     pub refactorizations: usize,
@@ -267,7 +268,7 @@ pub struct BasisState {
 /// The planner's assignment-style models are massively degenerate: many
 /// basics sit exactly on a bound, so the textbook smallest-ratio test keeps
 /// returning zero-length steps and the solver burns iterations shuffling
-/// the basis without moving. The refined tests attack exactly that:
+/// the basis without moving. The one test attacks exactly that:
 ///
 /// - **Harris two-pass** (primal and dual): pass one computes the largest
 ///   step allowed when every blocking bound is relaxed by the feasibility
@@ -283,30 +284,27 @@ pub struct BasisState {
 ///   slope stays positive. Many degenerate dual pivots collapse into one
 ///   BTRAN/FTRAN plus a batch of bound flips (reported as
 ///   [`PivotCounts::bound_flips`]).
+///
+/// Bland's anti-cycling rule, once a primal stall engages it, runs the
+/// textbook single-pass test instead (smallest ratio, ties by smallest
+/// variable index). One variant; the enum stays only because
+/// [`SimplexOptions::ratio_test`] names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RatioTest {
-    /// Textbook single-pass bounded ratio test (smallest ratio, ties by
-    /// largest pivot). The ablation baseline; also what Bland's
-    /// anti-cycling rule always uses regardless of this setting.
-    Classic,
-    /// Harris two-pass tolerances, no dual long steps.
-    Harris,
-    /// Harris two-pass plus the bound-flipping dual long step. Default.
+    /// Harris two-pass plus the bound-flipping dual long step.
     LongStep,
 }
 
 /// Primal pricing rule.
 ///
 /// Devex maintains approximate steepest-edge reference weights `w_j` and
-/// scores candidates by `d_j^2 / w_j`; Dantzig is the `w_j = 1` special
-/// case. With the full pivot-row update (one BTRAN of the leaving row per
-/// pivot, spread over the row-major mirror shared with the dual simplex)
-/// devex is accurate enough to engage from cold starts too, so it is the
-/// default and Dantzig is the ablation.
+/// scores candidates by `d_j^2 / w_j`. With the full pivot-row update (one
+/// BTRAN of the leaving row per pivot, spread over the row-major mirror
+/// shared with the dual simplex) devex is accurate enough to engage from
+/// cold starts too. Hinted re-solves keep every weight at 1. One variant;
+/// the enum stays only because [`SimplexOptions::pricing`] names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PricingRule {
-    /// Exact reduced-cost magnitude (`w_j = 1` forever).
-    Dantzig,
     /// Reference-framework devex with full pivot-row weight updates.
     Devex,
 }
@@ -340,9 +338,9 @@ pub struct SimplexOptions {
     /// (0 disables). The perturbation is removed before termination, so
     /// reported optima are exact for the true objective.
     pub perturb: f64,
-    /// Ratio-test refinement level (see [`RatioTest`]).
+    /// The ratio test (see [`RatioTest`]; one value, no choice).
     pub ratio_test: RatioTest,
-    /// Primal pricing rule (see [`PricingRule`]).
+    /// The primal pricing rule (see [`PricingRule`]; one value, no choice).
     pub pricing: PricingRule,
     /// Basis update representation (see [`BasisUpdate`]). Under
     /// Forrest–Tomlin the primal loop's `refactor_interval` pivot cap is
@@ -1197,7 +1195,7 @@ impl<'a> Solver<'a> {
     ///
     /// - Bland mode: full scan, first attractive column by index
     ///   (anti-cycling requires it).
-    /// - Full Dantzig (window >= n + m): best score over all columns.
+    /// - Full (window >= n + m): best devex score over all columns.
     /// - Partial: re-price the candidate short-list first (still valid
     ///   after bound flips — the duals are unchanged), then scan a
     ///   rotating window; only an empty full rotation proves optimality.
@@ -1348,27 +1346,27 @@ impl<'a> Solver<'a> {
     /// Bounded-variable ratio test, phase-aware.
     ///
     /// Moving the entering variable by `t` in direction `dir` changes basic
-    /// `pos` by `-t * dir * w[pos]`. Dispatches on [`SimplexOptions::ratio_test`];
-    /// Bland mode always runs the classic single pass (the anti-cycling
+    /// `pos` by `-t * dir * w[pos]`. Runs the Harris two-pass test, except
+    /// that Bland mode runs the classic single pass (the anti-cycling
     /// argument needs the deterministic smallest-ratio choice).
     fn ratio_test(&mut self, j: usize, dir: f64, phase1: bool, bland: bool) -> Ratio {
-        if bland || self.opts.ratio_test == RatioTest::Classic {
-            self.ratio_test_classic(j, dir, phase1, bland)
+        if bland {
+            self.ratio_test_classic(j, dir, phase1)
         } else {
             self.ratio_test_harris(j, dir, phase1)
         }
     }
 
-    /// Textbook single-pass test: smallest ratio wins, ties by largest
-    /// pivot magnitude (or smallest variable index under Bland's rule).
-    /// Only positions in the entering column's FTRAN support can block
-    /// (zero pivots never pass [`Self::ratio_limit`]), so a sparse `w`
-    /// scans its pattern instead of all `m` rows.
-    fn ratio_test_classic(&self, j: usize, dir: f64, phase1: bool, bland: bool) -> Ratio {
+    /// Textbook single-pass test under Bland's rule: smallest ratio wins,
+    /// ties by smallest variable index. Only positions in the entering
+    /// column's FTRAN support can block (zero pivots never pass
+    /// [`Self::ratio_limit`]), so a sparse `w` scans its pattern instead of
+    /// all `m` rows.
+    fn ratio_test_classic(&self, j: usize, dir: f64, phase1: bool) -> Ratio {
         if self.w.is_sparse() {
-            self.ratio_test_classic_at(self.w.indices().iter().copied(), j, dir, phase1, bland)
+            self.ratio_test_classic_at(self.w.indices().iter().copied(), j, dir, phase1)
         } else {
-            self.ratio_test_classic_at(0..self.m, j, dir, phase1, bland)
+            self.ratio_test_classic_at(0..self.m, j, dir, phase1)
         }
     }
 
@@ -1378,7 +1376,6 @@ impl<'a> Solver<'a> {
         j: usize,
         dir: f64,
         phase1: bool,
-        bland: bool,
     ) -> Ratio {
         // Entering variable's own travel range (bound flip distance).
         let own_range = self.ub[j] - self.lb[j];
@@ -1389,21 +1386,12 @@ impl<'a> Solver<'a> {
             let Some((limit, at_upper)) = self.ratio_limit(pos, dir, phase1) else {
                 continue;
             };
-            let wv = self.w[pos];
-            let better = if bland {
-                // Bland: smallest ratio, ties by smallest variable index.
-                limit < t_best - 1e-12
-                    || (limit <= t_best + 1e-12
-                        && blocking.map_or(own_range.is_finite(), |(bp, _)| {
-                            self.basis.basic_at(pos) < self.basis.basic_at(bp)
-                        })
-                        && limit <= t_best)
-            } else {
-                // Dantzig: smallest ratio, ties by largest pivot magnitude.
-                limit < t_best - 1e-12
-                    || (limit <= t_best + 1e-12
-                        && blocking.is_some_and(|(bp, _)| wv.abs() > self.w[bp].abs()))
-            };
+            let better = limit < t_best - 1e-12
+                || (limit <= t_best + 1e-12
+                    && blocking.map_or(own_range.is_finite(), |(bp, _)| {
+                        self.basis.basic_at(pos) < self.basis.basic_at(bp)
+                    })
+                    && limit <= t_best);
             if better {
                 t_best = limit;
                 blocking = Some((pos, at_upper));
@@ -1688,9 +1676,6 @@ impl<'a> Solver<'a> {
     /// cold starts (the partial update it replaces mispriced ~15% extra
     /// iterations there and had to be gated to warm re-solves).
     fn update_devex_primal(&mut self, j: usize, pos: usize) {
-        if self.opts.pricing == PricingRule::Dantzig {
-            return; // weights stay at 1: exact Dantzig scores
-        }
         // Amortisation heuristic: reference weights only start informing
         // pricing after enough pivot-row updates accumulate. Cold solves
         // run hundreds of iterations and gain ~20% from the framework;
@@ -2592,6 +2577,40 @@ mod warm_start_tests {
             warm2.iterations,
             cold2.iterations
         );
+    }
+
+    /// Hinted re-solves keep unit devex weights (the amortisation
+    /// heuristic of `update_devex_primal`), so they price by the plain
+    /// reduced-cost score; a cold solve of the same LP moves them.
+    #[test]
+    fn hinted_solves_leave_devex_weights_at_one() {
+        // min -5y - x  s.t.  y + 10x <= 10: `y` enters on the one row, whose
+        // pivot row carries `x` at ten times the entering coefficient.
+        let lp = |cy: f64, cx: f64| {
+            let mut b = ProblemBuilder::new();
+            let y = b.add_col(cy, 0.0, INF);
+            let x = b.add_col(cx, 0.0, INF);
+            let r = b.add_row(-INF, 10.0);
+            b.set_coeff(r, y, 1.0);
+            b.set_coeff(r, x, 10.0);
+            b.build()
+        };
+        let opts = SimplexOptions::default();
+        // The slack basis, as the optimum of a nonnegative objective.
+        let hint = solve(&lp(1.0, 1.0), &opts).basis;
+        let p = lp(-5.0, -1.0);
+        let (lb, ub) = p.col_bounds();
+        let [cold, warm] = [None, hint.as_ref()].map(|hint| {
+            let mut ws = LpWorkspace::new();
+            let s = solve_with_bounds_from_ws(&p, lb, ub, hint, &opts, &mut ws, &mut None);
+            assert_eq!(s.status, LpStatus::Optimal);
+            assert!((s.objective + 50.0).abs() < 1e-9, "{}", s.objective);
+            (s, ws.devex)
+        });
+        assert!(warm.0.pivots.primal > 0, "the hinted solve must pivot");
+        assert_eq!(warm.0.pivots.phase1 + warm.0.pivots.dual, 0);
+        assert!(warm.1.iter().all(|&w| w == 1.0), "{:?}", warm.1);
+        assert!(cold.1.iter().any(|&w| w != 1.0), "{:?}", cold.1);
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //! branch & bound runs them: every re-solve is warm-started from the
 //! previous solve's basis and seeded with its final factorisation through
 //! the solves' `factors` argument, and every step also solves a sibling
-//! (the other child) from the same parent seed. The options rotate over the planner's settings and the
-//! ablations (product-form updates, classic ratio test, Dantzig pricing, a
-//! tight refactorisation cadence, a low fill limit).
+//! (the other child) from the same parent seed. The options rotate over the
+//! planner's settings, product-form updates and settings that stress other
+//! paths: a tight refactorisation cadence, a zero stall limit (Bland's rule
+//! and its classic ratio test in the primal loop, the fallback to phase-I
+//! in the dual loop) and a low fill limit.
 //!
 //! Per solve the trace records the status, the iteration count, every
 //! pivot-sequence counter, the objective's bits and FNV-1a hashes of the
@@ -29,8 +31,7 @@ use std::fmt::Write as _;
 
 use sqpr_lp::{
     solve_with_bounds_from_ws, solve_with_bounds_recovering_ws, BasisUpdate, LpSolution, LpStatus,
-    LpWorkspace, PricingRule, Problem, ProblemBuilder, RatioTest, SimplexOptions, VarBasisStatus,
-    INF,
+    LpWorkspace, Problem, ProblemBuilder, SimplexOptions, VarBasisStatus, INF,
 };
 use sqpr_workload::rng::{Rng, StdRng};
 
@@ -129,8 +130,8 @@ fn planner_lp(rng: &mut StdRng, large: bool) -> Case {
     }
 }
 
-/// The options of case `k`: the planner's settings and the ablations in
-/// rotation.
+/// The options of case `k`: the planner's settings and the stress
+/// settings in rotation.
 fn options(k: u64) -> SimplexOptions {
     let base = SimplexOptions::default();
     match k % 6 {
@@ -149,12 +150,11 @@ fn options(k: u64) -> SimplexOptions {
             ..base
         },
         4 => SimplexOptions {
-            ratio_test: RatioTest::Classic,
-            pricing: PricingRule::Dantzig,
+            stall_limit: 0,
+            refactor_interval: 3,
             ..base
         },
         _ => SimplexOptions {
-            ratio_test: RatioTest::Harris,
             ft_fill_limit: 1.2,
             perturb: 1e-7,
             ..base

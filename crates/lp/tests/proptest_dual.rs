@@ -13,8 +13,8 @@
 //! replayed deterministically.
 
 use sqpr_lp::{
-    solve, solve_with_bounds_from_ws, LpStatus, LpWorkspace, PricingRule, Problem, ProblemBuilder,
-    RatioTest, SimplexOptions, INF,
+    solve, solve_with_bounds_from_ws, LpStatus, LpWorkspace, Problem, ProblemBuilder,
+    SimplexOptions, INF,
 };
 use sqpr_workload::rng::{Rng, StdRng};
 
@@ -158,20 +158,21 @@ fn dual_resolves_match_cold_solves_after_bound_changes() {
     );
 }
 
-/// The Harris and bound-flipping dual ratio tests must agree with the
-/// classic test on every warm bound-change re-solve: same feasibility
-/// verdict, same optimal objective. The long-step path must actually
-/// exercise bound flips somewhere in the suite (boxed columns with
-/// multi-unit violations are common under the fix/tighten mutations).
+/// The two ratio tests must agree on every bound-change re-solve: the
+/// dual long step (with Harris tolerances) a warm re-solve runs from the
+/// parent's basis, and the primal Harris test a cold solve runs. Same
+/// feasibility verdict, same optimal objective. The long-step path must
+/// actually exercise bound flips somewhere in the suite (boxed columns
+/// with multi-unit violations are common under the fix/tighten mutations).
 #[test]
 fn ratio_test_modes_agree_on_warm_resolves() {
-    let modes = [RatioTest::Classic, RatioTest::Harris, RatioTest::LongStep];
+    let opts = SimplexOptions::default();
     let mut longstep_flips = 0usize;
     let mut longstep_dual = 0usize;
     for seed in 0..120u64 {
         let mut rng = StdRng::seed_from_u64(0x10A6_57E9 ^ (seed << 1));
         let (p, lb0, ub0) = random_lp(&mut rng);
-        let base = solve(&p, &SimplexOptions::default());
+        let base = solve(&p, &opts);
         if base.status != LpStatus::Optimal {
             continue;
         }
@@ -179,106 +180,41 @@ fn ratio_test_modes_agree_on_warm_resolves() {
         let mut ub = ub0.clone();
         for step in 0..3 {
             mutate_bounds(&mut rng, &mut lb, &mut ub, &ub0);
-            let cold = solve_with_bounds_from_ws(
-                &p,
-                &lb,
-                &ub,
-                None,
-                &SimplexOptions::default(),
-                &mut LpWorkspace::new(),
-                &mut None,
-            );
-            for &ratio_test in &modes {
-                let opts = SimplexOptions {
-                    ratio_test,
-                    ..SimplexOptions::default()
-                };
-                let warm = solve_with_bounds_from_ws(
+            let [cold, warm] = [None, base.basis.as_ref()].map(|hint| {
+                solve_with_bounds_from_ws(
                     &p,
                     &lb,
                     &ub,
-                    base.basis.as_ref(),
+                    hint,
                     &opts,
                     &mut LpWorkspace::new(),
                     &mut None,
+                )
+            });
+            assert_eq!(
+                warm.status, cold.status,
+                "seed {seed} step {step}: status diverged"
+            );
+            if warm.status == LpStatus::Optimal {
+                assert!(
+                    (warm.objective - cold.objective).abs() < 1e-6 * (1.0 + cold.objective.abs()),
+                    "seed {seed} step {step}: {} vs {}",
+                    warm.objective,
+                    cold.objective
                 );
-                assert_eq!(
-                    warm.status, cold.status,
-                    "seed {seed} step {step} {ratio_test:?}: status diverged"
+                assert!(
+                    p.is_feasible(&warm.x, 1e-6),
+                    "seed {seed} step {step}: infeasible point"
                 );
-                if warm.status == LpStatus::Optimal {
-                    assert!(
-                        (warm.objective - cold.objective).abs()
-                            < 1e-6 * (1.0 + cold.objective.abs()),
-                        "seed {seed} step {step} {ratio_test:?}: {} vs {}",
-                        warm.objective,
-                        cold.objective
-                    );
-                    assert!(
-                        p.is_feasible(&warm.x, 1e-6),
-                        "seed {seed} step {step} {ratio_test:?}: infeasible point"
-                    );
-                }
-                if ratio_test == RatioTest::LongStep {
-                    longstep_flips += warm.pivots.bound_flips;
-                    longstep_dual += warm.pivots.dual;
-                }
             }
+            longstep_flips += warm.pivots.bound_flips;
+            longstep_dual += warm.pivots.dual;
         }
     }
     assert!(
         longstep_dual > 0 && longstep_flips > 0,
         "long-step path under-exercised: {longstep_dual} dual pivots, {longstep_flips} flips"
     );
-}
-
-/// The devex amortisation heuristic: hinted (warm) re-solves keep unit
-/// reference weights, so under `PricingRule::Devex` they price exactly
-/// like Dantzig — identical iteration counts, not just identical answers.
-#[test]
-fn hinted_resolves_price_like_dantzig() {
-    for seed in 0..60u64 {
-        let mut rng = StdRng::seed_from_u64(0xAD4E ^ (seed << 2));
-        let (p, _, ub0) = random_lp(&mut rng);
-        let base = solve(
-            &p,
-            &SimplexOptions {
-                pricing: PricingRule::Dantzig,
-                ..SimplexOptions::default()
-            },
-        );
-        if base.status != LpStatus::Optimal {
-            continue;
-        }
-        let mut lb: Vec<f64> = vec![0.0; p.ncols()];
-        let mut ub = ub0.clone();
-        mutate_bounds(&mut rng, &mut lb, &mut ub, &ub0);
-        let [devex, dantzig] = [PricingRule::Devex, PricingRule::Dantzig].map(|pricing| {
-            solve_with_bounds_from_ws(
-                &p,
-                &lb,
-                &ub,
-                base.basis.as_ref(),
-                &SimplexOptions {
-                    pricing,
-                    ..SimplexOptions::default()
-                },
-                &mut LpWorkspace::new(),
-                &mut None,
-            )
-        });
-        assert_eq!(devex.status, dantzig.status, "seed {seed}");
-        assert_eq!(
-            devex.iterations, dantzig.iterations,
-            "seed {seed}: hinted devex must follow the exact Dantzig path"
-        );
-        if devex.status == LpStatus::Optimal {
-            assert!(
-                (devex.objective - dantzig.objective).abs() < 1e-9,
-                "seed {seed}"
-            );
-        }
-    }
 }
 
 #[test]

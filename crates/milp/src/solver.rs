@@ -44,20 +44,15 @@ use crate::presolve::presolve_bounds_active;
 /// it rejects never become the incumbent.
 pub type IncumbentFilter<'a> = &'a dyn Fn(&[f64]) -> bool;
 
-/// Bound-vs-incumbent pruning tolerance under the Harris ratio tests.
-/// Sized to dominate the LP's primal noise floor: the Harris test
-/// deliberately admits per-variable bound violations (a small fraction of
-/// the feasibility tolerance, see `sqpr_lp`), which — multiplied by large
-/// objective coefficients — can land a relaxation objective slightly
-/// *below* the exact vertex optimum. With an epsilon tighter than that
-/// noise, nodes that tie the incumbent exactly (the overwhelmingly common
-/// case on the planner's degenerate assignment models) would survive
-/// pruning and inflate the tree.
-const PRUNE_EPS_HARRIS: f64 = 1e-6;
-
-/// Pruning tolerance under [`sqpr_lp::RatioTest::Classic`], whose ratio
-/// test never overruns a bound — the ablation baseline stays exact.
-const PRUNE_EPS_EXACT: f64 = 1e-9;
+/// Bound-vs-incumbent pruning tolerance. Sized to dominate the LP's
+/// primal noise floor: `sqpr_lp`'s Harris ratio test deliberately admits
+/// per-variable bound violations (a small fraction of the feasibility
+/// tolerance), which — multiplied by large objective coefficients — can
+/// land a relaxation objective slightly *below* the exact vertex optimum.
+/// With an epsilon tighter than that noise, nodes that tie the incumbent
+/// exactly (the overwhelmingly common case on the planner's degenerate
+/// assignment models) would survive pruning and inflate the tree.
+const PRUNE_EPS: f64 = 1e-6;
 
 /// One seat of a [`ModelBasis`]: either a model variable or the slack of a
 /// model constraint.
@@ -936,13 +931,9 @@ impl<'a> Bnb<'a> {
     fn search(&mut self, quantum: usize) -> SliceVerdict {
         let mut budget_hit = false;
         let mut slice_done = 0usize;
-        // Effective bound-vs-incumbent slack: the noise-floor epsilon for
-        // the active ratio test, widened by the caller's cutoff margin.
-        let prune_slack = if self.opts.lp.ratio_test == sqpr_lp::RatioTest::Classic {
-            PRUNE_EPS_EXACT
-        } else {
-            PRUNE_EPS_HARRIS
-        } + self.opts.cutoff_margin;
+        // Effective bound-vs-incumbent slack: the LP's noise-floor
+        // epsilon, widened by the caller's cutoff margin.
+        let prune_slack = PRUNE_EPS + self.opts.cutoff_margin;
 
         loop {
             // Preemption point: the quantum counts nodes *evaluated this

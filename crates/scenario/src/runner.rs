@@ -84,7 +84,6 @@ struct Counters {
     lp_iterations: usize,
     cache_patches: usize,
     cache_rebuilds: usize,
-    cache_refix_patches: usize,
     // Deadline mode (`system.round_deadline`): admission-queue traffic.
     parked: usize,
     pump_ticks: usize,
@@ -562,7 +561,6 @@ fn account_outcome(d: &mut Drive, o: &sqpr_core::PlanningOutcome) {
     c.lp_iterations += o.lp_iterations;
     c.cache_patches += o.lp_cache.patches;
     c.cache_rebuilds += o.lp_cache.rebuilds;
-    c.cache_refix_patches += o.lp_cache.refix_patches;
     if o.lp_cache.rebuilds > 1 {
         d.errors.push(format!(
             "q{}: one round lowered the LP {} times (cut rounds must append)",
@@ -787,7 +785,6 @@ fn bench_entry(spec: &ScenarioSpec, d: &Drive) -> Table {
         .with("lp_iterations", c.lp_iterations)
         .with("cache_patches", c.cache_patches)
         .with("cache_rebuilds", c.cache_rebuilds)
-        .with("cache_refix_patches", c.cache_refix_patches)
         .with("cache_patch_rate", Value::Float(patch_rate))
         .with("warm_cold_agreement", Value::Bool(true))
 }
